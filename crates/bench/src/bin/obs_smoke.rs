@@ -81,16 +81,19 @@ fn apply_once(i: usize) {
 /// metrics snapshot, and the bench harness JSON lines.
 fn percentile_surface() {
     metrics::reset();
-    // Duplicate jobs so the result cache sees hits within the batch.
-    let jobs: Vec<Job> = (0..8).map(|i| Job::new(SCRIPT, payload(i % 4))).collect();
+    // Half the batch is already cached, so the report mixes hits
+    // (answered on this thread) with misses (run on the two workers).
+    let jobs: Vec<Job> = (0..8).map(|i| Job::new(SCRIPT, payload(i))).collect();
     let engine = Engine::new(EngineConfig::standard().with_workers(2));
+    engine.run_batch(jobs[..4].to_vec());
     let report = engine.run_batch(jobs);
     assert_eq!(report.err_count(), 0, "clean batch must succeed");
     assert_eq!(report.stats.total.count, 8, "one total sample per job");
     assert_eq!(report.stats.lanes.len(), 2, "one lane per worker");
-    assert!(
-        report.stats.cache.hits >= 1,
-        "duplicate jobs should hit the cache: {:?}",
+    assert_eq!(
+        (report.stats.cache.hits, report.stats.cache.misses),
+        (4, 4),
+        "the cached half must hit: {:?}",
         report.stats.cache
     );
 

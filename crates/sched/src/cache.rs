@@ -1,45 +1,65 @@
-//! The fingerprint-keyed result cache shared by all workers.
+//! The byte-keyed result cache shared by every engine over it.
 //!
-//! Keys are `(script fingerprint, payload fingerprint)` pairs produced by
-//! [`td_ir::fingerprint_op`] under the engine's fixed parse discipline
-//! (payload first, then script, into a fresh context — see the crate docs
-//! for why that makes equal keys imply identical inputs). Values are the
-//! printed output module plus the interpreter statistics needed to
-//! reconstruct a [`crate::job::JobOutput`].
+//! A [`CacheKey`] hashes the request as submitted — script bytes, payload
+//! bytes, entry name — so it needs no `Context` and no parse, and
+//! [`crate::Engine::run_batch`] probes on the submitting thread. Equal
+//! keys mean equal bytes (up to a 64-bit FNV-1a collision per text), so a
+//! cached value is what re-running the job would print; see the crate docs
+//! on cache-key soundness. Values are the printed output module plus the
+//! interpreter statistics a [`crate::job::JobOutput`] needs.
 //!
-//! The cache is a plain `Mutex` around a map with last-used ticks: workers
-//! touch it twice per job (one lookup, at most one insert), so contention
-//! is negligible next to interpreting a schedule, and LRU eviction scans
-//! the map only when full (capacities are small enough that O(n) eviction
-//! is irrelevant).
+//! The cache is a plain `Mutex` around a map with last-used ticks: a job
+//! touches it at most twice (the probe, one insert after a miss), and LRU
+//! eviction scans the map only when full (O(n) is irrelevant at these
+//! capacities).
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, PoisonError};
 use td_support::{flight, metrics};
 
-/// Cache key: fingerprints of the script, the payload, and the entry
-/// symbol. The entry participates because a script module may contain
-/// several named sequences — two jobs over identical texts but different
-/// entry points run different schedules and must not share an entry.
+/// Cache key: hashes of the request bytes. The entry participates because
+/// a script module may contain several named sequences — two jobs over
+/// identical texts but different entry points run different schedules and
+/// must not share an entry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct CacheKey {
-    /// `fingerprint_op` of the parsed script module.
+    /// Hash of the script text's bytes and length.
     pub script_fp: u64,
-    /// `fingerprint_op` of the parsed payload module.
+    /// Hash of the payload text's bytes and length.
     pub payload_fp: u64,
     /// [`fnv1a`] of the entry symbol name.
     pub entry_fp: u64,
 }
 
-/// FNV-1a over a byte string (the same family `td_ir::fingerprint_op`
-/// uses), for hashing the entry symbol into the key.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+impl CacheKey {
+    /// The key of one request.
+    pub fn of(script: &str, payload: &str, entry: &str) -> CacheKey {
+        CacheKey {
+            script_fp: text_hash(script),
+            payload_fp: text_hash(payload),
+            entry_fp: fnv1a(entry.as_bytes()),
+        }
+    }
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+fn fnv1a_fold(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
+}
+
+/// FNV-1a over a byte string.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_fold(FNV_OFFSET, bytes)
+}
+
+/// [`fnv1a`] of a text with its length folded in after the bytes.
+fn text_hash(text: &str) -> u64 {
+    fnv1a_fold(fnv1a(text.as_bytes()), &(text.len() as u64).to_le_bytes())
 }
 
 /// Cached outcome of one successful job.
@@ -55,9 +75,9 @@ pub struct CachedResult {
 /// consulted on a memory miss, written through on every insert. `td-serve`
 /// implements this with a content-addressed on-disk store so the result
 /// cache survives daemon restarts; tests can implement it with a plain
-/// map. Implementations must be safe to call from any worker thread and
-/// should treat `store` as best-effort (a failed write only loses a future
-/// warm hit, never correctness — equal keys imply identical inputs).
+/// map. Implementations must be safe to call from any thread and should
+/// treat `store` as best-effort (a failed write only loses a future warm
+/// hit, never correctness).
 pub trait CachePersist: Send + Sync {
     /// Looks `key` up in the persistent layer.
     fn load(&self, key: &CacheKey) -> Option<CachedResult>;
@@ -199,7 +219,7 @@ impl ResultCache {
         }
         drop(state);
         // The persistent layer is consulted outside the lock: disk I/O
-        // must not serialize other workers' memory lookups. Two threads
+        // must not serialize other threads' memory lookups. Two threads
         // racing the same key may both load and promote — idempotent,
         // since equal keys imply identical values.
         if let Some(persist) = &self.persist {
@@ -345,6 +365,21 @@ mod tests {
             module_text: text.to_owned(),
             transforms_executed: 1,
         }
+    }
+
+    #[test]
+    fn key_of_a_request_is_a_function_of_its_bytes() {
+        let base = CacheKey::of("script", "tensor<8x8xf32>", "main");
+        assert_eq!(base, CacheKey::of("script", "tensor<8x8xf32>", "main"));
+        let other_payload = CacheKey::of("script", "tensor<8x16xf32>", "main");
+        assert_ne!(base.payload_fp, other_payload.payload_fp);
+        assert_eq!(base.script_fp, other_payload.script_fp);
+        assert_ne!(
+            base.script_fp,
+            CacheKey::of("script ", "", "main").script_fp
+        );
+        assert_ne!(base.entry_fp, CacheKey::of("script", "", "other").entry_fp);
+        assert_ne!(text_hash(""), fnv1a(b""), "the length is folded in");
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! The worker-pool engine: bounded job queue, per-worker interpreter
-//! environments, result collection in job order.
+//! The worker-pool engine: cache probe on the submitting thread, bounded
+//! queue of misses, per-worker interpreter environments, result collection
+//! in job order.
 //!
 //! # Determinism
 //!
@@ -8,20 +9,24 @@
 //! never observes another job's state, so the only thing scheduling can
 //! change is timing. Results are reported back as `(job index, result)`
 //! pairs and placed into their slot, so the returned vector is in
-//! submission order even when workers finish out of order. (The result
-//! cache cannot break this either: a cached value is the printed output of
-//! a job with identical inputs — see the crate docs on key soundness.)
+//! submission order even when workers finish out of order. The result
+//! cache cannot break this: every job is probed before any job of the
+//! batch runs, so which jobs are hits — and with it every cache counter
+//! and `from_cache` flag — depends only on the batch and the cache state
+//! it found. (Two equal jobs in one batch both miss; the second insert is
+//! a replacement.)
 //!
 //! # Observability
 //!
-//! The batch runs inside a `sched`/`batch` trace span; each job gets a
-//! `sched`/`job` span annotated with its cache outcome. Worker threads
-//! record into their own thread-local trace/metrics/journal stores, hand
-//! them back on exit, and the coordinator merges them (`trace::adopt`
-//! gives each worker its own `tid` lane in the Chrome export,
-//! `metrics::absorb` sums the counters, `journal::absorb` rebases the
-//! provenance steps), so a single `TD_TRACE` / `TD_JOURNAL` file shows the
-//! whole pool. The merged journal also rides on the [`BatchReport`], whose
+//! The batch runs inside a `sched`/`batch` trace span; each job gets one
+//! `sched`/`job` span annotated with its cache outcome — on the
+//! submitting thread's lane for a hit, on a worker lane for a miss. Worker
+//! threads record into their own thread-local trace/metrics/journal
+//! stores, hand them back on exit, and the coordinator merges them
+//! (`trace::adopt` gives each worker its own `tid` lane in the Chrome
+//! export, `metrics::absorb` sums the counters, `journal::absorb` rebases
+//! the provenance steps), so a single `TD_TRACE` / `TD_JOURNAL` file shows
+//! the whole pool. The merged journal also rides on the [`BatchReport`], whose
 //! [`BatchReport::report_text`] / [`BatchReport::report_json`] rank
 //! transforms by payload ops touched, time, and failures; jobs that fail
 //! with a reproducible transform error additionally get a bisected,
@@ -38,23 +43,24 @@ use std::time::{Duration, Instant};
 use td_ir::{CheckpointBackend, Context, PassRegistry};
 use td_support::rng::{derive_seed, Xoshiro256pp};
 use td_support::{fault, flight, journal, metrics, mpmc, trace};
-use td_transform::{InterpEnv, Interpreter, TransformOpRegistry, TxnMode};
+use td_transform::{InterpConfig, InterpEnv, Interpreter, TransformOpRegistry, TxnMode};
 
 /// Builds the fresh `Context` each job attempt parses into.
 pub type ContextFactory = Arc<dyn Fn() -> Context + Send + Sync>;
 
-/// Builds each worker's transform-op registry (the extension point used by
-/// tests and downstream transform libraries).
+/// Builds the engine's transform-op registry, once, at construction (the
+/// extension point used by tests and downstream transform libraries).
 pub type TransformsFactory = Arc<dyn Fn() -> TransformOpRegistry + Send + Sync>;
 
-/// Builds each worker's pass registry (backing
+/// Builds the engine's pass registry, once, at construction (backing
 /// `transform.apply_registered_pass`).
 pub type PassesFactory = Arc<dyn Fn() -> PassRegistry + Send + Sync>;
 
 /// Engine configuration.
 #[derive(Clone)]
 pub struct EngineConfig {
-    /// Worker threads per batch (minimum 1).
+    /// Most worker threads a batch spawns (minimum 1): one per cache miss
+    /// up to this, none for a batch answered entirely from the cache.
     pub workers: usize,
     /// Bound of the job queue; producers block when it is full.
     pub queue_capacity: usize,
@@ -96,9 +102,9 @@ pub struct EngineConfig {
     pub txn_backend: Option<CheckpointBackend>,
     /// Fresh-context builder (dialect registration).
     pub context_factory: ContextFactory,
-    /// Per-worker transform-op registry builder.
+    /// Transform-op registry builder.
     pub transforms_factory: TransformsFactory,
-    /// Per-worker pass registry builder, if pass application is wanted.
+    /// Pass registry builder, if pass application is wanted.
     pub passes_factory: Option<PassesFactory>,
 }
 
@@ -280,12 +286,15 @@ impl BatchReport {
     }
 }
 
-/// The schedule-application engine: a reusable worker pool configuration
-/// plus the result cache that persists across batches.
+/// The schedule-application engine: a reusable worker pool configuration,
+/// the transform/pass registries its workers share, and the result cache
+/// that persists across batches.
 #[derive(Debug)]
 pub struct Engine {
     config: EngineConfig,
     cache: Arc<ResultCache>,
+    transforms: TransformOpRegistry,
+    passes: Option<PassRegistry>,
 }
 
 impl Engine {
@@ -293,7 +302,7 @@ impl Engine {
     /// lives as long as the engine (batches share it).
     pub fn new(config: EngineConfig) -> Self {
         let cache = Arc::new(ResultCache::new(config.cache_capacity));
-        Engine { config, cache }
+        Engine::with_shared_cache(config, cache)
     }
 
     /// Creates an engine over a caller-owned result cache. This is the
@@ -302,7 +311,14 @@ impl Engine {
     /// memory+disk cache — results are content-addressed, so sharing is
     /// safe across tenants by construction.
     pub fn with_shared_cache(config: EngineConfig, cache: Arc<ResultCache>) -> Self {
-        Engine { config, cache }
+        let transforms = (config.transforms_factory)();
+        let passes = config.passes_factory.as_ref().map(|build| build());
+        Engine {
+            config,
+            cache,
+            transforms,
+            passes,
+        }
     }
 
     /// The engine's configuration.
@@ -321,23 +337,128 @@ impl Engine {
         self.cache.stats()
     }
 
-    /// Applies every job in `jobs` across the worker pool and returns the
-    /// results in submission order. See the module docs for the
-    /// determinism and observability contracts.
+    /// Applies every job in `jobs` and returns the results in submission
+    /// order: cache hits are answered on the calling thread, misses go to
+    /// the worker pool (at most one thread per miss, none for an all-hit
+    /// batch). See the module docs for the determinism and observability
+    /// contracts.
     pub fn run_batch(&self, jobs: Vec<Job>) -> BatchReport {
         let started = Instant::now();
         let job_count = jobs.len();
-        let workers = self.config.workers.max(1);
         let stats_before = self.cache.stats();
         let mut batch_span = trace::span("sched", "batch");
         batch_span.arg("jobs", job_count.to_string());
-        batch_span.arg("workers", workers.to_string());
         metrics::counter("sched.batches", 1);
         metrics::counter("sched.jobs", job_count as u64);
 
+        let mut batch_journal = journal::Journal::new();
+        let mut batch_stats = BatchStats::default();
+        let mut slots: Vec<Option<JobResult>> = Vec::new();
+        slots.resize_with(job_count, || None);
+        let mut misses = Vec::new();
+        for (index, job) in jobs.into_iter().enumerate() {
+            let key = CacheKey::of(&job.script, &job.payload, &job.entry);
+            match self.probe(&job, key, started, &mut batch_stats) {
+                Some(output) => slots[index] = Some(Ok(output)),
+                None => misses.push((index, job, key)),
+            }
+        }
+        let workers = self.config.workers.max(1).min(misses.len());
+        batch_span.arg("workers", workers.to_string());
+        let degraded = workers > 0
+            && self.run_misses(
+                misses,
+                workers,
+                started,
+                &mut slots,
+                &mut batch_stats,
+                &mut batch_journal,
+            );
+
+        let results = slots
+            .into_iter()
+            .map(|slot| {
+                slot.unwrap_or_else(|| {
+                    Err(JobError::Panicked {
+                        message: "worker terminated before reporting a result".to_owned(),
+                    })
+                })
+            })
+            .collect();
+        drop(batch_span);
+        // Chaos analyzability: when a fault plan is armed, the batch's
+        // metrics (and so TD_BENCH_JSON and flight bundles) carry the
+        // per-point fault.* hit/armed/fired counters.
+        if fault::active() {
+            fault::publish_metrics();
+        }
+        let wall = started.elapsed();
+        let cache = self.cache.stats().since(&stats_before);
+        batch_stats.wall_ns = wall.as_nanos();
+        batch_stats.cache = cache;
+        metrics::observe("sched.batch.wall", wall.as_nanos());
+        BatchReport {
+            results,
+            cache,
+            wall,
+            workers,
+            degraded,
+            journal: batch_journal,
+            stats: batch_stats,
+        }
+    }
+
+    /// Deadline pre-check, then the cache lookup, on the submitting
+    /// thread. `Some` is a hit, fully accounted for (its `sched`/`job` span
+    /// and one sample per latency series). `None` sends the job to a
+    /// worker: a miss, or a job whose deadline has already elapsed, which
+    /// the worker cancels like any job that expired while queued.
+    fn probe(
+        &self,
+        job: &Job,
+        key: CacheKey,
+        batch_start: Instant,
+        stats: &mut BatchStats,
+    ) -> Option<JobOutput> {
+        if self.deadline_elapsed(batch_start) {
+            return None;
+        }
+        let wait_ns = batch_start.elapsed().as_nanos();
+        let probe_started = Instant::now();
+        let hit = self.cache.get(&key)?;
+        let run = probe_started.elapsed();
+        if trace::enabled() {
+            let mut args = job_span_args(job);
+            args.push(("cache", "hit".to_owned()));
+            trace::complete("sched", "job", run, &args);
+        }
+        stats.observe_job(wait_ns, run.as_nanos());
+        observe_job_latency(wait_ns, run.as_nanos());
+        Some(JobOutput {
+            module_text: hit.module_text,
+            transforms_executed: hit.transforms_executed,
+            attempts: 0,
+            from_cache: true,
+            rolled_back: 0,
+            undo_entries: 0,
+        })
+    }
+
+    /// Runs the batch's misses on `workers` scoped threads, fills their
+    /// slots, and merges the workers' traces, metrics and journals into
+    /// the calling thread's. Returns whether the failure budget tripped.
+    fn run_misses(
+        &self,
+        misses: Vec<(usize, Job, CacheKey)>,
+        workers: usize,
+        started: Instant,
+        slots: &mut [Option<JobResult>],
+        batch_stats: &mut BatchStats,
+        batch_journal: &mut journal::Journal,
+    ) -> bool {
         // Each queued job carries its enqueue time so workers can split
         // latency into queue-wait vs. run-time for the batch stats.
-        let queue: mpmc::Queue<(usize, Job, Instant)> =
+        let queue: mpmc::Queue<(usize, Job, CacheKey, Instant)> =
             mpmc::Queue::new(self.config.queue_capacity);
         let (result_tx, result_rx) = mpsc::channel::<(usize, JobResult)>();
         let trace_on = trace::enabled();
@@ -346,10 +467,6 @@ impl Engine {
         // so far, and whether the batch has tripped into drain mode.
         let failures = AtomicUsize::new(0);
         let degraded = AtomicBool::new(false);
-        let mut batch_journal = journal::Journal::new();
-        let mut batch_stats = BatchStats::default();
-        let mut slots: Vec<Option<JobResult>> = Vec::new();
-        slots.resize_with(job_count, || None);
 
         std::thread::scope(|scope| {
             let mut handles = Vec::with_capacity(workers);
@@ -370,19 +487,19 @@ impl Engine {
                     };
                     {
                         let _worker_span = trace::span("sched", format!("worker{worker_index}"));
-                        let transforms = (self.config.transforms_factory)();
-                        let passes = self.config.passes_factory.as_ref().map(|build| build());
-                        let mut env = InterpEnv::standard();
-                        env.transforms = transforms;
-                        env.passes = passes.as_ref();
-                        env.config.txn = self.config.txn;
-                        while let Some((index, job, enqueued)) = queue.pop() {
+                        let mut env = InterpEnv {
+                            transforms: self.transforms.clone(),
+                            passes: self.passes.as_ref(),
+                            patterns: None,
+                            library: None,
+                            config: InterpConfig::default(),
+                        };
+                        while let Some((index, job, key, enqueued)) = queue.pop() {
                             // Per-job transactional override (td-serve:
                             // the tenant's txn_mode); the env is this
                             // worker's own, so flipping it is job-local.
                             env.config.txn = job.txn.unwrap_or(self.config.txn);
                             let wait_ns = enqueued.elapsed().as_nanos();
-                            metrics::observe(QUEUE_WAIT_SERIES, wait_ns);
                             let dispatched_at = started.elapsed().as_nanos();
                             let run_started = Instant::now();
                             // Journal steps recorded during this job carry
@@ -427,7 +544,7 @@ impl Engine {
                                 // job's context) and the worker keeps
                                 // serving.
                                 catch_unwind(AssertUnwindSafe(|| {
-                                    self.run_job(&env, &job, index, started)
+                                    self.run_job(&env, &job, key, index, started)
                                 }))
                                 .unwrap_or_else(|payload| {
                                     metrics::counter("sched.panics", 1);
@@ -463,8 +580,7 @@ impl Engine {
                             journal::set_job(None);
                             journal::set_request("");
                             let run_ns = run_started.elapsed().as_nanos();
-                            metrics::observe(RUN_SERIES, run_ns);
-                            metrics::observe(TOTAL_SERIES, wait_ns + run_ns);
+                            observe_job_latency(wait_ns, run_ns);
                             lane.jobs += 1;
                             lane.busy_ns += run_ns;
                             lane.timeline
@@ -478,8 +594,8 @@ impl Engine {
                 }));
             }
             drop(result_tx);
-            for (index, job) in jobs.into_iter().enumerate() {
-                if queue.push((index, job, Instant::now())).is_err() {
+            for (index, job, key) in misses {
+                if queue.push((index, job, key, Instant::now())).is_err() {
                     break;
                 }
             }
@@ -506,38 +622,7 @@ impl Engine {
                 }
             }
         });
-
-        let results = slots
-            .into_iter()
-            .map(|slot| {
-                slot.unwrap_or_else(|| {
-                    Err(JobError::Panicked {
-                        message: "worker terminated before reporting a result".to_owned(),
-                    })
-                })
-            })
-            .collect();
-        drop(batch_span);
-        // Chaos analyzability: when a fault plan is armed, the batch's
-        // metrics (and so TD_BENCH_JSON and flight bundles) carry the
-        // per-point fault.* hit/armed/fired counters.
-        if fault::active() {
-            fault::publish_metrics();
-        }
-        let wall = started.elapsed();
-        let cache = self.cache.stats().since(&stats_before);
-        batch_stats.wall_ns = wall.as_nanos();
-        batch_stats.cache = cache;
-        metrics::observe("sched.batch.wall", wall.as_nanos());
-        BatchReport {
-            results,
-            cache,
-            wall,
-            workers,
-            degraded: degraded.load(Ordering::Acquire),
-            journal: batch_journal,
-            stats: batch_stats,
-        }
+        degraded.load(Ordering::Acquire)
     }
 
     /// When a job fails with a (reproducible) transform error and
@@ -593,22 +678,20 @@ impl Engine {
         ctx
     }
 
-    /// Runs one job on the calling worker thread: deadline pre-check,
-    /// cache lookup, then up to `max_attempts` interpreter attempts.
+    /// Runs one job the probe did not answer, on the calling worker
+    /// thread: deadline pre-check, then up to `max_attempts` interpreter
+    /// attempts; a success is stored under `key`.
     fn run_job(
         &self,
         env: &InterpEnv<'_>,
         job: &Job,
+        key: CacheKey,
         index: usize,
         batch_start: Instant,
     ) -> JobResult {
         let mut job_span = trace::span("sched", "job");
-        job_span.arg("entry", job.entry.clone());
-        if !job.tag.is_empty() {
-            job_span.arg("tenant", job.tag.clone());
-        }
-        if !job.request.is_empty() {
-            job_span.arg("request", job.request.clone());
+        for (name, value) in job_span_args(job) {
+            job_span.arg(name, value);
         }
         if self.deadline_elapsed(batch_start) {
             job_span.arg("outcome", "cancelled");
@@ -624,31 +707,6 @@ impl Engine {
             flight::record("deadline.expired", &attribution);
             flight::dump("deadline", &attribution);
             return Err(JobError::DeadlineExceeded);
-        }
-
-        // Fingerprint pass: fresh context, payload first, then script —
-        // the fixed discipline that makes the key a pure function of the
-        // two texts (crate docs, "Cache-key soundness").
-        let key = {
-            let mut ctx = self.fresh_context();
-            let payload = parse(&mut ctx, &job.payload, "payload")?;
-            let script = parse(&mut ctx, &job.script, "script")?;
-            CacheKey {
-                script_fp: td_ir::fingerprint_op(&ctx, script),
-                payload_fp: td_ir::fingerprint_op(&ctx, payload),
-                entry_fp: crate::cache::fnv1a(job.entry.as_bytes()),
-            }
-        };
-        if let Some(hit) = self.cache.get(&key) {
-            job_span.arg("cache", "hit");
-            return Ok(JobOutput {
-                module_text: hit.module_text,
-                transforms_executed: hit.transforms_executed,
-                attempts: 0,
-                from_cache: true,
-                rolled_back: 0,
-                undo_entries: 0,
-            });
         }
         job_span.arg("cache", "miss");
 
@@ -797,6 +855,26 @@ struct AttemptOutput {
     transforms_executed: usize,
     rolled_back: usize,
     undo_entries: usize,
+}
+
+/// The arguments every `sched`/`job` span carries, hit or miss.
+fn job_span_args(job: &Job) -> Vec<(&'static str, String)> {
+    let mut args = vec![("entry", job.entry.clone())];
+    if !job.tag.is_empty() {
+        args.push(("tenant", job.tag.clone()));
+    }
+    if !job.request.is_empty() {
+        args.push(("request", job.request.clone()));
+    }
+    args
+}
+
+/// One job's samples in the three latency series, on the calling thread's
+/// metrics registry.
+fn observe_job_latency(wait_ns: u128, run_ns: u128) {
+    metrics::observe(QUEUE_WAIT_SERIES, wait_ns);
+    metrics::observe(RUN_SERIES, run_ns);
+    metrics::observe(TOTAL_SERIES, wait_ns + run_ns);
 }
 
 fn parse(ctx: &mut Context, source: &str, what: &'static str) -> Result<td_ir::OpId, JobError> {

@@ -7,8 +7,8 @@ use td_transform::TxnMode;
 /// Both sides are carried as *source text*, not as in-context ids — each
 /// job (and each retry attempt) parses into its own fresh
 /// [`td_ir::Context`], which is what makes jobs freely movable across
-/// worker threads and makes the cache key a pure function of the texts
-/// (see the crate docs on cache-key soundness).
+/// worker threads; the cache key is a hash of the texts themselves (see
+/// the crate docs on cache-key soundness).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Job {
     /// Transform script source (a module containing the entry sequence).

@@ -8,8 +8,8 @@
 //! pool of worker threads (std threads only; the workspace is hermetic),
 //! one [`td_ir::Context`] per job, with:
 //!
-//! * a **result cache** keyed by `(script fingerprint, payload
-//!   fingerprint)` over [`td_ir::fingerprint_op`], with LRU eviction and
+//! * a **result cache** keyed by the request's bytes, probed on the
+//!   submitting thread before any worker exists, with LRU eviction and
 //!   hit/miss/eviction counters ([`cache`]);
 //! * **per-job robustness**: panics inside a transform handler are caught
 //!   and mapped to definite job errors, jobs carry optional deadlines with
@@ -31,16 +31,14 @@
 //!
 //! # Cache-key soundness
 //!
-//! [`td_ir::fingerprint_op`] is context-relative (it hashes interned value
-//! ids and type ids), so fingerprints are only comparable when produced by
-//! the same parse discipline. Every job therefore parses into a **fresh
-//! context in a fixed order — payload first, then script** — which makes
-//! the payload fingerprint a pure function of the payload text and the
-//! script fingerprint a pure function of `(script text, payload text)`.
-//! The entry-point symbol is hashed into the key as well, since one script
-//! module can hold several named sequences. Equal keys thus imply
-//! structurally identical inputs *and* the same entry, and a cached output
-//! is exactly what re-running the job would print.
+//! A [`CacheKey`] is three 64-bit FNV-1a hashes: the script's bytes, the
+//! payload's bytes (each with its length folded in) and the entry symbol
+//! (one script module can hold several named sequences). A job's output
+//! is a pure function of those three strings, so equal keys mean equal
+//! inputs and a cached output is what re-running would print — up to two
+//! different texts colliding on 64 bits (FNV is not cryptographic; tenants
+//! are assumed not to craft collisions). The key is format-sensitive:
+//! callers wanting format-insensitive reuse submit printed text.
 //!
 //! ```
 //! use td_sched::{Engine, EngineConfig, Job};

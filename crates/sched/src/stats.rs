@@ -17,7 +17,11 @@
 //! Workers already reset and hand back their thread-local metrics per
 //! batch, so the histograms here are exactly batch-scoped; the same
 //! samples also flow into the coordinator's registry via
-//! `metrics::absorb`, which is how they reach `TD_BENCH_JSON`.
+//! `metrics::absorb`, which is how they reach `TD_BENCH_JSON`. A cache
+//! hit never reaches a worker: the submitting thread records its sample
+//! directly ([`BatchStats::observe_job`]), so every job of a batch is in
+//! every histogram, while `lanes` describe only the workers that ran
+//! misses (none for an all-hit batch).
 
 use crate::cache::CacheStats;
 use std::fmt::Write as _;
@@ -68,7 +72,8 @@ pub struct BatchStats {
     pub total: Histogram,
     /// Cache counter deltas attributable to this batch.
     pub cache: CacheStats,
-    /// Per-worker activity, indexed by worker.
+    /// Per-worker activity, indexed by worker: one lane per thread the
+    /// batch's misses spawned.
     pub lanes: Vec<WorkerLane>,
     /// Transactional rollbacks across the batch (the workers'
     /// `interp.rolled_back` counters — includes rollbacks of attempts
@@ -102,6 +107,14 @@ impl BatchStats {
             .counter_value("interp.txn.undo_entries")
             .unwrap_or(0);
         self.lanes.push(lane);
+    }
+
+    /// Records one job answered on the submitting thread (a cache hit),
+    /// which has no worker lane to arrive through.
+    pub fn observe_job(&mut self, wait_ns: u128, run_ns: u128) {
+        self.queue_wait.observe(wait_ns);
+        self.run.observe(run_ns);
+        self.total.observe(wait_ns + run_ns);
     }
 
     /// Mean worker utilization in `[0, 1]`.
@@ -273,6 +286,12 @@ mod tests {
         assert_eq!(stats.total.count, 3);
         assert_eq!(stats.lanes.len(), 2);
         let expected = (0.2 + 0.1) / 2.0;
+        assert!((stats.pool_utilization() - expected).abs() < 1e-9);
+        // A job answered on the submitting thread is a sample, not a lane.
+        stats.observe_job(500, 1_000);
+        assert_eq!((stats.queue_wait.count, stats.run.count), (4, 4));
+        assert_eq!((stats.total.count, stats.total.max_ns), (4, 103_000));
+        assert_eq!(stats.lanes.len(), 2);
         assert!((stats.pool_utilization() - expected).abs() < 1e-9);
     }
 

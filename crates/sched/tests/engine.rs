@@ -88,20 +88,157 @@ fn repeated_batch_is_served_from_cache_with_identical_output() {
 }
 
 #[test]
-fn whitespace_variants_share_a_cache_entry() {
-    // The fingerprint is structural: reformatting the payload parses to
-    // the same module, so the second job is a cache hit.
+fn the_cache_key_is_the_request_bytes() {
     let engine = Engine::new(EngineConfig::standard().with_workers(1));
     let script = annotate_script("seen");
     let a = "module {\n  %a = arith.constant 7 : index\n  %s = \"arith.addi\"(%a, %a) : (index, index) -> index\n}";
     let b = "module   {\n      %a = arith.constant 7 : index\n      %s = \"arith.addi\"(%a,%a) : (index, index) -> index\n\n}";
-    let report = engine.run_batch(vec![Job::new(&script, a), Job::new(&script, b)]);
-    assert_eq!(report.ok_count(), 2);
-    assert_eq!(report.cache.hits, 1);
+    let first = engine.run_batch(vec![Job::new(&script, a)]);
+    assert_eq!((first.cache.hits, first.cache.inserts), (0, 1));
+
+    // Byte-identical resubmission hits.
+    let again = engine.run_batch(vec![Job::new(&script, a)]);
+    assert_eq!((again.cache.hits, again.cache.misses), (1, 0));
+    assert!(again.results[0].as_ref().unwrap().from_cache);
+
+    // A reformatted payload is a distinct entry; it parses to the same
+    // module, so its output is byte-identical all the same.
+    let reformatted = engine.run_batch(vec![Job::new(&script, b)]);
     assert_eq!(
-        report.results[0].as_ref().unwrap().module_text,
-        report.results[1].as_ref().unwrap().module_text
+        (reformatted.cache.hits, reformatted.cache.inserts),
+        (0, 1),
+        "different bytes, different key"
     );
+    assert!(!reformatted.results[0].as_ref().unwrap().from_cache);
+    assert_eq!(first.output_texts(), reformatted.output_texts());
+    assert_eq!(first.output_texts(), again.output_texts());
+}
+
+/// Regression: the old structural key hashed interned type *ids*, so two
+/// payloads differing only inside a type shared a key and the second
+/// tenant got the first tenant's module back.
+#[test]
+fn payloads_differing_only_inside_a_type_do_not_collide() {
+    let payload = |cols: usize| {
+        format!(
+            "module {{\n  func.func @f(%t: tensor<8x{cols}xf32>) {{\n    \
+             %a = arith.constant 1 : index\n    \
+             %s = \"arith.addi\"(%a, %a) : (index, index) -> index\n    func.return\n  }}\n}}"
+        )
+    };
+    let engine = Engine::new(EngineConfig::standard().with_workers(1));
+    let script = annotate_script("seen");
+    let narrow = engine.run_batch(vec![Job::new(&script, payload(8))]);
+    let wide = engine.run_batch(vec![Job::new(&script, payload(16))]);
+    assert_eq!(wide.cache.hits, 0, "a different payload must miss");
+    let narrow = &narrow.results[0]
+        .as_ref()
+        .expect("job succeeds")
+        .module_text;
+    let wide = wide.results[0].as_ref().expect("job succeeds");
+    assert!(!wide.from_cache);
+    assert!(narrow.contains("tensor<8x8xf32>"), "{narrow}");
+    assert!(
+        wide.module_text.contains("tensor<8x16xf32>"),
+        "the second job must get its own module back:\n{}",
+        wide.module_text
+    );
+}
+
+#[test]
+fn in_batch_duplicates_have_one_disposition_at_any_worker_count() {
+    // Every job is probed before any job runs, so a duplicate inside one
+    // batch is a second miss (and a replacement), never a racy hit.
+    let run = |workers: usize| {
+        let engine = Engine::new(EngineConfig::standard().with_workers(workers));
+        let mut jobs = batch(3, "seen");
+        jobs.extend(batch(3, "seen"));
+        let cold = engine.run_batch(jobs.clone());
+        let warm = engine.run_batch(jobs);
+        [cold, warm].map(|report| {
+            let from_cache: Vec<bool> = report
+                .results
+                .iter()
+                .map(|r| r.as_ref().expect("job succeeds").from_cache)
+                .collect();
+            (report.cache, from_cache, report.workers)
+        })
+    };
+    let [cold_1, warm_1] = run(1);
+    let [cold_4, warm_4] = run(4);
+    assert_eq!((cold_1.0, &cold_1.1), (cold_4.0, &cold_4.1));
+    assert_eq!((warm_1.0, &warm_1.1), (warm_4.0, &warm_4.1));
+    let cold = cold_4.0;
+    assert_eq!(
+        (cold.hits, cold.misses, cold.inserts, cold.replacements),
+        (0, 6, 3, 3)
+    );
+    assert_eq!(cold_4.1, [false; 6]);
+    assert_eq!((warm_4.0.hits, warm_4.0.misses), (6, 0));
+    assert_eq!(warm_4.1, [true; 6]);
+    // One thread per miss at most; none for the all-hit batch.
+    assert_eq!((cold_1.2, cold_4.2, warm_4.2), (1, 4, 0));
+}
+
+/// Telemetry stays whole on the hit path: one `sched`/`job` span and one
+/// sample per latency histogram for every job, hits on the submitting
+/// thread's lane, misses on worker lanes.
+#[test]
+fn hits_are_answered_on_the_submitting_thread_with_full_telemetry() {
+    trace::reset();
+    trace::set_enabled(true);
+    let engine = Engine::new(EngineConfig::standard().with_workers(2));
+    let cold = engine.run_batch(batch(4, "seen"));
+    let mut mixed_jobs = batch(4, "seen");
+    mixed_jobs.extend(batch(2, "other"));
+    let mixed = engine.run_batch(mixed_jobs);
+    let warm = engine.run_batch(batch(4, "seen"));
+    let recorded = trace::take();
+    trace::clear_enabled_override();
+
+    for (report, jobs) in [(&cold, 4), (&mixed, 6), (&warm, 4)] {
+        assert_eq!(report.ok_count(), jobs);
+        for histogram in [
+            &report.stats.queue_wait,
+            &report.stats.run,
+            &report.stats.total,
+        ] {
+            assert_eq!(histogram.count, jobs as u64, "one sample per job");
+        }
+    }
+    assert_eq!((mixed.cache.hits, mixed.cache.misses), (4, 2));
+    assert_eq!(mixed.stats.lanes.len(), 2);
+    assert_eq!(mixed.stats.lanes.iter().map(|l| l.jobs).sum::<u64>(), 2);
+    assert_eq!(warm.workers, 0, "an all-hit batch spawns nothing");
+    assert!(warm.stats.lanes.is_empty());
+    assert!(warm.journal.is_empty());
+
+    let job_spans: Vec<_> = recorded
+        .events()
+        .iter()
+        .filter(|e| e.cat == "sched" && e.name == "job")
+        .collect();
+    assert_eq!(job_spans.len(), 14, "exactly one job span per job");
+    let cache_arg = |e: &trace::TraceEvent| {
+        e.args
+            .iter()
+            .find(|(k, _)| k == "cache")
+            .map(|(_, v)| v.clone())
+    };
+    for span in &job_spans {
+        let expected = if span.tid == trace::MAIN_TID {
+            "hit"
+        } else {
+            "miss"
+        };
+        assert_eq!(cache_arg(span).as_deref(), Some(expected), "{span:?}");
+        assert!(span.args.iter().any(|(k, v)| k == "entry" && v == "main"));
+    }
+    let hits = job_spans
+        .iter()
+        .filter(|e| e.tid == trace::MAIN_TID)
+        .count();
+    assert_eq!(hits, 8, "4 + 4 hits on the coordinator lane");
 }
 
 #[test]

@@ -7,10 +7,10 @@
 //! that safe and restart-proof:
 //!
 //! * **Content addressing.** The file name *is* the cache key — the three
-//!   fingerprints of `(script, payload, entry)` rendered as fixed-width
-//!   hex. Equal names imply identical inputs (the engine's cache-key
-//!   soundness argument), so a stale-file race can at worst rewrite a file
-//!   with identical logical content.
+//!   hashes of the request's script bytes, payload bytes and entry name
+//!   (`td_sched::CacheKey`, the same key the memory level uses) rendered
+//!   as fixed-width hex. Equal names mean equal requests, so a stale-file
+//!   race can at worst rewrite a file with identical content.
 //! * **Atomic writes.** Entries are written to a unique `*.tmp` sibling
 //!   and `rename`d into place; readers never observe a half-written
 //!   entry, and a crash mid-store leaves only garbage tmp files that are
@@ -33,8 +33,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use td_sched::{CacheKey, CachePersist, CachedResult};
 use td_support::metrics;
 
-/// Entry-format version; bump to invalidate all existing entries.
-pub const FORMAT_VERSION: u32 = 1;
+/// Entry-format version; bump to invalidate all existing entries. Version
+/// 1 entries were named by structural fingerprints, not by request bytes,
+/// and must never be served under a byte key.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Magic line prefix of an entry file.
 const MAGIC: &str = "tdserve-cache";
@@ -169,7 +171,7 @@ impl DiskStore {
     /// Serializes one entry:
     ///
     /// ```text
-    /// tdserve-cache 1
+    /// tdserve-cache 2
     /// transforms <N>
     /// module <byte-length>
     /// <module bytes>
@@ -384,15 +386,43 @@ mod tests {
 
     #[test]
     fn corrupt_and_mislengthed_entries_read_as_misses() {
+        // A directory left by a version-1 daemon, whose entries were named
+        // by structural fingerprints: nothing in it is an entry, nothing
+        // is served, nothing is deleted.
         let dir = temp_dir("corrupt");
+        fs::create_dir_all(&dir).unwrap();
+        let v1_path = |n: u64| {
+            let k = key(n);
+            dir.join(format!(
+                "{:016x}{:016x}{:016x}.v1",
+                k.script_fp, k.payload_fp, k.entry_fp
+            ))
+        };
+        for n in 0..8 {
+            fs::write(
+                v1_path(n),
+                b"tdserve-cache 1\ntransforms 3\nmodule 5\nstale",
+            )
+            .unwrap();
+        }
         let store = DiskStore::open(&dir).unwrap();
+        assert_eq!(store.entry_count(), 0, "v1 files are not entries");
+        for n in 0..8 {
+            assert_eq!(store.load(&key(n)), None, "v1 entry {n} must not be served");
+        }
+        assert_eq!(store.counter_values().hits, 0);
+
         store.store(&key(2), &value("ok"));
+        assert_eq!(store.load(&key(2)), Some(value("ok")));
+        assert!(v1_path(2).exists(), "old entries are kept for inspection");
         let path = store.entry_path(&key(2));
-        fs::write(&path, b"tdserve-cache 1\ntransforms 3\nmodule 999\nok").unwrap();
+        fs::write(&path, b"tdserve-cache 2\ntransforms 3\nmodule 999\nok").unwrap();
         assert_eq!(store.load(&key(2)), None, "length mismatch is a miss");
         fs::write(&path, b"tdserve-cache 99\ntransforms 3\nmodule 2\nok").unwrap();
         assert_eq!(store.load(&key(2)), None, "future version is a miss");
-        assert_eq!(store.counters.invalid.load(Ordering::Relaxed), 2);
+        fs::write(&path, b"tdserve-cache 1\ntransforms 3\nmodule 2\nok").unwrap();
+        assert_eq!(store.load(&key(2)), None, "past version is a miss");
+        assert_eq!(store.counters.invalid.load(Ordering::Relaxed), 3);
         let _ = fs::remove_dir_all(&dir);
     }
 

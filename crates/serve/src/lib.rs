@@ -17,7 +17,7 @@
 //!   (`TD_SERVE_TENANTS` grammar).
 //! * [`scheduler`] — weighted-fair queueing across tenant backlogs (pure,
 //!   unit-testable bookkeeping).
-//! * [`diskcache`] — the fingerprint-keyed result cache promoted to a
+//! * [`diskcache`] — the byte-keyed result cache promoted to a
 //!   content-addressed on-disk store: atomic writes, versioned entries,
 //!   warm starts across daemon restarts.
 //! * [`service`] — admission control, the dispatcher, the worker pool

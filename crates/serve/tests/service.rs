@@ -190,11 +190,65 @@ fn admission_cap_rejects_a_flooding_tenant() {
     fault::set_plan(None);
 }
 
+/// Regression: the old structural cache key hashed interned type *ids*, so
+/// two payloads differing only inside a type shared a key and the second
+/// tenant was handed the first tenant's module.
+#[test]
+fn tenants_whose_payloads_differ_only_inside_a_type_get_their_own_modules() {
+    let payload = |cols: usize| {
+        format!(
+            "module {{\n  func.func @f(%t: tensor<8x{cols}xf32>) {{\n    \
+             %a = arith.constant 1 : index\n    \
+             %s = \"arith.addi\"(%a, %a) : (index, index) -> index\n    func.return\n  }}\n}}"
+        )
+    };
+    let service = Service::start(ServiceConfig::new(vec![
+        TenantConfig::new("alpha"),
+        TenantConfig::new("beta"),
+    ]))
+    .unwrap();
+    let narrow = service
+        .submit_wait("alpha", script(), payload(8), "main")
+        .unwrap()
+        .result
+        .expect("alpha's job succeeds");
+    let wide = service
+        .submit_wait("beta", script(), payload(16), "main")
+        .unwrap()
+        .result
+        .expect("beta's job succeeds");
+    assert!(narrow.module_text.contains("tensor<8x8xf32>"));
+    assert!(!wide.from_cache, "a different payload must miss");
+    assert!(
+        wide.module_text.contains("tensor<8x16xf32>"),
+        "beta must get its own module back:\n{}",
+        wide.module_text
+    );
+    assert_eq!(service.cache_stats().hits, 0);
+    service.drain();
+}
+
 #[test]
 fn restart_over_the_same_cache_dir_serves_from_disk() {
     let dir = temp_dir("warm");
     let jobs = 10;
     let tenants = || vec![TenantConfig::new("alpha"), TenantConfig::new("beta")];
+
+    // Entries of the previous format version under these very keys: a
+    // version-2 daemon must neither serve nor count them.
+    std::fs::create_dir_all(&dir).unwrap();
+    for i in 0..jobs {
+        let key = td_sched::CacheKey::of(&script(), &payload(i), "main");
+        let name = format!(
+            "{:016x}{:016x}{:016x}.v1",
+            key.script_fp, key.payload_fp, key.entry_fp
+        );
+        std::fs::write(
+            dir.join(name),
+            "tdserve-cache 1\ntransforms 1\nmodule 5\nstale",
+        )
+        .unwrap();
+    }
 
     // Cold daemon: every job computes, results land on disk.
     let cold = Service::start(

@@ -11,6 +11,7 @@ use crate::error::TransformResult;
 use crate::interp::Interpreter;
 use crate::state::TransformState;
 use std::collections::HashMap;
+use std::sync::Arc;
 use td_ir::rewrite::RewritePattern;
 use td_ir::{Context, OpId};
 use td_support::{Diagnostic, Symbol};
@@ -86,10 +87,12 @@ impl std::fmt::Debug for TransformOpDef {
     }
 }
 
-/// Registry of transform op definitions.
-#[derive(Debug, Default)]
+/// Registry of transform op definitions. Definitions are reference-counted,
+/// so a clone shares the handlers: an embedder builds the registry once and
+/// hands each worker thread a cheap copy.
+#[derive(Clone, Debug, Default)]
 pub struct TransformOpRegistry {
-    defs: HashMap<Symbol, TransformOpDef>,
+    defs: HashMap<Symbol, Arc<TransformOpDef>>,
 }
 
 impl TransformOpRegistry {
@@ -107,12 +110,12 @@ impl TransformOpRegistry {
 
     /// Registers (or replaces) a definition.
     pub fn register(&mut self, def: TransformOpDef) {
-        self.defs.insert(def.name, def);
+        self.defs.insert(def.name, Arc::new(def));
     }
 
     /// Looks up a definition.
     pub fn def(&self, name: Symbol) -> Option<&TransformOpDef> {
-        self.defs.get(&name)
+        self.defs.get(&name).map(Arc::as_ref)
     }
 
     /// Registered op names, sorted.

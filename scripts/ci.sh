@@ -9,7 +9,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "== build (release, offline) =="
-cargo build --release --offline
+# --workspace: the serve gates spawn the td_serve binary next to themselves,
+# which a root-package build alone does not produce.
+cargo build --release --offline --workspace
 
 echo "== tests (offline) =="
 cargo test -q --offline --workspace
@@ -93,6 +95,14 @@ echo "== serve observability (request tracing + SLO series + METRICS + td-top) =
 # and run spans. Overhead: the observability plane must cost < 3% against
 # the same service started without_observability().
 TD_BENCH_QUICK=1 cargo run -q --release --offline -p td-bench --bin serve_obs
+
+echo "== benchmark harness (builds against the workspace + quick check) =="
+# benchmark/ is a workspace of its own with path dependencies on crates/*,
+# so a public-API change that stops it compiling would otherwise surface
+# only in the merge pipeline. --check runs one small round per workload
+# with full output verification (< 60 s after the build).
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+benchmark/run.sh --check
 
 if [[ "${1:-}" == "--bench" ]]; then
     echo "== micro-benchmark smoke run =="
