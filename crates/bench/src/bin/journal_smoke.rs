@@ -7,7 +7,8 @@
 //!    non-empty minimized repro schedule;
 //! 3. **batch reports**: a 4-worker `td-sched` batch (with one failing
 //!    job) merges per-worker journals into one report whose JSON passes
-//!    the std-only validator and carries the bisection artifact.
+//!    the std-only validator; the failed job comes back with the report
+//!    and `Engine::bisect` produces its repro on demand.
 //!
 //! ```text
 //! TD_JOURNAL=target/journal_smoke.json cargo run -p td-bench --bin journal_smoke
@@ -159,16 +160,23 @@ fn main() {
             .any(|row| row.name == "transform.loop.tile" && row.ops_touched > 0),
         "report ranks the tile transform by payload ops touched"
     );
-    let artifact = report
-        .journal
-        .artifacts()
-        .iter()
-        .find(|a| a.kind == "bisect")
-        .expect("failing job produces a bisect artifact");
+    // The batch bisects nothing unasked; the failed job comes back with
+    // the report, and its repro joins the journal when we ask for it.
     assert!(
-        !artifact.content.is_empty(),
-        "bisect artifact carries the minimized schedule"
+        report.journal.artifacts().is_empty(),
+        "a batch report carries no bisection of its own"
     );
+    let [(index, failed_job)] = report.failed_jobs.as_slice() else {
+        panic!("the failing job is handed back: {:?}", report.failed_jobs);
+    };
+    let repro = engine
+        .bisect(failed_job)
+        .expect("failing job bisects on demand");
+    assert!(
+        repro.contains("transform.named_sequence"),
+        "bisect artifact carries the minimized schedule:\n{repro}"
+    );
+    journal::add_artifact("bisect", &format!("job{index}"), &repro);
     println!("batch report:\n{}", report.report_text());
 
     // Flush the coordinator's merged journal (workers were absorbed into

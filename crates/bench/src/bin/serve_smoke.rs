@@ -1,4 +1,4 @@
-//! CI smoke check for td-serve, in two acts.
+//! CI smoke check for td-serve, in three acts.
 //!
 //! **Act 1 — warm restarts (subprocess).** Spawns the real `td_serve`
 //! daemon binary in stdio mode with a persistent cache directory, runs a
@@ -15,7 +15,14 @@
 //! tenant runs the same interleaved workload. Fails unless the unfaulted
 //! tenant's outputs are byte-identical to a no-fault baseline (tenant
 //! isolation), every faulted tenant shows exactly its configured failure
-//! mode, and the drain delivers every admitted job (clean shutdown).
+//! mode, every failed schedule's `bisect` artifact can be fetched while the
+//! plan is still armed, and the drain delivers every admitted job (clean
+//! shutdown).
+//!
+//! **Act 3 — diagnostics on demand (subprocess).** Failing jobs against
+//! the real daemon, counting bisections in its `METRICS`: none until a
+//! `bisect` artifact is fetched, one per distinct fetch, none for a
+//! refetch. A daemon that bisects unasked fails here by exact count.
 
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -86,15 +93,26 @@ fn spawn_daemon(cache_dir: &PathBuf) -> Child {
         .expect("spawn td_serve")
 }
 
-/// One daemon lifetime: submit `jobs` alternating between the two
-/// tenants (`swap` flips which tenant asks), return the outputs plus the
-/// daemon's final disk-hit count.
-fn run_session(cache_dir: &PathBuf, jobs: usize, swap: bool) -> (Vec<String>, u64, u64) {
+/// A fresh daemon over `cache_dir` and a client on its stdio, PING answered.
+fn connect_daemon(
+    cache_dir: &PathBuf,
+) -> (
+    Child,
+    Client<std::process::ChildStdout, std::process::ChildStdin>,
+) {
     let mut child = spawn_daemon(cache_dir);
     let stdout = child.stdout.take().expect("child stdout");
     let stdin = child.stdin.take().expect("child stdin");
     let mut client = Client::new(stdout, stdin);
     client.ping().expect("daemon must answer PING");
+    (child, client)
+}
+
+/// One daemon lifetime: submit `jobs` alternating between the two
+/// tenants (`swap` flips which tenant asks), return the outputs plus the
+/// daemon's final disk-hit count.
+fn run_session(cache_dir: &PathBuf, jobs: usize, swap: bool) -> (Vec<String>, u64, u64) {
+    let (mut child, mut client) = connect_daemon(cache_dir);
     let batch_started = std::time::Instant::now();
     let mut outputs = Vec::with_capacity(jobs);
     for i in 0..jobs {
@@ -238,17 +256,34 @@ fn chaos_soak() {
                     }
                     other => panic!("crashy job: expected contained panic, got {other:?}"),
                 }
-                // Failed jobs leave retrievable diagnostics.
+                // Failed jobs leave retrievable diagnostics. The bisection
+                // runs here, on the fetching thread, with the plan still
+                // armed: its probes panic in the tenant's lane exactly as
+                // the job did, and are contained exactly as the job was.
                 assert!(
                     service.artifact(done.job_id, "flight").is_some(),
                     "failed job {} must retain a flight bundle",
                     done.job_id
                 );
+                let repro = service
+                    .artifact(done.job_id, "bisect")
+                    .unwrap_or_else(|| panic!("failed job {} must bisect", done.job_id));
+                assert!(
+                    repro.starts_with("failing prefix: 2 of 3 step(s)")
+                        && repro.contains("panicked")
+                        && repro.contains("transform.loop.tile"),
+                    "{repro}"
+                );
             }
-            "laggy" => match done.result {
-                Err(JobError::DeadlineExceeded) => {}
-                other => panic!("laggy job: expected deadline miss, got {other:?}"),
-            },
+            "laggy" => {
+                match done.result {
+                    Err(JobError::DeadlineExceeded) => {}
+                    other => panic!("laggy job: expected deadline miss, got {other:?}"),
+                }
+                // Slow is not broken: there is no schedule failure to find.
+                assert_eq!(service.artifact_kinds(done.job_id), ["report", "flight"]);
+                assert_eq!(service.artifact(done.job_id, "bisect"), None);
+            }
             _ => unreachable!(),
         }
     }
@@ -281,14 +316,94 @@ fn chaos_soak() {
         "cross-tenant fault leakage: unfaulted tenant's outputs changed"
     );
     println!(
-        "serve chaos soak OK: 3 faulted tenants contained, {} unfaulted jobs byte-identical, \
-         {} jobs drained cleanly",
-        per_tenant, summary.jobs
+        "serve chaos soak OK: 3 faulted tenants contained, {} failures bisected under the armed \
+         plan, {} unfaulted jobs byte-identical, {} jobs drained cleanly",
+        crashy_failures, per_tenant, summary.jobs
+    );
+}
+
+/// Step 2 of 3 fails on any payload (silenceably: nothing matches).
+const FAILING_SCRIPT: &str = r#"module {
+  transform.named_sequence @main(%root: !transform.any_op) {
+    %loop = "transform.match_op"(%root) {name = "scf.for", select = "first"} : (!transform.any_op) -> !transform.any_op
+    %missing = "transform.match_op"(%root) {name = "nonexistent.op", select = "first"} : (!transform.any_op) -> !transform.any_op
+    "transform.annotate"(%loop) {name = "never"} : (!transform.any_op) -> ()
+  }
+}"#;
+
+fn diagnostics_on_demand() {
+    let cache_dir =
+        std::env::temp_dir().join(format!("td-serve-smoke-diag-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&cache_dir);
+    let (mut child, mut client) = connect_daemon(&cache_dir);
+    // The daemon's own count of bisections run (absent until the first).
+    let bisections = |client: &mut Client<_, _>| -> u64 {
+        let metrics = client.metrics().expect("METRICS");
+        metrics
+            .lines()
+            .find_map(|l| l.strip_prefix("td_internal_sched_bisections_total "))
+            .map_or(0, |n| n.parse().expect("counter value"))
+    };
+
+    let failures = 8;
+    let failed_jobs: Vec<u64> = (0..failures)
+        .map(|i| {
+            let done = client
+                .submit("alpha", FAILING_SCRIPT, &payload(i), "main")
+                .unwrap_or_else(|e| panic!("submit {i}: {e}"));
+            assert!(done.output.is_err(), "job {i} must fail at step 2");
+            done.job_id
+        })
+        .collect();
+    // Failures are never cached: the same jobs again re-execute and fail.
+    for i in 0..failures {
+        let again = client
+            .submit("beta", FAILING_SCRIPT, &payload(i), "main")
+            .expect("resubmit");
+        assert!(again.output.is_err() && !again.cached);
+    }
+    assert_eq!(
+        bisections(&mut client),
+        0,
+        "{} failed jobs and no ARTIFACT request: the daemon must not bisect unasked",
+        2 * failures
+    );
+
+    let fetched = 3;
+    let repros: Vec<String> = failed_jobs[..fetched]
+        .iter()
+        .map(|&job| client.artifact(job, "bisect").expect("bisect artifact"))
+        .collect();
+    for repro in &repros {
+        assert!(
+            repro.starts_with("failing prefix: 2 of 4 step(s)") && !repro.contains("never"),
+            "{repro}"
+        );
+    }
+    assert_eq!(bisections(&mut client), fetched as u64);
+    for (&job, repro) in failed_jobs.iter().zip(&repros) {
+        assert_eq!(&client.artifact(job, "bisect").expect("refetch"), repro);
+    }
+    assert_eq!(
+        bisections(&mut client),
+        fetched as u64,
+        "a refetch is served from the memoised text"
+    );
+
+    client.shutdown().expect("SHUTDOWN must answer BYE");
+    let status = child.wait().expect("daemon exit");
+    assert!(status.success(), "daemon exited dirty: {status}");
+    let _ = std::fs::remove_dir_all(&cache_dir);
+    println!(
+        "serve diagnostics OK: {} failed jobs, 0 bisections unasked, {fetched} on {fetched} \
+         fetches, {fetched} after refetching them",
+        2 * failures
     );
 }
 
 fn main() {
     restart_smoke();
     chaos_soak();
+    diagnostics_on_demand();
     println!("serve smoke OK");
 }

@@ -9,8 +9,7 @@
 //!   (a checkpoint around *every* step).
 //! * **engine/w1** and **engine/w4** — the `td-sched` engine with one
 //!   worker vs. four, caching disabled.
-//! * **engine/journal** — the engine with the provenance journal recording
-//!   (which also exercises the failure-bisection path on failed jobs).
+//! * **engine/journal** — the engine with the provenance journal recording.
 //! * **engine/cold** and **engine/warm** — one shared engine run twice
 //!   over the same batch; the warm run must serve every successful job
 //!   from the cache and still print the identical module.

@@ -28,9 +28,14 @@
 //! the provenance steps), so a single `TD_TRACE` / `TD_JOURNAL` file shows
 //! the whole pool. The merged journal also rides on the [`BatchReport`], whose
 //! [`BatchReport::report_text`] / [`BatchReport::report_json`] rank
-//! transforms by payload ops touched, time, and failures; jobs that fail
-//! with a reproducible transform error additionally get a bisected,
-//! minimized repro schedule attached as a `bisect` artifact.
+//! transforms by payload ops touched, time, and failures.
+//!
+//! A failing schedule is a cheap, ordinary outcome (it is how a search
+//! loop rejects a candidate), so the engine never diagnoses one unasked:
+//! a job that fails with a transform error is handed back in
+//! [`BatchReport::failed_jobs`], and [`Engine::bisect`] computes its
+//! minimized repro schedule when — and on whichever thread — a caller
+//! wants it.
 
 use crate::cache::{CacheKey, CacheStats, CachedResult, ResultCache};
 use crate::job::{Job, JobError, JobOutput, JobResult};
@@ -234,10 +239,17 @@ pub struct BatchReport {
     /// produced.
     pub degraded: bool,
     /// The merged provenance journal of the batch: every worker's journal
-    /// (steps stamped with their job index) plus any bisection artifacts,
-    /// rebased into one store. Empty unless journaling was enabled
-    /// (`TD_JOURNAL` or `journal::set_enabled`) when the batch ran.
+    /// (steps stamped with their job index), rebased into one store. Empty
+    /// unless journaling was enabled (`TD_JOURNAL` or
+    /// `journal::set_enabled`) when the batch ran. It carries no bisection
+    /// artifacts: a caller that wants a failed job's repro in a journal
+    /// asks [`Engine::bisect`] for it and attaches the text itself.
     pub journal: journal::Journal,
+    /// The jobs that failed with [`JobError::Transform`], as `(batch
+    /// index, job)` in index order — moved back out of the worker that ran
+    /// them, so a caller can hand one to [`Engine::bisect`] later without
+    /// having kept a copy of the batch.
+    pub failed_jobs: Vec<(usize, Job)>,
     /// Latency and utilization breakdown: queue-wait vs. run-time
     /// histograms (p50/p90/p99/p999), per-worker utilization timeline, and
     /// the batch-scoped cache hit rate. Always populated — workers record
@@ -365,15 +377,18 @@ impl Engine {
         }
         let workers = self.config.workers.max(1).min(misses.len());
         batch_span.arg("workers", workers.to_string());
-        let degraded = workers > 0
-            && self.run_misses(
+        let (degraded, failed_jobs) = if workers > 0 {
+            self.run_misses(
                 misses,
                 workers,
                 started,
                 &mut slots,
                 &mut batch_stats,
                 &mut batch_journal,
-            );
+            )
+        } else {
+            (false, Vec::new())
+        };
 
         let results = slots
             .into_iter()
@@ -404,6 +419,7 @@ impl Engine {
             workers,
             degraded,
             journal: batch_journal,
+            failed_jobs,
             stats: batch_stats,
         }
     }
@@ -446,7 +462,8 @@ impl Engine {
 
     /// Runs the batch's misses on `workers` scoped threads, fills their
     /// slots, and merges the workers' traces, metrics and journals into
-    /// the calling thread's. Returns whether the failure budget tripped.
+    /// the calling thread's. Returns whether the failure budget tripped,
+    /// and the jobs that failed with a transform error, in index order.
     fn run_misses(
         &self,
         misses: Vec<(usize, Job, CacheKey)>,
@@ -455,12 +472,17 @@ impl Engine {
         slots: &mut [Option<JobResult>],
         batch_stats: &mut BatchStats,
         batch_journal: &mut journal::Journal,
-    ) -> bool {
+    ) -> (bool, Vec<(usize, Job)>) {
         // Each queued job carries its enqueue time so workers can split
         // latency into queue-wait vs. run-time for the batch stats.
         let queue: mpmc::Queue<(usize, Job, CacheKey, Instant)> =
             mpmc::Queue::new(self.config.queue_capacity);
-        let (result_tx, result_rx) = mpsc::channel::<(usize, JobResult)>();
+        // A job that failed with a transform error rides back with its
+        // result: the worker owns it and is done with it, so handing it
+        // over for a later `Engine::bisect` costs a move (boxed, so the
+        // message every job sends stays a result and a pointer).
+        let (result_tx, result_rx) = mpsc::channel::<(usize, JobResult, Option<Box<Job>>)>();
+        let mut failed_jobs = Vec::new();
         let trace_on = trace::enabled();
         let journal_on = journal::enabled();
         // Failure-budget state, shared across workers: executed failures
@@ -487,13 +509,7 @@ impl Engine {
                     };
                     {
                         let _worker_span = trace::span("sched", format!("worker{worker_index}"));
-                        let mut env = InterpEnv {
-                            transforms: self.transforms.clone(),
-                            passes: self.passes.as_ref(),
-                            patterns: None,
-                            library: None,
-                            config: InterpConfig::default(),
-                        };
+                        let mut env = self.interp_env();
                         while let Some((index, job, key, enqueued)) = queue.pop() {
                             // Per-job transactional override (td-serve:
                             // the tenant's txn_mode); the env is this
@@ -574,9 +590,6 @@ impl Engine {
                                     }
                                 }
                             }
-                            if journal_on {
-                                self.bisect_failed_job(&env, &job, index, &result);
-                            }
                             journal::set_job(None);
                             journal::set_request("");
                             let run_ns = run_started.elapsed().as_nanos();
@@ -585,7 +598,9 @@ impl Engine {
                             lane.busy_ns += run_ns;
                             lane.timeline
                                 .push((dispatched_at, started.elapsed().as_nanos()));
-                            if result_tx.send((index, result)).is_err() {
+                            let handed_back = matches!(result, Err(JobError::Transform { .. }))
+                                .then(|| Box::new(job));
+                            if result_tx.send((index, result, handed_back)).is_err() {
                                 break;
                             }
                         }
@@ -600,8 +615,9 @@ impl Engine {
                 }
             }
             queue.close();
-            for (index, result) in result_rx {
+            for (index, result, handed_back) in result_rx {
                 slots[index] = Some(result);
+                failed_jobs.extend(handed_back.map(|job| (index, *job)));
             }
             for (worker_index, handle) in handles.into_iter().enumerate() {
                 if let Ok((worker_trace, worker_metrics, worker_journal, lane)) = handle.join() {
@@ -622,50 +638,80 @@ impl Engine {
                 }
             }
         });
-        degraded.load(Ordering::Acquire)
+        failed_jobs.sort_unstable_by_key(|(index, _)| *index);
+        (degraded.load(Ordering::Acquire), failed_jobs)
     }
 
-    /// When a job fails with a (reproducible) transform error and
-    /// journaling is on, bisect the schedule against the job's own texts
-    /// and attach the minimized repro to this worker's journal as a
-    /// `bisect` artifact. Runs on the worker thread, after the failure,
-    /// with the probes themselves excluded from the journal.
-    fn bisect_failed_job(&self, env: &InterpEnv<'_>, job: &Job, index: usize, result: &JobResult) {
-        if !matches!(result, Err(JobError::Transform { .. })) {
-            return;
-        }
+    /// Bisects a job that failed with a transform error: finds the
+    /// shortest failing prefix of its schedule with
+    /// [`td_transform::bisect_schedule_failure`] — a handful of fresh-context
+    /// parse+interpret probes on the calling thread, under this engine's
+    /// registries, context factory and checkpoint backend and the job's
+    /// own `txn` override — and renders the minimized repro:
+    ///
+    /// ```text
+    /// failing prefix: P of N step(s) (K probe(s))
+    /// failure: <message of the minimized repro>
+    /// <the schedule truncated to its failing prefix>
+    /// ```
+    ///
+    /// `None` when the failure does not reproduce from the job's texts (or
+    /// they do not parse, or the bisection itself is brought down by an
+    /// injected fault — contained here like a panicking job is, so a
+    /// caller serving requests can ask without a guard of its own).
+    ///
+    /// The probes run in the job's fault lane ([`Job::fault_lane`]; a job
+    /// without one keeps the caller's), so a fault plan fires in them as
+    /// it fired in the job; the caller's lane is restored afterwards. They
+    /// record nothing in the journal or the flight recorder. Each
+    /// successful call bumps the `sched.bisections` counter on the calling
+    /// thread.
+    pub fn bisect(&self, job: &Job) -> Option<String> {
+        let mut env = self.interp_env();
+        env.config.txn = job.txn.unwrap_or(self.config.txn);
         let make_ctx = || self.fresh_context();
-        let Some(outcome) = td_transform::bisect_schedule_failure(
-            env,
-            &make_ctx,
-            &job.script,
-            &job.payload,
-            &job.entry,
-        ) else {
-            return;
-        };
+        let callers_lane = fault::lane();
+        if let Some(lane) = job.fault_lane {
+            fault::set_lane(lane);
+        }
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            td_transform::bisect_schedule_failure(
+                &env,
+                &make_ctx,
+                &job.script,
+                &job.payload,
+                &job.entry,
+            )
+        }));
+        fault::set_lane(callers_lane);
+        let outcome = outcome.ok().flatten()?;
         metrics::counter("sched.bisections", 1);
-        trace::instant(
-            "sched",
-            "bisect",
-            &[
-                ("job", index.to_string()),
-                ("failing_prefix", outcome.failing_prefix.to_string()),
-                ("probes", outcome.probes.to_string()),
-            ],
-        );
-        journal::add_artifact(
-            "bisect",
-            &format!("job{index}"),
-            &format!(
-                "failing prefix: {} of {} step(s) ({} probe(s))\nfailure: {}\n{}",
-                outcome.failing_prefix,
-                outcome.total_steps,
-                outcome.probes,
-                outcome.message,
-                outcome.minimized_script,
-            ),
-        );
+        if trace::enabled() {
+            let mut args = job_span_args(job);
+            args.push(("failing_prefix", outcome.failing_prefix.to_string()));
+            args.push(("probes", outcome.probes.to_string()));
+            trace::instant("sched", "bisect", &args);
+        }
+        Some(format!(
+            "failing prefix: {} of {} step(s) ({} probe(s))\nfailure: {}\n{}",
+            outcome.failing_prefix,
+            outcome.total_steps,
+            outcome.probes,
+            outcome.message,
+            outcome.minimized_script,
+        ))
+    }
+
+    /// An interpreter environment over the engine's registries; callers
+    /// set `config.txn` for the job at hand.
+    fn interp_env(&self) -> InterpEnv<'_> {
+        InterpEnv {
+            transforms: self.transforms.clone(),
+            passes: self.passes.as_ref(),
+            patterns: None,
+            library: None,
+            config: InterpConfig::default(),
+        }
     }
 
     /// A fresh job context from the factory, with the engine's checkpoint

@@ -174,3 +174,56 @@ fn deadline_exceeded_jobs_journal_timed_out() {
         assert!(step.message.contains("deadline"), "{}", step.message);
     }
 }
+
+#[test]
+fn bisection_runs_in_the_jobs_fault_lane_and_is_contained() {
+    let _guard = fault::test_guard();
+    // Lane 7 fails its second transform; lane 8 panics on its first
+    // allocation — inside the bisector's own parse, outside any probe.
+    fault::set_plan(Some(
+        fault::FaultPlan::parse("definite@job=7,step=1;alloc_pressure@job=8").unwrap(),
+    ));
+    let engine = Engine::new(EngineConfig::standard().with_workers(1).without_cache());
+    journal::set_enabled(true);
+    let report = engine.run_batch(vec![
+        Job::new(annotate_script(), payload(0)).with_fault_lane(7)
+    ]);
+    let [(0, failed_job)] = report.failed_jobs.as_slice() else {
+        panic!("the injected failure hands the job back: {report:?}");
+    };
+
+    // The schedule is sound: outside lane 7 there is nothing to find.
+    fault::set_lane(3);
+    let unfaulted = failed_job.clone().with_fault_lane(3);
+    assert_eq!(engine.bisect(&unfaulted), None);
+
+    // In the job's own lane the fault re-fires on every probe, and the
+    // caller gets its lane back.
+    let repro = engine.bisect(failed_job).expect("reproduces in lane 7");
+    assert!(
+        repro.starts_with("failing prefix: 2 of 3 step(s)"),
+        "{repro}"
+    );
+    assert!(repro.contains("injected"), "{repro}");
+    assert_eq!(fault::lane(), 3, "caller's lane restored");
+
+    // A fault that brings the bisection itself down is an answer, not a
+    // panic in the caller.
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let crashed = engine.bisect(&failed_job.clone().with_fault_lane(8));
+    std::panic::set_hook(hook);
+    let alloc_faults_fired = fault::stats()
+        .iter()
+        .find(|(point, _)| point == fault::POINT_IR_ALLOC)
+        .map_or(0, |(_, row)| row.fired);
+    fault::set_plan(None);
+    assert!(
+        alloc_faults_fired > 0,
+        "the bisector's parse must have panicked"
+    );
+    assert_eq!(crashed, None);
+    assert_eq!(fault::lane(), 3, "caller's lane restored after the panic");
+    assert!(journal::enabled(), "and its journal switch");
+    journal::clear_enabled_override();
+}

@@ -510,19 +510,36 @@ fn worker_journals_merge_into_one_batch_report() {
         .expect("failing job recorded a failed step");
     assert_eq!(failed.name, "transform.match_op");
 
-    // The failing job got a bisected minimized repro attached.
-    let artifact = report
-        .journal
-        .artifacts()
-        .iter()
-        .find(|a| a.kind == "bisect")
-        .expect("bisect artifact attached");
-    assert_eq!(artifact.label, "job6");
-    assert!(artifact.content.contains("nonexistent.op"));
+    // The failing job came back with the report, and its bisected,
+    // minimized repro is computed when asked for — never by the batch.
     assert!(
-        !artifact.content.contains("\"never\""),
-        "repro drops the innocent trailing step:\n{}",
-        artifact.content
+        report.journal.artifacts().is_empty(),
+        "the batch itself bisects nothing"
+    );
+    let registry = td_support::metrics::snapshot();
+    assert_eq!(registry.counter_value("sched.bisections"), None);
+    let [(index, failed_job)] = report.failed_jobs.as_slice() else {
+        panic!("one job handed back, got {:?}", report.failed_jobs);
+    };
+    assert_eq!(*index, 6);
+    let repro = engine.bisect(failed_job).expect("the failure reproduces");
+    assert!(
+        repro.starts_with("failing prefix: 1 of 3 step(s) ("),
+        "{repro}"
+    );
+    assert!(repro.contains("\nfailure: "), "{repro}");
+    assert!(repro.contains("nonexistent.op"));
+    assert!(
+        !repro.contains("\"never\""),
+        "repro drops the innocent trailing step:\n{repro}"
+    );
+    assert_eq!(engine.bisect(failed_job), Some(repro), "deterministic");
+    let registry = td_support::metrics::snapshot();
+    assert_eq!(registry.counter_value("sched.bisections"), Some(2));
+    // A job that succeeds has nothing to bisect.
+    assert_eq!(
+        engine.bisect(&Job::new(annotate_script("seen"), payload(0))),
+        None
     );
 
     // Reports are emitted in both shapes; the JSON validates.

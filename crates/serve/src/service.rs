@@ -15,6 +15,9 @@
 //!            completions map + condvar ──▶ wait(job_id)
 //!                              │
 //!                  ArtifactStore (report / bisect / flight)
+//!                              │ ARTIFACT request, connection thread
+//!                              ▼
+//!          render the report / bisect the failed job, once
 //! ```
 //!
 //! Every tenant gets its own [`Engine`] carrying its deadline, retry, and
@@ -29,6 +32,18 @@
 //! * a tenant's load can only delay, never change, another tenant's
 //!   results (workers never share payload state — the engine's
 //!   determinism contract).
+//!
+//! # Diagnostics on demand
+//!
+//! A worker pays for no diagnostic nobody has asked for. What it leaves in
+//! the [`ArtifactStore`] for a job is the material — the batch report as
+//! the engine returned it, and for a job that failed with a transform
+//! error the job itself — and the text is computed by the first `ARTIFACT`
+//! request for it ([`Service::artifact`]), on that connection's thread,
+//! outside the worker pool: `report` is rendered to JSON, `bisect` runs
+//! [`Engine::bisect`] (milliseconds of interpreter probes). The result is
+//! memoised and evicted with the job. Only the `flight` bundle is captured
+//! eagerly, because it snapshots a ring that moves on.
 //!
 //! # Drain
 //!
@@ -50,7 +65,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-use td_sched::{Engine, EngineConfig, Job, JobError, JobResult, ResultCache, TxnMode};
+use td_sched::{BatchReport, Engine, EngineConfig, Job, JobError, JobResult, ResultCache, TxnMode};
 use td_support::{flight, journal, metrics, mpmc, trace};
 
 /// Service configuration.
@@ -69,7 +84,8 @@ pub struct ServiceConfig {
     /// On-disk persistent cache directory (`None` = memory only).
     pub cache_dir: Option<PathBuf>,
     /// Whether to journal jobs and retain per-job artifacts
-    /// (report/bisect/flight) for `ARTIFACT` retrieval.
+    /// (report/bisect/flight) for `ARTIFACT` retrieval. Off: nothing is
+    /// retained and nothing deferred.
     pub collect_artifacts: bool,
     /// Jobs whose artifacts are retained (FIFO eviction beyond this).
     pub artifact_capacity: usize,
@@ -258,6 +274,17 @@ impl RequestIndex {
     }
 }
 
+/// What a deferred artifact's text is computed from, on first retrieval
+/// (see [`Inner::render`]).
+enum Deferred {
+    /// `report`: the job's batch report, rendered with
+    /// [`BatchReport::report_json`].
+    Report(Box<BatchReport>),
+    /// `bisect`: a job that failed with a transform error, bisected by its
+    /// tenant's engine.
+    Bisect { tenant: usize, job: Job },
+}
+
 struct PendState {
     fair: FairQueue<Dispatched>,
     draining: bool,
@@ -274,7 +301,7 @@ struct Inner {
     next_job: AtomicU64,
     jobs_completed: AtomicU64,
     rejected: AtomicU64,
-    artifacts: ArtifactStore,
+    artifacts: ArtifactStore<Deferred>,
     cache: Arc<ResultCache>,
     disk: Option<Arc<DiskStore>>,
     collect_artifacts: bool,
@@ -622,11 +649,20 @@ impl Service {
     }
 
     /// Retrieves a retained artifact (`report` / `bisect` / `flight`).
+    /// `report` and `bisect` are computed by the first call that asks for
+    /// them, on the calling thread, and memoised: the first `bisect`
+    /// retrieval of a job costs a bisection (see [`Engine::bisect`]), and
+    /// answers `None` when the failure does not reproduce.
     pub fn artifact(&self, job: u64, kind: &str) -> Option<String> {
-        self.inner.artifacts.get(job, kind)
+        let inner = &self.inner;
+        inner
+            .artifacts
+            .get(job, kind, |deferred| inner.render(deferred))
     }
 
-    /// Artifact kinds retained for `job`.
+    /// Artifact kinds retained for `job`: `report` for every job, then
+    /// `bisect` for one that failed with a transform error, then `flight`
+    /// for one that failed at all.
     pub fn artifact_kinds(&self, job: u64) -> Vec<String> {
         self.inner.artifacts.kinds(job)
     }
@@ -1185,7 +1221,9 @@ impl Inner {
             });
             let wall = started.elapsed();
             // Batch-level txn counters (not JobOutput's) so rollbacks
-            // inside attempts that went on to fail are counted too.
+            // inside attempts that went on to fail are counted too — and
+            // nothing else: a later bisection's probes are not the
+            // tenant's work and never reach these.
             runtime
                 .rollbacks
                 .fetch_add(report.stats.rollbacks, Ordering::Relaxed);
@@ -1230,11 +1268,12 @@ impl Inner {
                 }
             }
             if self.collect_artifacts {
-                self.artifacts.put(id, "report", report.report_json());
-                for artifact in report.journal.artifacts() {
-                    if artifact.kind == "bisect" {
-                        self.artifacts.put(id, "bisect", artifact.content.clone());
-                    }
+                let failed_job = report.failed_jobs.pop();
+                self.artifacts
+                    .put_deferred(id, "report", Deferred::Report(Box::new(report)));
+                if let Some((_, job)) = failed_job {
+                    self.artifacts
+                        .put_deferred(id, "bisect", Deferred::Bisect { tenant, job });
                 }
                 if failed {
                     let bundle = flight::bundle_json(
@@ -1295,6 +1334,28 @@ impl Inner {
             }
         }
         (trace::take(), metrics::take())
+    }
+
+    /// Computes a deferred artifact's text on the calling (connection)
+    /// thread. A bisection's probes count into the live metrics snapshot
+    /// — `sched.bisections` and the interpreter counters, as when a worker
+    /// flushes a job's — and not into the caller's registry or any
+    /// tenant's counters.
+    fn render(&self, deferred: Deferred) -> Option<String> {
+        match deferred {
+            Deferred::Report(report) => Some(report.report_json()),
+            Deferred::Bisect { tenant, job } => {
+                let callers = metrics::take();
+                let text = self.tenants[tenant].engine.bisect(&job);
+                let probes = metrics::take();
+                metrics::absorb(&callers);
+                self.live_metrics
+                    .lock()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .merge(&probes);
+                text
+            }
+        }
     }
 
     /// Logs a refusal to the event log (no-op when logging is off).

@@ -39,6 +39,116 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// `"key":<u64>` of tenant `name` in a `STATS` body.
+fn tenant_counter(stats: &str, name: &str, key: &str) -> u64 {
+    let tenant = stats
+        .find(&format!("\"name\":\"{name}\""))
+        .unwrap_or_else(|| panic!("no tenant {name}: {stats}"));
+    stats[tenant..]
+        .split(&format!("\"{key}\":"))
+        .nth(1)
+        .and_then(|rest| rest.split([',', '}']).next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no {key} counter for {name}: {stats}"))
+}
+
+/// The daemon-wide count of bisections run, as `METRICS` reports it (the
+/// series is absent until the first one).
+fn bisections(service: &Service) -> u64 {
+    service
+        .metrics_exposition()
+        .lines()
+        .find_map(|l| l.strip_prefix("td_internal_sched_bisections_total "))
+        .map_or(0, |n| n.parse().expect("counter value"))
+}
+
+/// A loop payload for [`FAILING_SCRIPT`], varied by `i`.
+fn loop_payload(i: usize) -> String {
+    let extent = 64 + i;
+    format!(
+        r#"module {{
+  func.func @f(%m: memref<{extent}xf32>) {{
+    %lo = arith.constant 0 : index
+    %hi = arith.constant {extent} : index
+    %st = arith.constant 1 : index
+    scf.for %i = %lo to %hi step %st {{
+      %v = "memref.load"(%m, %i) : (memref<{extent}xf32>, index) -> f32
+      "test.use"(%v) : (f32) -> ()
+    }}
+    func.return
+  }}
+}}"#
+    )
+}
+
+/// Step 3 of this 5-step schedule fails (no `nonexistent.op` in the
+/// payload); steps 4-5 are innocent bystanders a repro must drop.
+const FAILING_SCRIPT: &str = r#"module {
+  transform.named_sequence @main(%root: !transform.any_op) {
+    %loop = "transform.match_op"(%root) {name = "scf.for", select = "first"} : (!transform.any_op) -> !transform.any_op
+    "transform.annotate"(%loop) {name = "tagged"} : (!transform.any_op) -> ()
+    %missing = "transform.match_op"(%root) {name = "nonexistent.op", select = "first"} : (!transform.any_op) -> !transform.any_op
+    "transform.annotate"(%missing) {name = "never"} : (!transform.any_op) -> ()
+    "transform.annotate"(%root) {name = "also_never"} : (!transform.any_op) -> ()
+  }
+}"#;
+
+/// The `bisect` artifact text for [`FAILING_SCRIPT`] over `payload`,
+/// rendered from the bisector directly.
+fn expected_bisect_text(payload: &str) -> String {
+    let make_ctx = || {
+        let mut ctx = td_ir::Context::new();
+        td_dialects::register_all_dialects(&mut ctx);
+        td_transform::register_transform_dialect(&mut ctx);
+        ctx
+    };
+    let outcome = td_transform::bisect_schedule_failure(
+        &td_transform::InterpEnv::standard(),
+        &make_ctx,
+        FAILING_SCRIPT,
+        payload,
+        "main",
+    )
+    .expect("the failure reproduces");
+    assert_eq!(outcome.failing_prefix, 3);
+    format!(
+        "failing prefix: {} of {} step(s) ({} probe(s))\nfailure: {}\n{}",
+        outcome.failing_prefix,
+        outcome.total_steps,
+        outcome.probes,
+        outcome.message,
+        outcome.minimized_script,
+    )
+}
+
+/// Serves `service` on one end of a socketpair; returns the client for
+/// the other end and the server thread.
+fn connect(
+    service: &Arc<Service>,
+) -> (
+    Client<UnixStream, UnixStream>,
+    std::thread::JoinHandle<std::io::Result<ConnectionOutcome>>,
+) {
+    let (client_side, server_side) = UnixStream::pair().unwrap();
+    let service = Arc::clone(service);
+    let server = std::thread::spawn(move || {
+        let mut reader = server_side.try_clone().unwrap();
+        let mut writer = server_side;
+        td_serve::handle_connection(&service, &mut reader, &mut writer)
+    });
+    (
+        Client::new(client_side.try_clone().unwrap(), client_side),
+        server,
+    )
+}
+
+fn expect_not_found<T: std::fmt::Debug>(answer: Result<T, ClientError>) {
+    match answer {
+        Err(ClientError::Refused { code, .. }) => assert_eq!(code.as_deref(), Some("not_found")),
+        other => panic!("expected not_found, got {other:?}"),
+    }
+}
+
 #[test]
 fn submit_wait_runs_a_job_end_to_end() {
     let service = Service::start(ServiceConfig::new(vec![TenantConfig::new("solo")])).unwrap();
@@ -441,26 +551,46 @@ fn txn_mode_flows_from_tenant_config_to_stats_metrics_and_wire() {
     let stats = service.stats_json();
     assert!(stats.contains("\"txn_mode\":\"always\""), "{stats}");
     assert!(stats.contains("\"txn_mode\":\"never\""), "{stats}");
-    // The exact count depends on how often the observability plane
-    // replays the failing job (flight/bisect capture) — only "some
-    // rollbacks happened for the transacted tenant" is contractual.
-    let transacted = stats.find("\"transacted\"").expect("tenant in stats");
-    let rollbacks: u64 = stats[transacted..]
-        .split("\"rollbacks\":")
-        .nth(1)
-        .and_then(|rest| rest.split([',', '}']).next())
-        .and_then(|n| n.parse().ok())
-        .unwrap_or_else(|| panic!("no rollbacks counter: {stats}"));
-    assert!(rollbacks > 0, "{stats}");
+    // One job, one failing step, one rollback — exactly. The counters
+    // are the tenant's work, not the observability plane's.
+    assert_eq!(
+        tenant_counter(&stats, "transacted", "rollbacks"),
+        1,
+        "{stats}"
+    );
+    let undo_entries = tenant_counter(&stats, "transacted", "undo_entries");
+    let rollback_series = |expo: &str| {
+        expo.lines()
+            .find(|l| l.starts_with("td_txn_rollbacks_total{tenant=\"transacted\"}"))
+            .unwrap_or_else(|| panic!("no rollback series: {expo}"))
+            .to_owned()
+    };
     let expo = service.metrics_exposition();
-    let line = expo
-        .lines()
-        .find(|l| l.starts_with("td_txn_rollbacks_total{tenant=\"transacted\"}"))
-        .unwrap_or_else(|| panic!("no rollback series: {expo}"));
-    assert!(!line.ends_with(" 0"), "{line}");
+    assert_eq!(
+        rollback_series(&expo),
+        "td_txn_rollbacks_total{tenant=\"transacted\"} 1"
+    );
     assert!(
         expo.contains("td_txn_undo_entries{tenant=\"transacted\"}"),
         "{expo}"
+    );
+    // Bisecting the failure afterwards replays it several times, each
+    // probe rolling back — none of which is the tenant's.
+    assert!(service.artifact(done.job_id, "bisect").is_some());
+    let stats = service.stats_json();
+    assert_eq!(
+        tenant_counter(&stats, "transacted", "rollbacks"),
+        1,
+        "{stats}"
+    );
+    assert_eq!(
+        tenant_counter(&stats, "transacted", "undo_entries"),
+        undo_entries,
+        "{stats}"
+    );
+    assert_eq!(
+        rollback_series(&service.metrics_exposition()),
+        "td_txn_rollbacks_total{tenant=\"transacted\"} 1"
     );
 
     // Over the wire: a per-request override is accepted, an invalid one
@@ -583,5 +713,306 @@ fn observability_can_be_switched_off() {
     let expo = service.metrics_exposition();
     td_serve::validate_exposition(&expo).expect("exposition valid");
     assert!(!expo.contains("td_serve_tenant_rate"), "{expo}");
+    service.drain();
+}
+
+#[test]
+fn a_bisect_artifact_is_computed_by_its_first_retrieval() {
+    let service =
+        Arc::new(Service::start(ServiceConfig::new(vec![TenantConfig::new("alpha")])).unwrap());
+    let (mut client, server) = connect(&service);
+
+    let failures: Vec<u64> = (0..3)
+        .map(|i| {
+            let done = client
+                .submit("alpha", FAILING_SCRIPT, &loop_payload(i), "main")
+                .unwrap();
+            assert!(done.output.is_err(), "step 3 must fail job {i}");
+            done.job_id
+        })
+        .collect();
+    let passing = client
+        .submit("alpha", &script(), &payload(1), "main")
+        .unwrap();
+    assert!(passing.output.is_ok());
+    for &job in &failures {
+        assert_eq!(
+            service.artifact_kinds(job),
+            ["report", "bisect", "flight"],
+            "kinds listed before anything is computed"
+        );
+    }
+    assert_eq!(service.artifact_kinds(passing.job_id), ["report"]);
+    assert_eq!(bisections(&service), 0, "nobody asked: nothing bisected");
+
+    // Over the wire and in process: the same bytes the bisector renders,
+    // one bisection per job however often it is fetched.
+    let expected = expected_bisect_text(&loop_payload(0));
+    assert_eq!(client.artifact(failures[0], "bisect").unwrap(), expected);
+    assert_eq!(bisections(&service), 1);
+    let counters = service.stats_json();
+    let failed_before = tenant_counter(&counters, "alpha", "failed");
+    assert_eq!(
+        service.artifact(failures[0], "bisect").as_deref(),
+        Some(expected.as_str())
+    );
+    assert_eq!(client.artifact(failures[0], "bisect").unwrap(), expected);
+    assert_eq!(bisections(&service), 1, "a refetch is a lookup");
+    assert_eq!(
+        service.artifact(failures[1], "bisect"),
+        Some(expected_bisect_text(&loop_payload(1)))
+    );
+    assert_eq!(bisections(&service), 2);
+    let counters = service.stats_json();
+    assert_eq!(tenant_counter(&counters, "alpha", "failed"), failed_before);
+    assert_eq!(tenant_counter(&counters, "alpha", "completed"), 4);
+
+    // The other artifacts of the job are where they were.
+    let report = client.artifact(failures[0], "report").unwrap();
+    td_support::trace::validate_json(&report).expect("report JSON validates");
+    assert!(report.contains("\"stats\""), "{report}");
+    assert!(report.contains("transform.match_op"), "{report}");
+    assert!(
+        report.contains("\"artifacts\":[]"),
+        "the repro is its own artifact, not a copy in the report: {report}"
+    );
+    assert_eq!(client.artifact(failures[0], "report").unwrap(), report);
+    let flight = client.artifact(failures[0], "flight").unwrap();
+    assert!(flight.contains("\"repro\":null"), "{flight}");
+    expect_not_found(client.artifact(passing.job_id, "bisect"));
+
+    client.shutdown().unwrap();
+    assert_eq!(server.join().unwrap().unwrap(), ConnectionOutcome::Shutdown);
+    service.drain();
+}
+
+#[test]
+fn only_transform_failures_list_a_bisect_artifact() {
+    let _guard = fault::test_guard();
+    fault::set_plan(Some(
+        fault::FaultPlan::parse("sleep@ms=60,job=9;panic@job=8").unwrap(),
+    ));
+    let service = Service::start(ServiceConfig::new(vec![
+        TenantConfig::new("plain").with_fault_lane(11),
+        TenantConfig::new("laggy")
+            .with_fault_lane(9)
+            .with_deadline_ms(20),
+        // Without transactions nothing contains the panic short of the
+        // worker boundary.
+        TenantConfig::new("crashy")
+            .with_fault_lane(8)
+            .with_txn_mode(td_sched::TxnMode::Never),
+    ]))
+    .unwrap();
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let outcomes = [
+        service.submit_wait("plain", "not mlir", payload(0), "main"),
+        service.submit_wait("plain", script(), payload(0), "elsewhere"),
+        service.submit_wait("laggy", script(), payload(1), "main"),
+        service.submit_wait("crashy", script(), payload(2), "main"),
+    ];
+    std::panic::set_hook(hook);
+    fault::set_plan(None);
+    let errors: Vec<(u64, td_sched::JobError)> = outcomes
+        .into_iter()
+        .map(|done| {
+            let done = done.expect("admitted");
+            (done.job_id, done.result.expect_err("every job here fails"))
+        })
+        .collect();
+    use td_sched::JobError;
+    assert!(matches!(errors[0].1, JobError::Parse { .. }), "{errors:?}");
+    assert!(
+        matches!(errors[1].1, JobError::EntryMissing { .. }),
+        "{errors:?}"
+    );
+    assert!(
+        matches!(errors[2].1, JobError::DeadlineExceeded),
+        "{errors:?}"
+    );
+    assert!(
+        matches!(errors[3].1, JobError::Panicked { .. }),
+        "{errors:?}"
+    );
+    for (job, error) in &errors {
+        assert_eq!(
+            service.artifact_kinds(*job),
+            ["report", "flight"],
+            "{error} is not a schedule failure: nothing to bisect"
+        );
+        assert_eq!(service.artifact(*job, "bisect"), None);
+    }
+    assert_eq!(bisections(&service), 0);
+    service.drain();
+}
+
+#[test]
+fn a_job_bisects_under_its_tenants_txn_mode() {
+    // Every probe of a bisection under `always` rolls its failing step
+    // back; under `never` nothing ever rolls back. Drain hands the
+    // daemon's metrics (job and bisection alike) to this thread.
+    let expected = expected_bisect_text(&loop_payload(0));
+    let rollbacks_of_job_and_bisection = |mode: td_sched::TxnMode| {
+        td_support::metrics::reset();
+        let service = Service::start(ServiceConfig::new(vec![
+            TenantConfig::new("solo").with_txn_mode(mode)
+        ]))
+        .unwrap();
+        let done = service
+            .submit_wait("solo", FAILING_SCRIPT, loop_payload(0), "main")
+            .unwrap();
+        assert!(done.result.is_err());
+        assert_eq!(
+            service.artifact(done.job_id, "bisect").as_ref(),
+            Some(&expected),
+            "same repro under {mode:?}"
+        );
+        service.drain();
+        let absorbed = td_support::metrics::take();
+        assert_eq!(absorbed.counter_value("sched.bisections"), Some(1));
+        absorbed.counter_value("interp.rolled_back").unwrap_or(0)
+    };
+    assert_eq!(rollbacks_of_job_and_bisection(td_sched::TxnMode::Never), 0);
+    assert!(rollbacks_of_job_and_bisection(td_sched::TxnMode::Always) > 1);
+}
+
+#[test]
+fn deferred_artifacts_are_evicted_with_their_job() {
+    let mut config = ServiceConfig::new(vec![TenantConfig::new("alpha")]);
+    config.artifact_capacity = 2;
+    let service = Arc::new(Service::start(config).unwrap());
+    let (mut client, server) = connect(&service);
+    let failed = client
+        .submit("alpha", FAILING_SCRIPT, &loop_payload(0), "main")
+        .unwrap();
+    assert_eq!(
+        service.artifact_kinds(failed.job_id),
+        ["report", "bisect", "flight"]
+    );
+    for i in 0..2 {
+        client
+            .submit("alpha", &script(), &payload(i), "main")
+            .unwrap();
+    }
+    assert!(service.artifact_kinds(failed.job_id).is_empty());
+    expect_not_found(client.artifact(failed.job_id, "bisect"));
+    expect_not_found(client.artifact(failed.job_id, "report"));
+    assert_eq!(bisections(&service), 0, "evicted unforced");
+    client.shutdown().unwrap();
+    assert_eq!(server.join().unwrap().unwrap(), ConnectionOutcome::Shutdown);
+    service.drain();
+}
+
+#[test]
+fn concurrent_fetches_of_a_fresh_bisect_entry_agree() {
+    let service =
+        Arc::new(Service::start(ServiceConfig::new(vec![TenantConfig::new("alpha")])).unwrap());
+    let done = service
+        .submit_wait("alpha", FAILING_SCRIPT, loop_payload(0), "main")
+        .unwrap();
+    let start = std::sync::Barrier::new(2);
+    let texts: Vec<Option<String>> = std::thread::scope(|scope| {
+        let fetchers: Vec<_> = (0..2)
+            .map(|_| {
+                scope.spawn(|| {
+                    start.wait();
+                    service.artifact(done.job_id, "bisect")
+                })
+            })
+            .collect();
+        fetchers.into_iter().map(|f| f.join().unwrap()).collect()
+    });
+    let expected = expected_bisect_text(&loop_payload(0));
+    assert_eq!(texts, [Some(expected.clone()), Some(expected)]);
+    assert_eq!(bisections(&service), 1);
+    service.drain();
+}
+
+#[test]
+fn workers_keep_completing_jobs_while_a_bisection_is_forced() {
+    let _guard = fault::test_guard();
+    // Every transform in lane 5 sleeps, so the failing job takes 0.3 s and
+    // its bisection (four probes, eleven steps) over a second — on the
+    // fetching thread. The pool must not notice.
+    fault::set_plan(Some(fault::FaultPlan::parse("sleep@ms=100,job=5").unwrap()));
+    let service = Arc::new(
+        Service::start(
+            ServiceConfig::new(vec![
+                TenantConfig::new("slow").with_fault_lane(5),
+                TenantConfig::new("steady").with_fault_lane(11),
+            ])
+            .with_workers(2),
+        )
+        .unwrap(),
+    );
+    let failed = service
+        .submit_wait("slow", FAILING_SCRIPT, loop_payload(0), "main")
+        .unwrap();
+    assert!(failed.result.is_err());
+    let (forcing_tx, forcing_rx) = std::sync::mpsc::channel();
+    let bisecting = {
+        let service = Arc::clone(&service);
+        std::thread::spawn(move || {
+            forcing_tx.send(()).unwrap();
+            service.artifact(failed.job_id, "bisect")
+        })
+    };
+    forcing_rx.recv().unwrap();
+    for i in 0..50 {
+        let done = service
+            .submit_wait("steady", script(), payload(i), "main")
+            .unwrap();
+        assert!(done.result.is_ok(), "job {i}: {:?}", done.result);
+        assert!(service.artifact(done.job_id, "report").is_some());
+    }
+    assert!(
+        !bisecting.is_finished(),
+        "50 jobs and their reports were served while the bisection ran"
+    );
+    let repro = bisecting.join().unwrap();
+    fault::set_plan(None);
+    assert_eq!(repro, Some(expected_bisect_text(&loop_payload(0))));
+    service.drain();
+}
+
+#[test]
+fn a_bisection_brought_down_by_a_fault_answers_not_found() {
+    let _guard = fault::test_guard();
+    let service = Arc::new(
+        Service::start(ServiceConfig::new(vec![
+            TenantConfig::new("alpha").with_fault_lane(8)
+        ]))
+        .unwrap(),
+    );
+    let (mut client, server) = connect(&service);
+    let failed = client
+        .submit("alpha", FAILING_SCRIPT, &loop_payload(0), "main")
+        .unwrap();
+    assert!(failed.output.is_err());
+
+    // Armed only now: the job failed on its own, the bisector's first
+    // parse panics on its first allocation.
+    fault::set_plan(Some(
+        fault::FaultPlan::parse("alloc_pressure@job=8").unwrap(),
+    ));
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let answer = client.artifact(failed.job_id, "bisect");
+    std::panic::set_hook(hook);
+    fault::set_plan(None);
+    expect_not_found(answer);
+
+    // The connection, the entry and the pool all survived it.
+    client.ping().unwrap();
+    expect_not_found(client.artifact(failed.job_id, "bisect"));
+    assert!(client.artifact(failed.job_id, "report").is_ok());
+    let after = client
+        .submit("alpha", &script(), &payload(1), "main")
+        .unwrap();
+    assert!(after.output.is_ok());
+    assert_eq!(bisections(&service), 0);
+    client.shutdown().unwrap();
+    assert_eq!(server.join().unwrap().unwrap(), ConnectionOutcome::Shutdown);
     service.drain();
 }

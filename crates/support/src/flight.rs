@@ -15,8 +15,11 @@
 //!   fired, cache hits/misses, deadline expiries);
 //! * the thread's metrics registry (counters, timers, histograms);
 //! * the tail of the provenance journal (when `TD_JOURNAL` recording is
-//!   on) including any minimized-repro bisect artifacts, plus a `repro`
-//!   pointer naming the most recent one;
+//!   on) including any minimized-repro bisect artifacts a caller attached
+//!   to it, plus a `repro` pointer naming the most recent one — `null`
+//!   when there is none, which is every td-serve job: the daemon bisects
+//!   a failed job only when asked, so its repro is not in the bundle but
+//!   one request away, `ARTIFACT kind=bisect` for the same job;
 //! * the caller's `extra` attribution (failing transform name, handles,
 //!   payload fingerprint).
 //!
@@ -199,7 +202,10 @@ fn event_json(event: &FlightEvent) -> String {
 }
 
 /// Builds the self-contained bundle JSON (also used by tests, which
-/// validate it without touching the filesystem).
+/// validate it without touching the filesystem). The `repro` key is always
+/// present: the label of the last `bisect` artifact in this thread's
+/// journal, or `null` (see the module docs for where a td-serve job's
+/// repro lives).
 pub fn bundle_json(reason: &str, extra: &[(&str, String)]) -> String {
     let events = snapshot_events();
     let mut out = format!("{{\"reason\":{},\"extra\":{{", json_string(reason));

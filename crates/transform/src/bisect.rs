@@ -11,9 +11,11 @@
 //! bisector binary-searches that boundary in `O(log n)` probes, then
 //! truncates the script to the winning prefix and re-confirms it.
 //!
-//! The result is returned as a [`BisectOutcome`] and — when the journal is
-//! recording — attached to it as a `bisect` [`td_support::journal::Artifact`]
-//! by the caller (see `td-sched`'s engine).
+//! The result is returned as a [`BisectOutcome`]; what becomes of it is the
+//! caller's business. `td-sched`'s `Engine::bisect` renders it as text for
+//! whoever asks about a failed job — nothing bisects a failure unasked —
+//! and a caller that wants it in the journal attaches that text as a
+//! `bisect` [`td_support::journal::Artifact`].
 
 use crate::interp::{InterpEnv, Interpreter};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -99,7 +101,9 @@ impl Bisector<'_, '_> {
 /// nondeterministic or environment-dependent failure), when the inputs do
 /// not parse, or when the entry block is empty. Probes run with journaling
 /// disabled on this thread so the search itself does not pollute the
-/// journal being diagnosed.
+/// journal being diagnosed; the switch is restored on the way out, also
+/// when a panic outside a probe (an injected allocation fault in a parse)
+/// unwinds through here to a caller that contains it.
 pub fn bisect_schedule_failure(
     env: &InterpEnv<'_>,
     make_ctx: &dyn Fn() -> Context,
@@ -107,11 +111,15 @@ pub fn bisect_schedule_failure(
     payload_src: &str,
     entry: &str,
 ) -> Option<BisectOutcome> {
-    let was_journaling = journal::enabled();
+    struct RestoreJournaling(bool);
+    impl Drop for RestoreJournaling {
+        fn drop(&mut self) {
+            journal::set_enabled(self.0);
+        }
+    }
+    let _restore = RestoreJournaling(journal::enabled());
     journal::set_enabled(false);
-    let outcome = bisect_inner(env, make_ctx, script_src, payload_src, entry);
-    journal::set_enabled(was_journaling);
-    outcome
+    bisect_inner(env, make_ctx, script_src, payload_src, entry)
 }
 
 fn bisect_inner(
