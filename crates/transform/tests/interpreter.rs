@@ -185,6 +185,35 @@ fn alternatives_commits_first_success() {
     assert_eq!(scf::collect_loops(&ctx, payload).len(), 3);
 }
 
+/// One half (`payload` / `schedule`) of the committed corpus entry
+/// `tests/golden/fuzz/alternatives-mutate-then-fail`.
+fn mutate_then_fail_entry(half: &str) -> String {
+    let path = format!(
+        "{}/../../tests/golden/fuzz/alternatives-mutate-then-fail.{half}.mlir",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
+/// The corpus entry: the first branch tiles its target and *then* fails,
+/// the second is empty. A failed branch must leave the payload as if it
+/// never ran.
+#[test]
+fn alternatives_branch_that_mutates_then_fails_leaves_no_trace() {
+    let (mut ctx, payload, entry) = setup(
+        &mutate_then_fail_entry("payload"),
+        &mutate_then_fail_entry("schedule"),
+    );
+    let before = td_ir::print_op(&ctx, payload);
+    let env = InterpEnv::standard();
+    let mut interp = Interpreter::new(&env);
+    interp
+        .apply(&mut ctx, entry, payload)
+        .expect("the empty second alternative succeeds");
+    assert_eq!(td_ir::print_op(&ctx, payload), before);
+    assert!(interp.stats.suppressed_errors >= 1);
+}
+
 #[test]
 fn foreach_visits_every_match() {
     let script = r#"module {
