@@ -1,15 +1,14 @@
-//! CI smoke check for the generative differential fuzzer. Three gates:
+//! CI smoke check for the generative differential fuzzer. Four gates:
 //!
 //! 1. **Zero divergences**: a fixed-seed fuzz run (default 200 pairs;
 //!    `TD_FUZZ_SEED` / `TD_FUZZ_BUDGET` override) pushes every generated
-//!    (schedule, payload) pair through all seven oracle modes — direct
-//!    Auto/Always, engine 1w/4w, journal on, cache cold/warm — and every
-//!    mode must agree byte-for-byte. A prefix of the run additionally
-//!    gets the undo-log equivalence sweep: the incremental undo-log
-//!    checkpoint backend vs. the full-clone backend, clean and with a
-//!    silenceable fault injected at every step index in turn, demanding
-//!    byte-identical post-rollback payloads and exact in-context
-//!    fingerprint restoration.
+//!    (schedule, payload) pair through all six oracle modes — direct,
+//!    engine 1w/4w, journal on, cache cold/warm — and every mode must
+//!    agree byte-for-byte. A prefix of the run additionally gets the
+//!    undo-log equivalence sweep: clean and with a silenceable fault
+//!    injected at every step index in turn, every rolled-back run must
+//!    print byte-identically to a fresh run of just its committed steps
+//!    and restore the pre-step fingerprint exactly, in context.
 //! 2. **Corpus replay**: the committed regression corpus under
 //!    `tests/golden/fuzz/` (or `TD_FUZZ_CORPUS`) replays clean, with at
 //!    least the five committed entries present.
@@ -19,6 +18,10 @@
 //!    bisection), written out in corpus format, reloaded, and shown to
 //!    still reproduce — proving a real divergence would land as a
 //!    replayable committed repro.
+//! 4. **`alternatives` leaves no trace**: the metamorphic family
+//!    `alternatives({T; doomed}, {})` ≡ identity and
+//!    `alternatives({T; doomed}, {U})` ≡ `U` holds on 200 seeds, under
+//!    both transaction modes and through the engine at 1 and 4 workers.
 //!
 //! ```text
 //! cargo run --release -p td-bench --bin fuzz_smoke
@@ -26,7 +29,7 @@
 
 use std::time::Instant;
 
-use td_fuzz::{corpus, minimize, oracle, FuzzConfig, Pair};
+use td_fuzz::{corpus, metamorphic, minimize, oracle, FuzzConfig, Pair};
 use td_support::fault::{self, FaultPlan};
 use td_transform::TxnMode;
 
@@ -37,10 +40,10 @@ const ANNOTATE_FAULT: &str = "silenceable@transform=transform.annotate";
 /// divergence.
 fn diverges_under_fault(pair: &Pair) -> bool {
     fault::set_thread_plan(None);
-    let clean = oracle::run_direct(pair, TxnMode::Auto);
+    let clean = oracle::run_direct(pair, TxnMode::Always);
     fault::set_thread_plan(Some(FaultPlan::parse(ANNOTATE_FAULT).expect("plan parses")));
     fault::reset_counters();
-    let faulted = oracle::run_direct(pair, TxnMode::Auto);
+    let faulted = oracle::run_direct(pair, TxnMode::Always);
     fault::set_thread_plan(None);
     clean.is_ok() && faulted != clean
 }
@@ -168,6 +171,16 @@ fn main() {
 
     // Gate 3: an injected divergence auto-minimizes to a replayable repro.
     injected_divergence_gate();
+
+    // Gate 4: a failed `alternatives` branch leaves no trace.
+    let family = metamorphic::alternatives_family(config.seed, metamorphic::SEEDS);
+    family
+        .verdict()
+        .unwrap_or_else(|why| panic!("fuzz_smoke: {why}"));
+    println!(
+        "fuzz_smoke: alternatives family ok ({} seeds, {} mutate-then-fail, {} checks, 0 violations)",
+        family.cases, family.mutated_then_failed, family.checks
+    );
 
     println!(
         "fuzz_smoke: PASS ({} pairs, {:.1}s)",

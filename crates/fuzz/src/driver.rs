@@ -34,10 +34,11 @@ pub struct FuzzConfig {
     /// Upper bound on the schedule steps knob.
     pub max_schedule_steps: u32,
     /// How many of the generated pairs also get the undo-log equivalence
-    /// sweep ([`undo_equivalence`]): clone vs. undo checkpoint backends,
-    /// clean and with a fault injected at every step index. The sweep
-    /// costs ~2·(steps+1) extra interpreter runs per pair, so it covers a
-    /// prefix of the run rather than every pair.
+    /// sweep ([`undo_equivalence`]): every rolled-back run against a fresh
+    /// run of its committed steps, clean and with a fault injected at
+    /// every step index. The sweep costs up to 2·(steps+1) extra
+    /// interpreter runs per pair, so it covers a prefix of the run rather
+    /// than every pair.
     pub undo_sweep: usize,
 }
 
@@ -170,7 +171,7 @@ pub struct FuzzReport {
     pub setup_errors: usize,
     /// Pairs whose reference run panicked.
     pub panics: usize,
-    /// Pairs additionally swept for undo/clone backend equivalence.
+    /// Pairs additionally swept for rollback exactness.
     pub undo_checked: usize,
     /// Payload op name -> total occurrences across all generated payloads.
     pub payload_ops: BTreeMap<String, u64>,
@@ -269,11 +270,11 @@ pub fn run_fuzz(config: &FuzzConfig) -> FuzzReport {
         }
     }
 
-    // Undo-log equivalence sweep over a prefix of the run: the clone and
-    // undo checkpoint backends must be observationally identical, clean
-    // and at every injected fault point. Shrinking is gated on the *undo*
+    // Undo-log equivalence sweep over a prefix of the run: a rolled-back
+    // step must be indistinguishable from one that never ran, clean and
+    // at every injected fault point. Shrinking is gated on the *undo*
     // predicate — these divergences are invisible to the differential
-    // oracle (all its modes share one backend default).
+    // oracle (all its modes roll back the same way).
     for (index, pair) in pairs.iter().take(config.undo_sweep).enumerate() {
         report.undo_checked += 1;
         if let Some(description) = undo_equivalence(pair) {

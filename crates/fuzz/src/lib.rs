@@ -7,16 +7,16 @@
 //! 1. `td-modelgen` generates a (payload, schedule) [`Pair`] as a pure
 //!    function of a seed and two size knobs ([`PairSpec`]).
 //! 2. The [`oracle`] runs the pair through every execution mode the
-//!    project offers — direct interpreter under `TxnMode::Auto` and
-//!    `TxnMode::Always`, the `td-sched` engine with 1 and 4 workers, with
-//!    the provenance journal on, and cached cold/warm — and demands
-//!    byte-identical printed modules and re-parse fingerprints (or the
-//!    identical error) from all of them. A second sweep
-//!    ([`undo_equivalence`]) pits the incremental undo-log checkpoint
-//!    backend against the full-clone backend, clean and with a
-//!    silenceable fault injected at every step index in turn, demanding
-//!    byte-identical post-rollback payloads and exact fingerprint
-//!    restoration.
+//!    project offers — the direct interpreter, the `td-sched` engine with
+//!    1 and 4 workers, with the provenance journal on, and cached
+//!    cold/warm — and demands byte-identical printed modules and re-parse
+//!    fingerprints (or the identical error) from all of them. A second
+//!    sweep ([`undo_equivalence`]) holds rollback to "as if the step never
+//!    ran": clean and with a silenceable fault injected at every step
+//!    index in turn, the post-rollback payload must print identically to
+//!    a fresh run of just the committed steps, and its fingerprint must
+//!    be restored exactly. A third ([`metamorphic`]) holds
+//!    `transform.alternatives` to the same standard per branch.
 //! 3. Divergences are shrunk by [`minimize`] (knob shrinking plus
 //!    schedule bisection via `bisect_schedule_failure`) and written to the
 //!    [`corpus`] as committed `.mlir` repro files replayed by the golden
@@ -27,6 +27,7 @@
 
 pub mod corpus;
 pub mod driver;
+pub mod metamorphic;
 pub mod minimize;
 pub mod oracle;
 
@@ -36,6 +37,6 @@ pub use driver::{
 };
 pub use minimize::{bisect_schedule, shrink_pair, Shrunk};
 pub use oracle::{
-    differential, differential_failure, fresh_context, run_direct, run_direct_on, run_engine,
-    undo_equivalence, CaseReport, EngineRun, Outcome, Pair, MODES,
+    differential, differential_failure, fresh_context, run_direct, run_engine, undo_equivalence,
+    CaseReport, EngineRun, Outcome, Pair, MODES,
 };

@@ -3,10 +3,9 @@
 //!
 //! The equivalence classes compared are:
 //!
-//! * **direct/auto** — a plain [`Interpreter`] with [`TxnMode::Auto`]
-//!   (checkpoints only around consuming transforms).
-//! * **direct/always** — the same interpreter with [`TxnMode::Always`]
-//!   (a checkpoint around *every* step).
+//! * **direct/always** — a plain [`Interpreter`] with the default
+//!   [`TxnMode::Always`] (a transaction around *every* top-level step).
+//!   This is the reference the other classes are compared against.
 //! * **engine/w1** and **engine/w4** — the `td-sched` engine with one
 //!   worker vs. four, caching disabled.
 //! * **engine/journal** — the engine with the provenance journal recording.
@@ -22,15 +21,15 @@
 //! * Fingerprints are computed by **re-parsing the printed output in a
 //!   fresh context**, never on the live context that ran the schedule.
 //!   [`td_ir::fingerprint_op`] is context-relative; two contexts that
-//!   printed identical text can have different arena histories (e.g.
-//!   `Always` mode allocates checkpoint clones `Auto` never makes), so a
-//!   raw cross-context fingerprint comparison would report divergences
-//!   that no user can observe. Re-parsing makes the fingerprint a pure
+//!   printed identical text can have different arena histories (a job
+//!   that was retried, a step that was rolled back and re-run), so a raw
+//!   cross-context fingerprint comparison would report divergences that
+//!   no user can observe. Re-parsing makes the fingerprint a pure
 //!   function of the printed text while still proving the text round-trips.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use td_ir::{parse_module, print_op, CheckpointBackend, Context, PassRegistry};
+use td_ir::{parse_module, print_op, Context, PassRegistry};
 use td_sched::{Engine, EngineConfig, Job, JobError};
 use td_support::{fault, journal};
 use td_transform::{InterpEnv, Interpreter, TxnMode};
@@ -162,16 +161,8 @@ fn normalize_ok(text: String) -> Outcome {
 /// Parses payload first, then script (the same discipline the engine's
 /// workers use, so op ids — and thus printed SSA names — line up).
 pub fn run_direct(pair: &Pair, txn: TxnMode) -> Outcome {
-    run_direct_on(pair, txn, CheckpointBackend::default())
-}
-
-/// [`run_direct`] with an explicit checkpoint backend, set on the context
-/// itself rather than through `TD_TXN_BACKEND` so concurrent tests never
-/// race on process environment.
-pub fn run_direct_on(pair: &Pair, txn: TxnMode, backend: CheckpointBackend) -> Outcome {
     let result = catch_unwind(AssertUnwindSafe(|| {
         let mut ctx = fresh_context();
-        ctx.set_txn_backend(backend);
         let payload = match parse_module(&mut ctx, &pair.payload) {
             Ok(op) => op,
             Err(err) => {
@@ -279,7 +270,7 @@ pub fn run_on_engine(engine: &Engine, pairs: &[Pair]) -> EngineRun {
 
 /// Base engine config for oracle runs: retries off so every mode performs
 /// exactly one interpreter attempt per job.
-fn oracle_engine(workers: usize) -> EngineConfig {
+pub(crate) fn oracle_engine(workers: usize) -> EngineConfig {
     EngineConfig::standard()
         .with_workers(workers)
         .with_max_attempts(1)
@@ -287,7 +278,6 @@ fn oracle_engine(workers: usize) -> EngineConfig {
 
 /// Labels of the modes [`differential`] compares, in order.
 pub const MODES: &[&str] = &[
-    "direct/auto",
     "direct/always",
     "engine/w1",
     "engine/w4",
@@ -306,7 +296,7 @@ pub struct CaseReport {
 }
 
 impl CaseReport {
-    /// The reference outcome (direct/auto).
+    /// The reference outcome (direct/always).
     pub fn reference(&self) -> &Outcome {
         &self.outcomes[0].1
     }
@@ -343,11 +333,8 @@ impl CaseReport {
 /// what the engine's workers do, so a `TD_FAULT` plan with per-lane step
 /// counters fires identically in every mode.
 pub fn differential(pairs: &[Pair]) -> Vec<CaseReport> {
-    let mut direct_auto = Vec::with_capacity(pairs.len());
     let mut direct_always = Vec::with_capacity(pairs.len());
     for (index, pair) in pairs.iter().enumerate() {
-        fault::set_lane(index as u64);
-        direct_auto.push(run_direct(pair, TxnMode::Auto));
         fault::set_lane(index as u64);
         direct_always.push(run_direct(pair, TxnMode::Always));
     }
@@ -367,13 +354,12 @@ pub fn differential(pairs: &[Pair]) -> Vec<CaseReport> {
     let mut reports = Vec::with_capacity(pairs.len());
     for index in 0..pairs.len() {
         let outcomes = vec![
-            (MODES[0], direct_auto[index].clone()),
-            (MODES[1], direct_always[index].clone()),
-            (MODES[2], engine_w1.outcomes[index].clone()),
-            (MODES[3], engine_w4.outcomes[index].clone()),
-            (MODES[4], engine_journal.outcomes[index].clone()),
-            (MODES[5], engine_cold.outcomes[index].clone()),
-            (MODES[6], engine_warm.outcomes[index].clone()),
+            (MODES[0], direct_always[index].clone()),
+            (MODES[1], engine_w1.outcomes[index].clone()),
+            (MODES[2], engine_w4.outcomes[index].clone()),
+            (MODES[3], engine_journal.outcomes[index].clone()),
+            (MODES[4], engine_cold.outcomes[index].clone()),
+            (MODES[5], engine_warm.outcomes[index].clone()),
         ];
         reports.push(CaseReport {
             outcomes,
@@ -389,33 +375,35 @@ pub fn differential_failure(pair: &Pair) -> Option<String> {
 }
 
 // ---------------------------------------------------------------------
-// Undo-log equivalence: the incremental undo-log checkpoint backend vs.
-// the full-clone backend, clean and at every injected fault point.
+// Undo-log equivalence: a rolled-back step must be indistinguishable from
+// a step that never ran — clean and at every injected fault point.
 // ---------------------------------------------------------------------
 
 /// What one journaled, possibly fault-armed run observed.
 struct SweptRun {
-    /// The outcome (Ok text is *not* normalized — raw equality suffices
-    /// because both backends print in a freshly parsed context).
+    /// The outcome (Ok text is left empty — `post_print` carries it).
     outcome: Outcome,
-    /// Payload print after `apply` returned — the post-rollback state on
+    /// Payload print after the run returned — the post-rollback state on
     /// failure, the final module on success.
     post_print: String,
     /// Transform steps that committed.
     executed: usize,
-    /// `fp_before` of the last *top-level* (minimal-depth) journal step —
-    /// the state a failing run's transaction must restore. `None` when no
-    /// step was recorded.
+    /// Top-level steps that committed before the run ended.
+    committed: usize,
+    /// Live-context [`td_ir::fingerprint_op`] of the payload before the
+    /// top-level step the run ended in — the state a failing run's
+    /// transaction must restore. `None` when no step was recorded.
     pre_step_fp: Option<u64>,
-    /// Live-context [`td_ir::fingerprint_op`] of the payload after
-    /// `apply` returned.
+    /// Live-context [`td_ir::fingerprint_op`] of the payload after the
+    /// run returned.
     post_fp: u64,
 }
 
 /// One instrumented run under `TxnMode::Always`: journal on (for per-step
 /// fingerprints), optionally with a silenceable fault armed at hit index
-/// `fault_step` of the interpreter's step fault point.
-fn swept_run(pair: &Pair, fault_step: Option<usize>, backend: CheckpointBackend) -> SweptRun {
+/// `fault_step` of the interpreter's step fault point, optionally cut off
+/// after the first `limit` top-level steps.
+fn swept_run(pair: &Pair, fault_step: Option<usize>, limit: Option<usize>) -> SweptRun {
     match fault_step {
         Some(step) => {
             fault::set_thread_plan(Some(
@@ -432,7 +420,6 @@ fn swept_run(pair: &Pair, fault_step: Option<usize>, backend: CheckpointBackend)
     journal::reset();
     let result = catch_unwind(AssertUnwindSafe(|| {
         let mut ctx = fresh_context();
-        ctx.set_txn_backend(backend);
         let payload = match parse_module(&mut ctx, &pair.payload) {
             Ok(op) => op,
             Err(err) => {
@@ -456,7 +443,11 @@ fn swept_run(pair: &Pair, fault_step: Option<usize>, backend: CheckpointBackend)
         env.passes = Some(&passes);
         env.config.txn = TxnMode::Always;
         let mut interp = Interpreter::new(&env);
-        let outcome = match interp.apply_reentrant(&mut ctx, entry, payload) {
+        let applied = match limit {
+            Some(limit) => interp.apply_prefix(&mut ctx, entry, payload, limit),
+            None => interp.apply_reentrant(&mut ctx, entry, payload),
+        };
+        let outcome = match applied {
             Ok(()) => Outcome::Ok {
                 text: String::new(),
                 fingerprint: 0,
@@ -477,130 +468,136 @@ fn swept_run(pair: &Pair, fault_step: Option<usize>, backend: CheckpointBackend)
     fault::set_thread_plan(None);
     let recorded = journal::take();
     journal::set_enabled(journal_was_on);
-    // When a run fails, the top-level transaction restores the state
-    // before the failing *top-level* step — which is the last
-    // minimal-depth record (its committed predecessors all ran to
-    // completion, and no later top-level step began). Failures at deeper
-    // records may have been suppressed (e.g. by an alternatives-style
-    // construct), so neither "first failing record" nor the fault's hit
-    // index identifies the restored state in general.
+    // The top-level steps are the minimal-depth transform records (the
+    // rollback's own `txn` record is not a step). A failing run ends in
+    // the last of them — unless that one is `Ok`, in which case the
+    // failing step was refused before it was journaled (a use of an
+    // invalidated handle) and every recorded step committed. Failures at
+    // deeper records may have been suppressed by an enclosing construct,
+    // so the fault's hit index does not identify the failing step.
     let base_depth = recorded.steps().iter().map(|s| s.depth).min();
-    let pre_step_fp = base_depth.and_then(|base| {
-        recorded
-            .steps()
-            .iter()
-            .filter(|s| s.depth == base)
-            .next_back()
-            .map(|s| s.fp_before)
-    });
+    let top_level: Vec<_> = recorded
+        .steps()
+        .iter()
+        .filter(|s| s.kind == "transform" && Some(s.depth) == base_depth)
+        .collect();
+    let (committed, pre_step_fp) = match top_level.last() {
+        Some(last) if last.outcome.is_failure() => (top_level.len() - 1, Some(last.fp_before)),
+        Some(last) => (top_level.len(), Some(last.fp_after)),
+        None => (0, None),
+    };
+    // A run that never reached the interpreter, or brought it down.
+    let aborted = |outcome| SweptRun {
+        outcome,
+        post_print: String::new(),
+        executed: 0,
+        committed: 0,
+        pre_step_fp: None,
+        post_fp: 0,
+    };
     match result {
         Ok(Ok((outcome, post_print, executed, post_fp))) => SweptRun {
             outcome,
             post_print,
             executed,
+            committed,
             pre_step_fp,
             post_fp,
         },
-        Ok(Err(message)) => SweptRun {
-            outcome: Outcome::Setup { message },
-            post_print: String::new(),
-            executed: 0,
-            pre_step_fp: None,
-            post_fp: 0,
-        },
-        Err(payload) => SweptRun {
-            outcome: Outcome::Panic {
-                message: fault::panic_text(payload.as_ref()),
-            },
-            post_print: String::new(),
-            executed: 0,
-            pre_step_fp: None,
-            post_fp: 0,
-        },
+        Ok(Err(message)) => aborted(Outcome::Setup { message }),
+        Err(payload) => aborted(Outcome::Panic {
+            message: fault::panic_text(payload.as_ref()),
+        }),
     }
 }
 
-/// Differential check of the undo-log checkpoint backend against the
-/// full-clone backend for one pair, clean and at every fault point.
+/// Checks one swept run against the rollback contract; `what` labels it
+/// in the violation text.
+fn check_swept(
+    pair: &Pair,
+    run: SweptRun,
+    fault_step: Option<usize>,
+    what: &str,
+) -> Option<String> {
+    if let Outcome::Panic { message } = &run.outcome {
+        return Some(format!("{what}: run panicked: {message}"));
+    }
+    if matches!(run.outcome, Outcome::Transform { .. }) {
+        // The reference: the committed top-level steps alone, in a fresh
+        // context, under the same fault plan (a fault suppressed inside a
+        // committed step fires identically; one at the failing step is
+        // never reached). It ends before the failing step starts, so no
+        // top-level transaction of the reference is ever unwound.
+        let prefix = swept_run(pair, fault_step, Some(run.committed));
+        if !prefix.outcome.is_ok() {
+            return Some(format!(
+                "{what}: the {} committed step(s) do not apply on their own: {}",
+                run.committed,
+                prefix.outcome.brief()
+            ));
+        }
+        if run.post_print != prefix.post_print {
+            return Some(format!(
+                "{what}: post-rollback payload differs from the {} committed step(s)\n--- rolled back ---\n{}\n--- committed prefix ---\n{}",
+                run.committed, run.post_print, prefix.post_print
+            ));
+        }
+        if let Some(expected) = run.pre_step_fp {
+            if run.post_fp != expected {
+                return Some(format!(
+                    "{what}: rollback fingerprint {:016x} != pre-step {expected:016x}",
+                    run.post_fp
+                ));
+            }
+        }
+    }
+    if let Outcome::RoundTrip { message } = normalize_ok(run.post_print) {
+        return Some(format!(
+            "{what}: final payload failed to re-parse: {message}"
+        ));
+    }
+    None
+}
+
+/// Sweeps one pair for rollback exactness, clean and at every fault
+/// point: rollback must be indistinguishable from never having run the
+/// step.
 ///
-/// Under `TxnMode::Always` the two backends must be observationally
-/// identical. The sweep demands:
+/// The pair runs under `TxnMode::Always` once clean and once per step
+/// index of the clean run with a silenceable fault injected there (a
+/// fault at hit k fails the k-th step *before* its handler runs). Every
+/// run that ends in a transform failure must satisfy:
 ///
-/// 1. **Clean equivalence** — byte-identical final payload prints (or the
-///    identical error) with no faults armed.
-/// 2. **Per-step rollback equivalence** — with a silenceable fault
-///    injected at every step index of the clean run in turn, both
-///    backends report the same outcome and print byte-identical
-///    post-rollback payloads.
-/// 3. **Fingerprint restoration** (undo backend) — the post-rollback
+/// 1. **Prefix equivalence** — the payload it leaves prints
+///    byte-identically to a run of just its committed top-level steps
+///    ([`Interpreter::apply_prefix`]) in a fresh context: a reference in
+///    which the failing step never started and nothing was rolled back.
+/// 2. **Fingerprint restoration** — the post-rollback
 ///    [`td_ir::fingerprint_op`] equals the failing step's journaled
 ///    `fp_before`, in the *same* context. The undo log restores freed
 ///    entities under their original generational ids, so even the
-///    id-sensitive fingerprint must come back exact. (The clone backend
-///    is exempt: a restored clone has fresh ids by construction; print
-///    identity is its contract.)
-/// 4. **Round-trip** — every post-rollback print re-parses in a fresh
-///    context.
+///    id-sensitive fingerprint must come back exact.
+///
+/// and every run, failed or not, must leave a payload that
+///
+/// 3. **round-trips** — its print re-parses in a fresh context.
 ///
 /// Returns `Some(description)` on the first violation. Pairs that never
 /// reach the interpreter vacuously pass — generator bugs are
 /// [`differential`]'s department.
 pub fn undo_equivalence(pair: &Pair) -> Option<String> {
-    let clone_clean = swept_run(pair, None, CheckpointBackend::Clone);
-    if matches!(clone_clean.outcome, Outcome::Setup { .. }) {
+    let clean = swept_run(pair, None, None);
+    if matches!(clean.outcome, Outcome::Setup { .. }) {
         return None;
     }
-    let undo_clean = swept_run(pair, None, CheckpointBackend::Undo);
-    if undo_clean.outcome != clone_clean.outcome || undo_clean.post_print != clone_clean.post_print
-    {
-        return Some(format!(
-            "undo/clone clean runs diverge:\n  clone: {}\n  undo: {}\n--- clone print ---\n{}\n--- undo print ---\n{}",
-            clone_clean.outcome.brief(),
-            undo_clean.outcome.brief(),
-            clone_clean.post_print,
-            undo_clean.post_print
-        ));
+    let steps = clean.executed;
+    if let Some(violation) = check_swept(pair, clean, None, "clean run") {
+        return Some(violation);
     }
-
-    // Fault at every step index the clean run executed. A silenceable
-    // fault at hit k fails the k-th step *before* its handler runs, so
-    // the post-rollback state must be exactly the k-step committed state.
-    for step in 0..clone_clean.executed {
-        let clone_run = swept_run(pair, Some(step), CheckpointBackend::Clone);
-        let undo_run = swept_run(pair, Some(step), CheckpointBackend::Undo);
-        if undo_run.outcome != clone_run.outcome {
-            return Some(format!(
-                "fault@step={step}: outcomes diverge:\n  clone: {}\n  undo: {}",
-                clone_run.outcome.brief(),
-                undo_run.outcome.brief()
-            ));
-        }
-        if undo_run.post_print != clone_run.post_print {
-            return Some(format!(
-                "fault@step={step}: post-rollback payloads diverge\n--- clone ---\n{}\n--- undo ---\n{}",
-                clone_run.post_print, undo_run.post_print
-            ));
-        }
-        // Fingerprint restoration is only a theorem when the run actually
-        // failed — a suppressed fault (alternatives-style recovery) leaves
-        // the run to succeed with whatever state the recovery built.
-        if matches!(undo_run.outcome, Outcome::Transform { .. }) {
-            if let Some(expected) = undo_run.pre_step_fp {
-                if undo_run.post_fp != expected {
-                    return Some(format!(
-                        "fault@step={step}: undo rollback fingerprint {:016x} != pre-step {expected:016x}",
-                        undo_run.post_fp
-                    ));
-                }
-            }
-        }
-        if let Outcome::RoundTrip { message } = normalize_ok(undo_run.post_print) {
-            return Some(format!(
-                "fault@step={step}: post-rollback payload failed to re-parse: {message}"
-            ));
-        }
-    }
-    None
+    (0..steps).find_map(|step| {
+        let run = swept_run(pair, Some(step), None);
+        check_swept(pair, run, Some(step), &format!("fault@step={step}"))
+    })
 }
 
 #[cfg(test)]
@@ -658,7 +655,7 @@ mod tests {
     }
 
     #[test]
-    fn undo_and_clone_backends_are_equivalent_on_a_simple_pair() {
+    fn rollback_is_exact_on_a_simple_pair() {
         let _guard = fault::test_guard();
         let pair = Pair::new(PAYLOAD, SCHEDULE);
         let verdict = undo_equivalence(&pair);
@@ -669,8 +666,8 @@ mod tests {
     fn undo_sweep_covers_failing_pairs_too() {
         let _guard = fault::test_guard();
         // The schedule fails silenceably at its first step; the sweep must
-        // still agree across backends on the clean (failing) run and not
-        // report a divergence.
+        // hold the clean (failing) run to the empty committed prefix and
+        // not report a divergence.
         let schedule = SCHEDULE.replace("scf.for", "fuzz.absent");
         let pair = Pair::new(PAYLOAD, schedule);
         let verdict = undo_equivalence(&pair);
@@ -691,14 +688,14 @@ mod tests {
         assert!(differential_failure(&pair).is_none());
 
         // Arm a silenceable fault for transform.annotate and re-check a
-        // single direct mode: the fault makes direct/auto fail while the
+        // single direct mode: the fault makes direct/always fail while the
         // unarmed reference run succeeded — exactly what the oracle's
         // divergence report is for.
         fault::set_thread_plan(Some(
             fault::FaultPlan::parse("silenceable@transform=transform.annotate").unwrap(),
         ));
         fault::reset_counters();
-        let faulted = run_direct(&pair, TxnMode::Auto);
+        let faulted = run_direct(&pair, TxnMode::Always);
         fault::set_thread_plan(None);
         assert!(
             matches!(

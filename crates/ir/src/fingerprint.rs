@@ -59,12 +59,10 @@ pub fn fingerprint_op(ctx: &Context, root: OpId) -> u64 {
 /// Computes a *structural* fingerprint of `root`: like [`fingerprint_op`]
 /// but with value and block ids normalized to dense preorder numbers, so
 /// two structurally identical op trees hash identically even when their
-/// arena ids differ. This is the validation hash of the checkpoint/rollback
-/// machinery ([`Context::restore_module`]): a restored module is a deep
-/// clone whose arena ids necessarily differ from the originals, so the
-/// id-sensitive fingerprint cannot compare a restore against its
-/// checkpoint — this one can. Types are interned per context and hash by
-/// id, so the hash is still context-relative across *contexts*.
+/// arena ids differ. This is the validation hash of
+/// [`Context::rollback_watermark`] and what the fuzz oracle compares
+/// re-parsed outputs by. Types are interned per context and hash by id, so
+/// the hash is still context-relative across *contexts*.
 pub fn structural_fingerprint_op(ctx: &Context, root: OpId) -> u64 {
     let mut hasher = FnvWriter::new();
     let mut norm = Normalizer::default();
@@ -205,7 +203,7 @@ mod tests {
     #[test]
     fn structural_fingerprint_ignores_arena_ids() {
         let (mut ctx, module) = module_with_constant();
-        let clone = ctx.clone_module(module);
+        let clone = ctx.clone_op(module, &mut std::collections::HashMap::new());
         assert_ne!(
             fingerprint_op(&ctx, module),
             fingerprint_op(&ctx, clone),

@@ -17,7 +17,7 @@
 use crate::attrs::Attribute;
 use crate::dialect::DialectRegistry;
 use crate::types::{TypeId, TypeKind, TypeStore};
-use crate::undo::{CheckpointBackend, Mark, UndoEntry, UndoLog};
+use crate::undo::{Mark, UndoEntry, UndoLog};
 use std::collections::HashMap;
 use td_support::{Arena, Idx, Location, Symbol};
 
@@ -186,35 +186,14 @@ pub struct Context {
     /// Registered dialects (op specs, verifiers, folders).
     pub registry: DialectRegistry,
     /// The incremental undo log (inactive — one false branch per
-    /// mutation — until a checkpoint opens a watermark).
+    /// mutation — until [`Context::begin_watermark`] opens a watermark).
     pub(crate) undo: UndoLog,
-    /// Which checkpoint mechanism this context uses.
-    txn_backend: CheckpointBackend,
 }
 
 impl Context {
     /// Creates an empty context with no dialects registered.
-    ///
-    /// The checkpoint backend defaults from `TD_TXN_BACKEND` (undo log
-    /// unless set to `clone`); override per context with
-    /// [`Context::set_txn_backend`].
     pub fn new() -> Self {
-        Context {
-            txn_backend: CheckpointBackend::from_env(),
-            ..Self::default()
-        }
-    }
-
-    /// Selects the checkpoint mechanism for this context (per-context so
-    /// differential tests can run both backends side by side in one
-    /// process without touching the environment).
-    pub fn set_txn_backend(&mut self, backend: CheckpointBackend) {
-        self.txn_backend = backend;
-    }
-
-    /// The checkpoint mechanism this context uses.
-    pub fn txn_backend(&self) -> CheckpointBackend {
-        self.txn_backend
+        Self::default()
     }
 
     // ----- types ---------------------------------------------------------
@@ -948,234 +927,77 @@ impl Context {
         clone
     }
 
-    /// Deep-clones a top-level module (or any other detachable op tree)
-    /// as a new detached op in the same context, built on [`Context::clone_op`].
+    // ----- undo-log watermarks -------------------------------------------
+
+    /// Opens an undo-log watermark: until it is closed, every mutation
+    /// records its inverse, so [`Context::rollback_watermark`] can return
+    /// the IR to exactly this point. Opening copies nothing — it pushes a
+    /// mark onto the log. Watermarks nest: an inner one commits into, or
+    /// rolls back inside, whichever encloses it.
     ///
-    /// This is the cheap payload-replication primitive batch drivers use:
-    /// cloning skips the lexer/parser entirely, so replicating a payload
-    /// module N times for a job batch costs arena copies only. The clone
-    /// shares nothing mutable with the original — subsequent rewrites of
-    /// one are invisible to the other (types are interned and immutable,
-    /// so sharing `TypeId`s is sound).
-    pub fn clone_module(&mut self, module: OpId) -> OpId {
-        let mut value_map = HashMap::new();
-        self.clone_op(module, &mut value_map)
+    /// `validate` names an op whose structural fingerprint a rollback must
+    /// reproduce. The walk is O(op) — the only non-constant cost of a
+    /// watermark — so it is taken under `debug_assertions` (every
+    /// `cargo test`) and skipped in release builds, where rollback
+    /// correctness is enforced from outside by the chaos and fuzz gates.
+    pub fn begin_watermark(&mut self, validate: Option<OpId>) -> Watermark {
+        let expect = validate
+            .filter(|_| cfg!(debug_assertions))
+            .map(|op| (op, crate::fingerprint::structural_fingerprint_op(self, op)));
+        Watermark {
+            mark: self.undo.begin(),
+            expect,
+        }
     }
 
-    // ----- checkpoints ---------------------------------------------------
-
-    /// Makes `module` restorable by a later [`Context::restore_module`].
-    ///
-    /// Under the default [`CheckpointBackend::Undo`] this is nearly free:
-    /// it pushes a watermark onto the undo log and every subsequent
-    /// mutation records its inverse. Under [`CheckpointBackend::Clone`]
-    /// it deep-clones the module as before.
-    ///
-    /// This is the transactional interpreter's unit of rollback. The
-    /// checkpoint's bookkeeping is invisible to the provenance journal
-    /// (recording is paused — snapshotting is not a payload change a
-    /// transform made) and immune to fault injection (the safety net must
-    /// not itself fail).
-    ///
-    /// # Restore validation
-    ///
-    /// A structural fingerprint captured here lets [`Context::restore_module`]
-    /// verify the rolled-back module byte-for-byte. The walk is O(module),
-    /// which would be the undo backend's *only* non-constant checkpoint
-    /// cost, so under the undo backend it is captured in debug builds
-    /// (and when `TD_TXN_VALIDATE=1` in release; `TD_TXN_VALIDATE=0`
-    /// force-disables it) but skipped by default in release — release
-    /// rollback correctness is continuously enforced externally by the
-    /// chaos and fuzz differential gates. The clone backend already pays
-    /// an O(module) deep copy per checkpoint, so it always validates.
-    pub fn checkpoint_module(&mut self, module: OpId) -> ModuleCheckpoint {
-        let _quiet = td_support::journal::pause();
-        td_support::fault::suppressed(|| {
-            let validate =
-                matches!(self.txn_backend, CheckpointBackend::Clone) || Self::txn_validate();
-            let fingerprint =
-                validate.then(|| crate::fingerprint::structural_fingerprint_op(self, module));
-            let detail = match self.txn_backend {
-                CheckpointBackend::Undo => CheckpointDetail::Undo {
-                    mark: self.undo.begin(),
-                    module,
-                },
-                CheckpointBackend::Clone => CheckpointDetail::Clone {
-                    snapshot: self.clone_module(module),
-                },
-            };
-            ModuleCheckpoint {
-                detail,
-                fingerprint,
-            }
-        })
+    /// Closes `watermark` keeping every mutation made since it opened. An
+    /// enclosing watermark can still roll them back; when the outermost
+    /// one commits the log is cleared and mutation is free again.
+    pub fn commit_watermark(&mut self, watermark: Watermark) {
+        let closed = self.undo.commit(watermark.mark);
+        debug_assert!(closed, "watermark closed twice");
     }
 
-    /// Whether undo-backend checkpoints capture a validation fingerprint:
-    /// on in debug builds, opt-in via `TD_TXN_VALIDATE=1` in release,
-    /// `TD_TXN_VALIDATE=0` force-disables either way.
-    fn txn_validate() -> bool {
-        static CACHE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-        *CACHE.get_or_init(|| match std::env::var("TD_TXN_VALIDATE").as_deref() {
-            Ok("0") => false,
-            Ok(_) => true,
-            Err(_) => cfg!(debug_assertions),
-        })
-    }
-
-    /// Rolls `module` back to a checkpoint taken from it, consuming the
-    /// checkpoint. The root `OpId` stays valid under both backends.
-    ///
-    /// Under the undo backend the log is replayed in reverse down to the
-    /// checkpoint's watermark; erased entities are resurrected under
-    /// their *original* generational ids, so even handles into the
-    /// rolled-back region become live again. Under the clone backend the
-    /// dirty region contents are erased and the snapshot's regions are
-    /// transplanted under the live root (name/attributes restored too).
-    /// Either way the restored module's structural fingerprint is
-    /// validated against the one captured at checkpoint time.
+    /// Unwinds every mutation made since `watermark` opened, replaying
+    /// the log in reverse. Erased entities are resurrected under their
+    /// *original* generational ids, so ids held from before the watermark
+    /// — handles included — are live again. Deeper watermarks still open
+    /// (a panic unwound past their scopes) are dropped with it.
     ///
     /// # Errors
-    /// Returns a message if the restored fingerprint does not match the
-    /// checkpoint — a broken snapshot, a checkpoint from a different
-    /// module, or an unlogged mutation (e.g. parsing new IR into the
-    /// context mid-transaction).
-    pub fn restore_module(
-        &mut self,
-        module: OpId,
-        checkpoint: ModuleCheckpoint,
-    ) -> Result<(), String> {
-        let _quiet = td_support::journal::pause();
-        td_support::fault::suppressed(|| {
-            let ModuleCheckpoint {
-                detail,
-                fingerprint,
-            } = checkpoint;
-            match detail {
-                CheckpointDetail::Undo {
-                    mark,
-                    module: checkpointed,
-                } => {
-                    if checkpointed != module {
-                        return Err(format!(
-                            "restore_module: checkpoint was taken from {checkpointed:?}, \
-                             not {module:?}"
-                        ));
-                    }
-                    let Some(tail) = self.undo.rollback(mark) else {
-                        return Err(
-                            "restore_module: undo watermark already closed (double restore \
-                             or out-of-order checkpoint use)"
-                                .to_string(),
-                        );
-                    };
-                    for entry in tail {
-                        self.apply_undo(entry);
-                    }
-                }
-                CheckpointDetail::Clone { snapshot } => {
-                    // Drop the dirty contents of the live root.
-                    let dirty = std::mem::take(&mut self.ops[module].regions);
-                    for region in dirty {
-                        self.erase_region_contents(region);
-                        self.regions.erase(region);
-                    }
-                    // Transplant the snapshot's regions under the live root.
-                    let transplanted = std::mem::take(&mut self.ops[snapshot].regions);
-                    for &region in &transplanted {
-                        self.regions[region].parent = Some(module);
-                    }
-                    let (name, attributes, location) = {
-                        let snap = &self.ops[snapshot];
-                        (snap.name, snap.attributes.clone(), snap.location.clone())
-                    };
-                    {
-                        let live = &mut self.ops[module];
-                        live.regions = transplanted;
-                        live.name = name;
-                        live.attributes = attributes;
-                        live.location = location;
-                    }
-                    // The shell is now empty; erase it.
-                    self.erase_op(snapshot);
-                }
-            }
-            if let Some(expected) = fingerprint {
-                let actual = crate::fingerprint::structural_fingerprint_op(self, module);
-                if actual != expected {
-                    return Err(format!(
-                        "restore_module fingerprint mismatch: checkpoint {expected:#018x}, \
-                         restored {actual:#018x}"
-                    ));
-                }
-            }
-            Ok(())
-        })
-    }
-
-    /// Drops a checkpoint without restoring it (the step committed).
-    pub fn discard_checkpoint(&mut self, checkpoint: ModuleCheckpoint) {
-        let _quiet = td_support::journal::pause();
-        td_support::fault::suppressed(|| match checkpoint.detail {
-            CheckpointDetail::Undo { mark, .. } => {
-                let closed = self.undo.commit(mark);
-                debug_assert!(closed, "checkpoint committed twice");
-            }
-            CheckpointDetail::Clone { snapshot } => self.erase_op(snapshot),
-        });
-    }
-
-    /// Undo-log entries recorded since `checkpoint` was taken — how much
-    /// a rollback would unwind. `None` for clone-backend checkpoints.
-    pub fn undo_entries_since(&self, checkpoint: &ModuleCheckpoint) -> Option<usize> {
-        match checkpoint.detail {
-            CheckpointDetail::Undo { mark, .. } => Some(self.undo.len().saturating_sub(mark.pos())),
-            CheckpointDetail::Clone { .. } => None,
+    /// Returns a message if `watermark` is already closed, or — where the
+    /// watermark captured a fingerprint — if the rolled-back op does not
+    /// reproduce it: an unlogged mutation (e.g. new IR parsed into the
+    /// context while the watermark was open).
+    pub fn rollback_watermark(&mut self, watermark: Watermark) -> Result<(), String> {
+        let tail = self
+            .undo
+            .rollback(watermark.mark)
+            .ok_or("rollback of a watermark that is already closed")?;
+        for entry in tail {
+            self.apply_undo(entry);
         }
+        if let Some((op, expected)) = watermark.expect {
+            let actual = crate::fingerprint::structural_fingerprint_op(self, op);
+            if actual != expected {
+                return Err(format!(
+                    "rollback fingerprint mismatch: watermark {expected:#018x}, \
+                     restored {actual:#018x}"
+                ));
+            }
+        }
+        Ok(())
     }
 
-    /// Number of currently open undo watermarks (transaction nesting
-    /// depth); 0 when no transaction is active or under the clone backend.
+    /// Undo-log entries recorded since `watermark` opened — how much a
+    /// rollback would unwind.
+    pub fn undo_entries_since(&self, watermark: &Watermark) -> usize {
+        self.undo.len().saturating_sub(watermark.mark.pos())
+    }
+
+    /// Number of currently open watermarks (0 when nothing is recording).
     pub fn undo_depth(&self) -> usize {
         self.undo.depth()
-    }
-
-    // ----- nested step watermarks ----------------------------------------
-
-    /// Opens a *nested* watermark if (and only if) an undo-backed
-    /// transaction is already active, making an inner step independently
-    /// rollback-able for free (no clone, no fingerprint walk).
-    ///
-    /// Returns `None` when no undo log is active — inner steps then run
-    /// untracked, exactly as before (the clone backend cannot afford
-    /// per-inner-step snapshots).
-    pub fn begin_step_watermark(&mut self) -> Option<StepWatermark> {
-        if !self.undo.active {
-            return None;
-        }
-        Some(StepWatermark {
-            mark: self.undo.begin(),
-        })
-    }
-
-    /// Rolls back to a nested step watermark, unwinding every mutation
-    /// recorded since [`Context::begin_step_watermark`]. Abandoned deeper
-    /// watermarks (e.g. after a panic unwound past them) are dropped.
-    pub fn rollback_step_watermark(&mut self, watermark: StepWatermark) {
-        let _quiet = td_support::journal::pause();
-        td_support::fault::suppressed(|| {
-            if let Some(tail) = self.undo.rollback(watermark.mark) {
-                for entry in tail {
-                    self.apply_undo(entry);
-                }
-            }
-        });
-    }
-
-    /// Commits a nested step watermark (keeps the entries; an enclosing
-    /// transaction may still roll them back).
-    pub fn commit_step_watermark(&mut self, watermark: StepWatermark) {
-        self.undo.commit(watermark.mark);
     }
 
     /// Replays one inverse operation. Uses raw arena/field access only —
@@ -1337,61 +1159,16 @@ impl Context {
     }
 }
 
-/// A payload checkpoint produced by [`Context::checkpoint_module`]: an
-/// undo-log watermark (default) or a detached deep clone, plus the
-/// fingerprint [`Context::restore_module`] validates against. Consume it
-/// with `restore_module` (roll back) or [`Context::discard_checkpoint`]
-/// (commit) — dropping it on the floor leaks the watermark (entries
-/// accumulate) or the snapshot ops for the context's lifetime.
+/// An open undo-log watermark from [`Context::begin_watermark`]: close it
+/// with [`Context::commit_watermark`] or [`Context::rollback_watermark`].
+/// Losing one to a panic unwind is tolerated — closing an enclosing
+/// watermark drops it; losing the outermost one leaves the log recording
+/// (entries accumulate) for the context's lifetime.
 #[derive(Debug)]
-pub struct ModuleCheckpoint {
-    detail: CheckpointDetail,
-    fingerprint: Option<u64>,
-}
-
-#[derive(Debug)]
-enum CheckpointDetail {
-    /// Undo-log watermark over `module`.
-    Undo { mark: Mark, module: OpId },
-    /// Detached deep clone (legacy backend).
-    Clone { snapshot: OpId },
-}
-
-impl ModuleCheckpoint {
-    /// The validation fingerprint captured at checkpoint time, if any.
-    /// Always present under the clone backend; under the undo backend
-    /// only when restore validation is enabled (debug builds, or
-    /// `TD_TXN_VALIDATE=1` in release — see
-    /// [`Context::checkpoint_module`]).
-    pub fn fingerprint(&self) -> Option<u64> {
-        self.fingerprint
-    }
-
-    /// Which backend produced this checkpoint.
-    pub fn backend(&self) -> CheckpointBackend {
-        match self.detail {
-            CheckpointDetail::Undo { .. } => CheckpointBackend::Undo,
-            CheckpointDetail::Clone { .. } => CheckpointBackend::Clone,
-        }
-    }
-
-    /// The detached snapshot root for clone-backend checkpoints
-    /// (`None` under the undo backend, which has no snapshot).
-    pub fn snapshot_op(&self) -> Option<OpId> {
-        match self.detail {
-            CheckpointDetail::Clone { snapshot } => Some(snapshot),
-            CheckpointDetail::Undo { .. } => None,
-        }
-    }
-}
-
-/// A nested transaction scope from [`Context::begin_step_watermark`]:
-/// close it with [`Context::rollback_step_watermark`] or
-/// [`Context::commit_step_watermark`]. Leaking one (e.g. across a panic
-/// unwind) is tolerated — the enclosing checkpoint's close drops it.
-#[derive(Debug)]
-pub struct StepWatermark {
+pub struct Watermark {
     mark: Mark,
+    /// `(op, structural fingerprint)` a rollback must reproduce.
+    expect: Option<(OpId, u64)>,
 }
 
 // The concurrency contract of the IR: a `Context` (with everything it
@@ -1675,7 +1452,7 @@ mod tests {
     }
 
     #[test]
-    fn clone_module_is_deep_and_independent() {
+    fn clone_op_of_a_module_is_deep_and_independent() {
         let (mut ctx, module, body) = ctx_with_module();
         let i32t = ctx.i32_type();
         let c = ctx.create_op(
@@ -1688,7 +1465,7 @@ mod tests {
         );
         ctx.append_op(body, c);
         let ops_before = ctx.num_ops();
-        let clone = ctx.clone_module(module);
+        let clone = ctx.clone_op(module, &mut HashMap::new());
         assert_eq!(ctx.num_ops(), ops_before * 2);
         assert_eq!(ctx.op(clone).name.as_str(), "builtin.module");
         assert!(ctx.op(clone).parent().is_none(), "clone starts detached");
@@ -1705,7 +1482,7 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_restores_structure_attributes_and_fingerprint() {
+    fn rollback_restores_structure_attributes_and_fingerprint() {
         let (mut ctx, module, body) = ctx_with_module();
         let i32t = ctx.i32_type();
         let c = ctx.create_op(
@@ -1720,8 +1497,7 @@ mod tests {
         ctx.set_attr(module, "tag", Attribute::Int(1));
         let fp_before = crate::fingerprint::structural_fingerprint_op(&ctx, module);
         let ops_before = ctx.num_ops();
-        let checkpoint = ctx.checkpoint_module(module);
-        assert_eq!(checkpoint.fingerprint(), Some(fp_before));
+        let watermark = ctx.begin_watermark(Some(module));
 
         // Dirty the payload: nested mutation + root-attribute mutation.
         ctx.set_attr(c, "value", Attribute::Int(8));
@@ -1733,18 +1509,14 @@ mod tests {
             fp_before
         );
 
-        ctx.restore_module(module, checkpoint).expect("restores");
-        assert!(ctx.is_live(module), "root id survives the restore");
+        ctx.rollback_watermark(watermark).expect("restores");
+        assert!(ctx.is_live(module), "root id survives the rollback");
         assert_eq!(
             crate::fingerprint::structural_fingerprint_op(&ctx, module),
             fp_before
         );
         assert_eq!(ctx.op(module).attr("tag"), Some(&Attribute::Int(1)));
-        assert_eq!(
-            ctx.num_ops(),
-            ops_before,
-            "snapshot shell and dirty ops are gone"
-        );
+        assert_eq!(ctx.num_ops(), ops_before, "dirty ops are gone");
         let restored_body = ctx.sole_block(module, 0);
         let ops = ctx.block(restored_body).ops().to_vec();
         assert_eq!(ops.len(), 1);
@@ -1848,44 +1620,39 @@ mod tests {
     }
 
     /// Property: for any seeded pre-state and any seeded mutation burst,
-    /// checkpoint → burst → restore is a print fixpoint under *both*
-    /// backends, and the restored print round-trips through the parser.
+    /// watermark → burst → rollback is a print fixpoint, and the restored
+    /// print round-trips through the parser.
     #[test]
-    fn property_checkpoint_burst_restore_is_a_print_fixpoint() {
-        for backend in [CheckpointBackend::Undo, CheckpointBackend::Clone] {
-            for seed in 0..32u64 {
-                let mut rng = Xoshiro256pp::seed_from_u64(seed);
-                let mut ctx = Context::new();
-                ctx.set_txn_backend(backend);
-                let module = ctx.create_module(Location::unknown());
-                random_burst(&mut ctx, module, &mut rng, 12);
-                let before = crate::print_op(&ctx, module);
+    fn property_watermark_burst_rollback_is_a_print_fixpoint() {
+        for seed in 0..32u64 {
+            let mut rng = Xoshiro256pp::seed_from_u64(seed);
+            let mut ctx = Context::new();
+            let module = ctx.create_module(Location::unknown());
+            random_burst(&mut ctx, module, &mut rng, 12);
+            let before = crate::print_op(&ctx, module);
 
-                let checkpoint = ctx.checkpoint_module(module);
-                random_burst(&mut ctx, module, &mut rng, 20);
-                ctx.restore_module(module, checkpoint)
-                    .unwrap_or_else(|e| panic!("{backend:?} seed {seed}: {e}"));
+            let watermark = ctx.begin_watermark(Some(module));
+            random_burst(&mut ctx, module, &mut rng, 20);
+            ctx.rollback_watermark(watermark)
+                .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
 
-                let after = crate::print_op(&ctx, module);
-                assert_eq!(after, before, "{backend:?} seed {seed}");
-                let mut fresh = Context::new();
-                let reparsed = crate::parse_module(&mut fresh, &after).unwrap_or_else(|e| {
-                    panic!("{backend:?} seed {seed}: restored print must re-parse: {e}")
-                });
-                assert_eq!(
-                    crate::print_op(&fresh, reparsed),
-                    after,
-                    "{backend:?} seed {seed}: restored print is not a parse fixpoint"
-                );
-            }
+            let after = crate::print_op(&ctx, module);
+            assert_eq!(after, before, "seed {seed}");
+            let mut fresh = Context::new();
+            let reparsed = crate::parse_module(&mut fresh, &after)
+                .unwrap_or_else(|e| panic!("seed {seed}: restored print must re-parse: {e}"));
+            assert_eq!(
+                crate::print_op(&fresh, reparsed),
+                after,
+                "seed {seed}: restored print is not a parse fixpoint"
+            );
         }
     }
 
-    /// Property: nested step watermarks compose with the outer
-    /// transaction — an inner rollback returns exactly to the inner
-    /// boundary, an inner commit keeps its mutations, and the outer
-    /// restore unwinds everything (committed inner steps included) back
-    /// to the checkpoint.
+    /// Property: nested watermarks compose — an inner rollback returns
+    /// exactly to the inner boundary, an inner commit keeps its mutations,
+    /// and the outer rollback unwinds everything (committed inner scopes
+    /// included) back to the outer boundary.
     #[test]
     fn property_nested_watermarks_compose_with_outer_restore() {
         for seed in 0..16u64 {
@@ -1895,31 +1662,30 @@ mod tests {
             random_burst(&mut ctx, module, &mut rng, 10);
             let base = crate::print_op(&ctx, module);
 
-            let outer = ctx.checkpoint_module(module);
+            let outer = ctx.begin_watermark(Some(module));
             random_burst(&mut ctx, module, &mut rng, 6);
             let mid = crate::print_op(&ctx, module);
 
-            let inner = ctx
-                .begin_step_watermark()
-                .expect("undo transaction is active");
+            let inner = ctx.begin_watermark(Some(module));
             random_burst(&mut ctx, module, &mut rng, 8);
-            ctx.rollback_step_watermark(inner);
+            ctx.rollback_watermark(inner)
+                .unwrap_or_else(|e| panic!("seed {seed}: inner: {e}"));
             assert_eq!(
                 crate::print_op(&ctx, module),
                 mid,
                 "seed {seed}: inner rollback must return to the inner boundary"
             );
 
-            let inner = ctx.begin_step_watermark().expect("still active");
+            let inner = ctx.begin_watermark(None);
             random_burst(&mut ctx, module, &mut rng, 5);
-            ctx.commit_step_watermark(inner);
+            ctx.commit_watermark(inner);
 
-            ctx.restore_module(module, outer)
+            ctx.rollback_watermark(outer)
                 .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
             assert_eq!(
                 crate::print_op(&ctx, module),
                 base,
-                "seed {seed}: outer restore must unwind committed inner steps too"
+                "seed {seed}: outer rollback must unwind committed inner scopes too"
             );
             assert_eq!(
                 ctx.undo_depth(),
@@ -1929,41 +1695,28 @@ mod tests {
         }
     }
 
+    /// The restore validation is a `debug_assertions` check, so this test
+    /// exists only where it does.
+    #[cfg(debug_assertions)]
     #[test]
-    fn discard_checkpoint_frees_the_snapshot() {
+    fn rollback_rejects_an_unlogged_mutation() {
         let (mut ctx, module, body) = ctx_with_module();
-        ctx.set_txn_backend(CheckpointBackend::Clone);
         let op = ctx.create_op(Location::unknown(), "test.a", vec![], vec![], vec![], 0);
         ctx.append_op(body, op);
-        let ops_before = ctx.num_ops();
-        let checkpoint = ctx.checkpoint_module(module);
-        assert!(ctx.num_ops() > ops_before);
-        ctx.discard_checkpoint(checkpoint);
-        assert_eq!(ctx.num_ops(), ops_before);
-        assert!(ctx.is_live(op), "live payload untouched");
-    }
-
-    #[test]
-    fn restore_rejects_a_corrupted_snapshot() {
-        let (mut ctx, module, body) = ctx_with_module();
-        ctx.set_txn_backend(CheckpointBackend::Clone);
-        let op = ctx.create_op(Location::unknown(), "test.a", vec![], vec![], vec![], 0);
-        ctx.append_op(body, op);
-        let checkpoint = ctx.checkpoint_module(module);
-        // Corrupt the snapshot behind the checkpoint's back; the restore
-        // must notice it no longer reproduces the checkpointed state.
-        let snapshot = checkpoint.snapshot_op().expect("clone backend snapshots");
-        let snap_body = ctx.sole_block(snapshot, 0);
-        let snap_op = ctx.block(snap_body).ops()[0];
-        ctx.set_attr(snap_op, "corrupted", Attribute::Int(1));
+        let watermark = ctx.begin_watermark(Some(module));
+        // Mutate behind the log's back; the rollback must notice that it
+        // no longer reproduces the watermarked state.
+        ctx.ops[op]
+            .attributes
+            .push((Symbol::new("corrupted"), Attribute::Int(1)));
         let err = ctx
-            .restore_module(module, checkpoint)
-            .expect_err("corrupted snapshot must not validate");
+            .rollback_watermark(watermark)
+            .expect_err("an unlogged mutation must not validate");
         assert!(err.contains("fingerprint mismatch"), "{err}");
     }
 
     #[test]
-    fn checkpoint_is_invisible_to_the_journal() {
+    fn rollback_is_invisible_to_the_journal() {
         use td_support::journal;
         let (mut ctx, module, body) = ctx_with_module();
         let op = ctx.create_op(Location::unknown(), "test.a", vec![], vec![], vec![], 0);
@@ -1971,33 +1724,38 @@ mod tests {
         journal::reset();
         journal::set_enabled(true);
         let step = journal::begin_step("transform", "t", "", vec![], 0);
-        let checkpoint = ctx.checkpoint_module(module);
-        ctx.restore_module(module, checkpoint).unwrap();
+        let watermark = ctx.begin_watermark(Some(module));
+        ctx.erase_op(op);
+        ctx.rollback_watermark(watermark).unwrap();
         journal::end_step(step, 0, 1, journal::StepOutcome::Ok, "", "", "");
         let recorded = journal::take();
         journal::clear_enabled_override();
-        assert!(
-            recorded.changes().is_empty(),
-            "snapshot bookkeeping must not attribute as payload changes: {:?}",
+        assert!(ctx.is_live(op));
+        assert_eq!(
+            recorded.changes().len(),
+            1,
+            "the erase is the step's; resurrecting the op is not a payload change \
+             a transform made: {:?}",
             recorded.changes()
         );
     }
 
     #[test]
-    fn checkpoint_machinery_is_immune_to_fault_injection() {
+    fn rollback_is_immune_to_fault_injection() {
         use td_support::fault;
         let (mut ctx, module, body) = ctx_with_module();
-        // The clone backend is the one that allocates ops during
-        // checkpointing — the interesting case for fault suppression.
-        ctx.set_txn_backend(CheckpointBackend::Clone);
         let op = ctx.create_op(Location::unknown(), "test.a", vec![], vec![], vec![], 0);
         ctx.append_op(body, op);
+        // Under a plan that fails every op creation, a rollback must still
+        // bring an erased op back: the safety net must not itself fail.
         fault::set_thread_plan(Some(fault::FaultPlan::parse("alloc_pressure@p=1").unwrap()));
         fault::set_lane(0);
-        // Clone + restore under a plan that fails every op creation.
-        let checkpoint = ctx.checkpoint_module(module);
-        ctx.restore_module(module, checkpoint).expect("restores");
+        let watermark = ctx.begin_watermark(Some(module));
+        ctx.erase_op(op);
+        let restored = ctx.rollback_watermark(watermark);
         fault::set_thread_plan(None);
+        restored.expect("restores");
+        assert!(ctx.is_live(op));
     }
 
     #[test]
@@ -2024,9 +1782,8 @@ mod tests {
     }
 
     #[test]
-    fn undo_checkpoint_is_allocation_free_and_restores_exactly() {
+    fn watermark_is_allocation_free_and_rolls_back_exactly() {
         let (mut ctx, module, body) = ctx_with_module();
-        ctx.set_txn_backend(CheckpointBackend::Undo);
         let i32t = ctx.i32_type();
         let a = ctx.create_op(
             Location::unknown(),
@@ -2060,10 +1817,8 @@ mod tests {
         let before = crate::print::print_op(&ctx, module);
         let ops_before = ctx.num_ops();
 
-        let checkpoint = ctx.checkpoint_module(module);
-        assert_eq!(checkpoint.backend(), CheckpointBackend::Undo);
-        assert!(checkpoint.snapshot_op().is_none());
-        assert_eq!(ctx.num_ops(), ops_before, "undo checkpoint clones nothing");
+        let watermark = ctx.begin_watermark(Some(module));
+        assert_eq!(ctx.num_ops(), ops_before, "a watermark clones nothing");
 
         // A representative mutation burst across every mutator class.
         ctx.set_attr(a, "value", Attribute::Int(9));
@@ -2084,18 +1839,17 @@ mod tests {
         ctx.append_op(body, extra);
         ctx.erase_op(extra);
         ctx.erase_op(add);
-        assert!(ctx.undo_entries_since(&checkpoint).unwrap() > 0);
+        assert!(ctx.undo_entries_since(&watermark) > 0);
 
-        ctx.restore_module(module, checkpoint).expect("restores");
+        ctx.rollback_watermark(watermark).expect("restores");
         assert_eq!(crate::print::print_op(&ctx, module), before);
         assert_eq!(ctx.num_ops(), ops_before);
         assert_eq!(ctx.uses(va).len(), 2, "use lists restored");
     }
 
     #[test]
-    fn undo_restore_resurrects_original_ids() {
+    fn rollback_resurrects_original_ids() {
         let (mut ctx, module, body) = ctx_with_module();
-        ctx.set_txn_backend(CheckpointBackend::Undo);
         let i32t = ctx.i32_type();
         let c = ctx.create_op(
             Location::unknown(),
@@ -2107,13 +1861,13 @@ mod tests {
         );
         ctx.append_op(body, c);
         let vc = ctx.op(c).results()[0];
-        let checkpoint = ctx.checkpoint_module(module);
+        let watermark = ctx.begin_watermark(Some(module));
         ctx.erase_op(c);
         assert!(!ctx.is_live(c));
         assert!(!ctx.is_value_live(vc));
-        ctx.restore_module(module, checkpoint).expect("restores");
-        // The *same* handles are live again — no re-materialization under
-        // fresh ids, unlike the clone backend.
+        ctx.rollback_watermark(watermark).expect("restores");
+        // The *same* ids are live again — no re-materialization under
+        // fresh ones.
         assert!(ctx.is_live(c), "original OpId resurrected");
         assert!(ctx.is_value_live(vc), "original ValueId resurrected");
         assert_eq!(ctx.op(c).results()[0], vc);
@@ -2121,103 +1875,87 @@ mod tests {
     }
 
     #[test]
-    fn nested_step_watermarks_compose() {
+    fn nested_watermarks_compose() {
         let (mut ctx, module, body) = ctx_with_module();
-        ctx.set_txn_backend(CheckpointBackend::Undo);
-        let checkpoint = ctx.checkpoint_module(module);
+        let outer = ctx.begin_watermark(Some(module));
         let a = ctx.create_op(Location::unknown(), "test.a", vec![], vec![], vec![], 0);
         ctx.append_op(body, a);
 
-        let inner = ctx.begin_step_watermark().expect("txn active");
+        let inner = ctx.begin_watermark(None);
         let b = ctx.create_op(Location::unknown(), "test.b", vec![], vec![], vec![], 0);
         ctx.append_op(body, b);
         assert_eq!(ctx.undo_depth(), 2);
-        ctx.rollback_step_watermark(inner);
+        ctx.rollback_watermark(inner).expect("inner is open");
         assert!(
             !ctx.is_live(b),
-            "inner rollback unwinds only the inner step"
+            "inner rollback unwinds only the inner scope"
         );
         assert!(ctx.is_live(a), "outer mutations survive inner rollback");
 
-        let inner2 = ctx.begin_step_watermark().expect("txn still active");
+        let inner2 = ctx.begin_watermark(None);
         let c = ctx.create_op(Location::unknown(), "test.c", vec![], vec![], vec![], 0);
         ctx.append_op(body, c);
-        ctx.commit_step_watermark(inner2);
-        assert!(ctx.is_live(c), "inner commit keeps the step");
+        ctx.commit_watermark(inner2);
+        assert!(ctx.is_live(c), "inner commit keeps the scope");
 
-        ctx.restore_module(module, checkpoint).expect("restores");
+        ctx.rollback_watermark(outer).expect("restores");
         assert!(!ctx.is_live(a));
         assert!(
             !ctx.is_live(c),
-            "outer rollback unwinds committed inner steps"
+            "outer rollback unwinds committed inner scopes"
         );
         assert_eq!(ctx.undo_depth(), 0);
     }
 
     #[test]
-    fn step_watermark_requires_an_active_transaction() {
-        let (mut ctx, _m, _body) = ctx_with_module();
-        ctx.set_txn_backend(CheckpointBackend::Undo);
-        assert!(
-            ctx.begin_step_watermark().is_none(),
-            "no watermark without an open checkpoint"
-        );
-        ctx.set_txn_backend(CheckpointBackend::Clone);
-        let module2 = ctx.create_module(Location::unknown());
-        let cp = ctx.checkpoint_module(module2);
-        assert!(
-            ctx.begin_step_watermark().is_none(),
-            "clone checkpoints do not activate the undo log"
-        );
-        ctx.discard_checkpoint(cp);
+    fn a_watermark_opens_without_an_enclosing_one() {
+        let (mut ctx, _module, body) = ctx_with_module();
+        assert_eq!(ctx.undo_depth(), 0);
+        let watermark = ctx.begin_watermark(None);
+        assert_eq!(ctx.undo_depth(), 1, "begin always opens");
+        let a = ctx.create_op(Location::unknown(), "test.a", vec![], vec![], vec![], 0);
+        ctx.append_op(body, a);
+        ctx.rollback_watermark(watermark).expect("open");
+        assert!(!ctx.is_live(a));
+        assert_eq!(ctx.undo_depth(), 0);
     }
 
     #[test]
-    fn undo_discard_commits_and_clears_the_log() {
+    fn outermost_commit_clears_the_log() {
         let (mut ctx, module, body) = ctx_with_module();
-        ctx.set_txn_backend(CheckpointBackend::Undo);
-        let checkpoint = ctx.checkpoint_module(module);
+        let watermark = ctx.begin_watermark(Some(module));
         let a = ctx.create_op(Location::unknown(), "test.a", vec![], vec![], vec![], 0);
         ctx.append_op(body, a);
-        ctx.discard_checkpoint(checkpoint);
+        ctx.commit_watermark(watermark);
         assert!(ctx.is_live(a), "commit keeps the mutations");
         assert_eq!(ctx.undo_depth(), 0);
         // After commit the log is inactive: mutations are free again and a
-        // fresh checkpoint starts from a clean slate.
-        let cp2 = ctx.checkpoint_module(module);
-        assert_eq!(ctx.undo_entries_since(&cp2), Some(0));
-        ctx.discard_checkpoint(cp2);
+        // fresh watermark starts from a clean slate.
+        let next = ctx.begin_watermark(Some(module));
+        assert_eq!(ctx.undo_entries_since(&next), 0);
+        ctx.commit_watermark(next);
     }
 
     #[test]
-    fn both_backends_restore_identical_payloads() {
-        for backend in [CheckpointBackend::Undo, CheckpointBackend::Clone] {
-            let (mut ctx, module, body) = ctx_with_module();
-            ctx.set_txn_backend(backend);
-            let i32t = ctx.i32_type();
-            let c = ctx.create_op(
-                Location::unknown(),
-                "arith.constant",
-                vec![],
-                vec![i32t],
-                vec![(Symbol::new("value"), Attribute::Int(7))],
-                0,
-            );
-            ctx.append_op(body, c);
-            let before = crate::print::print_op(&ctx, module);
-            let checkpoint = ctx.checkpoint_module(module);
-            ctx.set_attr(c, "value", Attribute::Int(8));
-            let junk = ctx.create_op(Location::unknown(), "test.junk", vec![], vec![], vec![], 0);
-            ctx.append_op(body, junk);
-            ctx.restore_module(module, checkpoint)
-                .unwrap_or_else(|e| panic!("{} restore failed: {e}", backend.name()));
-            assert_eq!(
-                crate::print::print_op(&ctx, module),
-                before,
-                "byte-identical restore under {}",
-                backend.name()
-            );
-        }
+    fn rollback_is_byte_identical() {
+        let (mut ctx, module, body) = ctx_with_module();
+        let i32t = ctx.i32_type();
+        let c = ctx.create_op(
+            Location::unknown(),
+            "arith.constant",
+            vec![],
+            vec![i32t],
+            vec![(Symbol::new("value"), Attribute::Int(7))],
+            0,
+        );
+        ctx.append_op(body, c);
+        let before = crate::print::print_op(&ctx, module);
+        let watermark = ctx.begin_watermark(Some(module));
+        ctx.set_attr(c, "value", Attribute::Int(8));
+        let junk = ctx.create_op(Location::unknown(), "test.junk", vec![], vec![], vec![], 0);
+        ctx.append_op(body, junk);
+        ctx.rollback_watermark(watermark).expect("restores");
+        assert_eq!(crate::print::print_op(&ctx, module), before);
     }
 
     #[test]

@@ -55,9 +55,7 @@ pub use attrs::{Attribute, FloatVal};
 pub use builder::{InsertPoint, OpBuilder};
 pub use dialect::{DialectRegistry, FoldResult, OpSpec, OpTraits};
 pub use fingerprint::{fingerprint_op, structural_fingerprint_op};
-pub use ir::{
-    BlockId, Context, ModuleCheckpoint, OpData, OpId, RegionId, StepWatermark, ValueDef, ValueId,
-};
+pub use ir::{BlockId, Context, OpData, OpId, RegionId, ValueDef, ValueId, Watermark};
 pub use parse::{parse_module, parse_type_str};
 pub use pass::{Pass, PassManager, PassRegistry};
 pub use print::{print_attribute, print_op, print_type};
@@ -66,5 +64,4 @@ pub use rewrite::{
     RewriteEvent, RewritePattern, Rewriter,
 };
 pub use types::{Extent, TypeId, TypeKind};
-pub use undo::CheckpointBackend;
 pub use verify::verify;

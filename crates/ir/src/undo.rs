@@ -1,21 +1,20 @@
 //! The incremental undo log behind transactional payload application.
 //!
-//! Instead of deep-cloning the whole module per transaction
-//! ([`CheckpointBackend::Clone`], the original PR-5 mechanism), the
-//! [`Context`](crate::Context) records, behind a one-branch fast path, the
-//! *inverse* of every primitive mutation it performs: a created op undoes
-//! to an erase, an erased op undoes to a reinsert of the moved-out payload
-//! under its original generational id ([`td_support::Arena::restore`]), an
-//! attribute or operand write undoes to the old value, and so on.
+//! The [`Context`](crate::Context) records, behind a one-branch fast
+//! path, the *inverse* of every primitive mutation it performs while a
+//! watermark is open: a created op undoes to an erase, an erased op undoes
+//! to a reinsert of the moved-out payload under its original generational
+//! id ([`td_support::Arena::restore`]), an attribute or operand write
+//! undoes to the old value, and so on.
 //!
-//! A checkpoint is then just a *watermark* — the current length of the
-//! entry vector — and rollback pops entries back to the watermark,
-//! applying each inverse. Watermarks nest: an inner watermark can commit
-//! (keep entries, the outer one may still roll everything back) or roll
-//! back (truncate to its own mark) independently, which is what makes
-//! *every* interpreter step transactional, not just top-level ones, and
-//! what cheap speculative execution (`transform.alternatives`, autotune
-//! search) builds on.
+//! A *watermark* ([`Context::begin_watermark`](crate::Context::begin_watermark))
+//! is the current length of the entry vector, and rollback pops entries
+//! back to it, applying each inverse. Watermarks nest: an inner watermark
+//! can commit (keep entries, the outer one may still roll everything
+//! back) or roll back (truncate to its own mark) independently. This is
+//! the system's one rollback mechanism: the interpreter's top-level
+//! transactions, its per-step scopes and every `transform.alternatives`
+//! branch are watermarks on this log.
 //!
 //! # What is and is not undoable
 //!
@@ -23,49 +22,15 @@
 //! deliberate exception is the *parser*, which builds fresh ops through
 //! private arena access: parsing new IR into a context while a watermark
 //! is open leaks the parsed entities on rollback (they are simply not
-//! unwound — they were never part of the checkpointed module). Rollback
-//! correctness is therefore verified end-to-end: the fingerprint captured
-//! at checkpoint time must match the replayed module, exactly as the
-//! clone backend validated its transplants.
+//! unwound — they were never part of the watermarked module). Rollback
+//! correctness is therefore verified end-to-end: in debug builds the
+//! structural fingerprint captured when the watermark opened must match
+//! the replayed module.
 
 use crate::attrs::Attribute;
 use crate::ir::{BlockData, BlockId, OpData, OpId, RegionData, RegionId, ValueData, ValueId};
 use crate::types::TypeId;
 use td_support::Symbol;
-
-/// Which mechanism [`Context::checkpoint_module`](crate::Context::checkpoint_module)
-/// uses to make a transaction restorable.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CheckpointBackend {
-    /// Incremental undo log: checkpoint pushes a watermark, rollback
-    /// replays inverse operations. The default (`TD_TXN_BACKEND=undo`).
-    #[default]
-    Undo,
-    /// Full deep clone of the module per checkpoint — the original
-    /// mechanism, kept behind `TD_TXN_BACKEND=clone` for differential
-    /// testing of the undo log.
-    Clone,
-}
-
-impl CheckpointBackend {
-    /// Stable lowercase name (`undo` / `clone`) for logs and metrics.
-    pub fn name(self) -> &'static str {
-        match self {
-            CheckpointBackend::Undo => "undo",
-            CheckpointBackend::Clone => "clone",
-        }
-    }
-
-    /// The process-default backend: `TD_TXN_BACKEND` (`clone` selects the
-    /// clone backend, anything else — including unset — the undo log).
-    pub fn from_env() -> CheckpointBackend {
-        static CACHE: std::sync::OnceLock<CheckpointBackend> = std::sync::OnceLock::new();
-        *CACHE.get_or_init(|| match std::env::var("TD_TXN_BACKEND").as_deref() {
-            Ok("clone") => CheckpointBackend::Clone,
-            _ => CheckpointBackend::Undo,
-        })
-    }
-}
 
 /// One recorded inverse operation. Entries are replayed strictly in
 /// reverse, so each one only assumes the state the *next*-later mutation
@@ -322,12 +287,5 @@ mod tests {
         assert_eq!(tail.len(), 1);
         assert_eq!(log.depth(), 0);
         assert!(!log.active);
-    }
-
-    #[test]
-    fn backend_names() {
-        assert_eq!(CheckpointBackend::Undo.name(), "undo");
-        assert_eq!(CheckpointBackend::Clone.name(), "clone");
-        assert_eq!(CheckpointBackend::default(), CheckpointBackend::Undo);
     }
 }

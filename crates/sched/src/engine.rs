@@ -45,7 +45,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use td_ir::{CheckpointBackend, Context, PassRegistry};
+use td_ir::{Context, PassRegistry};
 use td_support::rng::{derive_seed, Xoshiro256pp};
 use td_support::{fault, flight, journal, metrics, mpmc, trace};
 use td_transform::{InterpConfig, InterpEnv, Interpreter, TransformOpRegistry, TxnMode};
@@ -100,11 +100,6 @@ pub struct EngineConfig {
     /// [`TxnMode::Always`]: every failure leaves the payload exactly as
     /// the last committed step printed it.
     pub txn: TxnMode,
-    /// Checkpoint backend forced onto every job context; `None` uses the
-    /// process default (`TD_TXN_BACKEND`, normally the undo log). Set
-    /// explicitly for differential testing of the two backends inside one
-    /// process.
-    pub txn_backend: Option<CheckpointBackend>,
     /// Fresh-context builder (dialect registration).
     pub context_factory: ContextFactory,
     /// Transform-op registry builder.
@@ -131,7 +126,6 @@ impl EngineConfig {
             retry_seed: 0,
             failure_budget: None,
             txn: TxnMode::Always,
-            txn_backend: None,
             context_factory: Arc::new(|| {
                 let mut ctx = Context::new();
                 td_dialects::register_all_dialects(&mut ctx);
@@ -194,13 +188,6 @@ impl EngineConfig {
         self.txn = txn;
         self
     }
-
-    /// Forces a checkpoint backend onto every job context (builder-style);
-    /// see [`EngineConfig::txn_backend`].
-    pub fn with_txn_backend(mut self, backend: CheckpointBackend) -> Self {
-        self.txn_backend = Some(backend);
-        self
-    }
 }
 
 impl std::fmt::Debug for EngineConfig {
@@ -214,7 +201,6 @@ impl std::fmt::Debug for EngineConfig {
             .field("retry_backoff", &self.retry_backoff)
             .field("failure_budget", &self.failure_budget)
             .field("txn", &self.txn)
-            .field("txn_backend", &self.txn_backend)
             .field("has_passes", &self.passes_factory.is_some())
             .finish_non_exhaustive()
     }
@@ -646,8 +632,8 @@ impl Engine {
     /// shortest failing prefix of its schedule with
     /// [`td_transform::bisect_schedule_failure`] — a handful of fresh-context
     /// parse+interpret probes on the calling thread, under this engine's
-    /// registries, context factory and checkpoint backend and the job's
-    /// own `txn` override — and renders the minimized repro:
+    /// registries and context factory and the job's own `txn` override —
+    /// and renders the minimized repro:
     ///
     /// ```text
     /// failing prefix: P of N step(s) (K probe(s))
@@ -669,7 +655,6 @@ impl Engine {
     pub fn bisect(&self, job: &Job) -> Option<String> {
         let mut env = self.interp_env();
         env.config.txn = job.txn.unwrap_or(self.config.txn);
-        let make_ctx = || self.fresh_context();
         let callers_lane = fault::lane();
         if let Some(lane) = job.fault_lane {
             fault::set_lane(lane);
@@ -677,7 +662,7 @@ impl Engine {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             td_transform::bisect_schedule_failure(
                 &env,
-                &make_ctx,
+                &*self.config.context_factory,
                 &job.script,
                 &job.payload,
                 &job.entry,
@@ -712,16 +697,6 @@ impl Engine {
             library: None,
             config: InterpConfig::default(),
         }
-    }
-
-    /// A fresh job context from the factory, with the engine's checkpoint
-    /// backend applied (see [`EngineConfig::txn_backend`]).
-    fn fresh_context(&self) -> Context {
-        let mut ctx = (self.config.context_factory)();
-        if let Some(backend) = self.config.txn_backend {
-            ctx.set_txn_backend(backend);
-        }
-        ctx
     }
 
     /// Runs one job the probe did not answer, on the calling worker
@@ -823,7 +798,7 @@ impl Engine {
     /// success returns the printed module plus the attempt's interpreter
     /// stats (transform count, rollbacks, undo-log volume).
     fn attempt(&self, env: &InterpEnv<'_>, job: &Job) -> Result<AttemptOutput, JobError> {
-        let mut ctx = self.fresh_context();
+        let mut ctx = (self.config.context_factory)();
         let payload = parse(&mut ctx, &job.payload, "payload")?;
         let script = parse(&mut ctx, &job.script, "script")?;
         let entry =

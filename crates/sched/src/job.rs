@@ -107,7 +107,7 @@ pub struct JobOutput {
     /// not a result, so they are not cached.
     pub rolled_back: usize,
     /// Undo-log entries recorded inside the successful attempt's
-    /// transactional steps (0 under the clone backend or cache hits).
+    /// transactional steps (0 for cache hits).
     pub undo_entries: usize,
 }
 

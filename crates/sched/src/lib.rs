@@ -75,6 +75,5 @@ pub use engine::{
 pub use job::{Job, JobError, JobOutput, JobResult};
 pub use stats::{BatchStats, WorkerLane};
 // Re-exported so engine embedders (td-serve) can name the transactional
-// knobs without a direct td-transform / td-ir dependency edge.
-pub use td_ir::CheckpointBackend;
+// knob without a direct td-transform dependency edge.
 pub use td_transform::TxnMode;

@@ -162,7 +162,7 @@ impl<R: Read, W: Write> Client<R, W> {
     }
 
     /// [`Client::submit_with_request`] plus an optional `txn_mode` field
-    /// (`auto` | `always` | `never`) overriding the tenant's configured
+    /// (`always` | `never`) overriding the tenant's configured
     /// transactional mode for this one job.
     ///
     /// # Errors

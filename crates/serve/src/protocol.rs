@@ -24,10 +24,9 @@
 pub const HEADER: &str = "td-serve/1";
 
 /// Request: run a (schedule, payload) job. Fields: `tenant`, `entry`
-/// (optional, default `main`), `txn_mode` (optional,
-/// `auto`|`always`|`never`; overrides the tenant's configured mode — an
-/// invalid value is refused with code `bad_txn_mode`). Blobs: `script`,
-/// `payload`.
+/// (optional, default `main`), `txn_mode` (optional, `always`|`never`;
+/// overrides the tenant's configured mode — an invalid value is refused
+/// with code `bad_txn_mode`). Blobs: `script`, `payload`.
 pub const VERB_SUBMIT: &str = "SUBMIT";
 /// Response to `SUBMIT`. Fields: `job`, `ok`, `cached`, `attempts`,
 /// `transforms`. Blob: `module` (success) or `error` (failure).

@@ -14,7 +14,7 @@
 //!          | 'lane=' N         -- TD_FAULT chaos lane (default: hash of the name)
 //!          | 'slo_ms=' N       -- latency SLO threshold (default none)
 //!          | 'slo_target=' F   -- SLO target fraction in (0,1) (default 0.99)
-//!          | 'txn_mode=' M     -- transactional application: auto|always|never
+//!          | 'txn_mode=' M     -- transactional application: always|never
 //!                                 (default always)
 //! ```
 //!
@@ -256,13 +256,18 @@ mod tests {
 
     #[test]
     fn parse_accepts_txn_mode() {
-        let tenants = parse_tenants("alpha:txn_mode=never;beta:txn_mode=auto;gamma").unwrap();
+        let tenants = parse_tenants("alpha:txn_mode=never;beta:txn_mode=always;gamma").unwrap();
         assert_eq!(tenants[0].txn_mode, TxnMode::Never);
-        assert_eq!(tenants[1].txn_mode, TxnMode::Auto);
+        assert_eq!(tenants[1].txn_mode, TxnMode::Always);
         assert_eq!(tenants[2].txn_mode, TxnMode::Always, "default is always");
-        let err = parse_tenants("alpha:txn_mode=sometimes").unwrap_err();
-        assert!(err.contains("txn_mode"), "{err}");
-        assert!(err.contains("alpha"), "{err}");
+        // `auto` was retired with the clone backend; it is refused like
+        // any other unknown mode, with the grammar in the message.
+        for bad in ["sometimes", "auto"] {
+            let err = parse_tenants(&format!("alpha:txn_mode={bad}")).unwrap_err();
+            assert!(err.contains("txn_mode"), "{err}");
+            assert!(err.contains("alpha"), "{err}");
+            assert!(err.contains("always|never"), "{err}");
+        }
     }
 
     #[test]

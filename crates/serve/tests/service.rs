@@ -609,12 +609,16 @@ fn txn_mode_flows_from_tenant_config_to_stats_metrics_and_wire() {
         .submit_with_options("raw", &script(), &payload(2), "main", None, Some("always"))
         .unwrap();
     assert!(ok.output.expect("job succeeds").contains("seen"));
-    match client.submit_with_options("raw", &script(), &payload(3), "main", None, Some("banana")) {
-        Err(ClientError::Refused { code, reason }) => {
-            assert_eq!(code.as_deref(), Some("bad_txn_mode"));
-            assert!(reason.contains("txn_mode"), "{reason}");
+    // `auto` is no longer a mode: refused exactly like a nonsense value.
+    for bad in ["banana", "auto"] {
+        match client.submit_with_options("raw", &script(), &payload(3), "main", None, Some(bad)) {
+            Err(ClientError::Refused { code, reason }) => {
+                assert_eq!(code.as_deref(), Some("bad_txn_mode"), "{bad}");
+                assert!(reason.contains("txn_mode"), "{reason}");
+                assert!(reason.contains("always|never"), "{reason}");
+            }
+            other => panic!("{bad}: expected bad_txn_mode, got {other:?}"),
         }
-        other => panic!("expected bad_txn_mode, got {other:?}"),
     }
     client.ping().unwrap();
     client.shutdown().unwrap();

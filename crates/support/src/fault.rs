@@ -291,8 +291,6 @@ thread_local! {
     static LANE: Cell<u64> = const { Cell::new(0) };
     /// Per-lane hit counters, keyed by faultpoint name.
     static COUNTERS: RefCell<BTreeMap<&'static str, u64>> = RefCell::new(BTreeMap::new());
-    /// Suppression depth: checkpoint/restore machinery must never fault.
-    static SUPPRESS: Cell<u32> = const { Cell::new(0) };
 }
 
 /// The spec in `TD_FAULT`, if set.
@@ -395,21 +393,11 @@ pub fn reset_counters() {
     COUNTERS.with(|c| c.borrow_mut().clear());
 }
 
-/// Runs `f` with fault injection suppressed on this thread. The
-/// checkpoint/restore machinery uses this: the rollback path itself must
-/// never fault, or containment could not be proven.
-pub fn suppressed<R>(f: impl FnOnce() -> R) -> R {
-    SUPPRESS.with(|s| s.set(s.get() + 1));
-    let result = f();
-    SUPPRESS.with(|s| s.set(s.get() - 1));
-    result
-}
-
 /// Evaluates the faultpoint `point` with the given label. Returns the
 /// fault to inject, if one fires. Increments the per-lane hit counter and
 /// the process-wide [`PointStats`] either way (when a plan is active).
 pub fn check(point: &'static str, label: &str) -> Option<Fault> {
-    if !active() || SUPPRESS.with(Cell::get) > 0 {
+    if !active() {
         return None;
     }
     let plan = current_plan()?;
@@ -589,18 +577,6 @@ mod tests {
         assert!(!a.iter().all(|&f| f), "p=0.5 skips somewhere in 64 hits");
         let c = outcomes(4);
         assert_ne!(a, c, "different lanes draw independent schedules");
-    }
-
-    #[test]
-    fn suppression_masks_armed_points() {
-        with_thread_plan("panic@point=ir.create_op", || {
-            assert_eq!(
-                suppressed(|| check(POINT_IR_ALLOC, "scf.for")),
-                None,
-                "suppressed scope never faults"
-            );
-            assert_eq!(check(POINT_IR_ALLOC, "scf.for"), Some(Fault::Panic));
-        });
     }
 
     #[test]

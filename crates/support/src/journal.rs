@@ -585,8 +585,6 @@ thread_local! {
     static ENV_ENABLED: Cell<Option<bool>> = const { Cell::new(None) };
     /// Fast path for the IR-mutation hooks: enabled AND a step is open.
     static RECORDING: Cell<bool> = const { Cell::new(false) };
-    /// Pause depth: while > 0, change records are dropped (see [`pause`]).
-    static PAUSED: Cell<u32> = const { Cell::new(0) };
 }
 
 /// The path in `TD_JOURNAL`, if set (also the enablement signal).
@@ -623,32 +621,12 @@ pub fn clear_enabled_override() {
     ENABLED_OVERRIDE.with(|o| o.set(None));
 }
 
-/// Whether a change record would be accepted right now: journaling is on,
-/// a step frame is open, and recording is not [`pause`]d. The IR-mutation
-/// hooks check these two thread-local reads before formatting any
-/// arguments, which is what keeps the journal-off cost of
-/// `Context::create_op`/`erase_op` near one branch.
+/// Whether a change record would be accepted right now: journaling is on
+/// and a step frame is open. The IR-mutation hooks check this
+/// thread-local read before formatting any arguments, which is what keeps
+/// the journal-off cost of `Context::create_op`/`erase_op` near one branch.
 pub fn recording() -> bool {
-    RECORDING.with(Cell::get) && PAUSED.with(Cell::get) == 0
-}
-
-/// Guard returned by [`pause`]; recording resumes when it drops.
-pub struct PauseGuard(());
-
-impl Drop for PauseGuard {
-    fn drop(&mut self) {
-        PAUSED.with(|p| p.set(p.get().saturating_sub(1)));
-    }
-}
-
-/// Pauses change recording on this thread until the guard drops (nests).
-/// The transactional interpreter wraps checkpoint clones and rollback
-/// restores in this: the erase/create traffic of snapshot bookkeeping is
-/// not a payload change any transform made, and attributing it to the
-/// failing step would misreport what the step actually did.
-pub fn pause() -> PauseGuard {
-    PAUSED.with(|p| p.set(p.get() + 1));
-    PauseGuard(())
+    RECORDING.with(Cell::get)
 }
 
 /// Force-closes every open step frame on this thread, stamping frames
@@ -1047,28 +1025,6 @@ mod tests {
             message.contains("TD_JOURNAL"),
             "names the env var: {message}"
         );
-    }
-
-    #[test]
-    fn pause_drops_change_records() {
-        let ((), journal) = with_journal(|| {
-            let s = begin_step("transform", "t", "", vec![], 1);
-            {
-                let _guard = pause();
-                assert!(!recording());
-                record_change(ChangeKind::Erased, "#1v0", "scf.for", "");
-                {
-                    let _nested = pause();
-                    record_change(ChangeKind::Created, "#2v0", "scf.for", "");
-                }
-                assert!(!recording(), "pause nests");
-            }
-            assert!(recording(), "recording resumes after the guard drops");
-            record_change(ChangeKind::Created, "#3v0", "scf.for", "");
-            end_step(s, 1, 1, StepOutcome::Ok, "", "", "");
-        });
-        assert_eq!(journal.changes().len(), 1);
-        assert_eq!(journal.changes()[0].op, "#3v0");
     }
 
     #[test]

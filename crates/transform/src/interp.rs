@@ -14,48 +14,45 @@ use crate::error::{TransformError, TransformResult};
 use crate::registry::{LibraryResolver, NamedPatternRegistry, TransformOpRegistry};
 use crate::state::TransformState;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use td_ir::{BlockId, Context, ModuleCheckpoint, OpId, PassRegistry, ValueId};
+use td_ir::{BlockId, Context, OpId, PassRegistry, ValueId, Watermark};
 use td_support::diag::{self, Remark};
 use td_support::trace::{self, Instrumentation, IrView, PrintIr};
 use td_support::{fault, flight, journal, metrics, profile, Diagnostic, Location};
 
-/// When the interpreter wraps top-level steps in payload transactions
-/// (checkpoint before, roll back on failure).
+/// Whether the interpreter wraps top-level steps in payload transactions
+/// (undo-log watermark before, roll back on failure).
+///
+/// `transform.alternatives` is a transaction scope under both values: a
+/// branch that fails must leave the payload as if it never ran, which is
+/// the construct's meaning, not a robustness option.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum TxnMode {
-    /// Transactional exactly when something needs it: a fault plan is
-    /// armed ([`td_support::fault::active`]) or
-    /// [`InterpConfig::verify_after_each`] is on. Kept for callers that
-    /// explicitly opt out of always-on transactions.
-    Auto,
-    /// Checkpoint every top-level step unconditionally. The default:
-    /// with the undo-log checkpoint backend a checkpoint is a watermark
-    /// push, so transactional application is nearly free and a mid-step
-    /// panic can never poison the payload.
+    /// Every top-level step is a transaction. The default: opening one is
+    /// a watermark push, so transactional application is nearly free and
+    /// a mid-step panic can never poison the payload.
     #[default]
     Always,
-    /// Never checkpoint (failures leave whatever the transform left).
+    /// No top-level transactions (a failing step leaves whatever the
+    /// transform left, and a handler panic is not contained).
     Never,
 }
 
 impl TxnMode {
-    /// Parses `auto` / `always` / `never` (the td-serve tenant-spec and
+    /// Parses `always` / `never` (the td-serve tenant-spec and
     /// SUBMIT-field grammar).
     pub fn parse(text: &str) -> Result<TxnMode, String> {
         match text {
-            "auto" => Ok(TxnMode::Auto),
             "always" => Ok(TxnMode::Always),
             "never" => Ok(TxnMode::Never),
             other => Err(format!(
-                "invalid txn_mode '{other}' (expected auto|always|never)"
+                "invalid txn_mode '{other}' (expected always|never)"
             )),
         }
     }
 
-    /// Stable lowercase name (`auto` / `always` / `never`).
+    /// Stable lowercase name (`always` / `never`).
     pub fn name(self) -> &'static str {
         match self {
-            TxnMode::Auto => "auto",
             TxnMode::Always => "always",
             TxnMode::Never => "never",
         }
@@ -151,10 +148,12 @@ pub struct InterpStats {
     pub transforms_executed: usize,
     /// Number of silenceable errors suppressed by enclosing constructs.
     pub suppressed_errors: usize,
-    /// Number of top-level steps rolled back to their pre-step checkpoint.
+    /// Number of top-level steps rolled back to their pre-step state.
     pub rolled_back: usize,
-    /// Total undo-log entries recorded inside transactional steps
-    /// (committed or unwound); 0 under the clone backend.
+    /// Total undo-log entries top-level transactions held when they
+    /// closed (committed or unwound). Entries a nested scope already
+    /// rolled back — a failed step, a failed `alternatives` branch — are
+    /// gone by then and not counted.
     pub undo_entries: usize,
 }
 
@@ -439,12 +438,8 @@ impl<'e> Interpreter<'e> {
         }
         self.drain_handle_events(state);
         // Top-level steps are the transaction boundary: each one runs
-        // against a pre-step payload checkpoint when transactions are on.
-        let transactional = match self.env.config.txn {
-            TxnMode::Always => true,
-            TxnMode::Never => false,
-            TxnMode::Auto => self.env.config.verify_after_each || fault::active(),
-        };
+        // inside its own watermark when transactions are on.
+        let transactional = self.env.config.txn == TxnMode::Always;
         let ops = ctx.block(block).ops().to_vec();
         let take = limit.unwrap_or(ops.len());
         let mut result = Ok(());
@@ -511,26 +506,23 @@ impl<'e> Interpreter<'e> {
         result
     }
 
-    /// Executes one top-level transform step as a transaction: the payload
-    /// is checkpointed first, and any failure — silenceable, definite,
+    /// Executes one top-level transform step as a transaction: an undo-log
+    /// watermark is opened first, and any failure — silenceable, definite,
     /// verifier (with [`InterpConfig::verify_after_each`]), or a contained
-    /// panic — rolls it back to the checkpoint before the error
-    /// propagates. The error still propagates: per the paper's semantics
-    /// the *enclosing* construct decides whether to suppress, and the
+    /// panic — rolls the payload back to it before the error propagates.
+    /// The error still propagates: per the paper's semantics the
+    /// *enclosing* construct decides whether to suppress, and the
     /// transaction's job is only to guarantee the payload it inspects
     /// afterwards is the valid pre-step one.
     ///
     /// Handles are *not* rolled back: handles minted by the failed step
-    /// die with the propagating error. Under the default undo-log backend
+    /// die with the propagating error, which terminates the apply. The
     /// rollback resurrects erased payload ops under their *original* ids,
-    /// so handles from earlier steps stay valid; under the clone backend
-    /// rollback re-materializes payload ops under fresh ids and earlier
-    /// handles may dangle — safe either way because the error terminates
-    /// the apply.
+    /// so handles from earlier steps stay valid.
     ///
     /// # Errors
     /// The step's own failure; a panicking handler becomes a definite
-    /// error. A failing rollback (broken snapshot) is also definite.
+    /// error. A rollback that fails its validation is also definite.
     pub fn execute_transactional(
         &mut self,
         ctx: &mut Context,
@@ -542,7 +534,7 @@ impl<'e> Interpreter<'e> {
         };
         let name = ctx.op(op).name;
         let location = ctx.op(op).location.clone();
-        let checkpoint = ctx.checkpoint_module(root);
+        let watermark = ctx.begin_watermark(Some(root));
         metrics::counter("interp.checkpoints", 1);
         let outcome = catch_unwind(AssertUnwindSafe(|| self.execute(ctx, state, op)));
         match outcome {
@@ -554,13 +546,12 @@ impl<'e> Interpreter<'e> {
                             .map(|d| d.message().to_owned())
                             .unwrap_or_default();
                         let why = format!("payload verifier failed after '{name}': {detail}");
-                        self.rollback(ctx, root, checkpoint, &location, &why)?;
+                        self.rollback(ctx, watermark, &location, &why)?;
                         return Err(TransformError::definite(location, why));
                     }
                 }
-                let entries = ctx.undo_entries_since(&checkpoint).unwrap_or(0);
-                self.stats.undo_entries += entries;
-                ctx.discard_checkpoint(checkpoint);
+                self.stats.undo_entries += ctx.undo_entries_since(&watermark);
+                ctx.commit_watermark(watermark);
                 Ok(())
             }
             Ok(Err(err)) => {
@@ -573,7 +564,7 @@ impl<'e> Interpreter<'e> {
                     },
                     err.diagnostic().message()
                 );
-                self.rollback(ctx, root, checkpoint, &location, &why)?;
+                self.rollback(ctx, watermark, &location, &why)?;
                 Err(err)
             }
             Err(panic_payload) => {
@@ -585,7 +576,7 @@ impl<'e> Interpreter<'e> {
                     &format!("panicked: {text}"),
                 );
                 let why = format!("rolled back '{name}' after panic: {text}");
-                self.rollback(ctx, root, checkpoint, &location, &why)?;
+                self.rollback(ctx, watermark, &location, &why)?;
                 Err(TransformError::definite(
                     location,
                     format!("transform '{name}' panicked: {text} (payload rolled back)"),
@@ -594,37 +585,33 @@ impl<'e> Interpreter<'e> {
         }
     }
 
-    /// Restores the payload to `checkpoint` and records the rollback in
-    /// stats, metrics, the journal (a `txn` step with the
+    /// Rolls a top-level transaction back and records it in stats,
+    /// metrics, the journal (a `txn` step with the
     /// [`journal::StepOutcome::RolledBack`] outcome), the trace stream,
     /// and — when observing — an analysis remark.
     fn rollback(
         &mut self,
         ctx: &mut Context,
-        root: OpId,
-        checkpoint: ModuleCheckpoint,
+        watermark: Watermark,
         location: &Location,
         why: &str,
     ) -> TransformResult {
         let fp_dirty = self.payload_fingerprint(ctx);
-        let backend = checkpoint.backend();
-        let undo_entries = ctx.undo_entries_since(&checkpoint).unwrap_or(0);
+        let undo_entries = ctx.undo_entries_since(&watermark);
         let undo_depth = ctx.undo_depth();
         let started = std::time::Instant::now();
-        ctx.restore_module(root, checkpoint).map_err(|e| {
-            TransformError::definite(location.clone(), format!("rollback failed: {e}"))
-        })?;
+        ctx.rollback_watermark(watermark)
+            .map_err(|e| rollback_failed(location, e))?;
         self.stats.rolled_back += 1;
         self.stats.undo_entries += undo_entries;
         metrics::counter("interp.rolled_back", 1);
         metrics::counter("interp.txn.undo_entries", undo_entries as u64);
-        // Flight bundles show the rollback mechanism and how much was
-        // unwound, not just that a rollback happened.
+        // Flight bundles show how much was unwound, not just that a
+        // rollback happened.
         flight::record(
             "rollback",
             &[
                 ("reason", why.to_owned()),
-                ("backend", backend.name().to_owned()),
                 ("undo_entries", undo_entries.to_string()),
                 ("undo_depth", undo_depth.to_string()),
             ],
@@ -645,10 +632,7 @@ impl<'e> Interpreter<'e> {
             token,
             started.elapsed().as_nanos(),
             journal::StepOutcome::RolledBack,
-            &format!(
-                "{why} [backend={} undo_entries={undo_entries} undo_depth={undo_depth}]",
-                backend.name()
-            ),
+            &format!("{why} [undo_entries={undo_entries} undo_depth={undo_depth}]"),
         );
         if self.observing {
             trace::instant(
@@ -663,6 +647,21 @@ impl<'e> Interpreter<'e> {
             ));
         }
         Ok(())
+    }
+
+    /// Rolls back a scope nested inside a step (a failed step below the
+    /// top level, a failed `transform.alternatives` branch), counted as
+    /// `interp.step_rollbacks` — [`InterpStats::rolled_back`] counts
+    /// top-level transactions only. A failed validation is definite.
+    pub(crate) fn rollback_nested(
+        &mut self,
+        ctx: &mut Context,
+        watermark: Watermark,
+        location: &Location,
+    ) -> TransformResult {
+        metrics::counter("interp.step_rollbacks", 1);
+        ctx.rollback_watermark(watermark)
+            .map_err(|e| rollback_failed(location, e))
     }
 
     /// Executes every transform op in `block`, in order.
@@ -769,16 +768,15 @@ impl<'e> Interpreter<'e> {
             None
         };
 
-        // Nested transaction scope: when an undo-backed checkpoint is
-        // already open (the top-level transaction), every step — however
-        // deeply nested in sequences/alternatives — gets its own free
-        // watermark, so a failing step's partial mutations are unwound
-        // before the error reaches the enclosing construct. `None` (no
-        // active transaction, or the clone backend) preserves the old
-        // behavior: nested steps run untracked. A panicking handler
-        // abandons the watermark mid-unwind; the enclosing transaction's
-        // rollback adopts and unwinds it.
-        let step_txn = ctx.begin_step_watermark();
+        // Nested transaction scope: inside an open transaction (a
+        // top-level step, an `alternatives` branch), every step — however
+        // deeply nested — gets its own watermark, so a failing step's
+        // partial mutations are unwound before the error reaches the
+        // enclosing construct. Outside one (`TxnMode::Never`) steps run
+        // untracked. A panicking handler abandons the watermark
+        // mid-unwind; the enclosing transaction's rollback adopts and
+        // unwinds it.
+        let step_txn = (ctx.undo_depth() > 0).then(|| ctx.begin_watermark(None));
 
         // The trace span is the single clock: its measured duration also
         // feeds the per-transform metrics timer, so the two never disagree.
@@ -794,8 +792,7 @@ impl<'e> Interpreter<'e> {
         metrics::timer_ns(&format!("transform.{name}"), duration.as_nanos());
         if let Err(err) = result {
             if let Some(watermark) = step_txn {
-                ctx.rollback_step_watermark(watermark);
-                metrics::counter("interp.step_rollbacks", 1);
+                self.rollback_nested(ctx, watermark, &location)?;
             }
             let outcome = if err.is_silenceable() {
                 journal::StepOutcome::FailedSilenceable
@@ -849,8 +846,7 @@ impl<'e> Interpreter<'e> {
                 }
                 if let Err(diag) = check {
                     if let Some(watermark) = step_txn {
-                        ctx.rollback_step_watermark(watermark);
-                        metrics::counter("interp.step_rollbacks", 1);
+                        self.rollback_nested(ctx, watermark, &location)?;
                     }
                     self.close_journal_step(
                         ctx,
@@ -865,7 +861,7 @@ impl<'e> Interpreter<'e> {
         }
 
         if let Some(watermark) = step_txn {
-            ctx.commit_step_watermark(watermark);
+            ctx.commit_watermark(watermark);
         }
         self.close_journal_step(
             ctx,
@@ -953,6 +949,10 @@ impl<'e> Interpreter<'e> {
         let &first = targets.first()?;
         ctx.parent_op(first).or(Some(first))
     }
+}
+
+fn rollback_failed(location: &Location, why: String) -> TransformError {
+    TransformError::definite(location.clone(), format!("rollback failed: {why}"))
 }
 
 #[cfg(test)]

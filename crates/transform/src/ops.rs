@@ -11,7 +11,6 @@ use crate::interp::Interpreter;
 use crate::loop_transforms;
 use crate::registry::{TransformOpDef, TransformOpRegistry};
 use crate::state::TransformState;
-use std::collections::HashMap;
 use td_ir::rewrite::{apply_patterns_greedily, GreedyConfig, PatternSet};
 use td_ir::{Attribute, Context, OpId, OpSpec, OpTraits, ValueId};
 use td_support::{metrics, trace, Location, Symbol};
@@ -374,74 +373,44 @@ fn alternatives(
     state: &mut TransformState,
     op: OpId,
 ) -> TransformResult {
-    let handle = operand(ctx, op, 0)?;
-    let targets = state.ops(handle, &loc(ctx, op))?;
-    let [target] = targets[..] else {
-        return Err(definite(
-            ctx,
-            op,
-            "expects a handle to exactly one payload op",
-        ));
-    };
+    let target = single_target(ctx, state, op)?;
     let regions = ctx.op(op).regions().to_vec();
     if regions.is_empty() {
         return Err(definite(ctx, op, "expects at least one alternative region"));
     }
     let location = loc(ctx, op);
+    // Each branch runs on the target itself inside its own watermark; a
+    // branch that fails silenceably is unwound — payload and handle table
+    // — so the next one starts from the state this op was reached in.
+    let root = ctx.ancestors(target).last().copied().unwrap_or(target);
+    let handles = state.snapshot();
     for region in regions {
+        // A region without a block (Fig. 8's `{ }`) trivially succeeds.
         let Some(&block) = ctx.region(region).blocks().first() else {
-            // An empty alternative (Fig. 8's `{ }`) trivially succeeds.
             return Ok(());
         };
-        if ctx
-            .block(block)
-            .ops()
-            .iter()
-            .all(|&o| ctx.op(o).name.as_str() == "transform.yield")
-        {
-            return Ok(());
+        let watermark = ctx.begin_watermark(Some(root));
+        if let Some(&arg) = ctx.block(block).args().first() {
+            state.set_ops(arg, vec![target]);
         }
-        // Dry-run on a clone of the target; commit on the original.
-        let mut map = HashMap::new();
-        let clone = ctx.clone_op(target, &mut map);
-        let target_block = ctx.op(target).parent().ok_or_else(|| {
-            TransformError::definite(location.clone(), "alternatives target is detached")
-        })?;
-        let pos = ctx
-            .op_position(target_block, target)
-            .expect("target in block");
-        ctx.insert_op(target_block, pos + 1, clone);
-        let arg = ctx.block(block).args().first().copied();
-        if let Some(arg) = arg {
-            state.set_ops(arg, vec![clone]);
-        }
-        let attempt = interp.run_block(ctx, state, block);
-        match attempt {
-            Ok(()) => {
-                // The dry run transformed the clone; discard the original
-                // and keep the transformed clone in its place.
-                erase_subtree_best_effort(ctx, target);
-                return Ok(());
-            }
+        match interp.run_block(ctx, state, block) {
             Err(TransformError::Silenceable(d)) => {
                 interp.suppress("transform.alternatives", &d);
-                erase_subtree_best_effort(ctx, clone);
-                continue;
+                interp.rollback_nested(ctx, watermark, &location)?;
+                state.restore(&handles);
             }
-            Err(definite_err) => return Err(definite_err),
+            // Success keeps the branch; a definite error hands its changes
+            // to the enclosing transaction, which unwinds them.
+            done => {
+                ctx.commit_watermark(watermark);
+                return done;
+            }
         }
     }
     Err(TransformError::silenceable(
         location,
         "all alternatives failed",
     ))
-}
-
-/// Erases an op if it is still live (alternatives bookkeeping).
-fn erase_subtree_best_effort(ctx: &mut Context, op: OpId) {
-    if ctx.is_live(op) {
-        ctx.erase_op(op);
-    }
 }
 
 // ----- matching and parameters ---------------------------------------------

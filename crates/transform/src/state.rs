@@ -31,10 +31,34 @@ pub struct TransformState {
     events: Vec<HandleEvent>,
 }
 
+/// The handle table — mappings and invalidations — at one point in a run.
+#[derive(Debug)]
+pub(crate) struct HandleSnapshot {
+    mapping: HashMap<ValueId, Mapped>,
+    invalidated: HashMap<ValueId, String>,
+}
+
 impl TransformState {
     /// Creates an empty state.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Copies the handle table, so a scope that rolls its payload changes
+    /// back (a failed `transform.alternatives` branch) can put the handles
+    /// back with them. Handle events already logged are not part of it:
+    /// what was observed stays observed.
+    pub(crate) fn snapshot(&self) -> HandleSnapshot {
+        HandleSnapshot {
+            mapping: self.mapping.clone(),
+            invalidated: self.invalidated.clone(),
+        }
+    }
+
+    /// Puts the handle table back to `snapshot`.
+    pub(crate) fn restore(&mut self, snapshot: &HandleSnapshot) {
+        self.mapping.clone_from(&snapshot.mapping);
+        self.invalidated.clone_from(&snapshot.invalidated);
     }
 
     /// Enables or disables handle-lifecycle event logging.

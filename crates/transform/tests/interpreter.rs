@@ -6,7 +6,8 @@
 use td_dialects::scf;
 use td_ir::verify::verify;
 use td_ir::{parse_module, Context, OpId};
-use td_transform::{InterpEnv, Interpreter, TransformError, TransformState};
+use td_support::fault;
+use td_transform::{InterpEnv, Interpreter, TransformError, TransformState, TxnMode};
 
 fn setup(payload_src: &str, script_src: &str) -> (Context, OpId, OpId) {
     let mut ctx = Context::new();
@@ -212,6 +213,179 @@ fn alternatives_branch_that_mutates_then_fails_leaves_no_trace() {
         .expect("the empty second alternative succeeds");
     assert_eq!(td_ir::print_op(&ctx, payload), before);
     assert!(interp.stats.suppressed_errors >= 1);
+}
+
+/// Branch bodies for [`alternatives_over_inner`]; `$` becomes the branch
+/// index so value names stay distinct across regions.
+const TILE_THEN_FAIL: &str = r#"%t$, %p$ = "transform.loop.tile"(%arg$) {tile_sizes = [4]} : (!transform.any_op) -> (!transform.any_op, !transform.any_op)
+      %doomed$ = "transform.match_op"(%p$) {name = "fuzz.absent", select = "first"} : (!transform.any_op) -> !transform.any_op"#;
+const UNROLL: &str = r#"%u$ = "transform.loop.unroll"(%arg$) {factor = 2} : (!transform.any_op) -> !transform.any_op"#;
+const TILE: &str = r#"%t$, %p$ = "transform.loop.tile"(%arg$) {tile_sizes = [4]} : (!transform.any_op) -> (!transform.any_op, !transform.any_op)"#;
+
+/// A script matching the corpus payload's outer and inner loops as
+/// `%outer` / `%inner`, then `transform.alternatives` on `%inner` with
+/// one region per body, then `tail`.
+fn alternatives_over_inner(bodies: &[&str], tail: &str) -> String {
+    let regions: Vec<String> = bodies
+        .iter()
+        .enumerate()
+        .map(|(i, body)| {
+            format!(
+                "{{\n    ^bb{i}(%arg{i}: !transform.any_op):\n      {}\n      \"transform.yield\"() : () -> ()\n    }}",
+                body.replace('$', &i.to_string())
+            )
+        })
+        .collect();
+    format!(
+        r#"module {{
+  transform.named_sequence @main(%root: !transform.any_op) {{
+    %outer = "transform.match_op"(%root) {{name = "scf.for", select = "first"}} : (!transform.any_op) -> !transform.any_op
+    %inner = "transform.match_op"(%root) {{name = "scf.for", select = "last"}} : (!transform.any_op) -> !transform.any_op
+    "transform.alternatives"(%inner) ({}) : (!transform.any_op) -> ()
+    {tail}
+  }}
+}}"#,
+        regions.join(", ")
+    )
+}
+
+/// Applies `script` to the corpus payload under `txn`; returns the
+/// result, the payload print afterwards and the interpreter's stats.
+fn run_on_corpus_payload(
+    script: &str,
+    txn: TxnMode,
+) -> (
+    Result<(), TransformError>,
+    String,
+    td_transform::InterpStats,
+) {
+    let (mut ctx, payload, entry) = setup(&mutate_then_fail_entry("payload"), script);
+    let mut env = InterpEnv::standard();
+    env.config.txn = txn;
+    let mut interp = Interpreter::new(&env);
+    let result = interp.apply(&mut ctx, entry, payload);
+    verify(&ctx, payload).expect("payload verifies");
+    (result, td_ir::print_op(&ctx, payload), interp.stats)
+}
+
+fn corpus_payload_print() -> String {
+    let (ctx, payload, _) = setup(
+        &mutate_then_fail_entry("payload"),
+        &mutate_then_fail_entry("schedule"),
+    );
+    td_ir::print_op(&ctx, payload)
+}
+
+/// A branch is a transaction scope whatever the top-level mode: after a
+/// mutate-then-fail first branch, a mutating second branch leaves exactly
+/// what it leaves when it is the only branch.
+#[test]
+fn alternatives_failed_branch_then_mutating_branch_equals_that_branch_alone() {
+    for txn in [TxnMode::Always, TxnMode::Never] {
+        let (both, with_failed_first, stats) =
+            run_on_corpus_payload(&alternatives_over_inner(&[TILE_THEN_FAIL, UNROLL], ""), txn);
+        both.unwrap_or_else(|e| panic!("{txn:?}: {}", e.diagnostic()));
+        let (alone, unroll_only, _) =
+            run_on_corpus_payload(&alternatives_over_inner(&[UNROLL], ""), txn);
+        alone.unwrap_or_else(|e| panic!("{txn:?}: {}", e.diagnostic()));
+        assert_eq!(with_failed_first, unroll_only, "{txn:?}");
+        assert_ne!(unroll_only, corpus_payload_print(), "the branch mutates");
+        assert_eq!(stats.suppressed_errors, 1, "{txn:?}");
+        assert_eq!(stats.rolled_back, 0, "{txn:?}: no top-level rollback");
+    }
+}
+
+#[test]
+fn alternatives_all_branches_fail_is_silenceable_and_leaves_the_payload_untouched() {
+    // Under `Never` no top-level transaction cleans up behind the
+    // branches, so an untouched payload is the branches' own doing.
+    for txn in [TxnMode::Always, TxnMode::Never] {
+        let script = alternatives_over_inner(&[TILE_THEN_FAIL, TILE_THEN_FAIL], "");
+        let (result, print, stats) = run_on_corpus_payload(&script, txn);
+        let err = result.expect_err("every branch fails");
+        assert!(err.is_silenceable(), "{txn:?}");
+        assert!(
+            err.diagnostic()
+                .message()
+                .contains("all alternatives failed"),
+            "{txn:?}: {}",
+            err.diagnostic()
+        );
+        assert_eq!(print, corpus_payload_print(), "{txn:?}");
+        assert_eq!(stats.suppressed_errors, 2, "{txn:?}");
+    }
+}
+
+#[test]
+fn alternatives_definite_error_in_a_branch_propagates_and_the_step_rolls_back() {
+    // Tile consumes the branch argument; unrolling it afterwards is a
+    // definite use-after-consume. The second branch must not be tried.
+    let use_after_consume = format!("{TILE}\n      {}", UNROLL.replace("%u$", "%v$"));
+    let script = alternatives_over_inner(&[&use_after_consume, UNROLL], "");
+    let (result, print, stats) = run_on_corpus_payload(&script, TxnMode::Always);
+    let err = result.expect_err("the definite error propagates");
+    assert!(!err.is_silenceable());
+    assert!(
+        err.diagnostic().message().contains("invalidated handle"),
+        "{}",
+        err.diagnostic()
+    );
+    assert_eq!(
+        print,
+        corpus_payload_print(),
+        "the top-level step rolled back"
+    );
+    assert_eq!(
+        stats.suppressed_errors, 0,
+        "definite errors are not suppressed"
+    );
+    assert_eq!(stats.rolled_back, 1);
+}
+
+#[test]
+fn alternatives_panic_in_a_branch_is_contained_and_rolled_back() {
+    fault::set_thread_plan(Some(
+        fault::FaultPlan::parse("panic@transform=transform.loop.tile").unwrap(),
+    ));
+    fault::set_lane(0);
+    let (result, print, stats) =
+        run_on_corpus_payload(&alternatives_over_inner(&[TILE, ""], ""), TxnMode::Always);
+    fault::set_thread_plan(None);
+    let err = result.expect_err("the panic surfaces as an error");
+    assert!(!err.is_silenceable());
+    let message = err.diagnostic().message();
+    assert!(message.contains("panicked"), "{message}");
+    assert!(message.contains("payload rolled back"), "{message}");
+    assert_eq!(print, corpus_payload_print());
+    assert_eq!(stats.rolled_back, 1);
+}
+
+/// Rolling a branch back restores the handle table with the payload: the
+/// first branch consumes `%outer` (invalidating `%inner` and its own
+/// argument with it) and then fails; the second branch and the rest of
+/// the script use all of them.
+#[test]
+fn alternatives_handles_consumed_in_a_failed_branch_are_usable_afterwards() {
+    let consume_outer_then_fail = r#"%u$ = "transform.loop.unroll"(%outer) {factor = 2} : (!transform.any_op) -> !transform.any_op
+      %doomed$ = "transform.match_op"(%root) {name = "fuzz.absent", select = "first"} : (!transform.any_op) -> !transform.any_op"#;
+    let use_both = r#""transform.annotate"(%outer) {name = "outer_in_branch"} : (!transform.any_op) -> ()
+      "transform.annotate"(%arg$) {name = "inner_in_branch"} : (!transform.any_op) -> ()"#;
+    let tail = r#""transform.annotate"(%outer) {name = "outer_after"} : (!transform.any_op) -> ()"#;
+    for txn in [TxnMode::Always, TxnMode::Never] {
+        let (both, with_failed_first, stats) = run_on_corpus_payload(
+            &alternatives_over_inner(&[consume_outer_then_fail, use_both], tail),
+            txn,
+        );
+        both.unwrap_or_else(|e| panic!("{txn:?}: {}", e.diagnostic()));
+        assert_eq!(stats.suppressed_errors, 1, "{txn:?}");
+        let (alone, second_only, _) =
+            run_on_corpus_payload(&alternatives_over_inner(&[use_both], tail), txn);
+        alone.unwrap_or_else(|e| panic!("{txn:?}: {}", e.diagnostic()));
+        assert_eq!(with_failed_first, second_only, "{txn:?}");
+        for name in ["outer_in_branch", "inner_in_branch", "outer_after"] {
+            assert!(second_only.contains(name), "{txn:?}: {name}\n{second_only}");
+        }
+    }
 }
 
 #[test]

@@ -46,9 +46,10 @@ echo "== chaos smoke (fault injection + transactional rollback) =="
 # Replays the sched_smoke batch under silenceable, panic, and deadline
 # fault plans. The binary fails if outcomes diverge between 1 and 4
 # workers, if any output IR is invalid, if no rollbacks/faults were
-# counted, if the failure budget does not degrade gracefully, or if an
-# injected silenceable failure at any step index leaves the payload
-# different from its pre-step checkpoint.
+# counted, if the failure budget does not degrade gracefully, if an
+# injected failure of any kind at any step index leaves the payload
+# different from a clean run of the committed steps, or if the median
+# txn=always / txn=never pair costs more than 1.10x.
 cargo run -q --release --offline -p td-bench --bin chaos_smoke
 
 echo "== observability smoke (histograms + flight recorder + profiler) =="
@@ -63,12 +64,14 @@ cargo run -q --release --offline -p td-bench --bin obs_smoke
 
 echo "== generative fuzz smoke (differential oracle) =="
 # Fixed-seed fuzz run: 200 generated (schedule, payload) pairs pushed
-# through all seven oracle modes (direct Auto/Always, engine 1w/4w,
-# journal on, cache cold/warm) with zero divergences allowed; the
-# committed regression corpus under tests/golden/fuzz/ replays clean; and
-# an injected silenceable fault is shown to auto-minimize into a
-# replayable corpus-format repro. TD_FUZZ_SEED / TD_FUZZ_BUDGET override
-# the defaults for soak runs.
+# through all six oracle modes (direct, engine 1w/4w, journal on, cache
+# cold/warm) with zero divergences allowed, a prefix of them swept for
+# rollback == "the step never ran" at every fault point; the committed
+# regression corpus under tests/golden/fuzz/ replays clean; an injected
+# silenceable fault is shown to auto-minimize into a replayable
+# corpus-format repro; and the alternatives metamorphic family holds on
+# 200 seeds. TD_FUZZ_SEED / TD_FUZZ_BUDGET override the defaults for soak
+# runs.
 cargo run -q --release --offline -p td-bench --bin fuzz_smoke
 
 echo "== serve smoke (daemon + persistent cache + multi-tenant chaos soak) =="

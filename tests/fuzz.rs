@@ -10,7 +10,7 @@
 //! runs on one worker or four, and the per-lane hit counters keep
 //! counting across attempts, so the retry runs clean.
 
-use td_fuzz::{pair_specs, FuzzConfig, Pair};
+use td_fuzz::{metamorphic, pair_specs, FuzzConfig, Pair};
 use td_sched::{Engine, EngineConfig, Job, JobResult};
 use td_support::fault::{self, FaultPlan};
 
@@ -102,4 +102,17 @@ fn silenceable_chaos_converges_across_worker_counts() {
         baseline.ok_count() > 0,
         "baseline batch must not be vacuous"
     );
+}
+
+/// `transform.alternatives` as a transaction scope, by metamorphic
+/// relation: a first branch that mutates and then fails leaves exactly
+/// what the second branch alone leaves (nothing, if it is empty), under
+/// both transaction modes and through the engine at 1 and 4 workers.
+#[test]
+fn alternatives_failed_branches_leave_no_trace() {
+    let _guard = fault::test_guard();
+    fault::set_plan(None);
+    let report = metamorphic::alternatives_family(td_fuzz::DEFAULT_SEED, metamorphic::SEEDS);
+    report.verdict().unwrap_or_else(|why| panic!("{why}"));
+    assert_eq!(report.checks, metamorphic::SEEDS * 2 * 4);
 }
