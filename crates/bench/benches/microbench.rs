@@ -139,6 +139,27 @@ fn bench_sched_engine(suite: &mut BenchSuite) {
         assert_eq!(report.cache.hits, 16);
         std::hint::black_box(report)
     });
+    // The engine's fixed cost per batch, as td-serve pays it on every
+    // miss: a single-job batch whose payload does not parse is a context
+    // build and a failed parse and nothing else, so what it costs beyond
+    // the same work done inline is the hand-off. 1000 per sample: one is
+    // tens of microseconds.
+    const BROKEN: &str = "module { not valid ir";
+    let engine = Engine::new(EngineConfig::standard().with_workers(1).without_cache());
+    suite.run("sched.batch1.parse_fail_x1000", || {
+        for _ in 0..1000 {
+            let report = engine.run_batch(vec![Job::new(script, BROKEN)]);
+            assert_eq!(report.err_count(), 1);
+            std::hint::black_box(report);
+        }
+    });
+    suite.run("sched.batch1.parse_fail_inline_x1000", || {
+        for _ in 0..1000 {
+            let mut ctx = (engine.config().context_factory)();
+            let parsed = td_ir::parse_module(&mut ctx, std::hint::black_box(BROKEN));
+            assert!(std::hint::black_box(parsed).is_err());
+        }
+    });
 }
 
 fn main() {

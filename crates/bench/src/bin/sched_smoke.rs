@@ -1,9 +1,10 @@
 //! CI smoke check for the td-sched engine: runs the same batch of tiling
 //! jobs at 1 worker and at 4 workers and fails on any output divergence
 //! (the determinism guarantee), on a cold→warm cache miss (the caching
-//! guarantee), or on an empty/invalid merged trace (the observability
-//! guarantee — one job span per job, worker spans included, must reach
-//! the coordinator's export).
+//! guarantee), or on a merged trace that breaks the lane rule (the
+//! observability guarantee — one job span per job, each inside its batch
+//! span, on the lane of the worker that ran it: lane = worker + 1, the
+//! caller being worker 0).
 //!
 //! ```text
 //! TD_TRACE=target/sched_smoke_trace.json cargo run -p td-bench --bin sched_smoke
@@ -11,8 +12,9 @@
 //!
 //! Without `TD_TRACE` the merged trace is validated in memory.
 
+use std::collections::BTreeSet;
 use td_sched::{Engine, EngineConfig, Job};
-use td_support::trace;
+use td_support::trace::{self, TraceEvent};
 
 const BATCH: usize = 16;
 
@@ -47,15 +49,57 @@ fn batch() -> Vec<Job> {
     (0..BATCH).map(|i| Job::new(SCRIPT, payload(i))).collect()
 }
 
+/// One batch's slice of the trace obeys the lane rule: events on exactly
+/// lanes 1..=`workers` (the caller's alone when nothing ran), on each the
+/// one `workerN` span lane = worker + 1 calls for, one job span per job,
+/// and every one of them inside the batch span.
+fn check_lanes(what: &str, events: &[TraceEvent], workers: usize) {
+    let lanes: BTreeSet<u32> = events.iter().map(|e| e.tid).collect();
+    assert!(
+        lanes.iter().copied().eq(1..=workers.max(1) as u32),
+        "{what}: lanes {lanes:?}"
+    );
+    let mut worker_spans: Vec<(u32, String)> = events
+        .iter()
+        .filter(|e| e.name.starts_with("worker"))
+        .map(|e| (e.tid, e.name.clone()))
+        .collect();
+    worker_spans.sort();
+    let expected: Vec<_> = (0..workers)
+        .map(|w| (w as u32 + 1, format!("worker{w}")))
+        .collect();
+    assert_eq!(worker_spans, expected, "{what}: worker spans");
+    let named = |name: &str| {
+        events
+            .iter()
+            .filter(|e| e.cat == "sched" && e.name == name)
+            .collect::<Vec<_>>()
+    };
+    let [batch_span] = named("batch")[..] else {
+        panic!("{what}: expected one batch span");
+    };
+    let jobs = named("job");
+    assert_eq!(jobs.len(), BATCH, "{what}: one job span per job");
+    for job in jobs {
+        assert!(
+            batch_span.start_ns <= job.start_ns && job.end_ns() <= batch_span.end_ns(),
+            "{what}: {job:?} outside {batch_span:?}"
+        );
+    }
+}
+
 fn main() {
     trace::set_enabled(true);
     trace::reset();
+    let recorded_so_far = || trace::snapshot().events().len();
 
     let single = Engine::new(EngineConfig::standard().with_workers(1).without_cache());
     let pooled = Engine::new(EngineConfig::standard().with_workers(4));
 
     let report_1 = single.run_batch(batch());
+    let after_single = recorded_so_far();
     let report_4 = pooled.run_batch(batch());
+    let after_pooled = recorded_so_far();
     assert_eq!(report_1.results.len(), BATCH);
     assert_eq!(
         report_1.ok_count(),
@@ -90,10 +134,10 @@ fn main() {
         "cached outputs diverge from the cold run"
     );
 
-    // Observability: the merged trace must carry the coordinator batch
-    // spans and exactly one job span per job — the two cold batches on
-    // worker lanes (tid >= 2), the warm batch, answered from the cache
-    // where it was submitted, on the coordinator lane.
+    // Observability: the merged trace obeys the lane rule by exact count.
+    // One worker is the caller alone, so nothing leaves its lane; four
+    // workers are lanes 1-4; the warm batch, answered from the cache where
+    // it was submitted, runs no worker at all.
     let json = match trace::write_env_trace().expect("write trace file") {
         Some(path) => {
             println!("wrote {path}");
@@ -103,22 +147,14 @@ fn main() {
     };
     trace::validate_json(&json).unwrap_or_else(|e| panic!("invalid trace JSON: {e}"));
     let recorded = trace::snapshot();
-    assert!(!recorded.is_empty(), "trace event stream must not be empty");
-    let job_spans = |on_coordinator: bool| {
-        recorded
-            .events()
-            .iter()
-            .filter(|e| e.name == "job" && (e.tid == trace::MAIN_TID) == on_coordinator)
-            .count()
-    };
-    assert_eq!(
-        (job_spans(false), job_spans(true)),
-        (2 * BATCH, BATCH),
-        "expected one job span per job: cold batches on worker lanes, warm batch on the coordinator"
-    );
+    let events = recorded.events();
+    check_lanes("1 worker", &events[..after_single], 1);
+    check_lanes("4 workers", &events[after_single..after_pooled], 4);
+    check_lanes("warm", &events[after_pooled..], 0);
+    assert_eq!((report_1.workers, report_4.workers), (1, 4));
     assert!(
         warm.workers == 0 && warm.stats.lanes.is_empty(),
-        "an all-hit batch spawns no worker"
+        "an all-hit batch runs no worker"
     );
     for expected in ["\"batch\"", "\"worker0\"", "\"tid\":2"] {
         assert!(json.contains(expected), "trace JSON missing {expected}");
@@ -127,7 +163,7 @@ fn main() {
     println!(
         "sched smoke OK: {} jobs x 3 batches, {} trace events, warm hit rate {:.0}%",
         BATCH,
-        recorded.events().len(),
+        events.len(),
         warm.cache.hit_rate() * 100.0
     );
 }

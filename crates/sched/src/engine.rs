@@ -1,6 +1,6 @@
-//! The worker-pool engine: cache probe on the submitting thread, bounded
-//! queue of misses, per-worker interpreter environments, result collection
-//! in job order.
+//! The engine: cache probe on the submitting thread, then that thread and
+//! the scoped threads it spawns run the misses off one list; per-worker
+//! interpreter environments, result collection in job order.
 //!
 //! # Determinism
 //!
@@ -19,16 +19,18 @@
 //! # Observability
 //!
 //! The batch runs inside a `sched`/`batch` trace span; each job gets one
-//! `sched`/`job` span annotated with its cache outcome — on the
-//! submitting thread's lane for a hit, on a worker lane for a miss. Worker
-//! threads record into their own thread-local trace/metrics/journal
-//! stores, hand them back on exit, and the coordinator merges them
-//! (`trace::adopt` gives each worker its own `tid` lane in the Chrome
-//! export, `metrics::absorb` sums the counters, `journal::absorb` rebases
-//! the provenance steps), so a single `TD_TRACE` / `TD_JOURNAL` file shows
-//! the whole pool. The merged journal also rides on the [`BatchReport`], whose
-//! [`BatchReport::report_text`] / [`BatchReport::report_json`] rank
-//! transforms by payload ops touched, time, and failures.
+//! `sched`/`job` span annotated with its cache outcome, on the lane of the
+//! thread that ran it: lane = worker + 1, the caller being worker 0 — so
+//! hits and worker 0's misses are on the caller's lane, spawned worker *w*
+//! on lane *w* + 1, all on the caller's clock. Every worker records its
+//! jobs into metrics and journal stores of its own and hands them back
+//! when it finishes; the caller merges them (`trace::adopt`,
+//! `metrics::absorb`, `journal::absorb`), so a single `TD_TRACE` /
+//! `TD_JOURNAL` file shows the whole pool. The merged journal also rides on
+//! the [`BatchReport`], whose [`BatchReport::report_text`] /
+//! [`BatchReport::report_json`] rank transforms by payload ops touched,
+//! time, and failures. Flight-recorder events stay in the ring of the
+//! thread that ran the job — the caller's, for a single-miss batch.
 //!
 //! A failing schedule is a cheap, ordinary outcome (it is how a search
 //! loop rejects a candidate), so the engine never diagnoses one unasked:
@@ -42,12 +44,11 @@ use crate::job::{Job, JobError, JobOutput, JobResult};
 use crate::stats::{BatchStats, WorkerLane, QUEUE_WAIT_SERIES, RUN_SERIES, TOTAL_SERIES};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use td_ir::{Context, PassRegistry};
 use td_support::rng::{derive_seed, Xoshiro256pp};
-use td_support::{fault, flight, journal, metrics, mpmc, trace};
+use td_support::{fault, flight, journal, metrics, trace};
 use td_transform::{InterpConfig, InterpEnv, Interpreter, TransformOpRegistry, TxnMode};
 
 /// Builds the fresh `Context` each job attempt parses into.
@@ -64,11 +65,9 @@ pub type PassesFactory = Arc<dyn Fn() -> PassRegistry + Send + Sync>;
 /// Engine configuration.
 #[derive(Clone)]
 pub struct EngineConfig {
-    /// Most worker threads a batch spawns (minimum 1): one per cache miss
-    /// up to this, none for a batch answered entirely from the cache.
+    /// Most workers a batch's misses run on (minimum 1), the calling thread
+    /// first: one per cache miss up to this, none for an all-hit batch.
     pub workers: usize,
-    /// Bound of the job queue; producers block when it is full.
-    pub queue_capacity: usize,
     /// Result-cache capacity in entries (0 disables caching).
     pub cache_capacity: usize,
     /// Per-job deadline, measured from batch start. Jobs still queued when
@@ -118,7 +117,6 @@ impl EngineConfig {
             workers: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
-            queue_capacity: 64,
             cache_capacity: 1024,
             deadline: None,
             max_attempts: 1,
@@ -194,7 +192,6 @@ impl std::fmt::Debug for EngineConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EngineConfig")
             .field("workers", &self.workers)
-            .field("queue_capacity", &self.queue_capacity)
             .field("cache_capacity", &self.cache_capacity)
             .field("deadline", &self.deadline)
             .field("max_attempts", &self.max_attempts)
@@ -215,7 +212,7 @@ pub struct BatchReport {
     pub cache: CacheStats,
     /// Wall-clock time of the whole batch.
     pub wall: Duration,
-    /// Worker threads used.
+    /// Workers that ran misses, the calling thread included (0: all hits).
     pub workers: usize,
     /// Whether the batch degraded gracefully: the failure budget
     /// ([`EngineConfig::failure_budget`]) tripped and the remaining queue
@@ -232,9 +229,9 @@ pub struct BatchReport {
     /// asks [`Engine::bisect`] for it and attaches the text itself.
     pub journal: journal::Journal,
     /// The jobs that failed with [`JobError::Transform`], as `(batch
-    /// index, job)` in index order — moved back out of the worker that ran
-    /// them, so a caller can hand one to [`Engine::bisect`] later without
-    /// having kept a copy of the batch.
+    /// index, job)` in index order — moved back out of the batch, so a
+    /// caller can hand one to [`Engine::bisect`] later without having kept
+    /// a copy of it.
     pub failed_jobs: Vec<(usize, Job)>,
     /// Latency and utilization breakdown: queue-wait vs. run-time
     /// histograms (p50/p90/p99/p999), per-worker utilization timeline, and
@@ -284,9 +281,9 @@ impl BatchReport {
     }
 }
 
-/// The schedule-application engine: a reusable worker pool configuration,
-/// the transform/pass registries its workers share, and the result cache
-/// that persists across batches.
+/// The schedule-application engine: a worker-count and policy
+/// configuration, the transform/pass registries its workers share, and the
+/// result cache that persists across batches.
 #[derive(Debug)]
 pub struct Engine {
     config: EngineConfig,
@@ -336,10 +333,10 @@ impl Engine {
     }
 
     /// Applies every job in `jobs` and returns the results in submission
-    /// order: cache hits are answered on the calling thread, misses go to
-    /// the worker pool (at most one thread per miss, none for an all-hit
-    /// batch). See the module docs for the determinism and observability
-    /// contracts.
+    /// order: cache hits are answered on the calling thread, which then
+    /// runs the misses itself beside up to `workers - 1` threads spawned for
+    /// the batch (at most one worker per miss). See the module docs for the
+    /// determinism and observability contracts.
     pub fn run_batch(&self, jobs: Vec<Job>) -> BatchReport {
         let started = Instant::now();
         let job_count = jobs.len();
@@ -412,9 +409,9 @@ impl Engine {
 
     /// Deadline pre-check, then the cache lookup, on the submitting
     /// thread. `Some` is a hit, fully accounted for (its `sched`/`job` span
-    /// and one sample per latency series). `None` sends the job to a
-    /// worker: a miss, or a job whose deadline has already elapsed, which
-    /// the worker cancels like any job that expired while queued.
+    /// and one sample per latency series). `None` puts the job on the miss
+    /// list: a miss, or a job whose deadline has already elapsed, which the
+    /// worker that claims it cancels like any job that expired while listed.
     fn probe(
         &self,
         job: &Job,
@@ -446,10 +443,10 @@ impl Engine {
         })
     }
 
-    /// Runs the batch's misses on `workers` scoped threads, fills their
-    /// slots, and merges the workers' traces, metrics and journals into
-    /// the calling thread's. Returns whether the failure budget tripped,
-    /// and the jobs that failed with a transform error, in index order.
+    /// Runs the batch's misses on the calling thread and `workers - 1` scoped
+    /// threads, fills their slots, and merges what each worker recorded into
+    /// the batch and the calling thread's stores. Returns whether the failure
+    /// budget tripped, and the jobs that failed with a transform error.
     fn run_misses(
         &self,
         misses: Vec<(usize, Job, CacheKey)>,
@@ -459,172 +456,175 @@ impl Engine {
         batch_stats: &mut BatchStats,
         batch_journal: &mut journal::Journal,
     ) -> (bool, Vec<(usize, Job)>) {
-        // Each queued job carries its enqueue time so workers can split
-        // latency into queue-wait vs. run-time for the batch stats.
-        let queue: mpmc::Queue<(usize, Job, CacheKey, Instant)> =
-            mpmc::Queue::new(self.config.queue_capacity);
-        // A job that failed with a transform error rides back with its
-        // result: the worker owns it and is done with it, so handing it
-        // over for a later `Engine::bisect` costs a move (boxed, so the
-        // message every job sends stays a result and a pointer).
-        let (result_tx, result_rx) = mpsc::channel::<(usize, JobResult, Option<Box<Job>>)>();
-        let mut failed_jobs = Vec::new();
-        let trace_on = trace::enabled();
-        let journal_on = journal::enabled();
+        // The list is complete before any worker starts: workers claim from
+        // it through a cursor, and queue wait is measured from here.
+        let listed = Instant::now();
+        let cursor = AtomicUsize::new(0);
+        let (trace_on, journal_on, epoch) = (trace::enabled(), journal::enabled(), trace::epoch());
         // Failure-budget state, shared across workers: executed failures
         // so far, and whether the batch has tripped into drain mode.
         let failures = AtomicUsize::new(0);
         let degraded = AtomicBool::new(false);
 
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for worker_index in 0..workers {
-                let queue = &queue;
-                let result_tx = result_tx.clone();
-                let failures = &failures;
-                let degraded = &degraded;
-                handles.push(scope.spawn(move || {
-                    trace::reset();
-                    trace::set_enabled(trace_on);
-                    metrics::reset();
-                    journal::reset();
-                    journal::set_enabled(journal_on);
-                    let mut lane = WorkerLane {
-                        worker: worker_index,
-                        ..WorkerLane::default()
-                    };
-                    {
-                        let _worker_span = trace::span("sched", format!("worker{worker_index}"));
-                        let mut env = self.interp_env();
-                        while let Some((index, job, key, enqueued)) = queue.pop() {
-                            // Per-job transactional override (td-serve:
-                            // the tenant's txn_mode); the env is this
-                            // worker's own, so flipping it is job-local.
-                            env.config.txn = job.txn.unwrap_or(self.config.txn);
-                            let wait_ns = enqueued.elapsed().as_nanos();
-                            let dispatched_at = started.elapsed().as_nanos();
-                            let run_started = Instant::now();
-                            // Journal steps recorded during this job carry
-                            // its index (and, under td-serve, the service
-                            // request id), so the merged batch journal
-                            // stays attributable per job.
-                            journal::set_job(Some(index));
-                            journal::set_request(job.request.clone());
-                            // Fault-injection lanes are keyed by *job*
-                            // index, not worker index: a fault plan fires
-                            // identically no matter which worker (or how
-                            // many workers) the job lands on. `set_lane`
-                            // also resets the per-lane hit counters, so
-                            // `step=N` clauses count from this job's first
-                            // faultpoint hit. Jobs carrying an explicit
-                            // lane (td-serve: the tenant's lane) keep it,
-                            // so a `job=N` selector targets one tenant.
-                            fault::set_lane(job.fault_lane.unwrap_or(index as u64));
-                            let result = if degraded.load(Ordering::Acquire) {
-                                // Budget tripped: drain without
-                                // dispatching. Every remaining slot still
-                                // gets filled, just with `Cancelled`.
-                                metrics::counter("sched.cancelled", 1);
-                                if let Some(token) =
-                                    journal::begin_step("job", "sched.cancel", "", vec![], 0)
-                                {
-                                    journal::end_step(
-                                        Some(token),
-                                        0,
-                                        0,
-                                        journal::StepOutcome::Failed,
-                                        "cancelled: batch failure budget exhausted",
-                                        "",
-                                        "",
-                                    );
-                                }
-                                Err(JobError::Cancelled)
-                            } else {
-                                // The catch_unwind is the panic-isolation
-                                // boundary: a panicking transform handler
-                                // unwinds out of its job (dropping that
-                                // job's context) and the worker keeps
-                                // serving.
-                                catch_unwind(AssertUnwindSafe(|| {
-                                    self.run_job(&env, &job, key, index, started)
-                                }))
-                                .unwrap_or_else(|payload| {
-                                    metrics::counter("sched.panics", 1);
-                                    journal::unwind_open_steps(
-                                        journal::StepOutcome::Failed,
-                                        "panicked: job unwound to the worker boundary",
-                                    );
-                                    Err(JobError::Panicked {
-                                        message: fault::panic_text(payload.as_ref()),
-                                    })
-                                })
-                            };
-                            if let Err(error) = &result {
-                                if !matches!(error, JobError::Cancelled) {
-                                    let failed = failures.fetch_add(1, Ordering::AcqRel) + 1;
-                                    let tripped = self
-                                        .config
-                                        .failure_budget
-                                        .is_some_and(|budget| failed >= budget);
-                                    if tripped && !degraded.swap(true, Ordering::AcqRel) {
-                                        metrics::counter("sched.degraded", 1);
-                                        trace::instant(
-                                            "sched",
-                                            "degraded",
-                                            &[("failures", failed.to_string())],
-                                        );
-                                    }
-                                }
-                            }
-                            journal::set_job(None);
-                            journal::set_request("");
-                            let run_ns = run_started.elapsed().as_nanos();
-                            observe_job_latency(wait_ns, run_ns);
-                            lane.jobs += 1;
-                            lane.busy_ns += run_ns;
-                            lane.timeline
-                                .push((dispatched_at, started.elapsed().as_nanos()));
-                            let handed_back = matches!(result, Err(JobError::Transform { .. }))
-                                .then(|| Box::new(job));
-                            if result_tx.send((index, result, handed_back)).is_err() {
-                                break;
-                            }
+        // One worker, whichever thread it is on: claims jobs until the list
+        // runs out and hands its results and lane record back.
+        let work = |worker_index: usize| {
+            let mut lane = WorkerLane {
+                worker: worker_index,
+                ..WorkerLane::default()
+            };
+            let mut results = Vec::new();
+            let _worker_span = trace::span("sched", format!("worker{worker_index}"));
+            let mut env = self.interp_env();
+            // Relaxed: the cursor hands out indices and publishes no data.
+            while let Some((index, job, key)) = misses.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                let (index, key) = (*index, *key);
+                // Per-job transactional override (td-serve: the tenant's
+                // txn_mode); the env is this worker's own, so flipping it is
+                // job-local.
+                env.config.txn = job.txn.unwrap_or(self.config.txn);
+                let wait_ns = listed.elapsed().as_nanos();
+                let dispatched_at = started.elapsed().as_nanos();
+                let run_started = Instant::now();
+                // Journal steps recorded during this job carry its index
+                // (and, under td-serve, the service request id), so the
+                // merged batch journal stays attributable per job.
+                journal::set_job(Some(index));
+                journal::set_request(job.request.clone());
+                // Fault-injection lanes are keyed by *job* index, not worker
+                // index: a fault plan fires identically no matter which
+                // worker (or how many workers) the job lands on. `set_lane`
+                // also resets the per-lane hit counters, so `step=N` clauses
+                // count from this job's first faultpoint hit. Jobs carrying
+                // an explicit lane (td-serve: the tenant's lane) keep it, so
+                // a `job=N` selector targets one tenant.
+                fault::set_lane(job.fault_lane.unwrap_or(index as u64));
+                let result = if degraded.load(Ordering::Acquire) {
+                    // Budget tripped: drain without dispatching. Every
+                    // remaining slot still gets filled, just with
+                    // `Cancelled`.
+                    metrics::counter("sched.cancelled", 1);
+                    if let Some(token) = journal::begin_step("job", "sched.cancel", "", vec![], 0) {
+                        journal::end_step(
+                            Some(token),
+                            0,
+                            0,
+                            journal::StepOutcome::Failed,
+                            "cancelled: batch failure budget exhausted",
+                            "",
+                            "",
+                        );
+                    }
+                    Err(JobError::Cancelled)
+                } else {
+                    // The catch_unwind is the panic-isolation boundary: a
+                    // panicking transform handler unwinds out of its job
+                    // (dropping that job's context) and the worker keeps
+                    // serving.
+                    catch_unwind(AssertUnwindSafe(|| {
+                        self.run_job(&env, job, key, index, started)
+                    }))
+                    .unwrap_or_else(|payload| {
+                        metrics::counter("sched.panics", 1);
+                        journal::unwind_open_steps(
+                            journal::StepOutcome::Failed,
+                            "panicked: job unwound to the worker boundary",
+                        );
+                        Err(JobError::Panicked {
+                            message: fault::panic_text(payload.as_ref()),
+                        })
+                    })
+                };
+                if let Err(error) = &result {
+                    if !matches!(error, JobError::Cancelled) {
+                        let failed = failures.fetch_add(1, Ordering::AcqRel) + 1;
+                        let tripped = self
+                            .config
+                            .failure_budget
+                            .is_some_and(|budget| failed >= budget);
+                        if tripped && !degraded.swap(true, Ordering::AcqRel) {
+                            metrics::counter("sched.degraded", 1);
+                            trace::instant(
+                                "sched",
+                                "degraded",
+                                &[("failures", failed.to_string())],
+                            );
                         }
                     }
-                    (trace::take(), metrics::take(), journal::take(), lane)
-                }));
-            }
-            drop(result_tx);
-            for (index, job, key) in misses {
-                if queue.push((index, job, key, Instant::now())).is_err() {
-                    break;
                 }
+                journal::set_job(None);
+                journal::set_request("");
+                let run_ns = run_started.elapsed().as_nanos();
+                observe_job_latency(wait_ns, run_ns);
+                lane.jobs += 1;
+                lane.busy_ns += run_ns;
+                lane.timeline
+                    .push((dispatched_at, started.elapsed().as_nanos()));
+                results.push((index, result));
             }
-            queue.close();
-            for (index, result, handed_back) in result_rx {
-                slots[index] = Some(result);
-                failed_jobs.extend(handed_back.map(|job| (index, *job)));
-            }
-            for (worker_index, handle) in handles.into_iter().enumerate() {
-                if let Ok((worker_trace, worker_metrics, worker_journal, lane)) = handle.join() {
-                    // Lane 1 is the coordinator; workers get 2, 3, ...
-                    trace::adopt(&worker_trace, worker_index as u32 + 2);
-                    // Workers reset their metrics at spawn, so these are
-                    // exactly batch-scoped: the stats histograms pool them
-                    // per batch, the absorb sends the same samples on to
-                    // the coordinator registry (and thus TD_BENCH_JSON).
-                    batch_stats.absorb_worker(&worker_metrics, lane);
-                    metrics::absorb(&worker_metrics);
-                    // Journals merge twice on purpose: into the report
-                    // (batch-scoped) and into the coordinator's
-                    // thread-local store (so `write_env_journal` covers
-                    // the pool the way `TD_TRACE` does).
-                    batch_journal.merge(&worker_journal);
-                    journal::absorb(&worker_journal);
+            (results, lane)
+        };
+
+        std::thread::scope(|scope| {
+            let spawned: Vec<_> = (1..workers)
+                .map(|worker_index| {
+                    let work = &work;
+                    scope.spawn(move || {
+                        // A new thread's stores are empty; it takes the
+                        // caller's switches and clock.
+                        trace::reset_at(epoch);
+                        trace::set_enabled(trace_on);
+                        journal::set_enabled(journal_on);
+                        let output = work(worker_index);
+                        (output, trace::take(), metrics::take(), journal::take())
+                    })
+                })
+                .collect();
+            // Worker 0 is the calling thread, lent: its metrics, journal and
+            // fault lane are set aside, so the worker's samples come back
+            // batch-scoped like any other's, and the catch_unwind stands
+            // where `join` does for the rest (the caller may be a pool
+            // thread with no guard of its own). Its spans stay put.
+            let (callers_metrics, callers_journal) = (metrics::take(), journal::lend());
+            let callers_lane = fault::take_lane();
+            let output = catch_unwind(AssertUnwindSafe(|| work(0)));
+            fault::restore_lane(callers_lane);
+            let own_metrics = metrics::replace(callers_metrics);
+            let own_journal = journal::reclaim(callers_journal);
+            let first =
+                output.map(|output| (output, trace::Trace::default(), own_metrics, own_journal));
+            // A worker that died reports nothing and costs nobody else's
+            // results; `run_batch` fills the slot of the job it held.
+            let finished =
+                std::iter::once(first).chain(spawned.into_iter().map(|handle| handle.join()));
+            for ((results, lane), worker_trace, worker_metrics, worker_journal) in
+                finished.flatten()
+            {
+                for (index, result) in results {
+                    slots[index] = Some(result);
                 }
+                trace::adopt(&worker_trace, lane.worker as u32 + 1);
+                // Every worker started from empty metrics, so these are
+                // exactly batch-scoped: the stats histograms pool them per
+                // batch, the absorb sends the same samples on to the
+                // caller's registry (and thus TD_BENCH_JSON).
+                batch_stats.absorb_worker(&worker_metrics, lane);
+                metrics::absorb(&worker_metrics);
+                // Journals merge twice on purpose: into the report
+                // (batch-scoped) and into the caller's thread-local store
+                // (so `write_env_journal` covers the pool the way
+                // `TD_TRACE` does).
+                batch_journal.merge(&worker_journal);
+                journal::absorb(&worker_journal);
             }
         });
-        failed_jobs.sort_unstable_by_key(|(index, _)| *index);
+        // A job that failed with a transform error goes back to the caller
+        // for a later `Engine::bisect`; the batch is done with it.
+        let failed_jobs = misses
+            .into_iter()
+            .filter(|(index, ..)| matches!(slots[*index], Some(Err(JobError::Transform { .. }))))
+            .map(|(index, job, _)| (index, job))
+            .collect();
         (degraded.load(Ordering::Acquire), failed_jobs)
     }
 
@@ -655,7 +655,7 @@ impl Engine {
     pub fn bisect(&self, job: &Job) -> Option<String> {
         let mut env = self.interp_env();
         env.config.txn = job.txn.unwrap_or(self.config.txn);
-        let callers_lane = fault::lane();
+        let callers_lane = fault::take_lane();
         if let Some(lane) = job.fault_lane {
             fault::set_lane(lane);
         }
@@ -668,7 +668,7 @@ impl Engine {
                 &job.entry,
             )
         }));
-        fault::set_lane(callers_lane);
+        fault::restore_lane(callers_lane);
         let outcome = outcome.ok().flatten()?;
         metrics::counter("sched.bisections", 1);
         if trace::enabled() {

@@ -4,12 +4,12 @@
 //!
 //! The Transform dialect makes a schedule a *value* — a script that can be
 //! stored, compared, and applied to any payload. This crate exploits that:
-//! it applies batches of `(transform script, payload module)` jobs across a
-//! pool of worker threads (std threads only; the workspace is hermetic),
-//! one [`td_ir::Context`] per job, with:
+//! it applies batches of `(transform script, payload module)` jobs across
+//! the calling thread and the workers it spawns beside itself (std threads
+//! only; the workspace is hermetic), one [`td_ir::Context`] per job, with:
 //!
 //! * a **result cache** keyed by the request's bytes, probed on the
-//!   submitting thread before any worker exists, with LRU eviction and
+//!   submitting thread before any job runs, with LRU eviction and
 //!   hit/miss/eviction counters ([`cache`]);
 //! * **per-job robustness**: panics inside a transform handler are caught
 //!   and mapped to definite job errors, jobs carry optional deadlines with
@@ -19,10 +19,10 @@
 //!   the result *values* are independent of the worker count — workers
 //!   never share mutable payload state, so scheduling order cannot leak
 //!   into outputs ([`engine::Engine::run_batch`]);
-//! * full **observability**: every job runs inside trace spans, worker
-//!   threads get their own lanes in the Chrome trace export
-//!   (`td_support::trace::adopt`), and per-worker metrics are merged back
-//!   into the coordinator (`td_support::metrics::absorb`).
+//! * full **observability**: every job runs inside trace spans on the lane
+//!   of the thread that ran it (the caller is worker 0; spawned workers get
+//!   lanes of their own, `td_support::trace::adopt`), and per-worker
+//!   metrics are merged back into it (`td_support::metrics::absorb`).
 //!
 //! The [`autotune`] module wires the `td-autotune` search loop onto the
 //! engine: candidate schedules rendered from configurations are evaluated

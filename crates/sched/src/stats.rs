@@ -14,14 +14,14 @@
 //! * **cache behaviour** — the batch-scoped hit rate alongside the raw
 //!   counters.
 //!
-//! Workers already reset and hand back their thread-local metrics per
-//! batch, so the histograms here are exactly batch-scoped; the same
-//! samples also flow into the coordinator's registry via
-//! `metrics::absorb`, which is how they reach `TD_BENCH_JSON`. A cache
-//! hit never reaches a worker: the submitting thread records its sample
-//! directly ([`BatchStats::observe_job`]), so every job of a batch is in
-//! every histogram, while `lanes` describe only the workers that ran
-//! misses (none for an all-hit batch).
+//! Every worker — the calling thread, as worker 0, included — starts a
+//! batch from empty thread-local metrics and hands them back, so the
+//! histograms here are exactly batch-scoped; the same samples also flow
+//! into the caller's registry via `metrics::absorb`, which is how they
+//! reach `TD_BENCH_JSON`. A cache hit never reaches a worker: the probe
+//! records its sample directly ([`BatchStats::observe_job`]), so every job
+//! of a batch is in every histogram, while `lanes` describe only the
+//! workers that ran misses (none for an all-hit batch).
 
 use crate::cache::CacheStats;
 use std::fmt::Write as _;
@@ -37,14 +37,14 @@ pub const TOTAL_SERIES: &str = "sched.job.total";
 /// One worker's activity during a batch.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct WorkerLane {
-    /// Worker index (0-based; trace lane `tid` is this + 2).
+    /// Worker index (0 is the calling thread; trace lane `tid` is this + 1).
     pub worker: usize,
     /// Jobs this worker dispatched (including drained cancellations).
     pub jobs: u64,
     /// Nanoseconds spent running jobs (dispatch to completion).
     pub busy_ns: u128,
     /// Per-job `(start_ns, end_ns)` offsets from batch start — the
-    /// utilization timeline. Gaps are idle time (queue empty or closed).
+    /// utilization timeline. Gaps are idle time (the list ran out).
     pub timeline: Vec<(u128, u128)>,
 }
 
@@ -64,7 +64,7 @@ impl WorkerLane {
 pub struct BatchStats {
     /// Batch wall-clock in nanoseconds.
     pub wall_ns: u128,
-    /// Time jobs spent queued before a worker popped them.
+    /// Time from the miss list being complete to a worker claiming the job.
     pub queue_wait: Histogram,
     /// Time jobs spent executing (dispatch to result).
     pub run: Histogram,
@@ -72,8 +72,8 @@ pub struct BatchStats {
     pub total: Histogram,
     /// Cache counter deltas attributable to this batch.
     pub cache: CacheStats,
-    /// Per-worker activity, indexed by worker: one lane per thread the
-    /// batch's misses spawned.
+    /// Per-worker activity, indexed by worker: one lane per thread that ran
+    /// the batch's misses, the caller's first.
     pub lanes: Vec<WorkerLane>,
     /// Transactional rollbacks across the batch (the workers'
     /// `interp.rolled_back` counters — includes rollbacks of attempts

@@ -227,3 +227,37 @@ fn bisection_runs_in_the_jobs_fault_lane_and_is_contained() {
     assert!(journal::enabled(), "and its journal switch");
     journal::clear_enabled_override();
 }
+
+#[test]
+fn a_panicking_job_on_the_callers_thread_is_contained_in_its_slot() {
+    let _guard = fault::test_guard();
+    // One worker: every job runs on this thread. Without transactions the
+    // injected panic unwinds all the way to the worker's per-job boundary.
+    fault::set_plan(Some(fault::FaultPlan::parse("panic@job=1").unwrap()));
+    fault::set_lane(3);
+    let engine = Engine::new(
+        EngineConfig::standard()
+            .with_workers(1)
+            .without_cache()
+            .with_txn(td_sched::TxnMode::Never),
+    );
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let report = engine.run_batch(batch(3));
+    std::panic::set_hook(hook);
+
+    assert_eq!(report.workers, 1);
+    assert!(report.results[0].is_ok(), "{:?}", report.results[0]);
+    match &report.results[1] {
+        Err(JobError::Panicked { message }) => assert!(message.contains("injected"), "{message}"),
+        other => panic!("expected the panic in its own slot, got {other:?}"),
+    }
+    assert!(report.results[2].is_ok(), "the caller carried on");
+    assert_eq!(report.stats.lanes[0].jobs, 3);
+    assert_eq!(fault::lane(), 3, "caller's lane restored");
+
+    // And carries on after the batch: the next one runs clean.
+    fault::set_plan(None);
+    assert_eq!(engine.run_batch(batch(3)).ok_count(), 3);
+    fault::set_lane(0);
+}

@@ -181,8 +181,9 @@ fn in_batch_duplicates_have_one_disposition_at_any_worker_count() {
 }
 
 /// Telemetry stays whole on the hit path: one `sched`/`job` span and one
-/// sample per latency histogram for every job, hits on the submitting
-/// thread's lane, misses on worker lanes.
+/// sample per latency histogram for every job. The `cache` argument says
+/// which it was; the lane says which thread ran it — hits on the
+/// submitting thread, each miss under the `workerN` span of its worker.
 #[test]
 fn hits_are_answered_on_the_submitting_thread_with_full_telemetry() {
     trace::reset();
@@ -219,26 +220,85 @@ fn hits_are_answered_on_the_submitting_thread_with_full_telemetry() {
         .filter(|e| e.cat == "sched" && e.name == "job")
         .collect();
     assert_eq!(job_spans.len(), 14, "exactly one job span per job");
-    let cache_arg = |e: &trace::TraceEvent| {
-        e.args
+    let with_cache = |outcome: &str| -> Vec<&trace::TraceEvent> {
+        job_spans
             .iter()
-            .find(|(k, _)| k == "cache")
-            .map(|(_, v)| v.clone())
+            .copied()
+            .filter(|e| e.args.iter().any(|(k, v)| k == "cache" && v == outcome))
+            .collect()
     };
+    let (hits, misses) = (with_cache("hit"), with_cache("miss"));
+    assert_eq!((hits.len(), misses.len()), (8, 6));
     for span in &job_spans {
-        let expected = if span.tid == trace::MAIN_TID {
-            "hit"
-        } else {
-            "miss"
-        };
-        assert_eq!(cache_arg(span).as_deref(), Some(expected), "{span:?}");
         assert!(span.args.iter().any(|(k, v)| k == "entry" && v == "main"));
     }
-    let hits = job_spans
+    for hit in hits {
+        assert_eq!(hit.tid, trace::MAIN_TID, "{hit:?}");
+    }
+    let worker_spans: Vec<_> = recorded
+        .events()
         .iter()
-        .filter(|e| e.tid == trace::MAIN_TID)
-        .count();
-    assert_eq!(hits, 8, "4 + 4 hits on the coordinator lane");
+        .filter(|e| e.cat == "sched" && e.name.starts_with("worker"))
+        .collect();
+    for miss in misses {
+        let parents = worker_spans
+            .iter()
+            .filter(|w| w.tid == miss.tid && w.depth + 1 == miss.depth && within(miss, w))
+            .count();
+        assert_eq!(parents, 1, "{miss:?} nests under one worker span");
+    }
+}
+
+/// Whether span `inner` lies within span `outer` on the trace's clock.
+fn within(inner: &trace::TraceEvent, outer: &trace::TraceEvent) -> bool {
+    outer.start_ns <= inner.start_ns && inner.end_ns() <= outer.end_ns()
+}
+
+/// Every `sched`/`job` span lies inside its batch's `sched`/`batch` span,
+/// whichever lane it is on — on an engine's *second* batch too, when a
+/// spawned worker's clock is no longer accidentally close to the caller's.
+#[test]
+fn job_spans_lie_within_their_batch_span_on_every_lane() {
+    for workers in [1, 4] {
+        trace::reset();
+        trace::set_enabled(true);
+        let engine = Engine::new(
+            EngineConfig::standard()
+                .with_workers(workers)
+                .without_cache(),
+        );
+        engine.run_batch(batch(8, "first"));
+        // Long enough on this clock that a lane timed from its own thread's
+        // start would put the second batch's jobs back near zero.
+        std::thread::sleep(Duration::from_millis(20));
+        let first = trace::take();
+        engine.run_batch(batch(8, "second"));
+        let second = trace::take();
+        trace::clear_enabled_override();
+
+        for recorded in [&first, &second] {
+            let [batch_span] = recorded
+                .events()
+                .iter()
+                .filter(|e| e.cat == "sched" && e.name == "batch")
+                .collect::<Vec<_>>()[..]
+            else {
+                panic!("one batch span per batch");
+            };
+            let jobs: Vec<_> = recorded
+                .events()
+                .iter()
+                .filter(|e| e.cat == "sched" && e.name == "job")
+                .collect();
+            assert_eq!(jobs.len(), 8);
+            for job in jobs {
+                assert!(
+                    within(job, batch_span),
+                    "{workers} worker(s): {job:?} outside {batch_span:?}"
+                );
+            }
+        }
+    }
 }
 
 #[test]
@@ -450,15 +510,24 @@ fn worker_spans_merge_into_the_coordinator_trace() {
         .filter(|e| e.name == "batch" && e.tid == trace::MAIN_TID)
         .count();
     assert_eq!(batch_spans, 1, "batch span on the coordinator lane");
-    let worker_lanes: std::collections::BTreeSet<u32> = recorded
+    // Lane = worker + 1: the caller is worker 0 on its own lane, the one
+    // spawned worker is on lane 2.
+    let worker_lanes: Vec<(u32, &str)> = recorded
+        .ordered()
+        .into_iter()
+        .filter(|e| e.cat == "sched" && e.name.starts_with("worker"))
+        .map(|e| (e.tid, e.name.as_str()))
+        .collect();
+    assert_eq!(worker_lanes, [(1, "worker0"), (2, "worker1")]);
+    let job_lanes: std::collections::BTreeSet<u32> = recorded
         .events()
         .iter()
         .filter(|e| e.name == "job")
         .map(|e| e.tid)
         .collect();
     assert!(
-        !worker_lanes.is_empty() && worker_lanes.iter().all(|&tid| tid >= 2),
-        "job spans live on worker lanes, got {worker_lanes:?}"
+        job_lanes.iter().all(|tid| [1, 2].contains(tid)),
+        "job spans live on the lanes of the workers that ran them, got {job_lanes:?}"
     );
     let json = recorded.to_chrome_json();
     trace::validate_json(&json).expect("merged trace is valid Chrome JSON");
@@ -564,4 +633,153 @@ fn journal_off_batches_record_nothing() {
     journal::clear_enabled_override();
     assert_eq!(report.ok_count(), 3);
     assert!(report.journal.is_empty(), "journaling off: empty journal");
+}
+
+/// An engine config whose registry has a `test.whereami` op: it records
+/// the thread it runs on and then waits at `rendezvous`, so a batch's jobs
+/// are spread over exactly as many threads as the barrier has parties.
+fn thread_recording_config(
+    workers: usize,
+    seen: &Arc<std::sync::Mutex<Vec<std::thread::ThreadId>>>,
+    rendezvous: &Arc<std::sync::Barrier>,
+) -> EngineConfig {
+    let (seen, rendezvous) = (Arc::clone(seen), Arc::clone(rendezvous));
+    let mut config = EngineConfig::standard()
+        .with_workers(workers)
+        .without_cache();
+    config.transforms_factory = Arc::new(move || {
+        let (seen, rendezvous) = (Arc::clone(&seen), Arc::clone(&rendezvous));
+        let mut registry = TransformOpRegistry::with_standard_ops();
+        registry.register(TransformOpDef::new(
+            "test.whereami",
+            "records the current thread",
+            move |_, _, _, _| {
+                seen.lock().unwrap().push(std::thread::current().id());
+                rendezvous.wait();
+                Ok(())
+            },
+        ));
+        registry
+    });
+    config
+}
+
+#[test]
+fn the_caller_is_the_first_worker() {
+    use std::collections::BTreeSet;
+    use std::sync::{Barrier, Mutex};
+    let whereami = |n: usize| -> Vec<Job> {
+        (0..n)
+            .map(|i| Job::new(custom_op_script("test.whereami"), payload(i)))
+            .collect()
+    };
+    let me = std::thread::current().id();
+
+    // One worker, or one miss: nothing is spawned, the caller runs it all.
+    for (workers, misses) in [(1, 5), (4, 1)] {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let engine = Engine::new(thread_recording_config(
+            workers,
+            &seen,
+            &Arc::new(Barrier::new(1)),
+        ));
+        let report = engine.run_batch(whereami(misses));
+        assert_eq!((report.ok_count(), report.workers), (misses, 1));
+        assert_eq!(*seen.lock().unwrap(), vec![me; misses]);
+    }
+
+    // N workers, M misses: min(N, M) threads, the caller among them. The
+    // barrier holds every job until that many threads are each inside one,
+    // so no thread can run ahead and do a neighbour's share.
+    for (workers, misses, threads) in [(4, 8, 4), (4, 2, 2), (2, 6, 2)] {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let engine = Engine::new(thread_recording_config(
+            workers,
+            &seen,
+            &Arc::new(Barrier::new(threads)),
+        ));
+        let report = engine.run_batch(whereami(misses));
+        assert_eq!((report.ok_count(), report.workers), (misses, threads));
+        assert_eq!(report.stats.lanes.len(), threads);
+        assert_eq!(report.stats.lanes[0].worker, 0);
+        let seen = seen.lock().unwrap();
+        assert_eq!(seen.len(), misses);
+        let distinct: BTreeSet<String> = seen.iter().map(|id| format!("{id:?}")).collect();
+        assert_eq!(
+            distinct.len(),
+            threads,
+            "{workers} workers, {misses} misses"
+        );
+        assert!(seen.contains(&me), "the caller is one of the workers");
+    }
+}
+
+#[test]
+fn the_caller_gets_its_thread_back_as_it_left_it() {
+    use td_support::{fault, journal, metrics};
+    trace::reset();
+    trace::set_enabled(true);
+    journal::reset();
+    journal::set_enabled(true);
+    metrics::reset();
+    metrics::counter("callers.own", 3);
+    fault::set_lane(5);
+    journal::set_job(Some(41));
+    journal::set_request("outer");
+    let outer_step = journal::begin_step("job", "callers.step", "", vec![], 0);
+    let outer_span = trace::span("test", "outer");
+
+    let engine = Engine::new(EngineConfig::standard().with_workers(1).without_cache());
+    let report = engine.run_batch(batch(3, "seen"));
+    assert_eq!((report.ok_count(), report.workers), (3, 1));
+
+    // Fault lane, trace depth, journal stamps and the open frame.
+    assert_eq!(fault::lane(), 5);
+    trace::instant("test", "inside", &[]);
+    drop(outer_span);
+    trace::instant("test", "outside", &[]);
+    let depth_of = |name: &str| {
+        let recorded = trace::snapshot();
+        let event = recorded.events().iter().find(|e| e.name == name);
+        event.expect("instant recorded").depth
+    };
+    assert_eq!((depth_of("inside"), depth_of("outside")), (1, 0));
+    assert!(trace::enabled() && journal::enabled(), "switches untouched");
+    assert!(journal::recording(), "the caller's step is still open");
+    journal::end_step(outer_step, 0, 0, journal::StepOutcome::Ok, "", "", "");
+    let after = journal::begin_step("job", "callers.next", "", vec![], 0);
+    journal::end_step(after, 0, 0, journal::StepOutcome::Ok, "", "", "");
+
+    // The caller's stores hold what they held plus exactly the batch.
+    let mine = journal::take();
+    let own: Vec<_> = mine
+        .steps()
+        .iter()
+        .filter(|s| s.name.starts_with("callers."))
+        .collect();
+    assert_eq!(own.len(), 2);
+    for step in own {
+        assert_eq!((step.job, step.request.as_str()), (Some(41), "outer"));
+        assert_eq!(step.outcome, journal::StepOutcome::Ok);
+    }
+    assert_eq!(mine.steps().len(), 2 + report.journal.steps().len());
+    assert!(!report.journal.is_empty());
+    let registry = metrics::take();
+    assert_eq!(registry.counter_value("callers.own"), Some(3));
+    assert_eq!(registry.counter_value("sched.jobs"), Some(3));
+    assert_eq!(
+        registry.histogram("sched.job.total"),
+        Some(&report.stats.total),
+        "the batch's samples, once"
+    );
+    assert_eq!(
+        registry.counter_value("interp.transforms_executed"),
+        Some(6)
+    );
+
+    trace::reset();
+    trace::clear_enabled_override();
+    journal::reset();
+    journal::clear_enabled_override();
+    fault::set_lane(0);
 }

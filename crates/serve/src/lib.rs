@@ -20,9 +20,10 @@
 //! * [`diskcache`] — the byte-keyed result cache promoted to a
 //!   content-addressed on-disk store: atomic writes, versioned entries,
 //!   warm starts across daemon restarts.
-//! * [`service`] — admission control, the dispatcher, the worker pool
-//!   (per-tenant [`td_sched::Engine`]s over one shared cache), artifact
-//!   retention, drain.
+//! * [`service`] — admission control, the worker pool that pulls from the
+//!   fair queue and runs each job where it popped it (per-tenant
+//!   [`td_sched::Engine`]s over one shared cache), artifact retention,
+//!   drain.
 //! * [`server`] / [`client`] — the request loop over stdio or a unix
 //!   socket, and the matching synchronous client.
 //!

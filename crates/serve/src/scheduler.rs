@@ -2,7 +2,7 @@
 //!
 //! The scheduler keeps one FIFO per tenant plus a *virtual time* per
 //! tenant (classic WFQ with unit job cost): dispatching a job from tenant
-//! `t` advances `vtime[t]` by `1 / weight[t]`, and the dispatcher always
+//! `t` advances `vtime[t]` by `1 / weight[t]`, and a dispatch always
 //! picks the backlogged tenant with the smallest virtual time. A weight-3
 //! tenant therefore receives three dispatch slots for every one a
 //! weight-1 tenant gets — *when both are backlogged* — while an
@@ -12,12 +12,12 @@
 //!
 //! This module is pure bookkeeping — no threads, no locks — so fairness
 //! is unit-testable by inspecting dispatch orders. [`crate::service`]
-//! wraps it in a mutex and a dispatcher thread.
+//! wraps it in a mutex and a condvar, and its idle workers pop from it.
 
 use std::collections::VecDeque;
 
-/// One queued dispatch: the job id plus its payload, parked until the
-/// dispatcher releases it to the worker queue.
+/// One queued dispatch: the job id plus its payload, parked until a
+/// worker pops it.
 #[derive(Debug)]
 pub struct Queued<T> {
     /// The tenant index the entry belongs to.

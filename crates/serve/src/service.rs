@@ -1,16 +1,15 @@
-//! The service core: admission control, the weighted-fair dispatcher, the
-//! persistent worker pool, and per-job completion/artifact delivery.
+//! The service core: admission control, the weighted-fair queue, the
+//! persistent worker pool that pulls from it, and per-job
+//! completion/artifact delivery.
 //!
 //! # Architecture
 //!
 //! ```text
 //! submit() ──admission──▶ FairQueue (per-tenant FIFOs, WFQ)
-//!                              │ dispatcher thread
-//!                              ▼
-//!                      mpmc::Queue (bounded, = backpressure)
-//!                              │ N worker threads
-//!                              ▼
-//!                  tenant's td_sched::Engine (1-job batch)
+//!                              │ N worker threads, each popping the
+//!                              ▼ fairest job when it falls idle
+//!                  tenant's td_sched::Engine (1-job batch,
+//!                              │   run on the worker that popped it)
 //!                              │
 //!            completions map + condvar ──▶ wait(job_id)
 //!                              │
@@ -43,15 +42,17 @@
 //! outside the worker pool: `report` is rendered to JSON, `bisect` runs
 //! [`Engine::bisect`] (milliseconds of interpreter probes). The result is
 //! memoised and evicted with the job. Only the `flight` bundle is captured
-//! eagerly, because it snapshots a ring that moves on.
+//! eagerly, because it snapshots a ring that moves on — the ring of the
+//! worker that ran the job, so the bundle replays the job's own steps
+//! (behind whatever that worker ran before it).
 //!
 //! # Drain
 //!
-//! [`Service::drain`] closes admission, lets the dispatcher flush every
-//! admitted job into the worker queue, closes the queue, joins the
-//! workers, and merges their thread-local metrics/trace lanes into the
-//! caller. No admitted job is ever dropped: every `submit` that returned
-//! a job id has a completion waiting after `drain` returns.
+//! [`Service::drain`] closes admission and wakes the workers, which keep
+//! popping until the fair queue is empty and then exit; it joins them and
+//! merges their thread-local metrics/trace lanes into the caller. No
+//! admitted job is ever dropped: every `submit` that returned a job id has
+//! a completion waiting after `drain` returns.
 
 use crate::artifacts::ArtifactStore;
 use crate::diskcache::DiskStore;
@@ -66,7 +67,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use td_sched::{BatchReport, Engine, EngineConfig, Job, JobError, JobResult, ResultCache, TxnMode};
-use td_support::{flight, journal, metrics, mpmc, trace};
+use td_support::{flight, journal, metrics, trace};
 
 /// Service configuration.
 #[derive(Clone, Debug)]
@@ -75,10 +76,6 @@ pub struct ServiceConfig {
     pub tenants: Vec<TenantConfig>,
     /// Worker threads in the pool.
     pub workers: usize,
-    /// Bound of the dispatcher→worker queue. Small on purpose: jobs held
-    /// back in the per-tenant queues stay subject to weighted fairness,
-    /// jobs already released are FIFO.
-    pub queue_capacity: usize,
     /// In-memory result-cache entries shared by all tenants.
     pub cache_capacity: usize,
     /// On-disk persistent cache directory (`None` = memory only).
@@ -102,13 +99,12 @@ pub struct ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// A service for the given tenants with defaults: 4 workers, queue
-    /// bound = workers, 1024 cache entries, no disk cache, artifacts on.
+    /// A service for the given tenants with defaults: 4 workers, 1024
+    /// cache entries, no disk cache, artifacts on.
     pub fn new(tenants: Vec<TenantConfig>) -> Self {
         ServiceConfig {
             tenants,
             workers: 4,
-            queue_capacity: 4,
             cache_capacity: 1024,
             cache_dir: None,
             collect_artifacts: true,
@@ -119,10 +115,9 @@ impl ServiceConfig {
         }
     }
 
-    /// Sets the worker count and matches the queue bound (builder-style).
+    /// Sets the worker count (builder-style).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
-        self.queue_capacity = self.workers;
         self
     }
 
@@ -295,7 +290,6 @@ struct Inner {
     by_name: HashMap<String, usize>,
     pending: Mutex<PendState>,
     pending_cv: Condvar,
-    queue: mpmc::Queue<Dispatched>,
     completions: Mutex<HashMap<u64, ServeResult>>,
     completions_cv: Condvar,
     next_job: AtomicU64,
@@ -324,19 +318,14 @@ struct Inner {
 /// The long-lived multi-tenant schedule-compilation service.
 pub struct Service {
     inner: Arc<Inner>,
-    threads: Mutex<Option<Threads>>,
+    workers: Mutex<Vec<std::thread::JoinHandle<(trace::Trace, metrics::Metrics)>>>,
     worker_count: usize,
-}
-
-struct Threads {
-    dispatcher: std::thread::JoinHandle<()>,
-    workers: Vec<std::thread::JoinHandle<(trace::Trace, metrics::Metrics)>>,
 }
 
 impl Service {
     /// Starts the service: opens the disk cache (if configured), builds
-    /// one engine per tenant over the shared cache, and spawns the
-    /// dispatcher and worker threads.
+    /// one engine per tenant over the shared cache, and spawns the worker
+    /// threads.
     ///
     /// # Errors
     /// Propagates a disk-cache directory that cannot be created.
@@ -411,7 +400,6 @@ impl Service {
                 draining: false,
             }),
             pending_cv: Condvar::new(),
-            queue: mpmc::Queue::new(config.queue_capacity.max(1)),
             completions: Mutex::new(HashMap::new()),
             completions_cv: Condvar::new(),
             next_job: AtomicU64::new(1),
@@ -432,10 +420,6 @@ impl Service {
             instance,
         });
 
-        let dispatcher = {
-            let inner = Arc::clone(&inner);
-            std::thread::spawn(move || inner.dispatch_loop())
-        };
         let trace_on = trace::enabled();
         let workers = (0..config.workers.max(1))
             .map(|worker_index| {
@@ -447,10 +431,7 @@ impl Service {
         metrics::counter("serve.starts", 1);
         Ok(Service {
             inner,
-            threads: Mutex::new(Some(Threads {
-                dispatcher,
-                workers,
-            })),
+            workers: Mutex::new(workers),
             worker_count: config.workers.max(1),
         })
     }
@@ -1078,11 +1059,11 @@ impl Service {
         self.inner.draining.load(Ordering::Acquire)
     }
 
-    /// Drains and stops the pool: admission closes, every already-admitted
-    /// job is flushed through the workers, the queue closes, and the
-    /// worker threads are joined with their metrics and trace lanes merged
-    /// into the calling thread. Idempotent; the second call is a no-op
-    /// returning the same totals.
+    /// Drains and stops the pool: admission closes, the workers run every
+    /// already-admitted job and exit when the fair queue is empty, and they
+    /// are joined with their metrics and trace lanes merged into the
+    /// calling thread. Idempotent; the second call is a no-op returning the
+    /// same totals.
     pub fn drain(&self) -> DrainSummary {
         let inner = &self.inner;
         {
@@ -1091,16 +1072,11 @@ impl Service {
             inner.draining.store(true, Ordering::Release);
         }
         inner.pending_cv.notify_all();
-        if let Some(threads) = self
-            .threads
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take()
-        {
-            // Dispatcher: flushes the fair queues, then closes the worker
-            // queue — which is what lets the workers exit once drained.
-            let _ = threads.dispatcher.join();
-            for (worker_index, handle) in threads.workers.into_iter().enumerate() {
+        // Held to the end, so a concurrent second drain returns only once
+        // the first has joined the pool.
+        let mut workers = self.workers.lock().unwrap_or_else(|e| e.into_inner());
+        if !workers.is_empty() {
+            for (worker_index, handle) in workers.drain(..).enumerate() {
                 if let Ok((worker_trace, worker_metrics)) = handle.join() {
                     trace::adopt(&worker_trace, worker_index as u32 + 2);
                     metrics::absorb(&worker_metrics);
@@ -1138,44 +1114,30 @@ impl Drop for Service {
 }
 
 impl Inner {
-    /// The dispatcher: moves jobs from the weighted-fair per-tenant queues
-    /// into the bounded worker queue, in fairness order, until draining
-    /// *and* empty — then closes the worker queue.
-    fn dispatch_loop(&self) {
+    /// Blocks until the fair queue has a job for the calling worker: the
+    /// fairness decision is made at the moment a worker falls idle, so
+    /// every admitted job stays under WFQ until it runs. `None` once the
+    /// service is draining and the queue is empty.
+    fn next_job(&self) -> Option<Dispatched> {
+        let mut pending = self.pending.lock().unwrap_or_else(|e| e.into_inner());
         loop {
-            let next = {
-                let mut pending = self.pending.lock().unwrap_or_else(|e| e.into_inner());
-                loop {
-                    if let Some(queued) = pending.fair.pop() {
-                        break Some(queued.item);
-                    }
-                    if pending.draining {
-                        break None;
-                    }
-                    pending = self
-                        .pending_cv
-                        .wait(pending)
-                        .unwrap_or_else(|e| e.into_inner());
-                }
-            };
-            match next {
-                // The push blocks when the worker queue is full — that
-                // backpressure is what keeps undispatched jobs under
-                // weighted fairness instead of FIFO.
-                Some(item) => {
-                    if self.queue.push(item).is_err() {
-                        break;
-                    }
-                }
-                None => break,
+            if let Some(queued) = pending.fair.pop() {
+                return Some(queued.item);
             }
+            if pending.draining {
+                return None;
+            }
+            pending = self
+                .pending_cv
+                .wait(pending)
+                .unwrap_or_else(|e| e.into_inner());
         }
-        self.queue.close();
     }
 
-    /// One worker: pops dispatched jobs, runs them through the owning
-    /// tenant's engine as single-job batches, records completions and
-    /// artifacts. Exits when the queue is closed and drained.
+    /// One worker: pops jobs off the fair queue, runs them through the
+    /// owning tenant's engine as single-job batches — on this thread, as
+    /// the engine's worker 0 — and records completions and artifacts.
+    /// Exits when the service is draining and the queue is empty.
     fn worker_loop(&self, worker_index: usize, trace_on: bool) -> (trace::Trace, metrics::Metrics) {
         trace::reset();
         trace::set_enabled(trace_on);
@@ -1183,7 +1145,7 @@ impl Inner {
         journal::reset();
         journal::set_enabled(self.collect_artifacts);
         let _worker_span = trace::span("serve", format!("worker{worker_index}"));
-        while let Some(dispatched) = self.queue.pop() {
+        while let Some(dispatched) = self.next_job() {
             let Dispatched {
                 id,
                 tenant,
@@ -1210,8 +1172,8 @@ impl Inner {
                 metrics::observe("serve.queue_wait", wait.as_nanos());
             }
             // Fresh journal per job so the batch report and artifacts are
-            // exactly job-scoped (the engine absorbs its scoped worker's
-            // journal into this thread).
+            // exactly job-scoped (the engine absorbs the batch's journal
+            // into this thread).
             journal::reset();
             let mut report = runtime.engine.run_batch(vec![job]);
             let result = report.results.pop().unwrap_or_else(|| {
@@ -1347,8 +1309,7 @@ impl Inner {
             Deferred::Bisect { tenant, job } => {
                 let callers = metrics::take();
                 let text = self.tenants[tenant].engine.bisect(&job);
-                let probes = metrics::take();
-                metrics::absorb(&callers);
+                let probes = metrics::replace(callers);
                 self.live_metrics
                     .lock()
                     .unwrap_or_else(|e| e.into_inner())

@@ -783,6 +783,14 @@ fn a_bisect_artifact_is_computed_by_its_first_retrieval() {
     assert_eq!(client.artifact(failures[0], "report").unwrap(), report);
     let flight = client.artifact(failures[0], "flight").unwrap();
     assert!(flight.contains("\"repro\":null"), "{flight}");
+    // The bundle replays the job: it ran on the thread whose ring this is.
+    for event in [
+        r#""kind":"step.begin","args":{"name":"transform.match_op"}"#,
+        r#""kind":"step.failed","args":{"name":"transform.match_op""#,
+        r#""kind":"rollback""#,
+    ] {
+        assert!(flight.contains(event), "no {event} in {flight}");
+    }
     expect_not_found(client.artifact(passing.job_id, "bisect"));
 
     client.shutdown().unwrap();
@@ -1019,4 +1027,141 @@ fn a_bisection_brought_down_by_a_fault_answers_not_found() {
     client.shutdown().unwrap();
     assert_eq!(server.join().unwrap().unwrap(), ConnectionOutcome::Shutdown);
     service.drain();
+}
+
+/// The spans named `name` in `recorded`, in the order they ended. The
+/// pool's lanes reach the calling thread's trace when `drain` hands them
+/// over.
+fn spans_by_end(
+    recorded: &td_support::trace::Trace,
+    name: &str,
+) -> Vec<td_support::trace::TraceEvent> {
+    let mut spans: Vec<_> = recorded
+        .events()
+        .iter()
+        .filter(|e| e.name == name)
+        .cloned()
+        .collect();
+    spans.sort_by_key(|e| e.end_ns());
+    spans
+}
+
+fn span_arg<'a>(event: &'a td_support::trace::TraceEvent, key: &str) -> &'a str {
+    let arg = event.args.iter().find(|(k, _)| k == key);
+    arg.map_or("", |(_, v)| v.as_str())
+}
+
+#[test]
+fn a_served_job_starts_after_its_queue_wait_ends() {
+    use td_support::trace;
+    trace::reset();
+    trace::set_enabled(true);
+    let service = Service::start(ServiceConfig::new(vec![TenantConfig::new("solo")])).unwrap();
+    // Let the daemon age, so a lane on a clock of its own would show.
+    std::thread::sleep(std::time::Duration::from_millis(20));
+    for i in 0..3 {
+        let request = format!("ci/order-{i}");
+        let (id, _) = service
+            .submit_with_request("solo", script(), payload(i), "main", Some(&request))
+            .unwrap();
+        service.wait(id).result.expect("job succeeds");
+    }
+    service.drain();
+    trace::clear_enabled_override();
+    let recorded = trace::take();
+    let waits = spans_by_end(&recorded, "queue_wait");
+    assert_eq!(waits.len(), 3);
+    for wait in waits {
+        let request = span_arg(&wait, "request");
+        let [job] = recorded
+            .events()
+            .iter()
+            .filter(|e| e.cat == "sched" && e.name == "job" && span_arg(e, "request") == request)
+            .collect::<Vec<_>>()[..]
+        else {
+            panic!("one job span for {request}");
+        };
+        assert_eq!(
+            job.tid, wait.tid,
+            "{request} ran on the worker that popped it"
+        );
+        assert!(
+            wait.end_ns() <= job.start_ns,
+            "{request}: waited until {} ns, ran from {} ns",
+            wait.end_ns(),
+            job.start_ns
+        );
+    }
+}
+
+#[test]
+fn jobs_are_dispatched_in_exactly_the_fair_queues_order() {
+    use td_support::trace;
+    let _guard = fault::test_guard();
+    // One worker, held by `hold`'s job (every step in lane 4 sleeps) while
+    // twelve jobs queue up behind it: no job is released ahead of the
+    // fairness decision, so the order they run in is the order a plain
+    // FairQueue pops them in.
+    fault::set_plan(Some(fault::FaultPlan::parse("sleep@ms=150,job=4").unwrap()));
+    trace::reset();
+    trace::set_enabled(true);
+    let tenants = [("hold", 1, 4), ("light", 1, 11), ("heavy", 3, 12)];
+    let service = Service::start(
+        ServiceConfig::new(
+            tenants
+                .iter()
+                .map(|&(name, weight, lane)| {
+                    TenantConfig::new(name)
+                        .with_weight(weight)
+                        .with_fault_lane(lane)
+                })
+                .collect(),
+        )
+        .with_workers(1),
+    )
+    .unwrap();
+    let mut reference = td_serve::FairQueue::new(&[1, 1, 3]);
+
+    let held = service
+        .submit("hold", script(), payload(0), "main")
+        .unwrap();
+    reference.push(0, "hold");
+    while tenant_counter(&service.stats_json(), "hold", "dispatched") == 0 {
+        std::thread::yield_now();
+    }
+    assert_eq!(reference.pop().map(|q| q.item), Some("hold"));
+    let mut ids = Vec::new();
+    for (tenant, name) in [(1, "light"), (2, "heavy")] {
+        // `heavy` arrives late: time enough for anything standing between
+        // the queue and the held worker to have taken `light` jobs out of
+        // the fairness decision. Nothing stands there.
+        std::thread::sleep(std::time::Duration::from_millis(20 * (tenant as u64 - 1)));
+        for i in 0..6 {
+            ids.push(
+                service
+                    .submit(name, script(), payload(10 * tenant + i), "main")
+                    .unwrap(),
+            );
+            reference.push(tenant, name);
+        }
+    }
+    assert!(
+        service.try_take(held).is_none(),
+        "the backlog must be complete while the worker is still held"
+    );
+    let expected: Vec<&str> = std::iter::from_fn(|| reference.pop().map(|q| q.item)).collect();
+    assert_eq!(expected.len(), 12);
+
+    for id in ids {
+        assert!(service.wait(id).result.is_ok());
+    }
+    service.drain();
+    fault::set_plan(None);
+    trace::clear_enabled_override();
+    let dispatched: Vec<String> = spans_by_end(&trace::take(), "queue_wait")
+        .iter()
+        .map(|wait| span_arg(wait, "tenant").to_owned())
+        .collect();
+    assert_eq!(dispatched[0], "hold");
+    assert_eq!(dispatched[1..], expected[..]);
 }

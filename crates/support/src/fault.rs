@@ -347,6 +347,7 @@ pub fn set_plan(plan: Option<FaultPlan>) {
 
 /// Overrides the plan for the *current thread only* (unit tests that must
 /// not leak faults into concurrently running tests). `None` clears it.
+/// Of an engine batch it reaches only the jobs this thread runs itself.
 pub fn set_thread_plan(plan: Option<FaultPlan>) {
     THREAD_PLAN_SET.with(|s| s.set(plan.is_some()));
     THREAD_PLAN.with(|p| *p.borrow_mut() = plan.map(Arc::new));
@@ -384,6 +385,19 @@ pub fn set_lane(lane: u64) {
 /// The current lane.
 pub fn lane() -> u64 {
     LANE.with(Cell::get)
+}
+
+/// Sets this thread's lane and its hit counters aside, for a thread about
+/// to run another lane's work; the counters start empty, as after
+/// [`set_lane`]. [`restore_lane`] puts both back.
+pub fn take_lane() -> (u64, BTreeMap<&'static str, u64>) {
+    (lane(), COUNTERS.with(|c| c.take()))
+}
+
+/// Puts back what [`take_lane`] set aside.
+pub fn restore_lane((lane, counters): (u64, BTreeMap<&'static str, u64>)) {
+    LANE.with(|l| l.set(lane));
+    COUNTERS.with(|c| c.replace(counters));
 }
 
 /// Resets this thread's per-lane hit counters without changing the lane
@@ -544,6 +558,26 @@ mod tests {
             assert_eq!(check(POINT_INTERP_STEP, "a"), None);
             assert_eq!(check(POINT_INTERP_STEP, "b"), None);
             assert_eq!(check(POINT_INTERP_STEP, "c"), Some(Fault::Silenceable));
+        });
+    }
+
+    #[test]
+    fn a_lane_set_aside_comes_back_with_its_hit_counters() {
+        with_thread_plan("silenceable@step=2", || {
+            set_lane(4);
+            assert_eq!(check(POINT_INTERP_STEP, "a"), None);
+            assert_eq!(check(POINT_INTERP_STEP, "b"), None);
+            let mine = take_lane();
+            // Someone else's lane, counted from its own first hit.
+            set_lane(9);
+            assert_eq!(check(POINT_INTERP_STEP, "a"), None);
+            restore_lane(mine);
+            assert_eq!(lane(), 4);
+            assert_eq!(
+                check(POINT_INTERP_STEP, "c"),
+                Some(Fault::Silenceable),
+                "lane 4 resumes at its third hit"
+            );
         });
     }
 

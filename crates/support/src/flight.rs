@@ -23,6 +23,11 @@
 //! * the caller's `extra` attribution (failing transform name, handles,
 //!   payload fingerprint).
 //!
+//! The ring is per thread, so a bundle replays the thread that builds it:
+//! td-serve's `flight` artifact, built by a pool worker once the engine
+//! returns, holds the failed job's steps because td-sched runs a
+//! single-miss batch on the thread that submitted it.
+//!
 //! Without `TD_FLIGHT_DIR` the dump is a no-op, so the recorder costs one
 //! branch plus a ring write per event. Dumps are capped process-wide
 //! ([`DUMP_CAP`]) so a pathological batch cannot fill a disk, and

@@ -832,6 +832,24 @@ pub fn absorb(other: &Journal) {
     COLLECTOR.with(|c| c.borrow_mut().journal.merge(other));
 }
 
+/// A thread's whole collector — journal, open step frames, job and
+/// request stamps — set aside by [`lend`] until [`reclaim`].
+pub struct Lent(Collector);
+
+/// Sets this thread's collector aside and starts an empty one, for a
+/// thread about to run work that journals as if on a thread of its own.
+pub fn lend() -> Lent {
+    RECORDING.with(|r| r.set(false));
+    Lent(COLLECTOR.with(|c| c.replace(Collector::new())))
+}
+
+/// Puts a lent collector back as [`lend`] found it and returns the journal
+/// recorded in the meantime (open frames are discarded, as in [`take`]).
+pub fn reclaim(lent: Lent) -> Journal {
+    RECORDING.with(|r| r.set(enabled() && !lent.0.stack.is_empty()));
+    COLLECTOR.with(|c| c.replace(lent.0).journal)
+}
+
 /// Writes this thread's journal as JSON to the path in `TD_JOURNAL`, if
 /// set. Returns the path written to.
 ///
@@ -1066,5 +1084,27 @@ mod tests {
             set_job(None);
         });
         assert_eq!(journal.steps()[0].job, Some(3));
+    }
+
+    #[test]
+    fn a_lent_collector_comes_back_with_its_open_frame_and_stamps() {
+        let ((), journal) = with_journal(|| {
+            set_job(Some(3));
+            let outer = begin_step("transform", "outer", "", vec![], 1);
+            let lent = lend();
+            assert!(!recording(), "the stand-in starts with no frame open");
+            let inner = begin_step("transform", "inner", "", vec![], 1);
+            end_step(inner, 1, 1, StepOutcome::Ok, "", "", "");
+            let meanwhile = reclaim(lent);
+            assert_eq!(meanwhile.steps().len(), 1);
+            assert_eq!(meanwhile.steps()[0].job, None, "stamps are lent too");
+            assert!(recording(), "the open frame is back");
+            end_step(outer, 1, 1, StepOutcome::Ok, "", "", "");
+        });
+        let [outer] = journal.steps() else {
+            panic!("only the caller's own step: {:?}", journal.steps());
+        };
+        assert_eq!((outer.name.as_str(), outer.job), ("outer", Some(3)));
+        assert_eq!(outer.outcome, StepOutcome::Ok);
     }
 }

@@ -37,9 +37,7 @@
 //!   recent structured events dumped as a post-mortem artifact bundle to
 //!   `TD_FLIGHT_DIR` on panic, definite failure, or deadline expiry;
 //! * [`filecheck`] — a FileCheck-lite substring-check DSL backing the
-//!   golden-file tests;
-//! * [`mpmc`] — a bounded multi-producer/multi-consumer work queue with a
-//!   shutdown signal, the channel under `td-sched`'s worker pool.
+//!   golden-file tests.
 
 pub mod arena;
 pub mod diag;
@@ -50,7 +48,6 @@ pub mod interner;
 pub mod journal;
 pub mod location;
 pub mod metrics;
-pub mod mpmc;
 pub mod profile;
 pub mod proptest;
 pub mod rng;

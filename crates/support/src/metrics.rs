@@ -461,7 +461,14 @@ pub fn reset() {
 
 /// Takes (returns and clears) the current thread's metrics.
 pub fn take() -> Metrics {
-    REGISTRY.with(|m| std::mem::take(&mut *m.borrow_mut()))
+    replace(Metrics::new())
+}
+
+/// Installs `metrics` as the current thread's registry and returns what it
+/// replaced: [`take`] before a piece of work and `replace` after it scope
+/// the work's samples at no cost in the size of the caller's registry.
+pub fn replace(metrics: Metrics) -> Metrics {
+    REGISTRY.with(|m| m.replace(metrics))
 }
 
 /// Merges a metrics snapshot recorded on another thread into the current

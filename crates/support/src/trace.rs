@@ -80,6 +80,16 @@ pub struct TraceEvent {
     pub args: Vec<(String, String)>,
 }
 
+impl TraceEvent {
+    /// When the event ended, on its trace's clock (its start, for an instant).
+    pub fn end_ns(&self) -> u128 {
+        match self.kind {
+            EventKind::Span { dur_ns } => self.start_ns + dur_ns,
+            EventKind::Instant => self.start_ns,
+        }
+    }
+}
+
 /// The default thread lane for events recorded on the current thread.
 pub const MAIN_TID: u32 = 1;
 
@@ -221,9 +231,9 @@ struct Collector {
 }
 
 impl Collector {
-    fn new() -> Self {
+    fn new(epoch: Instant) -> Self {
         Collector {
-            epoch: Instant::now(),
+            epoch,
             events: Vec::new(),
             depth: 0,
         }
@@ -231,7 +241,7 @@ impl Collector {
 }
 
 thread_local! {
-    static COLLECTOR: RefCell<Collector> = RefCell::new(Collector::new());
+    static COLLECTOR: RefCell<Collector> = RefCell::new(Collector::new(Instant::now()));
     /// Thread-local override of the env-derived enablement.
     static ENABLED_OVERRIDE: Cell<Option<bool>> = const { Cell::new(None) };
     /// Cached `TD_TRACE` presence: `enabled()` sits on per-transform-op hot
@@ -444,18 +454,28 @@ pub fn take() -> Trace {
 
 /// Clears this thread's trace and restarts its epoch.
 pub fn reset() {
-    COLLECTOR.with(|c| *c.borrow_mut() = Collector::new());
+    reset_at(Instant::now());
+}
+
+/// The instant this thread's timestamps count from.
+pub fn epoch() -> Instant {
+    COLLECTOR.with(|c| c.borrow().epoch)
+}
+
+/// Clears this thread's trace and sets its epoch: a worker passes the
+/// [`epoch`] of the thread that will [`adopt`] it, so both read one clock.
+pub fn reset_at(epoch: Instant) {
+    COLLECTOR.with(|c| *c.borrow_mut() = Collector::new(epoch));
 }
 
 /// Adopts a trace recorded on another thread into this thread's collector,
-/// retagged onto lane `tid` (use a value > [`MAIN_TID`], e.g. `worker
-/// index + 2`). Without this, spans recorded off the main thread die with
-/// their thread-local buffer and never reach the Chrome export written by
-/// [`write_env_trace`].
+/// retagged onto lane `tid` (use a value > [`MAIN_TID`]). Without this,
+/// spans recorded off the main thread die with their thread-local buffer
+/// and never reach the Chrome export written by [`write_env_trace`].
 ///
-/// Timestamps stay relative to the *worker's* epoch (each thread-local
-/// collector has its own); workers should [`reset`] when they start so
-/// their lane aligns with the coordinator's span that spawned them.
+/// Timestamps are not rebased: they stay relative to the epoch of the
+/// collector that recorded them, which is a fresh one per thread unless
+/// the worker started with [`reset_at`] on the adopter's [`epoch`].
 pub fn adopt(other: &Trace, tid: u32) {
     COLLECTOR.with(|c| {
         let mut c = c.borrow_mut();
@@ -1087,11 +1107,16 @@ mod tests {
     #[test]
     fn adopt_merges_worker_thread_events_into_parent_export() {
         let trace = with_tracing(|| {
+            // An epoch well in the past: a worker on a clock of its own
+            // would stamp its first span near zero.
+            reset_at(Instant::now() - Duration::from_millis(50));
+            let clock = epoch();
             let coordinator = span("sched", "batch");
-            // A worker thread records into its own collector and hands the
-            // trace back; without adopt() these events would be dropped.
-            let worker_trace = std::thread::spawn(|| {
-                reset();
+            // A worker thread records into its own collector, on the
+            // coordinator's clock, and hands the trace back; without
+            // adopt() these events would be dropped.
+            let worker_trace = std::thread::spawn(move || {
+                reset_at(clock);
                 set_enabled(true);
                 {
                     let _s = span("sched.job", "job-0");
@@ -1111,6 +1136,14 @@ mod tests {
         assert!(json.contains("\"job-0\""));
         let tree = trace.to_tree_string();
         assert!(tree.contains("t2 "), "worker lane marked in tree: {tree}");
+        let start_of = |name: &str| {
+            let event = trace.events().iter().find(|e| e.name == name);
+            event.expect("span recorded").start_ns
+        };
+        assert!(
+            start_of("batch") <= start_of("job-0"),
+            "the worker's lane reads the coordinator's clock"
+        );
     }
 
     #[test]

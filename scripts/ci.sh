@@ -29,7 +29,11 @@ test -s target/trace_smoke.json || { echo "trace_smoke.json is empty"; exit 1; }
 
 echo "== concurrent engine smoke (td-sched) =="
 # Same batch at 1 and 4 workers; the binary fails on output divergence,
-# on a cold->warm cache miss, or on an empty/invalid merged worker trace.
+# on a cold->warm cache miss, or on a merged trace that breaks the lane
+# rule (lane = worker + 1, the caller being worker 0) by exact count: the
+# 1-worker run leaves nothing off the caller's lane, the 4-worker run is
+# exactly lanes 1-4 with one workerN span each, both have one job span
+# per job, and every job span lies inside its batch span.
 TD_TRACE=target/sched_smoke_trace.json cargo run -q --release --offline -p td-bench --bin sched_smoke
 test -s target/sched_smoke_trace.json || { echo "sched_smoke_trace.json is empty"; exit 1; }
 
