@@ -1,7 +1,8 @@
 //! Micro-benchmarks for the infrastructure itself, on the in-tree std-only
 //! harness (`td_bench::harness`): transform interpreter dispatch overhead,
-//! parsing, greedy pattern application, the cache simulator, and the
-//! Table 1 compile-time comparison on the smallest model.
+//! parsing, greedy pattern application, the cache simulator, the Table 1
+//! compile-time comparison on the smallest model, and block-size scaling
+//! of op-list edits and verification.
 //!
 //! ```text
 //! cargo bench --bench microbench              # full run
@@ -162,6 +163,70 @@ fn bench_sched_engine(suite: &mut BenchSuite) {
     });
 }
 
+/// Every block-scaling row does the same `BLOCK_TOTAL` ops of work split
+/// into blocks of the size it names, so flat rows mean a constant per-op
+/// cost and a row that grows with its block size means something rescans
+/// the block. The 16-op row is the small-block case the engine's sweeps
+/// edit.
+const BLOCK_TOTAL: usize = 16 * 1024;
+const BLOCK_SIZES: [(&str, usize); 3] = [("16", 16), ("1k", 1024), ("16k", BLOCK_TOTAL)];
+
+fn bench_block_scaling(suite: &mut BenchSuite) {
+    use td_support::Location;
+    // The lowering passes' pattern: insert before anchor k, erase it, go on
+    // to anchor k + 1.
+    for (label, size) in BLOCK_SIZES {
+        suite.run(&format!("ir.block.insert_before_{label}"), || {
+            let mut ctx = td_ir::Context::new();
+            let module = ctx.create_module(Location::unknown());
+            let body = ctx.sole_block(module, 0);
+            for _ in 0..BLOCK_TOTAL / size {
+                let holder =
+                    ctx.create_op(Location::unknown(), "test.block", vec![], vec![], vec![], 1);
+                ctx.append_op(body, holder);
+                let region = ctx.op(holder).regions()[0];
+                let block = ctx.append_block(region, &[]);
+                let anchors: Vec<td_ir::OpId> = (0..size)
+                    .map(|_| {
+                        let op =
+                            ctx.create_op(Location::unknown(), "test.a", vec![], vec![], vec![], 0);
+                        ctx.append_op(block, op);
+                        op
+                    })
+                    .collect();
+                for anchor in anchors {
+                    td_ir::OpBuilder::before(&mut ctx, anchor)
+                        .op("test.b")
+                        .build();
+                    ctx.erase_op(anchor);
+                }
+            }
+        });
+    }
+    // Def-before-use ordering on every operand: functions of `size` chained
+    // adds, `BLOCK_TOTAL` adds in all.
+    for (label, size) in BLOCK_SIZES.into_iter().skip(1) {
+        let mut src = String::from("module {\n");
+        for f in 0..BLOCK_TOTAL / size {
+            src.push_str(&format!("  func.func @f{f}(%a: i64) {{\n"));
+            src.push_str("    %v0 = \"arith.addi\"(%a, %a) : (i64, i64) -> i64\n");
+            for i in 1..size {
+                src.push_str(&format!(
+                    "    %v{i} = \"arith.addi\"(%v{}, %a) : (i64, i64) -> i64\n",
+                    i - 1
+                ));
+            }
+            src.push_str("    func.return\n  }\n");
+        }
+        src.push('}');
+        let mut ctx = full_context();
+        let module = td_ir::parse_module(&mut ctx, &src).unwrap();
+        suite.run(&format!("ir.verify.block_{label}"), || {
+            td_ir::verify::verify(&ctx, module).unwrap();
+        });
+    }
+}
+
 fn main() {
     let mut suite = BenchSuite::from_env();
     bench_parser(&mut suite);
@@ -170,6 +235,7 @@ fn main() {
     bench_table1_smallest(&mut suite);
     bench_greedy_patterns(&mut suite);
     bench_sched_engine(&mut suite);
+    bench_block_scaling(&mut suite);
     if let Ok(path) = std::env::var("TD_BENCH_JSON") {
         suite.write_json(&path).expect("write JSON report");
         println!("wrote {path}");

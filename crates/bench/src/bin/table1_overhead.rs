@@ -3,7 +3,7 @@
 //! Transform interpreter vs. the pass manager on five whole-model graphs.
 //!
 //! ```text
-//! cargo run -p td-bench --release --bin table1_overhead [-- --csv] [--repeats N]
+//! cargo run -p td-bench --release --bin table1_overhead [-- --csv] [--pairs N]
 //! ```
 
 use td_bench::table1;
@@ -11,15 +11,15 @@ use td_bench::table1;
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let csv = args.iter().any(|a| a == "--csv");
-    let repeats = args
+    let pairs = args
         .iter()
-        .position(|a| a == "--repeats")
+        .position(|a| a == "--pairs")
         .and_then(|i| args.get(i + 1))
         .and_then(|v| v.parse().ok())
-        .unwrap_or(9);
+        .unwrap_or(15);
 
-    eprintln!("measuring Table 1 ({repeats} repeats per cell, best-of reported)...");
-    let rows = table1::measure(repeats);
+    eprintln!("measuring Table 1 ({pairs} interleaved pairs per model, median pair reported)...");
+    let rows = table1::measure(pairs);
 
     if csv {
         // Figure 6 series: model, driver, compile time.

@@ -70,29 +70,46 @@ pub fn compile_with_transform(spec: &ModelSpec) -> f64 {
     start.elapsed().as_secs_f64() * 1e3
 }
 
-/// Runs the full Table 1 measurement. `repeats` controls how many times
-/// each compile is run (the minimum is reported, standard for compile-time
-/// benchmarking).
-pub fn measure(repeats: usize) -> Vec<Table1Row> {
-    paper_models()
-        .iter()
-        .map(|spec| {
-            let pass_manager_ms = (0..repeats)
-                .map(|_| compile_with_pass_manager(spec))
-                .fold(f64::INFINITY, f64::min);
-            let transform_ms = (0..repeats)
-                .map(|_| compile_with_transform(spec))
-                .fold(f64::INFINITY, f64::min);
-            // Recount ops for the report.
-            let mut ctx = crate::full_context();
-            let module = build_model(&mut ctx, spec);
-            Table1Row {
-                model: spec.name,
-                ops: count_model_ops(&ctx, module),
-                pass_manager_ms,
-                transform_ms,
+/// Measures one model over `pairs` interleaved pass-manager /
+/// interpreter pairs (which of the two runs first alternates) and reports
+/// the pair with the median interpreter / pass-manager ratio. Machine noise
+/// lasting longer than one compile lands on both halves of a pair alike,
+/// and the median over pairs shrugs off the pairs it still hit unevenly,
+/// where a best-of-N minimum of each column picks two unrelated outliers.
+///
+/// # Panics
+/// Panics if `pairs` is 0.
+pub fn measure_model(spec: &ModelSpec, pairs: usize) -> Table1Row {
+    assert!(pairs > 0, "at least one pair");
+    let mut timed: Vec<(f64, f64)> = (0..pairs)
+        .map(|i| {
+            if i % 2 == 0 {
+                let pm = compile_with_pass_manager(spec);
+                (pm, compile_with_transform(spec))
+            } else {
+                let tf = compile_with_transform(spec);
+                (compile_with_pass_manager(spec), tf)
             }
         })
+        .collect();
+    timed.sort_by(|a, b| (a.1 / a.0).total_cmp(&(b.1 / b.0)));
+    let (pass_manager_ms, transform_ms) = timed[pairs / 2];
+    let mut ctx = crate::full_context();
+    let module = build_model(&mut ctx, spec);
+    Table1Row {
+        model: spec.name,
+        ops: count_model_ops(&ctx, module),
+        pass_manager_ms,
+        transform_ms,
+    }
+}
+
+/// Runs the full Table 1 measurement: [`measure_model`] with `pairs`
+/// pairs on each of the five models.
+pub fn measure(pairs: usize) -> Vec<Table1Row> {
+    paper_models()
+        .iter()
+        .map(|spec| measure_model(spec, pairs))
         .collect()
 }
 
@@ -130,13 +147,12 @@ mod tests {
         // A smoke version of the Table 1 claim on the smallest model: the
         // transform route must not cost more than 50% extra even in debug
         // builds (the release-mode harness reports the real ≤ a-few-%).
-        let spec = &paper_models()[0];
-        let pm: f64 = (0..3)
-            .map(|_| compile_with_pass_manager(spec))
-            .fold(f64::INFINITY, f64::min);
-        let tf: f64 = (0..3)
-            .map(|_| compile_with_transform(spec))
-            .fold(f64::INFINITY, f64::min);
-        assert!(tf < pm * 1.5, "transform {tf} ms vs pass manager {pm} ms");
+        let row = measure_model(&paper_models()[0], 5);
+        assert!(
+            row.transform_ms < row.pass_manager_ms * 1.5,
+            "median pair: transform {} ms vs pass manager {} ms",
+            row.transform_ms,
+            row.pass_manager_ms
+        );
     }
 }

@@ -60,7 +60,6 @@ fn static_dims(ctx: &Context, op: OpId, value: ValueId) -> Result<Vec<i64>, Diag
 /// `scf.yield`).
 fn build_loop_nest(ctx: &mut Context, anchor: OpId, bounds: &[i64]) -> (Vec<ValueId>, BlockId) {
     let block = ctx.op(anchor).parent().expect("attached");
-    let pos = ctx.op_position(block, anchor).expect("in block");
     // Constants in the outer block.
     let index = ctx.index_type();
     let mut constants = Vec::new();
@@ -76,7 +75,6 @@ fn build_loop_nest(ctx: &mut Context, anchor: OpId, bounds: &[i64]) -> (Vec<Valu
     }
     let one = constants.pop().expect("one");
     let zero = constants.pop().expect("zero");
-    let _ = pos;
     let mut ivs = Vec::new();
     let mut current_block = block;
     let mut insert_before: Option<OpId> = Some(anchor);
@@ -584,6 +582,69 @@ mod tests {
         (ctx, module)
     }
 
+    /// A function whose body is `n` bufferized `linalg.add`s, each over
+    /// its own three 1-D memref arguments (so no use list grows with `n`),
+    /// followed by its return.
+    fn add_block(n: usize) -> (Context, OpId) {
+        let mut ctx = Context::new();
+        crate::register_all_dialects(&mut ctx);
+        let module = ctx.create_module(Location::unknown());
+        let f32t = ctx.f32_type();
+        let ty = crate::memref::memref_type(&mut ctx, &[4], f32t);
+        let (_f, entry) = crate::func::build_func(&mut ctx, module, "f", &vec![ty; 3 * n], &[]);
+        let args = ctx.block(entry).args().to_vec();
+        for operands in args.chunks(3) {
+            let op = ctx.create_op(
+                Location::unknown(),
+                "linalg.add",
+                operands.to_vec(),
+                vec![],
+                vec![],
+                0,
+            );
+            ctx.append_op(entry, op);
+        }
+        let ret = ctx.create_op(
+            Location::unknown(),
+            "func.return",
+            vec![],
+            vec![],
+            vec![],
+            0,
+        );
+        ctx.append_op(entry, ret);
+        (ctx, module)
+    }
+
+    #[test]
+    fn lowering_and_verifying_scale_linearly_with_block_size() {
+        // Every lowered op inserts before its anchor and erases it, and
+        // the verifier orders every operand against its def. If either
+        // costs time proportional to the block, the 16x block reads far
+        // above the 4x per-op bound; constant-time positions read ~1x.
+        const N: usize = 128;
+        let per_op_ns = |n: usize| {
+            (0..3)
+                .map(|_| {
+                    let (mut ctx, m) = add_block(n);
+                    let start = std::time::Instant::now();
+                    LinalgToLoopsPass.run(&mut ctx, m).unwrap();
+                    assert!(verify(&ctx, m).is_ok(), "{:?}", verify(&ctx, m));
+                    start.elapsed().as_nanos() as f64 / n as f64
+                })
+                .fold(f64::INFINITY, f64::min)
+        };
+        let small = per_op_ns(N);
+        let large = per_op_ns(16 * N);
+        assert!(
+            large <= 4.0 * small,
+            "{:.0} ns/op at {} ops vs {:.0} ns/op at {N}",
+            large,
+            16 * N,
+            small
+        );
+    }
+
     #[test]
     fn matmul_becomes_three_loops() {
         let (mut ctx, m) = bufferized_op("linalg.matmul", &[&[4, 8], &[8, 6], &[4, 6]], vec![]);
@@ -652,36 +713,17 @@ mod tests {
     }
 
     #[test]
-    fn lowered_matmul_is_numerically_correct() {
-        // 2x3 @ 3x2 with known values, executed after lowering.
+    fn lowered_matmul_loads_each_operand_once_per_iteration() {
+        // Numeric execution of lowered code is covered downstream, where
+        // the machine crate is available (tests/end_to_end.rs).
         let (mut ctx, m) = bufferized_op("linalg.matmul", &[&[2, 3], &[3, 2], &[2, 2]], vec![]);
         LinalgToLoopsPass.run(&mut ctx, m).unwrap();
-        // Reference: plain Rust.
-        let a = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]; // 2x3 row-major
-        let b = [7.0, 8.0, 9.0, 10.0, 11.0, 12.0]; // 3x2
-        let mut expected = [0.0; 4];
-        for i in 0..2 {
-            for j in 0..2 {
-                for k in 0..3 {
-                    expected[i * 2 + j] += a[i * 3 + k] * b[k * 2 + j];
-                }
-            }
-        }
-        // The machine crate is a *downstream* dependency, so execute with a
-        // tiny local evaluator: walk the single function symbolically via
-        // the public print/parse? Simplest honest check here: the loop
-        // structure and indices were already validated; numeric execution
-        // is covered by the cross-crate integration suite
-        // (tests/end_to_end.rs::script_transformed_code_computes_identically
-        // and tests/property.rs::microkernel_matches_loops). Keep a
-        // structural assertion here.
         let loads = ctx
             .walk_nested(m)
             .iter()
             .filter(|&&o| ctx.op(o).name.as_str() == "memref.load")
             .count();
         assert_eq!(loads, 3, "A, B and C are each loaded once per iteration");
-        let _ = expected;
     }
 
     #[test]

@@ -18,6 +18,7 @@ use crate::attrs::Attribute;
 use crate::dialect::DialectRegistry;
 use crate::types::{TypeId, TypeKind, TypeStore};
 use crate::undo::{Mark, UndoEntry, UndoLog};
+use std::cell::Cell;
 use std::collections::HashMap;
 use td_support::{Arena, Idx, Location, Symbol};
 
@@ -82,6 +83,11 @@ pub struct OpData {
     pub(crate) successors: Vec<BlockId>,
     /// The block containing this op, if attached.
     pub(crate) parent: Option<BlockId>,
+    /// Index of this op in its block's op list as of its insertion or last
+    /// numbering: exact for every op in the block's numbered prefix (see
+    /// [`BlockData`]), possibly stale past it, so a reader checks it
+    /// against the list.
+    pub(crate) position: Cell<usize>,
 }
 
 impl OpData {
@@ -119,12 +125,19 @@ impl OpData {
 }
 
 /// Data of a block.
+///
+/// The op list is numbered lazily: every op in `ops[..numbered]` holds its
+/// exact index in [`OpData`]'s `position`, so [`Context::op_position`] is
+/// amortized O(1). Only `Context::link_op` and `Context::unlink_op` write
+/// `ops`, and both cut `numbered` back to the edited index.
 #[derive(Clone, Debug, Default)]
 pub struct BlockData {
     /// Block arguments.
     pub(crate) args: Vec<ValueId>,
     /// Ordered operations.
     pub(crate) ops: Vec<OpId>,
+    /// Length of the prefix of `ops` whose positions are exact.
+    numbered: Cell<usize>,
     /// Owning region.
     pub(crate) parent: Option<RegionId>,
 }
@@ -346,6 +359,7 @@ impl Context {
             regions: Vec::new(),
             successors: Vec::new(),
             parent: None,
+            position: Cell::new(0),
         });
         let results: Vec<ValueId> = result_types
             .into_iter()
@@ -401,9 +415,8 @@ impl Context {
     /// Appends a new block with the given argument types to a region.
     pub fn append_block(&mut self, region: RegionId, arg_types: &[TypeId]) -> BlockId {
         let block = self.blocks.alloc(BlockData {
-            args: Vec::new(),
-            ops: Vec::new(),
             parent: Some(region),
+            ..BlockData::default()
         });
         let args: Vec<ValueId> = arg_types
             .iter()
@@ -466,8 +479,7 @@ impl Context {
             self.ops[op].parent.is_none(),
             "op {op:?} is already attached"
         );
-        self.blocks[block].ops.insert(index, op);
-        self.ops[op].parent = Some(block);
+        self.link_op(block, index, op);
         if self.undo.active {
             self.undo.push(UndoEntry::OpInserted { op });
         }
@@ -475,11 +487,11 @@ impl Context {
 
     /// Detaches an op from its block without erasing it.
     pub fn detach_op(&mut self, op: OpId) {
-        if let Some(block) = self.ops[op].parent.take() {
+        if let Some(block) = self.ops[op].parent {
             let pos = self
                 .op_position(block, op)
                 .expect("op missing from parent block list");
-            self.blocks[block].ops.remove(pos);
+            self.unlink_op(block, pos);
             if self.undo.active {
                 self.undo.push(UndoEntry::OpDetached {
                     op,
@@ -512,8 +524,59 @@ impl Context {
     }
 
     /// Position of `op` inside `block`, if present.
+    ///
+    /// Amortized O(1): an op whose stored position still holds it answers
+    /// from there; otherwise the numbering is extended forward until it
+    /// reaches `op`, so each op is renumbered once per edit upstream of
+    /// it, not rescanned per lookup.
     pub fn op_position(&self, block: BlockId, op: OpId) -> Option<usize> {
-        self.blocks[block].ops.iter().position(|&o| o == op)
+        let data = self.ops.get(op)?;
+        if data.parent != Some(block) {
+            return None;
+        }
+        let block = &self.blocks[block];
+        let position = data.position.get();
+        if block.ops.get(position) == Some(&op) {
+            return Some(position);
+        }
+        for index in block.numbered.get()..block.ops.len() {
+            let next = block.ops[index];
+            self.ops[next].position.set(index);
+            if next == op {
+                block.numbered.set(index + 1);
+                return Some(index);
+            }
+        }
+        None
+    }
+
+    /// Inserts `op` at `index` of `block` and links its parent. With
+    /// [`Context::unlink_op`], the only write to a block's op list: ops
+    /// before `index` keep their positions, so the numbered prefix ends
+    /// just past the inserted op if it reached `index`. The op's own
+    /// position is exact either way, which is what lets an op appended
+    /// past the prefix be found without numbering up to it.
+    fn link_op(&mut self, block: BlockId, index: usize, op: OpId) {
+        let data = &mut self.blocks[block];
+        data.ops.insert(index, op);
+        let numbered = data.numbered.get_mut();
+        if *numbered >= index {
+            *numbered = index + 1;
+        }
+        let op = &mut self.ops[op];
+        op.parent = Some(block);
+        op.position.set(index);
+    }
+
+    /// Removes the op at `index` of `block` and clears its parent; the
+    /// numbered prefix ends at `index` at most.
+    fn unlink_op(&mut self, block: BlockId, index: usize) -> OpId {
+        let data = &mut self.blocks[block];
+        let op = data.ops.remove(index);
+        let numbered = data.numbered.get_mut();
+        *numbered = (*numbered).min(index);
+        self.ops[op].parent = None;
+        op
     }
 
     // ----- mutation ------------------------------------------------------
@@ -1045,18 +1108,15 @@ impl Context {
                 self.values.erase(value);
             }
             UndoEntry::OpInserted { op } => {
-                if let Some(block) = self.ops[op].parent.take() {
-                    let pos = self.blocks[block]
-                        .ops
-                        .iter()
-                        .position(|&o| o == op)
+                if let Some(block) = self.ops[op].parent {
+                    let pos = self
+                        .op_position(block, op)
                         .expect("inserted op missing from block");
-                    self.blocks[block].ops.remove(pos);
+                    self.unlink_op(block, pos);
                 }
             }
             UndoEntry::OpDetached { op, block, index } => {
-                self.blocks[block].ops.insert(index, op);
-                self.ops[op].parent = Some(block);
+                self.link_op(block, index, op);
             }
             UndoEntry::OperandSet { op, index, old } => {
                 let current = self.ops[op].operands[index as usize];
@@ -1527,25 +1587,68 @@ mod tests {
         );
     }
 
-    /// Applies `actions` randomly chosen public mutations to `module`:
-    /// op creation (with random operands and attributes), use-guarded
-    /// erasure, attribute churn, use rewiring, and operand pokes. Pure in
-    /// `rng`, so a failing seed reproduces exactly.
+    /// Asserts that `op_position` agrees with the op list of `block` for
+    /// every op, looked up back to front (one long numbering walk) or front
+    /// to back (one step per lookup).
+    fn assert_positions(ctx: &Context, block: BlockId, back_to_front: bool) {
+        let ops = ctx.block(block).ops();
+        let mut order: Vec<usize> = (0..ops.len()).collect();
+        if back_to_front {
+            order.reverse();
+        }
+        for index in order {
+            assert_eq!(ctx.op_position(block, ops[index]), Some(index));
+        }
+    }
+
+    /// Results of `ops`, in order.
+    fn results_of(ctx: &Context, ops: &[OpId]) -> Vec<ValueId> {
+        ops.iter()
+            .flat_map(|&op| ctx.op(op).results().to_vec())
+            .collect()
+    }
+
+    /// Where `op` may sit in `ops` (which must not contain it) with its
+    /// operands defined before it and its results used after it: the
+    /// inclusive range `lo..=hi` of insertion indices.
+    fn legal_span(ctx: &Context, ops: &[OpId], op: OpId) -> (usize, usize) {
+        let index_of = |o: OpId| ops.iter().position(|&x| x == o);
+        let lo = ctx
+            .op(op)
+            .operands()
+            .iter()
+            .filter_map(|&v| ctx.defining_op(v).and_then(index_of))
+            .map(|i| i + 1)
+            .max()
+            .unwrap_or(0);
+        let hi = ctx
+            .op(op)
+            .results()
+            .iter()
+            .flat_map(|&v| ctx.uses(v).iter().map(|&(user, _)| user))
+            .filter_map(index_of)
+            .min()
+            .unwrap_or(ops.len());
+        (lo, hi)
+    }
+
+    /// Applies `actions` randomly chosen public mutations to `module`'s
+    /// body: op creation at a random index (operands drawn from the ops
+    /// before it), use-guarded erasure anywhere in the block, moves and
+    /// detach-then-reinsert within the span the op's defs and uses allow,
+    /// attribute churn, use rewiring, and operand pokes. Defs stay before
+    /// uses, so the module always re-parses. After every action each op's
+    /// `op_position` is checked against the op list. Pure in `rng`, so a
+    /// failing seed reproduces exactly.
     fn random_burst(ctx: &mut Context, module: OpId, rng: &mut Xoshiro256pp, actions: usize) {
         let i32t = ctx.i32_type();
+        let body = ctx.sole_block(module, 0);
         for _ in 0..actions {
-            let ops: Vec<OpId> = ctx
-                .walk_nested(module)
-                .into_iter()
-                .filter(|&op| op != module)
-                .collect();
-            let values: Vec<ValueId> = ops
-                .iter()
-                .flat_map(|&op| ctx.op(op).results().to_vec())
-                .collect();
-            let body = ctx.sole_block(module, 0);
-            match rng.range_usize(0, 5) {
+            let ops = ctx.block(body).ops().to_vec();
+            match rng.range_usize(0, 7) {
                 0 => {
+                    let at = rng.range_usize(0, ops.len() + 1);
+                    let values = results_of(ctx, &ops[..at]);
                     let arity = if values.is_empty() {
                         0
                     } else {
@@ -1562,17 +1665,18 @@ mod tests {
                         vec![(Symbol::new("n"), Attribute::Int(rng.next_u64() as i64))],
                         0,
                     );
-                    ctx.append_op(body, op);
+                    ctx.insert_op(body, at, op);
                 }
                 1 => {
                     // Erase an op whose results are unused, so the rest of
                     // the module stays printable.
-                    let dead = ops
+                    let dead: Vec<OpId> = ops
                         .iter()
                         .copied()
-                        .find(|&op| ctx.op(op).results().iter().all(|&v| !ctx.has_uses(v)));
-                    if let Some(op) = dead {
-                        ctx.erase_op(op);
+                        .filter(|&op| ctx.op(op).results().iter().all(|&v| !ctx.has_uses(v)))
+                        .collect();
+                    if !dead.is_empty() {
+                        ctx.erase_op(dead[rng.range_usize(0, dead.len())]);
                     }
                 }
                 2 if !ops.is_empty() => {
@@ -1588,10 +1692,7 @@ mod tests {
                 // the module keeps parsing: defs stay before uses.
                 3 if ops.len() >= 2 => {
                     let io = rng.range_usize(1, ops.len());
-                    let earlier: Vec<ValueId> = ops[..io]
-                        .iter()
-                        .flat_map(|&op| ctx.op(op).results().to_vec())
-                        .collect();
+                    let earlier = results_of(ctx, &ops[..io]);
                     let old = ctx.op(ops[io]).results().first().copied();
                     if let (Some(old), false) = (old, earlier.is_empty()) {
                         let new = earlier[rng.range_usize(0, earlier.len())];
@@ -1602,10 +1703,7 @@ mod tests {
                     let i = rng.range_usize(1, ops.len());
                     let op = ops[i];
                     let arity = ctx.op(op).operands().len();
-                    let earlier: Vec<ValueId> = ops[..i]
-                        .iter()
-                        .flat_map(|&op| ctx.op(op).results().to_vec())
-                        .collect();
+                    let earlier = results_of(ctx, &ops[..i]);
                     if arity > 0 && !earlier.is_empty() {
                         ctx.set_operand(
                             op,
@@ -1614,8 +1712,38 @@ mod tests {
                         );
                     }
                 }
+                // Move an op without uses before or after an anchor that
+                // follows every def it reads.
+                5 if ops.len() >= 2 => {
+                    let op = ops[rng.range_usize(0, ops.len())];
+                    if ctx.op(op).results().iter().all(|&v| !ctx.has_uses(v)) {
+                        let rest: Vec<OpId> = ops.iter().copied().filter(|&o| o != op).collect();
+                        let (lo, _) = legal_span(ctx, &rest, op);
+                        if lo < rest.len() {
+                            let anchor = rest[rng.range_usize(lo, rest.len())];
+                            if rng.range_usize(0, 2) == 0 {
+                                ctx.move_op_before(op, anchor);
+                            } else {
+                                ctx.move_op_after(op, anchor);
+                            }
+                        }
+                    }
+                }
+                6 if !ops.is_empty() => {
+                    let op = ops[rng.range_usize(0, ops.len())];
+                    ctx.detach_op(op);
+                    assert_eq!(
+                        ctx.op_position(body, op),
+                        None,
+                        "detached op has no position"
+                    );
+                    let rest = ctx.block(body).ops().to_vec();
+                    let (lo, hi) = legal_span(ctx, &rest, op);
+                    ctx.insert_op(body, rng.range_usize(lo, hi + 1), op);
+                }
                 _ => {}
             }
+            assert_positions(ctx, body, rng.range_usize(0, 2) == 0);
         }
     }
 
@@ -1638,6 +1766,7 @@ mod tests {
 
             let after = crate::print_op(&ctx, module);
             assert_eq!(after, before, "seed {seed}");
+            assert_positions(&ctx, ctx.sole_block(module, 0), seed % 2 == 0);
             let mut fresh = Context::new();
             let reparsed = crate::parse_module(&mut fresh, &after)
                 .unwrap_or_else(|e| panic!("seed {seed}: restored print must re-parse: {e}"));
@@ -1670,6 +1799,7 @@ mod tests {
             random_burst(&mut ctx, module, &mut rng, 8);
             ctx.rollback_watermark(inner)
                 .unwrap_or_else(|e| panic!("seed {seed}: inner: {e}"));
+            assert_positions(&ctx, ctx.sole_block(module, 0), seed % 2 == 0);
             assert_eq!(
                 crate::print_op(&ctx, module),
                 mid,
@@ -1687,6 +1817,7 @@ mod tests {
                 base,
                 "seed {seed}: outer rollback must unwind committed inner scopes too"
             );
+            assert_positions(&ctx, ctx.sole_block(module, 0), seed % 2 == 1);
             assert_eq!(
                 ctx.undo_depth(),
                 0,
