@@ -1,8 +1,8 @@
 //! Micro-benchmarks for the infrastructure itself, on the in-tree std-only
 //! harness (`td_bench::harness`): transform interpreter dispatch overhead,
-//! parsing, greedy pattern application, the cache simulator, the Table 1
-//! compile-time comparison on the smallest model, and block-size scaling
-//! of op-list edits and verification.
+//! parsing and printing a Table 1 model, greedy pattern application, the
+//! cache simulator, the Table 1 compile-time comparison on the smallest
+//! model, and block-size scaling of op-list edits and verification.
 //!
 //! ```text
 //! cargo bench --bench microbench              # full run
@@ -33,6 +33,31 @@ fn bench_parser(suite: &mut BenchSuite) {
     suite.run("parse_loop_nest", || {
         let mut ctx = full_context();
         std::hint::black_box(td_ir::parse_module(&mut ctx, src).unwrap());
+    });
+}
+
+/// Parse and print at the sizes a `models_direct` job sees: Mobile BERT's
+/// model text in (the parse row includes building and dropping the context
+/// it parses into), its lowered module out.
+fn bench_model_text(suite: &mut BenchSuite) {
+    let spec = paper_models()
+        .into_iter()
+        .find(|m| m.name == "Mobile BERT")
+        .expect("Mobile BERT is a Table 1 model");
+    let mut ctx = full_context();
+    let module = build_model(&mut ctx, &spec);
+    let text = td_ir::print_op(&ctx, module);
+    suite.run("ir.parse.mobilebert", || {
+        let mut ctx = full_context();
+        std::hint::black_box(td_ir::parse_module(&mut ctx, &text).unwrap());
+    });
+    full_pass_registry()
+        .parse_pipeline(td_dialects::passes::TOSA_PIPELINE)
+        .unwrap()
+        .run(&mut ctx, module)
+        .unwrap();
+    suite.run("ir.print.lowered_mobilebert", || {
+        td_ir::print_op(&ctx, module)
     });
 }
 
@@ -230,6 +255,7 @@ fn bench_block_scaling(suite: &mut BenchSuite) {
 fn main() {
     let mut suite = BenchSuite::from_env();
     bench_parser(&mut suite);
+    bench_model_text(&mut suite);
     bench_interpreter_dispatch(&mut suite);
     bench_cache_sim(&mut suite);
     bench_table1_smallest(&mut suite);

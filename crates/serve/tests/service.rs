@@ -470,6 +470,38 @@ fn client_and_server_converse_over_a_socketpair() {
     service.drain();
 }
 
+/// Text nested far past the parser's depth bound is a failed job, not a
+/// dead daemon: each pool worker parses on a default 2 MiB thread stack.
+#[test]
+fn deeply_nested_submits_fail_and_the_daemon_keeps_answering() {
+    let service =
+        Arc::new(Service::start(ServiceConfig::new(vec![TenantConfig::new("alpha")])).unwrap());
+    let (mut client, server) = connect(&service);
+    let depth = 100_000;
+    let payloads = [
+        "\"t.r\"() ({\n".repeat(depth) + &"}) : () -> ()\n".repeat(depth),
+        format!(
+            "\"t.a\"() {{v = {}1{}}} : () -> ()",
+            "[".repeat(depth),
+            "]".repeat(depth)
+        ),
+        format!(
+            "%f = \"t.f\"() : () -> ({}i32{})",
+            "(".repeat(depth),
+            ") -> i32".repeat(depth)
+        ),
+    ];
+    for payload in payloads {
+        let done = client.submit("alpha", &script(), &payload, "main").unwrap();
+        let err = done.output.expect_err("nesting this deep must not parse");
+        assert!(err.contains("nesting deeper than"), "{err}");
+        client.ping().unwrap();
+    }
+    client.shutdown().unwrap();
+    assert_eq!(server.join().unwrap().unwrap(), ConnectionOutcome::Shutdown);
+    service.drain();
+}
+
 #[test]
 fn request_ids_round_trip_from_submit_to_artifact() {
     let service =

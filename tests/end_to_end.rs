@@ -329,3 +329,51 @@ fn lowered_linalg_matmul_computes_correctly() {
     .unwrap();
     assert_eq!(buffers[2], vec![58.0, 64.0, 139.0, 154.0]);
 }
+
+/// `depth` generic ops, each holding the next in its region.
+fn nested_regions(depth: usize) -> String {
+    "\"t.r\"() ({\n".repeat(depth) + &"}) : () -> ()\n".repeat(depth)
+}
+
+/// The deepest payload the parser accepts still verifies, runs through the
+/// interpreter and prints on a 2 MiB thread, the stack td-serve's pool
+/// workers get.
+#[test]
+fn deepest_accepted_payload_runs_on_a_worker_sized_stack() {
+    const SCRIPT: &str = r#"module {
+  transform.named_sequence @main(%root: !transform.any_op) {
+    %all = "transform.match_op"(%root) {name = "t.r", select = "all"} : (!transform.any_op) -> !transform.any_op
+    "transform.annotate"(%all) {name = "seen"} : (!transform.any_op) -> ()
+  }
+}"#;
+    let worker = std::thread::Builder::new().stack_size(2 << 20);
+    let run = worker.spawn(|| {
+        // Past some depth every payload is refused; bisect for the last
+        // accepted one.
+        let parses =
+            |depth| td_ir::parse_module(&mut full_context(), &nested_regions(depth)).is_ok();
+        let (mut deepest, mut refused) = (1, 100_000);
+        assert!(parses(deepest) && !parses(refused));
+        while refused - deepest > 1 {
+            let mid = (deepest + refused) / 2;
+            if parses(mid) {
+                deepest = mid;
+            } else {
+                refused = mid;
+            }
+        }
+        let mut ctx = full_context();
+        let payload = td_ir::parse_module(&mut ctx, &nested_regions(deepest)).unwrap();
+        let script = td_ir::parse_module(&mut ctx, SCRIPT).unwrap();
+        let entry = ctx.lookup_symbol(script, "main").unwrap();
+        Interpreter::new(&InterpEnv::standard())
+            .apply(&mut ctx, entry, payload)
+            .unwrap();
+        td_ir::verify::verify(&ctx, payload).unwrap();
+        let text = td_ir::print_op(&ctx, payload);
+        assert_eq!(text.matches("{seen}").count(), deepest);
+        deepest
+    });
+    let deepest = run.unwrap().join().unwrap();
+    assert!(deepest >= 64, "only {deepest} levels accepted");
+}

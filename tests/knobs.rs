@@ -1,7 +1,7 @@
 //! The knob list cannot drift silently: README claims its tables are the
 //! complete list of environment variables the workspace honours, and this
 //! test holds it to that — every `"TD_*"` string literal in the sources
-//! has a table row, and every table row names a variable the sources
+//! and bench targets has a table row, and every table row names a variable the sources
 //! still read.
 
 use std::collections::BTreeSet;
@@ -34,10 +34,12 @@ fn readme_env_tables_list_exactly_the_variables_the_sources_read() {
     let mut read = BTreeSet::new();
     literals_under(&root.join("src"), &mut read);
     for krate in std::fs::read_dir(root.join("crates")).expect("crates/ lists") {
-        literals_under(
-            &krate.expect("directory entry").path().join("src"),
-            &mut read,
-        );
+        let krate = krate.expect("directory entry").path();
+        literals_under(&krate.join("src"), &mut read);
+        // Bench targets read variables too (`TD_BENCH_JSON`).
+        if krate.join("benches").is_dir() {
+            literals_under(&krate.join("benches"), &mut read);
+        }
     }
 
     let readme = std::fs::read_to_string(root.join("README.md")).expect("README reads");
