@@ -153,7 +153,7 @@ fn write_result_types(
 fn write_attr(ctx: &Context, attr: &Attribute, out: &mut String) {
     match attr {
         Attribute::Unit => out.push_str("unit"),
-        Attribute::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Attribute::Bool(b) => write!(out, "{b}").unwrap(),
         Attribute::Int(v) => {
             if *v < 0 {
                 out.push('-');
@@ -165,10 +165,7 @@ fn write_attr(ctx: &Context, attr: &Attribute, out: &mut String) {
             write!(out, "{fv}").unwrap();
         }
         Attribute::String(s) => write!(out, "{s:?}").unwrap(),
-        Attribute::SymbolRef(s) => {
-            out.push('@');
-            out.push_str(s.as_str());
-        }
+        Attribute::SymbolRef(s) => write!(out, "@{s}").unwrap(),
         Attribute::Type(t) => write_type(ctx, *t, out),
         Attribute::Array(items) => {
             out.push('[');
@@ -272,8 +269,6 @@ impl TypeTexts {
         out.push_str(&self.text[start as usize..end as usize]);
     }
 }
-
-const INDENT: &str = "                                                                ";
 
 struct Printer<'c> {
     ctx: &'c Context,
@@ -383,12 +378,9 @@ impl<'c> Printer<'c> {
     }
 
     fn indent(&mut self, depth: usize) {
-        let mut width = 2 * depth;
-        while width > INDENT.len() {
-            self.out.push_str(INDENT);
-            width -= INDENT.len();
+        for _ in 0..depth {
+            self.out.push_str("  ");
         }
-        self.out.push_str(&INDENT[..width]);
     }
 
     fn print_op(&mut self, op: OpId, depth: usize) {
