@@ -1877,13 +1877,15 @@ module {
         assert!(text.contains(
             "\"t.use\"(%2, %3) : (tensor<4x?xf32>, memref<4xf32, strided<[1], offset: ?>>) -> ()"
         ));
-        // A reused shape still takes its element's nesting level.
+        // A shape parsed at the top still counts its element's level when
+        // it recurs where that level is one too deep.
         let mut ctx = Context::new();
-        let src = nested_regions(MAX_NESTING - 1).replacen(
+        let deep = nested_regions(MAX_NESTING - 2).replacen(
             "({\n}",
-            "({\n  %x = \"t.src\"() : () -> tensor<2xf32>\n  \"t.use\"(%x) : (tensor<2xf32>) -> ()\n}",
+            "({\n\"t.src\"() : () -> tensor<2xf32>\n}",
             1,
         );
+        let src = "%s = \"t.src\"() : () -> tensor<2xf32>\n".to_owned() + &deep;
         assert_too_deep(parse_module(&mut ctx, &src));
     }
 }
