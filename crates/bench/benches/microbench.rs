@@ -2,7 +2,8 @@
 //! harness (`td_bench::harness`): transform interpreter dispatch overhead,
 //! parsing and printing a Table 1 model, greedy pattern application, the
 //! cache simulator, the Table 1 compile-time comparison on the smallest
-//! model, and block-size scaling of op-list edits and verification.
+//! model, block-size scaling of op-list edits and verification, and the
+//! undo log's per-entry cost.
 //!
 //! ```text
 //! cargo bench --bench microbench              # full run
@@ -252,6 +253,45 @@ fn bench_block_scaling(suite: &mut BenchSuite) {
     }
 }
 
+/// The undo log's cost per entry, without a ledger: a chain of
+/// `BLOCK_TOTAL` ops (each reading the previous result) created and
+/// appended, then erased from the end, inside one watermark that commits —
+/// about six entries per op — against the same work with no watermark open.
+fn bench_undo_log(suite: &mut BenchSuite) {
+    use td_support::Location;
+    for (label, logged) in [
+        ("ir.undo.create_erase_16k", true),
+        ("ir.undo.create_erase_16k_unlogged", false),
+    ] {
+        suite.run(label, || {
+            let mut ctx = td_ir::Context::new();
+            let module = ctx.create_module(Location::unknown());
+            let body = ctx.sole_block(module, 0);
+            let i64t = ctx.i64_type();
+            let watermark = logged.then(|| ctx.begin_watermark(None));
+            let mut operands = vec![];
+            for _ in 0..BLOCK_TOTAL {
+                let op = ctx.create_op(
+                    Location::unknown(),
+                    "test.a",
+                    operands,
+                    vec![i64t],
+                    vec![],
+                    0,
+                );
+                ctx.append_op(body, op);
+                operands = vec![ctx.op(op).results()[0]];
+            }
+            while let Some(&op) = ctx.block(body).ops().last() {
+                ctx.erase_op(op);
+            }
+            if let Some(watermark) = watermark {
+                ctx.commit_watermark(watermark);
+            }
+        });
+    }
+}
+
 fn main() {
     let mut suite = BenchSuite::from_env();
     bench_parser(&mut suite);
@@ -262,6 +302,7 @@ fn main() {
     bench_greedy_patterns(&mut suite);
     bench_sched_engine(&mut suite);
     bench_block_scaling(&mut suite);
+    bench_undo_log(&mut suite);
     if let Ok(path) = std::env::var("TD_BENCH_JSON") {
         suite.write_json(&path).expect("write JSON report");
         println!("wrote {path}");

@@ -1,6 +1,8 @@
 //! Regenerates **Table 1** (and the **Figure 6** series with `--csv`):
 //! compile-time overhead of driving the TOSA→loops pipeline through the
-//! Transform interpreter vs. the pass manager on five whole-model graphs.
+//! Transform interpreter vs. the pass manager on five whole-model graphs,
+//! with the interpreter's transactions off (the paper's quantity) and on
+//! (the shipped default).
 //!
 //! ```text
 //! cargo run -p td-bench --release --bin table1_overhead [-- --csv] [--pairs N]
@@ -27,13 +29,15 @@ fn main() {
         for row in &rows {
             println!("{},pass-manager,{:.3}", row.model, row.pass_manager_ms);
             println!("{},transform,{:.3}", row.model, row.transform_ms);
+            println!("{},transform-txn,{:.3}", row.model, row.transform_txn_ms);
         }
         return;
     }
 
     println!("Table 1: ML models compiled through the TOSA->Linalg->loops pipeline.");
     println!("Identical pipelines; the Transform column interprets a generated script");
-    println!("of transform.apply_registered_pass ops (the paper's worst case).\n");
+    println!("of transform.apply_registered_pass ops (the paper's worst case), and the");
+    println!("transactions-on column does so under the default TxnMode::Always.\n");
     let table_rows: Vec<Vec<String>> = rows
         .iter()
         .map(|row| {
@@ -43,6 +47,8 @@ fn main() {
                 format!("{:.1}", row.pass_manager_ms),
                 format!("{:.1}", row.transform_ms),
                 format!("{:+.1}%", row.overhead_percent()),
+                format!("{:.1}", row.transform_txn_ms),
+                format!("{:+.1}%", row.txn_overhead_percent()),
             ]
         })
         .collect();
@@ -54,16 +60,20 @@ fn main() {
                 "# Ops",
                 "MLIR-style pass manager (ms)",
                 "Transform (ms)",
+                "Overhead",
+                "Transform, transactions on (ms)",
                 "Overhead"
             ],
             &table_rows
         )
     );
-    let max_overhead = rows
-        .iter()
-        .map(table1::Table1Row::overhead_percent)
-        .fold(f64::NEG_INFINITY, f64::max);
+    let max_of = |overhead: fn(&table1::Table1Row) -> f64| {
+        rows.iter().map(overhead).fold(f64::NEG_INFINITY, f64::max)
+    };
+    let max_overhead = max_of(table1::Table1Row::overhead_percent);
+    let max_txn = max_of(table1::Table1Row::txn_overhead_percent);
     println!("\nmax overhead: {max_overhead:+.1}% (paper reports <= 2.6%)");
+    println!("max overhead with transactions on: {max_txn:+.1}%");
     if let Some(path) = td_support::trace::write_env_trace().expect("write trace") {
         eprintln!("wrote {path}");
     }

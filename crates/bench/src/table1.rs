@@ -17,16 +17,30 @@ pub struct Table1Row {
     pub pass_manager_ms: f64,
     /// Compile time via the Transform interpreter, milliseconds.
     pub transform_ms: f64,
+    /// Compile time via the Transform interpreter with transactions on
+    /// (`TxnMode::Always`, the default a shipped interpreter runs with),
+    /// milliseconds.
+    pub transform_txn_ms: f64,
 }
 
 impl Table1Row {
     /// Interpreter overhead as a percentage.
     pub fn overhead_percent(&self) -> f64 {
-        if self.pass_manager_ms == 0.0 {
-            0.0
-        } else {
-            (self.transform_ms / self.pass_manager_ms - 1.0) * 100.0
-        }
+        percent_over(self.transform_ms, self.pass_manager_ms)
+    }
+
+    /// Overhead of the interpreter with transactions on, as a percentage
+    /// of the pass manager.
+    pub fn txn_overhead_percent(&self) -> f64 {
+        percent_over(self.transform_txn_ms, self.pass_manager_ms)
+    }
+}
+
+fn percent_over(ms: f64, base_ms: f64) -> f64 {
+    if base_ms == 0.0 {
+        0.0
+    } else {
+        (ms / base_ms - 1.0) * 100.0
     }
 }
 
@@ -47,6 +61,15 @@ pub fn compile_with_pass_manager(spec: &ModelSpec) -> f64 {
 /// interpreted, in ms. The script conversion happens outside the timed
 /// section, mirroring the paper's methodology (scripts are generated once).
 pub fn compile_with_transform(spec: &ModelSpec) -> f64 {
+    // Transactions off for a fair comparison with the pass manager, which
+    // has none: this isolates the paper's Table 1 quantity (interpreter
+    // *dispatch* overhead). `measure_model` reports the shipped default
+    // beside it.
+    compile_with_transform_txn(spec, TxnMode::Never)
+}
+
+/// [`compile_with_transform`] under an explicit transaction mode.
+fn compile_with_transform_txn(spec: &ModelSpec, txn: TxnMode) -> f64 {
     let mut ctx = crate::full_context();
     let module = build_model(&mut ctx, spec);
     let registry = crate::full_pass_registry();
@@ -55,13 +78,9 @@ pub fn compile_with_transform(spec: &ModelSpec) -> f64 {
     let entry = transform_main(&ctx, script).expect("entry point exists");
     let mut env = InterpEnv::standard();
     env.passes = Some(&registry);
-    // Expensive checks and transactions off for a fair comparison with
-    // the pass manager, which has neither: this harness isolates the
-    // paper's Table 1 quantity (interpreter *dispatch* overhead). The
-    // cost of transactional application is measured separately against
-    // its own bound by the chaos_smoke overhead gate.
+    // Expensive checks off: the pass manager has none.
     env.config.expensive_checks = false;
-    env.config.txn = TxnMode::Never;
+    env.config.txn = txn;
     let mut interp = Interpreter::new(&env);
     let start = Instant::now();
     interp
@@ -71,29 +90,40 @@ pub fn compile_with_transform(spec: &ModelSpec) -> f64 {
 }
 
 /// Measures one model over `pairs` interleaved pass-manager /
-/// interpreter pairs (which of the two runs first alternates) and reports
-/// the pair with the median interpreter / pass-manager ratio. Machine noise
-/// lasting longer than one compile lands on both halves of a pair alike,
-/// and the median over pairs shrugs off the pairs it still hit unevenly,
-/// where a best-of-N minimum of each column picks two unrelated outliers.
+/// interpreter pairs and reports the pair with the median interpreter /
+/// pass-manager ratio. Machine noise lasting longer than one compile lands
+/// on both halves of a pair alike, and the median over pairs shrugs off the
+/// pairs it still hit unevenly, where a best-of-N minimum of each column
+/// picks two unrelated outliers.
+///
+/// Each pair also times the interpreter with transactions on, and which of
+/// the three compiles runs first rotates. The transactions-on column is
+/// the median of *its* per-pair ratio to the pass manager, applied to the
+/// reported pass-manager time, so both overheads are medians over the same
+/// pairs.
 ///
 /// # Panics
 /// Panics if `pairs` is 0.
 pub fn measure_model(spec: &ModelSpec, pairs: usize) -> Table1Row {
     assert!(pairs > 0, "at least one pair");
-    let mut timed: Vec<(f64, f64)> = (0..pairs)
+    let mut timed: Vec<[f64; 3]> = (0..pairs)
         .map(|i| {
-            if i % 2 == 0 {
-                let pm = compile_with_pass_manager(spec);
-                (pm, compile_with_transform(spec))
-            } else {
-                let tf = compile_with_transform(spec);
-                (compile_with_pass_manager(spec), tf)
+            let mut row = [0.0; 3];
+            for k in 0..3 {
+                let driver = (i + k) % 3;
+                row[driver] = match driver {
+                    0 => compile_with_pass_manager(spec),
+                    1 => compile_with_transform(spec),
+                    _ => compile_with_transform_txn(spec, TxnMode::Always),
+                };
             }
+            row
         })
         .collect();
-    timed.sort_by(|a, b| (a.1 / a.0).total_cmp(&(b.1 / b.0)));
-    let (pass_manager_ms, transform_ms) = timed[pairs / 2];
+    let mut txn_ratios: Vec<f64> = timed.iter().map(|t| t[2] / t[0]).collect();
+    txn_ratios.sort_by(f64::total_cmp);
+    timed.sort_by(|a, b| (a[1] / a[0]).total_cmp(&(b[1] / b[0])));
+    let [pass_manager_ms, transform_ms, _] = timed[pairs / 2];
     let mut ctx = crate::full_context();
     let module = build_model(&mut ctx, spec);
     Table1Row {
@@ -101,6 +131,7 @@ pub fn measure_model(spec: &ModelSpec, pairs: usize) -> Table1Row {
         ops: count_model_ops(&ctx, module),
         pass_manager_ms,
         transform_ms,
+        transform_txn_ms: pass_manager_ms * txn_ratios[pairs / 2],
     }
 }
 

@@ -459,7 +459,8 @@ impl Context {
     pub fn set_successors(&mut self, op: OpId, successors: Vec<BlockId>) {
         let old = std::mem::replace(&mut self.ops[op].successors, successors);
         if self.undo.active {
-            self.undo.push(UndoEntry::SuccessorsSet { op, old });
+            self.undo.side.block_lists.push(old);
+            self.undo.push(UndoEntry::SuccessorsSet { op });
         }
     }
 
@@ -496,7 +497,7 @@ impl Context {
                 self.undo.push(UndoEntry::OpDetached {
                     op,
                     block,
-                    index: pos,
+                    index: pos as u32,
                 });
             }
         }
@@ -638,10 +639,11 @@ impl Context {
             self.ops[op].operands[index as usize] = new;
         }
         if self.undo.active {
+            self.undo.side.uses.extend_from_slice(&uses);
             self.undo.push(UndoEntry::UsesReplaced {
                 old,
                 new,
-                uses: uses.clone(),
+                count: uses.len() as u32,
             });
         }
         self.values[new].uses.extend(uses);
@@ -650,7 +652,6 @@ impl Context {
     /// Sets (or overwrites) an attribute on an operation.
     pub fn set_attr(&mut self, op: OpId, name: impl Into<Symbol>, value: Attribute) {
         let name = name.into();
-        let log = self.undo.active;
         let attrs = &mut self.ops[op].attributes;
         let old = if let Some(slot) = attrs.iter_mut().find(|(k, _)| *k == name) {
             Some(std::mem::replace(&mut slot.1, value))
@@ -658,8 +659,10 @@ impl Context {
             attrs.push((name, value));
             None
         };
-        if log {
-            self.undo.push(UndoEntry::AttrSet { op, name, old });
+        if self.undo.active {
+            let replaced = old.is_some();
+            self.undo.side.attrs.extend(old);
+            self.undo.push(UndoEntry::AttrSet { op, name, replaced });
         }
     }
 
@@ -669,11 +672,13 @@ impl Context {
         let pos = attrs.iter().position(|(k, _)| k.as_str() == name)?;
         let (name_sym, value) = attrs.remove(pos);
         if self.undo.active {
+            // The caller gets the value and the log keeps a copy: the one
+            // clone on a logging path, forced by the return type.
+            self.undo.side.attrs.push(value.clone());
             self.undo.push(UndoEntry::AttrRemoved {
                 op,
-                index: pos,
+                index: pos as u32,
                 name: name_sym,
-                value: value.clone(),
             });
         }
         Some(value)
@@ -700,20 +705,20 @@ impl Context {
             );
         }
         // First erase nested regions so uses inside the subtree disappear.
-        let regions = self.ops[op].regions.clone();
-        for region in regions {
+        // The op's own lists stay put until it is freed, so every loop
+        // below reads them by index instead of copying them.
+        for i in 0..self.ops[op].regions.len() {
+            let region = self.ops[op].regions[i];
             self.erase_region_contents(region);
             let data = self.regions.erase(region).expect("region is live");
             if self.undo.active {
-                self.undo.push(UndoEntry::RegionFreed {
-                    region,
-                    data: Box::new(data),
-                });
+                self.undo.side.regions.push(data);
+                self.undo.push(UndoEntry::RegionFreed { region });
             }
         }
         // Unlink operand uses.
-        let operands = self.ops[op].operands.clone();
-        for (index, operand) in operands.into_iter().enumerate() {
+        for index in 0..self.ops[op].operands.len() {
+            let operand = self.ops[op].operands[index];
             if let Some(value) = self.values.get_mut(operand) {
                 if let Some(pos) = value
                     .uses
@@ -734,8 +739,8 @@ impl Context {
         // Detach from parent block.
         self.detach_op(op);
         // Erase result values.
-        let results = self.ops[op].results.clone();
-        for result in results {
+        for i in 0..self.ops[op].results.len() {
+            let result = self.ops[op].results[i];
             let still_used = self.values[result]
                 .uses
                 .iter()
@@ -745,55 +750,59 @@ impl Context {
                 "erasing op {:?} ({}) whose result still has live uses",
                 op, self.ops[op].name
             );
-            let data = self.values.erase(result).expect("result is live");
-            if self.undo.active {
-                self.undo.push(UndoEntry::ValueFreed {
-                    value: result,
-                    data: Box::new(data),
-                });
-            }
+            self.free_value(result);
         }
         let data = self.ops.erase(op).expect("op is live");
         if self.undo.active {
-            self.undo.push(UndoEntry::OpFreed {
-                op,
-                data: Box::new(data),
-            });
+            self.undo.side.ops.push(data);
+            self.undo.push(UndoEntry::OpFreed { op });
         }
     }
 
     /// Erases all blocks (and their ops) of a region, leaving it empty.
     pub fn erase_region_contents(&mut self, region: RegionId) {
         let blocks = std::mem::take(&mut self.regions[region].blocks);
-        if self.undo.active {
-            self.undo.push(UndoEntry::RegionBlocksTaken {
-                region,
-                blocks: blocks.clone(),
-            });
+        if !self.undo.active {
+            for block in blocks {
+                self.erase_block(block);
+            }
+            return;
         }
-        for block in blocks {
-            // Erase ops in reverse so uses disappear before defs.
-            let ops: Vec<OpId> = self.blocks[block].ops.clone();
-            for op in ops.into_iter().rev() {
-                self.erase_op(op);
-            }
-            let args = self.blocks[block].args.clone();
-            for arg in args {
-                let data = self.values.erase(arg).expect("block arg is live");
-                if self.undo.active {
-                    self.undo.push(UndoEntry::ValueFreed {
-                        value: arg,
-                        data: Box::new(data),
-                    });
-                }
-            }
-            let data = self.blocks.erase(block).expect("block is live");
-            if self.undo.active {
-                self.undo.push(UndoEntry::BlockFreed {
-                    block,
-                    data: Box::new(data),
-                });
-            }
+        // The taken list is side data: it goes onto its stack with the
+        // entry, before the erasures below log theirs, and is read back
+        // from there by index.
+        let count = blocks.len();
+        self.undo.side.block_lists.push(blocks);
+        self.undo.push(UndoEntry::RegionBlocksTaken { region });
+        let list = self.undo.side.block_lists.len() - 1;
+        for i in 0..count {
+            let block = self.undo.side.block_lists[list][i];
+            self.erase_block(block);
+        }
+    }
+
+    /// Erases a block already taken out of its region: its ops from the
+    /// last (so uses disappear before defs), its arguments, then itself.
+    fn erase_block(&mut self, block: BlockId) {
+        while let Some(&op) = self.blocks[block].ops.last() {
+            self.erase_op(op);
+        }
+        for i in 0..self.blocks[block].args.len() {
+            self.free_value(self.blocks[block].args[i]);
+        }
+        let data = self.blocks.erase(block).expect("block is live");
+        if self.undo.active {
+            self.undo.side.blocks.push(data);
+            self.undo.push(UndoEntry::BlockFreed { block });
+        }
+    }
+
+    /// Frees a result or block argument's slot, logging its payload.
+    fn free_value(&mut self, value: ValueId) {
+        let data = self.values.erase(value).expect("value is live");
+        if self.undo.active {
+            self.undo.side.values.push(data);
+            self.undo.push(UndoEntry::ValueFreed { value });
         }
     }
 
@@ -908,14 +917,11 @@ impl Context {
         for &block in &blocks {
             self.blocks[block].parent = Some(to);
         }
+        self.regions[to].blocks.extend_from_slice(&blocks);
         if self.undo.active {
-            self.undo.push(UndoEntry::BlocksTransferred {
-                from,
-                to,
-                blocks: blocks.clone(),
-            });
+            self.undo.side.block_lists.push(blocks);
+            self.undo.push(UndoEntry::BlocksTransferred { from, to });
         }
-        self.regions[to].blocks.extend(blocks);
     }
 
     // ----- cloning -------------------------------------------------------
@@ -1033,13 +1039,14 @@ impl Context {
     /// reproduce it: an unlogged mutation (e.g. new IR parsed into the
     /// context while the watermark was open).
     pub fn rollback_watermark(&mut self, watermark: Watermark) -> Result<(), String> {
-        let tail = self
-            .undo
-            .rollback(watermark.mark)
-            .ok_or("rollback of a watermark that is already closed")?;
-        for entry in tail {
+        let mark = watermark.mark;
+        if !self.undo.close(mark) {
+            return Err("rollback of a watermark that is already closed".into());
+        }
+        while let Some(entry) = self.undo.pop_since(mark) {
             self.apply_undo(entry);
         }
+        self.undo.rolled_back(mark);
         if let Some((op, expected)) = watermark.expect {
             let actual = crate::fingerprint::structural_fingerprint_op(self, op);
             if actual != expected {
@@ -1065,8 +1072,10 @@ impl Context {
 
     /// Replays one inverse operation. Uses raw arena/field access only —
     /// never the public mutators — so the replay itself is neither
-    /// re-logged nor journaled, and hits no fault points.
+    /// re-logged nor journaled, and hits no fault points. An entry with
+    /// side data finds it on top of its side stack and pops it.
     fn apply_undo(&mut self, entry: UndoEntry) {
+        let side = &mut self.undo.side;
         match entry {
             UndoEntry::OpCreated { op } => {
                 // The op is detached and its regions are empty by now
@@ -1116,7 +1125,7 @@ impl Context {
                 }
             }
             UndoEntry::OpDetached { op, block, index } => {
-                self.link_op(block, index, op);
+                self.link_op(block, index as usize, op);
             }
             UndoEntry::OperandSet { op, index, old } => {
                 let current = self.ops[op].operands[index as usize];
@@ -1138,44 +1147,43 @@ impl Context {
             UndoEntry::NameSet { op, old } => {
                 self.ops[op].name = old;
             }
-            UndoEntry::SuccessorsSet { op, old } => {
-                self.ops[op].successors = old;
+            UndoEntry::SuccessorsSet { op } => {
+                self.ops[op].successors = side.block_lists.pop().expect("old successors");
             }
-            UndoEntry::UsesReplaced { old, new, uses } => {
-                for &(op, index) in &uses {
+            UndoEntry::UsesReplaced { old, new, count } => {
+                let start = side.uses.len() - count as usize;
+                for &(op, index) in &side.uses[start..] {
                     let new_uses = &mut self.values[new].uses;
                     if let Some(pos) = new_uses.iter().position(|&(o, i)| o == op && i == index) {
                         new_uses.swap_remove(pos);
                     }
                     self.ops[op].operands[index as usize] = old;
                 }
-                self.values[old].uses.extend(uses);
+                self.values[old].uses.extend(side.uses.drain(start..));
             }
-            UndoEntry::AttrSet { op, name, old } => {
+            UndoEntry::AttrSet { op, name, replaced } => {
                 let attrs = &mut self.ops[op].attributes;
                 let pos = attrs
                     .iter()
                     .position(|(k, _)| *k == name)
                     .expect("set attribute present");
-                match old {
-                    Some(value) => attrs[pos].1 = value,
-                    None => {
-                        attrs.remove(pos);
-                    }
+                if replaced {
+                    attrs[pos].1 = side.attrs.pop().expect("overwritten attribute");
+                } else {
+                    attrs.remove(pos);
                 }
             }
-            UndoEntry::AttrRemoved {
-                op,
-                index,
-                name,
-                value,
-            } => {
-                self.ops[op].attributes.insert(index, (name, value));
+            UndoEntry::AttrRemoved { op, index, name } => {
+                let value = side.attrs.pop().expect("removed attribute");
+                self.ops[op]
+                    .attributes
+                    .insert(index as usize, (name, value));
             }
             UndoEntry::ValueTypeSet { value, old } => {
                 self.values[value].ty = old;
             }
-            UndoEntry::BlocksTransferred { from, to, blocks } => {
+            UndoEntry::BlocksTransferred { from, to } => {
+                let blocks = side.block_lists.pop().expect("transferred blocks");
                 self.regions[to].blocks.retain(|b| !blocks.contains(b));
                 for &block in &blocks {
                     self.blocks[block].parent = Some(from);
@@ -1187,28 +1195,32 @@ impl Context {
                     value.uses.push((op, index));
                 }
             }
-            UndoEntry::OpFreed { op, data } => {
+            UndoEntry::OpFreed { op } => {
+                let data = side.ops.pop().expect("freed op payload");
                 self.ops
-                    .restore(op, *data)
+                    .restore(op, data)
                     .unwrap_or_else(|_| panic!("undo replay could not restore op {op:?}"));
             }
-            UndoEntry::ValueFreed { value, data } => {
+            UndoEntry::ValueFreed { value } => {
+                let data = side.values.pop().expect("freed value payload");
                 self.values
-                    .restore(value, *data)
+                    .restore(value, data)
                     .unwrap_or_else(|_| panic!("undo replay could not restore value {value:?}"));
             }
-            UndoEntry::BlockFreed { block, data } => {
+            UndoEntry::BlockFreed { block } => {
+                let data = side.blocks.pop().expect("freed block payload");
                 self.blocks
-                    .restore(block, *data)
+                    .restore(block, data)
                     .unwrap_or_else(|_| panic!("undo replay could not restore block {block:?}"));
             }
-            UndoEntry::RegionFreed { region, data } => {
+            UndoEntry::RegionFreed { region } => {
+                let data = side.regions.pop().expect("freed region payload");
                 self.regions
-                    .restore(region, *data)
+                    .restore(region, data)
                     .unwrap_or_else(|_| panic!("undo replay could not restore region {region:?}"));
             }
-            UndoEntry::RegionBlocksTaken { region, blocks } => {
-                self.regions[region].blocks = blocks;
+            UndoEntry::RegionBlocksTaken { region } => {
+                self.regions[region].blocks = side.block_lists.pop().expect("taken blocks");
             }
         }
     }
@@ -1632,20 +1644,85 @@ mod tests {
         (lo, hi)
     }
 
+    /// Appends a block with one `i32` argument to `region`, holding one op
+    /// that reads it.
+    fn add_wrap_block(ctx: &mut Context, region: RegionId) {
+        let i32t = ctx.i32_type();
+        let block = ctx.append_block(region, &[i32t]);
+        let arg = ctx.block(block).args()[0];
+        let op = ctx.create_op(
+            Location::unknown(),
+            "test.node",
+            vec![arg],
+            vec![i32t],
+            vec![],
+            0,
+        );
+        ctx.append_op(block, op);
+    }
+
+    /// One edit inside a random block of a wrap's region (`blocks`): a new
+    /// argument, a retype between `types`, an operand appended from the
+    /// block's own arguments, or successors drawn from the same region.
+    fn edit_wrap_block(
+        ctx: &mut Context,
+        rng: &mut Xoshiro256pp,
+        blocks: &[BlockId],
+        types: [TypeId; 2],
+    ) {
+        let block = blocks[rng.range_usize(0, blocks.len())];
+        let args = ctx.block(block).args();
+        let arg = args[rng.range_usize(0, args.len())];
+        let inner = ctx.block(block).ops().to_vec();
+        match rng.range_usize(0, 4) {
+            0 => {
+                ctx.add_block_arg(block, types[0]);
+            }
+            1 => {
+                let ty = types[usize::from(ctx.value_type(arg) == types[0])];
+                ctx.set_value_type(arg, ty);
+            }
+            2 if !inner.is_empty() => {
+                ctx.append_operand(inner[rng.range_usize(0, inner.len())], arg);
+            }
+            3 if !inner.is_empty() => {
+                let successors = (0..rng.range_usize(0, 3))
+                    .map(|_| blocks[rng.range_usize(0, blocks.len())])
+                    .collect();
+                ctx.set_successors(inner[rng.range_usize(0, inner.len())], successors);
+            }
+            _ => {}
+        }
+    }
+
     /// Applies `actions` randomly chosen public mutations to `module`'s
     /// body: op creation at a random index (operands drawn from the ops
     /// before it), use-guarded erasure anywhere in the block, moves and
     /// detach-then-reinsert within the span the op's defs and uses allow,
-    /// attribute churn, use rewiring, and operand pokes. Defs stay before
-    /// uses, so the module always re-parses. After every action each op's
-    /// `op_position` is checked against the op list. Pure in `rng`, so a
-    /// failing seed reproduces exactly.
+    /// attribute churn, use rewiring, operand pokes and renames. It also
+    /// builds and edits region-holding `test.wrap` ops: their blocks gain
+    /// blocks, arguments, operands, retypes and successors, and their
+    /// regions are emptied or moved onto each other whole. Every block of a
+    /// wrap has an argument (so its header prints) and its ops read only
+    /// their own block's arguments, so a wrap can sit anywhere. Defs stay
+    /// before uses, so the module always re-parses. After every action each
+    /// op's `op_position` is checked against the op list. Pure in `rng`, so
+    /// a failing seed reproduces exactly.
     fn random_burst(ctx: &mut Context, module: OpId, rng: &mut Xoshiro256pp, actions: usize) {
         let i32t = ctx.i32_type();
+        let i64t = ctx.i64_type();
         let body = ctx.sole_block(module, 0);
         for _ in 0..actions {
             let ops = ctx.block(body).ops().to_vec();
-            match rng.range_usize(0, 7) {
+            let wraps: Vec<OpId> = ops
+                .iter()
+                .copied()
+                .filter(|&op| !ctx.op(op).regions().is_empty())
+                .collect();
+            let wrap_region = |ctx: &Context, rng: &mut Xoshiro256pp| {
+                ctx.op(wraps[rng.range_usize(0, wraps.len())]).regions()[0]
+            };
+            match rng.range_usize(0, 11) {
                 0 => {
                     let at = rng.range_usize(0, ops.len() + 1);
                     let values = results_of(ctx, &ops[..at]);
@@ -1740,6 +1817,36 @@ mod tests {
                     let rest = ctx.block(body).ops().to_vec();
                     let (lo, hi) = legal_span(ctx, &rest, op);
                     ctx.insert_op(body, rng.range_usize(lo, hi + 1), op);
+                }
+                7 => {
+                    let at = rng.range_usize(0, ops.len() + 1);
+                    let wrap =
+                        ctx.create_op(Location::unknown(), "test.wrap", vec![], vec![], vec![], 1);
+                    add_wrap_block(ctx, ctx.op(wrap).regions()[0]);
+                    ctx.insert_op(body, at, wrap);
+                }
+                8 if !wraps.is_empty() => {
+                    let region = wrap_region(ctx, rng);
+                    let blocks = ctx.region(region).blocks().to_vec();
+                    if blocks.is_empty() || rng.range_usize(0, 4) == 0 {
+                        add_wrap_block(ctx, region);
+                    } else {
+                        edit_wrap_block(ctx, rng, &blocks, [i32t, i64t]);
+                    }
+                }
+                9 if !wraps.is_empty() => {
+                    let from = wrap_region(ctx, rng);
+                    if rng.range_usize(0, 2) == 0 {
+                        ctx.erase_region_contents(from);
+                    } else {
+                        let to = wrap_region(ctx, rng);
+                        ctx.transfer_region_blocks(from, to);
+                    }
+                }
+                10 if !ops.is_empty() => {
+                    let op = ops[rng.range_usize(0, ops.len())];
+                    let name = ["test.node", "test.renamed"][rng.range_usize(0, 2)];
+                    ctx.set_op_name(op, name);
                 }
                 _ => {}
             }
@@ -2087,6 +2194,27 @@ mod tests {
         ctx.append_op(body, junk);
         ctx.rollback_watermark(watermark).expect("restores");
         assert_eq!(crate::print::print_op(&ctx, module), before);
+    }
+
+    /// `random_burst` logs every entry kind — each one that carries side
+    /// data included — so the watermark properties replay them all.
+    #[test]
+    fn random_burst_logs_every_undo_entry_kind() {
+        let mut kinds = std::collections::BTreeSet::new();
+        for seed in 0..8u64 {
+            let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 0xc0de);
+            let mut ctx = Context::new();
+            let module = ctx.create_module(Location::unknown());
+            random_burst(&mut ctx, module, &mut rng, 12);
+            let before = crate::print_op(&ctx, module);
+            let watermark = ctx.begin_watermark(Some(module));
+            random_burst(&mut ctx, module, &mut rng, 40);
+            kinds.extend(ctx.undo.entries().iter().map(UndoEntry::kind));
+            ctx.rollback_watermark(watermark)
+                .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+            assert_eq!(crate::print_op(&ctx, module), before, "seed {seed}");
+        }
+        assert_eq!(kinds.len(), UndoEntry::KINDS, "kinds logged: {kinds:?}");
     }
 
     #[test]

@@ -9,12 +9,32 @@
 //!
 //! A *watermark* ([`Context::begin_watermark`](crate::Context::begin_watermark))
 //! is the current length of the entry vector, and rollback pops entries
-//! back to it, applying each inverse. Watermarks nest: an inner watermark
-//! can commit (keep entries, the outer one may still roll everything
-//! back) or roll back (truncate to its own mark) independently. This is
-//! the system's one rollback mechanism: the interpreter's top-level
-//! transactions, its per-step scopes and every `transform.alternatives`
-//! branch are watermarks on this log.
+//! back to it, applying each inverse in place. Watermarks nest: an inner
+//! watermark can commit (keep entries, the outer one may still roll
+//! everything back) or roll back (pop to its own mark) independently.
+//! This is the system's one rollback mechanism: the interpreter's
+//! top-level transactions, its per-step scopes and every
+//! `transform.alternatives` branch are watermarks on this log.
+//!
+//! # Fixed-size entries and side stacks
+//!
+//! An [`UndoEntry`] is a `Copy` record of at most 24 bytes (asserted at
+//! compile time): ids, `u32` positions and interned names, never owned
+//! data. Whatever an inverse needs that is large or variable-length lives
+//! on one of the typed [`SideStacks`] instead — the payload of a freed op,
+//! value, block or region, a replaced block list, the uses a
+//! `replace_all_uses` moved, an overwritten or removed attribute. Logging
+//! therefore moves data that was about to be dropped anyway onto a stack
+//! whose capacity outlives the transaction, and never boxes or clones a
+//! list.
+//!
+//! The one invariant that makes this work: **a mutator pushes its side
+//! data immediately before its entry, and the replay of that entry pops
+//! the same data.** Entries replay strictly in reverse, so each entry's
+//! side data is on top of its stack when it replays, and rolling back to a
+//! mark leaves every side stack at the length it had when the mark opened
+//! (checked under `debug_assertions`). The outermost commit or rollback
+//! clears the entries and every side stack together.
 //!
 //! # What is and is not undoable
 //!
@@ -34,8 +54,9 @@ use td_support::Symbol;
 
 /// One recorded inverse operation. Entries are replayed strictly in
 /// reverse, so each one only assumes the state the *next*-later mutation
-/// left behind.
-#[derive(Debug)]
+/// left behind. Kinds marked "side:" own data on [`SideStacks`], pushed
+/// just before the entry and popped by its replay.
+#[derive(Clone, Copy, Debug)]
 pub(crate) enum UndoEntry {
     /// `create_op` allocated `op` (plus its result values and empty
     /// regions, all readable from the arena at undo time).
@@ -51,7 +72,7 @@ pub(crate) enum UndoEntry {
     OpDetached {
         op: OpId,
         block: BlockId,
-        index: usize,
+        index: u32,
     },
     /// `set_operand` overwrote operand `index` of `op` (was `old`).
     OperandSet { op: OpId, index: u32, old: ValueId },
@@ -59,75 +80,110 @@ pub(crate) enum UndoEntry {
     OperandAppended { op: OpId },
     /// `set_op_name` renamed `op` (was `old`).
     NameSet { op: OpId, old: Symbol },
-    /// `set_successors` overwrote `op`'s successor list (was `old`).
-    SuccessorsSet { op: OpId, old: Vec<BlockId> },
-    /// `replace_all_uses` moved `uses` from `old` onto `new`.
+    /// `set_successors` overwrote `op`'s successor list. Side: the old
+    /// list on `block_lists`.
+    SuccessorsSet { op: OpId },
+    /// `replace_all_uses` moved `count` uses from `old` onto `new`. Side:
+    /// those uses, in order, on `uses`.
     UsesReplaced {
         old: ValueId,
         new: ValueId,
-        uses: Vec<(OpId, u32)>,
+        count: u32,
     },
-    /// `set_attr` wrote attribute `name` on `op` (`old` is `None` when the
-    /// attribute was newly added).
+    /// `set_attr` wrote attribute `name` on `op`. Side, if `replaced`: the
+    /// overwritten value on `attrs` (otherwise the attribute was new).
     AttrSet {
         op: OpId,
         name: Symbol,
-        old: Option<Attribute>,
+        replaced: bool,
     },
-    /// `remove_attr` removed `(name, value)` from position `index`.
-    AttrRemoved {
-        op: OpId,
-        index: usize,
-        name: Symbol,
-        value: Attribute,
-    },
+    /// `remove_attr` removed `name` from position `index`. Side: the
+    /// removed value on `attrs`.
+    AttrRemoved { op: OpId, index: u32, name: Symbol },
     /// `set_value_type` retyped `value` (was `old`).
     ValueTypeSet { value: ValueId, old: TypeId },
-    /// `transfer_region_blocks` moved `blocks` from `from` to `to`.
-    BlocksTransferred {
-        from: RegionId,
-        to: RegionId,
-        blocks: Vec<BlockId>,
-    },
+    /// `transfer_region_blocks` moved blocks from `from` to the end of
+    /// `to`. Side: the moved list on `block_lists`.
+    BlocksTransferred { from: RegionId, to: RegionId },
     /// `erase_op` unlinked use `(op, index)` from `value`'s use list.
     UseUnlinked {
         value: ValueId,
         op: OpId,
         index: u32,
     },
-    /// An op slot was freed; `data` is the moved-out payload (boxed so
-    /// this rare-but-large variant does not inflate every entry push).
-    OpFreed { op: OpId, data: Box<OpData> },
-    /// A value slot was freed; `data` is the moved-out payload.
-    ValueFreed {
-        value: ValueId,
-        data: Box<ValueData>,
-    },
-    /// A block slot was freed; `data` is the moved-out payload.
-    BlockFreed {
-        block: BlockId,
-        data: Box<BlockData>,
-    },
-    /// A region slot was freed; `data` is the moved-out payload.
-    RegionFreed {
-        region: RegionId,
-        data: Box<RegionData>,
-    },
-    /// `erase_region_contents` took `region`'s block list.
-    RegionBlocksTaken {
-        region: RegionId,
-        blocks: Vec<BlockId>,
-    },
+    /// An op slot was freed. Side: the moved-out payload on `ops`.
+    OpFreed { op: OpId },
+    /// A value slot was freed. Side: the moved-out payload on `values`.
+    ValueFreed { value: ValueId },
+    /// A block slot was freed. Side: the moved-out payload on `blocks`.
+    BlockFreed { block: BlockId },
+    /// A region slot was freed. Side: the moved-out payload on `regions`.
+    RegionFreed { region: RegionId },
+    /// `erase_region_contents` took `region`'s block list. Side: the list
+    /// on `block_lists`.
+    RegionBlocksTaken { region: RegionId },
 }
 
-/// An open watermark: where in the entry vector it starts, plus a token
-/// unique within its `UndoLog` so two watermarks opened at the same entry
-/// count (a nested scope with no mutations in between) stay
-/// distinguishable.
+// The point of the layout: an entry is a few ids, so pushing one is a
+// 24-byte copy (it was 72 with the payloads inline).
+const _: () = assert!(std::mem::size_of::<UndoEntry>() <= 24);
+
+/// The typed stacks holding what entries do not: see the module docs for
+/// the push-before-entry / pop-in-reverse invariant.
+#[derive(Debug, Default)]
+pub(crate) struct SideStacks {
+    /// Payloads of freed ops (`OpFreed`).
+    pub(crate) ops: Vec<OpData>,
+    /// Payloads of freed values (`ValueFreed`).
+    pub(crate) values: Vec<ValueData>,
+    /// Payloads of freed blocks (`BlockFreed`).
+    pub(crate) blocks: Vec<BlockData>,
+    /// Payloads of freed regions (`RegionFreed`).
+    pub(crate) regions: Vec<RegionData>,
+    /// Old successor lists and moved or taken region block lists
+    /// (`SuccessorsSet`, `BlocksTransferred`, `RegionBlocksTaken`).
+    pub(crate) block_lists: Vec<Vec<BlockId>>,
+    /// Uses moved by `replace_all_uses`, flattened (`UsesReplaced`).
+    pub(crate) uses: Vec<(OpId, u32)>,
+    /// Overwritten and removed attribute values (`AttrSet`,
+    /// `AttrRemoved`).
+    pub(crate) attrs: Vec<Attribute>,
+}
+
+impl SideStacks {
+    /// Length of every stack, in field order.
+    fn lens(&self) -> [usize; 7] {
+        [
+            self.ops.len(),
+            self.values.len(),
+            self.blocks.len(),
+            self.regions.len(),
+            self.block_lists.len(),
+            self.uses.len(),
+            self.attrs.len(),
+        ]
+    }
+
+    fn clear(&mut self) {
+        self.ops.clear();
+        self.values.clear();
+        self.blocks.clear();
+        self.regions.clear();
+        self.block_lists.clear();
+        self.uses.clear();
+        self.attrs.clear();
+    }
+}
+
+/// An open watermark: where in the entry vector it starts, the side
+/// stacks' lengths at that point, and a token unique within its `UndoLog`
+/// so two watermarks opened at the same entry count (a nested scope with
+/// no mutations in between) stay distinguishable.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct Mark {
     token: u64,
     pos: usize,
+    sides: [usize; 7],
 }
 
 impl Mark {
@@ -137,7 +193,8 @@ impl Mark {
     }
 }
 
-/// The undo log: the entry vector plus the stack of open watermarks.
+/// The undo log: the entry vector, its side stacks and the stack of open
+/// watermarks.
 ///
 /// `active` is the one-branch fast path every mutator checks (mirroring
 /// `journal::recording()`): when no watermark is open it is `false` and
@@ -145,6 +202,9 @@ impl Mark {
 #[derive(Debug, Default)]
 pub(crate) struct UndoLog {
     entries: Vec<UndoEntry>,
+    /// Data the entries refer to; mutators push here, then `push` their
+    /// entry.
+    pub(crate) side: SideStacks,
     /// Open watermarks, outermost first.
     open: Vec<Mark>,
     /// Token source for [`Mark`]s.
@@ -154,7 +214,8 @@ pub(crate) struct UndoLog {
 }
 
 impl UndoLog {
-    /// Records one inverse operation. Callers check `active` first.
+    /// Records one inverse operation, after any side data it owns.
+    /// Callers check `active` first.
     #[inline]
     pub(crate) fn push(&mut self, entry: UndoEntry) {
         self.entries.push(entry);
@@ -165,6 +226,7 @@ impl UndoLog {
         let mark = Mark {
             token: self.next_token,
             pos: self.entries.len(),
+            sides: self.side.lens(),
         };
         self.next_token += 1;
         self.open.push(mark);
@@ -182,46 +244,129 @@ impl UndoLog {
         self.open.len()
     }
 
-    /// Closes `mark`, keeping its entries (an enclosing watermark may
-    /// still roll them back). Any *deeper* watermark still open is dropped
-    /// too: a panic that unwound through nested scopes leaves their marks
-    /// behind, and the enclosing commit/rollback owns them. When the
-    /// outermost watermark closes the log is cleared.
+    /// Closes `mark` and any *deeper* watermark still open: a panic that
+    /// unwound through nested scopes leaves their marks behind, and the
+    /// enclosing commit/rollback owns them. Entries are untouched; a
+    /// rollback then replays [`UndoLog::pop_since`] to exhaustion and
+    /// calls [`UndoLog::rolled_back`].
     ///
     /// Returns `false` if `mark` is not an open watermark (double close).
-    pub(crate) fn commit(&mut self, mark: Mark) -> bool {
+    pub(crate) fn close(&mut self, mark: Mark) -> bool {
         let Some(pos) = self.open.iter().position(|m| m.token == mark.token) else {
             return false;
         };
         self.open.truncate(pos);
-        if self.open.is_empty() {
-            self.entries.clear();
-            self.active = false;
-        }
         true
     }
 
-    /// Closes `mark` for rollback, draining the entries recorded since it
-    /// (in reverse — ready to replay) and dropping any deeper watermark
-    /// (see [`UndoLog::commit`] on panic unwinding).
-    ///
-    /// Returns `None` if `mark` is not an open watermark.
-    pub(crate) fn rollback(&mut self, mark: Mark) -> Option<Vec<UndoEntry>> {
-        let pos = self.open.iter().position(|m| m.token == mark.token)?;
-        self.open.truncate(pos);
-        let mut tail: Vec<UndoEntry> = self.entries.drain(mark.pos..).collect();
-        tail.reverse();
+    /// Once no watermark is open, drops every entry and all side data and
+    /// turns recording off.
+    fn settle(&mut self) {
         if self.open.is_empty() {
             self.entries.clear();
+            self.side.clear();
             self.active = false;
         }
-        Some(tail)
+    }
+
+    /// Closes `mark`, keeping its entries (an enclosing watermark may
+    /// still roll them back). When the outermost watermark closes the log
+    /// is cleared.
+    ///
+    /// Returns `false` if `mark` is not an open watermark (double close).
+    pub(crate) fn commit(&mut self, mark: Mark) -> bool {
+        if !self.close(mark) {
+            return false;
+        }
+        self.settle();
+        true
+    }
+
+    /// Pops the latest entry recorded since `mark`, if any, for in-place
+    /// replay.
+    #[inline]
+    pub(crate) fn pop_since(&mut self, mark: Mark) -> Option<UndoEntry> {
+        if self.entries.len() > mark.pos {
+            self.entries.pop()
+        } else {
+            None
+        }
+    }
+
+    /// Finishes a rollback to `mark` once every entry since it replayed:
+    /// each replay popped exactly the side data its mutator pushed, so
+    /// every side stack is back at its length when `mark` opened — empty,
+    /// for the outermost mark, before `settle` clears anything.
+    pub(crate) fn rolled_back(&mut self, mark: Mark) {
+        debug_assert_eq!(self.entries.len(), mark.pos, "rollback stopped early");
+        debug_assert_eq!(
+            self.side.lens(),
+            mark.sides,
+            "undo replay left side data behind or took too much"
+        );
+        self.settle();
+    }
+}
+
+#[cfg(test)]
+impl UndoLog {
+    /// The entries currently held, oldest first.
+    pub(crate) fn entries(&self) -> &[UndoEntry] {
+        &self.entries
+    }
+}
+
+#[cfg(test)]
+impl UndoEntry {
+    /// Number of entry kinds; [`UndoEntry::kind`] numbers them densely.
+    pub(crate) const KINDS: usize = 20;
+
+    /// This entry's kind in `0..KINDS`. The match is exhaustive, so a new
+    /// kind does not compile until it is numbered here (and `KINDS`
+    /// grows, which the `random_burst` coverage test then holds to).
+    pub(crate) fn kind(&self) -> usize {
+        match self {
+            UndoEntry::OpCreated { .. } => 0,
+            UndoEntry::BlockCreated { .. } => 1,
+            UndoEntry::BlockArgAdded { .. } => 2,
+            UndoEntry::OpInserted { .. } => 3,
+            UndoEntry::OpDetached { .. } => 4,
+            UndoEntry::OperandSet { .. } => 5,
+            UndoEntry::OperandAppended { .. } => 6,
+            UndoEntry::NameSet { .. } => 7,
+            UndoEntry::SuccessorsSet { .. } => 8,
+            UndoEntry::UsesReplaced { .. } => 9,
+            UndoEntry::AttrSet { .. } => 10,
+            UndoEntry::AttrRemoved { .. } => 11,
+            UndoEntry::ValueTypeSet { .. } => 12,
+            UndoEntry::BlocksTransferred { .. } => 13,
+            UndoEntry::UseUnlinked { .. } => 14,
+            UndoEntry::OpFreed { .. } => 15,
+            UndoEntry::ValueFreed { .. } => 16,
+            UndoEntry::BlockFreed { .. } => 17,
+            UndoEntry::RegionFreed { .. } => 18,
+            UndoEntry::RegionBlocksTaken { .. } => 19,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Pops everything since `mark` the way `Context::rollback_watermark`
+    /// does, without applying it.
+    fn rollback(log: &mut UndoLog, mark: Mark) -> Option<Vec<UndoEntry>> {
+        if !log.close(mark) {
+            return None;
+        }
+        let mut tail = Vec::new();
+        while let Some(entry) = log.pop_since(mark) {
+            tail.push(entry);
+        }
+        log.rolled_back(mark);
+        Some(tail)
+    }
 
     #[test]
     fn watermarks_nest_and_clear() {
@@ -240,7 +385,7 @@ mod tests {
         assert!(log.commit(inner), "inner commit keeps entries");
         assert_eq!(log.len(), 2);
         assert!(log.active);
-        let tail = log.rollback(outer).expect("outer is open");
+        let tail = rollback(&mut log, outer).expect("outer is open");
         assert_eq!(tail.len(), 2, "outer rollback sees the inner entries");
         assert!(!log.active, "outermost close clears the log");
         assert_eq!(log.len(), 0);
@@ -256,7 +401,7 @@ mod tests {
         log.push(UndoEntry::OpInserted {
             op: OpId::from_raw(8, 0),
         });
-        let tail = log.rollback(mark).unwrap();
+        let tail = rollback(&mut log, mark).unwrap();
         match (&tail[0], &tail[1]) {
             (UndoEntry::OpInserted { op: first }, UndoEntry::OpInserted { op: second }) => {
                 assert_eq!(first.index(), 8);
@@ -272,7 +417,7 @@ mod tests {
         let mark = log.begin();
         assert!(log.commit(mark));
         assert!(!log.commit(mark), "second close of the same mark");
-        assert!(log.rollback(mark).is_none());
+        assert!(rollback(&mut log, mark).is_none());
     }
 
     #[test]
@@ -283,9 +428,37 @@ mod tests {
         log.push(UndoEntry::OpInserted {
             op: OpId::from_raw(0, 0),
         });
-        let tail = log.rollback(outer).expect("outer still open");
+        let tail = rollback(&mut log, outer).expect("outer still open");
         assert_eq!(tail.len(), 1);
         assert_eq!(log.depth(), 0);
         assert!(!log.active);
+    }
+
+    #[test]
+    fn the_outermost_commit_empties_every_side_stack() {
+        let mut log = UndoLog::default();
+        let outer = log.begin();
+        let inner = log.begin();
+        log.side.uses.push((OpId::from_raw(3, 0), 1));
+        log.push(UndoEntry::UsesReplaced {
+            old: ValueId::from_raw(0, 0),
+            new: ValueId::from_raw(1, 0),
+            count: 1,
+        });
+        log.side.attrs.push(Attribute::Int(4));
+        log.push(UndoEntry::AttrSet {
+            op: OpId::from_raw(3, 0),
+            name: Symbol::new("n"),
+            replaced: true,
+        });
+        assert!(log.commit(inner));
+        assert_eq!(
+            log.side.lens(),
+            [0, 0, 0, 0, 0, 1, 1],
+            "inner commit keeps them"
+        );
+        assert!(log.commit(outer));
+        assert_eq!(log.side.lens(), [0; 7]);
+        assert_eq!(log.len(), 0);
     }
 }
