@@ -5,11 +5,21 @@
 //! # Determinism
 //!
 //! `run_batch` is deterministic in its *results* regardless of worker
-//! count: every job parses its own texts into its own fresh context and
-//! never observes another job's state, so the only thing scheduling can
-//! change is timing. Results are reported back as `(job index, result)`
-//! pairs and placed into their slot, so the returned vector is in
-//! submission order even when workers finish out of order. The result
+//! count: no job observes another job's state, so the only thing
+//! scheduling can change is timing. A job parses its own texts into a
+//! fresh context, except that a job whose payload text another miss of the
+//! batch also carries (a sweep: many schedules, one payload) may run on
+//! the payload its worker parsed for an earlier job. It runs there inside
+//! an undo-log watermark that is rolled back once its output is printed,
+//! so it starts from the payload exactly as parsed and leaves it so: the
+//! same printed bytes, counters and errors as a fresh context, whichever
+//! worker parsed it (DESIGN.md "Sweep by rollback" gives the conditions).
+//! What is context-relative may differ — the ids transforms allocate, and
+//! with them the journal's `fingerprint_op` values.
+//!
+//! Results are reported back as `(job index, result)` pairs and placed
+//! into their slot, so the returned vector is in submission order even
+//! when workers finish out of order. The result
 //! cache cannot break this: every job is probed before any job of the
 //! batch runs, so which jobs are hits — and with it every cache counter
 //! and `from_cache` flag — depends only on the batch and the cache state
@@ -52,13 +62,14 @@
 use crate::cache::{CacheKey, CacheStats, CachedResult, ResultCache};
 use crate::job::{Job, JobError, JobOutput, JobResult};
 use crate::stats::{BatchStats, WorkerLane, QUEUE_WAIT_SERIES, RUN_SERIES, TOTAL_SERIES};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use td_ir::{Context, PassRegistry};
+use td_ir::{Context, OpId, PassRegistry};
 use td_support::{fault, flight, journal, metrics, trace};
-use td_transform::{InterpConfig, InterpEnv, Interpreter, TransformOpRegistry};
+use td_transform::{InterpConfig, InterpEnv, Interpreter, TransformOpRegistry, TxnMode};
 
 /// Builds the fresh `Context` each job attempt parses into.
 pub type ContextFactory = Arc<dyn Fn() -> Context + Send + Sync>;
@@ -414,6 +425,7 @@ impl Engine {
         // it through a cursor, and queue wait is measured from here.
         let listed = Instant::now();
         let cursor = AtomicUsize::new(0);
+        let shared = shared_payloads(&misses);
         let (trace_on, journal_on, epoch) = (trace::enabled(), journal::enabled(), trace::epoch());
         // Failure-budget state, shared across workers: executed failures
         // so far, and whether the batch has tripped into drain mode.
@@ -430,8 +442,15 @@ impl Engine {
             let mut results = Vec::new();
             let _worker_span = trace::span("sched", format!("worker{worker_index}"));
             let mut env = self.interp_env();
-            // Relaxed: the cursor hands out indices and publishes no data.
-            while let Some((index, job, key)) = misses.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+            // The payload this worker parsed last, kept for the next shared
+            // job that carries the same text.
+            let mut slot: Option<PayloadSlot> = None;
+            loop {
+                // Relaxed: the cursor hands out indices and publishes no data.
+                let position = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some((index, job, key)) = misses.get(position) else {
+                    break;
+                };
                 let (index, key) = (*index, *key);
                 // The env is this worker's own, so setting the job's
                 // transactional mode is job-local: nothing carries over to
@@ -471,14 +490,24 @@ impl Engine {
                     }
                     Err(JobError::Cancelled)
                 } else {
+                    // Only a transactional job may run on the shared
+                    // payload (see `Engine::attempt_on_slot`), and only
+                    // with no fault plan armed: faultpoints hit while
+                    // parsing must count in the job that parsed.
+                    let reuse =
+                        shared[position] && job.policy.txn == TxnMode::Always && !fault::active();
                     // The catch_unwind is the panic-isolation boundary: a
                     // panicking transform handler unwinds out of its job
                     // (dropping that job's context) and the worker keeps
                     // serving.
                     catch_unwind(AssertUnwindSafe(|| {
-                        self.run_job(&env, job, key, index, started)
+                        let slot = reuse.then_some(&mut slot);
+                        self.run_job(&env, job, key, index, started, slot)
                     }))
                     .unwrap_or_else(|payload| {
+                        // The unwind may have left the slot's context
+                        // mid-job, watermark open: parse afresh next time.
+                        slot = None;
                         metrics::counter("sched.panics", 1);
                         journal::unwind_open_steps(
                             journal::StepOutcome::Failed,
@@ -655,7 +684,9 @@ impl Engine {
 
     /// Runs one job the probe did not answer, on the calling worker
     /// thread: deadline pre-check, then up to the job's `max_attempts`
-    /// interpreter attempts; a success is stored under `key`.
+    /// interpreter attempts — on the worker's payload `slot` when the job
+    /// may share one, else each in a fresh context; a success is stored
+    /// under `key`.
     fn run_job(
         &self,
         env: &InterpEnv<'_>,
@@ -663,6 +694,7 @@ impl Engine {
         key: CacheKey,
         index: usize,
         batch_start: Instant,
+        mut slot: Option<&mut Option<PayloadSlot>>,
     ) -> JobResult {
         let mut job_span = trace::span("sched", "job");
         for (name, value) in job_span_args(job) {
@@ -685,7 +717,7 @@ impl Engine {
         let mut attempt = 0;
         loop {
             attempt += 1;
-            match self.attempt(env, job) {
+            match self.attempt(env, job, slot.as_deref_mut()) {
                 Ok(output) => {
                     self.cache.insert(
                         key,
@@ -729,31 +761,130 @@ impl Engine {
         }
     }
 
-    /// One interpreter attempt against a completely fresh context. On
-    /// success returns the printed module plus the attempt's interpreter
-    /// stats (transform count, rollbacks, undo-log volume).
-    fn attempt(&self, env: &InterpEnv<'_>, job: &Job) -> Result<AttemptOutput, JobError> {
-        let mut ctx = (self.config.context_factory)();
-        let payload = parse(&mut ctx, &job.payload, "payload")?;
-        let script = parse(&mut ctx, &job.script, "script")?;
-        let entry =
-            ctx.lookup_symbol(script, &job.entry)
-                .ok_or_else(|| JobError::EntryMissing {
-                    name: job.entry.clone(),
-                })?;
-        let mut interp = Interpreter::new(env);
-        match interp.apply_reentrant(&mut ctx, entry, payload) {
-            Ok(()) => Ok(AttemptOutput {
-                module_text: td_ir::print_op(&ctx, payload),
-                transforms_executed: interp.stats.transforms_executed,
-                rolled_back: interp.stats.rolled_back,
-                undo_entries: interp.stats.undo_entries,
-            }),
-            Err(error) => Err(JobError::Transform {
-                message: error.diagnostic().message().to_owned(),
-                silenceable: error.is_silenceable(),
-            }),
+    /// One interpreter attempt. Without a slot, against a completely
+    /// fresh context; with one, on the worker's parsed payload
+    /// ([`Engine::attempt_on_slot`]). On success returns the printed module
+    /// plus the attempt's interpreter stats (transform count, rollbacks,
+    /// undo-log volume).
+    fn attempt(
+        &self,
+        env: &InterpEnv<'_>,
+        job: &Job,
+        slot: Option<&mut Option<PayloadSlot>>,
+    ) -> Result<AttemptOutput, JobError> {
+        if let Some(slot) = slot {
+            return self.attempt_on_slot(env, job, slot);
         }
+        let mut ctx = (self.config.context_factory)();
+        let payload = parse_payload(&mut ctx, job)?;
+        apply_script(env, &mut ctx, payload, job)
+    }
+
+    /// One attempt on the worker's parsed payload: the slot is re-parsed
+    /// only if it holds another payload's text, then the script is parsed,
+    /// applied and the payload printed inside one undo-log watermark, and
+    /// the rollback returns the slot to the payload as parsed — the
+    /// script's ops freed too. The job runs under [`TxnMode::Always`], so
+    /// every step already opens its own watermark; the enclosing one
+    /// changes no step's outcome or statistics. A rollback that fails its
+    /// (debug-build) fingerprint check empties the slot and fails the job.
+    fn attempt_on_slot(
+        &self,
+        env: &InterpEnv<'_>,
+        job: &Job,
+        slot: &mut Option<PayloadSlot>,
+    ) -> Result<AttemptOutput, JobError> {
+        let parsed = match slot.take() {
+            Some(held) if held.payload == job.payload => held,
+            // The old context is dropped before the new one is built: one
+            // context per worker at a time.
+            _ => {
+                let mut ctx = (self.config.context_factory)();
+                let root = parse_payload(&mut ctx, job)?;
+                PayloadSlot {
+                    payload: job.payload.clone(),
+                    ctx,
+                    root,
+                }
+            }
+        };
+        let PayloadSlot { ctx, root, .. } = slot.insert(parsed);
+        let root = *root;
+        let watermark = ctx.begin_watermark(Some(root));
+        let output = apply_script(env, ctx, root, job);
+        if let Err(message) = ctx.rollback_watermark(watermark) {
+            *slot = None;
+            return Err(JobError::Transform {
+                message: format!("shared payload rollback failed: {message}"),
+                silenceable: false,
+            });
+        }
+        output
+    }
+}
+
+/// One worker's parsed payload, kept across the shared jobs it runs: the
+/// text it was parsed from, the context it lives in and its module op.
+struct PayloadSlot {
+    payload: String,
+    ctx: Context,
+    root: OpId,
+}
+
+/// Whether each miss's payload text occurs in at least one other miss of
+/// the batch. The payload hash the cache key already holds buckets the
+/// misses; a byte comparison decides within a bucket.
+fn shared_payloads(misses: &[(usize, Job, CacheKey)]) -> Vec<bool> {
+    // Per payload hash: (first miss with that text, misses with it).
+    let mut texts: HashMap<u64, Vec<(usize, usize)>> = HashMap::new();
+    let mut groups = Vec::with_capacity(misses.len());
+    for (position, (_, job, key)) in misses.iter().enumerate() {
+        let bucket = texts.entry(key.payload_fp).or_default();
+        let group = match bucket
+            .iter()
+            .position(|&(first, _)| misses[first].1.payload == job.payload)
+        {
+            Some(group) => group,
+            None => {
+                bucket.push((position, 0));
+                bucket.len() - 1
+            }
+        };
+        bucket[group].1 += 1;
+        groups.push((key.payload_fp, group));
+    }
+    groups
+        .into_iter()
+        .map(|(hash, group)| texts[&hash][group].1 >= 2)
+        .collect()
+}
+
+/// Parses the job's script into `ctx`, where its payload already is,
+/// applies the entry sequence to `payload` and prints the result.
+fn apply_script(
+    env: &InterpEnv<'_>,
+    ctx: &mut Context,
+    payload: OpId,
+    job: &Job,
+) -> Result<AttemptOutput, JobError> {
+    let script = parse(ctx, &job.script, "script")?;
+    let entry = ctx
+        .lookup_symbol(script, &job.entry)
+        .ok_or_else(|| JobError::EntryMissing {
+            name: job.entry.clone(),
+        })?;
+    let mut interp = Interpreter::new(env);
+    match interp.apply_reentrant(ctx, entry, payload) {
+        Ok(()) => Ok(AttemptOutput {
+            module_text: td_ir::print_op(ctx, payload),
+            transforms_executed: interp.stats.transforms_executed,
+            rolled_back: interp.stats.rolled_back,
+            undo_entries: interp.stats.undo_entries,
+        }),
+        Err(error) => Err(JobError::Transform {
+            message: error.diagnostic().message().to_owned(),
+            silenceable: error.is_silenceable(),
+        }),
     }
 }
 
@@ -817,7 +948,13 @@ fn observe_job_latency(wait_ns: u128, run_ns: u128) {
     metrics::observe(TOTAL_SERIES, wait_ns + run_ns);
 }
 
-fn parse(ctx: &mut Context, source: &str, what: &'static str) -> Result<td_ir::OpId, JobError> {
+/// Parses the job's payload into `ctx`, counted in `sched.payload_parses`.
+fn parse_payload(ctx: &mut Context, job: &Job) -> Result<OpId, JobError> {
+    metrics::counter("sched.payload_parses", 1);
+    parse(ctx, &job.payload, "payload")
+}
+
+fn parse(ctx: &mut Context, source: &str, what: &'static str) -> Result<OpId, JobError> {
     td_ir::parse_module(ctx, source).map_err(|diag| JobError::Parse {
         what,
         message: diag.message().to_owned(),
