@@ -5,6 +5,11 @@
 //! interner is used so symbols can be created from anywhere without
 //! threading a context around; this mirrors how MLIR interns identifiers in
 //! its `MLIRContext`.
+//!
+//! Interning takes a lock; reading does not. The strings live in an
+//! append-only table of segments indexed by id, each slot written (under
+//! the lock) before its id is handed out, so [`Symbol::as_str`] is two
+//! acquire loads — the segment, then the slot — from any thread.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -22,41 +27,59 @@ use std::sync::{Mutex, OnceLock};
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Symbol(u32);
 
-struct Interner {
-    map: HashMap<&'static str, u32>,
-    strings: Vec<&'static str>,
+/// Slots in segment 0; segment `k` holds `FIRST_SEGMENT << k`, so
+/// `SEGMENTS` of them cover every `u32` id.
+const FIRST_SEGMENT: usize = 256;
+const SEGMENTS: usize = 25;
+
+type Segment = Box<[OnceLock<&'static str>]>;
+
+/// The strings by id. A segment is allocated on its first id and never
+/// freed or moved; a slot is written once.
+static STRINGS: [OnceLock<Segment>; SEGMENTS] = [const { OnceLock::new() }; SEGMENTS];
+
+/// The segment holding `id`, and the slot within it.
+fn locate(id: u32) -> (usize, usize) {
+    let blocks = id as usize / FIRST_SEGMENT + 1;
+    let segment = blocks.ilog2() as usize;
+    (segment, id as usize - FIRST_SEGMENT * ((1 << segment) - 1))
 }
 
-fn global() -> &'static Mutex<Interner> {
-    static GLOBAL: OnceLock<Mutex<Interner>> = OnceLock::new();
-    GLOBAL.get_or_init(|| {
-        Mutex::new(Interner {
-            map: HashMap::new(),
-            strings: Vec::new(),
-        })
-    })
+/// String → id; only [`Symbol::new`] touches it.
+fn ids() -> &'static Mutex<HashMap<&'static str, u32>> {
+    static IDS: OnceLock<Mutex<HashMap<&'static str, u32>>> = OnceLock::new();
+    IDS.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
 impl Symbol {
     /// Interns `s` and returns its symbol.
     pub fn new(s: &str) -> Symbol {
-        let mut interner = global().lock().expect("interner poisoned");
-        if let Some(&id) = interner.map.get(s) {
+        let mut ids = ids().lock().expect("interner poisoned");
+        if let Some(&id) = ids.get(s) {
             return Symbol(id);
         }
         // Interned strings live for the duration of the process; leaking is
         // the standard implementation technique for a global interner.
         let leaked: &'static str = Box::leak(s.to_owned().into_boxed_str());
-        let id = interner.strings.len() as u32;
-        interner.strings.push(leaked);
-        interner.map.insert(leaked, id);
+        let id = u32::try_from(ids.len()).expect("interner full");
+        let (segment, slot) = locate(id);
+        let slots = STRINGS[segment].get_or_init(|| {
+            (0..FIRST_SEGMENT << segment)
+                .map(|_| OnceLock::new())
+                .collect()
+        });
+        slots[slot].set(leaked).expect("each id is written once");
+        ids.insert(leaked, id);
         Symbol(id)
     }
 
     /// Returns the interned string.
     pub fn as_str(self) -> &'static str {
-        let interner = global().lock().expect("interner poisoned");
-        interner.strings[self.0 as usize]
+        let (segment, slot) = locate(self.0);
+        STRINGS[segment]
+            .get()
+            .and_then(|slots| slots[slot].get())
+            .expect("a symbol's string is written before its id is returned")
     }
 
     /// The raw id; stable within a process, useful as a dense map key.
@@ -125,6 +148,54 @@ mod tests {
         let a = Symbol::new("func.func");
         assert_eq!(a, "func.func");
         assert_ne!(a, "func.return");
+    }
+
+    #[test]
+    fn segments_tile_the_id_space() {
+        assert_eq!(locate(0), (0, 0));
+        assert_eq!(locate(FIRST_SEGMENT as u32 - 1), (0, FIRST_SEGMENT - 1));
+        assert_eq!(locate(FIRST_SEGMENT as u32), (1, 0));
+        assert_eq!(
+            locate(3 * FIRST_SEGMENT as u32 - 1),
+            (1, 2 * FIRST_SEGMENT - 1)
+        );
+        assert_eq!(locate(3 * FIRST_SEGMENT as u32), (2, 0));
+        let (segment, slot) = locate(u32::MAX);
+        assert!(segment < SEGMENTS && slot < FIRST_SEGMENT << segment);
+    }
+
+    #[test]
+    fn concurrent_interning_round_trips() {
+        const THREADS: usize = 8;
+        const COUNT: usize = 10_000;
+        let handles: Vec<_> = (0..THREADS)
+            .map(|thread| {
+                std::thread::spawn(move || {
+                    // Every thread interns the same fresh strings, in its own
+                    // order, and reads each back at once and again at the end.
+                    let names: Vec<String> = (0..COUNT)
+                        .map(|i| format!("concurrent.{}", (i * 7 + thread * 1231) % COUNT))
+                        .collect();
+                    let symbols: Vec<Symbol> = names
+                        .iter()
+                        .map(|name| {
+                            let symbol = Symbol::new(name);
+                            assert_eq!(symbol.as_str(), name);
+                            symbol
+                        })
+                        .collect();
+                    for (symbol, name) in symbols.iter().zip(&names) {
+                        assert_eq!(symbol.as_str(), name);
+                        assert_eq!(*symbol, name.as_str());
+                    }
+                    names.into_iter().zip(symbols).collect::<HashMap<_, _>>()
+                })
+            })
+            .collect();
+        let maps: Vec<HashMap<String, Symbol>> =
+            handles.into_iter().map(|h| h.join().unwrap()).collect();
+        assert_eq!(maps[0].len(), COUNT);
+        assert!(maps.windows(2).all(|w| w[0] == w[1]), "one id per string");
     }
 
     #[test]
