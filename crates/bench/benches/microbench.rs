@@ -2,8 +2,9 @@
 //! harness (`td_bench::harness`): transform interpreter dispatch overhead,
 //! parsing and printing a Table 1 model, greedy pattern application, the
 //! cache simulator, the Table 1 compile-time comparison on the smallest
-//! model, block-size scaling of op-list edits and verification, and the
-//! undo log's per-entry cost.
+//! model, a 32-candidate sweep on one shared payload against the same
+//! candidates on distinct payloads, block-size scaling of op-list edits and
+//! verification, and the undo log's per-entry cost.
 //!
 //! ```text
 //! cargo bench --bench microbench              # full run
@@ -189,6 +190,70 @@ fn bench_sched_engine(suite: &mut BenchSuite) {
     });
 }
 
+/// One candidate of a Fig. 8-style sweep over the CS4 nest: split the
+/// outer loop by `tile_i`, tile the divisible part by `[tile_i, tile_j]`,
+/// and, with `annotate`, mark the tiled points.
+fn sweep_candidate(tile_i: i64, tile_j: i64, annotate: bool) -> String {
+    let mark = if annotate {
+        "\n    \"transform.annotate\"(%points) {name = \"candidate\"} : (!transform.any_op) -> ()"
+    } else {
+        ""
+    };
+    format!(
+        r#"module {{
+  transform.named_sequence @main(%root: !transform.any_op) {{
+    %func = "transform.match_op"(%root) {{name = "func.func", select = "first"}} : (!transform.any_op) -> !transform.any_op
+    %i = "transform.match_op"(%func) {{name = "scf.for", select = "first"}} : (!transform.any_op) -> !transform.any_op
+    %main, %rest = "transform.loop.split"(%i) {{div_by = {tile_i}}} : (!transform.any_op) -> (!transform.any_op, !transform.any_op)
+    %tiles, %points = "transform.loop.tile"(%main) {{tile_sizes = [{tile_i}, {tile_j}]}} : (!transform.any_op) -> (!transform.any_op, !transform.any_op){mark}
+  }}
+}}"#
+    )
+}
+
+/// A sweep as `sweep_engine` runs one: 32 candidate schedules for the CS4
+/// nest in one single-worker batch. The `shared` row submits one payload
+/// text 32 times, so the worker parses it once and runs every candidate on
+/// it inside an undo-log watermark; the `unshared` row gives each
+/// candidate its own byte-distinct copy (trailing newlines), so each
+/// parses into a fresh context. The gap is what sweep-by-rollback saves.
+fn bench_sched_sweep(suite: &mut BenchSuite) {
+    use td_sched::{Engine, EngineConfig, Job};
+    let payload = {
+        let mut ctx = full_context();
+        let module = td_bench::cs4::build_payload(&mut ctx, td_bench::cs4::Cs4Config::default());
+        td_ir::print_op(&ctx, module)
+    };
+    let tiles = [2i64, 4, 8, 16];
+    let candidates: Vec<String> = tiles
+        .iter()
+        .flat_map(|&i| tiles.iter().map(move |&j| (i, j)))
+        .flat_map(|(i, j)| [false, true].map(|annotate| sweep_candidate(i, j, annotate)))
+        .collect();
+    let engine = Engine::new(EngineConfig::standard().with_workers(1).without_cache());
+    for (row, distinct) in [
+        ("sched.sweep32.shared", false),
+        ("sched.sweep32.unshared", true),
+    ] {
+        let jobs: Vec<Job> = candidates
+            .iter()
+            .enumerate()
+            .map(|(copy, script)| {
+                let newlines = if distinct { copy } else { 0 };
+                Job::new(
+                    script.as_str(),
+                    format!("{payload}{}", "\n".repeat(newlines)),
+                )
+            })
+            .collect();
+        suite.run(row, || {
+            let report = engine.run_batch(jobs.clone());
+            assert_eq!(report.ok_count(), 32, "{:?}", report.results[0]);
+            std::hint::black_box(report)
+        });
+    }
+}
+
 /// Every block-scaling row does the same `BLOCK_TOTAL` ops of work split
 /// into blocks of the size it names, so flat rows mean a constant per-op
 /// cost and a row that grows with its block size means something rescans
@@ -301,6 +366,7 @@ fn main() {
     bench_table1_smallest(&mut suite);
     bench_greedy_patterns(&mut suite);
     bench_sched_engine(&mut suite);
+    bench_sched_sweep(&mut suite);
     bench_block_scaling(&mut suite);
     bench_undo_log(&mut suite);
     if let Ok(path) = std::env::var("TD_BENCH_JSON") {

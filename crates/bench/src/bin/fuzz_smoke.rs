@@ -1,4 +1,4 @@
-//! CI smoke check for the generative differential fuzzer. Four gates:
+//! CI smoke check for the generative differential fuzzer. Five gates:
 //!
 //! 1. **Zero divergences**: a fixed-seed fuzz run (default 200 pairs;
 //!    `TD_FUZZ_SEED` / `TD_FUZZ_BUDGET` override) pushes every generated
@@ -22,6 +22,14 @@
 //!    `alternatives({T; doomed}, {})` ≡ identity and
 //!    `alternatives({T; doomed}, {U})` ≡ `U` holds on 200 seeds, under
 //!    both transaction modes and through the engine at 1 and 4 workers.
+//! 5. **Shared payloads**: as many payload groups as gate 1 has pairs —
+//!    one generated payload with four generated schedules each, setup
+//!    failures included — go through all six modes, so the engine runs
+//!    them on a parsed payload reused inside an undo-log watermark, and
+//!    must agree with `direct/always`; a batch mixing `TxnMode::Never`
+//!    jobs with retries, and one under an armed `silenceable@step=1` plan,
+//!    must match the same jobs run alone, at 1 and 4 workers. The engine
+//!    must have parsed fewer payloads than it ran jobs.
 //!
 //! ```text
 //! cargo run --release -p td-bench --bin fuzz_smoke
@@ -180,6 +188,24 @@ fn main() {
     println!(
         "fuzz_smoke: alternatives family ok ({} seeds, {} mutate-then-fail, {} checks, 0 violations)",
         family.cases, family.mutated_then_failed, family.checks
+    );
+
+    // Gate 5: shared payloads run by rollback agree with fresh contexts.
+    let groups = td_fuzz::run_groups(&config);
+    print!("{}", groups.summary());
+    if !groups.divergences.is_empty() {
+        for divergence in &groups.divergences {
+            eprintln!("shared-payload divergence:\n{divergence}");
+        }
+        panic!(
+            "fuzz_smoke: {} shared-payload divergence(s)",
+            groups.divergences.len()
+        );
+    }
+    assert_eq!(groups.panics, 0, "no schedule may panic the interpreter");
+    assert!(
+        groups.payload_parses < groups.engine_misses,
+        "the engine never reused a parsed payload"
     );
 
     println!(

@@ -20,8 +20,8 @@
 //!
 //! **Act 3 — overhead gate.** The observability plane (time series,
 //! request index, per-job metric flush) must cost < 3% against an
-//! identical service started `without_observability()`, min-of-N
-//! interleaved methodology as the PR-7 flight-recorder gate.
+//! identical service started `without_observability()`, in the median of
+//! interleaved pairs that alternate which service runs first.
 
 use std::io::Read as _;
 use std::path::{Path, PathBuf};
@@ -414,29 +414,37 @@ fn time_service(observe: bool, jobs: usize) -> u128 {
 
 fn overhead_gate() {
     let quick = std::env::var("TD_BENCH_QUICK").is_ok_and(|v| v == "1");
-    let (jobs, samples) = if quick { (24, 4) } else { (48, 5) };
-    let mut best_overhead = f64::MAX;
-    for _attempt in 0..4 {
-        let mut disabled = u128::MAX;
-        let mut enabled = u128::MAX;
-        for _ in 0..samples {
-            disabled = disabled.min(time_service(false, jobs));
-            enabled = enabled.min(time_service(true, jobs));
+    let (jobs, pairs) = if quick { (24, 9) } else { (48, 15) };
+    // One pair: an unobserved and an observed service timed back to back,
+    // `observed_first` saying which leads. Host drift lasts longer than a
+    // pair, so it lands on both halves alike; the median pair then shrugs
+    // off the pairs it still hit unevenly.
+    let pair = |observed_first: bool| -> (f64, f64) {
+        let mut spent = [0.0; 2];
+        for observe in [observed_first, !observed_first] {
+            spent[usize::from(observe)] = time_service(observe, jobs) as f64;
         }
-        let overhead = enabled as f64 / disabled as f64 - 1.0;
-        best_overhead = best_overhead.min(overhead);
-        if best_overhead < 0.03 {
-            break;
-        }
-    }
+        (spent[0], spent[1])
+    };
+    pair(false); // warm-up, discarded
+    let mut timed: Vec<(f64, f64)> = (0..pairs).map(|i| pair(i % 2 == 1)).collect();
+    let ratio = |&(unobserved, observed): &(f64, f64)| observed / unobserved;
+    timed.sort_by(|a, b| ratio(a).total_cmp(&ratio(b)));
+    let overhead = ratio(&timed[pairs / 2]) - 1.0;
+    println!(
+        "serve obs act 3: {pairs} interleaved pairs of {jobs} jobs: median pair ratio {:.3} (min {:.3}, max {:.3})",
+        ratio(&timed[pairs / 2]),
+        ratio(&timed[0]),
+        ratio(&timed[pairs - 1]),
+    );
     assert!(
-        best_overhead < 0.03,
+        overhead < 0.03,
         "observability plane overhead {:.2}% >= 3%",
-        best_overhead * 100.0
+        overhead * 100.0
     );
     println!(
         "serve obs act 3 OK: observability overhead {:.2}% (< 3%)",
-        best_overhead.max(0.0) * 100.0
+        overhead.max(0.0) * 100.0
     );
 }
 

@@ -8,11 +8,13 @@ use td_ir::parse_module;
 use td_modelgen::{
     generate_payload, generate_schedule_text, payload_op_names, PayloadOptions, ScheduleOptions,
 };
+use td_support::metrics;
 use td_support::rng::{derive_seed, Xoshiro256pp};
 
 use crate::minimize::{bisect_schedule, shrink_pair, Shrunk};
 use crate::oracle::{
-    differential, differential_failure, fresh_context, undo_equivalence, Outcome, Pair,
+    differential, differential_failure, fresh_context, single_job_agreement, undo_equivalence,
+    Outcome, Pair,
 };
 
 /// Environment variable overriding the root fuzz seed.
@@ -90,6 +92,27 @@ pub struct PairSpec {
 impl PairSpec {
     /// Generate the pair plus the payload's op-name occurrence counts.
     pub fn build_with_coverage(&self) -> (Pair, BTreeMap<String, u64>) {
+        let (payload, names, counts) = self.payload();
+        (Pair::new(payload, self.schedule(names, 0)), counts)
+    }
+
+    /// Generate just the pair.
+    pub fn build(&self) -> Pair {
+        self.build_with_coverage().0
+    }
+
+    /// The spec's payload group: its payload with [`GROUP_SCHEDULES`]
+    /// schedules generated against it, the pair's own schedule first.
+    pub fn build_group(&self) -> Vec<Pair> {
+        let (payload, names, _) = self.payload();
+        (0..GROUP_SCHEDULES as u64)
+            .map(|variant| Pair::new(payload.clone(), self.schedule(names.clone(), variant)))
+            .collect()
+    }
+
+    /// The generated payload's text, the op names schedules target, and
+    /// its op-name occurrence counts.
+    fn payload(&self) -> (String, Vec<String>, BTreeMap<String, u64>) {
         let mut ctx = fresh_context();
         let module = generate_payload(
             &mut ctx,
@@ -102,17 +125,16 @@ impl PairSpec {
                 .or_insert(0) += 1;
         }
         let names = payload_op_names(&ctx, module);
-        let payload = td_ir::print_op(&ctx, module);
-        let schedule = generate_schedule_text(
-            &ScheduleOptions::new(derive_seed(self.seed, 0x5ced), names)
-                .with_steps(self.schedule_steps),
-        );
-        (Pair::new(payload, schedule), counts)
+        (td_ir::print_op(&ctx, module), names, counts)
     }
 
-    /// Generate just the pair.
-    pub fn build(&self) -> Pair {
-        self.build_with_coverage().0
+    /// Schedule number `variant` generated against a payload with op
+    /// `names` (variant 0 is the pair's own).
+    fn schedule(&self, names: Vec<String>, variant: u64) -> String {
+        generate_schedule_text(
+            &ScheduleOptions::new(derive_seed(self.seed, 0x5ced + variant), names)
+                .with_steps(self.schedule_steps),
+        )
     }
 
     /// The same spec with different size knobs (for shrinking).
@@ -135,6 +157,139 @@ pub fn pair_specs(config: &FuzzConfig) -> Vec<PairSpec> {
             schedule_steps: rng.range_usize(2, config.max_schedule_steps as usize) as u32,
         })
         .collect()
+}
+
+/// Schedules generated against each payload of a payload group.
+pub const GROUP_SCHEDULES: usize = 4;
+
+/// One payload group per spec of `config` ([`PairSpec::build_group`]),
+/// flattened group by group: a batch of them carries every payload text
+/// several times, so the engine runs its jobs on a shared parsed payload.
+/// Some groups fail setup on purpose, so reuse also follows every kind of
+/// setup failure: in two of every eight the last schedule names a missing
+/// entry, in one it is cut short and does not parse, and in one the
+/// payload itself is cut short.
+pub fn group_pairs(config: &FuzzConfig) -> Vec<Pair> {
+    let mut pairs = Vec::with_capacity(config.budget * GROUP_SCHEDULES);
+    for (group, spec) in pair_specs(config).iter().enumerate() {
+        let mut members = spec.build_group();
+        let last = members.last_mut().expect("a group has schedules");
+        match group % 8 {
+            1 | 5 => last.entry = "missing".to_owned(),
+            3 => last.schedule.truncate(last.schedule.len() / 2),
+            7 => {
+                for member in &mut members {
+                    member.payload.truncate(member.payload.len() / 2);
+                }
+            }
+            _ => {}
+        }
+        pairs.extend(members);
+    }
+    pairs
+}
+
+/// Aggregate results of [`run_groups`].
+#[derive(Clone, Debug, Default)]
+pub struct GroupReport {
+    /// Payload groups generated.
+    pub groups: usize,
+    /// Pairs across all groups.
+    pub pairs: usize,
+    /// Pairs where the schedule applied cleanly (reference mode).
+    pub ok: usize,
+    /// Pairs ending in a silenceable transform failure.
+    pub silenceable: usize,
+    /// Pairs ending in a definite transform failure.
+    pub definite: usize,
+    /// Pairs that never reached the interpreter (parse error, missing
+    /// entry) — by construction here, not a generator bug.
+    pub setup_errors: usize,
+    /// Pairs whose reference run panicked.
+    pub panics: usize,
+    /// Payload parses across the differential oracle's engine modes.
+    pub payload_parses: u64,
+    /// Jobs those modes ran rather than answered from the cache: without
+    /// reuse, every one of them parses its payload.
+    pub engine_misses: u64,
+    /// Every disagreement: a differential mode against `direct/always`,
+    /// or a batch job against the same job run alone.
+    pub divergences: Vec<String>,
+}
+
+impl GroupReport {
+    /// Human-readable run summary.
+    pub fn summary(&self) -> String {
+        format!(
+            "fuzz groups: {} groups of {GROUP_SCHEDULES} ({} pairs) | ok {} | silenceable {} | definite {} | setup {} | panic {} | engine payload parses {} for {} misses | divergences {}\n",
+            self.groups,
+            self.pairs,
+            self.ok,
+            self.silenceable,
+            self.definite,
+            self.setup_errors,
+            self.panics,
+            self.payload_parses,
+            self.engine_misses,
+            self.divergences.len()
+        )
+    }
+}
+
+/// The engine's payload-parse and job counters on this thread (the engine
+/// merges its workers' counters into the caller's).
+fn engine_counters() -> (u64, u64) {
+    let metrics = metrics::snapshot();
+    let count = |name| metrics.counter_value(name).unwrap_or(0);
+    (count("sched.payload_parses"), count("sched.jobs"))
+}
+
+/// Runs the payload groups of `config` ([`group_pairs`]) through the
+/// differential oracle, whose engine modes then run most jobs on a shared
+/// parsed payload inside a watermark, and through
+/// [`single_job_agreement`] at one and four workers: a batch mixing
+/// `TxnMode::Never` jobs with retries, and a batch under an armed
+/// silenceable fault plan, must each match the same jobs run alone.
+/// Divergences are reported, not shrunk: they may need the whole group.
+pub fn run_groups(config: &FuzzConfig) -> GroupReport {
+    let pairs = group_pairs(config);
+    let mut report = GroupReport {
+        groups: config.budget,
+        pairs: pairs.len(),
+        ..GroupReport::default()
+    };
+    let (parses_before, jobs_before) = engine_counters();
+    let cases = differential(&pairs);
+    let (parses_after, jobs_after) = engine_counters();
+    let warm_hits = cases.iter().filter(|case| !case.cache_missed_warm).count() as u64;
+    report.payload_parses = parses_after - parses_before;
+    report.engine_misses = jobs_after - jobs_before - warm_hits;
+    for (index, case) in cases.iter().enumerate() {
+        match case.reference() {
+            Outcome::Ok { .. } => report.ok += 1,
+            Outcome::Transform {
+                silenceable: true, ..
+            } => report.silenceable += 1,
+            Outcome::Transform {
+                silenceable: false, ..
+            } => report.definite += 1,
+            Outcome::Setup { .. } | Outcome::RoundTrip { .. } => report.setup_errors += 1,
+            Outcome::Panic { .. } => report.panics += 1,
+        }
+        if let Some(description) = case.failure() {
+            report.divergences.push(format!(
+                "group {} schedule {}: {description}",
+                index / GROUP_SCHEDULES,
+                index % GROUP_SCHEDULES
+            ));
+        }
+    }
+    for workers in [1, 4] {
+        report
+            .divergences
+            .extend(single_job_agreement(&pairs, workers));
+    }
+    report
 }
 
 /// One diverging pair, shrunk as far as the oracle allows.

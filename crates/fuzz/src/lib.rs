@@ -16,7 +16,11 @@
 //!    index in turn, the post-rollback payload must print identically to
 //!    a fresh run of just the committed steps, and its fingerprint must
 //!    be restored exactly. A third ([`metamorphic`]) holds
-//!    `transform.alternatives` to the same standard per branch.
+//!    `transform.alternatives` to the same standard per branch. Payload
+//!    groups ([`run_groups`]: one payload, several schedules) put the
+//!    engine's shared-payload path through the same oracle, and hold
+//!    batches of mixed policies and under an armed fault plan to the
+//!    results of the same jobs run alone.
 //! 3. Divergences are shrunk by [`minimize`] (knob shrinking plus
 //!    schedule bisection via `bisect_schedule_failure`) and written to the
 //!    [`corpus`] as committed `.mlir` repro files replayed by the golden
@@ -32,11 +36,11 @@ pub mod minimize;
 pub mod oracle;
 
 pub use driver::{
-    pair_specs, run_fuzz, shrink_divergence, Divergence, FuzzConfig, FuzzReport, PairSpec,
-    BUDGET_ENV, DEFAULT_SEED, SEED_ENV,
+    group_pairs, pair_specs, run_fuzz, run_groups, shrink_divergence, Divergence, FuzzConfig,
+    FuzzReport, GroupReport, PairSpec, BUDGET_ENV, DEFAULT_SEED, GROUP_SCHEDULES, SEED_ENV,
 };
 pub use minimize::{bisect_schedule, shrink_pair, Shrunk};
 pub use oracle::{
-    differential, differential_failure, fresh_context, run_direct, run_engine, undo_equivalence,
-    CaseReport, EngineRun, Outcome, Pair, MODES,
+    differential, differential_failure, fresh_context, run_direct, run_engine,
+    single_job_agreement, undo_equivalence, CaseReport, EngineRun, Outcome, Pair, MODES,
 };

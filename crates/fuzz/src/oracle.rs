@@ -369,6 +369,69 @@ pub fn differential(pairs: &[Pair]) -> Vec<CaseReport> {
     reports
 }
 
+/// The fault plan of [`single_job_agreement`]'s armed batch: the second
+/// interpreter step of every job's first attempt fails silenceably.
+pub const GROUP_FAULT: &str = "silenceable@step=1";
+
+/// Holds two batches over `pairs` on `workers` to the results of the same
+/// jobs run alone, as one-job batches (which never share a payload): one
+/// batch where every third job runs under [`TxnMode::Never`] and all have
+/// two attempts, and one under the process-wide [`GROUP_FAULT`] plan,
+/// which keeps every job on a fresh context. Each job carries its index as
+/// its fault lane, so the plan fires alike in the batch and alone. Returns
+/// a description of every job whose results differ.
+pub fn single_job_agreement(pairs: &[Pair], workers: usize) -> Vec<String> {
+    let mixed: Vec<Job> = jobs_for(pairs)
+        .into_iter()
+        .enumerate()
+        .map(|(index, job)| {
+            let txn = if index % 3 == 1 {
+                TxnMode::Never
+            } else {
+                TxnMode::Always
+            };
+            job.with_txn(txn)
+                .with_max_attempts(2)
+                .with_fault_lane(index as u64)
+        })
+        .collect();
+    let mut divergences = batch_against_alone(&mixed, workers, "mixed-policy batch");
+    fault::set_plan(Some(
+        fault::FaultPlan::parse(GROUP_FAULT).expect("group fault plan parses"),
+    ));
+    let armed: Vec<Job> = mixed
+        .into_iter()
+        .map(|job| job.with_txn(TxnMode::Always))
+        .collect();
+    divergences.extend(batch_against_alone(&armed, workers, GROUP_FAULT));
+    fault::set_plan(None);
+    divergences
+}
+
+/// Runs `jobs` as one batch on an uncached engine of `workers`, then each
+/// alone, and describes every job whose two results differ.
+fn batch_against_alone(jobs: &[Job], workers: usize, what: &str) -> Vec<String> {
+    let batch = Engine::new(
+        EngineConfig::standard()
+            .with_workers(workers)
+            .without_cache(),
+    )
+    .run_batch(jobs.to_vec());
+    let single = Engine::new(EngineConfig::standard().with_workers(1).without_cache());
+    jobs.iter()
+        .zip(&batch.results)
+        .enumerate()
+        .filter_map(|(index, (job, batched))| {
+            let alone = &single.run_batch(vec![job.clone()]).results[0];
+            (alone != batched).then(|| {
+                format!(
+                    "{what} at {workers} worker(s), job {index}:\n  in the batch: {batched:?}\n  alone: {alone:?}"
+                )
+            })
+        })
+        .collect()
+}
+
 /// Convenience: the failure description for a single pair, if any.
 pub fn differential_failure(pair: &Pair) -> Option<String> {
     differential(std::slice::from_ref(pair)).remove(0).failure()

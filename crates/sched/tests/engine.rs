@@ -778,3 +778,165 @@ fn the_caller_gets_its_thread_back_as_it_left_it() {
     journal::clear_enabled_override();
     fault::set_lane(0);
 }
+
+/// Two test transforms for the shared-payload tests: `test.panic` panics
+/// inside its step, where the interpreter contains it and rolls the step
+/// back; `test.erase_root` erases the payload module its operand maps to,
+/// so printing the result panics past the interpreter, at the worker
+/// boundary.
+fn panicking_transforms() -> td_sched::engine::TransformsFactory {
+    Arc::new(|| {
+        let mut registry = TransformOpRegistry::with_standard_ops();
+        registry.register(TransformOpDef::new(
+            "test.panic",
+            "always panics",
+            |_, _, _, _| panic!("intentional test panic"),
+        ));
+        registry.register(TransformOpDef::new(
+            "test.erase_root",
+            "erases the payload module",
+            |_, ctx, state, op| {
+                let location = ctx.op(op).location.clone();
+                let handle = ctx.op(op).operands()[0];
+                for root in state.ops(handle, &location)? {
+                    ctx.erase_op(root);
+                }
+                Ok(())
+            },
+        ));
+        registry
+    })
+}
+
+/// 32 candidates for one payload: mostly annotations with distinct
+/// markers (each mutates the payload, so a leaked mutation shows in a
+/// later candidate's text), plus one whose transform panics inside its
+/// step, one whose print panics at the worker boundary, one naming a
+/// missing entry and one whose script does not parse.
+fn shared_candidates() -> Vec<Job> {
+    let shared = payload(0);
+    (0..32)
+        .map(|i| match i {
+            5 => Job::new(custom_op_script("test.panic"), shared.clone()),
+            11 => Job::new(
+                r#"module {
+  transform.named_sequence @main(%root: !transform.any_op) {
+    "test.erase_root"(%root) : (!transform.any_op) -> ()
+  }
+}"#,
+                shared.clone(),
+            ),
+            17 => Job::new(annotate_script("never"), shared.clone()).with_entry("absent"),
+            23 => Job::new("module { not valid ir", shared.clone()),
+            _ => Job::new(annotate_script(&format!("candidate{i}")), shared.clone()),
+        })
+        .collect()
+}
+
+/// This thread's `sched.payload_parses` counter (the engine merges its
+/// workers' counters into the caller's).
+fn payload_parses() -> u64 {
+    td_support::metrics::snapshot()
+        .counter_value("sched.payload_parses")
+        .unwrap_or(0)
+}
+
+#[test]
+fn shared_payload_candidates_match_fresh_contexts_around_panics() {
+    let engine_of = |workers: usize| {
+        let mut config = EngineConfig::standard()
+            .with_workers(workers)
+            .without_cache();
+        config.transforms_factory = panicking_transforms();
+        Engine::new(config)
+    };
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    // The reference: every candidate alone, as a one-job batch, which
+    // never shares a payload and so parses into a fresh context.
+    let alone = engine_of(1);
+    let fresh: Vec<_> = shared_candidates()
+        .into_iter()
+        .map(|job| alone.run_batch(vec![job]).results.remove(0))
+        .collect();
+    let mut parses = Vec::new();
+    let mut reports = Vec::new();
+    for workers in [1, 4] {
+        let before = payload_parses();
+        reports.push(engine_of(workers).run_batch(shared_candidates()));
+        parses.push(payload_parses() - before);
+    }
+    std::panic::set_hook(hook);
+
+    match &fresh[5] {
+        Err(JobError::Transform {
+            message,
+            silenceable: false,
+        }) => assert!(message.contains("intentional test panic"), "{message}"),
+        other => panic!("expected a contained panic, got {other:?}"),
+    }
+    assert!(
+        matches!(&fresh[11], Err(JobError::Panicked { .. })),
+        "{:?}",
+        fresh[11]
+    );
+    assert!(matches!(&fresh[17], Err(JobError::EntryMissing { .. })));
+    assert!(matches!(
+        &fresh[23],
+        Err(JobError::Parse { what: "script", .. })
+    ));
+    assert_eq!(fresh.iter().filter(|r| r.is_ok()).count(), 28);
+    for (report, workers) in reports.iter().zip([1, 4]) {
+        for (index, (shared, fresh)) in report.results.iter().zip(&fresh).enumerate() {
+            assert_eq!(
+                shared, fresh,
+                "candidate {index} at {workers} worker(s) differs from a fresh context"
+            );
+        }
+    }
+    // One worker parses the payload once, and once more after the panic
+    // at its boundary dropped the parsed payload.
+    assert_eq!(parses[0], 2);
+    assert!(parses[1] <= 4 + 1, "{} parses at 4 workers", parses[1]);
+}
+
+#[test]
+fn payload_parses_count_one_per_worker_on_a_shared_batch() {
+    let shared = |n: usize| -> Vec<Job> {
+        (0..n)
+            .map(|i| Job::new(annotate_script(&format!("c{i}")), payload(0)))
+            .collect()
+    };
+    let parses_of = |workers: usize, batches: Vec<Vec<Job>>| -> u64 {
+        let engine = Engine::new(
+            EngineConfig::standard()
+                .with_workers(workers)
+                .without_cache(),
+        );
+        let before = payload_parses();
+        for jobs in batches {
+            let count = jobs.len();
+            assert_eq!(engine.run_batch(jobs).ok_count(), count);
+        }
+        payload_parses() - before
+    };
+    assert_eq!(parses_of(1, vec![shared(32)]), 1);
+    assert!(parses_of(4, vec![shared(32)]) <= 4);
+    // Single-job batches share nothing, so each job parses.
+    let singles = shared(32).into_iter().map(|job| vec![job]).collect();
+    assert_eq!(parses_of(1, singles), 32);
+    // Jobs without transactions run on fresh contexts.
+    let never = shared(32)
+        .into_iter()
+        .map(|job| job.with_txn(TxnMode::Never))
+        .collect();
+    assert_eq!(parses_of(1, vec![never]), 32);
+    // So does every job while a fault plan is armed (on this thread, which
+    // a one-worker engine runs every job on), even one that never fires.
+    td_support::fault::set_thread_plan(Some(
+        td_support::fault::FaultPlan::parse("silenceable@transform=test.absent").unwrap(),
+    ));
+    let armed = parses_of(1, vec![shared(32)]);
+    td_support::fault::set_thread_plan(None);
+    assert_eq!(armed, 32);
+}

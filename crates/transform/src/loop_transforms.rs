@@ -394,8 +394,6 @@ pub fn unroll_by(ctx: &mut Context, loop_op: OpId, factor: i64) -> Result<OpId, 
     };
     let block = ctx.op(loop_op).parent().expect("attached");
     let new_for = scf::build_for(ctx, block, for_op.lower, for_op.upper, new_step);
-    let pos_src = ctx.op_position(block, loop_op).expect("in block");
-    let _ = pos_src;
     ctx.move_op_before(new_for.op, loop_op);
     let body_ops = scf::body_ops(ctx, for_op);
     let terminator = ctx
@@ -499,12 +497,9 @@ pub fn interchange(
         return Err(err(ctx, root, "nest is shallower than the permutation"));
     }
     let nest = &nest[..depth];
-    let block = ctx
-        .op(root)
-        .parent()
-        .ok_or_else(|| err(ctx, root, "is detached"))?;
-
-    let _ = block;
+    if ctx.op(root).parent().is_none() {
+        return Err(err(ctx, root, "is detached"));
+    }
     let mut new_loops = Vec::with_capacity(depth);
     let mut new_ivs: Vec<(usize, ValueId)> = Vec::with_capacity(depth);
     let mut anchor = root;

@@ -192,7 +192,7 @@ fn remove_operand(ctx: &mut Context, op: OpId, index: usize) {
     // at itself is not possible, so we recreate the op without the operand.
     let data = ctx.op(op);
     let mut operands = data.operands().to_vec();
-    let removed = operands.remove(index);
+    operands.remove(index);
     let attributes = data.attributes().to_vec();
     let result_types: Vec<td_ir::TypeId> =
         data.results().iter().map(|&r| ctx.value_type(r)).collect();
@@ -212,7 +212,6 @@ fn remove_operand(ctx: &mut Context, op: OpId, index: usize) {
         ctx.replace_all_uses(old, new);
     }
     ctx.erase_op(op);
-    let _ = removed;
 }
 
 /// Removes provably no-op transforms (`unroll` by 1, `tile` by 0) by

@@ -106,3 +106,44 @@ fn alternatives_failed_branches_leave_no_trace() {
     report.verdict().unwrap_or_else(|why| panic!("{why}"));
     assert_eq!(report.checks, metamorphic::SEEDS * 2 * 4);
 }
+
+/// Payload groups — one generated payload, several generated schedules,
+/// setup failures included — run the engine's shared-payload path in
+/// every differential mode (1 and 4 workers, journal, cold and warm
+/// cache) against `direct/always`; a batch mixing `TxnMode::Never` jobs
+/// with retries, and one under an armed `silenceable@step=1` plan, match
+/// the same jobs run alone.
+#[test]
+fn shared_payload_groups_agree_with_fresh_contexts() {
+    let _guard = fault::test_guard();
+    fault::set_plan(None);
+    let config = FuzzConfig {
+        budget: 200,
+        max_payload_size: 6,
+        max_schedule_steps: 6,
+        ..FuzzConfig::default()
+    };
+    let report = td_fuzz::run_groups(&config);
+    assert!(
+        report.divergences.is_empty(),
+        "{}\n{}",
+        report.summary(),
+        report.divergences.join("\n---\n")
+    );
+    assert_eq!(report.groups, 200);
+    assert_eq!(report.pairs, 200 * td_fuzz::GROUP_SCHEDULES);
+    assert_eq!(report.panics, 0);
+    for (class, count) in [
+        ("ok", report.ok),
+        ("silenceable", report.silenceable),
+        ("definite", report.definite),
+        ("setup", report.setup_errors),
+    ] {
+        assert!(count > 0, "no {class} outcome: {}", report.summary());
+    }
+    assert!(
+        report.payload_parses < report.engine_misses,
+        "the engine never reused a parsed payload: {}",
+        report.summary()
+    );
+}
