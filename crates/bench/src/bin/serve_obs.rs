@@ -388,52 +388,62 @@ fn request_correlation() {
     );
 }
 
-/// Times `jobs` submissions through a fresh service with the given
-/// observability setting.
-fn time_service(observe: bool, jobs: usize) -> u128 {
+/// A fresh one-tenant, two-worker service with the given observability
+/// setting.
+fn start_service(observe: bool) -> Service {
     let mut config =
         ServiceConfig::new(vec![TenantConfig::new("t").with_fault_lane(3)]).with_workers(2);
     if !observe {
         config = config.without_observability();
     }
-    let service = Service::start(config).expect("service starts");
-    let started = Instant::now();
-    // Distinct payloads: every job really runs transforms, so the plane's
-    // per-job cost is measured against real work, not cache hits.
-    for i in 0..jobs {
-        service
-            .submit_wait("t", SCRIPT, payload(i), "main")
-            .expect("admit")
-            .result
-            .expect("job succeeds");
-    }
-    let elapsed = started.elapsed().as_nanos();
-    service.drain();
-    elapsed
+    Service::start(config).expect("service starts")
 }
 
 fn overhead_gate() {
     let quick = std::env::var("TD_BENCH_QUICK").is_ok_and(|v| v == "1");
-    let (jobs, pairs) = if quick { (24, 9) } else { (48, 15) };
-    // One pair: an unobserved and an observed service timed back to back,
-    // `observed_first` saying which leads. Host drift lasts longer than a
-    // pair, so it lands on both halves alike; the median pair then shrugs
-    // off the pairs it still hit unevenly.
-    let pair = |observed_first: bool| -> (f64, f64) {
-        let mut spent = [0.0; 2];
-        for observe in [observed_first, !observed_first] {
-            spent[usize::from(observe)] = time_service(observe, jobs) as f64;
+    let (jobs, pairs) = if quick { (16, 201) } else { (16, 401) };
+    let services = [start_service(false), start_service(true)];
+    let mut submitted = 0;
+    // One pair: the unobserved and the observed service fed `jobs`
+    // submissions each, alternately, submission by submission
+    // (`observed_first` says which leads), each timed on its own. Host
+    // drift lasts far longer than one submission, so it lands on both
+    // halves alike; a pair is short, so most pairs see no stall, and the
+    // median pair shrugs off those that do.
+    let mut pair = |observed_first: bool| -> (f64, f64) {
+        let mut spent = [Duration::ZERO; 2];
+        for i in 0..2 * jobs {
+            let observe = usize::from((i % 2 == 0) == observed_first);
+            // Distinct payloads: every job really runs transforms, so the
+            // plane's per-job cost is measured against real work, not
+            // cache hits. Each service has its own cache, so both halves
+            // run every payload once.
+            let payload = payload(submitted + i / 2);
+            let started = Instant::now();
+            services[observe]
+                .submit_wait("t", SCRIPT, payload, "main")
+                .expect("admit")
+                .result
+                .expect("job succeeds");
+            spent[observe] += started.elapsed();
         }
-        (spent[0], spent[1])
+        submitted += jobs;
+        (spent[0].as_secs_f64(), spent[1].as_secs_f64())
     };
     pair(false); // warm-up, discarded
     let mut timed: Vec<(f64, f64)> = (0..pairs).map(|i| pair(i % 2 == 1)).collect();
+    for service in &services {
+        service.drain();
+    }
     let ratio = |&(unobserved, observed): &(f64, f64)| observed / unobserved;
     timed.sort_by(|a, b| ratio(a).total_cmp(&ratio(b)));
-    let overhead = ratio(&timed[pairs / 2]) - 1.0;
+    let median = timed[pairs / 2];
+    let overhead = ratio(&median) - 1.0;
     println!(
-        "serve obs act 3: {pairs} interleaved pairs of {jobs} jobs: median pair ratio {:.3} (min {:.3}, max {:.3})",
-        ratio(&timed[pairs / 2]),
+        "serve obs act 3: {pairs} interleaved pairs of {jobs} jobs: median pair unobserved {:.3}ms, observed {:.3}ms, ratio {:.3} (min {:.3}, max {:.3})",
+        median.0 * 1e3,
+        median.1 * 1e3,
+        ratio(&median),
         ratio(&timed[0]),
         ratio(&timed[pairs - 1]),
     );
