@@ -141,8 +141,14 @@ fn main() {
     let report = td_fuzz::run_fuzz(&config);
     print!("{}", report.summary());
     assert_eq!(report.pairs, config.budget);
-    assert_eq!(report.setup_errors, 0, "generated pairs must parse");
-    assert_eq!(report.panics, 0, "no schedule may panic the interpreter");
+    assert_eq!(
+        report.outcomes.setup_errors, 0,
+        "generated pairs must parse"
+    );
+    assert_eq!(
+        report.outcomes.panics, 0,
+        "no schedule may panic the interpreter"
+    );
     assert!(
         report.undo_checked > 0,
         "the undo-log equivalence sweep must cover at least one pair"
@@ -202,7 +208,10 @@ fn main() {
             groups.divergences.len()
         );
     }
-    assert_eq!(groups.panics, 0, "no schedule may panic the interpreter");
+    assert_eq!(
+        groups.outcomes.panics, 0,
+        "no schedule may panic the interpreter"
+    );
     assert!(
         groups.payload_parses < groups.engine_misses,
         "the engine never reused a parsed payload"

@@ -196,17 +196,9 @@ pub struct GroupReport {
     pub groups: usize,
     /// Pairs across all groups.
     pub pairs: usize,
-    /// Pairs where the schedule applied cleanly (reference mode).
-    pub ok: usize,
-    /// Pairs ending in a silenceable transform failure.
-    pub silenceable: usize,
-    /// Pairs ending in a definite transform failure.
-    pub definite: usize,
-    /// Pairs that never reached the interpreter (parse error, missing
-    /// entry) — by construction here, not a generator bug.
-    pub setup_errors: usize,
-    /// Pairs whose reference run panicked.
-    pub panics: usize,
+    /// How the pairs' reference runs ended (setup errors are made on
+    /// purpose here, see [`group_pairs`]).
+    pub outcomes: OutcomeCounts,
     /// Payload parses across the differential oracle's engine modes.
     pub payload_parses: u64,
     /// Jobs those modes ran rather than answered from the cache: without
@@ -221,14 +213,10 @@ impl GroupReport {
     /// Human-readable run summary.
     pub fn summary(&self) -> String {
         format!(
-            "fuzz groups: {} groups of {GROUP_SCHEDULES} ({} pairs) | ok {} | silenceable {} | definite {} | setup {} | panic {} | engine payload parses {} for {} misses | divergences {}\n",
+            "fuzz groups: {} groups of {GROUP_SCHEDULES} ({} pairs) | {} | engine payload parses {} for {} misses | divergences {}\n",
             self.groups,
             self.pairs,
-            self.ok,
-            self.silenceable,
-            self.definite,
-            self.setup_errors,
-            self.panics,
+            self.outcomes,
             self.payload_parses,
             self.engine_misses,
             self.divergences.len()
@@ -265,17 +253,7 @@ pub fn run_groups(config: &FuzzConfig) -> GroupReport {
     report.payload_parses = parses_after - parses_before;
     report.engine_misses = jobs_after - jobs_before - warm_hits;
     for (index, case) in cases.iter().enumerate() {
-        match case.reference() {
-            Outcome::Ok { .. } => report.ok += 1,
-            Outcome::Transform {
-                silenceable: true, ..
-            } => report.silenceable += 1,
-            Outcome::Transform {
-                silenceable: false, ..
-            } => report.definite += 1,
-            Outcome::Setup { .. } | Outcome::RoundTrip { .. } => report.setup_errors += 1,
-            Outcome::Panic { .. } => report.panics += 1,
-        }
+        report.outcomes.add(case.reference());
         if let Some(description) = case.failure() {
             report.divergences.push(format!(
                 "group {} schedule {}: {description}",
@@ -290,6 +268,48 @@ pub fn run_groups(config: &FuzzConfig) -> GroupReport {
             .extend(single_job_agreement(&pairs, workers));
     }
     report
+}
+
+/// How many pairs' reference (`direct/always`) runs ended each way.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct OutcomeCounts {
+    /// The schedule applied cleanly.
+    pub ok: usize,
+    /// A silenceable transform failure.
+    pub silenceable: usize,
+    /// A definite transform failure.
+    pub definite: usize,
+    /// The pair never reached the interpreter (parse error, missing entry).
+    pub setup_errors: usize,
+    /// The reference run panicked.
+    pub panics: usize,
+}
+
+impl OutcomeCounts {
+    /// Counts one reference outcome.
+    pub fn add(&mut self, outcome: &Outcome) {
+        match outcome {
+            Outcome::Ok { .. } => self.ok += 1,
+            Outcome::Transform {
+                silenceable: true, ..
+            } => self.silenceable += 1,
+            Outcome::Transform {
+                silenceable: false, ..
+            } => self.definite += 1,
+            Outcome::Setup { .. } | Outcome::RoundTrip { .. } => self.setup_errors += 1,
+            Outcome::Panic { .. } => self.panics += 1,
+        }
+    }
+}
+
+impl std::fmt::Display for OutcomeCounts {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "ok {} | silenceable {} | definite {} | setup {} | panic {}",
+            self.ok, self.silenceable, self.definite, self.setup_errors, self.panics
+        )
+    }
 }
 
 /// One diverging pair, shrunk as far as the oracle allows.
@@ -316,16 +336,9 @@ pub struct Divergence {
 pub struct FuzzReport {
     /// Pairs generated and checked.
     pub pairs: usize,
-    /// Pairs where the schedule applied cleanly (reference mode).
-    pub ok: usize,
-    /// Pairs ending in a silenceable transform failure.
-    pub silenceable: usize,
-    /// Pairs ending in a definite transform failure.
-    pub definite: usize,
-    /// Pairs that never reached the interpreter (generator bugs).
-    pub setup_errors: usize,
-    /// Pairs whose reference run panicked.
-    pub panics: usize,
+    /// How the pairs' reference runs ended (a setup error here is a
+    /// generator bug).
+    pub outcomes: OutcomeCounts,
     /// Pairs additionally swept for rollback exactness.
     pub undo_checked: usize,
     /// Payload op name -> total occurrences across all generated payloads.
@@ -350,13 +363,9 @@ impl FuzzReport {
     /// Human-readable run summary.
     pub fn summary(&self) -> String {
         let mut out = format!(
-            "fuzz: {} pairs | ok {} | silenceable {} | definite {} | setup {} | panic {} | undo-swept {} | divergences {}\n",
+            "fuzz: {} pairs | {} | undo-swept {} | divergences {}\n",
             self.pairs,
-            self.ok,
-            self.silenceable,
-            self.definite,
-            self.setup_errors,
-            self.panics,
+            self.outcomes,
             self.undo_checked,
             self.divergences.len()
         );
@@ -407,17 +416,7 @@ pub fn run_fuzz(config: &FuzzConfig) -> FuzzReport {
 
     let case_reports = differential(&pairs);
     for (index, case) in case_reports.iter().enumerate() {
-        match case.reference() {
-            Outcome::Ok { .. } => report.ok += 1,
-            Outcome::Transform {
-                silenceable: true, ..
-            } => report.silenceable += 1,
-            Outcome::Transform {
-                silenceable: false, ..
-            } => report.definite += 1,
-            Outcome::Setup { .. } | Outcome::RoundTrip { .. } => report.setup_errors += 1,
-            Outcome::Panic { .. } => report.panics += 1,
-        }
+        report.outcomes.add(case.reference());
         if let Some(description) = case.failure() {
             report
                 .divergences
@@ -533,9 +532,10 @@ mod tests {
                 .collect::<Vec<_>>()
                 .join("\n---\n")
         );
-        assert_eq!(report.setup_errors, 0, "generators must emit valid pairs");
-        assert_eq!(report.panics, 0);
-        assert!(report.ok + report.silenceable + report.definite == 12);
+        let outcomes = report.outcomes;
+        assert_eq!(outcomes.setup_errors, 0, "generators must emit valid pairs");
+        assert_eq!(outcomes.panics, 0);
+        assert!(outcomes.ok + outcomes.silenceable + outcomes.definite == 12);
         assert!(!report.payload_ops.is_empty());
         assert!(!report.schedule_ops.is_empty());
     }

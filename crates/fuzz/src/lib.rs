@@ -37,7 +37,8 @@ pub mod oracle;
 
 pub use driver::{
     group_pairs, pair_specs, run_fuzz, run_groups, shrink_divergence, Divergence, FuzzConfig,
-    FuzzReport, GroupReport, PairSpec, BUDGET_ENV, DEFAULT_SEED, GROUP_SCHEDULES, SEED_ENV,
+    FuzzReport, GroupReport, OutcomeCounts, PairSpec, BUDGET_ENV, DEFAULT_SEED, GROUP_SCHEDULES,
+    SEED_ENV,
 };
 pub use minimize::{bisect_schedule, shrink_pair, Shrunk};
 pub use oracle::{

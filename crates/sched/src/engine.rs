@@ -19,12 +19,11 @@
 //!
 //! Results are reported back as `(job index, result)` pairs and placed
 //! into their slot, so the returned vector is in submission order even
-//! when workers finish out of order. The result
-//! cache cannot break this: every job is probed before any job of the
-//! batch runs, so which jobs are hits — and with it every cache counter
-//! and `from_cache` flag — depends only on the batch and the cache state
-//! it found. (Two equal jobs in one batch both miss; the second insert is
-//! a replacement.)
+//! when workers finish out of order. The result cache cannot break this:
+//! every job is probed before any job of the batch runs, so which jobs are
+//! hits — and with it every cache counter and `from_cache` flag — depends
+//! only on the batch and the cache state it found. (Two equal jobs in one
+//! batch both miss; the second insert is a replacement.)
 //!
 //! # Observability
 //!
@@ -63,6 +62,7 @@ use crate::cache::{CacheKey, CacheStats, CachedResult, ResultCache};
 use crate::job::{Job, JobError, JobOutput, JobResult};
 use crate::stats::{BatchStats, WorkerLane, QUEUE_WAIT_SERIES, RUN_SERIES, TOTAL_SERIES};
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -832,32 +832,47 @@ struct PayloadSlot {
 }
 
 /// Whether each miss's payload text occurs in at least one other miss of
-/// the batch. The payload hash the cache key already holds buckets the
-/// misses; a byte comparison decides within a bucket.
+/// the batch.
 fn shared_payloads(misses: &[(usize, Job, CacheKey)]) -> Vec<bool> {
-    // Per payload hash: (first miss with that text, misses with it).
-    let mut texts: HashMap<u64, Vec<(usize, usize)>> = HashMap::new();
-    let mut groups = Vec::with_capacity(misses.len());
-    for (position, (_, job, key)) in misses.iter().enumerate() {
-        let bucket = texts.entry(key.payload_fp).or_default();
-        let group = match bucket
-            .iter()
-            .position(|&(first, _)| misses[first].1.payload == job.payload)
-        {
-            Some(group) => group,
-            None => {
-                bucket.push((position, 0));
-                bucket.len() - 1
-            }
-        };
-        bucket[group].1 += 1;
-        groups.push((key.payload_fp, group));
+    let mut counts: HashMap<PayloadText, usize> = HashMap::new();
+    for miss in misses {
+        *counts.entry(PayloadText::of(miss)).or_insert(0) += 1;
     }
-    groups
-        .into_iter()
-        .map(|(hash, group)| texts[&hash][group].1 >= 2)
+    misses
+        .iter()
+        .map(|miss| counts[&PayloadText::of(miss)] >= 2)
         .collect()
 }
+
+/// A payload text as a map key: it hashes as the payload hash its cache
+/// key already holds, so the text is read only to compare it.
+struct PayloadText<'a> {
+    hash: u64,
+    text: &'a str,
+}
+
+impl PayloadText<'_> {
+    fn of((_, job, key): &(usize, Job, CacheKey)) -> PayloadText<'_> {
+        PayloadText {
+            hash: key.payload_fp,
+            text: &job.payload,
+        }
+    }
+}
+
+impl Hash for PayloadText<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+impl PartialEq for PayloadText<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.text == other.text
+    }
+}
+
+impl Eq for PayloadText<'_> {}
 
 /// Parses the job's script into `ctx`, where its payload already is,
 /// applies the entry sequence to `payload` and prints the result.

@@ -940,3 +940,91 @@ fn payload_parses_count_one_per_worker_on_a_shared_batch() {
     td_support::fault::set_thread_plan(None);
     assert_eq!(armed, 32);
 }
+
+/// Why `TxnMode::Never` jobs never run on a shared payload: under `Never`
+/// a step that mutates and then fails inside a suppressing sequence keeps
+/// its partial edit, but inside a job watermark every step would get a
+/// scope of its own and the edit would be rolled back. Each job of a
+/// shared `Never` batch must keep the edit, exactly as alone.
+#[test]
+fn never_jobs_in_a_shared_batch_keep_partial_edits() {
+    let mut config = EngineConfig::standard().with_workers(1).without_cache();
+    config.transforms_factory = Arc::new(|| {
+        let mut registry = TransformOpRegistry::with_standard_ops();
+        registry.register(TransformOpDef::new(
+            "test.mutate_then_fail",
+            "marks its targets, then fails silenceably",
+            |_, ctx, state, op| {
+                let location = ctx.op(op).location.clone();
+                let handle = ctx.op(op).operands()[0];
+                for target in state.ops(handle, &location)? {
+                    ctx.set_attr(target, "partial", td_ir::Attribute::Unit);
+                }
+                Err(TransformError::silenceable(
+                    location,
+                    "failed after mutating",
+                ))
+            },
+        ));
+        registry
+    });
+    let script = r#"module {
+  transform.named_sequence @main(%root: !transform.any_op) {
+    "transform.sequence"(%root) ({
+    ^bb0(%arg: !transform.any_op):
+      %adds = "transform.match_op"(%arg) {name = "arith.addi", select = "all"} : (!transform.any_op) -> !transform.any_op
+      "test.mutate_then_fail"(%adds) : (!transform.any_op) -> ()
+      "transform.yield"() : () -> ()
+    }) {failure_propagation_mode = "suppress"} : (!transform.any_op) -> ()
+  }
+}"#;
+    let engine = Engine::new(config);
+    let never = || Job::new(script, payload(0)).with_txn(TxnMode::Never);
+    let alone = engine.run_batch(vec![never()]).results.remove(0);
+    let text = &alone
+        .as_ref()
+        .expect("the failure is suppressed")
+        .module_text;
+    assert!(text.contains("partial"), "{text}");
+    let shared = engine.run_batch((0..4).map(|_| never()).collect());
+    for result in &shared.results {
+        assert_eq!(result, &alone);
+    }
+}
+
+/// Why jobs run on fresh contexts while a fault plan is armed: the
+/// `ir.alloc` faultpoint counts the ops each job creates, the payload's
+/// included, so a job that skipped its payload parse would meet a
+/// `step=N` fault at another op, or not at all. Here the fault lands in
+/// job 1's script parse, in the batch as alone.
+#[test]
+fn fault_armed_shared_batches_meet_faults_as_alone() {
+    let engine = Engine::new(EngineConfig::standard().with_workers(1).without_cache());
+    let jobs = || -> Vec<Job> {
+        (0..4)
+            .map(|i| {
+                Job::new(annotate_script(&format!("c{i}")), payload(0)).with_fault_lane(i as u64)
+            })
+            .collect()
+    };
+    let hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    // The payload creates 4 ops (hits 0–3), so hit 5 is in the script.
+    td_support::fault::set_thread_plan(Some(
+        td_support::fault::FaultPlan::parse("alloc_pressure@job=1,step=5").unwrap(),
+    ));
+    let alone: Vec<_> = jobs()
+        .into_iter()
+        .map(|job| engine.run_batch(vec![job]).results.remove(0))
+        .collect();
+    let batch = engine.run_batch(jobs());
+    td_support::fault::set_thread_plan(None);
+    std::panic::set_hook(hook);
+    assert!(
+        matches!(&alone[1], Err(JobError::Panicked { message }) if message.contains("ir.create_op")),
+        "{:?}",
+        alone[1]
+    );
+    assert_eq!(alone.iter().filter(|r| r.is_ok()).count(), 3);
+    assert_eq!(batch.results, alone);
+}

@@ -132,12 +132,13 @@ fn shared_payload_groups_agree_with_fresh_contexts() {
     );
     assert_eq!(report.groups, 200);
     assert_eq!(report.pairs, 200 * td_fuzz::GROUP_SCHEDULES);
-    assert_eq!(report.panics, 0);
+    let outcomes = report.outcomes;
+    assert_eq!(outcomes.panics, 0);
     for (class, count) in [
-        ("ok", report.ok),
-        ("silenceable", report.silenceable),
-        ("definite", report.definite),
-        ("setup", report.setup_errors),
+        ("ok", outcomes.ok),
+        ("silenceable", outcomes.silenceable),
+        ("definite", outcomes.definite),
+        ("setup", outcomes.setup_errors),
     ] {
         assert!(count > 0, "no {class} outcome: {}", report.summary());
     }
