@@ -183,7 +183,7 @@ fn bench_sched_engine(suite: &mut BenchSuite) {
     });
     suite.run("sched.batch1.parse_fail_inline_x1000", || {
         for _ in 0..1000 {
-            let mut ctx = (engine.config().context_factory)();
+            let mut ctx = full_context();
             let parsed = td_ir::parse_module(&mut ctx, std::hint::black_box(BROKEN));
             assert!(std::hint::black_box(parsed).is_err());
         }

@@ -14,11 +14,11 @@
 //! cargo run -p td-bench --release --bin ablation
 //! ```
 
-use std::time::Instant;
 use td_bench::cs4::{apply_variant, build_payload, cs4_exec_config, Cs4Config, Variant};
-use td_bench::{full_context, full_pass_registry};
+use td_bench::full_context;
+use td_bench::table1::compile_with_transform;
 use td_machine::{run_function_with_buffers, ArgBuilder};
-use td_transform::{pipeline_to_script, transform_main, InterpEnv, Interpreter};
+use td_transform::TxnMode;
 
 fn cs4_cycles(variant: Variant, hashed: bool) -> f64 {
     let config = Cs4Config::default();
@@ -80,32 +80,20 @@ fn main() {
         .into_iter()
         .find(|s| s.target_ops == 4134)
         .unwrap();
-    let registry = full_pass_registry();
-    let mut rows = Vec::new();
-    for expensive in [false, true] {
-        let mut best = f64::INFINITY;
-        for _ in 0..5 {
-            let mut ctx = full_context();
-            let module = td_modelgen::build_model(&mut ctx, &spec);
-            let script = pipeline_to_script(&mut ctx, td_dialects::passes::TOSA_PIPELINE).unwrap();
-            let entry = transform_main(&ctx, script).unwrap();
-            let mut env = InterpEnv::standard();
-            env.passes = Some(&registry);
-            env.config.expensive_checks = expensive;
-            let start = Instant::now();
-            Interpreter::new(&env)
-                .apply(&mut ctx, entry, module)
-                .unwrap();
-            best = best.min(start.elapsed().as_secs_f64() * 1e3);
-        }
-        rows.push(vec![
-            if expensive { "on" } else { "off" }.to_owned(),
-            format!("{best:.1}"),
-        ]);
-    }
+    // Side 0 checks off, side 1 on, under the default `TxnMode::Always`:
+    // 5 rounds of one compile each.
+    let run = td_bench::gate::paired(2, 5, 1, |expensive, _| {
+        compile_with_transform(&spec, TxnMode::Always, expensive == 1)
+    });
+    let median = &run.rounds[run.ratio(1, 0).median_round];
+    let ms = |side: usize| format!("{:.1}", median[side].as_secs_f64() * 1e3);
+    let rows = vec![vec!["off".to_owned(), ms(0)], vec!["on".to_owned(), ms(1)]];
     print!(
         "{}",
-        td_bench::render_table(&["Expensive checks", "Compile (ms, best of 5)"], &rows)
+        td_bench::render_table(
+            &["Expensive checks", "Compile (ms, median round of 5)"],
+            &rows
+        )
     );
     println!(
         "\nPer-transform handle-liveness validation is cheap for pipeline-shaped\n\

@@ -69,12 +69,8 @@ fn main() {
 
     // ----- applying the correct script --------------------------------------
     println!("\nThe corrected script applied to the Fig. 1b payload:");
-    let mut ctx = td_bench::full_context();
-    let payload = td_ir::parse_module(&mut ctx, PAYLOAD).expect("payload parses");
-    let script_module = td_ir::parse_module(&mut ctx, &script(false)).expect("script parses");
-    let entry = ctx
-        .lookup_symbol(script_module, "split_then_tile_and_unroll")
-        .expect("entry");
+    let (mut ctx, entry, payload) =
+        td_bench::parse_schedule(PAYLOAD, &script(false), "split_then_tile_and_unroll");
     let diagnostics = analyze_invalidation(&ctx, &registry, entry);
     assert!(diagnostics.is_empty(), "corrected script is clean");
     println!("  static check: clean");

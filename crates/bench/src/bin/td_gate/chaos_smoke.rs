@@ -20,78 +20,50 @@
 //! 4. **Transaction overhead**: with faults disabled, the default
 //!    interpreter (`TxnMode::Always`) must cost no more than 1.10× one
 //!    with transactions off, as the median ratio over interleaved
-//!    never/always pairs — enforced in release builds (debug builds
-//!    fingerprint every top-level step to validate rollbacks). The same
-//!    comparison is reported end-to-end through a 4-worker td-sched
-//!    batch. EXPERIMENTS.md records the numbers.
+//!    never/always rounds (`gate::paired`) — enforced in release builds
+//!    (debug builds fingerprint every top-level step to validate
+//!    rollbacks). The same comparison is reported end-to-end through a
+//!    4-worker td-sched batch, also by rounds. EXPERIMENTS.md records
+//!    the numbers.
 //!
 //! ```text
-//! cargo run --release -p td-bench --bin chaos_smoke
+//! cargo run --release -p td-bench --bin td_gate -- chaos_smoke
 //! ```
 
 use std::time::{Duration, Instant};
-use td_ir::Context;
+use td_bench::gate;
 use td_sched::{Engine, EngineConfig, Job, JobError, JobPolicy};
 use td_support::{fault, metrics};
 use td_transform::{InterpEnv, Interpreter, TxnMode};
 
 const BATCH: usize = 16;
 
-fn payload(i: usize) -> String {
-    let extent = 64 * (i + 1);
-    format!(
-        r#"module {{
-  func.func @work{i}(%x: memref<{extent}xf32>) {{
-    %lo = arith.constant 0 : index
-    %hi = arith.constant {extent} : index
-    %st = arith.constant 1 : index
-    scf.for %i = %lo to %hi step %st {{
-      %v = "memref.load"(%x, %i) : (memref<{extent}xf32>, index) -> f32
-      %w = "arith.addf"(%v, %v) : (f32, f32) -> f32
-      "memref.store"(%w, %x, %i) : (f32, memref<{extent}xf32>, index) -> ()
-    }}
-    func.return
-  }}
-}}"#
-    )
-}
-
 /// The `sched_smoke` schedule: three steps (match, tile, unroll) plus the
 /// implicit yield (which consumes no fault hit index).
-const SCRIPT: &str = r#"module {
-  transform.named_sequence @main(%root: !transform.any_op) {
-    %loop = "transform.match_op"(%root) {name = "scf.for", select = "first"} : (!transform.any_op) -> !transform.any_op
-    %tiles, %points = "transform.loop.tile"(%loop) {tile_sizes = [16]} : (!transform.any_op) -> (!transform.any_op, !transform.any_op)
-    %unrolled = "transform.loop.unroll"(%points) {factor = 2} : (!transform.any_op) -> !transform.any_op
-  }
-}"#;
+fn script() -> String {
+    gate::tile_schedule("main", 16, Some(2))
+}
 
 const STEPS: usize = 3;
 
+/// Gate 4's two sides: transactions off (0) and on (1).
+const MODES: [TxnMode; 2] = [TxnMode::Never, TxnMode::Always];
+
 /// The gate batch, every job under `policy`.
 fn batch_under(policy: JobPolicy) -> Vec<Job> {
+    let script = script();
     (0..BATCH)
         .map(|i| Job {
             policy,
-            ..Job::new(SCRIPT, payload(i))
+            ..Job::new(&script, gate::loop_payload(i, 64))
         })
         .collect()
-}
-
-fn setup(ctx: &mut Context, src: &str, script: &str) -> (td_ir::OpId, td_ir::OpId) {
-    td_dialects::register_all_dialects(ctx);
-    td_transform::register_transform_dialect(ctx);
-    let payload = td_ir::parse_module(ctx, src).expect("payload parses");
-    let script = td_ir::parse_module(ctx, script).expect("script parses");
-    let entry = ctx.lookup_symbol(script, "main").expect("entry exists");
-    (entry, payload)
 }
 
 /// Runs the schedule with `plan` armed, expecting a failure; returns the
 /// rolled-back payload print (verified clean).
 fn faulted_print(env: &InterpEnv<'_>, src: &str, plan: &str) -> String {
-    let mut ctx = Context::new();
-    let (entry, module) = setup(&mut ctx, src, SCRIPT);
+    let (mut ctx, entry, module) = td_bench::parse_schedule(src, &script(), "main");
     fault::set_thread_plan(Some(fault::FaultPlan::parse(plan).unwrap()));
     fault::set_lane(0);
     let mut interp = Interpreter::new(env);
@@ -108,8 +80,7 @@ fn faulted_print(env: &InterpEnv<'_>, src: &str, plan: &str) -> String {
 /// a failure at step index `steps` must roll back to.
 fn committed_print(env: &InterpEnv<'_>, src: &str, steps: usize) -> String {
     fault::set_thread_plan(None);
-    let mut ctx = Context::new();
-    let (entry, module) = setup(&mut ctx, src, SCRIPT);
+    let (mut ctx, entry, module) = td_bench::parse_schedule(src, &script(), "main");
     Interpreter::new(env)
         .apply_prefix(&mut ctx, entry, module, steps)
         .unwrap_or_else(|e| panic!("clean {steps}-step prefix: {}", e.diagnostic()));
@@ -135,10 +106,7 @@ const FAILING_ALTERNATIVES: &str = r#"module {
 /// must restore the committed prefix exactly.
 fn rollback_acceptance() {
     let env = InterpEnv::standard();
-    let src = payload(0);
-    // Injected panics are contained and asserted on; silence their spew.
-    let hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
+    let src = gate::loop_payload(0, 64);
     let mut cases = 0;
     for step in 0..STEPS {
         let expected = committed_print(&env, &src, step);
@@ -162,12 +130,10 @@ fn rollback_acceptance() {
         committed_print(&env, &src, 1),
         "alloc_pressure: payload differs from the committed prefix"
     );
-    std::panic::set_hook(hook);
 
     // Branches that fail before mutating cost their failed matches and
     // nothing else: no copy of the target, nothing to unwind.
-    let mut ctx = Context::new();
-    let (entry, module) = setup(&mut ctx, &src, FAILING_ALTERNATIVES);
+    let (mut ctx, entry, module) = td_bench::parse_schedule(&src, FAILING_ALTERNATIVES, "main");
     let ops_before = ctx.num_ops();
     let mut interp = Interpreter::new(&env);
     let err = interp
@@ -186,9 +152,7 @@ fn rollback_acceptance() {
 fn assert_outputs_valid(report: &td_sched::BatchReport, what: &str) {
     for (i, result) in report.results.iter().enumerate() {
         if let Ok(output) = result {
-            let mut ctx = Context::new();
-            td_dialects::register_all_dialects(&mut ctx);
-            td_transform::register_transform_dialect(&mut ctx);
+            let mut ctx = td_bench::full_context();
             let module = td_ir::parse_module(&mut ctx, &output.module_text)
                 .unwrap_or_else(|e| panic!("{what}: job {i} output does not re-parse: {e}"));
             td_ir::verify(&ctx, module)
@@ -214,12 +178,7 @@ fn run_under_plan(plan: &str, workers: usize, policy: JobPolicy) -> td_sched::Ba
             .with_workers(workers)
             .without_cache(),
     );
-    // Injected panics are contained and asserted on below; their default
-    // backtrace spew would only drown the smoke output.
-    let hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
     let report = engine.run_batch(batch_under(policy));
-    std::panic::set_hook(hook);
     fault::set_plan(None);
     report
 }
@@ -229,12 +188,15 @@ fn chaos_determinism() {
     metrics::reset();
     fault::reset_stats();
 
+    // The batch under `plan` at 1 and 4 workers, and each run's outcomes.
+    let at_1_and_4 = |plan: &str| {
+        let runs = [1, 4].map(|workers| run_under_plan(plan, workers, JobPolicy::default()));
+        let outcomes = runs.each_ref().map(|r| r.results.iter().map(outcome).collect::<Vec<_>>());
+        (runs, outcomes)
+    };
+
     // Silenceable chaos: outcomes must be worker-count independent.
-    let plan = "silenceable@p=0.3,seed=11";
-    let r1 = run_under_plan(plan, 1, JobPolicy::default());
-    let r4 = run_under_plan(plan, 4, JobPolicy::default());
-    let o1: Vec<String> = r1.results.iter().map(outcome).collect();
-    let o4: Vec<String> = r4.results.iter().map(outcome).collect();
+    let ([r1, r4], [o1, o4]) = at_1_and_4("silenceable@p=0.3,seed=11");
     assert_eq!(o1, o4, "silenceable chaos diverged across worker counts");
     assert!(
         r1.ok_count() > 0 && r1.err_count() > 0,
@@ -245,11 +207,7 @@ fn chaos_determinism() {
 
     // Panic chaos: contained by the transactional interpreter, surfaced
     // as definite errors, still deterministic.
-    let plan = "panic@p=0.2,seed=3";
-    let p1 = run_under_plan(plan, 1, JobPolicy::default());
-    let p4 = run_under_plan(plan, 4, JobPolicy::default());
-    let po1: Vec<String> = p1.results.iter().map(outcome).collect();
-    let po4: Vec<String> = p4.results.iter().map(outcome).collect();
+    let ([p1, _], [po1, po4]) = at_1_and_4("panic@p=0.2,seed=3");
     assert_eq!(po1, po4, "panic chaos diverged across worker counts");
     assert!(p1.err_count() > 0, "p=0.2 should panic somewhere: {po1:?}");
     for result in &p1.results {
@@ -335,50 +293,34 @@ fn graceful_degradation() {
 /// (`TxnMode::Always`) must not pay meaningfully for transactions —
 /// enforced at 1.10× of transactions off.
 fn checkpoint_overhead() {
-    /// Applies per half of a pair: ~8 ms, long enough that timer
+    /// Applies per side of a round: ~8 ms, long enough that timer
     /// resolution is nothing against it.
     const APPLIES: usize = 120;
-    const PAIRS: usize = 15;
+    const ROUNDS: usize = 15;
     fault::set_thread_plan(None);
-    let src = payload(3);
-    let env_for = |txn: TxnMode| {
+    let src = gate::loop_payload(3, 64);
+    let script = script();
+    let envs = MODES.map(|txn| {
         let mut env = InterpEnv::standard();
         env.config.txn = txn;
         env.config.verify_after_each = false;
         env
-    };
-    let envs = [env_for(TxnMode::Never), env_for(TxnMode::Always)];
-    // One pair: `APPLIES` applies of each mode, interleaved apply by
-    // apply (`first` leads), each timed on its own. Whatever else the
-    // machine is doing lasts far longer than one ~60 us apply, so it
-    // lands on both halves alike; the median over pairs then shrugs off
-    // the pairs it still hit unevenly.
-    let pair = |first: usize| -> (f64, f64) {
-        let mut spent = [Duration::ZERO; 2];
-        for i in 0..2 * APPLIES {
-            let mode = (first + i) % 2;
-            let started = Instant::now();
-            let mut ctx = Context::new();
-            let (entry, module) = setup(&mut ctx, &src, SCRIPT);
-            Interpreter::new(&envs[mode])
-                .apply(&mut ctx, entry, module)
-                .expect("clean run");
-            spent[mode] += started.elapsed();
-        }
-        (spent[0].as_secs_f64(), spent[1].as_secs_f64())
-    };
-    pair(0); // warm-up, discarded
-    let mut pairs: Vec<(f64, f64)> = (0..PAIRS).map(|i| pair(i % 2)).collect();
-    let ratio = |&(never, always): &(f64, f64)| always / never;
-    pairs.sort_by(|a, b| ratio(a).total_cmp(&ratio(b)));
-    let median = pairs[PAIRS / 2];
+    });
+    // Side 0 never, side 1 always; each item parses and applies once.
+    let run = gate::paired(2, ROUNDS, APPLIES, |mode, _| {
+        let started = Instant::now();
+        let (mut ctx, entry, module) = td_bench::parse_schedule(&src, &script, "main");
+        Interpreter::new(&envs[mode])
+            .apply(&mut ctx, entry, module)
+            .expect("clean run");
+        started.elapsed()
+    });
+    let spread = run.ratio(1, 0);
+    let median = &run.rounds[spread.median_round];
     println!(
-        "chaos gate 4: {PAIRS} interleaved pairs of {APPLIES} applies: median pair txn=never {:.3}ms, txn=always {:.3}ms, ratio {:.3} (min {:.3}, max {:.3})",
-        median.0 * 1e3,
-        median.1 * 1e3,
-        ratio(&median),
-        ratio(&pairs[0]),
-        ratio(&pairs[PAIRS - 1]),
+        "chaos gate 4: {ROUNDS} interleaved rounds of {APPLIES} applies: median round txn=never {:.3}ms, txn=always {:.3}ms, {spread}",
+        median[0].as_secs_f64() * 1e3,
+        median[1].as_secs_f64() * 1e3,
     );
     // The enforced bound is a release-performance contract: debug builds
     // fingerprint the payload at every top-level step to validate
@@ -388,40 +330,36 @@ fn checkpoint_overhead() {
         println!("chaos gate 4: overhead bound skipped (debug build validates rollbacks)");
     } else {
         assert!(
-            ratio(&median) <= 1.10,
-            "txn=always costs {:.3}x txn=never in the median pair, over the 1.10x bound",
-            ratio(&median)
+            spread.median <= 1.10,
+            "txn=always costs {:.3}x txn=never in the median round, over the 1.10x bound",
+            spread.median
         );
     }
 
     // End-to-end through the engine: a clean 4-worker batch with
     // transactions on vs. off (reported, not enforced — scheduling noise
     // dominates at this batch size).
-    let sched = |txn: TxnMode| -> Duration {
-        let mut best = Duration::MAX;
-        for _ in 0..3 {
-            let engine = Engine::new(EngineConfig::standard().with_workers(4).without_cache());
-            let started = Instant::now();
-            let report = engine.run_batch(batch_under(JobPolicy {
-                txn,
-                ..JobPolicy::default()
-            }));
-            assert_eq!(report.err_count(), 0, "clean batch");
-            best = best.min(started.elapsed());
-        }
-        best
-    };
-    let sched_never = sched(TxnMode::Never);
-    let sched_always = sched(TxnMode::Always);
+    let engine = Engine::new(EngineConfig::standard().with_workers(4).without_cache());
+    let run = gate::paired(2, 5, 1, |mode, _| {
+        let started = Instant::now();
+        let report = engine.run_batch(batch_under(JobPolicy {
+            txn: MODES[mode],
+            ..JobPolicy::default()
+        }));
+        assert_eq!(report.err_count(), 0, "clean batch");
+        started.elapsed()
+    });
+    let spread = run.ratio(1, 0);
+    let median = &run.rounds[spread.median_round];
     println!(
         "chaos gate 4 OK: sched batch txn=never {:?}, txn=always {:?} ({:+.2}%)",
-        sched_never,
-        sched_always,
-        100.0 * (sched_always.as_secs_f64() / sched_never.as_secs_f64() - 1.0),
+        median[0],
+        median[1],
+        100.0 * (spread.median - 1.0),
     );
 }
 
-fn main() {
+pub fn run() {
     rollback_acceptance();
     chaos_determinism();
     graceful_degradation();

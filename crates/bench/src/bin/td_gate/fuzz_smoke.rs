@@ -32,7 +32,7 @@
 //!    must have parsed fewer payloads than it ran jobs.
 //!
 //! ```text
-//! cargo run --release -p td-bench --bin fuzz_smoke
+//! cargo run --release -p td-bench --bin td_gate -- fuzz_smoke
 //! ```
 
 use std::time::Instant;
@@ -120,20 +120,12 @@ fn injected_divergence_gate() {
         shrunk.schedule_steps,
         original.schedule.len(),
         minimized.schedule.len(),
-        bisected_label(was_bisected),
+        if was_bisected { "yes" } else { "no" },
         shrunk.probes
     );
 }
 
-fn bisected_label(bisected: bool) -> &'static str {
-    if bisected {
-        "yes"
-    } else {
-        "no"
-    }
-}
-
-fn main() {
+pub fn run() {
     let start = Instant::now();
 
     // Gate 1: fixed-seed differential fuzz run, zero divergences allowed.

@@ -11,11 +11,12 @@
 //!    and `Engine::bisect` produces its repro on demand.
 //!
 //! ```text
-//! TD_JOURNAL=target/journal_smoke.json cargo run -p td-bench --bin journal_smoke
+//! TD_JOURNAL=target/journal_smoke.json cargo run -p td-bench --bin td_gate -- journal_smoke
 //! ```
 //!
 //! Without `TD_JOURNAL` everything is validated in memory.
 
+use td_bench::gate;
 use td_sched::{Engine, EngineConfig, Job};
 use td_support::{journal, trace};
 use td_transform::{InterpEnv, Interpreter};
@@ -41,43 +42,13 @@ const MATMUL_PAYLOAD: &str = r#"module {
   }
 }"#;
 
-const TILE_SCRIPT: &str = r#"module {
-  transform.named_sequence @optimize(%root: !transform.any_op) {
-    %loop = "transform.match_op"(%root) {name = "scf.for", select = "first"} : (!transform.any_op) -> !transform.any_op
-    %tiles, %points = "transform.loop.tile"(%loop) {tile_sizes = [32]} : (!transform.any_op) -> (!transform.any_op, !transform.any_op)
-  }
-}"#;
-
-/// Step 2 of this schedule fails: the payload has no `nonexistent.op`.
-/// The trailing annotate is the innocent suffix bisection must drop.
-const FAILING_SCRIPT: &str = r#"module {
-  transform.named_sequence @main(%root: !transform.any_op) {
-    "transform.annotate"(%root) {name = "started"} : (!transform.any_op) -> ()
-    %missing = "transform.match_op"(%root) {name = "nonexistent.op", select = "first"} : (!transform.any_op) -> !transform.any_op
-    "transform.annotate"(%root) {name = "never_reached"} : (!transform.any_op) -> ()
-  }
-}"#;
-
-fn tile_by(size: u32) -> String {
-    format!(
-        r#"module {{
-  transform.named_sequence @main(%root: !transform.any_op) {{
-    %loop = "transform.match_op"(%root) {{name = "scf.for", select = "first"}} : (!transform.any_op) -> !transform.any_op
-    %tiles, %points = "transform.loop.tile"(%loop) {{tile_sizes = [{size}]}} : (!transform.any_op) -> (!transform.any_op, !transform.any_op)
-  }}
-}}"#
-    )
-}
-
-fn main() {
+pub fn run() {
     journal::set_enabled(true);
     journal::reset();
 
     // ----- 1. attribution on the tiled-matmul schedule ------------------
-    let mut ctx = td_bench::full_context();
-    let payload = td_ir::parse_module(&mut ctx, MATMUL_PAYLOAD).expect("payload parses");
-    let script = td_ir::parse_module(&mut ctx, TILE_SCRIPT).expect("script parses");
-    let entry = ctx.lookup_symbol(script, "optimize").expect("entry point");
+    let script = gate::tile_schedule("optimize", 32, None);
+    let (mut ctx, entry, payload) = td_bench::parse_schedule(MATMUL_PAYLOAD, &script, "optimize");
     let original_loop = *td_dialects::scf::collect_loops(&ctx, payload)
         .first()
         .expect("matmul has loops");
@@ -108,11 +79,10 @@ fn main() {
     );
 
     // ----- 2. failure bisection on the known-failing pipeline -----------
-    let make_ctx = td_bench::full_context;
     let outcome = td_transform::bisect_schedule_failure(
         &env,
-        &make_ctx,
-        FAILING_SCRIPT,
+        &td_bench::full_context,
+        gate::FAILING_SCRIPT,
         MATMUL_PAYLOAD,
         "main",
     )
@@ -139,9 +109,9 @@ fn main() {
     journal::reset();
     let engine = Engine::new(EngineConfig::standard().with_workers(4).without_cache());
     let mut jobs: Vec<Job> = (0..7)
-        .map(|i| Job::new(tile_by(4 << i), MATMUL_PAYLOAD))
+        .map(|i| Job::new(gate::tile_schedule("main", 4 << i, None), MATMUL_PAYLOAD))
         .collect();
-    jobs.push(Job::new(FAILING_SCRIPT, MATMUL_PAYLOAD));
+    jobs.push(Job::new(gate::FAILING_SCRIPT, MATMUL_PAYLOAD));
     let report = engine.run_batch(jobs);
     assert_eq!(report.ok_count(), 7);
     assert_eq!(report.err_count(), 1);

@@ -14,64 +14,36 @@
 //!    a speedscope-compatible collapsed-stack file attributing self time
 //!    to the transform ops that ran.
 //! 4. **Idle overhead**: the always-on flight recorder must cost < 3%
-//!    on a fault-free schedule application (min-of-N methodology, see
-//!    EXPERIMENTS.md "Flight recorder overhead").
+//!    on a fault-free schedule application, in the median round of
+//!    interleaved recorder-off/on applies (see EXPERIMENTS.md "Flight
+//!    recorder overhead").
 //!
 //! ```text
-//! cargo run --release -p td-bench --bin obs_smoke
+//! cargo run --release -p td-bench --bin td_gate -- obs_smoke
 //! ```
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Instant;
-use td_bench::{BenchConfig, BenchSuite};
-use td_ir::Context;
+use td_bench::{gate, BenchConfig, BenchSuite};
 use td_sched::{Engine, EngineConfig, Job};
 use td_support::trace::validate_json;
 use td_support::{fault, flight, metrics, trace};
 use td_transform::{InterpEnv, Interpreter};
 
+/// The gate's `i`-th payload.
 fn payload(i: usize) -> String {
-    let extent = 64 * (i + 1);
-    format!(
-        r#"module {{
-  func.func @work{i}(%x: memref<{extent}xf32>) {{
-    %lo = arith.constant 0 : index
-    %hi = arith.constant {extent} : index
-    %st = arith.constant 1 : index
-    scf.for %i = %lo to %hi step %st {{
-      %v = "memref.load"(%x, %i) : (memref<{extent}xf32>, index) -> f32
-      %w = "arith.addf"(%v, %v) : (f32, f32) -> f32
-      "memref.store"(%w, %x, %i) : (f32, memref<{extent}xf32>, index) -> ()
-    }}
-    func.return
-  }}
-}}"#
-    )
+    gate::loop_payload(i, 64)
 }
 
 /// Three steps: match (0), tile (1), unroll (2).
-const SCRIPT: &str = r#"module {
-  transform.named_sequence @main(%root: !transform.any_op) {
-    %loop = "transform.match_op"(%root) {name = "scf.for", select = "first"} : (!transform.any_op) -> !transform.any_op
-    %tiles, %points = "transform.loop.tile"(%loop) {tile_sizes = [16]} : (!transform.any_op) -> (!transform.any_op, !transform.any_op)
-    %unrolled = "transform.loop.unroll"(%points) {factor = 2} : (!transform.any_op) -> !transform.any_op
-  }
-}"#;
-
-fn setup(ctx: &mut Context, src: &str) -> (td_ir::OpId, td_ir::OpId) {
-    td_dialects::register_all_dialects(ctx);
-    td_transform::register_transform_dialect(ctx);
-    let payload = td_ir::parse_module(ctx, src).expect("payload parses");
-    let script = td_ir::parse_module(ctx, SCRIPT).expect("script parses");
-    let entry = ctx.lookup_symbol(script, "main").expect("entry exists");
-    (entry, payload)
+fn script() -> String {
+    gate::tile_schedule("main", 16, Some(2))
 }
 
 /// One clean schedule application in a fresh context (the gate workload).
 fn apply_once(i: usize) {
     let env = InterpEnv::standard();
-    let mut ctx = Context::new();
-    let (entry, module) = setup(&mut ctx, &payload(i));
+    let (mut ctx, entry, module) = td_bench::parse_schedule(&payload(i), &script(), "main");
     Interpreter::new(&env)
         .apply(&mut ctx, entry, module)
         .unwrap_or_else(|e| panic!("clean apply failed: {}", e.diagnostic()));
@@ -83,7 +55,8 @@ fn percentile_surface() {
     metrics::reset();
     // Half the batch is already cached, so the report mixes hits
     // (answered on this thread) with misses (run on the two workers).
-    let jobs: Vec<Job> = (0..8).map(|i| Job::new(SCRIPT, payload(i))).collect();
+    let script = script();
+    let jobs: Vec<Job> = (0..8).map(|i| Job::new(&script, payload(i))).collect();
     let engine = Engine::new(EngineConfig::standard().with_workers(2));
     engine.run_batch(jobs[..4].to_vec());
     let report = engine.run_batch(jobs);
@@ -154,16 +127,11 @@ fn flight_dump(dir: &Path) {
     fault::set_thread_plan(Some(fault::FaultPlan::parse("panic@step=1").unwrap()));
     fault::set_lane(0);
     let env = InterpEnv::standard();
-    let mut ctx = Context::new();
-    let (entry, module) = setup(&mut ctx, &payload(0));
-    // The injected panic is contained by the transactional interpreter;
-    // silence its default backtrace spew.
-    let hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
+    let (mut ctx, entry, module) = td_bench::parse_schedule(&payload(0), &script(), "main");
+    // The injected panic is contained by the transactional interpreter.
     let err = Interpreter::new(&env)
         .apply(&mut ctx, entry, module)
         .expect_err("injected panic surfaces as an error");
-    std::panic::set_hook(hook);
     fault::set_thread_plan(None);
     assert!(!err.is_silenceable(), "contained panic is a definite error");
     assert_eq!(
@@ -172,13 +140,12 @@ fn flight_dump(dir: &Path) {
         "definite failure must dump exactly one bundle"
     );
 
-    let mut bundles: Vec<PathBuf> = std::fs::read_dir(dir)
+    let bundle_path = std::fs::read_dir(dir)
         .expect("flight dir readable")
         .filter_map(|entry| entry.ok().map(|e| e.path()))
-        .collect();
-    bundles.sort();
-    let bundle_path = bundles.last().expect("a flight bundle was written");
-    let bundle = std::fs::read_to_string(bundle_path).expect("bundle readable");
+        .max()
+        .expect("a flight bundle was written");
+    let bundle = std::fs::read_to_string(&bundle_path).expect("bundle readable");
     validate_json(&bundle).expect("flight bundle is well-formed JSON");
     for field in [
         "\"reason\":\"definite-failure\"",
@@ -231,50 +198,38 @@ fn profiler(profile_path: &Path) {
     );
 }
 
-/// Wall time of `runs` schedule applications.
-fn time_runs(runs: usize) -> u128 {
-    let started = Instant::now();
-    for i in 0..runs {
-        apply_once(i % 4);
-    }
-    started.elapsed().as_nanos()
-}
-
 /// Gate 4: idle flight-recorder overhead < 3%. Methodology (also the
-/// EXPERIMENTS.md row): enabled/disabled samples interleave so machine
-/// drift cannot bias one side, min-of-N per side absorbs scheduler
-/// noise, best of four attempts tolerates shared CI machines.
+/// EXPERIMENTS.md row): recorder-off and recorder-on applies interleave
+/// apply by apply in short rounds ([`gate::paired`]), and the bound reads
+/// the median round's on/off ratio.
 fn idle_overhead() {
-    let quick = std::env::var("TD_BENCH_QUICK").is_ok_and(|v| v == "1");
-    let (runs, samples) = if quick { (4, 5) } else { (8, 7) };
-    let mut best_overhead = f64::MAX;
-    for _attempt in 0..4 {
-        let mut disabled = u128::MAX;
-        let mut enabled = u128::MAX;
-        for _ in 0..samples {
-            flight::set_enabled(false);
-            disabled = disabled.min(time_runs(runs));
-            flight::clear_enabled_override();
-            enabled = enabled.min(time_runs(runs));
-        }
-        let overhead = enabled as f64 / disabled as f64 - 1.0;
-        best_overhead = best_overhead.min(overhead);
-        if best_overhead < 0.03 {
-            break;
-        }
-    }
+    const ROUNDS: usize = 201;
+    const APPLIES: usize = 8;
+    // Side 0 has the recorder off, side 1 on, as shipped.
+    let run = gate::paired(2, ROUNDS, APPLIES, |on, i| {
+        flight::set_enabled(on == 1);
+        let started = Instant::now();
+        apply_once(i % 4);
+        started.elapsed()
+    });
+    flight::clear_enabled_override();
+    let spread = run.ratio(1, 0);
+    println!(
+        "obs gate 4: {ROUNDS} interleaved rounds of {APPLIES} applies: median on/off {spread}"
+    );
+    let overhead = spread.median - 1.0;
     assert!(
-        best_overhead < 0.03,
+        overhead < 0.03,
         "idle flight-recorder overhead {:.2}% >= 3%",
-        best_overhead * 100.0
+        overhead * 100.0
     );
     println!(
         "obs gate 4 OK: idle flight overhead {:.2}% (< 3%)",
-        best_overhead.max(0.0) * 100.0
+        overhead.max(0.0) * 100.0
     );
 }
 
-fn main() {
+pub fn run() {
     let base = std::env::temp_dir().join(format!("td-obs-smoke-{}", std::process::id()));
     let flight_dir = base.join("flight");
     std::fs::create_dir_all(&flight_dir).expect("temp dir");

@@ -7,46 +7,23 @@
 //! caller being worker 0).
 //!
 //! ```text
-//! TD_TRACE=target/sched_smoke_trace.json cargo run -p td-bench --bin sched_smoke
+//! TD_TRACE=target/sched_smoke_trace.json cargo run -p td-bench --bin td_gate -- sched_smoke
 //! ```
 //!
 //! Without `TD_TRACE` the merged trace is validated in memory.
 
 use std::collections::BTreeSet;
+use td_bench::gate;
 use td_sched::{Engine, EngineConfig, Job};
 use td_support::trace::{self, TraceEvent};
 
 const BATCH: usize = 16;
 
-fn payload(i: usize) -> String {
-    let extent = 64 * (i + 1);
-    format!(
-        r#"module {{
-  func.func @work{i}(%x: memref<{extent}xf32>) {{
-    %lo = arith.constant 0 : index
-    %hi = arith.constant {extent} : index
-    %st = arith.constant 1 : index
-    scf.for %i = %lo to %hi step %st {{
-      %v = "memref.load"(%x, %i) : (memref<{extent}xf32>, index) -> f32
-      %w = "arith.addf"(%v, %v) : (f32, f32) -> f32
-      "memref.store"(%w, %x, %i) : (f32, memref<{extent}xf32>, index) -> ()
-    }}
-    func.return
-  }}
-}}"#
-    )
-}
-
-const SCRIPT: &str = r#"module {
-  transform.named_sequence @main(%root: !transform.any_op) {
-    %loop = "transform.match_op"(%root) {name = "scf.for", select = "first"} : (!transform.any_op) -> !transform.any_op
-    %tiles, %points = "transform.loop.tile"(%loop) {tile_sizes = [16]} : (!transform.any_op) -> (!transform.any_op, !transform.any_op)
-    %unrolled = "transform.loop.unroll"(%points) {factor = 2} : (!transform.any_op) -> !transform.any_op
-  }
-}"#;
-
 fn batch() -> Vec<Job> {
-    (0..BATCH).map(|i| Job::new(SCRIPT, payload(i))).collect()
+    let script = gate::tile_schedule("main", 16, Some(2));
+    (0..BATCH)
+        .map(|i| Job::new(&script, gate::loop_payload(i, 64)))
+        .collect()
 }
 
 /// One batch's slice of the trace obeys the lane rule: events on exactly
@@ -88,7 +65,7 @@ fn check_lanes(what: &str, events: &[TraceEvent], workers: usize) {
     }
 }
 
-fn main() {
+pub fn run() {
     trace::set_enabled(true);
     trace::reset();
     let recorded_so_far = || trace::snapshot().events().len();
@@ -138,14 +115,7 @@ fn main() {
     // One worker is the caller alone, so nothing leaves its lane; four
     // workers are lanes 1-4; the warm batch, answered from the cache where
     // it was submitted, runs no worker at all.
-    let json = match trace::write_env_trace().expect("write trace file") {
-        Some(path) => {
-            println!("wrote {path}");
-            std::fs::read_to_string(&path).expect("re-read trace file")
-        }
-        None => trace::snapshot().to_chrome_json(),
-    };
-    trace::validate_json(&json).unwrap_or_else(|e| panic!("invalid trace JSON: {e}"));
+    let json = gate::exported_trace();
     let recorded = trace::snapshot();
     let events = recorded.events();
     check_lanes("1 worker", &events[..after_single], 1);

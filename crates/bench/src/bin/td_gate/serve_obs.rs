@@ -21,43 +21,29 @@
 //! **Act 3 — overhead gate.** The observability plane (time series,
 //! request index, per-job metric flush) must cost < 3% against an
 //! identical service started `without_observability()`, in the median of
-//! interleaved pairs that alternate which service runs first.
+//! interleaved rounds that alternate which service runs first.
+//!
+//! ```text
+//! TD_BENCH_QUICK=1 cargo run --release -p td-bench --bin td_gate -- serve_obs
+//! ```
 
-use std::io::Read as _;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
+use std::process::Command;
+use std::time::Instant;
+use td_bench::gate;
 use td_sched::JobError;
-use td_serve::{validate_exposition, Client, ClientError, Service, ServiceConfig, TenantConfig};
+use td_serve::{validate_exposition, ClientError, Service, ServiceConfig, TenantConfig};
 use td_support::trace::validate_json;
 use td_support::{fault, metrics, trace};
 
+/// The gate's `i`-th payload.
 fn payload(i: usize) -> String {
-    let extent = 32 * (i + 1);
-    format!(
-        r#"module {{
-  func.func @work{i}(%x: memref<{extent}xf32>) {{
-    %lo = arith.constant 0 : index
-    %hi = arith.constant {extent} : index
-    %st = arith.constant 1 : index
-    scf.for %i = %lo to %hi step %st {{
-      %v = "memref.load"(%x, %i) : (memref<{extent}xf32>, index) -> f32
-      %w = "arith.addf"(%v, %v) : (f32, f32) -> f32
-      "memref.store"(%w, %x, %i) : (f32, memref<{extent}xf32>, index) -> ()
-    }}
-    func.return
-  }}
-}}"#
-    )
+    gate::loop_payload(i, 32)
 }
 
 /// Two steps: match (0), tile (1) — fault plans target step=1.
-const SCRIPT: &str = r#"module {
-  transform.named_sequence @main(%root: !transform.any_op) {
-    %loop = "transform.match_op"(%root) {name = "scf.for", select = "first"} : (!transform.any_op) -> !transform.any_op
-    %tiles, %points = "transform.loop.tile"(%loop) {tile_sizes = [8]} : (!transform.any_op) -> (!transform.any_op, !transform.any_op)
-  }
-}"#;
+fn script() -> String {
+    gate::tile_schedule("main", 8, None)
+}
 
 /// Reads one sample value from an exposition document: the line starting
 /// `metric{tenant="<tenant>"}` (or bare `metric ` when `tenant` is
@@ -73,69 +59,28 @@ fn sample(text: &str, metric: &str, tenant: &str) -> Option<f64> {
         .and_then(|line| line[prefix.len()..].trim().parse().ok())
 }
 
-fn sibling(binary: &str) -> PathBuf {
-    let path = std::env::current_exe()
-        .expect("own path")
-        .with_file_name(binary);
-    assert!(
-        path.exists(),
-        "{binary} missing at {} (build the workspace first)",
-        path.display()
-    );
-    path
-}
-
-struct DaemonPaths {
-    socket: PathBuf,
-    cache: PathBuf,
-    log: PathBuf,
-}
-
-fn spawn_daemon(paths: &DaemonPaths) -> Child {
-    Command::new(sibling("td_serve"))
-        .env("TD_SERVE_SOCK", &paths.socket)
-        .env("TD_SERVE_CACHE_DIR", &paths.cache)
-        .env("TD_SERVE_CACHE_MAX_BYTES", "2048")
-        .env("TD_SERVE_LOG", &paths.log)
-        .env(
-            "TD_SERVE_TENANTS",
-            "steady:weight=2,slo_ms=5000;laggy:deadline_ms=20,lane=9,slo_ms=1,slo_target=0.99;bulk;quiet",
-        )
-        // The sleep fires only in lane 9 — tenant `laggy` — and pushes
-        // every laggy job past its 20ms deadline.
-        .env("TD_FAULT", "sleep@ms=60,job=9")
-        .env("TD_SERVE_WORKERS", "3")
-        .stdin(Stdio::null())
-        .stdout(Stdio::null())
-        .stderr(Stdio::inherit())
-        .spawn()
-        .expect("spawn td_serve")
-}
-
-fn connect(
-    socket: &Path,
-) -> Client<std::os::unix::net::UnixStream, std::os::unix::net::UnixStream> {
-    for _ in 0..200 {
-        if let Ok(stream) = std::os::unix::net::UnixStream::connect(socket) {
-            let reader = stream.try_clone().expect("clone stream");
-            return Client::new(reader, stream);
-        }
-        std::thread::sleep(Duration::from_millis(25));
-    }
-    panic!("daemon never bound {}", socket.display());
-}
-
 fn live_daemon() {
     let base = std::env::temp_dir().join(format!("td-serve-obs-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
     std::fs::create_dir_all(&base).expect("mkdir");
-    let paths = DaemonPaths {
-        socket: base.join("daemon.sock"),
-        cache: base.join("cache"),
-        log: base.join("events.jsonl"),
-    };
-    let mut child = spawn_daemon(&paths);
-    let mut client = connect(&paths.socket);
+    let socket = base.join("daemon.sock");
+    let log_path = base.join("events.jsonl");
+    let (child, mut client) = gate::spawn_socket(
+        Command::new(gate::sibling("td_serve"))
+            .env("TD_SERVE_CACHE_DIR", base.join("cache"))
+            .env("TD_SERVE_CACHE_MAX_BYTES", "2048")
+            .env("TD_SERVE_LOG", &log_path)
+            .env(
+                "TD_SERVE_TENANTS",
+                "steady:weight=2,slo_ms=5000;laggy:deadline_ms=20,lane=9,slo_ms=1,slo_target=0.99;bulk;quiet",
+            )
+            // The sleep fires only in lane 9 — tenant `laggy` — and pushes
+            // every laggy job past its 20ms deadline.
+            .env("TD_FAULT", "sleep@ms=60,job=9")
+            .env("TD_SERVE_WORKERS", "3"),
+        &socket,
+    );
+    let script = script();
 
     // PONG grew identity fields.
     let info = client.ping().expect("PING");
@@ -150,7 +95,7 @@ fn live_daemon() {
     for i in 0..6 {
         let supplied = (i % 2 == 0).then(|| format!("ci/steady-{i}"));
         let done = client
-            .submit_with_request("steady", SCRIPT, &payload(i), "main", supplied.as_deref())
+            .submit_with_request("steady", &script, &payload(i), "main", supplied.as_deref())
             .expect("steady submit");
         done.output.expect("steady job succeeds");
         match &supplied {
@@ -166,21 +111,21 @@ fn live_daemon() {
     let mut laggy_requests = Vec::new();
     for i in 0..4 {
         let done = client
-            .submit_with_request("laggy", SCRIPT, &payload(50 + i), "main", None)
+            .submit_with_request("laggy", &script, &payload(50 + i), "main", None)
             .expect("laggy submit is admitted");
         assert!(done.output.is_err(), "laggy job {i} must miss its deadline");
         laggy_requests.push(done.request);
     }
     for i in 0..6 {
         client
-            .submit("bulk", SCRIPT, &payload(100 + i), "main")
+            .submit("bulk", &script, &payload(100 + i), "main")
             .expect("bulk submit")
             .output
             .expect("bulk job succeeds");
     }
 
     // Malformed client-supplied ids refuse crisply.
-    match client.submit_with_request("steady", SCRIPT, &payload(0), "main", Some("bad id!")) {
+    match client.submit_with_request("steady", &script, &payload(0), "main", Some("bad id!")) {
         Err(ClientError::Refused { code, .. }) => {
             assert_eq!(code.as_deref(), Some("bad_request_id"));
         }
@@ -255,9 +200,9 @@ fn live_daemon() {
     );
 
     // The dashboard renders a frame from the same endpoints.
-    let top = Command::new(sibling("td_top"))
+    let top = Command::new(gate::sibling("td_top"))
         .arg("--once")
-        .env("TD_SERVE_SOCK", &paths.socket)
+        .env("TD_SERVE_SOCK", &socket)
         .output()
         .expect("run td_top");
     let frame = String::from_utf8_lossy(&top.stdout).into_owned();
@@ -269,16 +214,10 @@ fn live_daemon() {
         );
     }
 
-    client.shutdown().expect("SHUTDOWN");
-    let status = child.wait().expect("daemon exit");
-    assert!(status.success(), "daemon exited dirty: {status}");
+    gate::shut_down(child, &mut client);
 
     // Event log: JSON lines, request-id-correlated.
-    let mut log = String::new();
-    std::fs::File::open(&paths.log)
-        .expect("event log exists")
-        .read_to_string(&mut log)
-        .expect("read event log");
+    let log = std::fs::read_to_string(&log_path).expect("event log exists");
     let lines: Vec<&str> = log.lines().collect();
     assert!(!lines.is_empty(), "event log is empty");
     for line in &lines {
@@ -328,11 +267,12 @@ fn request_correlation() {
     .expect("service starts");
 
     const RID: &str = "ci/boom-1";
+    let script = script();
     let (boom_id, boom_rid) = service
-        .submit_with_request("boom", SCRIPT, payload(7), "main", Some(RID))
+        .submit_with_request("boom", &script, payload(7), "main", Some(RID))
         .expect("boom admits");
     let fine = service
-        .submit_wait("fine", SCRIPT, payload(8), "main")
+        .submit_wait("fine", &script, payload(8), "main")
         .expect("fine admits");
     fine.result.expect("unfaulted job succeeds");
     let boom = service.wait(boom_id);
@@ -369,18 +309,17 @@ fn request_correlation() {
     trace::set_enabled(false);
     fault::set_plan(None);
     validate_json(&chrome).expect("chrome trace is JSON");
-    let queue_span = chrome
-        .split("{\"name\":")
-        .find(|chunk| chunk.contains("\"queue_wait\"") && chunk.contains(RID));
+    let span = |name: &str| {
+        chrome
+            .split("{\"name\":")
+            .any(|chunk| chunk.contains(&format!("\"{name}\"")) && chunk.contains(RID))
+    };
     assert!(
-        queue_span.is_some(),
+        span("queue_wait"),
         "queue_wait span tagged with the request id missing from trace"
     );
-    let run_span = chrome
-        .split("{\"name\":")
-        .find(|chunk| chunk.contains("\"job\"") && chunk.contains(RID));
     assert!(
-        run_span.is_some(),
+        span("job"),
         "engine job span tagged with the request id missing from trace"
     );
     println!(
@@ -388,64 +327,45 @@ fn request_correlation() {
     );
 }
 
-/// A fresh one-tenant, two-worker service with the given observability
-/// setting.
-fn start_service(observe: bool) -> Service {
-    let mut config =
-        ServiceConfig::new(vec![TenantConfig::new("t").with_fault_lane(3)]).with_workers(2);
-    if !observe {
-        config = config.without_observability();
-    }
-    Service::start(config).expect("service starts")
-}
-
 fn overhead_gate() {
-    let quick = std::env::var("TD_BENCH_QUICK").is_ok_and(|v| v == "1");
-    let (jobs, pairs) = if quick { (16, 201) } else { (16, 401) };
-    let services = [start_service(false), start_service(true)];
-    let mut submitted = 0;
-    // One pair: the unobserved and the observed service fed `jobs`
-    // submissions each, alternately, submission by submission
-    // (`observed_first` says which leads), each timed on its own. Host
-    // drift lasts far longer than one submission, so it lands on both
-    // halves alike; a pair is short, so most pairs see no stall, and the
-    // median pair shrugs off those that do.
-    let mut pair = |observed_first: bool| -> (f64, f64) {
-        let mut spent = [Duration::ZERO; 2];
-        for i in 0..2 * jobs {
-            let observe = usize::from((i % 2 == 0) == observed_first);
-            // Distinct payloads: every job really runs transforms, so the
-            // plane's per-job cost is measured against real work, not
-            // cache hits. Each service has its own cache, so both halves
-            // run every payload once.
-            let payload = payload(submitted + i / 2);
-            let started = Instant::now();
-            services[observe]
-                .submit_wait("t", SCRIPT, payload, "main")
-                .expect("admit")
-                .result
-                .expect("job succeeds");
-            spent[observe] += started.elapsed();
-        }
-        submitted += jobs;
-        (spent[0].as_secs_f64(), spent[1].as_secs_f64())
-    };
-    pair(false); // warm-up, discarded
-    let mut timed: Vec<(f64, f64)> = (0..pairs).map(|i| pair(i % 2 == 1)).collect();
+    const JOBS: usize = 16;
+    let rounds = if gate::quick() { 201 } else { 401 };
+    // Two one-tenant, two-worker services, the first started
+    // `without_observability()`.
+    let services = [false, true].map(|observe| {
+        let config = ServiceConfig::new(vec![TenantConfig::new("t").with_fault_lane(3)]);
+        Service::start(ServiceConfig {
+            observe,
+            ..config.with_workers(2)
+        })
+        .expect("service starts")
+    });
+    let script = script();
+    // Side 0 is the unobserved service, side 1 the observed one; a round
+    // feeds each `JOBS` submissions. Distinct payloads: every job really
+    // runs transforms, so the plane's per-job cost is measured against
+    // real work, not cache hits. Each service has its own cache, so both
+    // sides run every payload once.
+    let run = gate::paired(2, rounds, JOBS, |observe, i| {
+        let payload = payload(i);
+        let started = Instant::now();
+        services[observe]
+            .submit_wait("t", &script, payload, "main")
+            .expect("admit")
+            .result
+            .expect("job succeeds");
+        started.elapsed()
+    });
     for service in &services {
         service.drain();
     }
-    let ratio = |&(unobserved, observed): &(f64, f64)| observed / unobserved;
-    timed.sort_by(|a, b| ratio(a).total_cmp(&ratio(b)));
-    let median = timed[pairs / 2];
-    let overhead = ratio(&median) - 1.0;
+    let spread = run.ratio(1, 0);
+    let median = &run.rounds[spread.median_round];
+    let overhead = spread.median - 1.0;
     println!(
-        "serve obs act 3: {pairs} interleaved pairs of {jobs} jobs: median pair unobserved {:.3}ms, observed {:.3}ms, ratio {:.3} (min {:.3}, max {:.3})",
-        median.0 * 1e3,
-        median.1 * 1e3,
-        ratio(&median),
-        ratio(&timed[0]),
-        ratio(&timed[pairs - 1]),
+        "serve obs act 3: {rounds} interleaved rounds of {JOBS} jobs: median round unobserved {:.3}ms, observed {:.3}ms, {spread}",
+        median[0].as_secs_f64() * 1e3,
+        median[1].as_secs_f64() * 1e3,
     );
     assert!(
         overhead < 0.03,
@@ -458,7 +378,7 @@ fn overhead_gate() {
     );
 }
 
-fn main() {
+pub fn run() {
     // The smoke runs with metrics on, like the daemon does.
     metrics::reset();
     live_daemon();

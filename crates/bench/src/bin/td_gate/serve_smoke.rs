@@ -23,38 +23,22 @@
 //! the real daemon, counting bisections in its `METRICS`: none until a
 //! `bisect` artifact is fetched, one per distinct fetch, none for a
 //! refetch. A daemon that bisects unasked fails here by exact count.
+//!
+//! ```text
+//! cargo run --release -p td-bench --bin td_gate -- serve_smoke
+//! ```
 
-use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
+use std::path::Path;
+use std::process::{Child, Command};
+use td_bench::gate::{self, StdioClient};
 use td_sched::JobError;
-use td_serve::{Client, Service, ServiceConfig, TenantConfig};
+use td_serve::{Service, ServiceConfig, TenantConfig};
 use td_support::fault;
 
+/// The gate's `i`-th payload.
 fn payload(i: usize) -> String {
-    let extent = 32 * (i + 1);
-    format!(
-        r#"module {{
-  func.func @work{i}(%x: memref<{extent}xf32>) {{
-    %lo = arith.constant 0 : index
-    %hi = arith.constant {extent} : index
-    %st = arith.constant 1 : index
-    scf.for %i = %lo to %hi step %st {{
-      %v = "memref.load"(%x, %i) : (memref<{extent}xf32>, index) -> f32
-      %w = "arith.addf"(%v, %v) : (f32, f32) -> f32
-      "memref.store"(%w, %x, %i) : (f32, memref<{extent}xf32>, index) -> ()
-    }}
-    func.return
-  }}
-}}"#
-    )
+    gate::loop_payload(i, 32)
 }
-
-const SCRIPT: &str = r#"module {
-  transform.named_sequence @main(%root: !transform.any_op) {
-    %loop = "transform.match_op"(%root) {name = "scf.for", select = "first"} : (!transform.any_op) -> !transform.any_op
-    %tiles, %points = "transform.loop.tile"(%loop) {tile_sizes = [8]} : (!transform.any_op) -> (!transform.any_op, !transform.any_op)
-  }
-}"#;
 
 /// Extracts `"key":<u64>` from a flat JSON string (the stats surface).
 fn json_u64(json: &str, key: &str) -> u64 {
@@ -70,58 +54,29 @@ fn json_u64(json: &str, key: &str) -> u64 {
         .unwrap_or_else(|_| panic!("unparsable {key} in {json}"))
 }
 
-/// Spawns the sibling `td_serve` binary in stdio mode over `cache_dir`.
-fn spawn_daemon(cache_dir: &PathBuf) -> Child {
-    let daemon = std::env::current_exe()
-        .expect("own path")
-        .with_file_name("td_serve");
-    assert!(
-        daemon.exists(),
-        "daemon binary missing at {} (build the workspace first)",
-        daemon.display()
-    );
-    Command::new(daemon)
-        .env_remove("TD_SERVE_SOCK")
-        .env_remove("TD_FAULT")
-        .env("TD_SERVE_CACHE_DIR", cache_dir)
-        .env("TD_SERVE_TENANTS", "alpha:weight=2;beta")
-        .env("TD_SERVE_WORKERS", "2")
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::inherit())
-        .spawn()
-        .expect("spawn td_serve")
-}
-
 /// A fresh daemon over `cache_dir` and a client on its stdio, PING answered.
-fn connect_daemon(
-    cache_dir: &PathBuf,
-) -> (
-    Child,
-    Client<std::process::ChildStdout, std::process::ChildStdin>,
-) {
-    let mut child = spawn_daemon(cache_dir);
-    let stdout = child.stdout.take().expect("child stdout");
-    let stdin = child.stdin.take().expect("child stdin");
-    let mut client = Client::new(stdout, stdin);
-    client.ping().expect("daemon must answer PING");
-    (child, client)
+fn connect_daemon(cache_dir: &Path) -> (Child, StdioClient) {
+    gate::spawn_stdio(
+        Command::new(gate::sibling("td_serve"))
+            .env_remove("TD_FAULT")
+            .env("TD_SERVE_CACHE_DIR", cache_dir)
+            .env("TD_SERVE_TENANTS", "alpha:weight=2;beta")
+            .env("TD_SERVE_WORKERS", "2"),
+    )
 }
 
 /// One daemon lifetime: submit `jobs` alternating between the two
 /// tenants (`swap` flips which tenant asks), return the outputs plus the
 /// daemon's final disk-hit count.
-fn run_session(cache_dir: &PathBuf, jobs: usize, swap: bool) -> (Vec<String>, u64, u64) {
-    let (mut child, mut client) = connect_daemon(cache_dir);
+fn run_session(cache_dir: &Path, jobs: usize, swap: bool) -> (Vec<String>, u64, u64) {
+    let (child, mut client) = connect_daemon(cache_dir);
+    let script = gate::tile_schedule("main", 8, None);
     let batch_started = std::time::Instant::now();
     let mut outputs = Vec::with_capacity(jobs);
     for i in 0..jobs {
-        let tenant = match (i % 2 == 0) ^ swap {
-            true => "alpha",
-            false => "beta",
-        };
+        let tenant = if (i % 2 == 0) ^ swap { "alpha" } else { "beta" };
         let done = client
-            .submit(tenant, SCRIPT, &payload(i), "main")
+            .submit(tenant, &script, &payload(i), "main")
             .unwrap_or_else(|e| panic!("submit {i} as {tenant}: {e}"));
         outputs.push(
             done.output
@@ -132,9 +87,7 @@ fn run_session(cache_dir: &PathBuf, jobs: usize, swap: bool) -> (Vec<String>, u6
     let stats = client.stats().expect("STATS");
     let disk_hits = json_u64(&stats, "disk_hits");
     let completed = json_u64(&stats, "jobs_completed");
-    client.shutdown().expect("SHUTDOWN must answer BYE");
-    let status = child.wait().expect("daemon exit");
-    assert!(status.success(), "daemon exited dirty: {status}");
+    gate::shut_down(child, &mut client);
     println!(
         "  session ({}): {jobs} jobs in {:.1} ms ({:.0} jobs/s), {disk_hits} disk hit(s)",
         if swap {
@@ -211,6 +164,7 @@ fn chaos_soak() {
     // addressed, so identical inputs would be (correctly!) served from
     // memory without ever reaching a faultpoint.
     let per_tenant = 5;
+    let script = gate::tile_schedule("main", 8, None);
     let mut ids: Vec<(String, u64)> = Vec::new();
     for i in 0..per_tenant {
         for (slot, tenant) in ["steady", "flaky", "crashy", "laggy"]
@@ -218,7 +172,7 @@ fn chaos_soak() {
             .enumerate()
         {
             let id = service
-                .submit(tenant, SCRIPT, payload(100 * slot + i), "main")
+                .submit(tenant, &script, payload(100 * slot + i), "main")
                 .unwrap_or_else(|e| panic!("admitting {tenant} job {i}: {e}"));
             ids.push((tenant.to_owned(), id));
         }
@@ -303,7 +257,7 @@ fn chaos_soak() {
     let baseline: Vec<String> = (0..per_tenant)
         .map(|i| {
             baseline_service
-                .submit_wait("steady", SCRIPT, payload(i), "main")
+                .submit_wait("steady", &script, payload(i), "main")
                 .unwrap()
                 .result
                 .unwrap()
@@ -322,22 +276,13 @@ fn chaos_soak() {
     );
 }
 
-/// Step 2 of 3 fails on any payload (silenceably: nothing matches).
-const FAILING_SCRIPT: &str = r#"module {
-  transform.named_sequence @main(%root: !transform.any_op) {
-    %loop = "transform.match_op"(%root) {name = "scf.for", select = "first"} : (!transform.any_op) -> !transform.any_op
-    %missing = "transform.match_op"(%root) {name = "nonexistent.op", select = "first"} : (!transform.any_op) -> !transform.any_op
-    "transform.annotate"(%loop) {name = "never"} : (!transform.any_op) -> ()
-  }
-}"#;
-
 fn diagnostics_on_demand() {
     let cache_dir =
         std::env::temp_dir().join(format!("td-serve-smoke-diag-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&cache_dir);
-    let (mut child, mut client) = connect_daemon(&cache_dir);
+    let (child, mut client) = connect_daemon(&cache_dir);
     // The daemon's own count of bisections run (absent until the first).
-    let bisections = |client: &mut Client<_, _>| -> u64 {
+    let bisections = |client: &mut StdioClient| -> u64 {
         let metrics = client.metrics().expect("METRICS");
         metrics
             .lines()
@@ -349,7 +294,7 @@ fn diagnostics_on_demand() {
     let failed_jobs: Vec<u64> = (0..failures)
         .map(|i| {
             let done = client
-                .submit("alpha", FAILING_SCRIPT, &payload(i), "main")
+                .submit("alpha", gate::FAILING_SCRIPT, &payload(i), "main")
                 .unwrap_or_else(|e| panic!("submit {i}: {e}"));
             assert!(done.output.is_err(), "job {i} must fail at step 2");
             done.job_id
@@ -358,7 +303,7 @@ fn diagnostics_on_demand() {
     // Failures are never cached: the same jobs again re-execute and fail.
     for i in 0..failures {
         let again = client
-            .submit("beta", FAILING_SCRIPT, &payload(i), "main")
+            .submit("beta", gate::FAILING_SCRIPT, &payload(i), "main")
             .expect("resubmit");
         assert!(again.output.is_err() && !again.cached);
     }
@@ -390,9 +335,7 @@ fn diagnostics_on_demand() {
         "a refetch is served from the memoised text"
     );
 
-    client.shutdown().expect("SHUTDOWN must answer BYE");
-    let status = child.wait().expect("daemon exit");
-    assert!(status.success(), "daemon exited dirty: {status}");
+    gate::shut_down(child, &mut client);
     let _ = std::fs::remove_dir_all(&cache_dir);
     println!(
         "serve diagnostics OK: {} failed jobs, 0 bisections unasked, {fetched} on {fetched} \
@@ -401,7 +344,7 @@ fn diagnostics_on_demand() {
     );
 }
 
-fn main() {
+pub fn run() {
     restart_smoke();
     chaos_soak();
     diagnostics_on_demand();

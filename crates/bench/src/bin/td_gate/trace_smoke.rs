@@ -5,11 +5,12 @@
 //! the expected span/instant structure.
 //!
 //! ```text
-//! TD_TRACE=target/trace_smoke.json cargo run -p td-bench --bin trace_smoke
+//! TD_TRACE=target/trace_smoke.json cargo run -p td-bench --bin td_gate -- trace_smoke
 //! ```
 //!
 //! Without `TD_TRACE` the trace is kept in memory and validated there.
 
+use td_bench::gate;
 use td_support::trace;
 use td_transform::{InterpEnv, Interpreter};
 
@@ -30,22 +31,12 @@ const PAYLOAD: &str = r#"module {
   }
 }"#;
 
-const SCRIPT: &str = r#"module {
-  transform.named_sequence @optimize(%root: !transform.any_op) {
-    %loop = "transform.match_op"(%root) {name = "scf.for", select = "first"} : (!transform.any_op) -> !transform.any_op
-    %tiles, %points = "transform.loop.tile"(%loop) {tile_sizes = [64]} : (!transform.any_op) -> (!transform.any_op, !transform.any_op)
-    %unrolled = "transform.loop.unroll"(%points) {factor = 4} : (!transform.any_op) -> !transform.any_op
-  }
-}"#;
-
-fn main() {
+pub fn run() {
     trace::set_enabled(true);
     trace::reset();
 
-    let mut ctx = td_bench::full_context();
-    let payload = td_ir::parse_module(&mut ctx, PAYLOAD).expect("payload parses");
-    let script = td_ir::parse_module(&mut ctx, SCRIPT).expect("script parses");
-    let entry = ctx.lookup_symbol(script, "optimize").expect("entry point");
+    let script = gate::tile_schedule("optimize", 64, Some(4));
+    let (mut ctx, entry, payload) = td_bench::parse_schedule(PAYLOAD, &script, "optimize");
     let env = InterpEnv::standard();
     Interpreter::new(&env)
         .apply(&mut ctx, entry, payload)
@@ -53,15 +44,7 @@ fn main() {
 
     // Export: through the TD_TRACE file when set (the CI path), else from
     // the in-memory snapshot.
-    let json = match trace::write_env_trace().expect("write trace file") {
-        Some(path) => {
-            println!("wrote {path}");
-            std::fs::read_to_string(&path).expect("re-read trace file")
-        }
-        None => trace::snapshot().to_chrome_json(),
-    };
-
-    trace::validate_json(&json).unwrap_or_else(|e| panic!("invalid trace JSON: {e}"));
+    let json = gate::exported_trace();
     let recorded = trace::snapshot();
     assert!(!recorded.is_empty(), "trace event stream must not be empty");
     for expected in [

@@ -20,40 +20,19 @@
 //! cargo run --release -p td-bench --bin td_profile -- script.mlir payload.mlir [entry]
 //! ```
 
+use td_bench::gate;
 use td_sched::{Engine, EngineConfig, Job};
 use td_support::{profile, trace};
-
-const DEMO_SCRIPT: &str = r#"module {
-  transform.named_sequence @main(%root: !transform.any_op) {
-    %loop = "transform.match_op"(%root) {name = "scf.for", select = "first"} : (!transform.any_op) -> !transform.any_op
-    %tiles, %points = "transform.loop.tile"(%loop) {tile_sizes = [16]} : (!transform.any_op) -> (!transform.any_op, !transform.any_op)
-    %unrolled = "transform.loop.unroll"(%points) {factor = 2} : (!transform.any_op) -> !transform.any_op
-  }
-}"#;
-
-fn demo_payload(i: usize) -> String {
-    let extent = 128 * (i + 1);
-    format!(
-        r#"module {{
-  func.func @work{i}(%x: memref<{extent}xf32>) {{
-    %lo = arith.constant 0 : index
-    %hi = arith.constant {extent} : index
-    %st = arith.constant 1 : index
-    scf.for %i = %lo to %hi step %st {{
-      %v = "memref.load"(%x, %i) : (memref<{extent}xf32>, index) -> f32
-      %w = "arith.addf"(%v, %v) : (f32, f32) -> f32
-      "memref.store"(%w, %x, %i) : (f32, memref<{extent}xf32>, index) -> ()
-    }}
-    func.return
-  }}
-}}"#
-    )
-}
 
 fn jobs_from_args(args: &[String]) -> Result<Vec<Job>, String> {
     match args {
         [] => Ok((0..4)
-            .map(|i| Job::new(DEMO_SCRIPT, demo_payload(i)))
+            .map(|i| {
+                Job::new(
+                    gate::tile_schedule("main", 16, Some(2)),
+                    gate::loop_payload(i, 128),
+                )
+            })
             .collect()),
         [script_path, payload_path, rest @ ..] => {
             let script = std::fs::read_to_string(script_path)

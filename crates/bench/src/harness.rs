@@ -145,7 +145,7 @@ impl BenchSuite {
 
     /// A suite honouring `TD_BENCH_QUICK=1` (CI smoke mode).
     pub fn from_env() -> Self {
-        let config = if std::env::var("TD_BENCH_QUICK").is_ok_and(|v| v == "1") {
+        let config = if crate::gate::quick() {
             BenchConfig::quick()
         } else {
             BenchConfig::default()

@@ -1,30 +1,30 @@
 //! `td-bench`: shared harness code for regenerating every table and figure
 //! of the paper. The binaries in `src/bin/` print the rows/series; this
 //! library holds the workload builders and measurement loops so tests and
-//! the in-tree micro-benchmark harness ([`harness`]) reuse them.
+//! the in-tree micro-benchmark harness ([`harness`]) reuse them, and what
+//! the CI gates of `td_gate` share ([`gate`]).
 
 pub mod cs3;
 pub mod cs4;
+pub mod gate;
 pub mod harness;
 pub mod table1;
 
 pub use harness::{bench, BenchConfig, BenchStats, BenchSuite};
+use td_ir::{Context, OpId};
 
-use td_ir::Context;
+/// A context with every dialect (payload + transform) registered, and a
+/// pass registry with every pass: the engine's own two constructors.
+pub use td_sched::{standard_context as full_context, standard_passes as full_pass_registry};
 
-/// A context with every dialect (payload + transform) registered.
-pub fn full_context() -> Context {
-    let mut ctx = Context::new();
-    td_dialects::register_all_dialects(&mut ctx);
-    td_transform::register_transform_dialect(&mut ctx);
-    ctx
-}
-
-/// A pass registry with every pass registered.
-pub fn full_pass_registry() -> td_ir::PassRegistry {
-    let mut registry = td_ir::PassRegistry::new();
-    td_dialects::passes::register_all_passes(&mut registry);
-    registry
+/// `payload` and `script` parsed into one [`full_context`]:
+/// the context, the script's `@entry` sequence and the payload module.
+pub fn parse_schedule(payload: &str, script: &str, entry: &str) -> (Context, OpId, OpId) {
+    let mut ctx = full_context();
+    let module = td_ir::parse_module(&mut ctx, payload).expect("payload parses");
+    let script = td_ir::parse_module(&mut ctx, script).expect("script parses");
+    let entry = ctx.lookup_symbol(script, entry).expect("entry point");
+    (ctx, entry, module)
 }
 
 /// Renders a simple aligned table to a string.

@@ -2,7 +2,7 @@
 //! identical pipeline through the Transform interpreter instead of the
 //! pass manager, on five whole-model TOSA graphs.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use td_modelgen::{build_model, count_model_ops, paper_models, ModelSpec};
 use td_transform::{pipeline_to_script, transform_main, InterpEnv, Interpreter, TxnMode};
 
@@ -44,8 +44,8 @@ fn percent_over(ms: f64, base_ms: f64) -> f64 {
     }
 }
 
-/// Compile time of the TOSA pipeline through the pass manager, in ms.
-pub fn compile_with_pass_manager(spec: &ModelSpec) -> f64 {
+/// Compile time of the TOSA pipeline through the pass manager.
+pub fn compile_with_pass_manager(spec: &ModelSpec) -> Duration {
     let mut ctx = crate::full_context();
     let module = build_model(&mut ctx, spec);
     let registry = crate::full_pass_registry();
@@ -54,22 +54,18 @@ pub fn compile_with_pass_manager(spec: &ModelSpec) -> f64 {
         .expect("pipeline parses");
     let start = Instant::now();
     pm.run(&mut ctx, module).expect("pipeline succeeds");
-    start.elapsed().as_secs_f64() * 1e3
+    start.elapsed()
 }
 
 /// Compile time of the *same* pipeline expressed as a Transform script and
-/// interpreted, in ms. The script conversion happens outside the timed
-/// section, mirroring the paper's methodology (scripts are generated once).
-pub fn compile_with_transform(spec: &ModelSpec) -> f64 {
-    // Transactions off for a fair comparison with the pass manager, which
-    // has none: this isolates the paper's Table 1 quantity (interpreter
-    // *dispatch* overhead). `measure_model` reports the shipped default
-    // beside it.
-    compile_with_transform_txn(spec, TxnMode::Never)
-}
-
-/// [`compile_with_transform`] under an explicit transaction mode.
-fn compile_with_transform_txn(spec: &ModelSpec, txn: TxnMode) -> f64 {
+/// interpreted under `txn`, with or without the interpreter's expensive
+/// checks. The script conversion happens outside the timed section,
+/// mirroring the paper's methodology (scripts are generated once).
+///
+/// The paper's Table 1 quantity (interpreter *dispatch* overhead) is
+/// `TxnMode::Never` without expensive checks: the pass manager has neither.
+/// `measure_model` reports the shipped default, `TxnMode::Always`, beside it.
+pub fn compile_with_transform(spec: &ModelSpec, txn: TxnMode, expensive_checks: bool) -> Duration {
     let mut ctx = crate::full_context();
     let module = build_model(&mut ctx, spec);
     let registry = crate::full_pass_registry();
@@ -78,60 +74,47 @@ fn compile_with_transform_txn(spec: &ModelSpec, txn: TxnMode) -> f64 {
     let entry = transform_main(&ctx, script).expect("entry point exists");
     let mut env = InterpEnv::standard();
     env.passes = Some(&registry);
-    // Expensive checks off: the pass manager has none.
-    env.config.expensive_checks = false;
+    env.config.expensive_checks = expensive_checks;
     env.config.txn = txn;
     let mut interp = Interpreter::new(&env);
     let start = Instant::now();
     interp
         .apply(&mut ctx, entry, module)
         .expect("script succeeds");
-    start.elapsed().as_secs_f64() * 1e3
+    start.elapsed()
 }
 
-/// Measures one model over `pairs` interleaved pass-manager /
-/// interpreter pairs and reports the pair with the median interpreter /
-/// pass-manager ratio. Machine noise lasting longer than one compile lands
-/// on both halves of a pair alike, and the median over pairs shrugs off the
-/// pairs it still hit unevenly, where a best-of-N minimum of each column
-/// picks two unrelated outliers.
+/// Measures one model over `pairs` rounds of interleaved pass-manager /
+/// interpreter / interpreter-with-transactions compiles
+/// ([`crate::gate::paired`], one compile per side, the leader rotating)
+/// and reports the round with the median interpreter / pass-manager
+/// ratio. Machine noise lasting longer than one compile lands on every
+/// side of a round alike, and the median over rounds shrugs off the
+/// rounds it still hit unevenly, where a best-of-N minimum of each column
+/// picks unrelated outliers.
 ///
-/// Each pair also times the interpreter with transactions on, and which of
-/// the three compiles runs first rotates. The transactions-on column is
-/// the median of *its* per-pair ratio to the pass manager, applied to the
-/// reported pass-manager time, so both overheads are medians over the same
-/// pairs.
+/// The transactions-on column is the median of *its* per-round ratio to
+/// the pass manager, applied to the reported pass-manager time, so both
+/// overheads are medians over the same rounds.
 ///
 /// # Panics
 /// Panics if `pairs` is 0.
 pub fn measure_model(spec: &ModelSpec, pairs: usize) -> Table1Row {
-    assert!(pairs > 0, "at least one pair");
-    let mut timed: Vec<[f64; 3]> = (0..pairs)
-        .map(|i| {
-            let mut row = [0.0; 3];
-            for k in 0..3 {
-                let driver = (i + k) % 3;
-                row[driver] = match driver {
-                    0 => compile_with_pass_manager(spec),
-                    1 => compile_with_transform(spec),
-                    _ => compile_with_transform_txn(spec, TxnMode::Always),
-                };
-            }
-            row
-        })
-        .collect();
-    let mut txn_ratios: Vec<f64> = timed.iter().map(|t| t[2] / t[0]).collect();
-    txn_ratios.sort_by(f64::total_cmp);
-    timed.sort_by(|a, b| (a[1] / a[0]).total_cmp(&(b[1] / b[0])));
-    let [pass_manager_ms, transform_ms, _] = timed[pairs / 2];
+    let run = crate::gate::paired(3, pairs, 1, |side, _| match side {
+        0 => compile_with_pass_manager(spec),
+        1 => compile_with_transform(spec, TxnMode::Never, false),
+        _ => compile_with_transform(spec, TxnMode::Always, false),
+    });
+    let median = &run.rounds[run.ratio(1, 0).median_round];
+    let pass_manager_ms = median[0].as_secs_f64() * 1e3;
     let mut ctx = crate::full_context();
     let module = build_model(&mut ctx, spec);
     Table1Row {
         model: spec.name,
         ops: count_model_ops(&ctx, module),
         pass_manager_ms,
-        transform_ms,
-        transform_txn_ms: pass_manager_ms * txn_ratios[pairs / 2],
+        transform_ms: median[1].as_secs_f64() * 1e3,
+        transform_txn_ms: pass_manager_ms * run.ratio(2, 0).median,
     }
 }
 

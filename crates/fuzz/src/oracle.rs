@@ -29,7 +29,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use td_ir::{parse_module, print_op, Context, PassRegistry};
+use td_ir::{parse_module, print_op};
 use td_sched::{Engine, EngineConfig, Job, JobError};
 use td_support::{fault, journal};
 use td_transform::{InterpEnv, Interpreter, TxnMode};
@@ -126,20 +126,9 @@ impl Outcome {
     }
 }
 
-/// A fresh context with every payload dialect plus the transform dialect.
-pub fn fresh_context() -> Context {
-    let mut ctx = Context::new();
-    td_dialects::register_all_dialects(&mut ctx);
-    td_transform::register_transform_dialect(&mut ctx);
-    ctx
-}
-
-/// The full pass registry, as the engine's workers build it.
-pub fn standard_passes() -> PassRegistry {
-    let mut registry = PassRegistry::new();
-    td_dialects::passes::register_all_passes(&mut registry);
-    registry
-}
+/// A fresh context with every payload dialect plus the transform dialect,
+/// and the full pass registry: exactly what the engine's workers build.
+pub use td_sched::{standard_context as fresh_context, standard_passes};
 
 /// Re-parse printed output in a fresh context and fingerprint it there.
 fn normalize_ok(text: String) -> Outcome {

@@ -52,8 +52,8 @@
 //!
 //! The engine holds only what it is built from and how wide it runs
 //! ([`EngineConfig`]: workers, cache capacity, the per-batch failure
-//! budget, three factories). How one job runs — its deadline, attempts,
-//! transactional mode and fault lane — is the
+//! budget, the transform-op factory). How one job runs — its deadline,
+//! attempts, transactional mode and fault lane — is the
 //! [`JobPolicy`](crate::JobPolicy) the job carries, read by whichever
 //! worker runs it. One engine therefore serves jobs under any mix of
 //! policies (td-serve: every tenant's jobs, on one engine per service).
@@ -71,16 +71,9 @@ use td_ir::{Context, OpId, PassRegistry};
 use td_support::{fault, flight, journal, metrics, trace};
 use td_transform::{InterpConfig, InterpEnv, Interpreter, TransformOpRegistry, TxnMode};
 
-/// Builds the fresh `Context` each job attempt parses into.
-pub type ContextFactory = Arc<dyn Fn() -> Context + Send + Sync>;
-
 /// Builds the engine's transform-op registry, once, at construction (the
 /// extension point used by tests and downstream transform libraries).
 pub type TransformsFactory = Arc<dyn Fn() -> TransformOpRegistry + Send + Sync>;
-
-/// Builds the engine's pass registry, once, at construction (backing
-/// `transform.apply_registered_pass`).
-pub type PassesFactory = Arc<dyn Fn() -> PassRegistry + Send + Sync>;
 
 /// Engine configuration: what the engine is built from and how wide it
 /// runs. How each job runs is the job's own [`JobPolicy`](crate::JobPolicy).
@@ -98,19 +91,32 @@ pub struct EngineConfig {
     /// [`BatchReport::degraded`]. `None` never degrades. In-flight jobs
     /// finish normally; nothing is aborted mid-step.
     pub failure_budget: Option<usize>,
-    /// Fresh-context builder (dialect registration).
-    pub context_factory: ContextFactory,
     /// Transform-op registry builder.
     pub transforms_factory: TransformsFactory,
-    /// Pass registry builder, if pass application is wanted.
-    pub passes_factory: Option<PassesFactory>,
+}
+
+/// A fresh context with every payload dialect plus the transform dialect
+/// registered: what each job attempt parses into.
+pub fn standard_context() -> Context {
+    let mut ctx = Context::new();
+    td_dialects::register_all_dialects(&mut ctx);
+    td_transform::register_transform_dialect(&mut ctx);
+    ctx
+}
+
+/// The full pass registry (backing `transform.apply_registered_pass`),
+/// built once per engine.
+pub fn standard_passes() -> PassRegistry {
+    let mut registry = PassRegistry::new();
+    td_dialects::passes::register_all_passes(&mut registry);
+    registry
 }
 
 impl EngineConfig {
-    /// The standard configuration: all payload dialects + the transform
-    /// dialect registered, the standard transform ops, the full pass
-    /// registry, one worker per available core, a 1024-entry cache, no
-    /// failure budget.
+    /// The standard configuration: the standard transform ops, one worker
+    /// per available core, a 1024-entry cache, no failure budget. Every
+    /// engine parses into [`standard_context`] and applies passes from
+    /// [`standard_passes`].
     pub fn standard() -> Self {
         EngineConfig {
             workers: std::thread::available_parallelism()
@@ -118,18 +124,7 @@ impl EngineConfig {
                 .unwrap_or(1),
             cache_capacity: 1024,
             failure_budget: None,
-            context_factory: Arc::new(|| {
-                let mut ctx = Context::new();
-                td_dialects::register_all_dialects(&mut ctx);
-                td_transform::register_transform_dialect(&mut ctx);
-                ctx
-            }),
             transforms_factory: Arc::new(TransformOpRegistry::with_standard_ops),
-            passes_factory: Some(Arc::new(|| {
-                let mut registry = PassRegistry::new();
-                td_dialects::passes::register_all_passes(&mut registry);
-                registry
-            })),
         }
     }
 
@@ -163,7 +158,6 @@ impl std::fmt::Debug for EngineConfig {
             .field("workers", &self.workers)
             .field("cache_capacity", &self.cache_capacity)
             .field("failure_budget", &self.failure_budget)
-            .field("has_passes", &self.passes_factory.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -254,7 +248,7 @@ pub struct Engine {
     config: EngineConfig,
     cache: Arc<ResultCache>,
     transforms: TransformOpRegistry,
-    passes: Option<PassRegistry>,
+    passes: PassRegistry,
 }
 
 impl Engine {
@@ -272,12 +266,11 @@ impl Engine {
     /// across engines by construction.
     pub fn with_shared_cache(config: EngineConfig, cache: Arc<ResultCache>) -> Self {
         let transforms = (config.transforms_factory)();
-        let passes = config.passes_factory.as_ref().map(|build| build());
         Engine {
             config,
             cache,
             transforms,
-            passes,
+            passes: standard_passes(),
         }
     }
 
@@ -614,9 +607,9 @@ impl Engine {
     /// Bisects a job that failed with a transform error: finds the
     /// shortest failing prefix of its schedule with
     /// [`td_transform::bisect_schedule_failure`] — a handful of fresh-context
-    /// parse+interpret probes on the calling thread, under this engine's
-    /// registries and context factory and the job's own transactional mode —
-    /// and renders the minimized repro:
+    /// parse+interpret probes on the calling thread, each into a
+    /// [`standard_context`], under this engine's registries and the job's
+    /// own transactional mode — and renders the minimized repro:
     ///
     /// ```text
     /// failing prefix: P of N step(s) (K probe(s))
@@ -645,7 +638,7 @@ impl Engine {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             td_transform::bisect_schedule_failure(
                 &env,
-                &*self.config.context_factory,
+                &standard_context,
                 &job.script,
                 &job.payload,
                 &job.entry,
@@ -675,7 +668,7 @@ impl Engine {
     fn interp_env(&self) -> InterpEnv<'_> {
         InterpEnv {
             transforms: self.transforms.clone(),
-            passes: self.passes.as_ref(),
+            passes: Some(&self.passes),
             patterns: None,
             library: None,
             config: InterpConfig::default(),
@@ -775,7 +768,7 @@ impl Engine {
         if let Some(slot) = slot {
             return self.attempt_on_slot(env, job, slot);
         }
-        let mut ctx = (self.config.context_factory)();
+        let mut ctx = standard_context();
         let payload = parse_payload(&mut ctx, job)?;
         apply_script(env, &mut ctx, payload, job)
     }
@@ -799,7 +792,7 @@ impl Engine {
             // The old context is dropped before the new one is built: one
             // context per worker at a time.
             _ => {
-                let mut ctx = (self.config.context_factory)();
+                let mut ctx = standard_context();
                 let root = parse_payload(&mut ctx, job)?;
                 PayloadSlot {
                     payload: job.payload.clone(),

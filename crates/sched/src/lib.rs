@@ -72,7 +72,7 @@ pub mod stats;
 pub use autotune::{sweep_schedules, tune_schedules, SweepOutcome, SweepResult};
 pub use cache::{CacheKey, CachePersist, CacheStats, CachedResult, ResultCache};
 pub use engine::{
-    BatchReport, ContextFactory, Engine, EngineConfig, PassesFactory, TransformsFactory,
+    standard_context, standard_passes, BatchReport, Engine, EngineConfig, TransformsFactory,
 };
 pub use job::{Job, JobError, JobOutput, JobPolicy, JobResult};
 pub use stats::{BatchStats, WorkerLane};

@@ -84,10 +84,6 @@ pub struct ServiceConfig {
     pub cache_capacity: usize,
     /// On-disk persistent cache directory (`None` = memory only).
     pub cache_dir: Option<PathBuf>,
-    /// Whether to journal jobs and retain per-job artifacts
-    /// (report/bisect/flight) for `ARTIFACT` retrieval. Off: nothing is
-    /// retained and nothing deferred.
-    pub collect_artifacts: bool,
     /// Jobs whose artifacts are retained (FIFO eviction beyond this).
     pub artifact_capacity: usize,
     /// Size cap for the on-disk cache (`TD_SERVE_CACHE_MAX_BYTES`); when
@@ -104,14 +100,13 @@ pub struct ServiceConfig {
 
 impl ServiceConfig {
     /// A service for the given tenants with defaults: 4 workers, 1024
-    /// cache entries, no disk cache, artifacts on.
+    /// cache entries, no disk cache.
     pub fn new(tenants: Vec<TenantConfig>) -> Self {
         ServiceConfig {
             tenants,
             workers: 4,
             cache_capacity: 1024,
             cache_dir: None,
-            collect_artifacts: true,
             artifact_capacity: 256,
             cache_max_bytes: None,
             event_log: None,
@@ -134,12 +129,6 @@ impl ServiceConfig {
     /// Sets the in-memory cache capacity (builder-style).
     pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
         self.cache_capacity = capacity;
-        self
-    }
-
-    /// Disables journaling/artifact retention (builder-style).
-    pub fn without_artifacts(mut self) -> Self {
-        self.collect_artifacts = false;
         self
     }
 
@@ -303,7 +292,6 @@ struct Inner {
     artifacts: ArtifactStore<Deferred>,
     cache: Arc<ResultCache>,
     disk: Option<Arc<DiskStore>>,
-    collect_artifacts: bool,
     draining: AtomicBool,
     /// Observability plane (gated by [`ServiceConfig::observe`]).
     observe: bool,
@@ -405,7 +393,6 @@ impl Service {
             artifacts: ArtifactStore::new(config.artifact_capacity),
             cache,
             disk,
-            collect_artifacts: config.collect_artifacts,
             draining: AtomicBool::new(false),
             observe: config.observe,
             series: SeriesRegistry::new(tenant_count),
@@ -1144,7 +1131,7 @@ impl Inner {
         trace::set_enabled(trace_on);
         metrics::reset();
         journal::reset();
-        journal::set_enabled(self.collect_artifacts);
+        journal::set_enabled(true);
         let _worker_span = trace::span("serve", format!("worker{worker_index}"));
         while let Some(dispatched) = self.next_job() {
             let Dispatched {
@@ -1226,25 +1213,23 @@ impl Inner {
                     }
                 }
             }
-            if self.collect_artifacts {
-                let failed_job = report.failed_jobs.pop();
+            let failed_job = report.failed_jobs.pop();
+            self.artifacts
+                .put_deferred(id, "report", Deferred::Report(Box::new(report)));
+            if let Some((_, job)) = failed_job {
                 self.artifacts
-                    .put_deferred(id, "report", Deferred::Report(Box::new(report)));
-                if let Some((_, job)) = failed_job {
-                    self.artifacts
-                        .put_deferred(id, "bisect", Deferred::Bisect(job));
-                }
-                if failed {
-                    let bundle = flight::bundle_json(
-                        "serve.job.failed",
-                        &[
-                            ("job", id.to_string()),
-                            ("tenant", runtime.config.name.clone()),
-                            ("request", request.clone()),
-                        ],
-                    );
-                    self.artifacts.put(id, "flight", bundle);
-                }
+                    .put_deferred(id, "bisect", Deferred::Bisect(job));
+            }
+            if failed {
+                let bundle = flight::bundle_json(
+                    "serve.job.failed",
+                    &[
+                        ("job", id.to_string()),
+                        ("tenant", runtime.config.name.clone()),
+                        ("request", request.clone()),
+                    ],
+                );
+                self.artifacts.put(id, "flight", bundle);
             }
             if self.observe {
                 let cached = matches!(&result, Ok(output) if output.from_cache);

@@ -354,10 +354,15 @@ impl Drop for SpanGuard {
 /// records into the trace only when [`enabled`].
 pub fn span(cat: &'static str, name: impl Into<String>) -> SpanGuard {
     let active = enabled();
+    // One clock read: the recorded start and the measured duration both
+    // derive from `start`, so a span cannot seem to end before one it
+    // encloses, however long the name conversion takes.
+    let name = name.into();
+    let start = Instant::now();
     let (start_ns, depth) = if active {
         COLLECTOR.with(|c| {
             let mut c = c.borrow_mut();
-            let start_ns = c.epoch.elapsed().as_nanos();
+            let start_ns = start.saturating_duration_since(c.epoch).as_nanos();
             let depth = c.depth;
             c.depth += 1;
             (start_ns, depth)
@@ -367,9 +372,9 @@ pub fn span(cat: &'static str, name: impl Into<String>) -> SpanGuard {
     };
     SpanGuard {
         cat,
-        name: name.into(),
+        name,
         args: Vec::new(),
-        start: Instant::now(),
+        start,
         start_ns,
         depth,
         active,
@@ -1012,6 +1017,38 @@ mod tests {
         assert_eq!(ordered[2].name, "handle.invalidated");
         assert_eq!(ordered[2].depth, 2);
         assert!(matches!(ordered[2].kind, EventKind::Instant));
+    }
+
+    /// A name whose conversion to `String` takes 5 ms.
+    struct SlowName;
+
+    impl From<SlowName> for String {
+        fn from(_: SlowName) -> String {
+            std::thread::sleep(Duration::from_millis(5));
+            "slow".to_owned()
+        }
+    }
+
+    #[test]
+    fn a_span_ends_no_earlier_than_the_spans_it_encloses() {
+        let trace = with_tracing(|| {
+            let outer = span("pass", SlowName);
+            drop(span("pass", "inner"));
+            drop(outer);
+            take()
+        });
+        let ordered = trace.ordered();
+        let (outer, inner) = (&ordered[0], &ordered[1]);
+        assert_eq!(
+            (outer.name.as_str(), inner.name.as_str()),
+            ("slow", "inner")
+        );
+        assert!(
+            outer.end_ns() >= inner.end_ns(),
+            "outer ends at {} ns, before the inner span it encloses ({} ns)",
+            outer.end_ns(),
+            inner.end_ns()
+        );
     }
 
     #[test]

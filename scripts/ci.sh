@@ -24,7 +24,7 @@ echo "== traced schedule smoke (observability) =="
 # Chrome trace JSON (std-only validator) and fails on an empty event
 # stream or missing span/instant structure.
 mkdir -p target
-TD_TRACE=target/trace_smoke.json cargo run -q --release --offline -p td-bench --bin trace_smoke
+TD_TRACE=target/trace_smoke.json cargo run -q --release --offline -p td-bench --bin td_gate -- trace_smoke
 test -s target/trace_smoke.json || { echo "trace_smoke.json is empty"; exit 1; }
 
 echo "== concurrent engine smoke (td-sched) =="
@@ -34,7 +34,7 @@ echo "== concurrent engine smoke (td-sched) =="
 # 1-worker run leaves nothing off the caller's lane, the 4-worker run is
 # exactly lanes 1-4 with one workerN span each, both have one job span
 # per job, and every job span lies inside its batch span.
-TD_TRACE=target/sched_smoke_trace.json cargo run -q --release --offline -p td-bench --bin sched_smoke
+TD_TRACE=target/sched_smoke_trace.json cargo run -q --release --offline -p td-bench --bin td_gate -- sched_smoke
 test -s target/sched_smoke_trace.json || { echo "sched_smoke_trace.json is empty"; exit 1; }
 
 echo "== provenance journal smoke (attribution + bisection + batch report) =="
@@ -43,7 +43,7 @@ echo "== provenance journal smoke (attribution + bisection + batch report) =="
 # emits a non-empty minimized repro schedule for a known-failing pipeline,
 # and a 4-worker td-sched batch merges per-worker journals into one report
 # whose JSON passes the std-only validator.
-TD_JOURNAL=target/journal_smoke.json cargo run -q --release --offline -p td-bench --bin journal_smoke
+TD_JOURNAL=target/journal_smoke.json cargo run -q --release --offline -p td-bench --bin td_gate -- journal_smoke
 test -s target/journal_smoke.json || { echo "journal_smoke.json is empty"; exit 1; }
 
 echo "== chaos smoke (fault injection + transactional rollback) =="
@@ -54,7 +54,7 @@ echo "== chaos smoke (fault injection + transactional rollback) =="
 # injected failure of any kind at any step index leaves the payload
 # different from a clean run of the committed steps, or if the median
 # txn=always / txn=never pair costs more than 1.10x.
-cargo run -q --release --offline -p td-bench --bin chaos_smoke
+cargo run -q --release --offline -p td-bench --bin td_gate -- chaos_smoke
 
 echo "== observability smoke (histograms + flight recorder + profiler) =="
 # Four gates: p50/p90/p99/p999 percentile fields must appear in the batch
@@ -64,7 +64,7 @@ echo "== observability smoke (histograms + flight recorder + profiler) =="
 # attribution; TD_PROFILE must write a speedscope-loadable collapsed
 # profile; and the always-on flight recorder must cost < 3% idle
 # (EXPERIMENTS.md "Flight recorder overhead" methodology).
-cargo run -q --release --offline -p td-bench --bin obs_smoke
+cargo run -q --release --offline -p td-bench --bin td_gate -- obs_smoke
 
 echo "== generative fuzz smoke (differential oracle) =="
 # Fixed-seed fuzz run: 200 generated (schedule, payload) pairs pushed
@@ -76,7 +76,7 @@ echo "== generative fuzz smoke (differential oracle) =="
 # corpus-format repro; and the alternatives metamorphic family holds on
 # 200 seeds. TD_FUZZ_SEED / TD_FUZZ_BUDGET override the defaults for soak
 # runs.
-cargo run -q --release --offline -p td-bench --bin fuzz_smoke
+cargo run -q --release --offline -p td-bench --bin td_gate -- fuzz_smoke
 
 echo "== serve smoke (daemon + persistent cache + multi-tenant chaos soak) =="
 # Two gates. Restart: a real td_serve daemon subprocess (stdio transport)
@@ -87,7 +87,7 @@ echo "== serve smoke (daemon + persistent cache + multi-tenant chaos soak) =="
 # lanes under concurrent load; the unfaulted tenant's outputs must be
 # byte-identical to a no-fault baseline and the drain must deliver every
 # admitted job.
-cargo run -q --release --offline -p td-bench --bin serve_smoke
+cargo run -q --release --offline -p td-bench --bin td_gate -- serve_smoke
 
 echo "== serve observability (request tracing + SLO series + METRICS + td-top) =="
 # Three gates. Live daemon: a td_serve subprocess (unix socket) with four
@@ -101,7 +101,7 @@ echo "== serve observability (request tracing + SLO series + METRICS + td-top) =
 # flight bundle (injected panic plan), and the Chrome trace's queue-wait
 # and run spans. Overhead: the observability plane must cost < 3% against
 # the same service started without_observability().
-TD_BENCH_QUICK=1 cargo run -q --release --offline -p td-bench --bin serve_obs
+TD_BENCH_QUICK=1 cargo run -q --release --offline -p td-bench --bin td_gate -- serve_obs
 
 echo "== benchmark harness (builds against the workspace + quick check) =="
 # benchmark/ is a workspace of its own with path dependencies on crates/*,

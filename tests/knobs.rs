@@ -3,7 +3,8 @@
 //! test holds it to that — every `"TD_*"` string literal in the sources
 //! and bench targets has a table row, and every table row names a variable the sources
 //! still read. The settable fields of the engine, job-policy, tenant and
-//! service configurations are pinned the same way, by count.
+//! service configurations are pinned the same way, by count, and every
+//! `td_gate` gate must be a step of `scripts/ci.sh`.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -76,10 +77,10 @@ fn pub_fields(file: &str, name: &str) -> usize {
 #[test]
 fn config_structs_keep_their_pinned_field_counts() {
     let pinned = [
-        ("crates/sched/src/engine.rs", "EngineConfig", 6),
+        ("crates/sched/src/engine.rs", "EngineConfig", 4),
         ("crates/sched/src/job.rs", "JobPolicy", 4),
         ("crates/serve/src/tenant.rs", "TenantConfig", 7),
-        ("crates/serve/src/service.rs", "ServiceConfig", 9),
+        ("crates/serve/src/service.rs", "ServiceConfig", 8),
     ];
     for (file, name, want) in pinned {
         let found = pub_fields(file, name);
@@ -90,4 +91,39 @@ fn config_structs_keep_their_pinned_field_counts() {
              this pin."
         );
     }
+}
+
+#[test]
+fn every_gate_runs_in_ci() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let dir = root.join("crates/bench/src/bin/td_gate");
+    let modules: BTreeSet<String> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
+        .map(|entry| entry.expect("directory entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "rs"))
+        .filter_map(|path| Some(path.file_stem()?.to_str()?.to_owned()))
+        .filter(|stem| stem != "main")
+        .collect();
+    let ci = std::fs::read_to_string(root.join("scripts/ci.sh")).expect("ci.sh reads");
+    let steps: BTreeSet<String> = ci
+        .lines()
+        .filter(|line| !line.trim_start().starts_with('#'))
+        .filter_map(|line| line.split_once("--bin td_gate -- "))
+        .map(|(_, rest)| {
+            rest.split_whitespace()
+                .next()
+                .unwrap_or_default()
+                .to_owned()
+        })
+        .collect();
+    assert!(
+        !modules.is_empty(),
+        "no gate modules under {}",
+        dir.display()
+    );
+    assert_eq!(
+        modules, steps,
+        "every td_gate module must run as a `--bin td_gate -- <name>` step of scripts/ci.sh, \
+         and every such step must name a module"
+    );
 }
