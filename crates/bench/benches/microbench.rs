@@ -336,18 +336,11 @@ fn bench_undo_log(suite: &mut BenchSuite) {
             let watermark = logged.then(|| ctx.begin_watermark(None));
             let mut operands = vec![];
             for _ in 0..BLOCK_TOTAL {
-                let op = ctx.create_op(
-                    Location::unknown(),
-                    "test.a",
-                    operands,
-                    vec![i64t],
-                    vec![],
-                    0,
-                );
+                let op = ctx.create_op(Location::unknown(), "test.a", operands, [i64t], vec![], 0);
                 ctx.append_op(body, op);
                 operands = vec![ctx.op(op).results()[0]];
             }
-            while let Some(&op) = ctx.block(body).ops().last() {
+            while let Some(op) = ctx.block(body).last_op() {
                 ctx.erase_op(op);
             }
             if let Some(watermark) = watermark {

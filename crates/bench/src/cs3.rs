@@ -36,7 +36,7 @@ pub fn build_payload(ctx: &mut Context, blocks: usize) -> OpId {
                 operands: Vec<ValueId>,
                 ty,
                 attrs: Vec<(Symbol, Attribute)>| {
-        let op = ctx.create_op(Location::name(name), name, operands, vec![ty], attrs, 0);
+        let op = ctx.create_op(Location::name(name), name, operands, [ty], attrs, 0);
         ctx.append_op(entry, op);
         ctx.op(op).results()[0]
     };
@@ -107,7 +107,7 @@ pub fn build_payload(ctx: &mut Context, blocks: usize) -> OpId {
     let ret = ctx.create_op(
         Location::name("return"),
         "func.return",
-        vec![result],
+        [result],
         vec![],
         vec![],
         0,

@@ -103,7 +103,7 @@ pub fn build_apply(ctx: &mut Context, block: BlockId, map: &[i64], operands: Vec
         Location::name("affine.apply"),
         "affine.apply",
         operands,
-        vec![index],
+        [index],
         vec![(
             Symbol::new("map"),
             Attribute::int_array(map.iter().copied()),
@@ -168,7 +168,7 @@ mod tests {
             Location::unknown(),
             "affine.apply",
             vec![],
-            vec![index],
+            [index],
             vec![(Symbol::new("map"), Attribute::int_array([1, 2, 3]))],
             0,
         );
@@ -189,7 +189,7 @@ mod tests {
             Location::unknown(),
             "affine.min",
             vec![],
-            vec![index],
+            [index],
             vec![],
             0,
         );

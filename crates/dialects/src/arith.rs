@@ -210,20 +210,18 @@ fn fold_int_binary(ctx: &mut Context, op: OpId) -> FoldResult {
     };
     // Materialize a constant right before the op and replace.
     let ty = ctx.value_type(ctx.op(op).results()[0]);
-    let block = match ctx.op(op).parent() {
-        Some(b) => b,
-        None => return FoldResult::Unchanged,
-    };
-    let pos = ctx.op_position(block, op).expect("op attached");
+    if ctx.op(op).parent().is_none() {
+        return FoldResult::Unchanged;
+    }
     let constant = ctx.create_op(
         ctx.op(op).location.clone(),
         "arith.constant",
         vec![],
-        vec![ty],
+        [ty],
         vec![(td_support::Symbol::new("value"), Attribute::Int(result))],
         0,
     );
-    ctx.insert_op(block, pos, constant);
+    ctx.insert_op_before(op, constant);
     FoldResult::Replace(vec![ctx.op(constant).results()[0]])
 }
 

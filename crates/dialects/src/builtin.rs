@@ -56,37 +56,29 @@ fn verify_cast(ctx: &Context, op: OpId) -> Result<(), Diagnostic> {
 /// Creates an unrealized conversion cast `value : -> to_type` immediately
 /// before `anchor`, returning the cast result.
 pub fn cast_before(ctx: &mut Context, anchor: OpId, value: ValueId, to_type: TypeId) -> ValueId {
-    let block = ctx.op(anchor).parent().expect("anchor must be attached");
-    let pos = ctx
-        .op_position(block, anchor)
-        .expect("anchor in parent block");
     let cast = ctx.create_op(
         Location::name("materialized-cast"),
         UNREALIZED_CAST,
-        vec![value],
-        vec![to_type],
+        [value],
+        [to_type],
         vec![],
         0,
     );
-    ctx.insert_op(block, pos, cast);
+    ctx.insert_op_before(anchor, cast);
     ctx.op(cast).results()[0]
 }
 
 /// Creates an unrealized conversion cast right after `anchor`.
 pub fn cast_after(ctx: &mut Context, anchor: OpId, value: ValueId, to_type: TypeId) -> ValueId {
-    let block = ctx.op(anchor).parent().expect("anchor must be attached");
-    let pos = ctx
-        .op_position(block, anchor)
-        .expect("anchor in parent block");
     let cast = ctx.create_op(
         Location::name("materialized-cast"),
         UNREALIZED_CAST,
-        vec![value],
-        vec![to_type],
+        [value],
+        [to_type],
         vec![],
         0,
     );
-    ctx.insert_op(block, pos + 1, cast);
+    ctx.insert_op_after(anchor, cast);
     ctx.op(cast).results()[0]
 }
 
@@ -130,7 +122,7 @@ mod tests {
             Location::unknown(),
             "arith.constant",
             vec![],
-            vec![index],
+            [index],
             vec![],
             0,
         );
@@ -138,13 +130,12 @@ mod tests {
         let v = ctx.op(c).results()[0];
         let casted = cast_after(&mut ctx, c, v, i64t);
         assert_eq!(ctx.value_type(casted), i64t);
-        let ops = ctx.block(body).ops();
+        let ops: Vec<_> = ctx.block_ops(body).collect();
         assert_eq!(ops.len(), 2);
         assert_eq!(ctx.op(ops[1]).name.as_str(), UNREALIZED_CAST);
         let back = cast_before(&mut ctx, c, casted, index);
         // Insertion before `c` — order: cast(before), c, cast(after).
-        let ops = ctx.block(body).ops();
-        assert_eq!(ops.len(), 3);
+        assert_eq!(ctx.block(body).len(), 3);
         assert_eq!(ctx.value_type(back), index);
     }
 
@@ -173,7 +164,7 @@ mod tests {
             Location::unknown(),
             "builtin.module",
             vec![],
-            vec![i32t],
+            [i32t],
             vec![],
             1,
         );

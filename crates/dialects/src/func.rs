@@ -173,14 +173,7 @@ mod tests {
         let i32t = ctx.i32_type();
         let (func, entry) = build_func(&mut ctx, module, "id", &[i32t], &[i32t]);
         let arg = ctx.block(entry).args()[0];
-        let ret = ctx.create_op(
-            Location::unknown(),
-            "func.return",
-            vec![arg],
-            vec![],
-            vec![],
-            0,
-        );
+        let ret = ctx.create_op(Location::unknown(), "func.return", [arg], vec![], vec![], 0);
         ctx.append_op(entry, ret);
         assert!(verify(&ctx, module).is_ok(), "{:?}", verify(&ctx, module));
         assert_eq!(symbol_name(&ctx, func).as_deref(), Some("id"));

@@ -96,14 +96,14 @@ mod tests {
         let body = ctx.sole_block(module, 0);
         let f32t = ctx.f32_type();
         let t = tensor_type(&mut ctx, &[4, 4], f32t);
-        let a = ctx.create_op(Location::unknown(), "test.src", vec![], vec![t], vec![], 0);
+        let a = ctx.create_op(Location::unknown(), "test.src", vec![], [t], vec![], 0);
         ctx.append_op(body, a);
         let v = ctx.op(a).results()[0];
         let mm = ctx.create_op(
             Location::unknown(),
             "linalg.matmul",
-            vec![v, v, v],
-            vec![t],
+            [v, v, v],
+            [t],
             vec![],
             0,
         );
@@ -119,20 +119,13 @@ mod tests {
         let body = ctx.sole_block(module, 0);
         let f32t = ctx.f32_type();
         let mt = memref_type(&mut ctx, &[4, 4], f32t);
-        let a = ctx.create_op(
-            Location::unknown(),
-            "memref.alloc",
-            vec![],
-            vec![mt],
-            vec![],
-            0,
-        );
+        let a = ctx.create_op(Location::unknown(), "memref.alloc", vec![], [mt], vec![], 0);
         ctx.append_op(body, a);
         let v = ctx.op(a).results()[0];
         let mm = ctx.create_op(
             Location::unknown(),
             "linalg.matmul",
-            vec![v, v, v],
+            [v, v, v],
             vec![],
             vec![],
             0,
@@ -150,15 +143,8 @@ mod tests {
         let f32t = ctx.f32_type();
         let t = tensor_type(&mut ctx, &[4, 4], f32t);
         let mt = memref_type(&mut ctx, &[4, 4], f32t);
-        let a = ctx.create_op(Location::unknown(), "test.src", vec![], vec![t], vec![], 0);
-        let b = ctx.create_op(
-            Location::unknown(),
-            "memref.alloc",
-            vec![],
-            vec![mt],
-            vec![],
-            0,
-        );
+        let a = ctx.create_op(Location::unknown(), "test.src", vec![], [t], vec![], 0);
+        let b = ctx.create_op(Location::unknown(), "memref.alloc", vec![], [mt], vec![], 0);
         ctx.append_op(body, a);
         ctx.append_op(body, b);
         let va = ctx.op(a).results()[0];
@@ -166,7 +152,7 @@ mod tests {
         let bad = ctx.create_op(
             Location::unknown(),
             "linalg.matmul",
-            vec![va, vb, vb],
+            [va, vb, vb],
             vec![],
             vec![],
             0,

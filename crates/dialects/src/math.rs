@@ -57,35 +57,14 @@ mod tests {
         let module = ctx.create_module(Location::unknown());
         let body = ctx.sole_block(module, 0);
         let f32t = ctx.f32_type();
-        let src = ctx.create_op(
-            Location::unknown(),
-            "test.src",
-            vec![],
-            vec![f32t],
-            vec![],
-            0,
-        );
+        let src = ctx.create_op(Location::unknown(), "test.src", vec![], [f32t], vec![], 0);
         ctx.append_op(body, src);
         let v = ctx.op(src).results()[0];
-        let e = ctx.create_op(
-            Location::unknown(),
-            "math.exp",
-            vec![v],
-            vec![f32t],
-            vec![],
-            0,
-        );
+        let e = ctx.create_op(Location::unknown(), "math.exp", [v], [f32t], vec![], 0);
         ctx.append_op(body, e);
         assert!(verify(&ctx, module).is_ok());
         let f64t = ctx.f64_type();
-        let bad = ctx.create_op(
-            Location::unknown(),
-            "math.exp",
-            vec![v],
-            vec![f64t],
-            vec![],
-            0,
-        );
+        let bad = ctx.create_op(Location::unknown(), "math.exp", [v], [f64t], vec![], 0);
         ctx.append_op(body, bad);
         assert!(verify(&ctx, module).is_err());
     }

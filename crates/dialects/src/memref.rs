@@ -298,7 +298,7 @@ pub fn build_subview(
         location,
         "memref.subview",
         operands,
-        vec![result_ty],
+        [result_ty],
         vec![
             (
                 Symbol::new("static_offsets"),
@@ -391,7 +391,7 @@ mod tests {
             Location::unknown(),
             "memref.alloc",
             vec![],
-            vec![src_ty],
+            [src_ty],
             vec![],
             0,
         );
@@ -423,7 +423,7 @@ mod tests {
             Location::unknown(),
             "memref.alloc",
             vec![],
-            vec![src_ty],
+            [src_ty],
             vec![],
             0,
         );
@@ -435,8 +435,8 @@ mod tests {
         let bad = ctx.create_op(
             Location::unknown(),
             "memref.subview",
-            vec![src],
-            vec![result_ty],
+            [src],
+            [result_ty],
             vec![
                 (
                     Symbol::new("static_offsets"),
@@ -459,25 +459,11 @@ mod tests {
         let body = ctx.sole_block(module, 0);
         let f32t = ctx.f32_type();
         let mt = memref_type(&mut ctx, &[8], f32t);
-        let alloc = ctx.create_op(
-            Location::unknown(),
-            "memref.alloc",
-            vec![],
-            vec![mt],
-            vec![],
-            0,
-        );
+        let alloc = ctx.create_op(Location::unknown(), "memref.alloc", vec![], [mt], vec![], 0);
         ctx.append_op(body, alloc);
         let m = ctx.op(alloc).results()[0];
         // Missing index.
-        let bad = ctx.create_op(
-            Location::unknown(),
-            "memref.load",
-            vec![m],
-            vec![f32t],
-            vec![],
-            0,
-        );
+        let bad = ctx.create_op(Location::unknown(), "memref.load", [m], [f32t], vec![], 0);
         ctx.append_op(body, bad);
         let errs = verify(&ctx, module).unwrap_err();
         assert!(errs

@@ -7,8 +7,8 @@
 //! (uses are redirected to the destination operand), and the remaining
 //! `tensor` plumbing ops become explicit `linalg.copy`-style ops.
 
-use td_ir::{Attribute, Context, OpId, Pass, TypeId, TypeKind};
-use td_support::{Diagnostic, Symbol};
+use td_ir::{Attribute, Context, OpId, OperandList, Pass, TypeId, TypeKind, ValueId};
+use td_support::{Diagnostic, InlineVec, Symbol};
 
 /// The `linalg-bufferize` pass.
 #[derive(Debug, Default)]
@@ -24,19 +24,19 @@ impl Pass for LinalgBufferizePass {
         //    equivalent memref type.
         let all_ops = ctx.walk_nested(target);
         for &op in &all_ops {
-            let results = ctx.op(op).results().to_vec();
-            for value in results {
+            for index in 0..ctx.op(op).results().len() {
+                let value = ctx.op(op).results()[index];
                 let ty = ctx.value_type(value);
                 if let Some(new_ty) = tensor_to_memref(ctx, ty) {
                     ctx.set_value_type(value, new_ty);
                 }
             }
-            let regions = ctx.op(op).regions().to_vec();
-            for region in regions {
-                let blocks = ctx.region(region).blocks().to_vec();
-                for block in blocks {
-                    let args = ctx.block(block).args().to_vec();
-                    for arg in args {
+            for region in 0..ctx.op(op).regions().len() {
+                let region = ctx.op(op).regions()[region];
+                for block in 0..ctx.region(region).blocks().len() {
+                    let block = ctx.region(region).blocks()[block];
+                    for arg in 0..ctx.block(block).args().len() {
+                        let arg = ctx.block(block).args()[arg];
                         let ty = ctx.value_type(arg);
                         if let Some(new_ty) = tensor_to_memref(ctx, ty) {
                             ctx.set_value_type(arg, new_ty);
@@ -45,12 +45,18 @@ impl Pass for LinalgBufferizePass {
                 }
             }
             // Function types in attributes.
-            let attrs = ctx.op(op).attributes().to_vec();
-            for (key, value) in attrs {
-                if let Attribute::Type(ty) = value {
-                    if let Some(new_ty) = convert_type_deep(ctx, ty) {
-                        ctx.set_attr(op, key.as_str(), Attribute::Type(new_ty));
-                    }
+            let types: Vec<(Symbol, TypeId)> = ctx
+                .op(op)
+                .attributes()
+                .iter()
+                .filter_map(|(key, value)| match value {
+                    Attribute::Type(ty) => Some((*key, *ty)),
+                    _ => None,
+                })
+                .collect();
+            for (key, ty) in types {
+                if let Some(new_ty) = convert_type_deep(ctx, ty) {
+                    ctx.set_attr(op, key, Attribute::Type(new_ty));
                 }
             }
         }
@@ -60,8 +66,8 @@ impl Pass for LinalgBufferizePass {
             if !ctx.is_live(op) {
                 continue;
             }
-            let name = ctx.op(op).name.as_str().to_owned();
-            match name.as_str() {
+            let name = ctx.op(op).name.as_str();
+            match name {
                 "tensor.empty" => ctx.set_op_name(op, "memref.alloc"),
                 "tosa.const" => {
                     // Keep the constant data: memref.alloc {init = ...}.
@@ -83,7 +89,7 @@ impl Pass for LinalgBufferizePass {
                 | "tensor.concat"
                 | "tensor.gather"
                 | "tensor.cast" => {
-                    lower_plumbing_to_copy(ctx, op, &name);
+                    lower_plumbing_to_copy(ctx, op, name);
                 }
                 _ => {}
             }
@@ -133,16 +139,13 @@ fn convert_type_deep(ctx: &mut Context, ty: TypeId) -> Option<TypeId> {
 /// Turns `r = linalg.op(ins..., dest)` into `linalg.op(ins..., dest)` with
 /// uses of `r` replaced by `dest`.
 fn drop_result_use_dest(ctx: &mut Context, op: OpId) {
-    let results = ctx.op(op).results().to_vec();
-    if results.is_empty() {
+    let Some(&result) = ctx.op(op).results().first() else {
         return;
-    }
-    let operands = ctx.op(op).operands().to_vec();
+    };
+    let operands = InlineVec::<ValueId, 4>::from_slice(ctx.op(op).operands());
     let Some(&dest) = operands.last() else { return };
     let attributes = ctx.op(op).attributes().to_vec();
     let name = ctx.op(op).name;
-    let block = ctx.op(op).parent().expect("attached");
-    let pos = ctx.op_position(block, op).expect("in block");
     let new_op = ctx.create_op(
         ctx.op(op).location.clone(),
         name,
@@ -151,8 +154,8 @@ fn drop_result_use_dest(ctx: &mut Context, op: OpId) {
         attributes,
         0,
     );
-    ctx.insert_op(block, pos, new_op);
-    ctx.replace_all_uses(results[0], dest);
+    ctx.insert_op_before(op, new_op);
+    ctx.replace_all_uses(result, dest);
     ctx.erase_op(op);
 }
 
@@ -160,18 +163,16 @@ fn drop_result_use_dest(ctx: &mut Context, op: OpId) {
 fn lower_plumbing_to_copy(ctx: &mut Context, op: OpId, name: &str) {
     let result = ctx.op(op).results()[0];
     let result_ty = ctx.value_type(result); // already a memref by step 1
-    let operands = ctx.op(op).operands().to_vec();
-    let block = ctx.op(op).parent().expect("attached");
-    let pos = ctx.op_position(block, op).expect("in block");
+    let operands = OperandList::from_slice(ctx.op(op).operands());
     let alloc = ctx.create_op(
         ctx.op(op).location.clone(),
         "memref.alloc",
         vec![],
-        vec![result_ty],
+        [result_ty],
         vec![],
         0,
     );
-    ctx.insert_op(block, pos, alloc);
+    ctx.insert_op_before(op, alloc);
     let dest = ctx.op(alloc).results()[0];
     let kind = name.trim_start_matches("tensor.").to_owned();
     let mut copy_operands = operands;
@@ -181,7 +182,6 @@ fn lower_plumbing_to_copy(ctx: &mut Context, op: OpId, name: &str) {
         attrs.push((Symbol::new("kind"), Attribute::String(kind)));
         attrs
     };
-    let pos = ctx.op_position(block, op).expect("in block");
     let copy = ctx.create_op(
         ctx.op(op).location.clone(),
         "linalg.copy",
@@ -190,7 +190,7 @@ fn lower_plumbing_to_copy(ctx: &mut Context, op: OpId, name: &str) {
         attributes,
         0,
     );
-    ctx.insert_op(block, pos, copy);
+    ctx.insert_op_before(op, copy);
     ctx.replace_all_uses(result, dest);
     ctx.erase_op(op);
 }
@@ -214,8 +214,8 @@ mod tests {
         let mm = ctx.create_op(
             td_support::Location::unknown(),
             "tosa.matmul",
-            vec![x, x],
-            vec![mat],
+            [x, x],
+            [mat],
             vec![],
             0,
         );
@@ -224,7 +224,7 @@ mod tests {
         let ret = ctx.create_op(
             td_support::Location::unknown(),
             "func.return",
-            vec![v],
+            [v],
             vec![],
             vec![],
             0,

@@ -9,7 +9,7 @@
 //! pipeline — the precise failure mode Case Study 2 examines.
 
 use crate::builtin;
-use td_ir::{Attribute, Context, OpId, TypeId, TypeKind};
+use td_ir::{Attribute, Context, OpId, OperandList, TypeId, TypeKind};
 use td_support::Symbol;
 
 /// Converts a type to its LLVM-dialect equivalent, returning `None` when the
@@ -70,10 +70,9 @@ pub struct Replacement {
 ///
 /// Returns the new op.
 pub fn replace_one_to_one(ctx: &mut Context, op: OpId, replacement: Replacement) -> OpId {
-    let block = ctx.op(op).parent().expect("op must be attached");
-    let pos = ctx.op_position(block, op).expect("op in block");
+    assert!(ctx.op(op).parent().is_some(), "op must be attached");
     let location = ctx.op(op).location.clone();
-    let old_operands = ctx.op(op).operands().to_vec();
+    let old_operands = OperandList::from_slice(ctx.op(op).operands());
     let old_results = ctx.op(op).results().to_vec();
 
     // Cast operands as needed; casts are inserted before `op`.
@@ -100,9 +99,8 @@ pub fn replace_one_to_one(ctx: &mut Context, op: OpId, replacement: Replacement)
         replacement.attributes,
         0,
     );
-    // Insert the new op right before the old one (casts shifted `pos`).
-    let pos = ctx.op_position(block, op).unwrap_or(pos);
-    ctx.insert_op(block, pos, new_op);
+    // Insert the new op right before the old one, after the casts.
+    ctx.insert_op_before(op, new_op);
     // Preserve successors for terminators.
     let successors = ctx.op(op).successors().to_vec();
     if !successors.is_empty() {
@@ -143,11 +141,11 @@ pub fn convert_block_signatures(ctx: &mut Context, region: td_ir::RegionId) {
                 td_support::Location::name("block-arg-cast"),
                 builtin::UNREALIZED_CAST,
                 vec![],
-                vec![ty],
+                [ty],
                 vec![],
                 0,
             );
-            ctx.insert_op(block, 0, cast);
+            ctx.prepend_op(block, cast);
             let cast_result = ctx.op(cast).results()[0];
             ctx.replace_all_uses(arg, cast_result);
             // Now wire the cast input (after RAUW so it is not redirected).

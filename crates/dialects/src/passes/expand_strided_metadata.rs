@@ -73,17 +73,15 @@ fn expand_subview(ctx: &mut Context, op: OpId) -> Result<(), Diagnostic> {
     let mut result_types = vec![flat, index];
     result_types.extend(std::iter::repeat(index).take(2 * rank));
     let metadata = {
-        let block = ctx.op(op).parent().expect("attached");
-        let pos = ctx.op_position(block, op).expect("in block");
         let md = ctx.create_op(
             ctx.op(op).location.clone(),
             "memref.extract_strided_metadata",
-            vec![source],
+            [source],
             result_types,
             vec![],
             0,
         );
-        ctx.insert_op(block, pos, md);
+        ctx.insert_op_before(op, md);
         md
     };
     let base = ctx.op(metadata).results()[0];
@@ -117,10 +115,9 @@ fn expand_subview(ctx: &mut Context, op: OpId) -> Result<(), Diagnostic> {
         let mut map = dyn_coefficients.clone();
         map.push(constant_part);
         let block = ctx.op(op).parent().expect("attached");
-        let pos = ctx.op_position(block, op).expect("in block");
         let apply = affine::build_apply(ctx, block, &map, dyn_operands);
         ctx.detach_op(apply);
-        ctx.insert_op(block, pos, apply);
+        ctx.insert_op_before(op, apply);
         (DYNAMIC, Some(ctx.op(apply).results()[0]))
     };
 
@@ -132,15 +129,13 @@ fn expand_subview(ctx: &mut Context, op: OpId) -> Result<(), Diagnostic> {
         .collect();
 
     let result_ty = ctx.value_type(ctx.op(op).results()[0]);
-    let block = ctx.op(op).parent().expect("attached");
-    let pos = ctx.op_position(block, op).expect("in block");
     let mut operands = vec![base];
     operands.extend(offset_operand);
     let cast = ctx.create_op(
         ctx.op(op).location.clone(),
         "memref.reinterpret_cast",
         operands,
-        vec![result_ty],
+        [result_ty],
         vec![
             (
                 Symbol::new("static_offsets"),
@@ -157,7 +152,7 @@ fn expand_subview(ctx: &mut Context, op: OpId) -> Result<(), Diagnostic> {
         ],
         0,
     );
-    ctx.insert_op(block, pos, cast);
+    ctx.insert_op_before(op, cast);
     let new_value = ctx.op(cast).results()[0];
     let old_value = ctx.op(op).results()[0];
     ctx.replace_all_uses(old_value, new_value);

@@ -11,7 +11,7 @@
 
 use crate::builtin;
 use crate::memref::{self, DYNAMIC};
-use td_ir::{Attribute, Context, Extent, OpId, Pass, TypeKind, ValueId};
+use td_ir::{Attribute, Context, Extent, OpId, OperandList, Pass, TypeKind, ValueId};
 use td_support::{Diagnostic, Symbol};
 
 /// The `finalize-memref-to-llvm` pass.
@@ -100,49 +100,43 @@ fn index_to_i64(ctx: &mut Context, anchor: OpId, value: ValueId) -> ValueId {
 
 fn const_i64(ctx: &mut Context, anchor: OpId, value: i64) -> ValueId {
     let i64t = ctx.i64_type();
-    let block = ctx.op(anchor).parent().expect("attached");
-    let pos = ctx.op_position(block, anchor).expect("in block");
     let c = ctx.create_op(
         ctx.op(anchor).location.clone(),
         "llvm.mlir.constant",
         vec![],
-        vec![i64t],
+        [i64t],
         vec![(Symbol::new("value"), Attribute::Int(value))],
         0,
     );
-    ctx.insert_op(block, pos, c);
+    ctx.insert_op_before(anchor, c);
     ctx.op(c).results()[0]
 }
 
 fn binop_i64(ctx: &mut Context, anchor: OpId, name: &str, lhs: ValueId, rhs: ValueId) -> ValueId {
     let i64t = ctx.i64_type();
-    let block = ctx.op(anchor).parent().expect("attached");
-    let pos = ctx.op_position(block, anchor).expect("in block");
     let op = ctx.create_op(
         ctx.op(anchor).location.clone(),
         name,
-        vec![lhs, rhs],
-        vec![i64t],
+        [lhs, rhs],
+        [i64t],
         vec![],
         0,
     );
-    ctx.insert_op(block, pos, op);
+    ctx.insert_op_before(anchor, op);
     ctx.op(op).results()[0]
 }
 
 fn gep(ctx: &mut Context, anchor: OpId, base: ValueId, offset: ValueId) -> ValueId {
     let ptr = ptr_type(ctx);
-    let block = ctx.op(anchor).parent().expect("attached");
-    let pos = ctx.op_position(block, anchor).expect("in block");
     let op = ctx.create_op(
         ctx.op(anchor).location.clone(),
         "llvm.getelementptr",
-        vec![base, offset],
-        vec![ptr],
+        [base, offset],
+        [ptr],
         vec![],
         0,
     );
-    ctx.insert_op(block, pos, op);
+    ctx.insert_op_before(anchor, op);
     ctx.op(op).results()[0]
 }
 
@@ -159,26 +153,24 @@ fn lower_alloc(ctx: &mut Context, op: OpId) -> Result<(), Diagnostic> {
         }
     }
     let mut size = const_i64(ctx, op, static_product);
-    let dynamic_operands = ctx.op(op).operands().to_vec();
+    let dynamic_operands = OperandList::from_slice(ctx.op(op).operands());
     for dynamic in dynamic_operands {
         let dynamic = index_to_i64(ctx, op, dynamic);
         size = binop_i64(ctx, op, "llvm.mul", size, dynamic);
     }
     let ptr = ptr_type(ctx);
-    let block = ctx.op(op).parent().expect("attached");
-    let pos = ctx.op_position(block, op).expect("in block");
     let call = ctx.create_op(
         ctx.op(op).location.clone(),
         "llvm.call",
-        vec![size],
-        vec![ptr],
+        [size],
+        [ptr],
         vec![(
             Symbol::new("callee"),
             Attribute::SymbolRef(td_support::Symbol::new("malloc")),
         )],
         0,
     );
-    ctx.insert_op(block, pos, call);
+    ctx.insert_op_before(op, call);
     let ptr_value = ctx.op(call).results()[0];
     let back = builtin::cast_after(ctx, call, ptr_value, memref_ty);
     ctx.replace_all_uses(result, back);
@@ -189,12 +181,10 @@ fn lower_alloc(ctx: &mut Context, op: OpId) -> Result<(), Diagnostic> {
 fn lower_dealloc(ctx: &mut Context, op: OpId) {
     let operand = ctx.op(op).operands()[0];
     let ptr_value = memref_to_ptr(ctx, op, operand);
-    let block = ctx.op(op).parent().expect("attached");
-    let pos = ctx.op_position(block, op).expect("in block");
     let call = ctx.create_op(
         ctx.op(op).location.clone(),
         "llvm.call",
-        vec![ptr_value],
+        [ptr_value],
         vec![],
         vec![(
             Symbol::new("callee"),
@@ -202,7 +192,7 @@ fn lower_dealloc(ctx: &mut Context, op: OpId) {
         )],
         0,
     );
-    ctx.insert_op(block, pos, call);
+    ctx.insert_op_before(op, call);
     ctx.erase_op(op);
 }
 
@@ -237,7 +227,7 @@ fn linear_offset(
 }
 
 fn lower_load_store(ctx: &mut Context, op: OpId, is_load: bool) -> Result<(), Diagnostic> {
-    let operands = ctx.op(op).operands().to_vec();
+    let operands = OperandList::from_slice(ctx.op(op).operands());
     let (memref_value, indices, stored) = if is_load {
         (operands[0], operands[1..].to_vec(), None)
     } else {
@@ -247,18 +237,16 @@ fn lower_load_store(ctx: &mut Context, op: OpId, is_load: bool) -> Result<(), Di
     let base = memref_to_ptr(ctx, op, memref_value);
     let offset = linear_offset(ctx, op, memref_ty, &indices)?;
     let address = gep(ctx, op, base, offset);
-    let block = ctx.op(op).parent().expect("attached");
-    let pos = ctx.op_position(block, op).expect("in block");
     if let Some(stored) = stored {
         let store = ctx.create_op(
             ctx.op(op).location.clone(),
             "llvm.store",
-            vec![stored, address],
+            [stored, address],
             vec![],
             vec![],
             0,
         );
-        ctx.insert_op(block, pos, store);
+        ctx.insert_op_before(op, store);
         ctx.erase_op(op);
     } else {
         let result = ctx.op(op).results()[0];
@@ -266,12 +254,12 @@ fn lower_load_store(ctx: &mut Context, op: OpId, is_load: bool) -> Result<(), Di
         let load = ctx.create_op(
             ctx.op(op).location.clone(),
             "llvm.load",
-            vec![address],
-            vec![elem_ty],
+            [address],
+            [elem_ty],
             vec![],
             0,
         );
-        ctx.insert_op(block, pos, load);
+        ctx.insert_op_before(op, load);
         let new_value = ctx.op(load).results()[0];
         ctx.replace_all_uses(result, new_value);
         ctx.erase_op(op);
@@ -302,17 +290,15 @@ fn lower_reinterpret_cast(ctx: &mut Context, op: OpId) -> Result<(), Diagnostic>
     // result type's (possibly dynamic) offset as already applied; the
     // load/store lowering and the machine both ignore dynamic type offsets
     // under this convention.
-    let block = ctx.op(op).parent().expect("attached");
-    let pos = ctx.op_position(block, op).expect("in block");
     let cast = ctx.create_op(
         ctx.op(op).location.clone(),
         builtin::UNREALIZED_CAST,
-        vec![adjusted],
-        vec![result_ty],
+        [adjusted],
+        [result_ty],
         vec![],
         0,
     );
-    ctx.insert_op(block, pos, cast);
+    ctx.insert_op_before(op, cast);
     let new_value = ctx.op(cast).results()[0];
     ctx.replace_all_uses(result, new_value);
     ctx.erase_op(op);
@@ -331,17 +317,15 @@ fn lower_trivial_subview(ctx: &mut Context, op: OpId) -> Result<(), Diagnostic> 
     let base_ptr = memref_to_ptr(ctx, op, source);
     let result = ctx.op(op).results()[0];
     let result_ty = ctx.value_type(result);
-    let block = ctx.op(op).parent().expect("attached");
-    let pos = ctx.op_position(block, op).expect("in block");
     let cast = ctx.create_op(
         ctx.op(op).location.clone(),
         builtin::UNREALIZED_CAST,
-        vec![base_ptr],
-        vec![result_ty],
+        [base_ptr],
+        [result_ty],
         vec![],
         0,
     );
-    ctx.insert_op(block, pos, cast);
+    ctx.insert_op_before(op, cast);
     let new_value = ctx.op(cast).results()[0];
     ctx.replace_all_uses(result, new_value);
     ctx.erase_op(op);
@@ -374,17 +358,15 @@ fn lower_cast(ctx: &mut Context, op: OpId) {
     let ptr_value = memref_to_ptr(ctx, op, source);
     let result = ctx.op(op).results()[0];
     let result_ty = ctx.value_type(result);
-    let block = ctx.op(op).parent().expect("attached");
-    let pos = ctx.op_position(block, op).expect("in block");
     let cast = ctx.create_op(
         ctx.op(op).location.clone(),
         builtin::UNREALIZED_CAST,
-        vec![ptr_value],
-        vec![result_ty],
+        [ptr_value],
+        [result_ty],
         vec![],
         0,
     );
-    ctx.insert_op(block, pos, cast);
+    ctx.insert_op_before(op, cast);
     let new_value = ctx.op(cast).results()[0];
     ctx.replace_all_uses(result, new_value);
     ctx.erase_op(op);
@@ -394,17 +376,15 @@ fn lower_extract_pointer(ctx: &mut Context, op: OpId) {
     let source = ctx.op(op).operands()[0];
     let ptr_value = memref_to_ptr(ctx, op, source);
     let i64t = ctx.i64_type();
-    let block = ctx.op(op).parent().expect("attached");
-    let pos = ctx.op_position(block, op).expect("in block");
     let ptrtoint = ctx.create_op(
         ctx.op(op).location.clone(),
         "llvm.ptrtoint",
-        vec![ptr_value],
-        vec![i64t],
+        [ptr_value],
+        [i64t],
         vec![],
         0,
     );
-    ctx.insert_op(block, pos, ptrtoint);
+    ctx.insert_op_before(op, ptrtoint);
     let int_value = ctx.op(ptrtoint).results()[0];
     let index = ctx.index_type();
     let back = builtin::cast_after(ctx, ptrtoint, int_value, index);

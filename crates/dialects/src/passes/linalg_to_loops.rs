@@ -3,7 +3,7 @@
 
 use crate::memref::memref_info;
 use crate::scf;
-use td_ir::{Attribute, BlockId, Context, OpBuilder, OpId, Pass, TypeId, ValueId};
+use td_ir::{Attribute, BlockId, Context, OpBuilder, OpId, OperandList, Pass, TypeId, ValueId};
 use td_support::Diagnostic;
 
 /// The `convert-linalg-to-loops` pass.
@@ -92,7 +92,7 @@ fn build_loop_nest(ctx: &mut Context, anchor: OpId, bounds: &[i64]) -> (Vec<Valu
         ivs.push(for_op.induction_var);
         current_block = for_op.body;
         // Within loop bodies, insert before the scf.yield terminator.
-        insert_before = ctx.block(current_block).ops().last().copied();
+        insert_before = ctx.block(current_block).last_op();
     }
     (ivs, current_block)
 }
@@ -101,9 +101,7 @@ fn build_loop_nest(ctx: &mut Context, anchor: OpId, bounds: &[i64]) -> (Vec<Valu
 fn body_builder<'c>(ctx: &'c mut Context, body: BlockId) -> OpBuilder<'c> {
     let last = ctx
         .block(body)
-        .ops()
-        .last()
-        .copied()
+        .last_op()
         .expect("loop body has a terminator");
     OpBuilder::before(ctx, last)
 }
@@ -136,8 +134,8 @@ fn element_type(ctx: &Context, value: ValueId) -> TypeId {
 }
 
 fn lower(ctx: &mut Context, op: OpId) -> Result<(), Diagnostic> {
-    let name = ctx.op(op).name.as_str().to_owned();
-    match name.as_str() {
+    let name = ctx.op(op).name.as_str();
+    match name {
         "linalg.matmul" => lower_matmul(ctx, op, false)?,
         "linalg.batch_matmul" => lower_matmul(ctx, op, true)?,
         "linalg.conv2d" => lower_conv2d(ctx, op)?,
@@ -154,7 +152,7 @@ fn lower(ctx: &mut Context, op: OpId) -> Result<(), Diagnostic> {
 }
 
 fn lower_matmul(ctx: &mut Context, op: OpId, batched: bool) -> Result<(), Diagnostic> {
-    let operands = ctx.op(op).operands().to_vec();
+    let operands = OperandList::from_slice(ctx.op(op).operands());
     let [a, b_mat, c] = operands[..] else {
         return Err(err(ctx, op, "expects (A, B, C)"));
     };
@@ -199,7 +197,7 @@ fn lower_matmul(ctx: &mut Context, op: OpId, batched: bool) -> Result<(), Diagno
 }
 
 fn lower_conv2d(ctx: &mut Context, op: OpId) -> Result<(), Diagnostic> {
-    let operands = ctx.op(op).operands().to_vec();
+    let operands = OperandList::from_slice(ctx.op(op).operands());
     let [x, w, o] = operands[..] else {
         return Err(err(ctx, op, "expects (input, weights, out)"));
     };
@@ -253,7 +251,7 @@ fn lower_conv2d(ctx: &mut Context, op: OpId) -> Result<(), Diagnostic> {
 }
 
 fn lower_elementwise_binary(ctx: &mut Context, op: OpId, name: &str) -> Result<(), Diagnostic> {
-    let operands = ctx.op(op).operands().to_vec();
+    let operands = OperandList::from_slice(ctx.op(op).operands());
     let [a, b_val, dst] = operands[..] else {
         return Err(err(ctx, op, "expects (a, b, dst)"));
     };
@@ -277,7 +275,7 @@ fn lower_elementwise_binary(ctx: &mut Context, op: OpId, name: &str) -> Result<(
 }
 
 fn lower_map(ctx: &mut Context, op: OpId) -> Result<(), Diagnostic> {
-    let operands = ctx.op(op).operands().to_vec();
+    let operands = OperandList::from_slice(ctx.op(op).operands());
     let [src, dst] = operands[..] else {
         return Err(err(ctx, op, "expects (src, dst)"));
     };
@@ -320,7 +318,7 @@ fn lower_map(ctx: &mut Context, op: OpId) -> Result<(), Diagnostic> {
 }
 
 fn lower_reduce(ctx: &mut Context, op: OpId) -> Result<(), Diagnostic> {
-    let operands = ctx.op(op).operands().to_vec();
+    let operands = OperandList::from_slice(ctx.op(op).operands());
     let [src, dst] = operands[..] else {
         return Err(err(ctx, op, "expects (src, dst)"));
     };
@@ -364,7 +362,7 @@ fn lower_reduce(ctx: &mut Context, op: OpId) -> Result<(), Diagnostic> {
 }
 
 fn lower_transpose(ctx: &mut Context, op: OpId) -> Result<(), Diagnostic> {
-    let operands = ctx.op(op).operands().to_vec();
+    let operands = OperandList::from_slice(ctx.op(op).operands());
     let [src, dst] = operands[..] else {
         return Err(err(ctx, op, "expects (src, dst)"));
     };
@@ -398,7 +396,7 @@ fn lower_transpose(ctx: &mut Context, op: OpId) -> Result<(), Diagnostic> {
 }
 
 fn lower_fill(ctx: &mut Context, op: OpId) -> Result<(), Diagnostic> {
-    let operands = ctx.op(op).operands().to_vec();
+    let operands = OperandList::from_slice(ctx.op(op).operands());
     let Some(&dst) = operands.last() else {
         return Err(err(ctx, op, "expects a destination"));
     };
@@ -422,7 +420,7 @@ fn lower_fill(ctx: &mut Context, op: OpId) -> Result<(), Diagnostic> {
 /// Flat element-by-element copy through 1-D reinterpreted views; used for
 /// `linalg.copy` (reshape/pad/slice/concat plumbing after bufferization).
 fn lower_copy(ctx: &mut Context, op: OpId) -> Result<(), Diagnostic> {
-    let operands = ctx.op(op).operands().to_vec();
+    let operands = OperandList::from_slice(ctx.op(op).operands());
     if operands.len() < 2 {
         return Err(err(ctx, op, "expects at least (src, dst)"));
     }
@@ -446,14 +444,12 @@ fn lower_copy(ctx: &mut Context, op: OpId) -> Result<(), Diagnostic> {
         strides: vec![],
     });
     let (flat_src, flat_dst) = {
-        let block = ctx.op(op).parent().expect("attached");
-        let pos = ctx.op_position(block, op).expect("in block");
-        let mk = |ctx: &mut Context, value: ValueId, ty: TypeId, pos: usize, total: i64| {
+        let mk = |ctx: &mut Context, value: ValueId, ty: TypeId, total: i64| {
             let cast = ctx.create_op(
                 ctx.op(op).location.clone(),
                 "memref.reinterpret_cast",
-                vec![value],
-                vec![ty],
+                [value],
+                [ty],
                 vec![
                     (
                         td_support::Symbol::new("static_offsets"),
@@ -470,11 +466,11 @@ fn lower_copy(ctx: &mut Context, op: OpId) -> Result<(), Diagnostic> {
                 ],
                 0,
             );
-            ctx.insert_op(block, pos, cast);
+            ctx.insert_op_before(op, cast);
             ctx.op(cast).results()[0]
         };
-        let s = mk(ctx, src, flat_src_ty, pos, src_total);
-        let d = mk(ctx, dst, flat_dst_ty, pos + 1, dst_total);
+        let s = mk(ctx, src, flat_src_ty, src_total);
+        let d = mk(ctx, dst, flat_dst_ty, dst_total);
         (s, d)
     };
     let (ivs, body) = build_loop_nest(ctx, op, &[total]);
@@ -488,7 +484,7 @@ fn lower_copy(ctx: &mut Context, op: OpId) -> Result<(), Diagnostic> {
 }
 
 fn lower_pooling(ctx: &mut Context, op: OpId) -> Result<(), Diagnostic> {
-    let operands = ctx.op(op).operands().to_vec();
+    let operands = OperandList::from_slice(ctx.op(op).operands());
     let [src, dst] = operands[..] else {
         return Err(err(ctx, op, "expects (src, dst)"));
     };

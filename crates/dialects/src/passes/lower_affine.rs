@@ -5,7 +5,7 @@
 //! `{arith.{constant, muli, addi, minsi}}`.
 
 use crate::affine;
-use td_ir::{Context, OpBuilder, OpId, Pass, ValueId};
+use td_ir::{Context, OpBuilder, OpId, OperandList, Pass, ValueId};
 use td_support::Diagnostic;
 
 /// The `lower-affine` pass.
@@ -74,7 +74,7 @@ fn emit_map(ctx: &mut Context, anchor: OpId, map: &[i64], operands: &[ValueId]) 
 
 fn lower_apply(ctx: &mut Context, op: OpId) -> Result<(), Diagnostic> {
     let map = affine::apply_map(ctx, op).ok_or_else(|| err(ctx, op, "is missing its map"))?;
-    let operands = ctx.op(op).operands().to_vec();
+    let operands = OperandList::from_slice(ctx.op(op).operands());
     let value = emit_map(ctx, op, &map, &operands);
     let result = ctx.op(op).results()[0];
     ctx.replace_all_uses(result, value);
@@ -84,7 +84,7 @@ fn lower_apply(ctx: &mut Context, op: OpId) -> Result<(), Diagnostic> {
 
 fn lower_min(ctx: &mut Context, op: OpId) -> Result<(), Diagnostic> {
     let maps = affine::min_maps(ctx, op).ok_or_else(|| err(ctx, op, "is missing its maps"))?;
-    let operands = ctx.op(op).operands().to_vec();
+    let operands = OperandList::from_slice(ctx.op(op).operands());
     let index = ctx.index_type();
     let mut acc: Option<ValueId> = None;
     for map in &maps {

@@ -48,14 +48,13 @@ fn err(ctx: &Context, op: OpId, message: &str) -> Diagnostic {
     )
 }
 
-/// Splits `block` at `pos`: ops at `pos..` (exclusive of the op at `pos-1`)
-/// move into a fresh block appended to `region`. Returns the new block.
-fn split_block_after(ctx: &mut Context, region: RegionId, block: BlockId, pos: usize) -> BlockId {
+/// Splits the block of `op` after it: the ops that follow `op` move into a
+/// fresh block appended to `region`. Returns the new block.
+fn split_block_after(ctx: &mut Context, region: RegionId, op: OpId) -> BlockId {
     let tail = ctx.append_block(region, &[]);
-    let to_move: Vec<OpId> = ctx.block(block).ops()[pos..].to_vec();
-    for op in to_move {
-        ctx.detach_op(op);
-        ctx.append_op(tail, op);
+    while let Some(next) = ctx.next_op(op) {
+        ctx.detach_op(next);
+        ctx.append_op(tail, next);
     }
     tail
 }
@@ -70,10 +69,9 @@ fn lower_for(ctx: &mut Context, op: OpId) -> Result<(), Diagnostic> {
         .block(block)
         .parent()
         .expect("attached block has a region");
-    let pos = ctx.op_position(block, op).expect("op in block");
 
     // exit <- everything after the loop.
-    let exit = split_block_after(ctx, region, block, pos + 1);
+    let exit = split_block_after(ctx, region, op);
     // header(iv): cmp + cond_br.
     let index = ctx.index_type();
     let header = ctx.append_block(region, &[index]);
@@ -135,11 +133,10 @@ fn lower_if(ctx: &mut Context, op: OpId) -> Result<(), Diagnostic> {
         .block(block)
         .parent()
         .expect("attached block has a region");
-    let pos = ctx.op_position(block, op).expect("op in block");
     let cond = ctx.op(op).operands()[0];
     let regions = ctx.op(op).regions().to_vec();
 
-    let merge = split_block_after(ctx, region, block, pos + 1);
+    let merge = split_block_after(ctx, region, op);
     let then_block = ctx.append_block(region, &[]);
     move_region_ops(ctx, regions[0], then_block);
     cf::build_br(ctx, then_block, merge, vec![]);
@@ -164,11 +161,9 @@ fn lower_execute_region(ctx: &mut Context, op: OpId) -> Result<(), Diagnostic> {
             "with results is not supported by this lowering",
         ));
     }
-    let block = ctx
-        .op(op)
-        .parent()
-        .ok_or_else(|| err(ctx, op, "is detached"))?;
-    let pos = ctx.op_position(block, op).expect("op in block");
+    if ctx.op(op).parent().is_none() {
+        return Err(err(ctx, op, "is detached"));
+    }
     // Inline the single-block region's ops in place of the op.
     let region = ctx.op(op).regions()[0];
     let inner = ctx
@@ -177,15 +172,13 @@ fn lower_execute_region(ctx: &mut Context, op: OpId) -> Result<(), Diagnostic> {
         .first()
         .copied()
         .ok_or_else(|| err(ctx, op, "has an empty region"))?;
-    let mut insert_at = pos;
-    let ops: Vec<OpId> = ctx.block(inner).ops().to_vec();
+    let ops: Vec<OpId> = ctx.block_ops(inner).collect();
     for nested in ops {
         if ctx.op(nested).name.as_str() == "scf.yield" {
             continue;
         }
         ctx.detach_op(nested);
-        ctx.insert_op(block, insert_at, nested);
-        insert_at += 1;
+        ctx.insert_op_before(op, nested);
     }
     ctx.erase_op(op);
     Ok(())
@@ -196,7 +189,7 @@ fn move_region_ops(ctx: &mut Context, region: RegionId, dest: BlockId) {
     let Some(&inner) = ctx.region(region).blocks().first() else {
         return;
     };
-    let ops: Vec<OpId> = ctx.block(inner).ops().to_vec();
+    let ops: Vec<OpId> = ctx.block_ops(inner).collect::<Vec<_>>();
     for nested in ops {
         if ctx.op(nested).name.as_str() == "scf.yield" {
             continue;

@@ -73,33 +73,30 @@ fn lower_min_max(ctx: &mut Context, op: OpId) -> Result<(), Diagnostic> {
     let lhs = ctx.op(op).operands()[0];
     let rhs = ctx.op(op).operands()[1];
     let location = ctx.op(op).location.clone();
-    let block = ctx.op(op).parent().expect("attached");
-    let pos = ctx.op_position(block, op).expect("in block");
     let i1 = ctx.i1_type();
     let cmp = ctx.create_op(
         location.clone(),
         "arith.cmpi",
-        vec![lhs, rhs],
-        vec![i1],
+        [lhs, rhs],
+        [i1],
         vec![(
             Symbol::new("predicate"),
             Attribute::String(predicate.into()),
         )],
         0,
     );
-    ctx.insert_op(block, pos, cmp);
+    ctx.insert_op_before(op, cmp);
     let cmp_value = ctx.op(cmp).results()[0];
     let result_ty = ctx.value_type(ctx.op(op).results()[0]);
     let select = ctx.create_op(
         location,
         "arith.select",
-        vec![cmp_value, lhs, rhs],
-        vec![result_ty],
+        [cmp_value, lhs, rhs],
+        [result_ty],
         vec![],
         0,
     );
-    let pos = ctx.op_position(block, op).expect("in block");
-    ctx.insert_op(block, pos, select);
+    ctx.insert_op_before(op, select);
     let select_value = ctx.op(select).results()[0];
     let old = ctx.op(op).results()[0];
     ctx.replace_all_uses(old, select_value);
@@ -206,8 +203,6 @@ impl Pass for FuncToLlvmPass {
 }
 
 fn convert_func(ctx: &mut Context, func: OpId) {
-    let block = ctx.op(func).parent().expect("function must be in a module");
-    let pos = ctx.op_position(block, func).expect("in block");
     let mut attributes = ctx.op(func).attributes().to_vec();
     // Convert the function type attribute.
     for (key, value) in attributes.iter_mut() {
@@ -219,7 +214,7 @@ fn convert_func(ctx: &mut Context, func: OpId) {
     }
     let location = ctx.op(func).location.clone();
     let new_func = ctx.create_op(location, "llvm.func", vec![], vec![], attributes, 1);
-    ctx.insert_op(block, pos, new_func);
+    ctx.insert_op_before(func, new_func);
     let old_region = ctx.op(func).regions()[0];
     let new_region = ctx.op(new_func).regions()[0];
     ctx.transfer_region_blocks(old_region, new_region);

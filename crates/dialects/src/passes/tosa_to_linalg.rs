@@ -7,7 +7,7 @@
 //! the experiment, the per-op work) of MLIR's `tosa-to-linalg` pipeline.
 
 use crate::tosa::static_shape;
-use td_ir::{Attribute, Context, OpId, Pass, TypeId, ValueId};
+use td_ir::{Attribute, Context, OpId, OperandList, Pass, TypeId, ValueId};
 use td_support::{Diagnostic, Symbol};
 
 fn err(ctx: &Context, op: OpId, message: &str) -> Diagnostic {
@@ -22,12 +22,10 @@ fn create_before(
     ctx: &mut Context,
     anchor: OpId,
     op_name: &str,
-    operands: Vec<ValueId>,
-    result_types: Vec<TypeId>,
+    operands: impl AsRef<[ValueId]>,
+    result_types: impl AsRef<[TypeId]>,
     attributes: Vec<(Symbol, Attribute)>,
 ) -> OpId {
-    let block = ctx.op(anchor).parent().expect("attached");
-    let pos = ctx.op_position(block, anchor).expect("in block");
     let op = ctx.create_op(
         ctx.op(anchor).location.clone(),
         op_name,
@@ -36,14 +34,13 @@ fn create_before(
         attributes,
         0,
     );
-    ctx.insert_op(block, pos, op);
+    ctx.insert_op_before(anchor, op);
     op
 }
 
 fn replace_with(ctx: &mut Context, old: OpId, new: OpId) {
-    let old_results = ctx.op(old).results().to_vec();
-    let new_results = ctx.op(new).results().to_vec();
-    for (o, n) in old_results.into_iter().zip(new_results) {
+    for index in 0..ctx.op(old).results().len() {
+        let (o, n) = (ctx.op(old).results()[index], ctx.op(new).results()[index]);
         ctx.replace_all_uses(o, n);
     }
     ctx.erase_op(old);
@@ -74,7 +71,7 @@ impl Pass for TosaOptionalDecompositionsPass {
         for op in ops {
             match ctx.op(op).name.as_str() {
                 "tosa.fully_connected" => {
-                    let operands = ctx.op(op).operands().to_vec();
+                    let operands = OperandList::from_slice(ctx.op(op).operands());
                     if operands.len() < 2 {
                         return Err(err(ctx, op, "expects at least (input, weights)"));
                     }
@@ -181,7 +178,7 @@ impl Pass for TosaMakeBroadcastablePass {
             })
             .collect();
         for op in ops {
-            let operands = ctx.op(op).operands().to_vec();
+            let operands = OperandList::from_slice(ctx.op(op).operands());
             if operands.len() != 2 {
                 continue;
             }
@@ -242,7 +239,7 @@ impl Pass for TosaToLinalgNamedPass {
                 "tosa.max_pool2d" => "linalg.pooling_max",
                 _ => unreachable!(),
             };
-            let operands = ctx.op(op).operands().to_vec();
+            let operands = OperandList::from_slice(ctx.op(op).operands());
             let result_ty = ctx.value_type(ctx.op(op).results()[0]);
             let dest = empty_dest(ctx, op, result_ty);
             let mut new_operands = operands.clone();
@@ -305,7 +302,7 @@ impl Pass for TosaToLinalgPass {
             .collect();
         for op in ops {
             let name = ctx.op(op).name.as_str().to_owned();
-            let operands = ctx.op(op).operands().to_vec();
+            let operands = OperandList::from_slice(ctx.op(op).operands());
             let result_ty = ctx.value_type(ctx.op(op).results()[0]);
             let attributes = ctx.op(op).attributes().to_vec();
             let new_op = match name.as_str() {
@@ -430,7 +427,7 @@ mod tests {
             Location::unknown(),
             "tosa.const",
             vec![],
-            vec![mat],
+            [mat],
             vec![(Symbol::new("splat"), Attribute::float(0.5))],
             0,
         );
@@ -439,31 +436,17 @@ mod tests {
         let fc = ctx.create_op(
             Location::unknown(),
             "tosa.fully_connected",
-            vec![x, wv, wv],
-            vec![mat],
+            [x, wv, wv],
+            [mat],
             vec![],
             0,
         );
         ctx.append_op(entry, fc);
         let fcv = ctx.op(fc).results()[0];
-        let act = ctx.create_op(
-            Location::unknown(),
-            "tosa.tanh",
-            vec![fcv],
-            vec![mat],
-            vec![],
-            0,
-        );
+        let act = ctx.create_op(Location::unknown(), "tosa.tanh", [fcv], [mat], vec![], 0);
         ctx.append_op(entry, act);
         let av = ctx.op(act).results()[0];
-        let ret = ctx.create_op(
-            Location::unknown(),
-            "func.return",
-            vec![av],
-            vec![],
-            vec![],
-            0,
-        );
+        let ret = ctx.create_op(Location::unknown(), "func.return", [av], vec![], vec![], 0);
         ctx.append_op(entry, ret);
         let _ = body;
         module

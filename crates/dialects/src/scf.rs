@@ -137,7 +137,7 @@ pub fn build_for(
     let op = ctx.create_op(
         Location::name("scf.for"),
         "scf.for",
-        vec![lower, upper, step],
+        [lower, upper, step],
         vec![],
         vec![],
         1,
@@ -179,9 +179,8 @@ pub fn static_trip_count(ctx: &Context, for_op: ForOp) -> Option<i64> {
 
 /// Returns the ops of the loop body excluding the terminating `scf.yield`.
 pub fn body_ops(ctx: &Context, for_op: ForOp) -> Vec<OpId> {
-    let ops = ctx.block(for_op.body).ops();
-    let mut out = ops.to_vec();
-    if let Some(&last) = ops.last() {
+    let mut out: Vec<OpId> = ctx.block_ops(for_op.body).collect();
+    if let Some(&last) = out.last() {
         if ctx.op(last).name.as_str() == "scf.yield" {
             out.pop();
         }

@@ -57,21 +57,14 @@ mod tests {
         let body = ctx.sole_block(module, 0);
         let f32t = ctx.f32_type();
         let t = tensor_type(&mut ctx, &[2, 2], f32t);
-        let e = ctx.create_op(
-            Location::unknown(),
-            "tensor.empty",
-            vec![],
-            vec![t],
-            vec![],
-            0,
-        );
+        let e = ctx.create_op(Location::unknown(), "tensor.empty", vec![], [t], vec![], 0);
         ctx.append_op(body, e);
         assert!(verify(&ctx, module).is_ok());
         let bad = ctx.create_op(
             Location::unknown(),
             "tensor.empty",
             vec![],
-            vec![f32t],
+            [f32t],
             vec![],
             0,
         );

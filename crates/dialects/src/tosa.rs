@@ -122,20 +122,13 @@ mod tests {
             Location::unknown(),
             "tosa.const",
             vec![],
-            vec![t],
+            [t],
             vec![(Symbol::new("splat"), Attribute::float(0.0))],
             0,
         );
         ctx.append_op(body, c);
         let v = ctx.op(c).results()[0];
-        let add = ctx.create_op(
-            Location::unknown(),
-            "tosa.add",
-            vec![v, v],
-            vec![t],
-            vec![],
-            0,
-        );
+        let add = ctx.create_op(Location::unknown(), "tosa.add", [v, v], [t], vec![], 0);
         ctx.append_op(body, add);
         assert!(verify(&ctx, module).is_ok());
         assert!(is_zero_const(&ctx, c));
@@ -152,20 +145,13 @@ mod tests {
             Location::unknown(),
             "test.scalar",
             vec![],
-            vec![f32t],
+            [f32t],
             vec![],
             0,
         );
         ctx.append_op(body, scalar);
         let v = ctx.op(scalar).results()[0];
-        let bad = ctx.create_op(
-            Location::unknown(),
-            "tosa.add",
-            vec![v, v],
-            vec![t],
-            vec![],
-            0,
-        );
+        let bad = ctx.create_op(Location::unknown(), "tosa.add", [v, v], [t], vec![], 0);
         ctx.append_op(body, bad);
         assert!(verify(&ctx, module).is_err());
     }

@@ -34,8 +34,8 @@ impl Dominance {
 
         // Successors of a block are the successors of its terminator.
         let successors = |b: BlockId| -> Vec<BlockId> {
-            match ctx.block(b).ops().last() {
-                Some(&term) => ctx.op(term).successors().to_vec(),
+            match ctx.block(b).last_op() {
+                Some(term) => ctx.op(term).successors().to_vec(),
                 None => vec![],
             }
         };

@@ -3,15 +3,16 @@
 use crate::attrs::Attribute;
 use crate::ir::{BlockId, Context, OpId, ValueId};
 use crate::types::TypeId;
-use td_support::{Location, Symbol};
+use td_support::{InlineVec, Location, Symbol};
 
 /// Where new operations are inserted.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum InsertPoint {
     /// Append at the end of a block.
     AtEnd(BlockId),
-    /// Insert at a fixed index within a block.
-    At(BlockId, usize),
+    /// Insert immediately before an op, which stays the anchor: ops built
+    /// in a row land in order before it.
+    Before(OpId),
 }
 
 /// A builder that creates operations at an insertion point.
@@ -30,7 +31,7 @@ pub enum InsertPoint {
 /// let mut b = OpBuilder::at_end(&mut ctx, body);
 /// let i64t = b.ctx().i64_type();
 /// let op = b.op("arith.constant").attr("value", Attribute::Int(4)).results(vec![i64t]).build();
-/// assert_eq!(b.ctx().block(body).ops(), &[op]);
+/// assert_eq!(b.ctx().block(body).first_op(), Some(op));
 /// ```
 #[derive(Debug)]
 pub struct OpBuilder<'c> {
@@ -51,32 +52,31 @@ impl<'c> OpBuilder<'c> {
 
     /// Builder inserting immediately before `op`.
     pub fn before(ctx: &'c mut Context, op: OpId) -> Self {
-        let block = ctx
-            .op(op)
-            .parent()
-            .expect("cannot insert before a detached op");
-        let pos = ctx
-            .op_position(block, op)
-            .expect("op missing from parent block");
+        assert!(
+            ctx.op(op).parent().is_some(),
+            "cannot insert before a detached op"
+        );
         OpBuilder {
             ctx,
-            insert: InsertPoint::At(block, pos),
+            insert: InsertPoint::Before(op),
             location: Location::Unknown,
         }
     }
 
-    /// Builder inserting immediately after `op`.
+    /// Builder inserting immediately after `op`: before its next sibling,
+    /// or at the end of its block.
     pub fn after(ctx: &'c mut Context, op: OpId) -> Self {
         let block = ctx
             .op(op)
             .parent()
             .expect("cannot insert after a detached op");
-        let pos = ctx
-            .op_position(block, op)
-            .expect("op missing from parent block");
+        let insert = match ctx.next_op(op) {
+            Some(next) => InsertPoint::Before(next),
+            None => InsertPoint::AtEnd(block),
+        };
         OpBuilder {
             ctx,
-            insert: InsertPoint::At(block, pos + 1),
+            insert,
             location: Location::Unknown,
         }
     }
@@ -106,23 +106,20 @@ impl<'c> OpBuilder<'c> {
         OpUnderConstruction {
             builder: self,
             name: Symbol::new(name),
-            operands: Vec::new(),
-            results: Vec::new(),
+            operands: InlineVec::new(),
+            results: InlineVec::new(),
             attributes: Vec::new(),
             regions: 0,
-            successors: Vec::new(),
+            successors: InlineVec::new(),
         }
     }
 
-    /// Inserts an already-created detached op at the insertion point and
-    /// advances the point past it.
+    /// Inserts an already-created detached op at the insertion point; the
+    /// next op goes after it.
     pub fn insert(&mut self, op: OpId) {
         match self.insert {
             InsertPoint::AtEnd(block) => self.ctx.append_op(block, op),
-            InsertPoint::At(block, index) => {
-                self.ctx.insert_op(block, index, op);
-                self.insert = InsertPoint::At(block, index + 1);
-            }
+            InsertPoint::Before(anchor) => self.ctx.insert_op_before(anchor, op),
         }
     }
 
@@ -131,7 +128,7 @@ impl<'c> OpBuilder<'c> {
         let op = self
             .op("arith.constant")
             .attr("value", Attribute::Int(value))
-            .results(vec![ty])
+            .results([ty])
             .build();
         self.ctx.op(op).results()[0]
     }
@@ -147,7 +144,7 @@ impl<'c> OpBuilder<'c> {
         let op = self
             .op("arith.constant")
             .attr("value", Attribute::float(value))
-            .results(vec![ty])
+            .results([ty])
             .build();
         self.ctx.op(op).results()[0]
     }
@@ -159,11 +156,11 @@ impl<'c> OpBuilder<'c> {
 pub struct OpUnderConstruction<'b, 'c> {
     builder: &'b mut OpBuilder<'c>,
     name: Symbol,
-    operands: Vec<ValueId>,
-    results: Vec<TypeId>,
+    operands: InlineVec<ValueId, 4>,
+    results: InlineVec<TypeId, 1>,
     attributes: Vec<(Symbol, Attribute)>,
     regions: usize,
-    successors: Vec<BlockId>,
+    successors: InlineVec<BlockId, 1>,
 }
 
 impl OpUnderConstruction<'_, '_> {
@@ -179,9 +176,10 @@ impl OpUnderConstruction<'_, '_> {
         self
     }
 
-    /// Declares result types.
-    pub fn results(mut self, types: Vec<TypeId>) -> Self {
-        self.results = types;
+    /// Declares result types (replacing any declared before).
+    pub fn results(mut self, types: impl IntoIterator<Item = TypeId>) -> Self {
+        self.results.clear();
+        self.results.extend(types);
         self
     }
 
@@ -198,8 +196,9 @@ impl OpUnderConstruction<'_, '_> {
     }
 
     /// Declares successor blocks (for terminators).
-    pub fn successors(mut self, blocks: Vec<BlockId>) -> Self {
-        self.successors = blocks;
+    pub fn successors(mut self, blocks: impl IntoIterator<Item = BlockId>) -> Self {
+        self.successors.clear();
+        self.successors.extend(blocks);
         self
     }
 
@@ -235,7 +234,7 @@ mod tests {
         let mut b = OpBuilder::at_end(&mut ctx, body);
         let a = b.op("test.a").build();
         let c = b.op("test.c").build();
-        let ops = b.ctx().block(body).ops().to_vec();
+        let ops: Vec<_> = b.ctx().block_ops(body).collect();
         assert_eq!(ops, vec![a, c]);
     }
 
@@ -249,9 +248,9 @@ mod tests {
             (b.op("test.a").build(), b.op("test.c").build())
         };
         let b_op = OpBuilder::before(&mut ctx, c).op("test.b").build();
-        assert_eq!(ctx.block(body).ops(), &[a, b_op, c]);
+        assert_eq!(ctx.block_ops(body).collect::<Vec<_>>(), [a, b_op, c]);
         let d_op = OpBuilder::after(&mut ctx, c).op("test.d").build();
-        assert_eq!(ctx.block(body).ops(), &[a, b_op, c, d_op]);
+        assert_eq!(ctx.block_ops(body).collect::<Vec<_>>(), [a, b_op, c, d_op]);
     }
 
     #[test]
@@ -266,7 +265,7 @@ mod tests {
         let mut b = OpBuilder::before(&mut ctx, end);
         let x = b.op("test.x").build();
         let y = b.op("test.y").build();
-        assert_eq!(ctx.block(body).ops(), &[x, y, end]);
+        assert_eq!(ctx.block_ops(body).collect::<Vec<_>>(), [x, y, end]);
     }
 
     #[test]

@@ -113,7 +113,7 @@ fn hash_op_structural(ctx: &Context, op: OpId, hasher: &mut FnvWriter, norm: &mu
             for &arg in ctx.block(block).args() {
                 let _ = write!(hasher, "a{}:{:?}", norm.value(arg), ctx.value_type(arg));
             }
-            for &nested in ctx.block(block).ops() {
+            for nested in ctx.block_ops(block) {
                 hash_op_structural(ctx, nested, hasher, norm);
             }
             hasher.write_bytes(b"]");
@@ -145,7 +145,7 @@ fn hash_op(ctx: &Context, op: OpId, hasher: &mut FnvWriter) {
             for &arg in ctx.block(block).args() {
                 let _ = write!(hasher, "a{arg:?}:{:?}", ctx.value_type(arg));
             }
-            for &nested in ctx.block(block).ops() {
+            for nested in ctx.block_ops(block) {
                 hash_op(ctx, nested, hasher);
             }
             hasher.write_bytes(b"]");

@@ -55,7 +55,10 @@ pub use attrs::{Attribute, FloatVal};
 pub use builder::{InsertPoint, OpBuilder};
 pub use dialect::{DialectRegistry, FoldResult, OpSpec, OpTraits};
 pub use fingerprint::{fingerprint_op, structural_fingerprint_op};
-pub use ir::{BlockId, Context, OpData, OpId, RegionId, ValueDef, ValueId, Watermark};
+pub use ir::{
+    BlockId, BlockOps, Context, OpData, OpId, OperandList, RegionId, StorageStats, ValueDef,
+    ValueId, Watermark,
+};
 pub use parse::{parse_module, parse_type_str};
 pub use pass::{Pass, PassManager, PassRegistry};
 pub use print::{print_attribute, print_op, print_type};

@@ -13,12 +13,11 @@
 //! text is a diagnostic rather than a stack overflow.
 
 use crate::attrs::{Attribute, FloatVal};
-use crate::ir::{BlockId, Context, OpId, RegionId, ValueId};
+use crate::ir::{BlockId, Context, OpId, OperandList, RegionId, ValueId};
 use crate::types::{Extent, TypeId, TypeKind};
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::sync::Arc;
-use td_support::{Diagnostic, Location, Symbol};
+use td_support::{Diagnostic, InlineVec, Location, Symbol};
 
 /// How deeply ops, types and array attributes may nest in one another.
 /// The parser, and the printer, verifier and walks that see the IR later,
@@ -123,7 +122,7 @@ struct Lexer<'s> {
     /// Byte offset at which the current line starts.
     line_start: usize,
     /// The file name every location of this parse shares.
-    file: Arc<str>,
+    file: Symbol,
 }
 
 impl<'s> Lexer<'s> {
@@ -133,7 +132,7 @@ impl<'s> Lexer<'s> {
             pos: 0,
             line: 1,
             line_start: 0,
-            file: Arc::from("<input>"),
+            file: Symbol::new("<input>"),
         }
     }
 
@@ -146,7 +145,7 @@ impl<'s> Lexer<'s> {
 
     fn location(&self, pos: Pos) -> Location {
         Location::File {
-            file: Arc::clone(&self.file),
+            file: self.file,
             line: pos.line,
             column: pos.col,
         }
@@ -567,7 +566,7 @@ impl<'c, 's> Parser<'c, 's> {
     }
 
     /// Resolves the names pushed since `base` and pops them.
-    fn take_uses(&mut self, base: usize) -> Parsed<Vec<ValueId>> {
+    fn take_uses(&mut self, base: usize) -> Parsed<OperandList> {
         let values = self.names[base..]
             .iter()
             .map(|&(name, pos)| self.lookup_value(name, pos))
@@ -754,15 +753,17 @@ impl<'c, 's> Parser<'c, 's> {
         }
     }
 
-    fn parse_result_types(&mut self) -> Parsed<Vec<TypeId>> {
+    /// `T` or `(T, …)`, into a `Vec` (function types) or an inline list
+    /// (an op's results, which allocates nothing for one type).
+    fn parse_result_types<C: Default + Extend<TypeId>>(&mut self) -> Parsed<C> {
+        let mut out = C::default();
         if self.peek()? == &Tok::LParen {
             self.next()?;
-            let mut out = Vec::new();
             if self.eat(&Tok::RParen)? {
                 return Ok(out);
             }
             loop {
-                out.push(self.parse_type()?);
+                out.extend([self.parse_type()?]);
                 if !self.eat(&Tok::Comma)? {
                     break;
                 }
@@ -772,7 +773,8 @@ impl<'c, 's> Parser<'c, 's> {
             // Not supported; a single parenthesized list is just the list.
             Ok(out)
         } else {
-            Ok(vec![self.parse_type()?])
+            out.extend([self.parse_type()?]);
+            Ok(out)
         }
     }
 
@@ -1138,7 +1140,7 @@ impl<'c, 's> Parser<'c, 's> {
         self.next()?; // `(`
         loop {
             let region = self.ctx.regions.alloc(crate::ir::RegionData {
-                blocks: vec![],
+                blocks: Default::default(),
                 parent: Some(op),
             });
             self.ctx.ops[op].regions.push(region);
@@ -1160,7 +1162,7 @@ impl<'c, 's> Parser<'c, 's> {
         }
         self.expect(Tok::Colon)?;
         self.expect(Tok::LParen)?;
-        let mut operand_types = Vec::new();
+        let mut operand_types = InlineVec::<TypeId, 4>::new();
         if !self.eat(&Tok::RParen)? {
             loop {
                 operand_types.push(self.parse_type()?);
@@ -1171,7 +1173,7 @@ impl<'c, 's> Parser<'c, 's> {
             self.expect(Tok::RParen)?;
         }
         self.expect(Tok::Arrow)?;
-        let result_types = self.parse_result_types()?;
+        let result_types: InlineVec<TypeId, 1> = self.parse_result_types()?;
         let (name, operands) = (self.ctx.op(op).name, self.ctx.op(op).operands());
         if operand_types.len() != operands.len() {
             let message = format!(
@@ -1195,7 +1197,7 @@ impl<'c, 's> Parser<'c, 's> {
                     op,
                     index: index as u32,
                 },
-                uses: vec![],
+                uses: Default::default(),
             });
             self.ctx.ops[op].results.push(value);
         }
@@ -1298,7 +1300,7 @@ impl<'c, 's> Parser<'c, 's> {
             }
             self.ctx.set_successors(op, successors);
         }
-        self.ctx.regions[region].blocks = state.textual_order;
+        self.ctx.regions[region].blocks = state.textual_order.into_iter().collect();
         Ok(())
     }
 
@@ -1308,9 +1310,8 @@ impl<'c, 's> Parser<'c, 's> {
         let terminated = self
             .ctx
             .block(block)
-            .ops()
-            .last()
-            .is_some_and(|&last| self.ctx.op(last).name.as_str() == terminator);
+            .last_op()
+            .is_some_and(|last| self.ctx.op(last).name.as_str() == terminator);
         if !terminated {
             let op = self.ctx.create_op(
                 Location::name(terminator),
@@ -1413,7 +1414,7 @@ impl<'c, 's> Parser<'c, 's> {
             self.location(pos),
             "arith.constant",
             vec![],
-            vec![ty],
+            [ty],
             vec![(Symbol::new("value"), value)],
             0,
         );
@@ -1484,7 +1485,7 @@ impl<'c, 's> Parser<'c, 's> {
         let op = self.ctx.create_op(
             self.location(pos),
             "scf.for",
-            vec![lb, ub, step],
+            [lb, ub, step],
             vec![],
             vec![],
             1,

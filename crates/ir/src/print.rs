@@ -303,11 +303,10 @@ impl<'c> Printer<'c> {
         for &region in data.regions() {
             for &block in ctx.region(region).blocks() {
                 self.blocks.assign(block);
-                let block = ctx.block(block);
-                for &arg in block.args() {
+                for &arg in ctx.block(block).args() {
                     self.values.assign(arg);
                 }
-                for &nested in block.ops() {
+                for nested in ctx.block_ops(block) {
                     self.number_op(nested);
                 }
             }
@@ -397,8 +396,8 @@ impl<'c> Printer<'c> {
         self.out.push('\n');
     }
 
-    fn print_ops(&mut self, ops: &[OpId], depth: usize) {
-        for &nested in ops {
+    fn print_ops(&mut self, ops: impl Iterator<Item = OpId>, depth: usize) {
+        for nested in ops {
             self.print_op(nested, depth);
         }
     }
@@ -412,7 +411,7 @@ impl<'c> Printer<'c> {
         }
         self.out.push_str(" {\n");
         let block = ctx.sole_block(op, 0);
-        self.print_ops(ctx.block(block).ops(), depth + 1);
+        self.print_ops(ctx.block_ops(block), depth + 1);
         self.indent(depth);
         self.out.push('}');
     }
@@ -432,8 +431,8 @@ impl<'c> Printer<'c> {
             self.out.push(')');
             return;
         }
-        let block = ctx.block(ctx.sole_block(op, 0));
-        self.push_typed_args(block.args());
+        let body = ctx.sole_block(op, 0);
+        self.push_typed_args(ctx.block(body).args());
         self.out.push(')');
         if let Some(Attribute::Type(fty)) = data.attr("function_type") {
             if let TypeKind::Function { results, .. } = ctx.type_kind(*fty) {
@@ -444,7 +443,7 @@ impl<'c> Printer<'c> {
             }
         }
         self.out.push_str(" {\n");
-        self.print_ops(block.ops(), depth + 1);
+        self.print_ops(ctx.block_ops(body), depth + 1);
         self.indent(depth);
         self.out.push('}');
     }
@@ -478,9 +477,9 @@ impl<'c> Printer<'c> {
         let ctx = self.ctx;
         let data = ctx.op(op);
         let operands = data.operands();
-        let block = ctx.block(ctx.sole_block(op, 0));
+        let body = ctx.sole_block(op, 0);
         self.out.push_str("scf.for ");
-        self.push_value(block.args()[0]);
+        self.push_value(ctx.block(body).args()[0]);
         self.out.push_str(" = ");
         self.push_value(operands[0]);
         self.out.push_str(" to ");
@@ -489,11 +488,11 @@ impl<'c> Printer<'c> {
         self.push_value(operands[2]);
         self.out.push_str(" {\n");
         // The trailing scf.yield is implicit in the custom syntax.
-        let mut body_ops = block.ops();
-        if let Some((&last, rest)) = body_ops.split_last() {
+        let mut body_ops = ctx.block_ops(body);
+        if let Some(last) = ctx.block(body).last_op() {
             let last = ctx.op(last);
             if last.name.as_str() == "scf.yield" && last.operands().is_empty() {
-                body_ops = rest;
+                body_ops.next_back();
             }
         }
         self.print_ops(body_ops, depth + 1);
@@ -566,7 +565,7 @@ impl<'c> Printer<'c> {
                         }
                         self.out.push_str(":\n");
                     }
-                    self.print_ops(ctx.block(block).ops(), depth + 1);
+                    self.print_ops(ctx.block_ops(block), depth + 1);
                 }
                 self.indent(depth);
                 self.out.push('}');
@@ -707,14 +706,7 @@ mod tests {
         let body = ctx.sole_block(module, 0);
         // Free a value's slot, then let a numbered value take it over.
         let index = ctx.index_type();
-        let stale = ctx.create_op(
-            Location::unknown(),
-            "test.def",
-            vec![],
-            vec![index],
-            vec![],
-            0,
-        );
+        let stale = ctx.create_op(Location::unknown(), "test.def", vec![], [index], vec![], 0);
         let stale_value = ctx.op(stale).results()[0];
         ctx.erase_op(stale);
         let mut b = OpBuilder::at_end(&mut ctx, body);

@@ -12,7 +12,7 @@ use crate::builder::OpBuilder;
 use crate::dialect::{FoldResult, OpTraits};
 use crate::ir::{Context, OpId, ValueId};
 use std::collections::{HashMap, HashSet};
-use td_support::{metrics, trace, Diagnostic, Symbol};
+use td_support::{metrics, trace, Diagnostic, InlineVec, Symbol};
 
 /// A structural change performed through a [`Rewriter`].
 #[derive(Clone, Debug, PartialEq)]
@@ -395,9 +395,9 @@ pub fn run_cse(ctx: &mut Context, root: OpId) -> usize {
     struct Key {
         block: crate::ir::BlockId,
         name: Symbol,
-        operands: Vec<ValueId>,
+        operands: InlineVec<ValueId, 4>,
         attrs: Vec<(Symbol, crate::attrs::Attribute)>,
-        result_types: Vec<crate::types::TypeId>,
+        result_types: InlineVec<crate::types::TypeId, 1>,
     }
     let mut erased = 0;
     let mut seen: HashMap<Key, OpId> = HashMap::new();
@@ -415,7 +415,7 @@ pub fn run_cse(ctx: &mut Context, root: OpId) -> usize {
         let key = Key {
             block,
             name: ctx.op(op).name,
-            operands: ctx.op(op).operands().to_vec(),
+            operands: InlineVec::from_slice(ctx.op(op).operands()),
             attrs: ctx.op(op).attributes().to_vec(),
             result_types: ctx
                 .op(op)
@@ -426,9 +426,11 @@ pub fn run_cse(ctx: &mut Context, root: OpId) -> usize {
         };
         match seen.get(&key) {
             Some(&canonical) => {
-                let old_results = ctx.op(op).results().to_vec();
-                let new_results = ctx.op(canonical).results().to_vec();
-                for (old, new) in old_results.into_iter().zip(new_results) {
+                for index in 0..ctx.op(op).results().len() {
+                    let (old, new) = (
+                        ctx.op(op).results()[index],
+                        ctx.op(canonical).results()[index],
+                    );
                     ctx.replace_all_uses(old, new);
                 }
                 ctx.erase_op(op);

@@ -15,6 +15,14 @@ use td_support::Symbol;
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TypeId(u32);
 
+/// The placeholder id: interns no type (resolving it panics). It fills the
+/// unused slots of inline lists of types.
+impl Default for TypeId {
+    fn default() -> Self {
+        TypeId(u32::MAX)
+    }
+}
+
 impl TypeId {
     /// Raw index into the store, useful as a dense map key.
     pub fn raw(self) -> u32 {

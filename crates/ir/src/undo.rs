@@ -33,8 +33,14 @@
 //! the same data.** Entries replay strictly in reverse, so each entry's
 //! side data is on top of its stack when it replays, and rolling back to a
 //! mark leaves every side stack at the length it had when the mark opened
-//! (checked under `debug_assertions`). The outermost commit or rollback
-//! clears the entries and every side stack together.
+//! (checked on every rollback, release builds included). The outermost
+//! commit or rollback clears the entries and every side stack together.
+//!
+//! A block's ops are a linked list, so a detach records where the op
+//! goes back as an id, not an index: the sibling that followed it
+//! (`OpDetachedBefore`) or, if it was last, its block
+//! (`OpDetachedAtEnd`). Replay runs in reverse, so that sibling is back in
+//! place when the detach replays.
 //!
 //! # What is and is not undoable
 //!
@@ -43,12 +49,15 @@
 //! private arena access: parsing new IR into a context while a watermark
 //! is open leaks the parsed entities on rollback (they are simply not
 //! unwound — they were never part of the watermarked module). Rollback
-//! correctness is therefore verified end-to-end: in debug builds the
-//! structural fingerprint captured when the watermark opened must match
-//! the replayed module.
+//! correctness is therefore verified end-to-end: a watermark that names
+//! an op compares live entity counts after the replay in every build, and
+//! in debug builds the structural fingerprint captured when the watermark
+//! opened must match the replayed module.
 
 use crate::attrs::Attribute;
-use crate::ir::{BlockData, BlockId, OpData, OpId, RegionData, RegionId, ValueData, ValueId};
+use crate::ir::{
+    BlockData, BlockId, BlockList, OpData, OpId, RegionData, RegionId, ValueData, ValueId,
+};
 use crate::types::TypeId;
 use td_support::Symbol;
 
@@ -66,14 +75,12 @@ pub(crate) enum UndoEntry {
     BlockCreated { block: BlockId },
     /// `add_block_arg` pushed `value` onto `block`'s argument list.
     BlockArgAdded { block: BlockId, value: ValueId },
-    /// `insert_op` attached `op` to a block.
+    /// An insertion attached `op` to a block.
     OpInserted { op: OpId },
-    /// `detach_op` removed `op` from `block` at `index`.
-    OpDetached {
-        op: OpId,
-        block: BlockId,
-        index: u32,
-    },
+    /// `detach_op` removed `op` from just before `next`.
+    OpDetachedBefore { op: OpId, next: OpId },
+    /// `detach_op` removed `op` from the end of `block`.
+    OpDetachedAtEnd { op: OpId, block: BlockId },
     /// `set_operand` overwrote operand `index` of `op` (was `old`).
     OperandSet { op: OpId, index: u32, old: ValueId },
     /// `append_operand` pushed an operand onto `op`.
@@ -142,7 +149,7 @@ pub(crate) struct SideStacks {
     pub(crate) regions: Vec<RegionData>,
     /// Old successor lists and moved or taken region block lists
     /// (`SuccessorsSet`, `BlocksTransferred`, `RegionBlocksTaken`).
-    pub(crate) block_lists: Vec<Vec<BlockId>>,
+    pub(crate) block_lists: Vec<BlockList>,
     /// Uses moved by `replace_all_uses`, flattened (`UsesReplaced`).
     pub(crate) uses: Vec<(OpId, u32)>,
     /// Overwritten and removed attribute values (`AttrSet`,
@@ -296,15 +303,14 @@ impl UndoLog {
     /// Finishes a rollback to `mark` once every entry since it replayed:
     /// each replay popped exactly the side data its mutator pushed, so
     /// every side stack is back at its length when `mark` opened — empty,
-    /// for the outermost mark, before `settle` clears anything.
-    pub(crate) fn rolled_back(&mut self, mark: Mark) {
+    /// for the outermost mark, before `settle` clears anything. Returns
+    /// whether that held (an O(1) check, made in every build).
+    #[must_use]
+    pub(crate) fn rolled_back(&mut self, mark: Mark) -> bool {
         debug_assert_eq!(self.entries.len(), mark.pos, "rollback stopped early");
-        debug_assert_eq!(
-            self.side.lens(),
-            mark.sides,
-            "undo replay left side data behind or took too much"
-        );
+        let balanced = self.side.lens() == mark.sides;
         self.settle();
+        balanced
     }
 }
 
@@ -319,7 +325,7 @@ impl UndoLog {
 #[cfg(test)]
 impl UndoEntry {
     /// Number of entry kinds; [`UndoEntry::kind`] numbers them densely.
-    pub(crate) const KINDS: usize = 20;
+    pub(crate) const KINDS: usize = 21;
 
     /// This entry's kind in `0..KINDS`. The match is exhaustive, so a new
     /// kind does not compile until it is numbered here (and `KINDS`
@@ -330,7 +336,7 @@ impl UndoEntry {
             UndoEntry::BlockCreated { .. } => 1,
             UndoEntry::BlockArgAdded { .. } => 2,
             UndoEntry::OpInserted { .. } => 3,
-            UndoEntry::OpDetached { .. } => 4,
+            UndoEntry::OpDetachedBefore { .. } => 4,
             UndoEntry::OperandSet { .. } => 5,
             UndoEntry::OperandAppended { .. } => 6,
             UndoEntry::NameSet { .. } => 7,
@@ -346,6 +352,7 @@ impl UndoEntry {
             UndoEntry::BlockFreed { .. } => 17,
             UndoEntry::RegionFreed { .. } => 18,
             UndoEntry::RegionBlocksTaken { .. } => 19,
+            UndoEntry::OpDetachedAtEnd { .. } => 20,
         }
     }
 }
@@ -364,7 +371,7 @@ mod tests {
         while let Some(entry) = log.pop_since(mark) {
             tail.push(entry);
         }
-        log.rolled_back(mark);
+        assert!(log.rolled_back(mark), "side stacks balance");
         Some(tail)
     }
 

@@ -102,15 +102,16 @@ impl<'c> Verifier<'c> {
     }
 
     fn verify_block(&mut self, parent: OpId, block: BlockId, parent_traits: OpTraits) {
-        let ops = self.ctx.block(block).ops().to_vec();
-        for (i, &nested) in ops.iter().enumerate() {
+        let mut cursor = self.ctx.block(block).first_op();
+        while let Some(nested) = cursor {
+            cursor = self.ctx.next_op(nested);
             if self.ctx.op(nested).parent() != Some(block) {
                 self.error(
                     nested,
                     "parent link does not match containing block".to_owned(),
                 );
             }
-            let is_last = i + 1 == ops.len();
+            let is_last = cursor.is_none();
             let is_terminator = self.ctx.has_trait(nested, OpTraits::TERMINATOR);
             if is_terminator && !is_last {
                 self.error(
@@ -176,15 +177,11 @@ impl<'c> Verifier<'c> {
             if block == def_block {
                 // Same block: defs must come before uses.
                 if let Some(def_op) = def_point {
-                    let def_pos = self.ctx.op_position(block, def_op);
-                    let use_pos = self.ctx.op_position(block, cursor);
-                    if let (Some(d), Some(u)) = (def_pos, use_pos) {
-                        if d >= u {
-                            self.error(
-                                user,
-                                format!("operand #{index} is used before its definition"),
-                            );
-                        }
+                    if def_op == cursor || !self.ctx.is_before(def_op, cursor) {
+                        self.error(
+                            user,
+                            format!("operand #{index} is used before its definition"),
+                        );
                     }
                 }
                 return;
@@ -271,14 +268,14 @@ mod tests {
             Location::unknown(),
             "arith.constant",
             vec![],
-            vec![i32t],
+            [i32t],
             vec![],
             0,
         );
         ctx.append_op(body, def);
         let v = ctx.op(def).results()[0];
-        let user = ctx.create_op(Location::unknown(), "test.use", vec![v], vec![], vec![], 0);
-        ctx.insert_op(body, 0, user); // user before def
+        let user = ctx.create_op(Location::unknown(), "test.use", [v], vec![], vec![], 0);
+        ctx.prepend_op(body, user); // user before def
         let errs = verify(&ctx, module).unwrap_err();
         assert!(errs
             .iter()
@@ -296,7 +293,7 @@ mod tests {
             Location::unknown(),
             "arith.constant",
             vec![],
-            vec![i32t],
+            [i32t],
             vec![],
             0,
         );
@@ -313,7 +310,7 @@ mod tests {
         ctx.append_op(body, isolated);
         let region = ctx.op(isolated).regions()[0];
         let inner = ctx.append_block(region, &[]);
-        let user = ctx.create_op(Location::unknown(), "test.use", vec![v], vec![], vec![], 0);
+        let user = ctx.create_op(Location::unknown(), "test.use", [v], vec![], vec![], 0);
         ctx.append_op(inner, user);
         let errs = verify(&ctx, module).unwrap_err();
         assert!(
@@ -388,7 +385,7 @@ mod tests {
             Location::unknown(),
             "arith.constant",
             vec![],
-            vec![i32t],
+            [i32t],
             vec![],
             0,
         );
@@ -397,7 +394,7 @@ mod tests {
         ctx.append_op(b1, br1);
         ctx.set_successors(br1, vec![b2]);
         let v = ctx.op(def).results()[0];
-        let user = ctx.create_op(Location::unknown(), "test.use", vec![v], vec![], vec![], 0);
+        let user = ctx.create_op(Location::unknown(), "test.use", [v], vec![], vec![], 0);
         ctx.append_op(b2, user);
         let done = ctx.create_op(Location::unknown(), "test.done", vec![], vec![], vec![], 0);
         ctx.append_op(b2, done);

@@ -133,15 +133,15 @@ mod tests {
             offset: td_ir::Extent::Static(0),
             strides: vec![],
         });
-        let src = ctx.create_op(Location::unknown(), "test.src", vec![], vec![mt], vec![], 0);
+        let src = ctx.create_op(Location::unknown(), "test.src", vec![], [mt], vec![], 0);
         ctx.append_op(body, src);
         let v = ctx.op(src).results()[0];
         let mk = |ctx: &mut Context, offsets: Vec<i64>, strides: Vec<i64>| {
             let op = ctx.create_op(
                 Location::unknown(),
                 "memref.subview",
-                vec![v],
-                vec![mt],
+                [v],
+                [mt],
                 vec![
                     (
                         td_support::Symbol::new("static_offsets"),
@@ -189,21 +189,14 @@ mod tests {
         let module = ctx.create_module(Location::unknown());
         let body = ctx.sole_block(module, 0);
         let f32t = ctx.f32_type();
-        let src = ctx.create_op(
-            Location::unknown(),
-            "test.src",
-            vec![],
-            vec![f32t],
-            vec![],
-            0,
-        );
+        let src = ctx.create_op(Location::unknown(), "test.src", vec![], [f32t], vec![], 0);
         ctx.append_op(body, src);
         let v = ctx.op(src).results()[0];
         let good = ctx.create_op(
             Location::unknown(),
             "toy.axpy",
-            vec![v, v],
-            vec![f32t],
+            [v, v],
+            [f32t],
             vec![(td_support::Symbol::new("alpha"), td_ir::Attribute::Int(2))],
             0,
         );
@@ -211,14 +204,7 @@ mod tests {
         assert!(verify(&ctx, module).is_ok(), "{:?}", verify(&ctx, module));
 
         // Missing the attribute: the generated verifier rejects it.
-        let bad = ctx.create_op(
-            Location::unknown(),
-            "toy.axpy",
-            vec![v, v],
-            vec![f32t],
-            vec![],
-            0,
-        );
+        let bad = ctx.create_op(Location::unknown(), "toy.axpy", [v, v], [f32t], vec![], 0);
         ctx.append_op(body, bad);
         let errs = verify(&ctx, module).unwrap_err();
         assert!(
@@ -237,27 +223,20 @@ mod tests {
         let module = ctx.create_module(Location::unknown());
         let body = ctx.sole_block(module, 0);
         let index = ctx.index_type();
-        let src = ctx.create_op(
-            Location::unknown(),
-            "test.src",
-            vec![],
-            vec![index],
-            vec![],
-            0,
-        );
+        let src = ctx.create_op(Location::unknown(), "test.src", vec![], [index], vec![], 0);
         ctx.append_op(body, src);
         let v = ctx.op(src).results()[0];
         let op = ctx.create_op(
             Location::unknown(),
             "test.var",
-            vec![v, v, v, v],
+            [v, v, v, v],
             vec![],
             vec![],
             0,
         );
         ctx.append_op(body, op);
         assert!(check_op(&ctx, op, &def).is_ok());
-        let too_few = ctx.create_op(Location::unknown(), "test.var", vec![v], vec![], vec![], 0);
+        let too_few = ctx.create_op(Location::unknown(), "test.var", [v], vec![], vec![], 0);
         ctx.append_op(body, too_few);
         assert!(check_op(&ctx, too_few, &def).is_err());
     }

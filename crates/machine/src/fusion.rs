@@ -215,47 +215,26 @@ mod tests {
             td_dialects::func::build_func(&mut ctx, module, "main", &[big], &[scalar]);
         let mut x: ValueId = ctx.block(entry).args()[0];
         for _ in 0..chain_length {
-            let op = ctx.create_op(
-                Location::unknown(),
-                "tosa.tanh",
-                vec![x],
-                vec![big],
-                vec![],
-                0,
-            );
+            let op = ctx.create_op(Location::unknown(), "tosa.tanh", [x], [big], vec![], 0);
             ctx.append_op(entry, op);
             x = ctx.op(op).results()[0];
         }
         if with_reshape {
-            let op = ctx.create_op(
-                Location::unknown(),
-                "tosa.reshape",
-                vec![x],
-                vec![flat],
-                vec![],
-                0,
-            );
+            let op = ctx.create_op(Location::unknown(), "tosa.reshape", [x], [flat], vec![], 0);
             ctx.append_op(entry, op);
             x = ctx.op(op).results()[0];
         }
         let reduce = ctx.create_op(
             Location::unknown(),
             "tosa.reduce_sum",
-            vec![x],
-            vec![scalar],
+            [x],
+            [scalar],
             vec![(Symbol::new("kind"), Attribute::String("sum".into()))],
             0,
         );
         ctx.append_op(entry, reduce);
         let r = ctx.op(reduce).results()[0];
-        let ret = ctx.create_op(
-            Location::unknown(),
-            "func.return",
-            vec![r],
-            vec![],
-            vec![],
-            0,
-        );
+        let ret = ctx.create_op(Location::unknown(), "func.return", [r], vec![], vec![], 0);
         ctx.append_op(entry, ret);
         (ctx, module)
     }
@@ -295,24 +274,10 @@ mod tests {
         let t = tensor_type(&mut ctx, &[16, 16], f32t);
         let (_f, entry) = td_dialects::func::build_func(&mut ctx, module, "main", &[t], &[t]);
         let x = ctx.block(entry).args()[0];
-        let mm = ctx.create_op(
-            Location::unknown(),
-            "tosa.matmul",
-            vec![x, x],
-            vec![t],
-            vec![],
-            0,
-        );
+        let mm = ctx.create_op(Location::unknown(), "tosa.matmul", [x, x], [t], vec![], 0);
         ctx.append_op(entry, mm);
         let v = ctx.op(mm).results()[0];
-        let ret = ctx.create_op(
-            Location::unknown(),
-            "func.return",
-            vec![v],
-            vec![],
-            vec![],
-            0,
-        );
+        let ret = ctx.create_op(Location::unknown(), "func.return", [v], vec![], vec![], 0);
         ctx.append_op(entry, ret);
         let report = estimate_cost(&ctx, module, FusionCostModel::default());
         assert_eq!(report.clusters, 1);

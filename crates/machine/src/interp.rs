@@ -340,7 +340,7 @@ impl Machine<'_> {
             for (&p, &v) in params.iter().zip(incoming.iter()) {
                 self.set(p, v);
             }
-            let ops = self.ctx.block(block).ops().to_vec();
+            let ops = self.ctx.block_ops(block).collect::<Vec<_>>();
             let mut next: Option<Flow> = None;
             for op in ops {
                 self.step()?;

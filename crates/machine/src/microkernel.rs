@@ -187,12 +187,10 @@ impl LibraryResolver for MicrokernelLibrary {
             ));
         }
         let callee = format!("xsmm_{}x{}x{}", nest.m, nest.n, nest.k);
-        let block = ctx.op(root).parent().expect("attached");
-        let pos = ctx.op_position(block, root).expect("in block");
         let call = ctx.create_op(
             Location::name(&callee),
             "func.call",
-            vec![nest.a, nest.b, nest.c, nest.i_lower, nest.j_lower],
+            [nest.a, nest.b, nest.c, nest.i_lower, nest.j_lower],
             vec![],
             vec![
                 (
@@ -207,7 +205,7 @@ impl LibraryResolver for MicrokernelLibrary {
             ],
             0,
         );
-        ctx.insert_op(block, pos, call);
+        ctx.insert_op_before(root, call);
         ctx.erase_op(root);
         Ok(call)
     }

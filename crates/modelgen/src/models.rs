@@ -114,7 +114,7 @@ impl Builder<'_> {
     ) -> ValueId {
         let op = self
             .ctx
-            .create_op(Location::name(name), name, operands, vec![result], attrs, 0);
+            .create_op(Location::name(name), name, operands, [result], attrs, 0);
         self.ctx.append_op(self.block, op);
         self.ctx.op(op).results()[0]
     }
@@ -223,7 +223,7 @@ pub fn build_model(ctx: &mut Context, spec: &ModelSpec) -> OpId {
 
     let mut x = input;
     loop {
-        let emitted = b.ctx.block(entry).ops().len();
+        let emitted = b.ctx.block(entry).len();
         let remaining = spec.target_ops.saturating_sub(emitted);
         let block_cost = match spec.kind {
             ModelKind::Cnn => 10,
@@ -243,13 +243,13 @@ pub fn build_model(ctx: &mut Context, spec: &ModelSpec) -> OpId {
         };
     }
     // Pad to the exact count with unary ops.
-    while b.ctx.block(entry).ops().len() < spec.target_ops {
+    while b.ctx.block(entry).len() < spec.target_ops {
         x = b.pad_op(x);
     }
     let ret = b.ctx.create_op(
         Location::name("return"),
         "func.return",
-        vec![x],
+        [x],
         vec![],
         vec![],
         0,

@@ -779,8 +779,16 @@ impl Engine {
     /// the rollback returns the slot to the payload as parsed — the
     /// script's ops freed too. The job runs under [`TxnMode::Always`], so
     /// every step already opens its own watermark; the enclosing one
-    /// changes no step's outcome or statistics. A rollback that fails its
-    /// (debug-build) fingerprint check empties the slot and fails the job.
+    /// changes no step's outcome or statistics.
+    ///
+    /// The rollback is checked in every build: O(1) invariants (live
+    /// entity counts, the root's op count, the undo side stacks) after
+    /// every job, and the payload's full structural fingerprint after the
+    /// slot's first job and every [`SLOT_FINGERPRINT_EVERY`]-th after it.
+    /// A failed check means the slot no longer holds the payload as
+    /// parsed, so its output is not trusted either: the slot is dropped,
+    /// counted in `sched.slot_discards`, and the job re-runs on a fresh
+    /// context. A defective undo arm costs time, never a wrong result.
     fn attempt_on_slot(
         &self,
         env: &InterpEnv<'_>,
@@ -798,30 +806,44 @@ impl Engine {
                     payload: job.payload.clone(),
                     ctx,
                     root,
+                    runs: 0,
                 }
             }
         };
-        let PayloadSlot { ctx, root, .. } = slot.insert(parsed);
+        let PayloadSlot {
+            ctx, root, runs, ..
+        } = slot.insert(parsed);
         let root = *root;
-        let watermark = ctx.begin_watermark(Some(root));
+        let watermark = if *runs % SLOT_FINGERPRINT_EVERY == 0 {
+            ctx.begin_watermark_fingerprinted(root)
+        } else {
+            ctx.begin_watermark(Some(root))
+        };
+        *runs += 1;
         let output = apply_script(env, ctx, root, job);
         if let Err(message) = ctx.rollback_watermark(watermark) {
             *slot = None;
-            return Err(JobError::Transform {
-                message: format!("shared payload rollback failed: {message}"),
-                silenceable: false,
-            });
+            metrics::counter("sched.slot_discards", 1);
+            trace::instant("sched", "slot_discard", &[("reason", message)]);
+            return self.attempt(env, job, None);
         }
         output
     }
 }
 
+/// How often a reused payload slot's rollback is checked against the
+/// payload's full structural fingerprint, in jobs (the first job on a slot
+/// always is). The walk is O(op); the O(1) checks run after every job.
+const SLOT_FINGERPRINT_EVERY: u64 = 16;
+
 /// One worker's parsed payload, kept across the shared jobs it runs: the
-/// text it was parsed from, the context it lives in and its module op.
+/// text it was parsed from, the context it lives in, its module op and how
+/// many jobs have run on it.
 struct PayloadSlot {
     payload: String,
     ctx: Context,
     root: OpId,
+    runs: u64,
 }
 
 /// Whether each miss's payload text occurs in at least one other miss of

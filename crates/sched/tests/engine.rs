@@ -900,6 +900,65 @@ fn shared_payload_candidates_match_fresh_contexts_around_panics() {
     assert!(parses[1] <= 4 + 1, "{} parses at 4 workers", parses[1]);
 }
 
+/// Armed, the next `test.unlogged` writes an attribute on its payload
+/// root behind the undo log's back, once.
+static UNLOGGED_ARMED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
+
+#[test]
+fn a_slot_whose_rollback_fails_its_check_is_dropped_and_the_job_rerun_fresh() {
+    let engine = || {
+        let mut config = EngineConfig::standard().with_workers(1).without_cache();
+        config.transforms_factory = Arc::new(|| {
+            let mut registry = TransformOpRegistry::with_standard_ops();
+            registry.register(TransformOpDef::new(
+                "test.unlogged",
+                "corrupts the payload root once, unlogged, when armed",
+                |_, ctx, state, op| {
+                    let location = ctx.op(op).location.clone();
+                    let handle = ctx.op(op).operands()[0];
+                    if UNLOGGED_ARMED.swap(false, Ordering::SeqCst) {
+                        for root in state.ops(handle, &location)? {
+                            ctx.set_attr_unlogged(root, "corrupted", td_ir::Attribute::Unit);
+                        }
+                    }
+                    Ok(())
+                },
+            ));
+            registry
+        });
+        Engine::new(config)
+    };
+    let script = r#"module {
+  transform.named_sequence @main(%root: !transform.any_op) {
+    "test.unlogged"(%root) : (!transform.any_op) -> ()
+  }
+}"#;
+    let jobs = || -> Vec<Job> {
+        let mut jobs = vec![Job::new(script, payload(0))];
+        jobs.extend((0..3).map(|i| Job::new(annotate_script(&format!("c{i}")), payload(0))));
+        jobs
+    };
+    // The reference: each job alone, on a fresh context, unarmed.
+    let fresh: Vec<_> = jobs()
+        .into_iter()
+        .map(|job| engine().run_batch(vec![job]).results.remove(0))
+        .collect();
+    let discards = || {
+        td_support::metrics::snapshot()
+            .counter_value("sched.slot_discards")
+            .unwrap_or(0)
+    };
+    let before = discards();
+    UNLOGGED_ARMED.store(true, Ordering::SeqCst);
+    let shared = engine().run_batch(jobs());
+    assert!(!UNLOGGED_ARMED.load(Ordering::SeqCst), "the corruption ran");
+    assert_eq!(discards() - before, 1, "the damaged slot is dropped once");
+    assert_eq!(
+        shared.results, fresh,
+        "every job returns its fresh-context result"
+    );
+}
+
 #[test]
 fn payload_parses_count_one_per_worker_on_a_shared_batch() {
     let shared = |n: usize| -> Vec<Job> {

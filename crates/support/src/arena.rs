@@ -42,6 +42,15 @@ impl<T> Idx<T> {
     }
 }
 
+/// The placeholder index: never returned by [`Arena::alloc`] (no arena
+/// grows to `u32::MAX` slots), so it resolves nowhere. It fills the unused
+/// slots of an [`InlineVec`].
+impl<T> Default for Idx<T> {
+    fn default() -> Self {
+        Idx::from_raw(u32::MAX, u32::MAX)
+    }
+}
+
 impl<T> Clone for Idx<T> {
     fn clone(&self) -> Self {
         *self
@@ -304,9 +313,313 @@ impl<T: fmt::Debug> fmt::Debug for Arena<T> {
     }
 }
 
+/// A list of `Copy` items that holds up to `N` of them in place and
+/// spills to a heap `Vec` only past that: the storage of an op's operand,
+/// result, region and successor lists and of a value's use list, sized so
+/// the common arity never allocates. Once spilled it stays on the heap
+/// (shrinking back is not worth a copy). Reads go through `Deref` to a
+/// slice; the mutators are the few `Vec` ones the IR uses.
+///
+/// ```
+/// use td_support::arena::InlineVec;
+/// let mut list: InlineVec<u32, 2> = InlineVec::new();
+/// list.push(1);
+/// list.push(2);
+/// assert!(!list.spilled());
+/// list.push(3);
+/// assert!(list.spilled());
+/// assert_eq!(&list[..], &[1, 2, 3]);
+/// ```
+#[derive(Clone)]
+pub struct InlineVec<T, const N: usize>(Repr<T, N>);
+
+#[derive(Clone)]
+enum Repr<T, const N: usize> {
+    /// `buf[..len]` are the items; the rest are `T::default()` filler.
+    Inline {
+        len: u32,
+        buf: [T; N],
+    },
+    Heap(Vec<T>),
+}
+
+impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
+    /// An empty list (no allocation).
+    pub fn new() -> Self {
+        InlineVec(Repr::Inline {
+            len: 0,
+            buf: [T::default(); N],
+        })
+    }
+
+    /// A list holding a copy of `items`; allocates only past `N` items.
+    pub fn from_slice(items: &[T]) -> Self {
+        if items.len() <= N {
+            let mut buf = [T::default(); N];
+            buf[..items.len()].copy_from_slice(items);
+            InlineVec(Repr::Inline {
+                len: items.len() as u32,
+                buf,
+            })
+        } else {
+            InlineVec(Repr::Heap(items.to_vec()))
+        }
+    }
+
+    /// Whether the items live on the heap.
+    pub fn spilled(&self) -> bool {
+        matches!(self.0, Repr::Heap(_))
+    }
+
+    /// The items as a slice.
+    pub fn as_slice(&self) -> &[T] {
+        match &self.0 {
+            Repr::Inline { len, buf } => &buf[..*len as usize],
+            Repr::Heap(items) => items,
+        }
+    }
+
+    /// The items as a mutable slice.
+    pub fn as_mut_slice(&mut self) -> &mut [T] {
+        match &mut self.0 {
+            Repr::Inline { len, buf } => &mut buf[..*len as usize],
+            Repr::Heap(items) => items,
+        }
+    }
+
+    /// The heap form, moving the inline items out first if there is no
+    /// room for one more.
+    fn grow(&mut self) -> &mut Vec<T> {
+        if let Repr::Inline { len, buf } = &self.0 {
+            let mut items = Vec::with_capacity(2 * N.max(2));
+            items.extend_from_slice(&buf[..*len as usize]);
+            self.0 = Repr::Heap(items);
+        }
+        match &mut self.0 {
+            Repr::Heap(items) => items,
+            Repr::Inline { .. } => unreachable!("just spilled"),
+        }
+    }
+
+    /// Appends an item.
+    pub fn push(&mut self, item: T) {
+        match &mut self.0 {
+            Repr::Inline { len, buf } if (*len as usize) < N => {
+                buf[*len as usize] = item;
+                *len += 1;
+            }
+            _ => self.grow().push(item),
+        }
+    }
+
+    /// Removes and returns the last item.
+    pub fn pop(&mut self) -> Option<T> {
+        match &mut self.0 {
+            Repr::Inline { len, buf } => {
+                *len = len.checked_sub(1)?;
+                Some(std::mem::take(&mut buf[*len as usize]))
+            }
+            Repr::Heap(items) => items.pop(),
+        }
+    }
+
+    /// Inserts `item` at `index`, shifting the tail right.
+    ///
+    /// # Panics
+    /// Panics if `index > len`.
+    pub fn insert(&mut self, index: usize, item: T) {
+        let len = self.len();
+        assert!(index <= len, "insertion index {index} past length {len}");
+        self.push(item);
+        self.as_mut_slice()[index..].rotate_right(1);
+    }
+
+    /// Removes the item at `index`, shifting the tail left.
+    ///
+    /// # Panics
+    /// Panics if `index >= len`.
+    pub fn remove(&mut self, index: usize) -> T {
+        self.as_mut_slice()[index..].rotate_left(1);
+        self.pop().expect("index checked by the rotate")
+    }
+
+    /// Removes the item at `index`, moving the last item into its place.
+    ///
+    /// # Panics
+    /// Panics if `index >= len`.
+    pub fn swap_remove(&mut self, index: usize) -> T {
+        let last = self.len() - 1;
+        self.as_mut_slice().swap(index, last);
+        self.pop().expect("non-empty")
+    }
+
+    /// Keeps only the items `keep` accepts, in order.
+    pub fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
+        let mut kept = 0;
+        for i in 0..self.len() {
+            let item = self[i];
+            if keep(&item) {
+                self.as_mut_slice()[kept] = item;
+                kept += 1;
+            }
+        }
+        while self.len() > kept {
+            self.pop();
+        }
+    }
+
+    /// Removes every item (a spilled list keeps its heap buffer).
+    pub fn clear(&mut self) {
+        match &mut self.0 {
+            Repr::Inline { len, .. } => *len = 0,
+            Repr::Heap(items) => items.clear(),
+        }
+    }
+
+    /// Appends a copy of every item of `items`.
+    pub fn extend_from_slice(&mut self, items: &[T]) {
+        match &mut self.0 {
+            Repr::Inline { len, buf } if *len as usize + items.len() <= N => {
+                buf[*len as usize..*len as usize + items.len()].copy_from_slice(items);
+                *len += items.len() as u32;
+            }
+            _ => self.grow().extend_from_slice(items),
+        }
+    }
+}
+
+impl<T: Copy + Default, const N: usize> Default for InlineVec<T, N> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<T: Copy + Default, const N: usize> std::ops::Deref for InlineVec<T, N> {
+    type Target = [T];
+    fn deref(&self) -> &[T] {
+        self.as_slice()
+    }
+}
+
+impl<T: Copy + Default, const N: usize> AsRef<[T]> for InlineVec<T, N> {
+    fn as_ref(&self) -> &[T] {
+        self.as_slice()
+    }
+}
+
+impl<T: Copy + Default, const N: usize> std::ops::DerefMut for InlineVec<T, N> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        self.as_mut_slice()
+    }
+}
+
+impl<T: Copy + Default + fmt::Debug, const N: usize> fmt::Debug for InlineVec<T, N> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.as_slice()).finish()
+    }
+}
+
+impl<T: Copy + Default + PartialEq, const N: usize> PartialEq for InlineVec<T, N> {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl<T: Copy + Default + Eq, const N: usize> Eq for InlineVec<T, N> {}
+
+impl<T: Copy + Default + std::hash::Hash, const N: usize> std::hash::Hash for InlineVec<T, N> {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state);
+    }
+}
+
+impl<T: Copy + Default, const N: usize> Extend<T> for InlineVec<T, N> {
+    fn extend<I: IntoIterator<Item = T>>(&mut self, items: I) {
+        for item in items {
+            self.push(item);
+        }
+    }
+}
+
+impl<T: Copy + Default, const N: usize> FromIterator<T> for InlineVec<T, N> {
+    fn from_iter<I: IntoIterator<Item = T>>(items: I) -> Self {
+        let mut list = Self::new();
+        list.extend(items);
+        list
+    }
+}
+
+impl<T: Copy + Default, const N: usize> IntoIterator for InlineVec<T, N> {
+    type Item = T;
+    type IntoIter = IntoIter<T, N>;
+    fn into_iter(self) -> IntoIter<T, N> {
+        IntoIter {
+            list: self,
+            next: 0,
+        }
+    }
+}
+
+/// The by-value iterator of an [`InlineVec`].
+#[derive(Clone, Debug)]
+pub struct IntoIter<T: Copy + Default, const N: usize> {
+    list: InlineVec<T, N>,
+    next: usize,
+}
+
+impl<T: Copy + Default, const N: usize> Iterator for IntoIter<T, N> {
+    type Item = T;
+    fn next(&mut self) -> Option<T> {
+        let item = self.list.get(self.next).copied();
+        self.next += 1;
+        item
+    }
+}
+
+impl<'a, T: Copy + Default, const N: usize> IntoIterator for &'a InlineVec<T, N> {
+    type Item = &'a T;
+    type IntoIter = std::slice::Iter<'a, T>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.as_slice().iter()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn inline_vec_spills_past_its_capacity_and_keeps_order() {
+        let mut list: InlineVec<u32, 3> = InlineVec::new();
+        for i in 0..3 {
+            list.push(i);
+        }
+        assert!(!list.spilled());
+        list.insert(1, 9);
+        assert!(list.spilled());
+        assert_eq!(&list[..], &[0, 9, 1, 2]);
+        assert_eq!(list.remove(0), 0);
+        assert_eq!(list.swap_remove(0), 9);
+        assert_eq!(&list[..], &[2, 1]);
+        list.retain(|&x| x != 2);
+        assert_eq!(&list[..], &[1]);
+        assert_eq!(list.pop(), Some(1));
+        assert_eq!(list.pop(), None);
+    }
+
+    #[test]
+    fn inline_vec_edits_in_place_below_its_capacity() {
+        let mut list = InlineVec::<u32, 4>::from_slice(&[5, 6]);
+        list.insert(0, 4);
+        list.extend_from_slice(&[7]);
+        assert_eq!(&list[..], &[4, 5, 6, 7]);
+        assert!(!list.spilled());
+        assert_eq!(list.remove(1), 5);
+        list.retain(|&x| x % 2 == 0);
+        assert_eq!(&list[..], &[4, 6]);
+        assert_eq!(list, InlineVec::from_slice(&[4, 6]));
+        assert!(InlineVec::<u32, 1>::from_slice(&[1, 2]).spilled());
+    }
 
     #[test]
     fn alloc_and_get() {

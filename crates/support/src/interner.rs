@@ -6,11 +6,20 @@
 //! threading a context around; this mirrors how MLIR interns identifiers in
 //! its `MLIRContext`.
 //!
-//! Interning takes a lock; reading does not. The strings live in an
-//! append-only table of segments indexed by id, each slot written (under
-//! the lock) before its id is handed out, so [`Symbol::as_str`] is two
-//! acquire loads — the segment, then the slot — from any thread.
+//! Interning a new string takes a lock; reading does not. The strings live
+//! in an append-only table of segments indexed by id, each slot written
+//! (under the lock) before its id is handed out, so [`Symbol::as_str`] is
+//! two acquire loads — the segment, then the slot — from any thread.
+//!
+//! Interning a string seen before is lock-free in the common case: each
+//! thread keeps a small direct-mapped cache keyed by the string's address
+//! and length, and a hit is confirmed by comparing bytes with the interned
+//! string. Call sites mostly pass `&'static str` literals, whose address
+//! is stable, so they hit; a heap string whose buffer is freed and reused
+//! with other contents fails the byte comparison and takes the locked
+//! path, so a reused address never yields a wrong symbol.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Mutex, OnceLock};
@@ -51,9 +60,39 @@ fn ids() -> &'static Mutex<HashMap<&'static str, u32>> {
     IDS.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
+/// Entries in each thread's cache (a power of two).
+const CACHE_SLOTS: usize = 512;
+
+/// One cache entry: the address and length of a string last interned
+/// from there, and its symbol. Address 0 marks an empty entry.
+type CacheEntry = Cell<(usize, usize, u32)>;
+
+thread_local! {
+    static CACHE: [CacheEntry; CACHE_SLOTS] = const { [const { Cell::new((0, 0, 0)) }; CACHE_SLOTS] };
+}
+
+/// The cache entry for a string at `addr` of `len` bytes.
+fn cache_slot(addr: usize, len: usize) -> usize {
+    let mixed = (addr ^ (addr >> 9) ^ len.wrapping_mul(0x9e37)) >> 3;
+    mixed & (CACHE_SLOTS - 1)
+}
+
 impl Symbol {
     /// Interns `s` and returns its symbol.
     pub fn new(s: &str) -> Symbol {
+        let (addr, len) = (s.as_ptr() as usize, s.len());
+        let slot = cache_slot(addr, len);
+        let cached = CACHE.with(|cache| cache[slot].get());
+        if cached.0 == addr && cached.1 == len && Symbol(cached.2).as_str() == s {
+            return Symbol(cached.2);
+        }
+        let symbol = Symbol::intern(s);
+        CACHE.with(|cache| cache[slot].set((addr, len, symbol.0)));
+        symbol
+    }
+
+    /// The locked path: looks `s` up in the table, adding it if new.
+    fn intern(s: &str) -> Symbol {
         let mut ids = ids().lock().expect("interner poisoned");
         if let Some(&id) = ids.get(s) {
             return Symbol(id);
@@ -196,6 +235,43 @@ mod tests {
             handles.into_iter().map(|h| h.join().unwrap()).collect();
         assert_eq!(maps[0].len(), COUNT);
         assert!(maps.windows(2).all(|w| w[0] == w[1]), "one id per string");
+    }
+
+    #[test]
+    fn the_thread_cache_never_answers_for_a_reused_buffer() {
+        const THREADS: usize = 8;
+        const ROUNDS: usize = 2_000;
+        let statics = ["arith.addi", "scf.for", "func.func", "tensor.empty", ""];
+        let handles: Vec<_> = (0..THREADS)
+            .map(|thread| {
+                std::thread::spawn(move || {
+                    for round in 0..ROUNDS {
+                        let fixed = statics[round % statics.len()];
+                        assert_eq!(Symbol::new(fixed).as_str(), fixed);
+                        // A heap string, interned, then freed; the next one
+                        // has the same length and, usually, the same
+                        // address but other bytes.
+                        let first = format!("cache.{thread}.{:06}", round);
+                        let addr = first.as_ptr();
+                        assert_eq!(Symbol::new(&first).as_str(), first);
+                        drop(first);
+                        let second = format!("cache.{thread}.{:06}", round + ROUNDS);
+                        let reused = second.as_ptr() == addr;
+                        assert_eq!(
+                            Symbol::new(&second).as_str(),
+                            second,
+                            "reused buffer: {reused}"
+                        );
+                        // The same bytes at another address hit the table.
+                        let copy = second.clone();
+                        assert_eq!(Symbol::new(&copy), Symbol::new(&second));
+                    }
+                })
+            })
+            .collect();
+        for handle in handles {
+            handle.join().unwrap();
+        }
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub mod proptest;
 pub mod rng;
 pub mod trace;
 
-pub use arena::{Arena, Idx};
+pub use arena::{Arena, Idx, InlineVec};
 pub use diag::{Diagnostic, DiagnosticEngine, Remark, RemarkFilter, RemarkKind, Severity};
 pub use interner::Symbol;
 pub use location::Location;

@@ -180,7 +180,7 @@ fn differentiate_function(
 ) -> Result<(), Diagnostic> {
     let block = ctx.sole_block(func, 0);
     let args = ctx.block(block).args().to_vec();
-    let ops = ctx.block(block).ops().to_vec();
+    let ops = ctx.block_ops(block).collect::<Vec<_>>();
     let Some(&terminator) = ops.last() else {
         return Err(Diagnostic::error(
             ctx.op(func).location.clone(),

@@ -199,7 +199,7 @@ fn bisect_inner(
 fn entry_block_ops(ctx: &Context, entry: OpId) -> Option<Vec<OpId>> {
     let region = ctx.op(entry).regions().first().copied()?;
     let block = ctx.region(region).blocks().first().copied()?;
-    Some(ctx.block(block).ops().to_vec())
+    Some(ctx.block_ops(block).collect::<Vec<_>>())
 }
 
 #[cfg(test)]

@@ -440,7 +440,7 @@ impl<'e> Interpreter<'e> {
         // Top-level steps are the transaction boundary: each one runs
         // inside its own watermark when transactions are on.
         let transactional = self.env.config.txn == TxnMode::Always;
-        let ops = ctx.block(block).ops().to_vec();
+        let ops = ctx.block_ops(block).collect::<Vec<_>>();
         let take = limit.unwrap_or(ops.len());
         let mut result = Ok(());
         for op in ops.into_iter().take(take) {
@@ -674,7 +674,7 @@ impl<'e> Interpreter<'e> {
         state: &mut TransformState,
         block: BlockId,
     ) -> TransformResult {
-        let ops = ctx.block(block).ops().to_vec();
+        let ops = ctx.block_ops(block).collect::<Vec<_>>();
         for op in ops {
             self.execute(ctx, state, op)?;
         }

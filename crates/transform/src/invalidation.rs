@@ -51,7 +51,7 @@ impl Analysis<'_> {
     fn run_region_ops(&mut self, op: OpId) {
         for &region in self.ctx.op(op).regions() {
             for &block in self.ctx.region(region).blocks() {
-                for &nested in self.ctx.block(block).ops() {
+                for nested in self.ctx.block_ops(block) {
                     self.visit(nested);
                 }
             }

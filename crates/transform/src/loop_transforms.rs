@@ -56,17 +56,15 @@ fn new_for_before(
     upper: ValueId,
     step: ValueId,
 ) -> ForOp {
-    let block = ctx.op(anchor).parent().expect("anchor must be attached");
-    let pos = ctx.op_position(block, anchor).expect("anchor in block");
     let op = ctx.create_op(
         Location::name("scf.for"),
         "scf.for",
-        vec![lower, upper, step],
+        [lower, upper, step],
         vec![],
         vec![],
         1,
     );
-    ctx.insert_op(block, pos, op);
+    ctx.insert_op_before(anchor, op);
     let region = ctx.op(op).regions()[0];
     let index = ctx.index_type();
     let body = ctx.append_block(region, &[index]);
@@ -93,9 +91,7 @@ fn new_for_before(
 /// The trailing `scf.yield` of a loop body.
 fn body_terminator(ctx: &Context, body: td_ir::BlockId) -> OpId {
     ctx.block(body)
-        .ops()
-        .last()
-        .copied()
+        .last_op()
         .expect("loop body has a terminator")
 }
 
@@ -286,14 +282,11 @@ pub fn split(ctx: &mut Context, loop_op: OpId, divisor: i64) -> Result<(OpId, Op
     // main = clone with ub := mid; rest = clone with lb := mid.
     let mut map = HashMap::new();
     let main = ctx.clone_op(loop_op, &mut map);
-    let block = ctx.op(loop_op).parent().expect("attached");
-    let pos = ctx.op_position(block, loop_op).expect("in block");
-    ctx.insert_op(block, pos, main);
+    ctx.insert_op_before(loop_op, main);
     ctx.set_operand(main, 1, mid_value);
     let mut map = HashMap::new();
     let rest = ctx.clone_op(loop_op, &mut map);
-    let pos = ctx.op_position(block, loop_op).expect("in block");
-    ctx.insert_op(block, pos, rest);
+    ctx.insert_op_before(loop_op, rest);
     ctx.set_operand(rest, 0, mid_value);
     ctx.erase_op(loop_op);
     Ok((main, rest))
@@ -349,9 +342,7 @@ pub fn unroll_full(ctx: &mut Context, loop_op: OpId) -> Result<Vec<OpId>, Diagno
         map.insert(for_op.induction_var, iv_value);
         for &op in &body_ops {
             let clone = ctx.clone_op(op, &mut map);
-            let block = ctx.op(loop_op).parent().expect("attached");
-            let pos = ctx.op_position(block, loop_op).expect("in block");
-            ctx.insert_op(block, pos, clone);
+            ctx.insert_op_before(loop_op, clone);
             expanded.push(clone);
         }
     }
@@ -398,9 +389,7 @@ pub fn unroll_by(ctx: &mut Context, loop_op: OpId, factor: i64) -> Result<OpId, 
     let body_ops = scf::body_ops(ctx, for_op);
     let terminator = ctx
         .block(new_for.body)
-        .ops()
-        .last()
-        .copied()
+        .last_op()
         .expect("new body has a terminator");
     for k in 0..factor {
         let iv_value = if k == 0 {
@@ -544,9 +533,7 @@ pub fn fuse(ctx: &mut Context, first: OpId, second: OpId) -> Result<OpId, Diagno
     if ctx.op(second).parent() != Some(block) {
         return Err(err(ctx, second, "is not a sibling of the fusion target"));
     }
-    let first_pos = ctx.op_position(block, first).expect("in block");
-    let second_pos = ctx.op_position(block, second).expect("in block");
-    if second_pos != first_pos + 1 {
+    if ctx.next_op(first) != Some(second) {
         return Err(err(
             ctx,
             second,

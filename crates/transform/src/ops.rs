@@ -866,7 +866,7 @@ fn apply_patterns(
     let mut patterns = PatternSet::new();
     if let Some(&region) = ctx.op(op).regions().first() {
         for &block in ctx.region(region).blocks() {
-            for &nested in ctx.block(block).ops() {
+            for nested in ctx.block_ops(block) {
                 let full = ctx.op(nested).name.as_str();
                 let Some(name) = full.strip_prefix("transform.pattern.") else {
                     if full == "transform.yield" {

@@ -56,8 +56,8 @@ pub fn pipeline_to_script(ctx: &mut Context, pipeline: &str) -> Result<OpId, Dia
         let op = ctx.create_op(
             Location::name(pass),
             "transform.apply_registered_pass",
-            vec![handle],
-            vec![anyop],
+            [handle],
+            [anyop],
             vec![(Symbol::new("pass_name"), Attribute::String(pass.to_owned()))],
             0,
         );

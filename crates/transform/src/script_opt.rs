@@ -58,7 +58,7 @@ pub fn inline_includes(ctx: &mut Context, script_module: OpId) -> Result<usize, 
             ));
         }
         let mut map: HashMap<ValueId, ValueId> = params.into_iter().zip(arguments).collect();
-        let body_ops = ctx.block(callee_block).ops().to_vec();
+        let body_ops = ctx.block_ops(callee_block).collect::<Vec<_>>();
         for op in body_ops {
             if ctx.op(op).name.as_str() == "transform.yield" {
                 continue;
@@ -198,14 +198,12 @@ fn remove_operand(ctx: &mut Context, op: OpId, index: usize) {
         data.results().iter().map(|&r| ctx.value_type(r)).collect();
     let name = ctx.op(op).name;
     let location = ctx.op(op).location.clone();
-    let block = ctx.op(op).parent().expect("attached");
-    let pos = ctx.op_position(block, op).expect("in block");
     assert!(
         ctx.op(op).regions().is_empty(),
         "param-feeding transforms have no regions"
     );
     let new_op = ctx.create_op(location, name, operands, result_types, attributes, 0);
-    ctx.insert_op(block, pos, new_op);
+    ctx.insert_op_before(op, new_op);
     let old_results = ctx.op(op).results().to_vec();
     let new_results = ctx.op(new_op).results().to_vec();
     for (old, new) in old_results.into_iter().zip(new_results) {

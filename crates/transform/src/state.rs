@@ -278,7 +278,7 @@ mod tests {
             Location::unknown(),
             "transform.test",
             vec![],
-            vec![anyop, anyop],
+            [anyop, anyop],
             vec![],
             0,
         );

@@ -103,6 +103,12 @@ echo "== serve observability (request tracing + SLO series + METRICS + td-top) =
 # the same service started without_observability().
 TD_BENCH_QUICK=1 cargo run -q --release --offline -p td-bench --bin td_gate -- serve_obs
 
+echo "== IR storage statistics (arity histogram, block edits, allocations) =="
+# One TOSA-pipeline job per Table 1 model with a counting allocator:
+# allocations per phase, storage counters and the arity histogram the
+# inline list capacities were sized from (DESIGN.md "Entity storage").
+cargo run -q --release --offline --example ir_storage_stats
+
 echo "== benchmark harness (builds against the workspace + quick check) =="
 # benchmark/ is a workspace of its own with path dependencies on crates/*,
 # so a public-API change that stops it compiling would otherwise surface

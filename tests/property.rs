@@ -187,7 +187,7 @@ fn structural_signature(ctx: &Context, root: OpId) -> Vec<String> {
                     let n = numbering.len();
                     numbering.insert(arg, n);
                 }
-                for &inner in ctx.block(block).ops() {
+                for inner in ctx.block_ops(block) {
                     visit_op(ctx, inner, numbering, sig);
                 }
             }
@@ -229,19 +229,12 @@ fn build_random_module(ctx: &mut Context, rng: &mut Rng, num_ops: usize) -> OpId
                 vec![],
             )
         };
-        let op = ctx.create_op(Location::name("g"), name, operands, vec![i64t], attrs, 0);
+        let op = ctx.create_op(Location::name("g"), name, operands, [i64t], attrs, 0);
         ctx.append_op(entry, op);
         values.push(ctx.op(op).results()[0]);
     }
     if let Some(&last) = values.last() {
-        let use_op = ctx.create_op(
-            Location::name("use"),
-            "test.use",
-            vec![last],
-            vec![],
-            vec![],
-            0,
-        );
+        let use_op = ctx.create_op(Location::name("use"), "test.use", [last], vec![], vec![], 0);
         ctx.append_op(entry, use_op);
     }
     let ret = ctx.create_op(
