@@ -403,11 +403,6 @@ impl Context {
         self.ops[op].next
     }
 
-    /// The op before `op` in its block, if any.
-    pub fn prev_op(&self, op: OpId) -> Option<OpId> {
-        self.ops[op].prev
-    }
-
     /// The entity-storage work counters.
     pub fn storage_stats(&self) -> StorageStats {
         StorageStats {

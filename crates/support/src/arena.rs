@@ -423,26 +423,6 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
         }
     }
 
-    /// Inserts `item` at `index`, shifting the tail right.
-    ///
-    /// # Panics
-    /// Panics if `index > len`.
-    pub fn insert(&mut self, index: usize, item: T) {
-        let len = self.len();
-        assert!(index <= len, "insertion index {index} past length {len}");
-        self.push(item);
-        self.as_mut_slice()[index..].rotate_right(1);
-    }
-
-    /// Removes the item at `index`, shifting the tail left.
-    ///
-    /// # Panics
-    /// Panics if `index >= len`.
-    pub fn remove(&mut self, index: usize) -> T {
-        self.as_mut_slice()[index..].rotate_left(1);
-        self.pop().expect("index checked by the rotate")
-    }
-
     /// Removes the item at `index`, moving the last item into its place.
     ///
     /// # Panics
@@ -595,29 +575,30 @@ mod tests {
             list.push(i);
         }
         assert!(!list.spilled());
-        list.insert(1, 9);
+        list.push(3);
         assert!(list.spilled());
-        assert_eq!(&list[..], &[0, 9, 1, 2]);
-        assert_eq!(list.remove(0), 0);
-        assert_eq!(list.swap_remove(0), 9);
-        assert_eq!(&list[..], &[2, 1]);
-        list.retain(|&x| x != 2);
-        assert_eq!(&list[..], &[1]);
-        assert_eq!(list.pop(), Some(1));
-        assert_eq!(list.pop(), None);
+        assert_eq!(&list[..], &[0, 1, 2, 3]);
+        assert_eq!(list.swap_remove(0), 0);
+        assert_eq!(&list[..], &[3, 1, 2]);
+        list.retain(|&x| x != 1);
+        assert_eq!(&list[..], &[3, 2]);
+        assert_eq!(list.pop(), Some(2));
+        assert_eq!(list.into_iter().collect::<Vec<_>>(), [3]);
     }
 
     #[test]
     fn inline_vec_edits_in_place_below_its_capacity() {
-        let mut list = InlineVec::<u32, 4>::from_slice(&[5, 6]);
-        list.insert(0, 4);
-        list.extend_from_slice(&[7]);
+        let mut list = InlineVec::<u32, 4>::from_slice(&[4, 5]);
+        list.extend_from_slice(&[6, 7]);
         assert_eq!(&list[..], &[4, 5, 6, 7]);
         assert!(!list.spilled());
-        assert_eq!(list.remove(1), 5);
+        assert_eq!(list.swap_remove(1), 5);
         list.retain(|&x| x % 2 == 0);
         assert_eq!(&list[..], &[4, 6]);
         assert_eq!(list, InlineVec::from_slice(&[4, 6]));
+        assert_eq!(list.pop(), Some(6));
+        assert_eq!(list.pop(), Some(4));
+        assert_eq!(list.pop(), None);
         assert!(InlineVec::<u32, 1>::from_slice(&[1, 2]).spilled());
     }
 
