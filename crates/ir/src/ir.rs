@@ -694,17 +694,17 @@ impl Context {
             self.ops[a].parent.is_some() && self.ops[a].parent == self.ops[b].parent,
             "is_before compares ops of one block"
         );
-        self.order_key(a) < self.order_key(b)
+        // Keying `b` may relabel `a`, so both keys are read once both exist.
+        self.ensure_order_key(a);
+        self.ensure_order_key(b);
+        self.ops[a].order.get() < self.ops[b].order.get()
     }
 
-    /// `op`'s order key, assigning keys around it if it has none.
-    fn order_key(&self, op: OpId) -> u64 {
-        let key = self.ops[op].order.get();
-        if key != 0 {
-            return key;
+    /// Assigns keys around `op` if it has none.
+    fn ensure_order_key(&self, op: OpId) {
+        if self.ops[op].order.get() == 0 {
+            self.assign_order_keys(op);
         }
-        self.assign_order_keys(op);
-        self.ops[op].order.get()
     }
 
     /// Keys the maximal run of keyless ops around `op`: spaced
@@ -751,7 +751,8 @@ impl Context {
     /// `lo`) when its neighbours leave no room: finds the smallest aligned
     /// label range `[base, base + 2^level)` around `lo` whose ops, run
     /// included, number fewer than `(4/3)^level`, and spreads them evenly
-    /// over it. Bigger ranges must be sparser, which is what bounds the
+    /// over it. Keyless ops inside the range join it, so its walk left
+    /// does not stop short of keyed ops that hold keys in the range. Bigger ranges must be sparser, which is what bounds the
     /// relabelling per insertion by a constant times the key width (list
     /// labelling after Bender et al., "Two simplified algorithms for
     /// maintaining order in a list", T = 1.5); the full range always
@@ -762,7 +763,8 @@ impl Context {
             let size = 1u128 << level;
             let base = u128::from(lo) & !(size - 1);
             let end = base + size;
-            while let Some(prev) = self.ops[first].prev.filter(|&p| u128::from(key(p)) >= base) {
+            let inside = |op: OpId| key(op) == 0 || u128::from(key(op)) >= base;
+            while let Some(prev) = self.ops[first].prev.filter(|&p| inside(p)) {
                 first = prev;
                 count += 1;
             }
@@ -1527,10 +1529,11 @@ impl Context {
     }
 
     /// Sets an attribute *without* logging it: a deliberate defect, for
-    /// tests outside this crate that check a rollback notices an unlogged
-    /// mutation. Nothing else may call it.
-    #[doc(hidden)]
-    pub fn set_attr_unlogged(&mut self, op: OpId, name: &str, value: Attribute) {
+    /// tests in other crates that check what happens when a rollback
+    /// notices an unlogged mutation. Compiled only with the `test-hooks`
+    /// feature, which only dev-dependencies enable.
+    #[cfg(feature = "test-hooks")]
+    pub fn corrupt_attr_unlogged(&mut self, op: OpId, name: &str, value: Attribute) {
         self.ops[op].attributes.push((Symbol::new(name), value));
     }
 }
@@ -2270,15 +2273,14 @@ mod tests {
         }
     }
 
-    /// The restore validation is a `debug_assertions` check, so this test
-    /// exists only where it does.
-    #[cfg(debug_assertions)]
+    /// A fingerprinted watermark checks the restore in every build, so
+    /// this test runs in release too.
     #[test]
     fn rollback_rejects_an_unlogged_mutation() {
         let (mut ctx, module, body) = ctx_with_module();
         let op = ctx.create_op(Location::unknown(), "test.a", vec![], vec![], vec![], 0);
         ctx.append_op(body, op);
-        let watermark = ctx.begin_watermark(Some(module));
+        let watermark = ctx.begin_watermark_fingerprinted(module);
         // Mutate behind the log's back; the rollback must notice that it
         // no longer reproduces the watermarked state.
         ctx.ops[op]
@@ -2580,6 +2582,102 @@ mod tests {
             large as f64 <= 4.5 * small as f64,
             "{small} keys for 500 edits, {large} for 2000"
         );
+    }
+
+    /// A block whose last `inserts` ops went in one by one before its last
+    /// op, each asked for its order as it landed: the gap there halves
+    /// until it runs out and keys are relabelled, so near the end some
+    /// neighbours hold adjacent keys.
+    fn block_with_dense_keys(inserts: usize) -> (Context, BlockId) {
+        let (mut ctx, _module, body) = ctx_with_module();
+        let node =
+            |ctx: &mut Context| ctx.create_op(Location::unknown(), "test.a", [], [], vec![], 0);
+        let (first, anchor) = (node(&mut ctx), node(&mut ctx));
+        ctx.append_op(body, first);
+        ctx.append_op(body, anchor);
+        assert!(ctx.is_before(first, anchor));
+        for _ in 0..inserts {
+            let op = node(&mut ctx);
+            ctx.insert_op_before(anchor, op);
+            assert!(ctx.is_before(op, anchor));
+        }
+        (ctx, body)
+    }
+
+    /// A relabel that starts right of a keyless op keeps every keyed op in
+    /// order: its range reaches over keyless ops to the keyed ones beyond.
+    /// Among dense keys, an op is inserted without asking its order, then
+    /// one further right is asked for its order, at every pair of spots
+    /// near the dense end. Once every op is keyed, neighbours in order mean
+    /// every pair is.
+    #[test]
+    fn a_relabel_reaches_over_keyless_ops() {
+        for inserts in 32..=72 {
+            let spots = inserts + 2;
+            for x in spots - 16..spots {
+                for y in x + 1..spots {
+                    let (mut ctx, body) = block_with_dense_keys(inserts);
+                    let seq = block_seq(&ctx, body);
+                    let keyless = ctx.create_op(Location::unknown(), "test.x", [], [], vec![], 0);
+                    ctx.insert_op_after(seq[x], keyless);
+                    let keyed = ctx.create_op(Location::unknown(), "test.y", [], [], vec![], 0);
+                    ctx.insert_op_after(seq[y], keyed);
+                    assert!(ctx.is_before(seq[y], keyed));
+                    let ops = block_seq(&ctx, body);
+                    for (i, pair) in ops.windows(2).enumerate() {
+                        assert!(
+                            ctx.is_before(pair[0], pair[1]),
+                            "{inserts} inserts, x {x}, y {y}: ops {i} and {}",
+                            i + 1
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Property: `is_before` agrees with sequence order when only some ops
+    /// are ever asked about, so keyless ops sit among keyed ones when a gap
+    /// runs out. Inserts cluster around a moving spot and most are asked
+    /// about against it, so gaps there do run out.
+    #[test]
+    fn property_order_holds_when_only_some_ops_are_asked() {
+        for seed in 0..24u64 {
+            let mut rng = Xoshiro256pp::seed_from_u64(seed ^ 0x0bde_4c0d);
+            let (mut ctx, _module, body) = ctx_with_module();
+            let mut spot = ctx.create_op(Location::unknown(), "test.a", [], [], vec![], 0);
+            ctx.append_op(body, spot);
+            for step in 0..300 {
+                let op = ctx.create_op(Location::unknown(), "test.a", [], [], vec![], 0);
+                let before = rng.range_usize(0, 2) == 0;
+                if before {
+                    ctx.insert_op_before(spot, op);
+                } else {
+                    ctx.insert_op_after(spot, op);
+                }
+                if rng.range_usize(0, 3) != 0 {
+                    assert_eq!(ctx.is_before(op, spot), before, "seed {seed} step {step}");
+                }
+                let seq = block_seq(&ctx, body);
+                for _ in 0..rng.range_usize(0, 3) {
+                    let (i, j) = (rng.range_usize(0, seq.len()), rng.range_usize(0, seq.len()));
+                    let answer = ctx.is_before(seq[i], seq[j]);
+                    assert_eq!(answer, i < j, "seed {seed} step {step}: ops {i} and {j}");
+                }
+                spot = match rng.range_usize(0, 8) {
+                    0 => seq[rng.range_usize(0, seq.len())],
+                    1 if seq.len() > 2 => {
+                        let gone = seq[rng.range_usize(0, seq.len())];
+                        if gone != spot {
+                            ctx.erase_op(gone);
+                        }
+                        spot
+                    }
+                    _ => op,
+                };
+            }
+            assert_order(&ctx, body, seed % 2 == 0);
+        }
     }
 
     #[test]

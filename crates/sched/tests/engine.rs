@@ -918,7 +918,7 @@ fn a_slot_whose_rollback_fails_its_check_is_dropped_and_the_job_rerun_fresh() {
                     let handle = ctx.op(op).operands()[0];
                     if UNLOGGED_ARMED.swap(false, Ordering::SeqCst) {
                         for root in state.ops(handle, &location)? {
-                            ctx.set_attr_unlogged(root, "corrupted", td_ir::Attribute::Unit);
+                            ctx.corrupt_attr_unlogged(root, "corrupted", td_ir::Attribute::Unit);
                         }
                     }
                     Ok(())

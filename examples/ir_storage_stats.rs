@@ -11,7 +11,9 @@
 //! drop the context — and reports:
 //!
 //! * allocations per phase (parse, apply, print) and frees at context
-//!   drop, counted by a counting global allocator around `System`;
+//!   drop, counted by the per-thread counting allocator of
+//!   `tests/support/alloc_phases.rs` (the job that `tests/alloc_budget.rs`
+//!   holds to its budgets);
 //! * the context's storage counters: ops created and erased, block-list
 //!   edits (each O(1); a block held as an array shifted its tail on every
 //!   one) and order keys assigned.
@@ -19,51 +21,11 @@
 //! Then the arity histogram over every lowered op: operands, results,
 //! regions, successors and attributes per op, and uses per result.
 
-use std::alloc::{GlobalAlloc, Layout, System};
+#[path = "../tests/support/alloc_phases.rs"]
+mod alloc_phases;
+
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use td_bench::{full_context, full_pass_registry};
 use td_ir::{Context, OpId};
-use td_transform::{InterpEnv, Interpreter};
-
-/// Counts allocations (`alloc`, `alloc_zeroed`, `realloc`) and frees. The
-/// example is single-threaded, so process-wide counters are exact.
-struct Counting;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static FREES: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every call forwards to `System` with the caller's arguments
-// unchanged; the counters are atomics, which never allocate.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        FREES.fetch_add(1, Ordering::Relaxed);
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static COUNTING: Counting = Counting;
-
-fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
-}
-
-fn frees() -> u64 {
-    FREES.load(Ordering::Relaxed)
-}
 
 /// Counts of how many ops (or results) have each arity.
 #[derive(Default)]
@@ -114,13 +76,7 @@ impl Arity {
 }
 
 fn main() {
-    let registry = full_pass_registry();
-    let script = {
-        let mut ctx = full_context();
-        let script = td_transform::pipeline_to_script(&mut ctx, td_dialects::passes::TOSA_PIPELINE)
-            .expect("the pipeline is not empty");
-        td_ir::print_op(&ctx, script)
-    };
+    let script = alloc_phases::tosa_script();
     let mut arity = Arity::default();
     println!(
         "{:<24} {:>7} {:>7} {:>8} {:>7} {:>8} {:>8} {:>8} {:>8} {:>8}",
@@ -128,47 +84,28 @@ fn main() {
     );
     let mut totals = [0u64; 4];
     for spec in td_modelgen::paper_models() {
-        let payload = {
-            let mut ctx = full_context();
-            let module = td_modelgen::build_model(&mut ctx, &spec);
-            td_ir::print_op(&ctx, module)
-        };
-        let mut ctx = full_context();
-        let start = allocs();
-        let module = td_ir::parse_module(&mut ctx, &payload).expect("model parses");
-        let script_op = td_ir::parse_module(&mut ctx, &script).expect("script parses");
-        let parse = allocs() - start;
-        let parsed = ctx.num_ops();
-
-        let entry = td_transform::transform_main(&ctx, script_op).expect("entry exists");
-        let mut env = InterpEnv::standard();
-        env.passes = Some(&registry);
-        let stats = ctx.storage_stats();
-        let start = allocs();
-        Interpreter::new(&env)
-            .apply(&mut ctx, entry, module)
-            .expect("the pipeline applies");
-        let apply = allocs() - start;
-        let after = ctx.storage_stats();
-
-        let start = allocs();
-        let text = td_ir::print_op(&ctx, module);
-        let print = allocs() - start;
-        assert!(!text.is_empty());
-        arity.record(&ctx, module);
-
-        let start = frees();
-        drop(ctx);
-        let dropped = frees() - start;
-        let created = after.ops_created - stats.ops_created;
+        let payload = alloc_phases::model_payload(&spec);
+        let phases = alloc_phases::job(&payload, &script, |ctx, module| arity.record(ctx, module));
         println!(
-            "{:<24} {parsed:>7} {parse:>7} {apply:>8} {print:>7} {dropped:>8} {created:>8} {:>8} {:>8} {:>8}",
+            "{:<24} {:>7} {:>7} {:>8} {:>7} {:>8} {:>8} {:>8} {:>8} {:>8}",
             spec.name,
-            after.ops_erased - stats.ops_erased,
-            after.block_edits - stats.block_edits,
-            after.order_keys_assigned - stats.order_keys_assigned,
+            phases.parsed_ops,
+            phases.parse_allocs,
+            phases.apply_allocs,
+            phases.print_allocs,
+            phases.drop_frees,
+            phases.created_ops,
+            phases.erased_ops,
+            phases.block_edits,
+            phases.order_keys,
         );
-        for (total, value) in totals.iter_mut().zip([parse, apply, dropped, created]) {
+        let counts = [
+            phases.parse_allocs,
+            phases.apply_allocs,
+            phases.drop_frees,
+            phases.created_ops,
+        ];
+        for (total, value) in totals.iter_mut().zip(counts) {
             *total += value;
         }
     }

@@ -1,10 +1,9 @@
 //! Allocation budgets of the IR's entity storage, counted exactly.
 //!
-//! A counting `#[global_allocator]` wraps `System` and counts, per thread,
-//! allocations (`alloc`, `alloc_zeroed` and `realloc` calls) and frees.
-//! One `models_direct`-shaped job on GPT-2 — parse the model and the
-//! TOSA pipeline script, apply the script, print, drop the context — is
-//! split into phases, and each phase is held to a budget per op:
+//! One `models_direct`-shaped job on GPT-2 with the TOSA pipeline script
+//! is split into phases by the counting allocator of
+//! `tests/support/alloc_phases.rs`, and each phase is held to a budget
+//! per op:
 //!
 //! * parse: at most 3.0 allocations per parsed op;
 //! * apply: at most 3.0 allocations per op the interpreter created;
@@ -14,101 +13,8 @@
 //! process do not leak into it. Counts are exact for a given build, so a
 //! budget that fails is a real regression, not noise.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use td_bench::{full_context, full_pass_registry};
-use td_transform::{InterpEnv, Interpreter};
-
-struct Counting;
-
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-    static FREES: Cell<u64> = const { Cell::new(0) };
-}
-
-fn bump(counter: &'static std::thread::LocalKey<Cell<u64>>) {
-    // `try_with`: the allocator also runs while a thread's locals are torn
-    // down, when there is nothing left to count into.
-    let _ = counter.try_with(|count| count.set(count.get() + 1));
-}
-
-// SAFETY: every call forwards to `System` with the caller's arguments
-// unchanged; the counters are thread-local `Cell`s with const
-// initializers, which neither allocate nor register destructors.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump(&ALLOCS);
-        System.alloc(layout)
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump(&ALLOCS);
-        System.alloc_zeroed(layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump(&ALLOCS);
-        System.realloc(ptr, layout, new_size)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        bump(&FREES);
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static COUNTING: Counting = Counting;
-
-/// This thread's `(allocations, frees)` so far.
-fn counts() -> (u64, u64) {
-    (ALLOCS.with(Cell::get), FREES.with(Cell::get))
-}
-
-/// Per-phase counts of one job.
-#[derive(Debug)]
-struct Phases {
-    parsed_ops: usize,
-    parse_allocs: u64,
-    created_ops: u64,
-    apply_allocs: u64,
-    live_ops: usize,
-    drop_frees: u64,
-}
-
-/// Runs one `models_direct` job on `payload` with the TOSA pipeline
-/// script, counting each phase.
-fn job(payload: &str, script: &str) -> Phases {
-    let registry = full_pass_registry();
-    let mut ctx = full_context();
-    let (allocs, _) = counts();
-    let payload_op = td_ir::parse_module(&mut ctx, payload).expect("model parses");
-    let script_op = td_ir::parse_module(&mut ctx, script).expect("script parses");
-    let parse_allocs = counts().0 - allocs;
-    let parsed_ops = ctx.num_ops();
-
-    let entry = td_transform::transform_main(&ctx, script_op).expect("entry exists");
-    let mut env = InterpEnv::standard();
-    env.passes = Some(&registry);
-    let created = ctx.storage_stats().ops_created;
-    let (allocs, _) = counts();
-    Interpreter::new(&env)
-        .apply(&mut ctx, entry, payload_op)
-        .expect("the pipeline applies");
-    let apply_allocs = counts().0 - allocs;
-    let created_ops = ctx.storage_stats().ops_created - created;
-    assert!(!td_ir::print_op(&ctx, payload_op).is_empty());
-
-    let live_ops = ctx.num_ops();
-    let (_, frees) = counts();
-    drop(ctx);
-    let drop_frees = counts().1 - frees;
-    Phases {
-        parsed_ops,
-        parse_allocs,
-        created_ops,
-        apply_allocs,
-        live_ops,
-        drop_frees,
-    }
-}
+#[path = "support/alloc_phases.rs"]
+mod alloc_phases;
 
 #[test]
 fn gpt2_lowering_stays_within_its_allocation_budgets() {
@@ -116,22 +22,9 @@ fn gpt2_lowering_stays_within_its_allocation_budgets() {
         .into_iter()
         .find(|spec| spec.name == "GPT-2")
         .expect("GPT-2 is a Table 1 model");
-    let payload = {
-        let mut ctx = full_context();
-        let module = td_modelgen::build_model(&mut ctx, &spec);
-        td_ir::print_op(&ctx, module)
-    };
-    let script = {
-        let mut ctx = full_context();
-        let script = td_transform::pipeline_to_script(&mut ctx, td_dialects::passes::TOSA_PIPELINE)
-            .expect("the pipeline is not empty");
-        td_ir::print_op(&ctx, script)
-    };
-    let phases = job(&payload, &script);
-    let per = |count: u64, ops: u64| count as f64 / ops.max(1) as f64;
-    let parse = per(phases.parse_allocs, phases.parsed_ops as u64);
-    let apply = per(phases.apply_allocs, phases.created_ops);
-    let drop = per(phases.drop_frees, phases.live_ops as u64);
+    let payload = alloc_phases::model_payload(&spec);
+    let phases = alloc_phases::job(&payload, &alloc_phases::tosa_script(), |_, _| {});
+    let (parse, apply, drop) = phases.per_op();
     let report = format!("{phases:?}: parse {parse:.2}, apply {apply:.2}, drop {drop:.2}");
     assert!(phases.created_ops > 1000, "{report}");
     assert!(parse <= 3.0, "parse allocations per parsed op: {report}");
