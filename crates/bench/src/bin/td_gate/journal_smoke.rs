@@ -75,7 +75,7 @@ pub fn run() {
         last_change.kind.name(),
         loop_id,
         last_step.index,
-        last_step.location
+        last_step.location_text()
     );
 
     // ----- 2. failure bisection on the known-failing pipeline -----------

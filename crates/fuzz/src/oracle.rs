@@ -27,11 +27,13 @@
 //!   no user can observe. Re-parsing makes the fingerprint a pure
 //!   function of the printed text while still proving the text round-trips.
 
+use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::rc::Rc;
 
 use td_ir::{parse_module, print_op};
 use td_sched::{Engine, EngineConfig, Job, JobError};
-use td_support::{fault, journal};
+use td_support::{fault, journal, Instrumentation, IrView};
 use td_transform::{InterpEnv, Interpreter, TxnMode};
 
 /// One fuzz case: payload module text plus transform script text.
@@ -444,17 +446,42 @@ struct SweptRun {
     committed: usize,
     /// Live-context [`td_ir::fingerprint_op`] of the payload before the
     /// top-level step the run ended in — the state a failing run's
-    /// transaction must restore. `None` when no step was recorded.
+    /// transaction must restore — or after it, when it committed. `None`
+    /// when no step was recorded.
     pre_step_fp: Option<u64>,
     /// Live-context [`td_ir::fingerprint_op`] of the payload after the
     /// run returned.
     post_fp: u64,
 }
 
-/// One instrumented run under `TxnMode::Always`: journal on (for per-step
-/// fingerprints), optionally with a silenceable fault armed at hit index
-/// `fault_step` of the interpreter's step fault point, optionally cut off
-/// after the first `limit` top-level steps.
+/// Live-context payload fingerprints around the transforms of one run:
+/// before each transform, in execution order (nested ones included, so
+/// index `i` belongs to the run's `i`-th journaled transform step), and
+/// after the latest one that succeeded.
+#[derive(Default)]
+struct StepFingerprints {
+    before: Vec<u64>,
+    after_latest: Option<u64>,
+}
+
+/// The [`Instrumentation`] that fills a shared [`StepFingerprints`].
+struct FingerprintHook(Rc<RefCell<StepFingerprints>>);
+
+impl Instrumentation for FingerprintHook {
+    fn before_transform(&mut self, _name: &str, ir: &IrView<'_>) {
+        self.0.borrow_mut().before.push(ir.fingerprint());
+    }
+
+    fn after_transform(&mut self, _name: &str, ir: &IrView<'_>) {
+        self.0.borrow_mut().after_latest = Some(ir.fingerprint());
+    }
+}
+
+/// One instrumented run under `TxnMode::Always`: journal on (for the
+/// step records) and a [`FingerprintHook`] (for the payload fingerprints
+/// around each step), optionally with a silenceable fault armed at hit
+/// index `fault_step` of the interpreter's step fault point, optionally
+/// cut off after the first `limit` top-level steps.
 fn swept_run(pair: &Pair, fault_step: Option<usize>, limit: Option<usize>) -> SweptRun {
     match fault_step {
         Some(step) => {
@@ -470,6 +497,7 @@ fn swept_run(pair: &Pair, fault_step: Option<usize>, limit: Option<usize>) -> Sw
     let journal_was_on = journal::enabled();
     journal::set_enabled(true);
     journal::reset();
+    let fingerprints = Rc::new(RefCell::new(StepFingerprints::default()));
     let result = catch_unwind(AssertUnwindSafe(|| {
         let mut ctx = fresh_context();
         let payload = match parse_module(&mut ctx, &pair.payload) {
@@ -495,6 +523,7 @@ fn swept_run(pair: &Pair, fault_step: Option<usize>, limit: Option<usize>) -> Sw
         env.passes = Some(&passes);
         env.config.txn = TxnMode::Always;
         let mut interp = Interpreter::new(&env);
+        interp.add_instrumentation(Box::new(FingerprintHook(Rc::clone(&fingerprints))));
         let applied = match limit {
             Some(limit) => interp.apply_prefix(&mut ctx, entry, payload, limit),
             None => interp.apply_reentrant(&mut ctx, entry, payload),
@@ -527,15 +556,22 @@ fn swept_run(pair: &Pair, fault_step: Option<usize>, limit: Option<usize>) -> Sw
     // invalidated handle) and every recorded step committed. Failures at
     // deeper records may have been suppressed by an enclosing construct,
     // so the fault's hit index does not identify the failing step.
+    // The hook saw the same transforms the journal recorded, in the same
+    // order: the i-th journaled transform step ran on `before[i]`.
     let base_depth = recorded.steps().iter().map(|s| s.depth).min();
     let top_level: Vec<_> = recorded
         .steps()
         .iter()
-        .filter(|s| s.kind == "transform" && Some(s.depth) == base_depth)
+        .filter(|s| s.kind == "transform")
+        .enumerate()
+        .filter(|(_, s)| Some(s.depth) == base_depth)
         .collect();
+    let fingerprints = fingerprints.take();
     let (committed, pre_step_fp) = match top_level.last() {
-        Some(last) if last.outcome.is_failure() => (top_level.len() - 1, Some(last.fp_before)),
-        Some(last) => (top_level.len(), Some(last.fp_after)),
+        Some(&(i, last)) if last.outcome.is_failure() => {
+            (top_level.len() - 1, fingerprints.before.get(i).copied())
+        }
+        Some(_) => (top_level.len(), fingerprints.after_latest),
         None => (0, None),
     };
     // A run that never reached the interpreter, or brought it down.
@@ -625,8 +661,9 @@ fn check_swept(
 ///    ([`Interpreter::apply_prefix`]) in a fresh context: a reference in
 ///    which the failing step never started and nothing was rolled back.
 /// 2. **Fingerprint restoration** — the post-rollback
-///    [`td_ir::fingerprint_op`] equals the failing step's journaled
-///    `fp_before`, in the *same* context. The undo log restores freed
+///    [`td_ir::fingerprint_op`] equals the one an
+///    [`Instrumentation::before_transform`] hook took before the failing
+///    step, in the *same* context. The undo log restores freed
 ///    entities under their original generational ids, so even the
 ///    id-sensitive fingerprint must come back exact.
 ///

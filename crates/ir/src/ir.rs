@@ -36,6 +36,7 @@ use crate::types::{TypeId, TypeKind, TypeStore};
 use crate::undo::{Mark, UndoEntry, UndoLog};
 use std::cell::Cell;
 use std::collections::HashMap;
+use td_support::journal::{self, ChangeKind, RawId};
 use td_support::{Arena, Idx, InlineVec, Location, Symbol};
 
 /// Id of an operation.
@@ -403,6 +404,15 @@ impl Context {
         self.ops[op].next
     }
 
+    /// Net payload edits so far: +1 per edit (each one the undo log
+    /// records, or would record with a watermark open), −1 per edit a
+    /// rollback unwinds. Two reads that differ bracket a payload change
+    /// that stuck; the provenance journal detects in-place edits this
+    /// way, in O(1).
+    pub fn edit_count(&self) -> u64 {
+        self.undo.edits
+    }
+
     /// The entity-storage work counters.
     pub fn storage_stats(&self) -> StorageStats {
         StorageStats {
@@ -528,16 +538,11 @@ impl Context {
         for (index, &operand) in operands.iter().enumerate() {
             self.link_use(operand, op, index as u32);
         }
-        if self.undo.active {
+        if self.undo.edit() {
             self.undo.push(UndoEntry::OpCreated { op });
         }
-        if td_support::journal::recording() {
-            td_support::journal::record_change(
-                td_support::journal::ChangeKind::Created,
-                &format!("{op:?}"),
-                name.as_str(),
-                "",
-            );
+        if journal::recording() {
+            journal::record_change(ChangeKind::Created, RawId::of(op), name, 0);
         }
         op
     }
@@ -572,7 +577,7 @@ impl Context {
             .collect();
         self.blocks[block].args = args;
         self.regions[region].blocks.push(block);
-        if self.undo.active {
+        if self.undo.edit() {
             self.undo.push(UndoEntry::BlockCreated { block });
         }
         block
@@ -587,7 +592,7 @@ impl Context {
             uses: UseList::new(),
         });
         self.blocks[block].args.push(value);
-        if self.undo.active {
+        if self.undo.edit() {
             self.undo.push(UndoEntry::BlockArgAdded { block, value });
         }
         value
@@ -597,7 +602,7 @@ impl Context {
     pub fn set_successors(&mut self, op: OpId, successors: impl AsRef<[BlockId]>) {
         let successors = BlockList::from_slice(successors.as_ref());
         let old = std::mem::replace(&mut self.ops[op].successors, successors);
-        if self.undo.active {
+        if self.undo.edit() {
             self.undo.side.block_lists.push(old);
             self.undo.push(UndoEntry::SuccessorsSet { op });
         }
@@ -650,7 +655,7 @@ impl Context {
             "op {op:?} is already attached"
         );
         self.link_op(block, before, op);
-        if self.undo.active {
+        if self.undo.edit() {
             self.undo.push(UndoEntry::OpInserted { op });
         }
     }
@@ -661,7 +666,7 @@ impl Context {
             return;
         };
         let next = self.unlink_op(op);
-        if self.undo.active {
+        if self.undo.edit() {
             self.undo.push(match next {
                 Some(next) => UndoEntry::OpDetachedBefore { op, next },
                 None => UndoEntry::OpDetachedAtEnd { op, block },
@@ -840,7 +845,7 @@ impl Context {
         self.unlink_use(old, op, index as u32);
         self.link_use(new_value, op, index as u32);
         self.ops[op].operands[index] = new_value;
-        if self.undo.active {
+        if self.undo.edit() {
             self.undo.push(UndoEntry::OperandSet {
                 op,
                 index: index as u32,
@@ -856,7 +861,7 @@ impl Context {
     /// `memref.alloc`).
     pub fn set_op_name(&mut self, op: OpId, name: impl Into<Symbol>) {
         let old = std::mem::replace(&mut self.ops[op].name, name.into());
-        if self.undo.active {
+        if self.undo.edit() {
             self.undo.push(UndoEntry::NameSet { op, old });
         }
     }
@@ -866,7 +871,7 @@ impl Context {
         let index = self.ops[op].operands.len() as u32;
         self.ops[op].operands.push(value);
         self.link_use(value, op, index);
-        if self.undo.active {
+        if self.undo.edit() {
             self.undo.push(UndoEntry::OperandAppended { op });
         }
     }
@@ -880,7 +885,7 @@ impl Context {
         for &(op, index) in &uses {
             self.ops[op].operands[index as usize] = new;
         }
-        if self.undo.active {
+        if self.undo.edit() {
             self.undo.side.uses.extend_from_slice(&uses);
             self.undo.push(UndoEntry::UsesReplaced {
                 old,
@@ -901,7 +906,7 @@ impl Context {
             attrs.push((name, value));
             None
         };
-        if self.undo.active {
+        if self.undo.edit() {
             let replaced = old.is_some();
             self.undo.side.attrs.extend(old);
             self.undo.push(UndoEntry::AttrSet { op, name, replaced });
@@ -913,7 +918,7 @@ impl Context {
         let attrs = &mut self.ops[op].attributes;
         let pos = attrs.iter().position(|(k, _)| k.as_str() == name)?;
         let (name_sym, value) = attrs.remove(pos);
-        if self.undo.active {
+        if self.undo.edit() {
             // The caller gets the value and the log keeps a copy: the one
             // clone on a logging path, forced by the return type.
             self.undo.side.attrs.push(value.clone());
@@ -938,13 +943,8 @@ impl Context {
     /// # Panics
     /// Panics if any result still has uses *outside* the erased subtree.
     pub fn erase_op(&mut self, op: OpId) {
-        if td_support::journal::recording() {
-            td_support::journal::record_change(
-                td_support::journal::ChangeKind::Erased,
-                &format!("{op:?}"),
-                self.ops[op].name.as_str(),
-                "",
-            );
+        if journal::recording() {
+            journal::record_change(ChangeKind::Erased, RawId::of(op), self.ops[op].name, 0);
         }
         self.erased += 1;
         // First erase nested regions so uses inside the subtree disappear.
@@ -954,7 +954,7 @@ impl Context {
             let region = self.ops[op].regions[i];
             self.erase_region_contents(region);
             let data = self.regions.erase(region).expect("region is live");
-            if self.undo.active {
+            if self.undo.edit() {
                 self.undo.side.regions.push(data);
                 self.undo.push(UndoEntry::RegionFreed { region });
             }
@@ -962,7 +962,7 @@ impl Context {
         // Unlink operand uses.
         for index in 0..self.ops[op].operands.len() {
             let operand = self.ops[op].operands[index];
-            if self.unlink_use(operand, op, index as u32) && self.undo.active {
+            if self.unlink_use(operand, op, index as u32) && self.undo.edit() {
                 self.undo.push(UndoEntry::UseUnlinked {
                     value: operand,
                     op,
@@ -987,7 +987,7 @@ impl Context {
             self.free_value(result);
         }
         let data = self.ops.erase(op).expect("op is live");
-        if self.undo.active {
+        if self.undo.edit() {
             self.undo.side.ops.push(data);
             self.undo.push(UndoEntry::OpFreed { op });
         }
@@ -996,7 +996,7 @@ impl Context {
     /// Erases all blocks (and their ops) of a region, leaving it empty.
     pub fn erase_region_contents(&mut self, region: RegionId) {
         let blocks = std::mem::take(&mut self.regions[region].blocks);
-        if !self.undo.active {
+        if !self.undo.edit() {
             for &block in &blocks {
                 self.erase_block(block);
             }
@@ -1025,7 +1025,7 @@ impl Context {
             self.free_value(self.blocks[block].args[i]);
         }
         let data = self.blocks.erase(block).expect("block is live");
-        if self.undo.active {
+        if self.undo.edit() {
             self.undo.side.blocks.push(data);
             self.undo.push(UndoEntry::BlockFreed { block });
         }
@@ -1034,7 +1034,7 @@ impl Context {
     /// Frees a result or block argument's slot, logging its payload.
     fn free_value(&mut self, value: ValueId) {
         let data = self.erase_value(value).expect("value is live");
-        if self.undo.active {
+        if self.undo.edit() {
             self.undo.side.values.push(data);
             self.undo.push(UndoEntry::ValueFreed { value });
         }
@@ -1166,7 +1166,7 @@ impl Context {
     /// type-correct.
     pub fn set_value_type(&mut self, value: ValueId, ty: TypeId) {
         let old = std::mem::replace(&mut self.values[value].ty, ty);
-        if self.undo.active {
+        if self.undo.edit() {
             self.undo.push(UndoEntry::ValueTypeSet { value, old });
         }
     }
@@ -1180,7 +1180,7 @@ impl Context {
             self.blocks[block].parent = Some(to);
         }
         self.regions[to].blocks.extend_from_slice(&blocks);
-        if self.undo.active {
+        if self.undo.edit() {
             self.undo.side.block_lists.push(blocks);
             self.undo.push(UndoEntry::BlocksTransferred { from, to });
         }
@@ -2300,11 +2300,22 @@ mod tests {
         ctx.append_op(body, op);
         journal::reset();
         journal::set_enabled(true);
-        let step = journal::begin_step("transform", "t", "", vec![], 0);
+        let root = Some((RawId::of(module), ctx.op(module).name));
+        let before = ctx.edit_count();
+        let step = journal::begin_step("transform", "t", None, [], before);
         let watermark = ctx.begin_watermark(Some(module));
         ctx.erase_op(op);
+        assert!(ctx.edit_count() > before);
         ctx.rollback_watermark(watermark).unwrap();
-        journal::end_step(step, 0, 1, journal::StepOutcome::Ok, "", "", "");
+        assert_eq!(ctx.edit_count(), before, "the rollback nets the edits out");
+        journal::end_step(
+            step,
+            ctx.edit_count(),
+            1,
+            journal::StepOutcome::Ok,
+            "",
+            root,
+        );
         let recorded = journal::take();
         journal::clear_enabled_override();
         assert!(ctx.is_live(op));
@@ -2539,12 +2550,25 @@ mod tests {
             let module = ctx.create_module(Location::unknown());
             random_burst(&mut ctx, module, &mut rng, 12);
             let before = crate::print_op(&ctx, module);
+            let edits = ctx.edit_count();
+            assert!(edits > 0, "unlogged edits count too");
             let watermark = ctx.begin_watermark(Some(module));
             random_burst(&mut ctx, module, &mut rng, 40);
             kinds.extend(ctx.undo.entries().iter().map(UndoEntry::kind));
+            let logged = ctx.undo.entries().len() as u64;
+            assert_eq!(
+                ctx.edit_count() - edits,
+                logged,
+                "seed {seed}: one edit per entry"
+            );
             ctx.rollback_watermark(watermark)
                 .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
             assert_eq!(crate::print_op(&ctx, module), before, "seed {seed}");
+            assert_eq!(
+                ctx.edit_count(),
+                edits,
+                "seed {seed}: the rollback nets out"
+            );
         }
         assert_eq!(kinds.len(), UndoEntry::KINDS, "kinds logged: {kinds:?}");
     }

@@ -23,8 +23,9 @@ use crate::print::print_op;
 use crate::verify::verify;
 use std::collections::HashMap;
 use std::time::Duration;
+use td_support::journal::{self, RawId};
 use td_support::trace::{self, Instrumentation, IrView, PrintIr};
-use td_support::{journal, metrics, Diagnostic, Location};
+use td_support::{metrics, Diagnostic, Location};
 
 /// A compiler pass anchored at one operation.
 pub trait Pass {
@@ -139,11 +140,7 @@ impl PassManager {
             }
             // Provenance step frame: payload changes made by the pass
             // (through `Context::create_op`/`erase_op`) attribute to it.
-            let journal_step = if journal::enabled() {
-                journal::begin_step("pass", &name, "", Vec::new(), fingerprint_op(ctx, target))
-            } else {
-                None
-            };
+            let journal_step = journal::begin_step("pass", pass.name(), None, [], ctx.edit_count());
             let mut span = trace::span("pass", name.clone());
             let result = pass.run(ctx, target);
             if let Err(diag) = &result {
@@ -161,15 +158,9 @@ impl PassManager {
             });
             let close_step = |ctx: &Context, outcome: journal::StepOutcome, message: &str| {
                 if journal_step.is_some() {
-                    journal::end_step(
-                        journal_step,
-                        fingerprint_op(ctx, target),
-                        duration.as_nanos(),
-                        outcome,
-                        message,
-                        &format!("{target:?}"),
-                        ctx.op(target).name.as_str(),
-                    );
+                    let root = Some((RawId::of(target), ctx.op(target).name));
+                    let (edits, ns) = (ctx.edit_count(), duration.as_nanos());
+                    journal::end_step(journal_step, edits, ns, outcome, message, root);
                 }
             };
             if let Err(diag) = result {

@@ -12,6 +12,7 @@ use crate::builder::OpBuilder;
 use crate::dialect::{FoldResult, OpTraits};
 use crate::ir::{Context, OpId, ValueId};
 use std::collections::{HashMap, HashSet};
+use td_support::journal::{self, ChangeKind, RawId};
 use td_support::{metrics, trace, Diagnostic, InlineVec, Symbol};
 
 /// A structural change performed through a [`Rewriter`].
@@ -98,16 +99,11 @@ impl<'c> Rewriter<'c> {
         }
         // Record Replaced *after* erase_op so provenance queries see the
         // replacement (not the plain erasure) as the op's final change.
-        let journaled = td_support::journal::recording()
-            .then(|| (format!("{op:?}"), self.ctx.op(op).name.as_str().to_owned()));
+        let name = self.ctx.op(op).name;
         self.ctx.erase_op(op);
-        if let Some((id, name)) = journaled {
-            td_support::journal::record_change(
-                td_support::journal::ChangeKind::Replaced,
-                &id,
-                &name,
-                &format!("-> {} value(s)", new_values.len()),
-            );
+        if journal::recording() {
+            let arity = new_values.len() as u32;
+            journal::record_change(ChangeKind::Replaced, RawId::of(op), name, arity);
         }
         self.events.push(RewriteEvent::Replaced {
             old: op,

@@ -203,9 +203,9 @@ impl Mark {
 /// The undo log: the entry vector, its side stacks and the stack of open
 /// watermarks.
 ///
-/// `active` is the one-branch fast path every mutator checks (mirroring
-/// `journal::recording()`): when no watermark is open it is `false` and
-/// mutation costs nothing beyond the branch.
+/// Every mutator asks [`UndoLog::edit`] whether to log: the call counts
+/// the edit and returns `active`, which is `false` when no watermark is
+/// open, so mutation then costs an add and one branch.
 #[derive(Debug, Default)]
 pub(crate) struct UndoLog {
     entries: Vec<UndoEntry>,
@@ -218,11 +218,23 @@ pub(crate) struct UndoLog {
     next_token: u64,
     /// Whether any watermark is open — the mutators' fast-path flag.
     pub(crate) active: bool,
+    /// Net payload edits: +1 per [`UndoLog::edit`], −1 per entry a
+    /// rollback replays, so a rolled-back scope nets to zero.
+    pub(crate) edits: u64,
 }
 
 impl UndoLog {
+    /// Counts one payload edit and returns whether the log records it (a
+    /// watermark is open); a mutator that gets `true` pushes exactly one
+    /// entry.
+    #[inline]
+    pub(crate) fn edit(&mut self) -> bool {
+        self.edits += 1;
+        self.active
+    }
+
     /// Records one inverse operation, after any side data it owns.
-    /// Callers check `active` first.
+    /// Callers ask [`UndoLog::edit`] first.
     #[inline]
     pub(crate) fn push(&mut self, entry: UndoEntry) {
         self.entries.push(entry);
@@ -294,6 +306,7 @@ impl UndoLog {
     #[inline]
     pub(crate) fn pop_since(&mut self, mark: Mark) -> Option<UndoEntry> {
         if self.entries.len() > mark.pos {
+            self.edits -= 1;
             self.entries.pop()
         } else {
             None
@@ -361,6 +374,12 @@ impl UndoEntry {
 mod tests {
     use super::*;
 
+    /// Logs `entry` the way a mutator does.
+    fn record(log: &mut UndoLog, entry: UndoEntry) {
+        assert!(log.edit(), "a watermark is open");
+        log.push(entry);
+    }
+
     /// Pops everything since `mark` the way `Context::rollback_watermark`
     /// does, without applying it.
     fn rollback(log: &mut UndoLog, mark: Mark) -> Option<Vec<UndoEntry>> {
@@ -381,33 +400,49 @@ mod tests {
         assert!(!log.active);
         let outer = log.begin();
         assert!(log.active);
-        log.push(UndoEntry::OpInserted {
-            op: OpId::from_raw(0, 0),
-        });
+        record(
+            &mut log,
+            UndoEntry::OpInserted {
+                op: OpId::from_raw(0, 0),
+            },
+        );
         let inner = log.begin();
-        log.push(UndoEntry::OpInserted {
-            op: OpId::from_raw(1, 0),
-        });
+        record(
+            &mut log,
+            UndoEntry::OpInserted {
+                op: OpId::from_raw(1, 0),
+            },
+        );
         assert_eq!(log.depth(), 2);
         assert!(log.commit(inner), "inner commit keeps entries");
         assert_eq!(log.len(), 2);
         assert!(log.active);
+        assert_eq!(log.edits, 2);
         let tail = rollback(&mut log, outer).expect("outer is open");
         assert_eq!(tail.len(), 2, "outer rollback sees the inner entries");
         assert!(!log.active, "outermost close clears the log");
         assert_eq!(log.len(), 0);
+        assert_eq!(log.edits, 0, "replayed entries wind the edit count back");
+        assert!(!log.edit(), "unlogged edits still count");
+        assert_eq!(log.edits, 1);
     }
 
     #[test]
     fn rollback_drains_in_reverse() {
         let mut log = UndoLog::default();
         let mark = log.begin();
-        log.push(UndoEntry::OpInserted {
-            op: OpId::from_raw(7, 0),
-        });
-        log.push(UndoEntry::OpInserted {
-            op: OpId::from_raw(8, 0),
-        });
+        record(
+            &mut log,
+            UndoEntry::OpInserted {
+                op: OpId::from_raw(7, 0),
+            },
+        );
+        record(
+            &mut log,
+            UndoEntry::OpInserted {
+                op: OpId::from_raw(8, 0),
+            },
+        );
         let tail = rollback(&mut log, mark).unwrap();
         match (&tail[0], &tail[1]) {
             (UndoEntry::OpInserted { op: first }, UndoEntry::OpInserted { op: second }) => {
@@ -432,9 +467,12 @@ mod tests {
         let mut log = UndoLog::default();
         let outer = log.begin();
         let _inner = log.begin(); // abandoned, as a panic unwind would
-        log.push(UndoEntry::OpInserted {
-            op: OpId::from_raw(0, 0),
-        });
+        record(
+            &mut log,
+            UndoEntry::OpInserted {
+                op: OpId::from_raw(0, 0),
+            },
+        );
         let tail = rollback(&mut log, outer).expect("outer still open");
         assert_eq!(tail.len(), 1);
         assert_eq!(log.depth(), 0);
@@ -447,17 +485,23 @@ mod tests {
         let outer = log.begin();
         let inner = log.begin();
         log.side.uses.push((OpId::from_raw(3, 0), 1));
-        log.push(UndoEntry::UsesReplaced {
-            old: ValueId::from_raw(0, 0),
-            new: ValueId::from_raw(1, 0),
-            count: 1,
-        });
+        record(
+            &mut log,
+            UndoEntry::UsesReplaced {
+                old: ValueId::from_raw(0, 0),
+                new: ValueId::from_raw(1, 0),
+                count: 1,
+            },
+        );
         log.side.attrs.push(Attribute::Int(4));
-        log.push(UndoEntry::AttrSet {
-            op: OpId::from_raw(3, 0),
-            name: Symbol::new("n"),
-            replaced: true,
-        });
+        record(
+            &mut log,
+            UndoEntry::AttrSet {
+                op: OpId::from_raw(3, 0),
+                name: Symbol::new("n"),
+                replaced: true,
+            },
+        );
         assert!(log.commit(inner));
         assert_eq!(
             log.side.lens(),

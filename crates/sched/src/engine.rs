@@ -15,7 +15,7 @@
 //! same printed bytes, counters and errors as a fresh context, whichever
 //! worker parsed it (DESIGN.md "Sweep by rollback" gives the conditions).
 //! What is context-relative may differ — the ids transforms allocate, and
-//! with them the journal's `fingerprint_op` values.
+//! with them the op ids the journal's change records name.
 //!
 //! Results are reported back as `(job index, result)` pairs and placed
 //! into their slot, so the returned vector is in submission order even
@@ -456,7 +456,7 @@ impl Engine {
                 // (and, under td-serve, the service request id), so the
                 // merged batch journal stays attributable per job.
                 journal::set_job(Some(index));
-                journal::set_request(job.request.clone());
+                journal::set_request(&job.request);
                 // Fault-injection lanes are keyed by *job* index, not worker
                 // index: a fault plan fires identically no matter which
                 // worker (or how many workers) the job lands on. `set_lane`
@@ -470,17 +470,14 @@ impl Engine {
                     // remaining slot still gets filled, just with
                     // `Cancelled`.
                     metrics::counter("sched.cancelled", 1);
-                    if let Some(token) = journal::begin_step("job", "sched.cancel", "", vec![], 0) {
-                        journal::end_step(
-                            Some(token),
-                            0,
-                            0,
-                            journal::StepOutcome::Failed,
-                            "cancelled: batch failure budget exhausted",
-                            "",
-                            "",
-                        );
-                    }
+                    journal::end_step(
+                        journal::begin_step("job", "sched.cancel", None, [], 0),
+                        0,
+                        0,
+                        journal::StepOutcome::Failed,
+                        "cancelled: batch failure budget exhausted",
+                        None,
+                    );
                     Err(JobError::Cancelled)
                 } else {
                     // Only a transactional job may run on the shared
@@ -926,17 +923,14 @@ fn apply_script(
 ///
 /// [`StepOutcome::TimedOut`]: journal::StepOutcome::TimedOut
 fn expire(job: &Job, index: usize, phase: &str, message: &str) -> JobResult {
-    if let Some(token) = journal::begin_step("job", "sched.deadline", "", vec![], 0) {
-        journal::end_step(
-            Some(token),
-            0,
-            0,
-            journal::StepOutcome::TimedOut,
-            message,
-            "",
-            "",
-        );
-    }
+    journal::end_step(
+        journal::begin_step("job", "sched.deadline", None, [], 0),
+        0,
+        0,
+        journal::StepOutcome::TimedOut,
+        message,
+        None,
+    );
     let attribution = [
         ("job", index.to_string()),
         ("entry", job.entry.clone()),

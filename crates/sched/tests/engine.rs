@@ -721,7 +721,7 @@ fn the_caller_gets_its_thread_back_as_it_left_it() {
     fault::set_lane(5);
     journal::set_job(Some(41));
     journal::set_request("outer");
-    let outer_step = journal::begin_step("job", "callers.step", "", vec![], 0);
+    let outer_step = journal::begin_step("job", "callers.step", None, [], 0);
     let outer_span = trace::span("test", "outer");
 
     let engine = Engine::new(EngineConfig::standard().with_workers(1).without_cache());
@@ -741,20 +741,23 @@ fn the_caller_gets_its_thread_back_as_it_left_it() {
     assert_eq!((depth_of("inside"), depth_of("outside")), (1, 0));
     assert!(trace::enabled() && journal::enabled(), "switches untouched");
     assert!(journal::recording(), "the caller's step is still open");
-    journal::end_step(outer_step, 0, 0, journal::StepOutcome::Ok, "", "", "");
-    let after = journal::begin_step("job", "callers.next", "", vec![], 0);
-    journal::end_step(after, 0, 0, journal::StepOutcome::Ok, "", "", "");
+    journal::end_step(outer_step, 0, 0, journal::StepOutcome::Ok, "", None);
+    let after = journal::begin_step("job", "callers.next", None, [], 0);
+    journal::end_step(after, 0, 0, journal::StepOutcome::Ok, "", None);
 
     // The caller's stores hold what they held plus exactly the batch.
     let mine = journal::take();
     let own: Vec<_> = mine
         .steps()
         .iter()
-        .filter(|s| s.name.starts_with("callers."))
+        .filter(|s| s.name.as_str().starts_with("callers."))
         .collect();
     assert_eq!(own.len(), 2);
     for step in own {
-        assert_eq!((step.job, step.request.as_str()), (Some(41), "outer"));
+        assert_eq!(
+            (step.job, step.request.as_deref()),
+            (Some(41), Some("outer"))
+        );
         assert_eq!(step.outcome, journal::StepOutcome::Ok);
     }
     assert_eq!(mine.steps().len(), 2 + report.journal.steps().len());

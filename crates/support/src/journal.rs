@@ -5,11 +5,10 @@
 //! the journal closes the attribution gap the paper's debugging story
 //! (§6) asks for: every payload op created, replaced, erased, or modified
 //! is stamped with the responsible transform op — its name, location, and
-//! the handle(s) involved — plus before/after payload fingerprints. On top
-//! of the raw record the journal answers attribution queries ("which
-//! transform erased op X?"), ranks transforms for batch reports, and
-//! carries diagnostic artifacts such as the minimized repro schedules the
-//! failure bisector produces.
+//! the handle(s) involved. On top of the raw record the journal answers
+//! attribution queries ("which transform erased op X?"), ranks transforms
+//! for batch reports, and carries diagnostic artifacts such as the
+//! minimized repro schedules the failure bisector produces.
 //!
 //! Like the trace and metrics stores, the collector is thread-local and
 //! env-driven: setting `TD_JOURNAL=journal.json` enables recording, and
@@ -17,32 +16,44 @@
 //! journal is off (the default), every hook call is a single thread-local
 //! boolean read.
 //!
+//! Records hold ids ([`RawId`], [`Symbol`]), not text: printed ids such
+//! as `#12v0`, names and details are rendered only when the journal is
+//! fetched or queried by printed id. `Modified` needs no payload walk:
+//! callers pass [`begin_step`]/[`end_step`] the payload's edit count
+//! (td-ir's `Context::edit_count`, which a rollback winds back).
+//!
 //! Structure of a recording:
 //!
 //! * a [`StepRecord`] per executed transform op / pass, with location,
-//!   operand handles, before/after fingerprint, duration, and outcome;
+//!   operand handles, duration, and outcome;
 //! * a [`ChangeRecord`] per payload-op change, attributed to the step that
 //!   was executing when the change happened (steps nest: a pass run by
 //!   `transform.apply_registered_pass` attributes the changes it makes);
 //! * optional [`Artifact`]s (e.g. a minimized failing schedule).
 //!
 //! ```
-//! use td_support::journal::{self, ChangeKind};
+//! use td_support::journal::{self, ChangeKind, RawId};
+//! use td_support::{Location, Symbol};
 //! journal::reset();
 //! journal::set_enabled(true);
-//! let step = journal::begin_step("transform", "transform.loop.tile", "script.mlir:3:5",
-//!                                vec!["#7v0".into()], 101);
-//! journal::record_change(ChangeKind::Erased, "#3v0", "scf.for", "");
-//! journal::end_step(step, 202, 1_000, journal::StepOutcome::Ok, "", "#0v0", "builtin.module");
+//! let step = journal::begin_step("transform", "transform.loop.tile",
+//!                                Some(&Location::file("script.mlir", 3, 5)),
+//!                                [RawId::new(7, 0)], 101);
+//! journal::record_change(ChangeKind::Erased, RawId::new(3, 0), Symbol::new("scf.for"), 0);
+//! journal::end_step(step, 102, 1_000, journal::StepOutcome::Ok, "", None);
 //! let journal = journal::take();
 //! journal::clear_enabled_override();
 //! assert_eq!(journal.who_erased("#3v0").unwrap().name, "transform.loop.tile");
 //! ```
 
+use crate::arena::{Idx, InlineVec};
+use crate::interner::Symbol;
+use crate::location::Location;
 use crate::metrics::json_string;
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Records
@@ -57,8 +68,8 @@ pub enum ChangeKind {
     Erased,
     /// The op was replaced (its uses were rewired, then it was erased).
     Replaced,
-    /// The step changed the payload without a structural op event
-    /// (attribute edits, operand rewiring): detected by fingerprint.
+    /// The step edited the payload without a structural op event
+    /// (attribute edits, operand rewiring): detected by the edit count.
     Modified,
 }
 
@@ -74,23 +85,69 @@ impl ChangeKind {
     }
 }
 
+/// A payload entity as the journal records it: the slot and generation
+/// of its arena id, printed `#<index>v<generation>` like the id itself —
+/// stable as a map key even after erasure.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct RawId {
+    /// Arena slot.
+    pub index: u32,
+    /// Generation of the slot.
+    pub generation: u32,
+}
+
+impl RawId {
+    /// The id with these raw parts.
+    pub fn new(index: u32, generation: u32) -> RawId {
+        RawId { index, generation }
+    }
+
+    /// The raw parts of an arena id (an op, or a value for handles).
+    pub fn of<T>(id: Idx<T>) -> RawId {
+        RawId::new(id.index(), id.generation())
+    }
+
+    /// Parses a printed id (`#12v0`).
+    pub fn parse(text: &str) -> Option<RawId> {
+        let (index, generation) = text.strip_prefix('#')?.split_once('v')?;
+        Some(RawId::new(index.parse().ok()?, generation.parse().ok()?))
+    }
+}
+
+impl fmt::Display for RawId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "#{}v{}", self.index, self.generation)
+    }
+}
+
 /// One payload-op change, attributed to the step executing when it
-/// happened.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// happened. Its position in [`Journal::changes`] is its sequence number.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ChangeRecord {
-    /// Global sequence number (total order across the journal).
-    pub seq: u64,
+    /// The payload op.
+    pub op: RawId,
+    /// Payload op name (e.g. `scf.for`).
+    pub op_name: Symbol,
     /// Index of the responsible [`StepRecord`].
-    pub step: usize,
+    pub step: u32,
     /// What happened.
     pub kind: ChangeKind,
-    /// Printed payload-op id (e.g. `#12v0`) — stable as a map key even
-    /// after erasure, like the generational arena ids it comes from.
-    pub op: String,
-    /// Payload op name (e.g. `scf.for`).
-    pub op_name: String,
-    /// Extra context (replacement arity, pattern name, ...).
-    pub detail: String,
+    /// Replacement value count of a [`ChangeKind::Replaced`] record (0
+    /// otherwise).
+    pub arity: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<ChangeRecord>() <= 24);
+
+impl ChangeRecord {
+    /// The record's extra context as reports print it.
+    pub fn detail(&self) -> String {
+        match self.kind {
+            ChangeKind::Created | ChangeKind::Erased => String::new(),
+            ChangeKind::Replaced => format!("-> {} value(s)", self.arity),
+            ChangeKind::Modified => "payload edited without structural events".to_owned(),
+        }
+    }
 }
 
 /// How a step ended.
@@ -136,6 +193,9 @@ impl StepOutcome {
     }
 }
 
+/// A step's operand handles; transform ops rarely take more than two.
+pub type Handles = InlineVec<RawId, 2>;
+
 /// One executed transform op or pass.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StepRecord {
@@ -144,24 +204,21 @@ pub struct StepRecord {
     /// `"transform"` or `"pass"`.
     pub kind: &'static str,
     /// Transform-op or pass name.
-    pub name: String,
-    /// Source location of the transform op (empty for passes).
-    pub location: String,
-    /// Printed operand handles involved (e.g. `#7v0`).
-    pub handles: Vec<String>,
+    pub name: Symbol,
+    /// Source location of the transform op (`None` for passes and jobs,
+    /// printed empty).
+    pub location: Option<Location>,
+    /// Operand handles involved (value ids, printed `#7v0`).
+    pub handles: Handles,
     /// Nesting depth at begin time (a pass inside
     /// `transform.apply_registered_pass` is deeper than the transform).
     pub depth: usize,
     /// Batch job index, when running under `td-sched`.
     pub job: Option<usize>,
-    /// Service request id, when running under td-serve (empty otherwise).
-    /// Serialized only when non-empty, so journals recorded outside the
-    /// service keep their exact historical shape.
-    pub request: String,
-    /// Payload fingerprint before the step.
-    pub fp_before: u64,
-    /// Payload fingerprint after the step.
-    pub fp_after: u64,
+    /// Service request id, when running under td-serve, shared by every
+    /// step of the job. Serialized only when present, so journals
+    /// recorded outside the service keep their exact historical shape.
+    pub request: Option<Arc<str>>,
     /// Wall-clock duration in nanoseconds.
     pub duration_ns: u128,
     /// How the step ended.
@@ -170,6 +227,15 @@ pub struct StepRecord {
     pub message: String,
     /// Number of change records attributed to this step.
     pub changes: usize,
+}
+
+impl StepRecord {
+    /// The location as reports print it (empty when there is none).
+    pub fn location_text(&self) -> String {
+        self.location
+            .as_ref()
+            .map_or_else(String::new, ToString::to_string)
+    }
 }
 
 /// A diagnostic artifact attached to the journal (e.g. the minimized
@@ -210,7 +276,6 @@ pub struct Journal {
     steps: Vec<StepRecord>,
     changes: Vec<ChangeRecord>,
     artifacts: Vec<Artifact>,
-    next_seq: u64,
 }
 
 impl Journal {
@@ -239,26 +304,23 @@ impl Journal {
         self.steps.is_empty() && self.changes.is_empty() && self.artifacts.is_empty()
     }
 
-    /// Appends `other`, re-basing its step indices and sequence numbers so
-    /// cross-references stay valid. Worker pools use this (via [`absorb`])
-    /// to merge per-worker journals into one batch journal, the way worker
-    /// traces merge via `trace::adopt`.
+    /// Appends `other`, re-basing its step indices so cross-references
+    /// stay valid. Worker pools use this (via [`absorb`]) to merge
+    /// per-worker journals into one batch journal, the way worker traces
+    /// merge via `trace::adopt`.
     pub fn merge(&mut self, other: &Journal) {
         let step_base = self.steps.len();
-        let seq_base = self.next_seq;
         for step in &other.steps {
             let mut step = step.clone();
             step.index += step_base;
             self.steps.push(step);
         }
-        for change in &other.changes {
-            let mut change = change.clone();
-            change.step += step_base;
-            change.seq += seq_base;
-            self.changes.push(change);
-        }
+        self.changes
+            .extend(other.changes.iter().map(|&change| ChangeRecord {
+                step: change.step + step_base as u32,
+                ..change
+            }));
         self.artifacts.extend(other.artifacts.iter().cloned());
-        self.next_seq = seq_base + other.next_seq;
     }
 
     /// Attaches a diagnostic artifact.
@@ -277,33 +339,40 @@ impl Journal {
 
     // ----- attribution queries -------------------------------------------
 
-    /// The last change record mentioning payload op `op` (by printed id),
-    /// with its responsible step — "which transform last touched op X".
-    pub fn last_touch(&self, op: &str) -> Option<(&ChangeRecord, &StepRecord)> {
+    /// The latest change record of payload op `op` (by printed id) that
+    /// passes `accept`, with its responsible step.
+    fn latest(
+        &self,
+        op: &str,
+        accept: impl Fn(ChangeKind) -> bool,
+    ) -> Option<(&ChangeRecord, &StepRecord)> {
+        let op = RawId::parse(op)?;
         self.changes
             .iter()
             .rev()
-            .find(|c| c.op == op)
-            .map(|c| (c, &self.steps[c.step]))
+            .find(|c| c.op == op && accept(c.kind))
+            .map(|c| (c, &self.steps[c.step as usize]))
+    }
+
+    /// The last change record mentioning payload op `op` (by printed id),
+    /// with its responsible step — "which transform last touched op X".
+    pub fn last_touch(&self, op: &str) -> Option<(&ChangeRecord, &StepRecord)> {
+        self.latest(op, |_| true)
     }
 
     /// The step responsible for erasing payload op `op` (by printed id) —
     /// "which transform erased op Y". Replacement counts as erasure.
     pub fn who_erased(&self, op: &str) -> Option<&StepRecord> {
-        self.changes
-            .iter()
-            .rev()
-            .find(|c| c.op == op && matches!(c.kind, ChangeKind::Erased | ChangeKind::Replaced))
-            .map(|c| &self.steps[c.step])
+        self.latest(op, |kind| {
+            matches!(kind, ChangeKind::Erased | ChangeKind::Replaced)
+        })
+        .map(|(_, step)| step)
     }
 
     /// The step responsible for creating payload op `op` (by printed id).
     pub fn who_created(&self, op: &str) -> Option<&StepRecord> {
-        self.changes
-            .iter()
-            .rev()
-            .find(|c| c.op == op && c.kind == ChangeKind::Created)
-            .map(|c| &self.steps[c.step])
+        self.latest(op, |kind| kind == ChangeKind::Created)
+            .map(|(_, step)| step)
     }
 
     /// All erasures of payload ops with the given *op name* (e.g. every
@@ -314,7 +383,7 @@ impl Journal {
             .filter(|c| {
                 c.op_name == op_name && matches!(c.kind, ChangeKind::Erased | ChangeKind::Replaced)
             })
-            .map(|c| (c, &self.steps[c.step]))
+            .map(|c| (c, &self.steps[c.step as usize]))
             .collect()
     }
 
@@ -334,7 +403,7 @@ impl Journal {
             let row = by_name
                 .entry(step.name.as_str())
                 .or_insert_with(|| TransformSummary {
-                    name: step.name.clone(),
+                    name: step.name.as_str().to_owned(),
                     steps: 0,
                     ops_touched: 0,
                     total_ns: 0,
@@ -359,28 +428,9 @@ impl Journal {
     /// [`crate::trace::validate_json`]; all strings go through the
     /// escaping of [`json_string`].
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"steps\":[");
-        for (i, step) in self.steps.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&Self::step_json(step));
-        }
-        out.push_str("],\"changes\":[");
-        for (i, change) in self.changes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&Self::change_json(change));
-        }
-        out.push_str("],\"artifacts\":[");
-        for (i, artifact) in self.artifacts.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&Self::artifact_json(artifact));
-        }
-        out.push_str("],\"summary\":[");
+        let mut out = self.records_json(usize::MAX);
+        out.pop();
+        out.push_str(",\"summary\":[");
         for (i, row) in self.summarize().iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -399,62 +449,86 @@ impl Journal {
         out
     }
 
-    fn step_json(step: &StepRecord) -> String {
-        let mut out = format!(
+    /// The last `k` steps, changes and artifacts as one JSON object.
+    fn records_json(&self, k: usize) -> String {
+        let from = |len: usize| len.saturating_sub(k);
+        let mut out = String::from("{\"steps\":[");
+        for (i, step) in self.steps[from(self.steps.len())..].iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            Self::step_json(&mut out, step);
+        }
+        out.push_str("],\"changes\":[");
+        let first = from(self.changes.len());
+        for (i, change) in self.changes[first..].iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(
+                out,
+                "{{\"seq\":{},\"step\":{},\"kind\":{},\"op\":\"{}\",\"op_name\":{},\"detail\":{}}}",
+                first + i,
+                change.step,
+                json_string(change.kind.name()),
+                change.op,
+                json_string(change.op_name.as_str()),
+                json_string(&change.detail()),
+            );
+        }
+        out.push_str("],\"artifacts\":[");
+        for (i, artifact) in self.artifacts[from(self.artifacts.len())..]
+            .iter()
+            .enumerate()
+        {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(
+                out,
+                "{{\"kind\":{},\"label\":{},\"content\":{}}}",
+                json_string(&artifact.kind),
+                json_string(&artifact.label),
+                json_string(&artifact.content),
+            );
+        }
+        out.push_str("]}");
+        out
+    }
+
+    fn step_json(out: &mut String, step: &StepRecord) {
+        let _ = write!(
+            out,
             "{{\"index\":{},\"kind\":{},\"name\":{},\"location\":{},\"handles\":[",
             step.index,
             json_string(step.kind),
-            json_string(&step.name),
-            json_string(&step.location),
+            json_string(step.name.as_str()),
+            json_string(&step.location_text()),
         );
         for (j, handle) in step.handles.iter().enumerate() {
             if j > 0 {
                 out.push(',');
             }
-            out.push_str(&json_string(handle));
+            let _ = write!(out, "\"{handle}\"");
+        }
+        let _ = write!(out, "],\"depth\":{},\"job\":", step.depth);
+        match step.job {
+            Some(job) => {
+                let _ = write!(out, "{job}");
+            }
+            None => out.push_str("null"),
+        }
+        if let Some(request) = &step.request {
+            let _ = write!(out, ",\"request\":{}", json_string(request));
         }
         let _ = write!(
             out,
-            "],\"depth\":{},\"job\":{}",
-            step.depth,
-            step.job.map_or("null".to_owned(), |j| j.to_string()),
-        );
-        if !step.request.is_empty() {
-            let _ = write!(out, ",\"request\":{}", json_string(&step.request));
-        }
-        let _ = write!(
-            out,
-            ",\"fp_before\":{},\"fp_after\":{},\
-             \"duration_ns\":{},\"outcome\":{},\"message\":{},\"changes\":{}}}",
-            step.fp_before,
-            step.fp_after,
+            ",\"duration_ns\":{},\"outcome\":{},\"message\":{},\"changes\":{}}}",
             step.duration_ns,
             json_string(step.outcome.name()),
             json_string(&step.message),
             step.changes,
         );
-        out
-    }
-
-    fn change_json(change: &ChangeRecord) -> String {
-        format!(
-            "{{\"seq\":{},\"step\":{},\"kind\":{},\"op\":{},\"op_name\":{},\"detail\":{}}}",
-            change.seq,
-            change.step,
-            json_string(change.kind.name()),
-            json_string(&change.op),
-            json_string(&change.op_name),
-            json_string(&change.detail),
-        )
-    }
-
-    fn artifact_json(artifact: &Artifact) -> String {
-        format!(
-            "{{\"kind\":{},\"label\":{},\"content\":{}}}",
-            json_string(&artifact.kind),
-            json_string(&artifact.label),
-            json_string(&artifact.content),
-        )
     }
 
     /// Serializes only the *tail* of the journal — the last `k` steps,
@@ -463,33 +537,7 @@ impl Journal {
     /// accompanies. Field shapes match [`Journal::to_json`] exactly so
     /// tooling parses both with one schema.
     pub fn tail_json(&self, k: usize) -> String {
-        let tail = |len: usize| len.saturating_sub(k);
-        let mut out = String::from("{\"steps\":[");
-        for (i, step) in self.steps[tail(self.steps.len())..].iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&Self::step_json(step));
-        }
-        out.push_str("],\"changes\":[");
-        for (i, change) in self.changes[tail(self.changes.len())..].iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&Self::change_json(change));
-        }
-        out.push_str("],\"artifacts\":[");
-        for (i, artifact) in self.artifacts[tail(self.artifacts.len())..]
-            .iter()
-            .enumerate()
-        {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&Self::artifact_json(artifact));
-        }
-        out.push_str("]}");
-        out
+        self.records_json(k)
     }
 
     /// Renders the batch report as human-readable text: the ranked
@@ -534,8 +582,8 @@ impl Journal {
                 step.name,
                 step.changes,
                 step.duration_ns as f64 / 1e6,
-                if step.location.is_empty() { "" } else { " at " },
-                step.location,
+                if step.location.is_none() { "" } else { " at " },
+                step.location_text(),
                 indent = step.depth * 2,
             );
             if step.outcome.is_failure() && !step.message.is_empty() {
@@ -556,29 +604,20 @@ impl Journal {
 // Thread-local collector
 // ---------------------------------------------------------------------------
 
+#[derive(Default)]
 struct Collector {
     journal: Journal,
-    /// Indices of open steps (innermost last); changes attribute to the top.
-    stack: Vec<usize>,
+    /// Open steps (innermost last) with the edit count each began at;
+    /// changes attribute to the top.
+    stack: Vec<(usize, u64)>,
     /// Job index stamped onto steps begun while set.
     job: Option<usize>,
-    /// Service request id stamped onto steps begun while non-empty.
-    request: String,
-}
-
-impl Collector {
-    fn new() -> Self {
-        Collector {
-            journal: Journal::new(),
-            stack: Vec::new(),
-            job: None,
-            request: String::new(),
-        }
-    }
+    /// Service request id stamped onto steps begun while set.
+    request: Option<Arc<str>>,
 }
 
 thread_local! {
-    static COLLECTOR: RefCell<Collector> = RefCell::new(Collector::new());
+    static COLLECTOR: RefCell<Collector> = RefCell::new(Collector::default());
     /// Thread-local override of the env-derived enablement.
     static ENABLED_OVERRIDE: Cell<Option<bool>> = const { Cell::new(None) };
     /// Cached `TD_JOURNAL` presence (the lookup sits on hot paths).
@@ -623,8 +662,8 @@ pub fn clear_enabled_override() {
 
 /// Whether a change record would be accepted right now: journaling is on
 /// and a step frame is open. The IR-mutation hooks check this
-/// thread-local read before formatting any arguments, which is what keeps
-/// the journal-off cost of `Context::create_op`/`erase_op` near one branch.
+/// thread-local read first, which is what keeps the journal-off cost of
+/// `Context::create_op`/`erase_op` near one branch.
 pub fn recording() -> bool {
     RECORDING.with(Cell::get)
 }
@@ -640,7 +679,7 @@ pub fn unwind_open_steps(outcome: StepOutcome, message: &str) -> usize {
     COLLECTOR.with(|c| {
         let mut c = c.borrow_mut();
         let mut closed = 0;
-        while let Some(index) = c.stack.pop() {
+        while let Some((index, _)) = c.stack.pop() {
             if let Some(step) = c.journal.steps.get_mut(index) {
                 if step.outcome == StepOutcome::Open {
                     step.outcome = outcome;
@@ -659,14 +698,14 @@ pub fn unwind_open_steps(outcome: StepOutcome, message: &str) -> usize {
 pub struct StepToken(usize);
 
 /// Opens a step frame for a transform op or pass. Returns `None` (and
-/// records nothing) when journaling is disabled. `fp_before` is the
-/// payload fingerprint at entry.
+/// records nothing) when journaling is disabled. `edits` is the payload's
+/// edit count at entry (see [`end_step`]).
 pub fn begin_step(
     kind: &'static str,
-    name: &str,
-    location: &str,
-    handles: Vec<String>,
-    fp_before: u64,
+    name: impl Into<Symbol>,
+    location: Option<&Location>,
+    handles: impl IntoIterator<Item = RawId>,
+    edits: u64,
 ) -> Option<StepToken> {
     if !enabled() {
         return None;
@@ -674,107 +713,98 @@ pub fn begin_step(
     COLLECTOR.with(|c| {
         let mut c = c.borrow_mut();
         let index = c.journal.steps.len();
-        let depth = c.stack.len();
-        let job = c.job;
-        let request = c.request.clone();
-        c.journal.steps.push(StepRecord {
+        let record = StepRecord {
             index,
             kind,
-            name: name.to_owned(),
-            location: location.to_owned(),
-            handles,
-            depth,
-            job,
-            request,
-            fp_before,
-            fp_after: fp_before,
+            name: name.into(),
+            location: location.cloned(),
+            handles: handles.into_iter().collect(),
+            depth: c.stack.len(),
+            job: c.job,
+            request: c.request.clone(),
             duration_ns: 0,
             outcome: StepOutcome::Open,
             message: String::new(),
             changes: 0,
-        });
-        c.stack.push(index);
+        };
+        c.journal.steps.push(record);
+        c.stack.push((index, edits));
         RECORDING.with(|r| r.set(true));
         Some(StepToken(index))
     })
 }
 
-/// Closes a step frame: records the after-fingerprint, duration, and
-/// outcome. When the fingerprint changed but no structural change was
-/// attributed, a synthetic [`ChangeKind::Modified`] record for the payload
-/// root (`root`/`root_name`) is appended so in-place edits (attributes,
-/// operand rewiring) still show up in attribution queries. No-op when
-/// `token` is `None`.
+/// Closes a step frame: records the duration and outcome. When the edit
+/// count `edits` differs from the one the step began at but no structural
+/// change was attributed, a synthetic [`ChangeKind::Modified`] record for
+/// the payload root `root` (id and op name) is appended, so in-place
+/// edits (attributes, operand rewiring) still show up in attribution
+/// queries. A rollback winds the count back, so a step whose edits were
+/// rolled back inside its frame records nothing. No-op when `token` is
+/// `None`.
 pub fn end_step(
     token: Option<StepToken>,
-    fp_after: u64,
+    edits: u64,
     duration_ns: u128,
     outcome: StepOutcome,
     message: &str,
-    root: &str,
-    root_name: &str,
+    root: Option<(RawId, Symbol)>,
 ) {
     let Some(StepToken(index)) = token else {
         return;
     };
     COLLECTOR.with(|c| {
-        let mut c = c.borrow_mut();
+        let c = &mut *c.borrow_mut();
         // Pop the frame (tolerate mismatched tokens from panicking
         // handlers: pop until this frame is gone).
-        while let Some(top) = c.stack.pop() {
+        let mut began_at = None;
+        while let Some((top, edits)) = c.stack.pop() {
             if top == index {
+                began_at = Some(edits);
                 break;
             }
         }
         if c.stack.is_empty() {
             RECORDING.with(|r| r.set(false));
         }
-        let fp_changed = {
-            let Some(step) = c.journal.steps.get_mut(index) else {
-                return;
-            };
-            step.fp_after = fp_after;
-            step.duration_ns = duration_ns;
-            step.outcome = outcome;
-            step.message = message.to_owned();
-            step.fp_before != fp_after && step.changes == 0
+        let Some(step) = c.journal.steps.get_mut(index) else {
+            return;
         };
-        if fp_changed {
-            let seq = c.journal.next_seq;
-            c.journal.next_seq += 1;
+        step.duration_ns = duration_ns;
+        step.outcome = outcome;
+        step.message = message.to_owned();
+        let modified = began_at.is_some_and(|began| began != edits) && step.changes == 0;
+        if let (true, Some((op, op_name))) = (modified, root) {
+            step.changes += 1;
             c.journal.changes.push(ChangeRecord {
-                seq,
-                step: index,
+                op,
+                op_name,
+                step: index as u32,
                 kind: ChangeKind::Modified,
-                op: root.to_owned(),
-                op_name: root_name.to_owned(),
-                detail: "fingerprint changed without structural events".to_owned(),
+                arity: 0,
             });
-            c.journal.steps[index].changes += 1;
         }
     });
 }
 
-/// Records a payload change, attributed to the innermost open step.
-/// No-op (after one boolean check) unless [`recording`].
-pub fn record_change(kind: ChangeKind, op: &str, op_name: &str, detail: &str) {
+/// Records a payload change, attributed to the innermost open step
+/// (`arity` is the replacement value count of a [`ChangeKind::Replaced`]
+/// record). No-op (after one boolean check) unless [`recording`].
+pub fn record_change(kind: ChangeKind, op: RawId, op_name: Symbol, arity: u32) {
     if !recording() {
         return;
     }
     COLLECTOR.with(|c| {
         let mut c = c.borrow_mut();
-        let Some(&step) = c.stack.last() else {
+        let Some(&(step, _)) = c.stack.last() else {
             return;
         };
-        let seq = c.journal.next_seq;
-        c.journal.next_seq += 1;
         c.journal.changes.push(ChangeRecord {
-            seq,
-            step,
+            op,
+            op_name,
+            step: step as u32,
             kind,
-            op: op.to_owned(),
-            op_name: op_name.to_owned(),
-            detail: detail.to_owned(),
+            arity,
         });
         c.journal.steps[step].changes += 1;
     });
@@ -799,9 +829,11 @@ pub fn set_job(job: Option<usize>) {
 /// Stamps subsequently begun steps with a service request id (td-serve
 /// workers set this per job so journal steps — and thus batch reports and
 /// flight-bundle journal tails — correlate back to the originating
-/// `SUBMIT`). Pass an empty string to clear.
-pub fn set_request(request: impl Into<String>) {
-    COLLECTOR.with(|c| c.borrow_mut().request = request.into());
+/// `SUBMIT`). The steps share one copy of it. Pass an empty string to
+/// clear.
+pub fn set_request(request: &str) {
+    let request = (!request.is_empty()).then(|| Arc::from(request));
+    COLLECTOR.with(|c| c.borrow_mut().request = request);
 }
 
 /// A copy of this thread's journal.
@@ -822,7 +854,7 @@ pub fn take() -> Journal {
 
 /// Clears this thread's journal and any open frames.
 pub fn reset() {
-    COLLECTOR.with(|c| *c.borrow_mut() = Collector::new());
+    COLLECTOR.with(|c| *c.borrow_mut() = Collector::default());
     RECORDING.with(|r| r.set(false));
 }
 
@@ -840,7 +872,7 @@ pub struct Lent(Collector);
 /// thread about to run work that journals as if on a thread of its own.
 pub fn lend() -> Lent {
     RECORDING.with(|r| r.set(false));
-    Lent(COLLECTOR.with(|c| c.replace(Collector::new())))
+    Lent(COLLECTOR.with(|c| c.replace(Collector::default())))
 }
 
 /// Puts a lent collector back as [`lend`] found it and returns the journal
@@ -892,15 +924,37 @@ mod tests {
         (result, journal)
     }
 
+    fn id(index: u32) -> RawId {
+        RawId::new(index, 0)
+    }
+
+    fn sym(name: &str) -> Symbol {
+        Symbol::new(name)
+    }
+
+    fn module() -> Option<(RawId, Symbol)> {
+        Some((id(0), sym("builtin.module")))
+    }
+
     #[test]
     fn disabled_journal_records_nothing() {
         reset();
         set_enabled(false);
-        assert!(begin_step("transform", "t", "", vec![], 1).is_none());
-        record_change(ChangeKind::Created, "#1v0", "test.op", "");
+        assert!(begin_step("transform", "t", None, [], 1).is_none());
+        record_change(ChangeKind::Created, id(1), sym("test.op"), 0);
         assert!(!recording());
         assert!(snapshot().is_empty());
         clear_enabled_override();
+    }
+
+    #[test]
+    fn raw_ids_print_and_parse_like_arena_ids() {
+        let op = RawId::of(Idx::<()>::from_raw(12, 3));
+        assert_eq!(op.to_string(), format!("{:?}", Idx::<()>::from_raw(12, 3)));
+        assert_eq!(RawId::parse("#12v3"), Some(op));
+        for bad in ["", "12v3", "#12", "#v3", "#12v", "#-1v0", "#1v0x"] {
+            assert_eq!(RawId::parse(bad), None, "{bad:?}");
+        }
     }
 
     #[test]
@@ -909,15 +963,15 @@ mod tests {
             let outer = begin_step(
                 "transform",
                 "transform.apply_registered_pass",
-                "s:1:1",
-                vec!["#9v0".into()],
+                Some(&Location::file("s", 1, 1)),
+                [id(9)],
                 10,
             );
-            record_change(ChangeKind::Created, "#1v0", "arith.constant", "");
-            let inner = begin_step("pass", "canonicalize", "", vec![], 11);
-            record_change(ChangeKind::Erased, "#1v0", "arith.constant", "");
-            end_step(inner, 12, 5, StepOutcome::Ok, "", "#0v0", "builtin.module");
-            end_step(outer, 12, 9, StepOutcome::Ok, "", "#0v0", "builtin.module");
+            record_change(ChangeKind::Created, id(1), sym("arith.constant"), 0);
+            let inner = begin_step("pass", "canonicalize", None, [], 11);
+            record_change(ChangeKind::Erased, id(1), sym("arith.constant"), 0);
+            end_step(inner, 12, 5, StepOutcome::Ok, "", module());
+            end_step(outer, 12, 9, StepOutcome::Ok, "", module());
         });
         assert_eq!(journal.steps().len(), 2);
         assert_eq!(journal.steps()[1].depth, 1);
@@ -931,48 +985,53 @@ mod tests {
         let (last, step) = journal.last_touch("#1v0").unwrap();
         assert_eq!(last.kind, ChangeKind::Erased);
         assert_eq!(step.name, "canonicalize");
+        assert!(journal.who_created("not an id").is_none());
     }
 
     #[test]
-    fn fingerprint_only_steps_synthesize_modified_record() {
+    fn edit_only_steps_synthesize_modified_record() {
         let ((), journal) = with_journal(|| {
             let step = begin_step(
                 "transform",
                 "transform.annotate",
-                "s:2:3",
-                vec!["#4v0".into()],
+                Some(&Location::file("s", 2, 3)),
+                [id(4)],
                 100,
             );
-            end_step(step, 200, 7, StepOutcome::Ok, "", "#0v0", "builtin.module");
-            // Unchanged fingerprint: no synthetic record.
-            let quiet = begin_step("transform", "transform.match_op", "s:3:3", vec![], 200);
-            end_step(quiet, 200, 3, StepOutcome::Ok, "", "#0v0", "builtin.module");
+            end_step(step, 101, 7, StepOutcome::Ok, "", module());
+            // Unchanged edit count: no synthetic record.
+            let quiet = begin_step("transform", "transform.match_op", None, [], 101);
+            end_step(quiet, 101, 3, StepOutcome::Ok, "", module());
+            // A count wound back by a rollback still moved.
+            let undone = begin_step("txn", "interp.rollback", None, [], 101);
+            end_step(undone, 96, 3, StepOutcome::RolledBack, "", module());
         });
-        assert_eq!(journal.changes().len(), 1);
+        assert_eq!(journal.changes().len(), 2);
         assert_eq!(journal.changes()[0].kind, ChangeKind::Modified);
         assert_eq!(journal.changes()[0].op_name, "builtin.module");
         assert_eq!(journal.steps()[0].changes, 1);
         assert_eq!(journal.steps()[1].changes, 0);
+        assert_eq!(journal.changes()[1].step, 2);
     }
 
     #[test]
-    fn merge_rebases_indices_and_sequences() {
+    fn merge_rebases_step_indices() {
         let ((), a) = with_journal(|| {
-            let s = begin_step("transform", "a", "", vec![], 1);
-            record_change(ChangeKind::Created, "#1v0", "x", "");
-            end_step(s, 2, 1, StepOutcome::Ok, "", "", "");
+            let s = begin_step("transform", "a", None, [], 1);
+            record_change(ChangeKind::Created, id(1), sym("x"), 0);
+            end_step(s, 2, 1, StepOutcome::Ok, "", None);
         });
         let ((), b) = with_journal(|| {
-            let s = begin_step("transform", "b", "", vec![], 1);
-            record_change(ChangeKind::Erased, "#2v0", "y", "");
-            end_step(s, 3, 1, StepOutcome::Failed, "boom", "", "");
+            let s = begin_step("transform", "b", None, [], 1);
+            record_change(ChangeKind::Erased, id(2), sym("y"), 0);
+            end_step(s, 3, 1, StepOutcome::Failed, "boom", None);
         });
         let mut merged = a.clone();
         merged.merge(&b);
         assert_eq!(merged.steps().len(), 2);
         assert_eq!(merged.changes().len(), 2);
         assert_eq!(merged.changes()[1].step, 1, "rebased step reference");
-        assert!(merged.changes()[1].seq > merged.changes()[0].seq);
+        assert!(merged.to_json().contains("{\"seq\":1,\"step\":1,"));
         assert_eq!(merged.who_erased("#2v0").unwrap().name, "b");
         assert_eq!(merged.first_failure().unwrap().name, "b");
     }
@@ -981,13 +1040,13 @@ mod tests {
     fn summary_ranks_by_ops_touched() {
         let ((), journal) = with_journal(|| {
             for _ in 0..2 {
-                let s = begin_step("transform", "busy", "", vec![], 1);
-                record_change(ChangeKind::Created, "#1v0", "x", "");
-                record_change(ChangeKind::Created, "#2v0", "x", "");
-                end_step(s, 2, 10, StepOutcome::Ok, "", "", "");
+                let s = begin_step("transform", "busy", None, [], 1);
+                record_change(ChangeKind::Created, id(1), sym("x"), 0);
+                record_change(ChangeKind::Created, id(2), sym("x"), 0);
+                end_step(s, 2, 10, StepOutcome::Ok, "", None);
             }
-            let s = begin_step("transform", "quiet", "", vec![], 2);
-            end_step(s, 2, 100, StepOutcome::Failed, "nope", "", "");
+            let s = begin_step("transform", "quiet", None, [], 2);
+            end_step(s, 2, 100, StepOutcome::Failed, "nope", None);
         });
         let summary = journal.summarize();
         assert_eq!(summary.len(), 2);
@@ -1004,19 +1063,18 @@ mod tests {
             let s = begin_step(
                 "transform",
                 "name\"with\nweird\u{1}chars",
-                "loc:1:1",
-                vec!["#1v0".into()],
+                Some(&Location::file("loc", 1, 1)),
+                [id(1)],
                 5,
             );
-            record_change(ChangeKind::Replaced, "#2v0", "scf.for", "-> 2 values");
+            record_change(ChangeKind::Replaced, id(2), sym("scf.for"), 2);
             end_step(
                 s,
                 6,
                 42,
                 StepOutcome::FailedSilenceable,
                 "msg\twith\ttabs",
-                "",
-                "",
+                None,
             );
         });
         journal.add_artifact("bisect", "job0", "module {\n}\n");
@@ -1025,9 +1083,34 @@ mod tests {
         assert!(json.contains("\"failed-silenceable\""));
         assert!(json.contains("\"summary\""));
         assert!(json.contains("\\u0001"));
+        assert!(json.contains(
+            "\"changes\":[{\"seq\":0,\"step\":0,\"kind\":\"replaced\",\"op\":\"#2v0\",\
+             \"op_name\":\"scf.for\",\"detail\":\"-> 2 value(s)\"}]"
+        ));
+        assert!(json.contains("\"location\":\"loc:1:1\",\"handles\":[\"#1v0\"],\"depth\":0"));
         let text = journal.report_text();
         assert!(text.contains("artifact [bisect] job0"));
-        assert!(text.contains("scf.for") || text.contains("1 change"));
+        assert!(text.contains("(1 change(s), 0.000ms) at loc:1:1"));
+    }
+
+    #[test]
+    fn tail_json_keeps_the_last_records_with_their_sequence_numbers() {
+        let ((), journal) = with_journal(|| {
+            for name in ["a", "b", "c"] {
+                let s = begin_step("pass", name, None, [], 0);
+                record_change(ChangeKind::Created, id(1), sym(name), 0);
+                end_step(s, 1, 1, StepOutcome::Ok, "", None);
+            }
+        });
+        let tail = journal.tail_json(2);
+        validate_json(&tail).expect("tail JSON is well-formed");
+        assert!(!tail.contains("\"name\":\"a\""));
+        assert!(tail.contains("{\"seq\":1,\"step\":1,"));
+        assert!(tail.contains("\"location\":\"\""));
+        assert_eq!(
+            journal.tail_json(0),
+            "{\"steps\":[],\"changes\":[],\"artifacts\":[]}"
+        );
     }
 
     #[test]
@@ -1048,8 +1131,8 @@ mod tests {
     #[test]
     fn unwind_closes_open_frames_with_outcome() {
         let ((), journal) = with_journal(|| {
-            let _outer = begin_step("transform", "outer", "", vec![], 1);
-            let _inner = begin_step("transform", "inner", "", vec![], 2);
+            let _outer = begin_step("transform", "outer", None, [], 1);
+            let _inner = begin_step("transform", "inner", None, [], 2);
             let closed = unwind_open_steps(StepOutcome::Failed, "panicked: boom");
             assert_eq!(closed, 2);
             assert!(!recording());
@@ -1068,38 +1151,53 @@ mod tests {
         assert_eq!(StepOutcome::RolledBack.name(), "rolled-back");
         assert_eq!(StepOutcome::TimedOut.name(), "timed-out");
         let ((), journal) = with_journal(|| {
-            let s = begin_step("transform", "t", "", vec![], 1);
-            end_step(s, 1, 1, StepOutcome::RolledBack, "rolled back", "", "");
+            let s = begin_step("transform", "t", None, [], 1);
+            end_step(s, 1, 1, StepOutcome::RolledBack, "rolled back", None);
         });
         assert_eq!(journal.first_failure().unwrap().name, "t");
         assert!(journal.to_json().contains("\"rolled-back\""));
     }
 
     #[test]
-    fn job_stamp_lands_on_steps() {
+    fn job_and_request_stamps_land_on_steps() {
         let ((), journal) = with_journal(|| {
             set_job(Some(3));
-            let s = begin_step("transform", "t", "", vec![], 1);
-            end_step(s, 1, 1, StepOutcome::Ok, "", "", "");
+            set_request("ci/run-1");
+            for _ in 0..2 {
+                let s = begin_step("transform", "t", None, [], 1);
+                end_step(s, 1, 1, StepOutcome::Ok, "", None);
+            }
             set_job(None);
+            set_request("");
+            let s = begin_step("transform", "t", None, [], 1);
+            end_step(s, 1, 1, StepOutcome::Ok, "", None);
         });
-        assert_eq!(journal.steps()[0].job, Some(3));
+        let [first, second, third] = journal.steps() else {
+            panic!("three steps: {:?}", journal.steps());
+        };
+        assert_eq!(first.job, Some(3));
+        assert_eq!(first.request.as_deref(), Some("ci/run-1"));
+        let (a, b) = (first.request.as_ref(), second.request.as_ref());
+        assert!(Arc::ptr_eq(a.unwrap(), b.unwrap()), "one shared copy");
+        assert_eq!((third.job, third.request.as_deref()), (None, None));
+        let json = journal.to_json();
+        assert_eq!(json.matches("\"request\":\"ci/run-1\"").count(), 2);
     }
 
     #[test]
     fn a_lent_collector_comes_back_with_its_open_frame_and_stamps() {
         let ((), journal) = with_journal(|| {
             set_job(Some(3));
-            let outer = begin_step("transform", "outer", "", vec![], 1);
+            let outer = begin_step("transform", "outer", None, [], 1);
             let lent = lend();
             assert!(!recording(), "the stand-in starts with no frame open");
-            let inner = begin_step("transform", "inner", "", vec![], 1);
-            end_step(inner, 1, 1, StepOutcome::Ok, "", "", "");
+            let inner = begin_step("transform", "inner", None, [], 1);
+            end_step(inner, 1, 1, StepOutcome::Ok, "", None);
             let meanwhile = reclaim(lent);
             assert_eq!(meanwhile.steps().len(), 1);
             assert_eq!(meanwhile.steps()[0].job, None, "stamps are lent too");
             assert!(recording(), "the open frame is back");
-            end_step(outer, 1, 1, StepOutcome::Ok, "", "", "");
+            end_step(outer, 1, 1, StepOutcome::Ok, "", None);
         });
         let [outer] = journal.steps() else {
             panic!("only the caller's own step: {:?}", journal.steps());

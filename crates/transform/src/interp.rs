@@ -16,8 +16,9 @@ use crate::state::TransformState;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use td_ir::{BlockId, Context, OpId, PassRegistry, ValueId, Watermark};
 use td_support::diag::{self, Remark};
+use td_support::journal::{self, RawId};
 use td_support::trace::{self, Instrumentation, IrView, PrintIr};
-use td_support::{fault, flight, journal, metrics, profile, Diagnostic, Location};
+use td_support::{fault, flight, metrics, profile, Diagnostic, Location};
 
 /// Whether the interpreter wraps top-level steps in payload transactions
 /// (undo-log watermark before, roll back on failure).
@@ -470,7 +471,10 @@ impl<'e> Interpreter<'e> {
                         .iter()
                         .map(|v| format!("{v:?}"))
                         .collect();
-                    let fingerprint = self.payload_fingerprint(ctx);
+                    let fingerprint = self
+                        .payload_root
+                        .filter(|&root| ctx.is_live(root))
+                        .map_or(0, |root| td_ir::fingerprint_op(ctx, root));
                     let attribution = [
                         ("name", step_name),
                         ("handles", handles.join(",")),
@@ -596,7 +600,7 @@ impl<'e> Interpreter<'e> {
         location: &Location,
         why: &str,
     ) -> TransformResult {
-        let fp_dirty = self.payload_fingerprint(ctx);
+        let dirty_edits = ctx.edit_count();
         let undo_entries = ctx.undo_entries_since(&watermark);
         let undo_depth = ctx.undo_depth();
         let started = std::time::Instant::now();
@@ -616,17 +620,7 @@ impl<'e> Interpreter<'e> {
                 ("undo_depth", undo_depth.to_string()),
             ],
         );
-        let token = if journal::enabled() {
-            journal::begin_step(
-                "txn",
-                "interp.rollback",
-                &location.to_string(),
-                vec![],
-                fp_dirty,
-            )
-        } else {
-            None
-        };
+        let token = journal::begin_step("txn", "interp.rollback", Some(location), [], dirty_edits);
         self.close_journal_step(
             ctx,
             token,
@@ -750,23 +744,13 @@ impl<'e> Interpreter<'e> {
 
         // Provenance step frame: payload ops created/erased while the
         // handler runs attribute to this transform in the journal.
-        let journal_step = if journal::enabled() {
-            let handles: Vec<String> = ctx
-                .op(op)
-                .operands()
-                .iter()
-                .map(|v| format!("{v:?}"))
-                .collect();
-            journal::begin_step(
-                "transform",
-                name.as_str(),
-                &location.to_string(),
-                handles,
-                self.payload_fingerprint(ctx),
-            )
-        } else {
-            None
-        };
+        let journal_step = journal::begin_step(
+            "transform",
+            name,
+            Some(&location),
+            ctx.op(op).operands().iter().map(|&v| RawId::of(v)),
+            ctx.edit_count(),
+        );
 
         // Nested transaction scope: inside an open transaction (a
         // top-level step, an `alternatives` branch), every step — however
@@ -903,16 +887,9 @@ impl<'e> Interpreter<'e> {
         }
     }
 
-    /// Fingerprint of the payload root for journal step frames (0 when the
-    /// root is gone or no apply is in flight).
-    fn payload_fingerprint(&self, ctx: &Context) -> u64 {
-        self.payload_root
-            .filter(|&root| ctx.is_live(root))
-            .map_or(0, |root| td_ir::fingerprint_op(ctx, root))
-    }
-
-    /// Closes a journal step frame with the after-fingerprint of the
-    /// payload root (no-op when `token` is `None`).
+    /// Closes a journal step frame at the payload's current edit count,
+    /// naming the payload root for a `Modified` record (no-op when `token`
+    /// is `None`).
     fn close_journal_step(
         &self,
         ctx: &Context,
@@ -924,19 +901,12 @@ impl<'e> Interpreter<'e> {
         if token.is_none() {
             return;
         }
-        let (root_id, root_name) = match self.payload_root.filter(|&root| ctx.is_live(root)) {
-            Some(root) => (format!("{root:?}"), ctx.op(root).name.as_str().to_owned()),
-            None => (String::new(), String::new()),
-        };
-        journal::end_step(
-            token,
-            self.payload_fingerprint(ctx),
-            duration_ns,
-            outcome,
-            message,
-            &root_id,
-            &root_name,
-        );
+        let root = self
+            .payload_root
+            .filter(|&root| ctx.is_live(root))
+            .map(|root| (RawId::of(root), ctx.op(root).name));
+        let edits = ctx.edit_count();
+        journal::end_step(token, edits, duration_ns, outcome, message, root);
     }
 
     /// The payload scope a transform affects, for dynamic condition

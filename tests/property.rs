@@ -934,16 +934,18 @@ fn observability_json_survives_hostile_names() {
             journal::reset();
             journal::set_enabled(true);
             for name in &names {
-                let step = journal::begin_step("transform", name, name, vec![name.clone()], 1);
-                journal::record_change(journal::ChangeKind::Created, name, name, name);
+                let symbol = td_support::Symbol::new(name);
+                let location = td_support::Location::name(name);
+                let step = journal::begin_step("transform", symbol, Some(&location), [], 1);
+                let op = journal::RawId::new(1, 0);
+                journal::record_change(journal::ChangeKind::Created, op, symbol, 0);
                 journal::end_step(
                     step,
                     2,
                     5,
                     journal::StepOutcome::FailedSilenceable,
                     name,
-                    name,
-                    name,
+                    Some((op, symbol)),
                 );
                 journal::add_artifact("bisect", name, name);
             }
