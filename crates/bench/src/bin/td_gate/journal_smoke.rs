@@ -1,5 +1,5 @@
-//! CI smoke check for the provenance journal: exercises all three layers
-//! the journal promises —
+//! CI smoke check for the provenance journal: exercises the three layers
+//! the journal promises, then what it costs —
 //!
 //! 1. **attribution**: a tiled-matmul schedule runs with journaling on and
 //!    the journal answers "which transform erased the original loop?";
@@ -8,7 +8,11 @@
 //! 3. **batch reports**: a 4-worker `td-sched` batch (with one failing
 //!    job) merges per-worker journals into one report whose JSON passes
 //!    the std-only validator; the failed job comes back with the report
-//!    and `Engine::bisect` produces its repro on demand.
+//!    and `Engine::bisect` produces its repro on demand;
+//! 4. **cost**: journal-on against journal-off apply of the TOSA pipeline
+//!    script, in `gate::paired` rounds, on `tosa_small`-sized payloads of
+//!    the three model kinds and on GPT-2. Every row is reported; the
+//!    decoder's median round must stay at or under 1.25x.
 //!
 //! ```text
 //! TD_JOURNAL=target/journal_smoke.json cargo run -p td-bench --bin td_gate -- journal_smoke
@@ -16,7 +20,9 @@
 //!
 //! Without `TD_JOURNAL` everything is validated in memory.
 
+use std::time::Instant;
 use td_bench::gate;
+use td_modelgen::{ModelKind, ModelSpec};
 use td_sched::{Engine, EngineConfig, Job};
 use td_support::{journal, trace};
 use td_transform::{InterpEnv, Interpreter};
@@ -160,5 +166,76 @@ pub fn run() {
         }
         None => println!("TD_JOURNAL not set; validated in memory only"),
     }
+
+    // ----- 4. what journaling costs --------------------------------------
+    journal_cost();
     println!("journal smoke OK");
+}
+
+/// Act 4: the TOSA pipeline script applied with the journal on (side 1)
+/// and off (side 0), parse and teardown untimed, in 15 rounds each.
+fn journal_cost() {
+    let small = |kind| ModelSpec {
+        name: "tosa_small",
+        kind,
+        target_ops: 128,
+        hidden: 8,
+    };
+    let gpt2 = td_modelgen::paper_models()
+        .into_iter()
+        .find(|spec| spec.name == "GPT-2")
+        .expect("GPT-2 is a Table 1 model");
+    // (label, payload, applies per side of a round): rounds of ~10 ms.
+    let payloads = [
+        ("tosa_small decoder", small(ModelKind::TransformerDecoder), 8),
+        ("tosa_small cnn", small(ModelKind::Cnn), 6),
+        ("tosa_small encoder", small(ModelKind::TransformerEncoder), 8),
+        ("GPT-2", gpt2, 1),
+    ];
+    let registry = td_bench::full_pass_registry();
+    let mut env = InterpEnv::standard();
+    env.passes = Some(&registry);
+    let script = {
+        let mut ctx = td_bench::full_context();
+        let script = td_transform::pipeline_to_script(&mut ctx, td_dialects::passes::TOSA_PIPELINE)
+            .expect("the pipeline is not empty");
+        td_ir::print_op(&ctx, script)
+    };
+    let mut gated = None;
+    for (label, spec, applies) in payloads {
+        let payload = {
+            let mut ctx = td_bench::full_context();
+            let module = td_modelgen::build_model(&mut ctx, &spec);
+            td_ir::print_op(&ctx, module)
+        };
+        let mut records = 0;
+        let run = gate::paired(2, 15, applies, |on, _| {
+            let (mut ctx, entry, module) =
+                td_bench::parse_schedule(&payload, &script, td_transform::TRANSFORM_MAIN);
+            journal::reset();
+            journal::set_enabled(on == 1);
+            let started = Instant::now();
+            Interpreter::new(&env)
+                .apply_reentrant(&mut ctx, entry, module)
+                .expect("the pipeline applies");
+            let elapsed = started.elapsed();
+            records = records.max(journal::take().changes().len());
+            elapsed
+        });
+        let spread = run.ratio(1, 0);
+        let median = &run.rounds[spread.median_round];
+        println!(
+            "journal cost: {label}: {records} change records; median round off {:.3}ms, on {:.3}ms per apply, {spread}",
+            median[0].as_secs_f64() * 1e3 / applies as f64,
+            median[1].as_secs_f64() * 1e3 / applies as f64,
+        );
+        gated.get_or_insert(spread.median);
+    }
+    journal::set_enabled(true);
+    let ratio = gated.expect("at least one payload");
+    assert!(
+        ratio <= 1.25,
+        "journaling costs {ratio:.3}x the apply in the decoder's median round, over the 1.25x bound"
+    );
+    println!("journal cost OK: decoder median round {ratio:.3}x (bound 1.25x)");
 }

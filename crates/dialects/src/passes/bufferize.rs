@@ -7,6 +7,7 @@
 //! (uses are redirected to the destination operand), and the remaining
 //! `tensor` plumbing ops become explicit `linalg.copy`-style ops.
 
+use std::collections::HashMap;
 use td_ir::{Attribute, Context, OpId, OperandList, Pass, TypeId, TypeKind, ValueId};
 use td_support::{Diagnostic, InlineVec, Symbol};
 
@@ -22,12 +23,13 @@ impl Pass for LinalgBufferizePass {
     fn run(&self, ctx: &mut Context, target: OpId) -> Result<(), Diagnostic> {
         // 1. Flip every tensor-typed value (results and block args) to the
         //    equivalent memref type.
+        let mut types = MemrefTypes::default();
         let all_ops = ctx.walk_nested(target);
         for &op in &all_ops {
             for index in 0..ctx.op(op).results().len() {
                 let value = ctx.op(op).results()[index];
                 let ty = ctx.value_type(value);
-                if let Some(new_ty) = tensor_to_memref(ctx, ty) {
+                if let Some(new_ty) = types.tensor_to_memref(ctx, ty) {
                     ctx.set_value_type(value, new_ty);
                 }
             }
@@ -38,14 +40,14 @@ impl Pass for LinalgBufferizePass {
                     for arg in 0..ctx.block(block).args().len() {
                         let arg = ctx.block(block).args()[arg];
                         let ty = ctx.value_type(arg);
-                        if let Some(new_ty) = tensor_to_memref(ctx, ty) {
+                        if let Some(new_ty) = types.tensor_to_memref(ctx, ty) {
                             ctx.set_value_type(arg, new_ty);
                         }
                     }
                 }
             }
             // Function types in attributes.
-            let types: Vec<(Symbol, TypeId)> = ctx
+            let attr_types: Vec<(Symbol, TypeId)> = ctx
                 .op(op)
                 .attributes()
                 .iter()
@@ -54,8 +56,8 @@ impl Pass for LinalgBufferizePass {
                     _ => None,
                 })
                 .collect();
-            for (key, ty) in types {
-                if let Some(new_ty) = convert_type_deep(ctx, ty) {
+            for (key, ty) in attr_types {
+                if let Some(new_ty) = types.convert_deep(ctx, ty) {
                     ctx.set_attr(op, key, Attribute::Type(new_ty));
                 }
             }
@@ -98,41 +100,55 @@ impl Pass for LinalgBufferizePass {
     }
 }
 
-/// `tensor<AxBxT>` → `memref<AxBxT>`; `None` when not a tensor.
-fn tensor_to_memref(ctx: &mut Context, ty: TypeId) -> Option<TypeId> {
-    let TypeKind::Tensor { shape, element } = ctx.type_kind(ty).clone() else {
-        return None;
-    };
-    Some(ctx.intern_type(TypeKind::MemRef {
-        shape,
-        element,
-        offset: td_ir::Extent::Static(0),
-        strides: vec![],
-    }))
+/// The type conversions of one pass run, each type converted (and its
+/// memref interned) once, however many values and attributes carry it.
+#[derive(Default)]
+struct MemrefTypes {
+    /// Value types: tensor → memref, `None` for every other type.
+    values: HashMap<TypeId, Option<TypeId>>,
+    /// Function types, with the tensors inside them converted.
+    functions: HashMap<TypeId, Option<TypeId>>,
 }
 
-/// Converts tensors inside function types as well.
-fn convert_type_deep(ctx: &mut Context, ty: TypeId) -> Option<TypeId> {
-    match ctx.type_kind(ty).clone() {
-        TypeKind::Tensor { .. } => tensor_to_memref(ctx, ty),
-        TypeKind::Function { inputs, results } => {
-            let mut changed = false;
-            let map = |ctx: &mut Context, list: Vec<TypeId>, changed: &mut bool| {
-                list.into_iter()
-                    .map(|t| match convert_type_deep(ctx, t) {
-                        Some(new) => {
-                            *changed = true;
-                            new
-                        }
-                        None => t,
-                    })
-                    .collect::<Vec<_>>()
-            };
-            let inputs = map(ctx, inputs, &mut changed);
-            let results = map(ctx, results, &mut changed);
-            changed.then(|| ctx.intern_type(TypeKind::Function { inputs, results }))
+impl MemrefTypes {
+    /// `tensor<AxBxT>` → `memref<AxBxT>`; `None` when not a tensor.
+    fn tensor_to_memref(&mut self, ctx: &mut Context, ty: TypeId) -> Option<TypeId> {
+        if let Some(&known) = self.values.get(&ty) {
+            return known;
         }
-        _ => None,
+        let memref = match ctx.type_kind(ty) {
+            TypeKind::Tensor { shape, element } => Some(TypeKind::MemRef {
+                shape: shape.clone(),
+                element: *element,
+                offset: td_ir::Extent::Static(0),
+                strides: vec![],
+            }),
+            _ => None,
+        }
+        .map(|kind| ctx.intern_type(kind));
+        self.values.insert(ty, memref);
+        memref
+    }
+
+    /// Converts tensors inside function types as well.
+    fn convert_deep(&mut self, ctx: &mut Context, ty: TypeId) -> Option<TypeId> {
+        let TypeKind::Function { inputs, results } = ctx.type_kind(ty) else {
+            return self.tensor_to_memref(ctx, ty);
+        };
+        if let Some(&known) = self.functions.get(&ty) {
+            return known;
+        }
+        let (mut inputs, mut results) = (inputs.clone(), results.clone());
+        let mut changed = false;
+        for t in inputs.iter_mut().chain(results.iter_mut()) {
+            if let Some(new) = self.convert_deep(ctx, *t) {
+                *t = new;
+                changed = true;
+            }
+        }
+        let converted = changed.then(|| ctx.intern_type(TypeKind::Function { inputs, results }));
+        self.functions.insert(ty, converted);
+        converted
     }
 }
 

@@ -12,6 +12,7 @@ use crate::builder::OpBuilder;
 use crate::dialect::{FoldResult, OpTraits};
 use crate::ir::{Context, OpId, ValueId};
 use std::collections::{HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 use td_support::journal::{self, ChangeKind, RawId};
 use td_support::{metrics, trace, Diagnostic, InlineVec, Symbol};
 
@@ -386,17 +387,23 @@ pub fn run_dce(ctx: &mut Context, root: OpId) -> usize {
 /// attributes, and result types, and are in the same block (a conservative
 /// scope that needs no dominance reasoning). Returns the number of erased
 /// ops.
+///
+/// The key holds a content hash of the attributes, not a copy: ops whose
+/// keys match compare their attribute lists in place, so a lookup
+/// allocates nothing.
 pub fn run_cse(ctx: &mut Context, root: OpId) -> usize {
     #[derive(PartialEq, Eq, Hash)]
     struct Key {
         block: crate::ir::BlockId,
         name: Symbol,
         operands: InlineVec<ValueId, 4>,
-        attrs: Vec<(Symbol, crate::attrs::Attribute)>,
+        attrs: u64,
         result_types: InlineVec<crate::types::TypeId, 1>,
     }
     let mut erased = 0;
-    let mut seen: HashMap<Key, OpId> = HashMap::new();
+    // Ops whose keys match but whose attributes differ (a hash collision)
+    // share an entry.
+    let mut seen: HashMap<Key, InlineVec<OpId, 1>> = HashMap::new();
     let ops = ctx.walk_nested(root);
     for op in ops {
         if !ctx.is_live(op) || !ctx.has_trait(op, OpTraits::PURE) {
@@ -412,7 +419,11 @@ pub fn run_cse(ctx: &mut Context, root: OpId) -> usize {
             block,
             name: ctx.op(op).name,
             operands: InlineVec::from_slice(ctx.op(op).operands()),
-            attrs: ctx.op(op).attributes().to_vec(),
+            attrs: {
+                let mut hasher = std::collections::hash_map::DefaultHasher::new();
+                ctx.op(op).attributes().hash(&mut hasher);
+                hasher.finish()
+            },
             result_types: ctx
                 .op(op)
                 .results()
@@ -420,8 +431,14 @@ pub fn run_cse(ctx: &mut Context, root: OpId) -> usize {
                 .map(|&r| ctx.value_type(r))
                 .collect(),
         };
-        match seen.get(&key) {
-            Some(&canonical) => {
+        let candidates = seen.entry(key).or_default();
+        let attrs = ctx.op(op).attributes();
+        match candidates
+            .iter()
+            .copied()
+            .find(|&c| ctx.op(c).attributes() == attrs)
+        {
+            Some(canonical) => {
                 for index in 0..ctx.op(op).results().len() {
                     let (old, new) = (
                         ctx.op(op).results()[index],
@@ -432,9 +449,7 @@ pub fn run_cse(ctx: &mut Context, root: OpId) -> usize {
                 ctx.erase_op(op);
                 erased += 1;
             }
-            None => {
-                seen.insert(key, op);
-            }
+            None => candidates.push(op),
         }
     }
     metrics::counter("rewrite.cse_erased", erased as u64);
@@ -595,6 +610,35 @@ mod tests {
         let ops = ctx.op(use_op).operands();
         assert_eq!(ops[0], ops[1], "identical constants merged");
         assert_ne!(ops[0], ops[2]);
+    }
+
+    #[test]
+    fn cse_merges_equal_attributes_and_keeps_different_ones() {
+        let mut ctx = Context::new();
+        register(&mut ctx);
+        let module = parse_module(
+            &mut ctx,
+            r#"module {
+  %x = arith.constant 1 : i32
+  %a = "arith.addi"(%x, %x) {flags = [1, 2], tag = "t"} : (i32, i32) -> i32
+  %b = "arith.addi"(%x, %x) {flags = [1, 2], tag = "t"} : (i32, i32) -> i32
+  %c = "arith.addi"(%x, %x) {flags = [1, 3], tag = "t"} : (i32, i32) -> i32
+  %d = "arith.addi"(%x, %x) {tag = "t", flags = [1, 2]} : (i32, i32) -> i32
+  %e = "arith.addi"(%x, %x) : (i32, i32) -> i32
+  "test.use"(%a, %b, %c, %d, %e) : (i32, i32, i32, i32, i32) -> ()
+}"#,
+        )
+        .unwrap();
+        assert_eq!(run_cse(&mut ctx, module), 1, "only %b folds into %a");
+        let use_op = ctx
+            .walk_nested(module)
+            .into_iter()
+            .find(|&o| ctx.op(o).name.as_str() == "test.use")
+            .unwrap();
+        let ops = ctx.op(use_op).operands().to_vec();
+        assert_eq!(ops[0], ops[1], "equal attributes merge");
+        let distinct: HashSet<_> = [ops[0], ops[2], ops[3], ops[4]].into_iter().collect();
+        assert_eq!(distinct.len(), 4, "different attributes (or order) do not");
     }
 
     /// `"test.mk_add"(x, z) → "arith.addi"(x, z)`: materializes a fresh op

@@ -616,14 +616,58 @@ struct Collector {
     request: Option<Arc<str>>,
 }
 
+impl Collector {
+    /// Appends a change record, recording into the thread's [`SPARE`]
+    /// buffer when this journal has none yet.
+    fn push(&mut self, record: ChangeRecord) {
+        if self.journal.changes.capacity() == 0 {
+            self.journal.changes = SPARE.take();
+        }
+        self.journal.changes.push(record);
+    }
+}
+
+/// Keeps the larger of `buffer` (emptied) and the current [`SPARE`].
+fn keep_spare(mut buffer: Vec<ChangeRecord>) {
+    buffer.clear();
+    let spare = SPARE.take();
+    SPARE.set(if buffer.capacity() > spare.capacity() {
+        buffer
+    } else {
+        spare
+    });
+}
+
+/// A journal leaving this thread's collector. It takes an exact-size copy
+/// of its change records and leaves the grown buffer behind as the
+/// [`SPARE`], so the next journal records into that capacity instead of
+/// growing from empty — regrowth, not the records, was most of what
+/// recording cost.
+fn handed_off(mut journal: Journal) -> Journal {
+    let buffer = std::mem::take(&mut journal.changes);
+    journal.changes = buffer.clone();
+    keep_spare(buffer);
+    journal
+}
+
 thread_local! {
-    static COLLECTOR: RefCell<Collector> = RefCell::new(Collector::default());
+    static COLLECTOR: RefCell<Collector> = const {
+        RefCell::new(Collector {
+            journal: Journal { steps: Vec::new(), changes: Vec::new(), artifacts: Vec::new() },
+            stack: Vec::new(),
+            job: None,
+            request: None,
+        })
+    };
     /// Thread-local override of the env-derived enablement.
     static ENABLED_OVERRIDE: Cell<Option<bool>> = const { Cell::new(None) };
     /// Cached `TD_JOURNAL` presence (the lookup sits on hot paths).
     static ENV_ENABLED: Cell<Option<bool>> = const { Cell::new(None) };
     /// Fast path for the IR-mutation hooks: enabled AND a step is open.
     static RECORDING: Cell<bool> = const { Cell::new(false) };
+    /// Change-record capacity kept between this thread's journals (see
+    /// [`handed_off`]).
+    static SPARE: Cell<Vec<ChangeRecord>> = const { Cell::new(Vec::new()) };
 }
 
 /// The path in `TD_JOURNAL`, if set (also the enablement signal).
@@ -664,6 +708,7 @@ pub fn clear_enabled_override() {
 /// and a step frame is open. The IR-mutation hooks check this
 /// thread-local read first, which is what keeps the journal-off cost of
 /// `Context::create_op`/`erase_op` near one branch.
+#[inline]
 pub fn recording() -> bool {
     RECORDING.with(Cell::get)
 }
@@ -776,7 +821,7 @@ pub fn end_step(
         let modified = began_at.is_some_and(|began| began != edits) && step.changes == 0;
         if let (true, Some((op, op_name))) = (modified, root) {
             step.changes += 1;
-            c.journal.changes.push(ChangeRecord {
+            c.push(ChangeRecord {
                 op,
                 op_name,
                 step: index as u32,
@@ -790,6 +835,7 @@ pub fn end_step(
 /// Records a payload change, attributed to the innermost open step
 /// (`arity` is the replacement value count of a [`ChangeKind::Replaced`]
 /// record). No-op (after one boolean check) unless [`recording`].
+#[inline]
 pub fn record_change(kind: ChangeKind, op: RawId, op_name: Symbol, arity: u32) {
     if !recording() {
         return;
@@ -799,7 +845,7 @@ pub fn record_change(kind: ChangeKind, op: RawId, op_name: Symbol, arity: u32) {
         let Some(&(step, _)) = c.stack.last() else {
             return;
         };
-        c.journal.changes.push(ChangeRecord {
+        c.push(ChangeRecord {
             op,
             op_name,
             step: step as u32,
@@ -848,13 +894,14 @@ pub fn take() -> Journal {
         let mut c = c.borrow_mut();
         c.stack.clear();
         RECORDING.with(|r| r.set(false));
-        std::mem::take(&mut c.journal)
+        handed_off(std::mem::take(&mut c.journal))
     })
 }
 
 /// Clears this thread's journal and any open frames.
 pub fn reset() {
-    COLLECTOR.with(|c| *c.borrow_mut() = Collector::default());
+    let old = COLLECTOR.with(|c| c.replace(Collector::default()));
+    keep_spare(old.journal.changes);
     RECORDING.with(|r| r.set(false));
 }
 
@@ -879,7 +926,7 @@ pub fn lend() -> Lent {
 /// recorded in the meantime (open frames are discarded, as in [`take`]).
 pub fn reclaim(lent: Lent) -> Journal {
     RECORDING.with(|r| r.set(enabled() && !lent.0.stack.is_empty()));
-    COLLECTOR.with(|c| c.replace(lent.0).journal)
+    handed_off(COLLECTOR.with(|c| c.replace(lent.0).journal))
 }
 
 /// Writes this thread's journal as JSON to the path in `TD_JOURNAL`, if
@@ -1182,6 +1229,33 @@ mod tests {
         assert_eq!((third.job, third.request.as_deref()), (None, None));
         let json = journal.to_json();
         assert_eq!(json.matches("\"request\":\"ci/run-1\"").count(), 2);
+    }
+
+    #[test]
+    fn a_taken_journal_leaves_its_grown_buffer_for_the_next_one() {
+        let record = |n: u32| {
+            let s = begin_step("pass", "p", None, [], 0);
+            for i in 0..n {
+                record_change(ChangeKind::Created, id(i), sym("x"), 0);
+            }
+            end_step(s, 0, 1, StepOutcome::Ok, "", None);
+        };
+        let ((), first) = with_journal(|| record(100));
+        assert_eq!(first.changes().len(), 100);
+        assert_eq!(first.changes()[99].op, id(99));
+        let spare = SPARE.take();
+        assert!(
+            spare.is_empty() && spare.capacity() >= 100,
+            "{}",
+            spare.capacity()
+        );
+        SPARE.set(spare);
+        let ((), second) = with_journal(|| {
+            record(3);
+            assert_eq!(SPARE.take().capacity(), 0, "the buffer is in use");
+        });
+        assert_eq!(second.changes().len(), 3);
+        assert!(SPARE.take().capacity() >= 100, "and back after the take");
     }
 
     #[test]

@@ -152,3 +152,15 @@ pub fn job(payload: &str, script: &str, inspect: impl FnOnce(&Context, OpId)) ->
         order_keys: after.order_keys_assigned - before.order_keys_assigned,
     }
 }
+
+/// [`job`] with the provenance journal recording, without `inspect`;
+/// also returns how many change records the job journaled.
+pub fn journaled_job(payload: &str, script: &str) -> (Phases, usize) {
+    use td_support::journal;
+    journal::reset();
+    journal::set_enabled(true);
+    let phases = job(payload, script, |_, _| {});
+    let changes = journal::take().changes().len();
+    journal::clear_enabled_override();
+    (phases, changes)
+}
