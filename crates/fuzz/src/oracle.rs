@@ -714,6 +714,45 @@ mod tests {
 }
 "#;
 
+    /// A top-level step whose nested annotate commits before a nested
+    /// step fails: its transaction replays a real edit, which the sweep
+    /// must see undone in print and in the hook's pre-step fingerprint.
+    /// (The generated pairs fail their top-level steps before any edit.)
+    #[test]
+    fn the_sweep_checks_a_rollback_that_replays_an_edit() {
+        let _guard = fault::test_guard();
+        let schedule = r#"module {
+  transform.named_sequence @main(%root: !transform.any_op) {
+    %loops = "transform.match_op"(%root) {name = "scf.for"} : (!transform.any_op) -> !transform.any_op
+    "transform.annotate"(%loops) {name = "fuzz.first"} : (!transform.any_op) -> ()
+    "transform.sequence"(%loops) ({
+    ^bb0(%arg: !transform.any_op):
+      "transform.annotate"(%arg) {name = "fuzz.nested"} : (!transform.any_op) -> ()
+      %none = "transform.match_op"(%arg) {name = "fuzz.absent", select = "first"} : (!transform.any_op) -> !transform.any_op
+      "transform.yield"() : () -> ()
+    }) : (!transform.any_op) -> ()
+    "transform.yield"() : () -> ()
+  }
+}
+"#;
+        let pair = Pair::new(PAYLOAD, schedule);
+        let run = swept_run(&pair, None, None);
+        assert!(
+            matches!(run.outcome, Outcome::Transform { .. }),
+            "{:?}",
+            run.outcome
+        );
+        assert_eq!(run.committed, 2, "the match and the first annotate commit");
+        assert!(run.post_print.contains("fuzz.first"), "{}", run.post_print);
+        assert!(
+            !run.post_print.contains("fuzz.nested"),
+            "{}",
+            run.post_print
+        );
+        assert_eq!(run.pre_step_fp, Some(run.post_fp));
+        assert_eq!(undo_equivalence(&pair), None);
+    }
+
     #[test]
     fn all_modes_agree_on_a_simple_pair() {
         let _guard = fault::test_guard();

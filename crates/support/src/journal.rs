@@ -16,19 +16,16 @@
 //! journal is off (the default), every hook call is a single thread-local
 //! boolean read.
 //!
-//! Records hold ids ([`RawId`], [`Symbol`]), not text: printed ids such
-//! as `#12v0`, names and details are rendered only when the journal is
-//! fetched or queried by printed id. `Modified` needs no payload walk:
-//! callers pass [`begin_step`]/[`end_step`] the payload's edit count
-//! (td-ir's `Context::edit_count`, which a rollback winds back).
-//!
-//! Structure of a recording:
+//! Structure of a recording — ids ([`RawId`], [`Symbol`]), not text, which
+//! is rendered only when the journal is fetched or queried by printed id:
 //!
 //! * a [`StepRecord`] per executed transform op / pass, with location,
 //!   operand handles, duration, and outcome;
 //! * a [`ChangeRecord`] per payload-op change, attributed to the step that
 //!   was executing when the change happened (steps nest: a pass run by
 //!   `transform.apply_registered_pass` attributes the changes it makes);
+//!   `Modified` comes from the payload's edit count that callers pass
+//!   [`begin_step`] and [`end_step`], not from walking the payload;
 //! * optional [`Artifact`]s (e.g. a minimized failing schedule).
 //!
 //! ```
@@ -38,8 +35,9 @@
 //! journal::set_enabled(true);
 //! let step = journal::begin_step("transform", "transform.loop.tile",
 //!                                Some(&Location::file("script.mlir", 3, 5)),
-//!                                [RawId::new(7, 0)], 101);
-//! journal::record_change(ChangeKind::Erased, RawId::new(3, 0), Symbol::new("scf.for"), 0);
+//!                                [RawId { index: 7, generation: 0 }], 101);
+//! let op = RawId { index: 3, generation: 0 };
+//! journal::record_change(ChangeKind::Erased, op, Symbol::new("scf.for"), 0);
 //! journal::end_step(step, 102, 1_000, journal::StepOutcome::Ok, "", None);
 //! let journal = journal::take();
 //! journal::clear_enabled_override();
@@ -88,7 +86,7 @@ impl ChangeKind {
 /// A payload entity as the journal records it: the slot and generation
 /// of its arena id, printed `#<index>v<generation>` like the id itself —
 /// stable as a map key even after erasure.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RawId {
     /// Arena slot.
     pub index: u32,
@@ -97,20 +95,17 @@ pub struct RawId {
 }
 
 impl RawId {
-    /// The id with these raw parts.
-    pub fn new(index: u32, generation: u32) -> RawId {
-        RawId { index, generation }
-    }
-
     /// The raw parts of an arena id (an op, or a value for handles).
     pub fn of<T>(id: Idx<T>) -> RawId {
-        RawId::new(id.index(), id.generation())
+        let (index, generation) = (id.index(), id.generation());
+        RawId { index, generation }
     }
 
     /// Parses a printed id (`#12v0`).
     pub fn parse(text: &str) -> Option<RawId> {
         let (index, generation) = text.strip_prefix('#')?.split_once('v')?;
-        Some(RawId::new(index.parse().ok()?, generation.parse().ok()?))
+        let (index, generation) = (index.parse().ok()?, generation.parse().ok()?);
+        Some(RawId { index, generation })
     }
 }
 
@@ -193,9 +188,6 @@ impl StepOutcome {
     }
 }
 
-/// A step's operand handles; transform ops rarely take more than two.
-pub type Handles = InlineVec<RawId, 2>;
-
 /// One executed transform op or pass.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StepRecord {
@@ -208,8 +200,9 @@ pub struct StepRecord {
     /// Source location of the transform op (`None` for passes and jobs,
     /// printed empty).
     pub location: Option<Location>,
-    /// Operand handles involved (value ids, printed `#7v0`).
-    pub handles: Handles,
+    /// Operand handles involved (value ids, printed `#7v0`; transform ops
+    /// rarely take more than two).
+    pub handles: InlineVec<RawId, 2>,
     /// Nesting depth at begin time (a pass inside
     /// `transform.apply_registered_pass` is deeper than the transform).
     pub depth: usize,
@@ -511,13 +504,8 @@ impl Journal {
             }
             let _ = write!(out, "\"{handle}\"");
         }
-        let _ = write!(out, "],\"depth\":{},\"job\":", step.depth);
-        match step.job {
-            Some(job) => {
-                let _ = write!(out, "{job}");
-            }
-            None => out.push_str("null"),
-        }
+        let job = step.job.map_or("null".to_owned(), |j| j.to_string());
+        let _ = write!(out, "],\"depth\":{},\"job\":{job}", step.depth);
         if let Some(request) = &step.request {
             let _ = write!(out, ",\"request\":{}", json_string(request));
         }
@@ -617,48 +605,39 @@ struct Collector {
 }
 
 impl Collector {
-    /// Appends a change record, recording into the thread's [`SPARE`]
-    /// buffer when this journal has none yet.
-    fn push(&mut self, record: ChangeRecord) {
+    /// Appends a change record attributed to step `step`, into the
+    /// thread's [`SPARE`] buffer when this journal has none yet.
+    fn record(&mut self, step: usize, kind: ChangeKind, op: RawId, op_name: Symbol, arity: u32) {
         if self.journal.changes.capacity() == 0 {
             self.journal.changes = SPARE.take();
         }
+        let record = ChangeRecord {
+            op,
+            op_name,
+            step: step as u32,
+            kind,
+            arity,
+        };
         self.journal.changes.push(record);
+        self.journal.steps[step].changes += 1;
     }
 }
 
-/// Keeps the larger of `buffer` (emptied) and the current [`SPARE`].
-fn keep_spare(mut buffer: Vec<ChangeRecord>) {
-    buffer.clear();
-    let spare = SPARE.take();
-    SPARE.set(if buffer.capacity() > spare.capacity() {
-        buffer
-    } else {
-        spare
-    });
-}
-
-/// A journal leaving this thread's collector. It takes an exact-size copy
-/// of its change records and leaves the grown buffer behind as the
-/// [`SPARE`], so the next journal records into that capacity instead of
-/// growing from empty — regrowth, not the records, was most of what
-/// recording cost.
+/// A journal leaving this thread's collector takes an exact-size copy of
+/// its changes; the grown buffer stays behind as the [`SPARE`], because
+/// regrowing it from empty on every job cost more than the records.
 fn handed_off(mut journal: Journal) -> Journal {
-    let buffer = std::mem::take(&mut journal.changes);
+    let mut buffer = std::mem::take(&mut journal.changes);
     journal.changes = buffer.clone();
-    keep_spare(buffer);
+    buffer.clear();
+    if buffer.capacity() > 0 {
+        SPARE.set(buffer);
+    }
     journal
 }
 
 thread_local! {
-    static COLLECTOR: RefCell<Collector> = const {
-        RefCell::new(Collector {
-            journal: Journal { steps: Vec::new(), changes: Vec::new(), artifacts: Vec::new() },
-            stack: Vec::new(),
-            job: None,
-            request: None,
-        })
-    };
+    static COLLECTOR: RefCell<Collector> = RefCell::new(Collector::default());
     /// Thread-local override of the env-derived enablement.
     static ENABLED_OVERRIDE: Cell<Option<bool>> = const { Cell::new(None) };
     /// Cached `TD_JOURNAL` presence (the lookup sits on hot paths).
@@ -758,7 +737,7 @@ pub fn begin_step(
     COLLECTOR.with(|c| {
         let mut c = c.borrow_mut();
         let index = c.journal.steps.len();
-        let record = StepRecord {
+        let step = StepRecord {
             index,
             kind,
             name: name.into(),
@@ -772,7 +751,7 @@ pub fn begin_step(
             message: String::new(),
             changes: 0,
         };
-        c.journal.steps.push(record);
+        c.journal.steps.push(step);
         c.stack.push((index, edits));
         RECORDING.with(|r| r.set(true));
         Some(StepToken(index))
@@ -820,14 +799,7 @@ pub fn end_step(
         step.message = message.to_owned();
         let modified = began_at.is_some_and(|began| began != edits) && step.changes == 0;
         if let (true, Some((op, op_name))) = (modified, root) {
-            step.changes += 1;
-            c.push(ChangeRecord {
-                op,
-                op_name,
-                step: index as u32,
-                kind: ChangeKind::Modified,
-                arity: 0,
-            });
+            c.record(index, ChangeKind::Modified, op, op_name, 0);
         }
     });
 }
@@ -842,17 +814,9 @@ pub fn record_change(kind: ChangeKind, op: RawId, op_name: Symbol, arity: u32) {
     }
     COLLECTOR.with(|c| {
         let mut c = c.borrow_mut();
-        let Some(&(step, _)) = c.stack.last() else {
-            return;
-        };
-        c.push(ChangeRecord {
-            op,
-            op_name,
-            step: step as u32,
-            kind,
-            arity,
-        });
-        c.journal.steps[step].changes += 1;
+        if let Some(&(step, _)) = c.stack.last() {
+            c.record(step, kind, op, op_name, arity);
+        }
     });
 }
 
@@ -900,8 +864,7 @@ pub fn take() -> Journal {
 
 /// Clears this thread's journal and any open frames.
 pub fn reset() {
-    let old = COLLECTOR.with(|c| c.replace(Collector::default()));
-    keep_spare(old.journal.changes);
+    COLLECTOR.with(|c| *c.borrow_mut() = Collector::default());
     RECORDING.with(|r| r.set(false));
 }
 
@@ -972,7 +935,10 @@ mod tests {
     }
 
     fn id(index: u32) -> RawId {
-        RawId::new(index, 0)
+        RawId {
+            index,
+            generation: 0,
+        }
     }
 
     fn sym(name: &str) -> Symbol {

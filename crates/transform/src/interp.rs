@@ -888,8 +888,7 @@ impl<'e> Interpreter<'e> {
     }
 
     /// Closes a journal step frame at the payload's current edit count,
-    /// naming the payload root for a `Modified` record (no-op when `token`
-    /// is `None`).
+    /// naming the payload root for a `Modified` record.
     fn close_journal_step(
         &self,
         ctx: &Context,
@@ -898,9 +897,6 @@ impl<'e> Interpreter<'e> {
         outcome: journal::StepOutcome,
         message: &str,
     ) {
-        if token.is_none() {
-            return;
-        }
         let root = self
             .payload_root
             .filter(|&root| ctx.is_live(root))

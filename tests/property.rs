@@ -937,7 +937,7 @@ fn observability_json_survives_hostile_names() {
                 let symbol = td_support::Symbol::new(name);
                 let location = td_support::Location::name(name);
                 let step = journal::begin_step("transform", symbol, Some(&location), [], 1);
-                let op = journal::RawId::new(1, 0);
+                let op = journal::RawId::default();
                 journal::record_change(journal::ChangeKind::Created, op, symbol, 0);
                 journal::end_step(
                     step,
