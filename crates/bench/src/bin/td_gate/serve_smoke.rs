@@ -6,7 +6,11 @@
 //! daemon process over the same directory, and reruns the batch (with the
 //! tenants swapped — content addressing shares results across tenants).
 //! Fails unless the warm run is byte-identical to the cold run and >90%
-//! of warm jobs are served by the on-disk cache.
+//! of warm jobs are served by the on-disk cache. Its exact twin counts
+//! files: after the cold session the cache directory holds one file (the
+//! daemon's log segment) whatever the job count, after the warm one at
+//! most two — a store that creates a file per job fails here, however
+//! cheap file creation is on the host.
 //!
 //! **Act 2 — multi-tenant chaos soak (in-process).** Installs a TD_FAULT
 //! plan targeting three tenants' fault lanes with three fault kinds —
@@ -101,6 +105,11 @@ fn run_session(cache_dir: &Path, jobs: usize, swap: bool) -> (Vec<String>, u64, 
     (outputs, disk_hits, completed)
 }
 
+/// The number of files in the cache directory.
+fn cache_files(cache_dir: &Path) -> usize {
+    std::fs::read_dir(cache_dir).expect("read cache dir").count()
+}
+
 fn restart_smoke() {
     let cache_dir =
         std::env::temp_dir().join(format!("td-serve-smoke-cache-{}", std::process::id()));
@@ -110,6 +119,11 @@ fn restart_smoke() {
     let (cold_outputs, cold_disk_hits, cold_completed) = run_session(&cache_dir, jobs, false);
     assert_eq!(cold_completed, jobs as u64);
     assert_eq!(cold_disk_hits, 0, "a cold daemon has nothing on disk");
+    assert_eq!(
+        cache_files(&cache_dir),
+        1,
+        "a cold pass of {jobs} jobs must leave one file, the daemon's segment"
+    );
 
     // Fresh process, same directory, tenants swapped: every job must be
     // served from the persistent layer.
@@ -119,6 +133,11 @@ fn restart_smoke() {
         warm_outputs, cold_outputs,
         "warm outputs diverge from the cold run"
     );
+    let warm_files = cache_files(&cache_dir);
+    assert!(
+        warm_files <= 2,
+        "after the warm pass: {warm_files} files"
+    );
     let warm_rate = warm_disk_hits as f64 / jobs as f64;
     assert!(
         warm_rate > 0.9,
@@ -126,8 +145,8 @@ fn restart_smoke() {
     );
     let _ = std::fs::remove_dir_all(&cache_dir);
     println!(
-        "serve restart smoke OK: {jobs} jobs cold, {warm_disk_hits}/{jobs} served from disk \
-         after restart ({:.0}%)",
+        "serve restart smoke OK: {jobs} jobs cold into 1 file, {warm_disk_hits}/{jobs} \
+         served from disk after restart ({:.0}%), {warm_files} file(s) after it",
         warm_rate * 100.0
     );
 }

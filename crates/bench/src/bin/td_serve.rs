@@ -16,7 +16,7 @@
 //! |----------------------------|-----------------------------------------------------|
 //! | `TD_SERVE_SOCK`            | bind this unix socket instead of serving stdio      |
 //! | `TD_SERVE_CACHE_DIR`       | persistent result cache directory (warm restarts)   |
-//! | `TD_SERVE_CACHE_MAX_BYTES` | disk-cache size cap (oldest-mtime eviction)         |
+//! | `TD_SERVE_CACHE_MAX_BYTES` | disk-cache size cap (oldest-segment eviction)       |
 //! | `TD_SERVE_TENANTS`         | tenant spec (see `td_serve::tenant` for the grammar)|
 //! | `TD_SERVE_WORKERS`         | worker threads (default 4)                          |
 //! | `TD_SERVE_LOG`             | structured JSON-lines event log path                |

@@ -44,7 +44,9 @@ impl CacheKey {
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
-fn fnv1a_fold(mut hash: u64, bytes: &[u8]) -> u64 {
+/// Continues an FNV-1a hash over more bytes: `fnv1a_fold(fnv1a(a), b)` is
+/// [`fnv1a`] of `a` followed by `b`.
+pub fn fnv1a_fold(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);

@@ -18,8 +18,9 @@
 //! * [`scheduler`] — weighted-fair queueing across tenant backlogs (pure,
 //!   unit-testable bookkeeping).
 //! * [`diskcache`] — the byte-keyed result cache promoted to a
-//!   content-addressed on-disk store: atomic writes, versioned entries,
-//!   warm starts across daemon restarts.
+//!   content-addressed on-disk store: one append-only segment per daemon,
+//!   checksummed versioned records, an in-memory index of offsets, warm
+//!   starts across daemon restarts.
 //! * [`service`] — admission control, the worker pool that pulls from the
 //!   fair queue and runs each job where it popped it (one
 //!   [`td_sched::Engine`] over one cache, each job under its tenant's

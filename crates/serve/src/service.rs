@@ -87,7 +87,7 @@ pub struct ServiceConfig {
     /// Jobs whose artifacts are retained (FIFO eviction beyond this).
     pub artifact_capacity: usize,
     /// Size cap for the on-disk cache (`TD_SERVE_CACHE_MAX_BYTES`); when
-    /// the store grows past this, oldest-mtime entries are evicted.
+    /// the store grows past this, its oldest segments are evicted.
     /// `None` = unbounded.
     pub cache_max_bytes: Option<u64>,
     /// Structured event-log path (`TD_SERVE_LOG`); `None` disables.
