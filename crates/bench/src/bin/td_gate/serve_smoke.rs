@@ -26,7 +26,11 @@
 //! **Act 3 — diagnostics on demand (subprocess).** Failing jobs against
 //! the real daemon, counting bisections in its `METRICS`: none until a
 //! `bisect` artifact is fetched, one per distinct fetch, none for a
-//! refetch. A daemon that bisects unasked fails here by exact count.
+//! refetch. A daemon that bisects unasked fails here by exact count. The
+//! failures are cached: resubmitted, every one is answered `cached=true`
+//! with the executed error's bytes, STATS `hits` rises by exactly their
+//! count and `misses` not at all, a cached failure's `bisect` artifact is
+//! the executed one's, and a restarted daemon answers a failure from disk.
 //!
 //! ```text
 //! cargo run --release -p td-bench --bin td_gate -- serve_smoke
@@ -308,24 +312,46 @@ fn diagnostics_on_demand() {
             .find_map(|l| l.strip_prefix("td_internal_sched_bisections_total "))
             .map_or(0, |n| n.parse().expect("counter value"))
     };
+    // The shared cache's hit and miss counters, from STATS.
+    let lookups = |client: &mut StdioClient| -> (u64, u64) {
+        let stats = client.stats().expect("STATS");
+        (json_u64(&stats, "hits"), json_u64(&stats, "misses"))
+    };
 
     let failures = 8;
-    let failed_jobs: Vec<u64> = (0..failures)
+    let executed: Vec<(u64, String)> = (0..failures)
         .map(|i| {
             let done = client
                 .submit("alpha", gate::FAILING_SCRIPT, &payload(i), "main")
                 .unwrap_or_else(|e| panic!("submit {i}: {e}"));
-            assert!(done.output.is_err(), "job {i} must fail at step 2");
-            done.job_id
+            assert!(!done.cached, "job {i} runs the first time");
+            let error = done
+                .output
+                .expect_err("every job fails at step 2");
+            (done.job_id, error)
         })
         .collect();
-    // Failures are never cached: the same jobs again re-execute and fail.
-    for i in 0..failures {
-        let again = client
-            .submit("beta", gate::FAILING_SCRIPT, &payload(i), "main")
-            .expect("resubmit");
-        assert!(again.output.is_err() && !again.cached);
-    }
+    // Failures are cached like results: the same jobs again are answered
+    // from the cache, by exact count, with the executed error's bytes.
+    let (hits, misses) = lookups(&mut client);
+    let resubmitted: Vec<u64> = executed
+        .iter()
+        .enumerate()
+        .map(|(i, (_, error))| {
+            let again = client
+                .submit("beta", gate::FAILING_SCRIPT, &payload(i), "main")
+                .expect("resubmit");
+            assert!(again.cached, "resubmission {i} must be answered from the cache");
+            assert_eq!(again.output.as_ref(), Err(error), "resubmission {i}");
+            again.job_id
+        })
+        .collect();
+    let (hits_after, misses_after) = lookups(&mut client);
+    assert_eq!(
+        (hits_after - hits, misses_after - misses),
+        (failures as u64, 0),
+        "{failures} resubmitted failures: that many hits, no miss"
+    );
     assert_eq!(
         bisections(&mut client),
         0,
@@ -334,9 +360,9 @@ fn diagnostics_on_demand() {
     );
 
     let fetched = 3;
-    let repros: Vec<String> = failed_jobs[..fetched]
+    let repros: Vec<String> = executed[..fetched]
         .iter()
-        .map(|&job| client.artifact(job, "bisect").expect("bisect artifact"))
+        .map(|&(job, _)| client.artifact(job, "bisect").expect("bisect artifact"))
         .collect();
     for repro in &repros {
         assert!(
@@ -345,7 +371,7 @@ fn diagnostics_on_demand() {
         );
     }
     assert_eq!(bisections(&mut client), fetched as u64);
-    for (&job, repro) in failed_jobs.iter().zip(&repros) {
+    for (&(job, _), repro) in executed.iter().zip(&repros) {
         assert_eq!(&client.artifact(job, "bisect").expect("refetch"), repro);
     }
     assert_eq!(
@@ -353,13 +379,38 @@ fn diagnostics_on_demand() {
         fetched as u64,
         "a refetch is served from the memoised text"
     );
+    // A cached failure bisects to the executed one's repro, at the price
+    // of one bisection of its own.
+    assert_eq!(
+        &client
+            .artifact(resubmitted[0], "bisect")
+            .expect("a cached failure's bisect artifact"),
+        &repros[0]
+    );
+    assert_eq!(bisections(&mut client), fetched as u64 + 1);
+    gate::shut_down(child, &mut client);
 
+    // A restarted daemon answers the failure from disk.
+    let (child, mut client) = connect_daemon(&cache_dir);
+    let (hits, misses) = lookups(&mut client);
+    let from_disk = client
+        .submit("alpha", gate::FAILING_SCRIPT, &payload(0), "main")
+        .expect("submit after restart");
+    assert!(from_disk.cached, "the restarted daemon must not re-run it");
+    assert_eq!(from_disk.output.as_ref(), Err(&executed[0].1));
+    let stats = client.stats().expect("STATS");
+    assert_eq!(
+        (json_u64(&stats, "hits") - hits, json_u64(&stats, "misses") - misses),
+        (1, 0)
+    );
+    assert_eq!(json_u64(&stats, "disk_hits"), 1, "{stats}");
     gate::shut_down(child, &mut client);
     let _ = std::fs::remove_dir_all(&cache_dir);
     println!(
-        "serve diagnostics OK: {} failed jobs, 0 bisections unasked, {fetched} on {fetched} \
-         fetches, {fetched} after refetching them",
-        2 * failures
+        "serve diagnostics OK: {failures} failed jobs, {failures} answered from the cache with \
+         their bytes, 0 bisections unasked, {fetched} on {fetched} fetches, {fetched} after \
+         refetching them, 1 for a cached failure's (same repro), 1 failure served from disk \
+         after a restart"
     );
 }
 

@@ -202,7 +202,8 @@ pub fn run_direct(pair: &Pair, txn: TxnMode) -> Outcome {
 pub struct EngineRun {
     /// Per-pair outcomes, in submission order.
     pub outcomes: Vec<Outcome>,
-    /// Whether each successful result came from the result cache.
+    /// Whether each result — success or cached failure — came from the
+    /// result cache.
     pub from_cache: Vec<bool>,
 }
 
@@ -213,33 +214,24 @@ fn jobs_for(pairs: &[Pair]) -> Vec<Job> {
         .collect()
 }
 
-fn engine_outcome(result: &td_sched::JobResult) -> (Outcome, bool) {
+fn engine_outcome(result: &td_sched::JobResult) -> Outcome {
     match result {
-        Ok(output) => (normalize_ok(output.module_text.clone()), output.from_cache),
+        Ok(output) => normalize_ok(output.module_text.clone()),
         Err(JobError::Transform {
             message,
             silenceable,
-        }) => (
-            Outcome::Transform {
-                silenceable: *silenceable,
-                message: message.clone(),
-            },
-            false,
-        ),
-        Err(JobError::Panicked { message }) => (
-            Outcome::Panic {
-                message: message.clone(),
-            },
-            false,
-        ),
+        }) => Outcome::Transform {
+            silenceable: *silenceable,
+            message: message.clone(),
+        },
+        Err(JobError::Panicked { message }) => Outcome::Panic {
+            message: message.clone(),
+        },
         // Parse/EntryMissing format via Display so the string matches
         // run_direct's setup messages byte-for-byte.
-        Err(err) => (
-            Outcome::Setup {
-                message: err.to_string(),
-            },
-            false,
-        ),
+        Err(err) => Outcome::Setup {
+            message: err.to_string(),
+        },
     }
 }
 
@@ -256,10 +248,9 @@ pub fn run_engine(pairs: &[Pair], workers: usize) -> EngineRun {
 /// Run all pairs as one batch on an existing engine (for cache reuse).
 pub fn run_on_engine(engine: &Engine, pairs: &[Pair]) -> EngineRun {
     let report = engine.run_batch(jobs_for(pairs));
-    let (outcomes, from_cache) = report.results.iter().map(engine_outcome).unzip();
     EngineRun {
-        outcomes,
-        from_cache,
+        outcomes: report.results.iter().map(engine_outcome).collect(),
+        from_cache: report.from_cache,
     }
 }
 

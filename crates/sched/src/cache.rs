@@ -4,16 +4,19 @@
 //! bytes, entry name — so it needs no `Context` and no parse, and
 //! [`crate::Engine::run_batch`] probes on the submitting thread. Equal
 //! keys mean equal bytes (up to a 64-bit FNV-1a collision per text), so a
-//! cached value is what re-running the job would print; see the crate docs
-//! on cache-key soundness. Values are the printed output module plus the
-//! interpreter statistics a [`crate::job::JobOutput`] needs.
+//! cached value is what re-running the job would produce; see the crate
+//! docs on cache-key soundness. A value is a job's outcome
+//! ([`CachedOutcome`]): the printed output module plus the interpreter
+//! statistics a [`crate::job::JobOutput`] needs, or the deterministic
+//! failure the job ended with ([`CachedFailure`]).
 //!
-//! The cache is a plain `Mutex` around a map with last-used ticks: a job
-//! touches it at most twice (the probe, one insert after a miss), and LRU
-//! eviction scans the map only when full (O(n) is irrelevant at these
-//! capacities).
+//! The cache is a plain `Mutex` around a map with last-used ticks and a
+//! tick-ordered index beside it: a job touches it at most twice (the
+//! probe, one insert after a miss), and LRU eviction takes the index's
+//! first entry, O(log n).
 
-use std::collections::HashMap;
+use crate::job::JobError;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex, PoisonError};
 use td_support::{flight, metrics};
 
@@ -73,18 +76,68 @@ pub struct CachedResult {
     pub transforms_executed: usize,
 }
 
+/// Cached outcome of one job that failed deterministically: the
+/// [`JobError`] exactly as the job reported it, so a cached failure prints
+/// byte-identically to an executed one. Only the errors that are a pure
+/// function of the request's bytes are kept ([`CachedFailure::of`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CachedFailure(JobError);
+
+impl CachedFailure {
+    /// The cacheable failure `error` is, if it is one: a transform failure
+    /// (silenceable or definite, after the job's retries), a parse error
+    /// or a missing entry sequence. A panic, a deadline and a cancellation
+    /// describe one execution, not the request, and are `None`.
+    pub fn of(error: &JobError) -> Option<CachedFailure> {
+        match error {
+            JobError::Transform { .. } | JobError::Parse { .. } | JobError::EntryMissing { .. } => {
+                Some(CachedFailure(error.clone()))
+            }
+            JobError::Panicked { .. } | JobError::DeadlineExceeded | JobError::Cancelled => None,
+        }
+    }
+
+    /// The error the job reported.
+    pub fn error(&self) -> &JobError {
+        &self.0
+    }
+
+    /// The error the job reported, by value.
+    pub fn into_error(self) -> JobError {
+        self.0
+    }
+}
+
+/// What one cache entry holds: a job's result or its deterministic failure.
+pub type CachedOutcome = Result<CachedResult, CachedFailure>;
+
 /// A second-level persistence layer behind the in-memory [`ResultCache`]:
 /// consulted on a memory miss, written through on every insert. `td-serve`
 /// implements this with a content-addressed on-disk store so the result
 /// cache survives daemon restarts; tests can implement it with a plain
 /// map. Implementations must be safe to call from any thread and should
-/// treat `store` as best-effort (a failed write only loses a future warm
+/// treat stores as best-effort (a failed write only loses a future warm
 /// hit, never correctness).
+///
+/// The cache calls only [`CachePersist::load_outcome`] and
+/// [`CachePersist::store_outcome`]. Their defaults keep successes through
+/// `load`/`store` and never keep a failure, so a layer that implements
+/// only those two holds what it held before failures were cached.
 pub trait CachePersist: Send + Sync {
-    /// Looks `key` up in the persistent layer.
+    /// Looks up the successful result stored under `key`.
     fn load(&self, key: &CacheKey) -> Option<CachedResult>;
-    /// Writes `value` through to the persistent layer.
+    /// Writes a successful result through to the persistent layer.
     fn store(&self, key: &CacheKey, value: &CachedResult);
+    /// Looks up the outcome stored under `key`, failures included.
+    fn load_outcome(&self, key: &CacheKey) -> Option<CachedOutcome> {
+        self.load(key).map(Ok)
+    }
+    /// Writes an outcome through to the persistent layer.
+    fn store_outcome(&self, key: &CacheKey, outcome: &CachedOutcome) {
+        if let Ok(value) = outcome {
+            self.store(key, value);
+        }
+    }
 }
 
 /// Counters describing cache behaviour.
@@ -149,14 +202,25 @@ impl CacheStats {
 }
 
 struct Entry {
-    value: CachedResult,
+    outcome: CachedOutcome,
     last_used: u64,
 }
 
 struct CacheState {
     map: HashMap<CacheKey, Entry>,
+    /// Every entry's key by its `last_used` tick, least recent first: the
+    /// LRU victim is the first. Ticks are unique, one per lock holder.
+    recency: BTreeMap<u64, CacheKey>,
     tick: u64,
     stats: CacheStats,
+}
+
+impl CacheState {
+    /// The next tick.
+    fn tick(&mut self) -> u64 {
+        self.tick += 1;
+        self.tick
+    }
 }
 
 /// A bounded, thread-safe LRU result cache, optionally backed by a
@@ -175,6 +239,7 @@ impl ResultCache {
             capacity,
             state: Mutex::new(CacheState {
                 map: HashMap::new(),
+                recency: BTreeMap::new(),
                 tick: 0,
                 stats: CacheStats::default(),
             }),
@@ -183,11 +248,11 @@ impl ResultCache {
     }
 
     /// A cache backed by a persistent layer: memory misses fall through to
-    /// `persist.load` (a hit is promoted into memory and counted as both a
-    /// hit and a `disk_hit`), and inserts write through via
-    /// `persist.store`. With capacity 0 the memory level is disabled but
-    /// the persistent level still serves and stores — a daemon restarted
-    /// with an empty memory cache starts warm.
+    /// the layer's `load_outcome` (a hit is promoted into memory and
+    /// counted as both a hit and a `disk_hit`), and inserts write through
+    /// via its `store_outcome`. With capacity 0 the memory level is
+    /// disabled but the persistent level still serves and stores — a
+    /// daemon restarted with an empty memory cache starts warm.
     pub fn with_persistence(capacity: usize, persist: Arc<dyn CachePersist>) -> Self {
         let mut cache = ResultCache::new(capacity);
         cache.persist = Some(persist);
@@ -200,24 +265,32 @@ impl ResultCache {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Looks up `key`, refreshing its recency on a hit. A memory miss
-    /// falls through to the persistent layer (if any); a persistent hit is
-    /// promoted into memory and counted as both a hit and a `disk_hit`.
-    /// Records the outcome in [`CacheStats`] and as `sched.cache.hit` /
+    /// [`ResultCache::lookup`] for a successful result only: an entry that
+    /// holds a failure counts as the hit it is and answers `None`.
+    pub fn get(&self, key: &CacheKey) -> Option<CachedResult> {
+        self.lookup(key)?.ok()
+    }
+
+    /// Looks up `key`'s outcome, refreshing its recency on a hit. A memory
+    /// miss falls through to the persistent layer (if any); a persistent
+    /// hit is promoted into memory and counted as both a hit and a
+    /// `disk_hit`. Success or failure, a found entry is a hit. Records the
+    /// outcome in [`CacheStats`] and as `sched.cache.hit` /
     /// `sched.cache.disk_hit` / `sched.cache.miss` metrics counters on the
     /// calling thread.
-    pub fn get(&self, key: &CacheKey) -> Option<CachedResult> {
+    pub fn lookup(&self, key: &CacheKey) -> Option<CachedOutcome> {
         let mut state = self.lock();
-        state.tick += 1;
-        let tick = state.tick;
+        let tick = state.tick();
         if let Some(entry) = state.map.get_mut(key) {
-            entry.last_used = tick;
-            let value = entry.value.clone();
+            let last_used = std::mem::replace(&mut entry.last_used, tick);
+            let outcome = entry.outcome.clone();
+            state.recency.remove(&last_used);
+            state.recency.insert(tick, *key);
             state.stats.hits += 1;
             drop(state);
             metrics::counter("sched.cache.hit", 1);
             flight::record("cache.hit", &[("script_fp", key.script_fp.to_string())]);
-            return Some(value);
+            return Some(outcome);
         }
         drop(state);
         // The persistent layer is consulted outside the lock: disk I/O
@@ -225,9 +298,15 @@ impl ResultCache {
         // racing the same key may both load and promote — idempotent,
         // since equal keys imply identical values.
         if let Some(persist) = &self.persist {
-            if let Some(value) = persist.load(key) {
-                self.promote(*key, value.clone());
+            if let Some(outcome) = persist.load_outcome(key) {
                 let mut state = self.lock();
+                if self.capacity > 0 {
+                    // A promotion is neither an insert nor a replacement:
+                    // the entry was neither computed nor displaced by new
+                    // work.
+                    let tick = state.tick();
+                    self.store_entry(&mut state, *key, outcome.clone(), tick);
+                }
                 state.stats.hits += 1;
                 state.stats.disk_hits += 1;
                 drop(state);
@@ -237,7 +316,7 @@ impl ResultCache {
                     "cache.disk_hit",
                     &[("script_fp", key.script_fp.to_string())],
                 );
-                return Some(value);
+                return Some(outcome);
             }
         }
         let mut state = self.lock();
@@ -248,42 +327,34 @@ impl ResultCache {
         None
     }
 
-    /// Stores `value` under `key`, evicting the least-recently-used entry
-    /// if the cache is full. Replacing a live entry under the same key is
-    /// counted as a `replacement` — *not* as an insert, a hit, or an
+    /// Stores a successful result: [`ResultCache::insert_outcome`] of
+    /// `Ok(value)`.
+    pub fn insert(&self, key: CacheKey, value: CachedResult) {
+        self.insert_outcome(key, Ok(value));
+    }
+
+    /// Stores `outcome` under `key`, evicting the least-recently-used
+    /// entry if the cache is full. Replacing a live entry under the same
+    /// key is counted as a `replacement` — *not* as an insert, a hit, or an
     /// eviction (no victim was displaced; see [`CacheStats`]). Writes
     /// through to the persistent layer even when the memory level is
     /// disabled (capacity 0).
-    pub fn insert(&self, key: CacheKey, value: CachedResult) {
+    pub fn insert_outcome(&self, key: CacheKey, outcome: CachedOutcome) {
         if let Some(persist) = &self.persist {
-            persist.store(&key, &value);
+            persist.store_outcome(&key, &outcome);
         }
         if self.capacity == 0 {
             return;
         }
         let mut state = self.lock();
-        state.tick += 1;
-        let tick = state.tick;
-        let replaced = self.store_entry(&mut state, key, value, tick);
+        let tick = state.tick();
+        let replaced = self.store_entry(&mut state, key, outcome, tick);
         if replaced {
             state.stats.replacements += 1;
             metrics::counter("sched.cache.replacement", 1);
         } else {
             state.stats.inserts += 1;
         }
-    }
-
-    /// Places a disk-loaded value into the memory level without touching
-    /// the insert/replacement counters (a promotion is neither — the entry
-    /// was neither computed nor displaced by new work).
-    fn promote(&self, key: CacheKey, value: CachedResult) {
-        if self.capacity == 0 {
-            return;
-        }
-        let mut state = self.lock();
-        state.tick += 1;
-        let tick = state.tick;
-        self.store_entry(&mut state, key, value, tick);
     }
 
     /// Inserts into the memory map, evicting the LRU entry when a *new*
@@ -293,29 +364,28 @@ impl ResultCache {
         &self,
         state: &mut CacheState,
         key: CacheKey,
-        value: CachedResult,
+        outcome: CachedOutcome,
         tick: u64,
     ) -> bool {
-        let replaced = state.map.contains_key(&key);
-        if !replaced && state.map.len() >= self.capacity {
-            if let Some(&victim) = state
-                .map
-                .iter()
-                .min_by_key(|(_, entry)| entry.last_used)
-                .map(|(k, _)| k)
-            {
+        let entry = Entry {
+            outcome,
+            last_used: tick,
+        };
+        let replaced = match state.map.insert(key, entry) {
+            Some(old) => {
+                state.recency.remove(&old.last_used);
+                true
+            }
+            None => false,
+        };
+        if !replaced && state.map.len() > self.capacity {
+            if let Some((_, victim)) = state.recency.pop_first() {
                 state.map.remove(&victim);
                 state.stats.evictions += 1;
                 metrics::counter("sched.cache.eviction", 1);
             }
         }
-        state.map.insert(
-            key,
-            Entry {
-                value,
-                last_used: tick,
-            },
-        );
+        state.recency.insert(tick, key);
         replaced
     }
 
@@ -496,6 +566,110 @@ mod tests {
         // A capacity-0 cache with persistence still serves from disk.
         assert_eq!(cache.get(&key(1, 1)).unwrap().module_text, "a");
         assert_eq!(cache.stats().disk_hits, 1);
+    }
+
+    fn failure(message: &str) -> CachedFailure {
+        CachedFailure::of(&JobError::Transform {
+            message: message.to_owned(),
+            silenceable: false,
+        })
+        .expect("a transform failure is cacheable")
+    }
+
+    #[test]
+    fn only_deterministic_errors_are_cacheable() {
+        let cacheable = [
+            JobError::Transform {
+                message: "m".into(),
+                silenceable: true,
+            },
+            JobError::Parse {
+                what: "script",
+                message: "m".into(),
+            },
+            JobError::EntryMissing {
+                name: "main".into(),
+            },
+        ];
+        for error in cacheable {
+            let failure = CachedFailure::of(&error).expect("cacheable");
+            assert_eq!(failure.error(), &error);
+            assert_eq!(failure.into_error(), error);
+        }
+        for error in [
+            JobError::Panicked {
+                message: "m".into(),
+            },
+            JobError::DeadlineExceeded,
+            JobError::Cancelled,
+        ] {
+            assert_eq!(CachedFailure::of(&error), None, "{error}");
+        }
+    }
+
+    #[test]
+    fn a_failure_entry_is_a_hit_that_get_answers_none() {
+        let cache = ResultCache::new(4);
+        cache.insert_outcome(key(1, 1), Err(failure("no match")));
+        assert_eq!(cache.lookup(&key(1, 1)), Some(Err(failure("no match"))));
+        assert_eq!(cache.get(&key(1, 1)), None);
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.inserts), (2, 0, 1));
+        // A success under the same key replaces it.
+        cache.insert(key(1, 1), value("a"));
+        assert_eq!(cache.get(&key(1, 1)), Some(value("a")));
+        assert_eq!(cache.stats().replacements, 1);
+    }
+
+    /// The tick-ordered index picks the same victims as a scan for the
+    /// least recent entry, and the counters match it, over a long mixed
+    /// sequence of lookups, inserts and replacements.
+    #[test]
+    fn lru_index_evicts_exactly_what_a_full_scan_would() {
+        let capacity = 16;
+        let cache = ResultCache::new(capacity);
+        // The model: key -> last use, scanned for the minimum.
+        let mut model: HashMap<CacheKey, u64> = HashMap::new();
+        let (mut now, mut evictions) = (0u64, 0u64);
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        for _ in 0..5000 {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            let k = key(rng % 40, 0);
+            now += 1;
+            if rng.is_multiple_of(3) {
+                let hit = cache.lookup(&k).is_some();
+                assert_eq!(hit, model.contains_key(&k));
+                if hit {
+                    model.insert(k, now);
+                }
+            } else {
+                if !model.contains_key(&k) && model.len() == capacity {
+                    let (&victim, _) = model.iter().min_by_key(|(_, used)| **used).unwrap();
+                    model.remove(&victim);
+                    evictions += 1;
+                }
+                model.insert(k, now);
+                cache.insert(k, value("v"));
+            }
+        }
+        assert_eq!(cache.len(), model.len());
+        assert_eq!(cache.stats().evictions, evictions);
+        for k in model.keys() {
+            assert!(cache.lookup(k).is_some(), "{k:?} survives in both");
+        }
+    }
+
+    #[test]
+    fn a_layer_with_only_load_and_store_keeps_no_failure() {
+        let persist = MapPersist::new();
+        let cache = ResultCache::with_persistence(0, Arc::clone(&persist) as Arc<dyn CachePersist>);
+        cache.insert_outcome(key(1, 1), Err(failure("no match")));
+        cache.insert(key(2, 2), value("b"));
+        assert_eq!(persist.0.lock().unwrap().len(), 1, "the success only");
+        assert_eq!(cache.lookup(&key(1, 1)), None);
+        assert_eq!(cache.lookup(&key(2, 2)), Some(Ok(value("b"))));
     }
 
     #[test]

@@ -23,7 +23,10 @@
 //! every job is probed before any job of the batch runs, so which jobs are
 //! hits — and with it every cache counter and `from_cache` flag — depends
 //! only on the batch and the cache state it found. (Two equal jobs in one
-//! batch both miss; the second insert is a replacement.)
+//! batch both miss; the second insert is a replacement.) A hit may be a
+//! failure: the cache keeps a job's deterministic failure as it keeps a
+//! success (see the crate docs on what is cached), and answers it with the
+//! error the job ended with, byte for byte.
 //!
 //! # Observability
 //!
@@ -43,10 +46,10 @@
 //!
 //! A failing schedule is a cheap, ordinary outcome (it is how a search
 //! loop rejects a candidate), so the engine never diagnoses one unasked:
-//! a job that fails with a transform error is handed back in
-//! [`BatchReport::failed_jobs`], and [`Engine::bisect`] computes its
-//! minimized repro schedule when — and on whichever thread — a caller
-//! wants it.
+//! a job that fails with a transform error — executed or answered from
+//! the cache — is handed back in [`BatchReport::failed_jobs`], and
+//! [`Engine::bisect`] computes its minimized repro schedule when — and on
+//! whichever thread — a caller wants it.
 //!
 //! # Policy
 //!
@@ -58,7 +61,7 @@
 //! worker runs it. One engine therefore serves jobs under any mix of
 //! policies (td-serve: every tenant's jobs, on one engine per service).
 
-use crate::cache::{CacheKey, CacheStats, CachedResult, ResultCache};
+use crate::cache::{CacheKey, CacheStats, CachedFailure, CachedOutcome, CachedResult, ResultCache};
 use crate::job::{Job, JobError, JobOutput, JobResult};
 use crate::stats::{BatchStats, WorkerLane, QUEUE_WAIT_SERIES, RUN_SERIES, TOTAL_SERIES};
 use std::collections::HashMap;
@@ -85,11 +88,13 @@ pub struct EngineConfig {
     /// Result-cache capacity in entries (0 disables caching).
     pub cache_capacity: usize,
     /// Failed jobs tolerated per batch before graceful degradation: once
-    /// the count of *executed* failures reaches this, workers stop
-    /// dispatching and drain the remaining queue as
-    /// [`JobError::Cancelled`], and the batch reports
-    /// [`BatchReport::degraded`]. `None` never degrades. In-flight jobs
-    /// finish normally; nothing is aborted mid-step.
+    /// the count of failures — executed, or answered from the cache —
+    /// reaches this, workers stop dispatching and drain the remaining
+    /// queue as [`JobError::Cancelled`], and the batch reports
+    /// [`BatchReport::degraded`]. Cached failures are counted at the probe,
+    /// before any miss runs, so a batch trips on the same number of
+    /// failures whatever the cache holds. `None` never degrades. In-flight
+    /// jobs finish normally; nothing is aborted mid-step.
     pub failure_budget: Option<usize>,
     /// Transform-op registry builder.
     pub transforms_factory: TransformsFactory,
@@ -167,6 +172,10 @@ impl std::fmt::Debug for EngineConfig {
 pub struct BatchReport {
     /// Per-job results, in submission order.
     pub results: Vec<JobResult>,
+    /// Whether each job's result — success or failure — was answered by
+    /// the cache probe, in submission order. For a success it equals
+    /// [`JobOutput::from_cache`].
+    pub from_cache: Vec<bool>,
     /// Cache counter deltas attributable to this batch.
     pub cache: CacheStats,
     /// Wall-clock time of the whole batch.
@@ -187,10 +196,10 @@ pub struct BatchReport {
     /// artifacts: a caller that wants a failed job's repro in a journal
     /// asks [`Engine::bisect`] for it and attaches the text itself.
     pub journal: journal::Journal,
-    /// The jobs that failed with [`JobError::Transform`], as `(batch
-    /// index, job)` in index order — moved back out of the batch, so a
-    /// caller can hand one to [`Engine::bisect`] later without having kept
-    /// a copy of it.
+    /// The jobs that failed with [`JobError::Transform`], executed or
+    /// answered from the cache, as `(batch index, job)` in index order —
+    /// moved back out of the batch, so a caller can hand one to
+    /// [`Engine::bisect`] later without having kept a copy of it.
     pub failed_jobs: Vec<(usize, Job)>,
     /// Latency and utilization breakdown: queue-wait vs. run-time
     /// histograms (p50/p90/p99/p999), per-worker utilization timeline, and
@@ -308,28 +317,47 @@ impl Engine {
         let mut batch_stats = BatchStats::default();
         let mut slots: Vec<Option<JobResult>> = Vec::new();
         slots.resize_with(job_count, || None);
+        let mut from_cache = vec![false; job_count];
         let mut misses = Vec::new();
+        // Transform failures answered by the probe, for `failed_jobs`, and
+        // every failure it answered, for the failure budget.
+        let (mut failed_jobs, mut cached_failures) = (Vec::new(), 0);
         for (index, job) in jobs.into_iter().enumerate() {
             let key = CacheKey::of(&job.script, &job.payload, &job.entry);
             match self.probe(&job, key, started, &mut batch_stats) {
-                Some(output) => slots[index] = Some(Ok(output)),
+                Some(result) => {
+                    from_cache[index] = true;
+                    if let Err(error) = &result {
+                        cached_failures += 1;
+                        if matches!(error, JobError::Transform { .. }) {
+                            failed_jobs.push((index, job));
+                        }
+                    }
+                    slots[index] = Some(result);
+                }
                 None => misses.push((index, job, key)),
             }
         }
+        let mut degraded = self.budget_spent(cached_failures);
+        if degraded {
+            note_degraded(cached_failures);
+        }
         let workers = self.config.workers.max(1).min(misses.len());
         batch_span.arg("workers", workers.to_string());
-        let (degraded, failed_jobs) = if workers > 0 {
-            self.run_misses(
+        if workers > 0 {
+            let (tripped, failed_misses) = self.run_misses(
                 misses,
                 workers,
                 started,
+                cached_failures,
                 &mut slots,
                 &mut batch_stats,
                 &mut batch_journal,
-            )
-        } else {
-            (false, Vec::new())
-        };
+            );
+            degraded = tripped;
+            failed_jobs.extend(failed_misses);
+            failed_jobs.sort_unstable_by_key(|(index, _)| *index);
+        }
 
         let results = slots
             .into_iter()
@@ -355,6 +383,7 @@ impl Engine {
         metrics::observe("sched.batch.wall", wall.as_nanos());
         BatchReport {
             results,
+            from_cache,
             cache,
             wall,
             workers,
@@ -366,23 +395,24 @@ impl Engine {
     }
 
     /// Deadline pre-check, then the cache lookup, on the submitting
-    /// thread. `Some` is a hit, fully accounted for (its `sched`/`job` span
-    /// and one sample per latency series). `None` puts the job on the miss
-    /// list: a miss, or a job whose deadline has already elapsed, which the
-    /// worker that claims it cancels like any job that expired while listed.
+    /// thread. `Some` is a hit — a cached output or a cached failure —
+    /// fully accounted for (its `sched`/`job` span and one sample per
+    /// latency series). `None` puts the job on the miss list: a miss, or a
+    /// job whose deadline has already elapsed, which the worker that claims
+    /// it cancels like any job that expired while listed.
     fn probe(
         &self,
         job: &Job,
         key: CacheKey,
         batch_start: Instant,
         stats: &mut BatchStats,
-    ) -> Option<JobOutput> {
+    ) -> Option<JobResult> {
         if job.policy.deadline_elapsed(batch_start) {
             return None;
         }
         let wait_ns = batch_start.elapsed().as_nanos();
         let probe_started = Instant::now();
-        let hit = self.cache.get(&key)?;
+        let hit = self.cache.lookup(&key)?;
         let run = probe_started.elapsed();
         if trace::enabled() {
             let mut args = job_span_args(job);
@@ -391,25 +421,40 @@ impl Engine {
         }
         stats.observe_job(wait_ns, run.as_nanos());
         observe_job_latency(wait_ns, run.as_nanos());
-        Some(JobOutput {
-            module_text: hit.module_text,
-            transforms_executed: hit.transforms_executed,
-            attempts: 0,
-            from_cache: true,
-            rolled_back: 0,
-            undo_entries: 0,
+        Some(match hit {
+            Ok(hit) => Ok(JobOutput {
+                module_text: hit.module_text,
+                transforms_executed: hit.transforms_executed,
+                attempts: 0,
+                from_cache: true,
+                rolled_back: 0,
+                undo_entries: 0,
+            }),
+            Err(failure) => Err(failure.into_error()),
         })
+    }
+
+    /// Whether `failures` failures spend the batch's failure budget.
+    fn budget_spent(&self, failures: usize) -> bool {
+        failures > 0
+            && self
+                .config
+                .failure_budget
+                .is_some_and(|budget| failures >= budget)
     }
 
     /// Runs the batch's misses on the calling thread and `workers - 1` scoped
     /// threads, fills their slots, and merges what each worker recorded into
-    /// the batch and the calling thread's stores. Returns whether the failure
-    /// budget tripped, and the jobs that failed with a transform error.
+    /// the batch and the calling thread's stores. `failed` failures, the
+    /// probe's, count toward the budget already. Returns whether the budget
+    /// has tripped, and the misses that failed with a transform error.
+    #[allow(clippy::too_many_arguments)]
     fn run_misses(
         &self,
         misses: Vec<(usize, Job, CacheKey)>,
         workers: usize,
         started: Instant,
+        failed: usize,
         slots: &mut [Option<JobResult>],
         batch_stats: &mut BatchStats,
         batch_journal: &mut journal::Journal,
@@ -420,10 +465,10 @@ impl Engine {
         let cursor = AtomicUsize::new(0);
         let shared = shared_payloads(&misses);
         let (trace_on, journal_on, epoch) = (trace::enabled(), journal::enabled(), trace::epoch());
-        // Failure-budget state, shared across workers: executed failures
-        // so far, and whether the batch has tripped into drain mode.
-        let failures = AtomicUsize::new(0);
-        let degraded = AtomicBool::new(false);
+        // Failure-budget state, shared across workers: failures so far,
+        // and whether the batch has tripped into drain mode.
+        let failures = AtomicUsize::new(failed);
+        let degraded = AtomicBool::new(self.budget_spent(failed));
 
         // One worker, whichever thread it is on: claims jobs until the list
         // runs out and hands its results and lane record back.
@@ -511,17 +556,8 @@ impl Engine {
                 if let Err(error) = &result {
                     if !matches!(error, JobError::Cancelled) {
                         let failed = failures.fetch_add(1, Ordering::AcqRel) + 1;
-                        let tripped = self
-                            .config
-                            .failure_budget
-                            .is_some_and(|budget| failed >= budget);
-                        if tripped && !degraded.swap(true, Ordering::AcqRel) {
-                            metrics::counter("sched.degraded", 1);
-                            trace::instant(
-                                "sched",
-                                "degraded",
-                                &[("failures", failed.to_string())],
-                            );
+                        if self.budget_spent(failed) && !degraded.swap(true, Ordering::AcqRel) {
+                            note_degraded(failed);
                         }
                     }
                 }
@@ -675,8 +711,9 @@ impl Engine {
     /// Runs one job the probe did not answer, on the calling worker
     /// thread: deadline pre-check, then up to the job's `max_attempts`
     /// interpreter attempts — on the worker's payload `slot` when the job
-    /// may share one, else each in a fresh context; a success is stored
-    /// under `key`.
+    /// may share one, else each in a fresh context. Its outcome, a success
+    /// or a cacheable failure ([`CachedFailure::of`]), is stored under
+    /// `key` unless an injected fault fired on this thread while it ran.
     fn run_job(
         &self,
         env: &InterpEnv<'_>,
@@ -703,19 +740,24 @@ impl Engine {
         }
         job_span.arg("cache", "miss");
 
+        // A fault that fires while the job runs makes its outcome a fact
+        // about this execution, not about the request: it is not cached.
+        let fired = fault::fired_count();
+        let remember = |outcome: CachedOutcome| {
+            if fault::fired_count() == fired {
+                self.cache.insert_outcome(key, outcome);
+            }
+        };
         let max_attempts = policy.max_attempts.max(1);
         let mut attempt = 0;
         loop {
             attempt += 1;
             match self.attempt(env, job, slot.as_deref_mut()) {
                 Ok(output) => {
-                    self.cache.insert(
-                        key,
-                        CachedResult {
-                            module_text: output.module_text.clone(),
-                            transforms_executed: output.transforms_executed,
-                        },
-                    );
+                    remember(Ok(CachedResult {
+                        module_text: output.module_text.clone(),
+                        transforms_executed: output.transforms_executed,
+                    }));
                     if policy.deadline_elapsed(batch_start) {
                         job_span.arg("outcome", "expired");
                         metrics::counter("sched.deadline_expired", 1);
@@ -746,7 +788,12 @@ impl Engine {
                         &[("attempt", attempt.to_string()), ("reason", message)],
                     );
                 }
-                Err(error) => return Err(error),
+                Err(error) => {
+                    if let Some(failure) = CachedFailure::of(&error) {
+                        remember(Err(failure));
+                    }
+                    return Err(error);
+                }
             }
         }
     }
@@ -950,6 +997,12 @@ struct AttemptOutput {
     transforms_executed: usize,
     rolled_back: usize,
     undo_entries: usize,
+}
+
+/// Counts and traces the batch tripping its failure budget at `failures`.
+fn note_degraded(failures: usize) {
+    metrics::counter("sched.degraded", 1);
+    trace::instant("sched", "degraded", &[("failures", failures.to_string())]);
 }
 
 /// The arguments every `sched`/`job` span carries, hit or miss.

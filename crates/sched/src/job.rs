@@ -98,9 +98,10 @@ impl Job {
 }
 
 /// How the engine runs one job. Not part of the cache key: a policy
-/// decides whether and when a job's output arrives, never what it is —
-/// transactionality only changes how a *failure* is contained, and a late
-/// output is still cached.
+/// decides whether and when a job's outcome arrives, never what it is —
+/// transactionality only changes how a *failure* is contained (the error
+/// is the same, and a failure cached under one mode answers the other),
+/// and a late output is still cached.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct JobPolicy {
     /// Deadline, measured from the start of the job's batch (td-serve: the

@@ -9,8 +9,9 @@
 //! only; the workspace is hermetic), one [`td_ir::Context`] per job, with:
 //!
 //! * a **result cache** keyed by the request's bytes, probed on the
-//!   submitting thread before any job runs, with LRU eviction and
-//!   hit/miss/eviction counters ([`cache`]);
+//!   submitting thread before any job runs, holding each job's outcome —
+//!   its output, or the deterministic failure it ended with — with LRU
+//!   eviction and hit/miss/eviction counters ([`cache`]);
 //! * **per-job robustness**: panics inside a transform handler are caught
 //!   and mapped to definite job errors; each job carries its own
 //!   [`JobPolicy`] — an optional deadline with graceful cancellation, an
@@ -35,12 +36,17 @@
 //!
 //! A [`CacheKey`] is three 64-bit FNV-1a hashes: the script's bytes, the
 //! payload's bytes (each with its length folded in) and the entry symbol
-//! (one script module can hold several named sequences). A job's output
-//! is a pure function of those three strings, so equal keys mean equal
-//! inputs and a cached output is what re-running would print — up to two
-//! different texts colliding on 64 bits (FNV is not cryptographic; tenants
-//! are assumed not to craft collisions). The key is format-sensitive:
-//! callers wanting format-insensitive reuse submit printed text.
+//! (one script module can hold several named sequences). A job's outcome
+//! — its output, or its transform, parse or missing-entry failure — is a
+//! pure function of those three strings *when no injected fault fired
+//! while it ran*, so equal keys mean equal inputs and a cached outcome is
+//! what re-running would produce — up to two different texts colliding on
+//! 64 bits (FNV is not cryptographic; tenants are assumed not to craft
+//! collisions). A job during which a fault fired (`td_support::fault`,
+//! counted per thread) is never cached, nor is a panic, a deadline miss or
+//! a cancellation: those describe one execution, not the request. The key
+//! is format-sensitive: callers wanting format-insensitive reuse submit
+//! printed text.
 //!
 //! ```
 //! use td_sched::{Engine, EngineConfig, Job};
@@ -70,7 +76,9 @@ pub mod job;
 pub mod stats;
 
 pub use autotune::{sweep_schedules, tune_schedules, SweepOutcome, SweepResult};
-pub use cache::{CacheKey, CachePersist, CacheStats, CachedResult, ResultCache};
+pub use cache::{
+    CacheKey, CachePersist, CacheStats, CachedFailure, CachedOutcome, CachedResult, ResultCache,
+};
 pub use engine::{
     standard_context, standard_passes, BatchReport, Engine, EngineConfig, TransformsFactory,
 };

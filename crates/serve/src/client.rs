@@ -26,7 +26,8 @@ pub struct SubmitOutcome {
     pub request: String,
     /// Transformed module text (`Ok`) or the job's error display (`Err`).
     pub output: Result<String, String>,
-    /// Whether the result came from the daemon's result cache.
+    /// Whether the daemon's result cache answered the job — its output, or
+    /// its cached failure — instead of running it.
     pub cached: bool,
     /// Transform ops the interpreter executed (0 on cache hits).
     pub transforms: usize,

@@ -1,9 +1,10 @@
 //! The content-addressed on-disk result store: the persistence layer
 //! behind the engine's in-memory cache ([`td_sched::CachePersist`]).
 //!
-//! This is the cache-as-tuning-database promoted to a service asset: a
-//! result computed for any tenant, in any past daemon process, is served
-//! to every future request with identical inputs.
+//! This is the cache-as-tuning-database promoted to a service asset: an
+//! outcome computed for any tenant, in any past daemon process — a result,
+//! or the deterministic failure the engine caches beside results — is
+//! served to every future request with identical inputs.
 //!
 //! The store is an append-only log. Each [`DiskStore`] creates one segment
 //! file when it opens (`seg-<seq>-<pid>.v<FORMAT_VERSION>`, `create_new`;
@@ -28,16 +29,22 @@
 //!   overwrite; a crash mid-append leaves a torn tail that the next open's
 //!   scan stops at.
 //! * **Versioned, checksummed records.** A record is a fixed header —
-//!   magic, [`FORMAT_VERSION`], the three key hashes, the transform count,
-//!   the module length and an FNV-1a checksum over all of these and the
-//!   module bytes — followed by the module text. A load that finds a wrong
-//!   magic, version, key, length or checksum is a miss counted as
+//!   magic, [`FORMAT_VERSION`], the three key hashes, the outcome kind,
+//!   the transform count, the text length and a checksum over all of these
+//!   and the text — followed by the text: the printed module of a success,
+//!   or the message (the entry name, for a missing entry) of a failure.
+//!   The outcome kind says which: a success, a definite or silenceable
+//!   transform failure, a payload or script parse error, or a missing
+//!   entry. The checksum folds one little-endian 64-bit word per step
+//!   (FNV-1a's xor and multiply, on words), so checking a record costs an
+//!   eighth of a byte-at-a-time pass. A load that finds a wrong magic,
+//!   version, kind, key, length or checksum is a miss counted as
 //!   `invalid`, never an error; the scan at open counts a torn or corrupt
 //!   record the same way and ends that segment there. Segment names carry
 //!   the version too, so bumping [`FORMAT_VERSION`] invalidates the whole
-//!   store without deleting anything: the per-entry `.v1`/`.v2` files of
-//!   earlier formats and any `*.tmp` file are foreign, never read and never
-//!   deleted.
+//!   store without deleting anything: the `.v3` segments of the previous
+//!   log format, the per-entry `.v1`/`.v2` files of earlier formats and
+//!   any `*.tmp` file are foreign, never read and never deleted.
 //!
 //! A live store sees what was on disk when it opened plus its own appends:
 //! entries that another live daemon appends after that reach this one at
@@ -62,24 +69,32 @@ use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-use td_sched::cache::{fnv1a, fnv1a_fold};
-use td_sched::{CacheKey, CachePersist, CachedResult};
+use td_sched::{CacheKey, CachePersist, CachedFailure, CachedOutcome, CachedResult, JobError};
 use td_support::metrics;
 
 /// Record-format version; bump to invalidate all existing entries. Version
 /// 1 entries were files named by structural fingerprints, version 2
-/// entries one file per request-byte key; neither is read.
-pub const FORMAT_VERSION: u32 = 3;
+/// entries one file per request-byte key, version 3 segments held
+/// successes only under a byte-at-a-time checksum; none is read.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// First bytes of every record.
 const MAGIC: [u8; 4] = *b"tdrc";
 
 /// Bytes in a record header: magic, version, the three key hashes, the
-/// transform count, the module length and the checksum.
-const HEADER_LEN: usize = 56;
+/// outcome kind, the transform count, the text length and the checksum.
+const HEADER_LEN: usize = 64;
 
 /// Where a header's checksum starts; it covers every byte before it.
-const CHECKSUM_AT: usize = 48;
+const CHECKSUM_AT: usize = 56;
+
+/// What a record holds: its header's outcome kind.
+const KIND_SUCCESS: u64 = 0;
+const KIND_DEFINITE: u64 = 1;
+const KIND_SILENCEABLE: u64 = 2;
+const KIND_PARSE_PAYLOAD: u64 = 3;
+const KIND_PARSE_SCRIPT: u64 = 4;
+const KIND_ENTRY_MISSING: u64 = 5;
 
 /// The scan at open reads each segment through a buffer of this size: a
 /// few records' worth, allocated once per segment and freed after it.
@@ -128,30 +143,92 @@ pub struct DiskCounters {
     pub bytes: u64,
 }
 
+/// The record checksum: FNV-1a's xor-and-multiply step applied to whole
+/// little-endian 64-bit words instead of single bytes, the last partial
+/// word zero-padded (the header carries the length, so padding is never
+/// ambiguous). Each step is a bijection of the running value, so any one
+/// corrupted word changes the result. Streaming: a partial word is carried
+/// from one [`Checksum::update`] to the next, so any split of the same
+/// bytes gives the same value.
+#[derive(Clone, Copy, Debug)]
+struct Checksum {
+    hash: u64,
+    carry: [u8; 8],
+    carried: usize,
+}
+
+impl Checksum {
+    fn new() -> Checksum {
+        Checksum {
+            hash: 0xcbf2_9ce4_8422_2325,
+            carry: [0; 8],
+            carried: 0,
+        }
+    }
+
+    fn fold(&mut self, word: [u8; 8]) {
+        self.hash = (self.hash ^ u64::from_le_bytes(word)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+
+    fn update(&mut self, mut bytes: &[u8]) {
+        if self.carried > 0 {
+            let take = (8 - self.carried).min(bytes.len());
+            self.carry[self.carried..self.carried + take].copy_from_slice(&bytes[..take]);
+            self.carried += take;
+            bytes = &bytes[take..];
+            if self.carried < 8 {
+                return;
+            }
+            self.fold(self.carry);
+            self.carried = 0;
+        }
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.fold(word.try_into().expect("8-byte chunk"));
+        }
+        let rest = words.remainder();
+        self.carry[..rest.len()].copy_from_slice(rest);
+        self.carried = rest.len();
+    }
+
+    fn finish(mut self) -> u64 {
+        if self.carried > 0 {
+            self.carry[self.carried..].fill(0);
+            self.fold(self.carry);
+        }
+        self.hash
+    }
+}
+
 /// A record's fixed-size header.
 #[derive(Clone, Copy, Debug)]
 struct Header {
     key: CacheKey,
+    kind: u64,
     transforms: u64,
-    module_len: u64,
+    text_len: u64,
     checksum: u64,
 }
 
 impl Header {
-    /// The header of `module` stored under `key`, checksum included.
-    fn of(key: &CacheKey, transforms: u64, module: &[u8]) -> Header {
+    /// The header of a record of `kind` holding `text` under `key`,
+    /// checksum included.
+    fn of(key: &CacheKey, kind: u64, transforms: u64, text: &[u8]) -> Header {
         let mut header = Header {
             key: *key,
+            kind,
             transforms,
-            module_len: module.len() as u64,
+            text_len: text.len() as u64,
             checksum: 0,
         };
-        header.checksum = fnv1a_fold(header.fields_hash(), module);
+        let mut sum = header.fields_checksum();
+        sum.update(text);
+        header.checksum = sum.finish();
         header
     }
 
-    /// Little-endian: magic, version, then six `u64`s (script, payload
-    /// and entry hashes, transforms, module length, checksum).
+    /// Little-endian: magic, version, then seven `u64`s (script, payload
+    /// and entry hashes, outcome kind, transforms, text length, checksum).
     fn encode(&self) -> [u8; HEADER_LEN] {
         let mut out = [0u8; HEADER_LEN];
         out[..4].copy_from_slice(&MAGIC);
@@ -160,8 +237,9 @@ impl Header {
             self.key.script_fp,
             self.key.payload_fp,
             self.key.entry_fp,
+            self.kind,
             self.transforms,
-            self.module_len,
+            self.text_len,
             self.checksum,
         ];
         for (slot, word) in out[8..].chunks_exact_mut(8).zip(words) {
@@ -171,7 +249,7 @@ impl Header {
     }
 
     /// Parses a header; `None` unless it has this format's magic and
-    /// version.
+    /// version and a known outcome kind.
     fn decode(bytes: &[u8; HEADER_LEN]) -> Option<Header> {
         if bytes[..4] != MAGIC || bytes[4..8] != FORMAT_VERSION.to_le_bytes() {
             return None;
@@ -180,42 +258,110 @@ impl Header {
             let at = 8 + 8 * i;
             u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8-byte slice"))
         };
-        Some(Header {
+        let kind = word(3);
+        (kind <= KIND_ENTRY_MISSING).then(|| Header {
             key: CacheKey {
                 script_fp: word(0),
                 payload_fp: word(1),
                 entry_fp: word(2),
             },
-            transforms: word(3),
-            module_len: word(4),
-            checksum: word(5),
+            kind,
+            transforms: word(4),
+            text_len: word(5),
+            checksum: word(6),
         })
     }
 
-    /// The checksum's hash so far: every header byte before the checksum.
-    /// Folding the module bytes into it gives the checksum.
-    fn fields_hash(&self) -> u64 {
-        fnv1a(&self.encode()[..CHECKSUM_AT])
+    /// The checksum so far: every header byte before the checksum.
+    /// Folding the text into it gives the checksum.
+    fn fields_checksum(&self) -> Checksum {
+        let mut sum = Checksum::new();
+        sum.update(&self.encode()[..CHECKSUM_AT]);
+        sum
     }
 }
 
-/// The result in `record` if it is whole, of this format and stored under
+/// The record of `outcome`: its kind, transform count and text.
+fn record_of(outcome: &CachedOutcome) -> (u64, u64, &str) {
+    match outcome {
+        Ok(value) => (
+            KIND_SUCCESS,
+            value.transforms_executed as u64,
+            &value.module_text,
+        ),
+        Err(failure) => match failure.error() {
+            JobError::Transform {
+                message,
+                silenceable,
+            } => (
+                if *silenceable {
+                    KIND_SILENCEABLE
+                } else {
+                    KIND_DEFINITE
+                },
+                0,
+                message,
+            ),
+            JobError::Parse { what, message } => (
+                if *what == "payload" {
+                    KIND_PARSE_PAYLOAD
+                } else {
+                    KIND_PARSE_SCRIPT
+                },
+                0,
+                message,
+            ),
+            JobError::EntryMissing { name } => (KIND_ENTRY_MISSING, 0, name),
+            // `CachedFailure` holds no other error.
+            other => unreachable!("uncacheable failure {other:?}"),
+        },
+    }
+}
+
+/// The outcome a record of `kind` with `text` holds.
+fn outcome_of(kind: u64, transforms: u64, text: String) -> Option<CachedOutcome> {
+    let error = match kind {
+        KIND_SUCCESS => {
+            return Some(Ok(CachedResult {
+                module_text: text,
+                transforms_executed: usize::try_from(transforms).ok()?,
+            }))
+        }
+        KIND_DEFINITE | KIND_SILENCEABLE => JobError::Transform {
+            message: text,
+            silenceable: kind == KIND_SILENCEABLE,
+        },
+        KIND_PARSE_PAYLOAD | KIND_PARSE_SCRIPT => JobError::Parse {
+            what: if kind == KIND_PARSE_PAYLOAD {
+                "payload"
+            } else {
+                "script"
+            },
+            message: text,
+        },
+        KIND_ENTRY_MISSING => JobError::EntryMissing { name: text },
+        _ => return None,
+    };
+    CachedFailure::of(&error).map(Err)
+}
+
+/// The outcome in `record` if it is whole, of this format and stored under
 /// `key`.
-fn decode_record(key: &CacheKey, mut record: Vec<u8>) -> Option<CachedResult> {
+fn decode_record(key: &CacheKey, mut record: Vec<u8>) -> Option<CachedOutcome> {
     let header = Header::decode(record.get(..HEADER_LEN)?.try_into().ok()?)?;
-    let module = &record[HEADER_LEN..];
-    if header.key != *key
-        || header.module_len != module.len() as u64
-        || fnv1a_fold(header.fields_hash(), module) != header.checksum
+    let text = &record[HEADER_LEN..];
+    let mut sum = header.fields_checksum();
+    sum.update(text);
+    if header.key != *key || header.text_len != text.len() as u64 || sum.finish() != header.checksum
     {
         return None;
     }
-    let transforms_executed = usize::try_from(header.transforms).ok()?;
     record.drain(..HEADER_LEN);
-    Some(CachedResult {
-        module_text: String::from_utf8(record).ok()?,
-        transforms_executed,
-    })
+    outcome_of(
+        header.kind,
+        header.transforms,
+        String::from_utf8(record).ok()?,
+    )
 }
 
 /// Reads and checks the record at `reader`'s position, which may take at
@@ -225,23 +371,23 @@ fn read_record(reader: &mut impl BufRead, room: u64) -> Option<(CacheKey, u64)> 
     let mut bytes = [0u8; HEADER_LEN];
     reader.read_exact(&mut bytes).ok()?;
     let header = Header::decode(&bytes)?;
-    let len = header.module_len.checked_add(HEADER_LEN as u64)?;
+    let len = header.text_len.checked_add(HEADER_LEN as u64)?;
     if len > room {
         return None;
     }
-    let mut hash = header.fields_hash();
-    let mut left = header.module_len;
+    let mut sum = header.fields_checksum();
+    let mut left = header.text_len;
     while left > 0 {
         let chunk = reader.fill_buf().ok()?;
         if chunk.is_empty() {
             return None;
         }
         let n = chunk.len().min(usize::try_from(left).unwrap_or(usize::MAX));
-        hash = fnv1a_fold(hash, &chunk[..n]);
+        sum.update(&chunk[..n]);
         reader.consume(n);
         left -= n as u64;
     }
-    (hash == header.checksum).then_some((header.key, len))
+    (sum.finish() == header.checksum).then_some((header.key, len))
 }
 
 /// The file name of segment `seq` written by process `pid`.
@@ -354,7 +500,7 @@ impl Index {
     }
 }
 
-/// A content-addressed on-disk store of [`CachedResult`]s.
+/// A content-addressed on-disk store of job outcomes ([`CachedOutcome`]).
 #[derive(Debug)]
 pub struct DiskStore {
     dir: PathBuf,
@@ -527,46 +673,15 @@ impl DiskStore {
             }
         }
     }
-}
 
-impl CachePersist for DiskStore {
-    fn load(&self, key: &CacheKey) -> Option<CachedResult> {
-        self.counters.loads.fetch_add(1, Ordering::Relaxed);
-        let slot = self
-            .index
-            .read()
-            .expect("index lock poisoned")
-            .slots
-            .get(key)
-            .cloned()?;
-        // The length came from this store's own append or scan, which
-        // bounded it by the segment's size.
-        let mut record = vec![0u8; usize::try_from(slot.len).ok()?];
-        let value = slot
-            .segment
-            .read_exact_at(&mut record, slot.offset)
-            .ok()
-            .and_then(|()| decode_record(key, record));
-        match value {
-            Some(value) => {
-                self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                metrics::counter("serve.disk.hit", 1);
-                Some(value)
-            }
-            None => {
-                // Corruption under a live index: a miss, never an error.
-                self.counters.invalid();
-                None
-            }
-        }
-    }
-
-    fn store(&self, key: &CacheKey, value: &CachedResult) {
-        let module = value.module_text.as_bytes();
-        let header = Header::of(key, value.transforms_executed as u64, module);
-        let mut record = Vec::with_capacity(HEADER_LEN + module.len());
+    /// Appends one record of `kind` holding `text` under `key` and
+    /// publishes it in the index.
+    fn append(&self, key: &CacheKey, kind: u64, transforms: u64, text: &str) {
+        let text = text.as_bytes();
+        let header = Header::of(key, kind, transforms, text);
+        let mut record = Vec::with_capacity(HEADER_LEN + text.len());
         record.extend_from_slice(&header.encode());
-        record.extend_from_slice(module);
+        record.extend_from_slice(text);
         let len = record.len() as u64;
 
         let mut writer = self.writer.lock().expect("writer lock poisoned");
@@ -601,6 +716,54 @@ impl CachePersist for DiskStore {
     }
 }
 
+impl CachePersist for DiskStore {
+    /// The success stored under `key`; a failure record answers `None`.
+    fn load(&self, key: &CacheKey) -> Option<CachedResult> {
+        self.load_outcome(key)?.ok()
+    }
+
+    fn store(&self, key: &CacheKey, value: &CachedResult) {
+        let transforms = value.transforms_executed as u64;
+        self.append(key, KIND_SUCCESS, transforms, &value.module_text);
+    }
+
+    fn load_outcome(&self, key: &CacheKey) -> Option<CachedOutcome> {
+        self.counters.loads.fetch_add(1, Ordering::Relaxed);
+        let slot = self
+            .index
+            .read()
+            .expect("index lock poisoned")
+            .slots
+            .get(key)
+            .cloned()?;
+        // The length came from this store's own append or scan, which
+        // bounded it by the segment's size.
+        let mut record = vec![0u8; usize::try_from(slot.len).ok()?];
+        let value = slot
+            .segment
+            .read_exact_at(&mut record, slot.offset)
+            .ok()
+            .and_then(|()| decode_record(key, record));
+        match value {
+            Some(value) => {
+                self.counters.hits.fetch_add(1, Ordering::Relaxed);
+                metrics::counter("serve.disk.hit", 1);
+                Some(value)
+            }
+            None => {
+                // Corruption under a live index: a miss, never an error.
+                self.counters.invalid();
+                None
+            }
+        }
+    }
+
+    fn store_outcome(&self, key: &CacheKey, outcome: &CachedOutcome) {
+        let (kind, transforms, text) = record_of(outcome);
+        self.append(key, kind, transforms, text);
+    }
+}
+
 impl Drop for DiskStore {
     fn drop(&mut self) {
         // A store that appended nothing leaves no file behind.
@@ -628,7 +791,7 @@ mod tests {
         CacheKey {
             script_fp: n,
             payload_fp: n.wrapping_mul(31),
-            entry_fp: fnv1a(b"main"),
+            entry_fp: td_sched::cache::fnv1a(b"main"),
         }
     }
 
@@ -735,9 +898,10 @@ mod tests {
 
     #[test]
     fn a_flipped_byte_in_module_or_header_is_a_miss() {
-        // Header offsets: 32 is the transform count, 40 the module length,
-        // 8 the script hash; `HEADER_LEN + 3` is inside the module.
-        for at in [8, 32, 40, HEADER_LEN as u64 + 3] {
+        // Header offsets: 8 is the script hash, 32 the outcome kind, 40 the
+        // transform count, 48 the text length; `HEADER_LEN + 3` is inside
+        // the module.
+        for at in [8, 32, 40, 48, HEADER_LEN as u64 + 3] {
             let dir = temp_dir(&format!("flip-{at}"));
             let store = DiskStore::open(&dir).unwrap();
             store.store(&key(0), &value("module a"));
@@ -768,7 +932,7 @@ mod tests {
         let dir = temp_dir("foreign");
         fs::create_dir_all(&dir).unwrap();
         let module = b"module x";
-        let header = Header::of(&key(7), 3, module).encode();
+        let header = Header::of(&key(7), KIND_SUCCESS, 3, module).encode();
         let mut record = header.to_vec();
         record.extend_from_slice(module);
         let mut bad_magic = record.clone();
@@ -785,6 +949,171 @@ mod tests {
         assert_eq!(store.counter_values().invalid, 2, "two segments scanned");
         assert_eq!(files(&dir).len(), 4, "nothing deleted, one segment added");
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// One failure of every cacheable kind.
+    fn failures() -> Vec<CachedOutcome> {
+        [
+            JobError::Transform {
+                message: "no loop to tile".into(),
+                silenceable: true,
+            },
+            JobError::Transform {
+                message: "payload corrupted".into(),
+                silenceable: false,
+            },
+            JobError::Parse {
+                what: "payload",
+                message: "bad token".into(),
+            },
+            JobError::Parse {
+                what: "script",
+                message: "".into(),
+            },
+            JobError::EntryMissing {
+                name: "entry".into(),
+            },
+        ]
+        .iter()
+        .map(|error| Err(CachedFailure::of(error).expect("cacheable")))
+        .collect()
+    }
+
+    #[test]
+    fn failure_records_round_trip_beside_successes() {
+        let dir = temp_dir("failures");
+        let store = DiskStore::open(&dir).unwrap();
+        let outcomes: Vec<CachedOutcome> = failures()
+            .into_iter()
+            .chain([Ok(value("module ok"))])
+            .collect();
+        for (n, outcome) in outcomes.iter().enumerate() {
+            store.store_outcome(&key(n as u64), outcome);
+        }
+        for (n, outcome) in outcomes.iter().enumerate() {
+            let k = key(n as u64);
+            assert_eq!(store.load_outcome(&k).as_ref(), Some(outcome), "{n}");
+            // The success-only surface answers for successes only.
+            assert_eq!(store.load(&k), outcome.clone().ok(), "{n}");
+        }
+        let reopened = DiskStore::open(&dir).unwrap();
+        for (n, outcome) in outcomes.iter().enumerate() {
+            let k = key(n as u64);
+            assert_eq!(reopened.load_outcome(&k).as_ref(), Some(outcome), "{n}");
+        }
+        assert_eq!(reopened.counter_values().invalid, 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_torn_failure_record_is_a_miss_at_every_cut() {
+        let dir = temp_dir("torn-failure");
+        let store = DiskStore::open(&dir).unwrap();
+        let failure = failures().remove(1);
+        store.store(&key(0), &value("module 0"));
+        store.store_outcome(&key(1), &failure);
+        let name = segments(&dir).pop().unwrap();
+        drop(store);
+        let whole = fs::read(dir.join(&name)).unwrap();
+        let last = HEADER_LEN + "module 0".len();
+        assert_eq!(whole.len(), last + HEADER_LEN + "payload corrupted".len());
+        for cut in last..whole.len() {
+            let _ = fs::remove_dir_all(&dir);
+            fs::create_dir_all(&dir).unwrap();
+            fs::write(dir.join(&name), &whole[..cut]).unwrap();
+            let store = DiskStore::open(&dir).unwrap();
+            assert_eq!(store.load(&key(0)), Some(value("module 0")), "cut {cut}");
+            assert_eq!(store.load_outcome(&key(1)), None, "cut {cut}");
+            assert_eq!(store.counter_values().invalid, u64::from(cut > last));
+        }
+        fs::write(dir.join(&name), &whole).unwrap();
+        assert_eq!(
+            DiskStore::open(&dir).unwrap().load_outcome(&key(1)),
+            Some(failure)
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A whole segment of the previous log format: 56-byte headers and a
+    /// byte-at-a-time FNV-1a checksum.
+    fn v3_segment(records: &[(CacheKey, &str)]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for (k, module) in records {
+            let mut header = Vec::with_capacity(56);
+            header.extend_from_slice(&MAGIC);
+            header.extend_from_slice(&3u32.to_le_bytes());
+            for word in [
+                k.script_fp,
+                k.payload_fp,
+                k.entry_fp,
+                3,
+                module.len() as u64,
+            ] {
+                header.extend_from_slice(&word.to_le_bytes());
+            }
+            let sum =
+                td_sched::cache::fnv1a_fold(td_sched::cache::fnv1a(&header), module.as_bytes());
+            out.extend_from_slice(&header);
+            out.extend_from_slice(&sum.to_le_bytes());
+            out.extend_from_slice(module.as_bytes());
+        }
+        out
+    }
+
+    #[test]
+    fn a_leftover_v3_segment_is_never_read_or_deleted() {
+        let dir = temp_dir("v3");
+        fs::create_dir_all(&dir).unwrap();
+        let old = "seg-0000000000000000-1.v3";
+        fs::write(
+            dir.join(old),
+            v3_segment(&[(key(1), "module a"), (key(2), "module b")]),
+        )
+        .unwrap();
+        let store = DiskStore::open(&dir).unwrap();
+        assert_eq!(store.entry_count(), 0);
+        assert_eq!(store.load_outcome(&key(1)), None);
+        let c = store.counter_values();
+        assert_eq!(
+            (c.invalid, c.bytes),
+            (0, 0),
+            "the segment was never scanned"
+        );
+        store.store(&key(1), &value("module a, again"));
+        drop(store);
+        assert_eq!(segments(&dir), [segment_name(0, std::process::id())]);
+        assert!(dir.join(old).exists(), "nothing deleted");
+        assert_eq!(
+            DiskStore::open(&dir).unwrap().load(&key(1)),
+            Some(value("module a, again"))
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_checksum_is_the_same_at_every_split_and_sees_every_byte() {
+        let bytes: Vec<u8> = (0..61u8).map(|b| b.wrapping_mul(37)).collect();
+        let whole = {
+            let mut sum = Checksum::new();
+            sum.update(&bytes);
+            sum.finish()
+        };
+        for a in 0..=bytes.len() {
+            for b in a..=bytes.len() {
+                let mut sum = Checksum::new();
+                sum.update(&bytes[..a]);
+                sum.update(&bytes[a..b]);
+                sum.update(&bytes[b..]);
+                assert_eq!(sum.finish(), whole, "split at {a}, {b}");
+            }
+        }
+        for at in 0..bytes.len() {
+            let mut flipped = bytes.clone();
+            flipped[at] ^= 0x80;
+            let mut sum = Checksum::new();
+            sum.update(&flipped);
+            assert_ne!(sum.finish(), whole, "byte {at}");
+        }
     }
 
     #[test]

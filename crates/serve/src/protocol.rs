@@ -28,8 +28,9 @@ pub const HEADER: &str = "td-serve/1";
 /// overrides the tenant's configured mode — an invalid value is refused
 /// with code `bad_txn_mode`). Blobs: `script`, `payload`.
 pub const VERB_SUBMIT: &str = "SUBMIT";
-/// Response to `SUBMIT`. Fields: `job`, `ok`, `cached`, `attempts`,
-/// `transforms`. Blob: `module` (success) or `error` (failure).
+/// Response to `SUBMIT`. Fields: `job`, `ok`, `cached` (on success and
+/// failure alike), then on success `attempts` and `transforms`. Blob:
+/// `module` (success) or `error` (failure).
 pub const VERB_RESULT: &str = "RESULT";
 /// Request/response: retrieve an artifact by job id. Request fields:
 /// `job`, `kind` (`report` | `bisect` | `flight`); response carries the

@@ -5,13 +5,19 @@
 //!
 //! | request                                          | response |
 //! |--------------------------------------------------|----------|
-//! | `SUBMIT tenant= entry=? request=? #script #payload` | `RESULT job= request= tenant= ok= cached= attempts= transforms= wall_us= #module\|#error` |
+//! | `SUBMIT tenant= entry=? request=? #script #payload` | `RESULT job= request= tenant= wall_us= ok=true cached= attempts= transforms= #module`, or `RESULT ... ok=false cached= #error` |
 //! | `ARTIFACT job=\|request= kind=`                  | `ARTIFACT job= kind= #data`, or `ERR code=not_found` |
 //! | `STATS`                                          | `STATS #data` (the service counters JSON) |
 //! | `METRICS`                                        | `METRICS #data` (Prometheus text exposition) |
 //! | `PING`                                           | `PONG uptime_ms= proto= build= instance=` |
 //! | `SHUTDOWN`                                       | `BYE`, then the connection (and in stdio mode the daemon) ends |
 //! | anything else                                    | `ERR reason=` |
+//!
+//! `cached=true` says the result cache answered the job instead of running
+//! it — a failure as well as a success: the engine caches a job's
+//! deterministic failure (transform, parse, missing entry) as it caches a
+//! result, and a cached failure's `#error` is byte-identical to the
+//! executed one's.
 //!
 //! `SUBMIT request=` lets the client supply its own request id (charset
 //! `[A-Za-z0-9._:/-]`, ≤64 bytes); otherwise the service mints one.
@@ -136,12 +142,13 @@ fn handle_submit(service: &Service, request: &Message) -> Message {
             match done.result {
                 Ok(output) => base
                     .field("ok", "true")
-                    .field("cached", output.from_cache.to_string())
+                    .field("cached", done.cached.to_string())
                     .field("attempts", output.attempts.to_string())
                     .field("transforms", output.transforms_executed.to_string())
                     .blob("module", output.module_text.into_bytes()),
                 Err(error) => base
                     .field("ok", "false")
+                    .field("cached", done.cached.to_string())
                     .blob("error", error.to_string().into_bytes()),
             }
         }

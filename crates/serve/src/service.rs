@@ -16,7 +16,7 @@
 //!                  ArtifactStore (report / bisect / flight)
 //!                              │ ARTIFACT request, connection thread
 //!                              ▼
-//!          render the report / bisect the failed job, once
+//!          render the report or flight bundle / bisect the failed job, once
 //! ```
 //!
 //! One engine, policy on the job: the service holds one [`Engine`] over
@@ -39,14 +39,16 @@
 //!
 //! A worker pays for no diagnostic nobody has asked for. What it leaves in
 //! the [`ArtifactStore`] for a job is the material — the batch report as
-//! the engine returned it, and for a job that failed with a transform
-//! error the job itself, policy included — and the text is computed by the
-//! first `ARTIFACT` request for it ([`Service::artifact`]), on that
-//! connection's thread, outside the worker pool: `report` is rendered to
-//! JSON, `bisect` runs [`Engine::bisect`] (milliseconds of interpreter
-//! probes, under the job's own transactional mode and lane). The result is
-//! memoised and evicted with the job. Only the `flight` bundle is captured
-//! eagerly, because it snapshots a ring that moves on — the ring of the
+//! the engine returned it, for a job that failed with a transform error
+//! the job itself, policy included, and for a job that failed at all the
+//! flight recorder's material ([`flight::capture`]) — and the text is
+//! computed by the first `ARTIFACT` request for it ([`Service::artifact`]),
+//! on that connection's thread, outside the worker pool: `report` is
+//! rendered to JSON, `bisect` runs [`Engine::bisect`] (milliseconds of
+//! interpreter probes, under the job's own transactional mode and lane),
+//! `flight` renders the captured bundle. The result is memoised and
+//! evicted with the job. The flight material alone is copied when the job
+//! completes, because it snapshots a ring that moves on — the ring of the
 //! worker that ran the job, so the bundle replays the job's own steps
 //! (behind whatever that worker ran before it).
 //!
@@ -196,6 +198,9 @@ pub struct ServeResult {
     pub tenant: String,
     /// The engine's result.
     pub result: JobResult,
+    /// Whether the result — success or failure — was answered by the
+    /// result cache instead of being executed.
+    pub cached: bool,
     /// Dispatch-to-completion wall time.
     pub wall: Duration,
 }
@@ -270,6 +275,9 @@ enum Deferred {
     /// `bisect`: a job that failed with a transform error. Its policy is
     /// what it ran under, so the bisection probes do the same.
     Bisect(Job),
+    /// `flight`: a failed job's flight bundle, captured on the worker when
+    /// the job completed, rendered with [`flight::Captured::render`].
+    Flight(Box<flight::Captured>),
 }
 
 struct PendState {
@@ -616,10 +624,11 @@ impl Service {
     }
 
     /// Retrieves a retained artifact (`report` / `bisect` / `flight`).
-    /// `report` and `bisect` are computed by the first call that asks for
-    /// them, on the calling thread, and memoised: the first `bisect`
-    /// retrieval of a job costs a bisection (see [`Engine::bisect`]), and
-    /// answers `None` when the failure does not reproduce.
+    /// Each is computed by the first call that asks for it, on the calling
+    /// thread, and memoised: the first `bisect` retrieval of a job costs a
+    /// bisection (see [`Engine::bisect`]), and answers `None` when the
+    /// failure does not reproduce; the first `flight` retrieval renders
+    /// the bundle captured when the job completed.
     pub fn artifact(&self, job: u64, kind: &str) -> Option<String> {
         let inner = &self.inner;
         inner
@@ -1169,6 +1178,7 @@ impl Inner {
                     message: "engine returned no result slot".to_owned(),
                 })
             });
+            let cached = report.from_cache.pop().unwrap_or(false);
             let wall = started.elapsed();
             // Batch-level txn counters (not JobOutput's) so rollbacks
             // inside attempts that went on to fail are counted too — and
@@ -1221,7 +1231,7 @@ impl Inner {
                     .put_deferred(id, "bisect", Deferred::Bisect(job));
             }
             if failed {
-                let bundle = flight::bundle_json(
+                let bundle = flight::capture(
                     "serve.job.failed",
                     &[
                         ("job", id.to_string()),
@@ -1229,10 +1239,10 @@ impl Inner {
                         ("request", request.clone()),
                     ],
                 );
-                self.artifacts.put(id, "flight", bundle);
+                self.artifacts
+                    .put_deferred(id, "flight", Deferred::Flight(Box::new(bundle)));
             }
             if self.observe {
-                let cached = matches!(&result, Ok(output) if output.from_cache);
                 let slo_violation = runtime
                     .config
                     .slo_ms
@@ -1261,6 +1271,7 @@ impl Inner {
                         request,
                         tenant: runtime.config.name.clone(),
                         result,
+                        cached,
                         wall,
                     },
                 );
@@ -1288,6 +1299,7 @@ impl Inner {
     fn render(&self, deferred: Deferred) -> Option<String> {
         match deferred {
             Deferred::Report(report) => Some(report.report_json()),
+            Deferred::Flight(bundle) => Some(bundle.render()),
             Deferred::Bisect(job) => {
                 let callers = metrics::take();
                 let text = self.engine.bisect(&job);

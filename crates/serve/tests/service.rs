@@ -346,6 +346,115 @@ fn failure_budget_fuses_one_tenant_and_spares_the_rest() {
     );
 }
 
+/// A cached failure is a failure of the tenant's like an executed one: a
+/// fused tenant fuses on the same count whether its failures ran or were
+/// answered from the cache.
+#[test]
+fn a_tenant_fuses_on_the_same_count_with_failures_cached() {
+    let tenants = || {
+        vec![
+            TenantConfig::new("warmer"),
+            TenantConfig::new("fused").with_failure_budget(3),
+        ]
+    };
+    let admitted_until_fused = |service: &Service| -> (usize, Vec<bool>) {
+        let mut cached = Vec::new();
+        for i in 0..10 {
+            match service.submit_wait("fused", FAILING_SCRIPT, loop_payload(i), "main") {
+                Ok(done) => {
+                    assert!(done.result.is_err(), "job {i}");
+                    cached.push(done.cached);
+                }
+                Err(AdmitError::BudgetExhausted) => return (i, cached),
+                Err(other) => panic!("job {i}: {other}"),
+            }
+        }
+        panic!("the tenant never fused")
+    };
+
+    let uncached = Service::start(ServiceConfig::new(tenants()).with_cache_capacity(0)).unwrap();
+    let (executed, flags) = admitted_until_fused(&uncached);
+    assert_eq!((executed, flags), (3, vec![false; 3]));
+    uncached.drain();
+
+    let warm = Service::start(ServiceConfig::new(tenants())).unwrap();
+    for i in 0..10 {
+        let done = warm
+            .submit_wait("warmer", FAILING_SCRIPT, loop_payload(i), "main")
+            .unwrap();
+        assert!(done.result.is_err() && !done.cached);
+    }
+    let (answered, flags) = admitted_until_fused(&warm);
+    assert_eq!((answered, flags), (3, vec![true; 3]));
+    let stats = warm.stats_json();
+    assert_eq!(tenant_counter(&stats, "fused", "failed"), 3);
+    assert!(stats.contains("\"fused\":true"), "{stats}");
+    warm.drain();
+}
+
+/// A resubmitted failure is answered from the cache — in memory, and
+/// after a restart from disk — with the executed error's bytes, and it
+/// leaves the artifacts an executed failure leaves.
+#[test]
+fn a_cached_failure_answers_like_the_executed_one_in_memory_and_from_disk() {
+    let dir = temp_dir("failures");
+    let start = || {
+        Arc::new(
+            Service::start(
+                ServiceConfig::new(vec![TenantConfig::new("alpha")]).with_cache_dir(&dir),
+            )
+            .unwrap(),
+        )
+    };
+    let service = start();
+    let (mut client, server) = connect(&service);
+    let executed = client
+        .submit("alpha", FAILING_SCRIPT, &loop_payload(3), "main")
+        .unwrap();
+    let again = client
+        .submit("alpha", FAILING_SCRIPT, &loop_payload(3), "main")
+        .unwrap();
+    assert!(!executed.cached && again.cached);
+    assert!(executed.output.is_err());
+    assert_eq!(again.output, executed.output, "byte-identical error text");
+    assert_eq!(again.transforms, 0);
+    assert_eq!(
+        service.artifact_kinds(again.job_id),
+        ["report", "bisect", "flight"]
+    );
+    assert_eq!(
+        client.artifact(again.job_id, "bisect").unwrap(),
+        client.artifact(executed.job_id, "bisect").unwrap()
+    );
+    let flight = client.artifact(again.job_id, "flight").unwrap();
+    td_support::trace::validate_json(&flight).expect("flight bundle validates");
+    for part in [
+        "{\"reason\":\"serve.job.failed\"",
+        &format!("\"job\":\"{}\"", again.job_id),
+        "\"kind\":\"cache.hit\"",
+    ] {
+        assert!(flight.contains(part), "no {part} in {flight}");
+    }
+    assert_eq!(client.artifact(again.job_id, "flight").unwrap(), flight);
+    client.shutdown().unwrap();
+    server.join().unwrap().unwrap();
+    service.drain();
+    drop(service);
+
+    let restarted = start();
+    let (mut client, server) = connect(&restarted);
+    let from_disk = client
+        .submit("alpha", FAILING_SCRIPT, &loop_payload(3), "main")
+        .unwrap();
+    assert!(from_disk.cached);
+    assert_eq!(from_disk.output, executed.output);
+    assert_eq!(restarted.cache_stats().disk_hits, 1);
+    client.shutdown().unwrap();
+    server.join().unwrap().unwrap();
+    restarted.drain();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn admission_cap_rejects_a_flooding_tenant() {
     let _guard = fault::test_guard();

@@ -291,6 +291,8 @@ thread_local! {
     static LANE: Cell<u64> = const { Cell::new(0) };
     /// Per-lane hit counters, keyed by faultpoint name.
     static COUNTERS: RefCell<BTreeMap<&'static str, u64>> = RefCell::new(BTreeMap::new());
+    /// Faults fired on this thread, ever (see [`fired_count`]).
+    static FIRED: Cell<u64> = const { Cell::new(0) };
 }
 
 /// The spec in `TD_FAULT`, if set.
@@ -438,6 +440,7 @@ pub fn check(point: &'static str, label: &str) -> Option<Fault> {
         row.fired += u64::from(fired.is_some());
     }
     if let Some(fault) = fired {
+        FIRED.with(|f| f.set(f.get() + 1));
         crate::flight::record(
             "fault.fired",
             &[
@@ -450,6 +453,15 @@ pub fn check(point: &'static str, label: &str) -> Option<Fault> {
         );
     }
     fired
+}
+
+/// Faults fired on the calling thread since it started, whatever the
+/// plan, lane or point. Never reset: a caller compares two readings to
+/// learn whether a fault fired in between (td-sched caches a job's outcome
+/// only when none did). Unlike [`active`], it cannot be moved by a plan
+/// another thread arms concurrently.
+pub fn fired_count() -> u64 {
+    FIRED.with(Cell::get)
 }
 
 /// A snapshot of the process-wide per-point counters.
@@ -611,6 +623,27 @@ mod tests {
         assert!(!a.iter().all(|&f| f), "p=0.5 skips somewhere in 64 hits");
         let c = outcomes(4);
         assert_ne!(a, c, "different lanes draw independent schedules");
+    }
+
+    #[test]
+    fn fired_count_moves_only_when_a_fault_fires_on_this_thread() {
+        let before = fired_count();
+        with_thread_plan("silenceable@step=1", || {
+            check(POINT_INTERP_STEP, "a");
+            assert_eq!(fired_count(), before, "a hit that does not fire");
+            check(POINT_INTERP_STEP, "b");
+            assert_eq!(fired_count(), before + 1);
+        });
+        let other = std::thread::spawn(|| {
+            with_thread_plan("definite", || check(POINT_INTERP_STEP, "x"));
+            fired_count()
+        });
+        assert_eq!(
+            other.join().unwrap(),
+            1,
+            "counted on the thread it fired on"
+        );
+        assert_eq!(fired_count(), before + 1);
     }
 
     #[test]

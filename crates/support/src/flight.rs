@@ -23,10 +23,11 @@
 //! * the caller's `extra` attribution (failing transform name, handles,
 //!   payload fingerprint).
 //!
-//! The ring is per thread, so a bundle replays the thread that builds it:
-//! td-serve's `flight` artifact, built by a pool worker once the engine
-//! returns, holds the failed job's steps because td-sched runs a
-//! single-miss batch on the thread that submitted it.
+//! The ring is per thread, so a bundle replays the thread that captures
+//! it: td-serve's `flight` artifact, captured by a pool worker once the
+//! engine returns ([`capture`]) and rendered by the first request for it
+//! ([`Captured::render`]), holds the failed job's steps because td-sched
+//! runs a single-miss batch on the thread that submitted it.
 //!
 //! Without `TD_FLIGHT_DIR` the dump is a no-op, so the recorder costs one
 //! branch plus a ring write per event. Dumps are capped process-wide
@@ -207,43 +208,81 @@ fn event_json(event: &FlightEvent) -> String {
 }
 
 /// Builds the self-contained bundle JSON (also used by tests, which
-/// validate it without touching the filesystem). The `repro` key is always
-/// present: the label of the last `bisect` artifact in this thread's
-/// journal, or `null` (see the module docs for where a td-serve job's
-/// repro lives).
+/// validate it without touching the filesystem): [`capture`] rendered at
+/// once. The `repro` key is always present: the label of the last `bisect`
+/// artifact in this thread's journal, or `null` (see the module docs for
+/// where a td-serve job's repro lives).
 pub fn bundle_json(reason: &str, extra: &[(&str, String)]) -> String {
-    let events = snapshot_events();
-    let mut out = format!("{{\"reason\":{},\"extra\":{{", json_string(reason));
-    for (i, (key, value)) in extra.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{}:{}", json_string(key), json_string(value));
+    capture(reason, extra).render()
+}
+
+/// A bundle's material, copied off this thread: the ring's events, the
+/// metrics registry and the journal as they stand, with the caller's
+/// `reason` and `extra` attribution. Capturing copies and renders nothing
+/// else; [`Captured::render`] produces, on any thread and at any later
+/// time, the text [`bundle_json`] would have produced here and now.
+/// td-serve captures a failed job's bundle on the worker when the job
+/// completes and renders it only if an `ARTIFACT kind=flight` asks.
+pub fn capture(reason: &str, extra: &[(&str, String)]) -> Captured {
+    Captured {
+        reason: reason.to_owned(),
+        extra: extra
+            .iter()
+            .map(|(key, value)| ((*key).to_owned(), value.clone()))
+            .collect(),
+        recorded_total: recorded_total(),
+        events: snapshot_events(),
+        metrics: crate::metrics::snapshot(),
+        journal: crate::journal::snapshot(),
     }
-    let _ = write!(
-        out,
-        "}},\"recorded_total\":{},\"events\":[",
-        recorded_total()
-    );
-    for (i, event) in events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+}
+
+/// A flight bundle captured by [`capture`], not yet rendered.
+#[derive(Debug)]
+pub struct Captured {
+    reason: String,
+    extra: Vec<(String, String)>,
+    recorded_total: u64,
+    events: Vec<FlightEvent>,
+    metrics: crate::metrics::Metrics,
+    journal: crate::journal::Journal,
+}
+
+impl Captured {
+    /// The bundle JSON, with stable field order.
+    pub fn render(&self) -> String {
+        let mut out = format!("{{\"reason\":{},\"extra\":{{", json_string(&self.reason));
+        for (i, (key, value)) in self.extra.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "{}:{}", json_string(key), json_string(value));
         }
-        out.push_str(&event_json(event));
+        let _ = write!(
+            out,
+            "}},\"recorded_total\":{},\"events\":[",
+            self.recorded_total
+        );
+        for (i, event) in self.events.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(&event_json(event));
+        }
+        out.push_str("],\"metrics\":");
+        out.push_str(&self.metrics.to_json());
+        let repro = self
+            .journal
+            .artifacts()
+            .iter()
+            .rev()
+            .find(|a| a.kind == "bisect")
+            .map_or("null".to_owned(), |a| json_string(&a.label));
+        let _ = write!(out, ",\"repro\":{repro},\"journal_tail\":");
+        out.push_str(&self.journal.tail_json(JOURNAL_TAIL));
+        out.push('}');
+        out
     }
-    out.push_str("],\"metrics\":");
-    out.push_str(&crate::metrics::snapshot().to_json());
-    let journal = crate::journal::snapshot();
-    let repro = journal
-        .artifacts()
-        .iter()
-        .rev()
-        .find(|a| a.kind == "bisect")
-        .map_or("null".to_owned(), |a| json_string(&a.label));
-    let _ = write!(out, ",\"repro\":{repro},\"journal_tail\":");
-    out.push_str(&journal.tail_json(JOURNAL_TAIL));
-    out.push('}');
-    out
 }
 
 /// Dumps the bundle to `TD_FLIGHT_DIR/flight-<n>-<reason>.json` and
@@ -354,6 +393,24 @@ mod tests {
         ] {
             assert!(bundle.contains(section), "missing {section}: {bundle}");
         }
+        reset();
+    }
+
+    #[test]
+    fn a_capture_renders_later_what_the_bundle_was_when_captured() {
+        reset();
+        record("cache.hit", &[("script_fp", "7".to_owned())]);
+        crate::metrics::counter("flight.test.captured", 1);
+        let extra = [("job", "4".to_owned()), ("request", "r-4".to_owned())];
+        let captured = capture("serve.job.failed", &extra);
+        assert_eq!(captured.render(), bundle_json("serve.job.failed", &extra));
+        let expected = captured.render();
+        // The thread moves on; the capture does not.
+        record("step.begin", &[]);
+        crate::metrics::counter("flight.test.captured", 1);
+        assert_ne!(bundle_json("serve.job.failed", &extra), expected);
+        let elsewhere = std::thread::spawn(move || captured.render());
+        assert_eq!(elsewhere.join().unwrap(), expected);
         reset();
     }
 
