@@ -24,7 +24,7 @@
 //! shutdown).
 //!
 //! **Act 3 — diagnostics on demand (subprocess).** Failing jobs against
-//! the real daemon, counting bisections in its `METRICS`: none until a
+//! the real daemon, counting bisections in STATS' `internal`: none until a
 //! `bisect` artifact is fetched, one per distinct fetch, none for a
 //! refetch. A daemon that bisects unasked fails here by exact count. The
 //! failures are cached: resubmitted, every one is answered `cached=true`
@@ -304,13 +304,20 @@ fn diagnostics_on_demand() {
         std::env::temp_dir().join(format!("td-serve-smoke-diag-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&cache_dir);
     let (child, mut client) = connect_daemon(&cache_dir);
-    // The daemon's own count of bisections run (absent until the first).
+    // The daemon's own count of bisections run, from STATS' live internal
+    // registry (absent until the first).
     let bisections = |client: &mut StdioClient| -> u64 {
-        let metrics = client.metrics().expect("METRICS");
-        metrics
-            .lines()
-            .find_map(|l| l.strip_prefix("td_internal_sched_bisections_total "))
-            .map_or(0, |n| n.parse().expect("counter value"))
+        let stats = client.stats().expect("STATS");
+        let internal = stats
+            .split("\"internal\":{\"counters\":{")
+            .nth(1)
+            .unwrap_or_else(|| panic!("STATS lacks internal.counters: {stats}"));
+        let counters = &internal[..internal.find('}').unwrap_or(internal.len())];
+        if counters.contains("\"sched.bisections\":") {
+            json_u64(counters, "sched.bisections")
+        } else {
+            0
+        }
     };
     // The shared cache's hit and miss counters, from STATS.
     let lookups = |client: &mut StdioClient| -> (u64, u64) {

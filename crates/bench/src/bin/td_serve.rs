@@ -19,7 +19,6 @@
 //! | `TD_SERVE_CACHE_MAX_BYTES` | disk-cache size cap (oldest-segment eviction)       |
 //! | `TD_SERVE_TENANTS`         | tenant spec (see `td_serve::tenant` for the grammar)|
 //! | `TD_SERVE_WORKERS`         | worker threads (default 4)                          |
-//! | `TD_SERVE_LOG`             | structured JSON-lines event log path                |
 //!
 //! Without `TD_SERVE_TENANTS` a single default tenant named `default` is
 //! configured — handy for local poking, useless for multi-tenant tests,
@@ -49,9 +48,6 @@ fn main() {
     }
     if let Some(bytes) = server::env_cache_max_bytes() {
         config = config.with_cache_max_bytes(bytes);
-    }
-    if let Some(path) = server::env_event_log() {
-        config = config.with_event_log(path);
     }
     let service = match Service::start(config) {
         Ok(service) => service,

@@ -81,7 +81,7 @@ pub fn exported_trace() -> String {
     json
 }
 
-/// `binary` next to the running executable (`td_serve`, `td_top`), which
+/// `binary` next to the running executable (`td_serve`), which
 /// a `--workspace` or `-p td-bench` build puts there.
 pub fn sibling(binary: &str) -> PathBuf {
     let path = std::env::current_exe()

@@ -82,11 +82,6 @@ pub fn cast_after(ctx: &mut Context, anchor: OpId, value: ValueId, to_type: Type
     ctx.op(cast).results()[0]
 }
 
-/// Whether `op` is an unrealized conversion cast.
-pub fn is_unrealized_cast(ctx: &Context, op: OpId) -> bool {
-    ctx.op(op).name.as_str() == UNREALIZED_CAST
-}
-
 /// Finds an attribute of the module by walking up from any op.
 pub fn enclosing_module(ctx: &Context, op: OpId) -> Option<OpId> {
     if ctx.op(op).name.as_str() == "builtin.module" {

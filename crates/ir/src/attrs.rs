@@ -132,14 +132,6 @@ impl Attribute {
     pub fn as_int_array(&self) -> Option<Vec<i64>> {
         self.as_array()?.iter().map(Attribute::as_int).collect()
     }
-
-    /// Returns the type payload, if this is an [`Attribute::Type`].
-    pub fn as_type(&self) -> Option<TypeId> {
-        match self {
-            Attribute::Type(t) => Some(*t),
-            _ => None,
-        }
-    }
 }
 
 impl From<i64> for Attribute {

@@ -86,16 +86,6 @@ impl<'c> OpBuilder<'c> {
         self.ctx
     }
 
-    /// Current insertion point.
-    pub fn insert_point(&self) -> InsertPoint {
-        self.insert
-    }
-
-    /// Moves the insertion point to the end of `block`.
-    pub fn set_insert_at_end(&mut self, block: BlockId) {
-        self.insert = InsertPoint::AtEnd(block);
-    }
-
     /// Sets the location used for subsequently created ops.
     pub fn set_location(&mut self, location: Location) {
         self.location = location;

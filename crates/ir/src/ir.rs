@@ -363,10 +363,6 @@ impl Context {
     pub fn transform_any_op_type(&mut self) -> TypeId {
         self.intern_type(TypeKind::TransformAnyOp)
     }
-    /// The `!transform.param` type.
-    pub fn transform_param_type(&mut self) -> TypeId {
-        self.intern_type(TypeKind::TransformParam)
-    }
 
     // ----- entity access -------------------------------------------------
 
@@ -421,11 +417,6 @@ impl Context {
             block_edits: self.edits,
             order_keys_assigned: self.keyed.get(),
         }
-    }
-
-    /// Whether `block` still refers to a live block.
-    pub fn is_block_live(&self, block: BlockId) -> bool {
-        self.blocks.contains(block)
     }
 
     /// Reads a region.

@@ -69,11 +69,6 @@ impl<'c> Rewriter<'c> {
         std::mem::take(&mut self.events)
     }
 
-    /// Notifies listeners that `op` was created outside the helpers below.
-    pub fn notify_inserted(&mut self, op: OpId) {
-        self.events.push(RewriteEvent::Inserted(op));
-    }
-
     /// Creates an op right before `anchor` and records the insertion.
     pub fn create_before(&mut self, anchor: OpId, f: impl FnOnce(&mut OpBuilder) -> OpId) -> OpId {
         let mut builder = OpBuilder::before(self.ctx, anchor);

@@ -53,12 +53,6 @@ impl IrdlOp {
         self.results.push((name.to_owned(), constraint, arity));
         self
     }
-
-    /// Sets the native predicate (builder-style).
-    pub fn with_native(mut self, native: NativeConstraint) -> Self {
-        self.native = Some(native);
-        self
-    }
 }
 
 impl std::fmt::Debug for IrdlOp {

@@ -61,18 +61,6 @@ impl ScheduleOptions {
         self.steps = steps;
         self
     }
-
-    /// Enables/disables silenceably-failing steps (builder-style).
-    pub fn with_failures(mut self, allow: bool) -> Self {
-        self.allow_failures = allow;
-        self
-    }
-
-    /// Enables/disables use-after-consume steps (builder-style).
-    pub fn with_invalidation(mut self, allow: bool) -> Self {
-        self.allow_invalidation = allow;
-        self
-    }
 }
 
 /// The sorted, deduplicated op names nested in `module` — the match

@@ -21,8 +21,8 @@ pub struct SubmitOutcome {
     /// The daemon-assigned job id (artifact retrieval key).
     pub job_id: u64,
     /// The request id echoed by `RESULT request=` — client-supplied or
-    /// daemon-minted; the correlation key across traces, journals, flight
-    /// bundles, and the event log.
+    /// daemon-minted; the correlation key across traces, journals and
+    /// flight bundles.
     pub request: String,
     /// Transformed module text (`Ok`) or the job's error display (`Err`).
     pub output: Result<String, String>,
@@ -250,18 +250,6 @@ impl<R: Read, W: Write> Client<R, W> {
     /// Transport failures or an `ERR` response.
     pub fn stats(&mut self) -> Result<String, ClientError> {
         let response = self.expect(&Message::new(protocol::VERB_STATS), protocol::VERB_STATS)?;
-        Ok(response.get_blob_text("data").unwrap_or_default())
-    }
-
-    /// Fetches the Prometheus text exposition.
-    ///
-    /// # Errors
-    /// Transport failures or an `ERR` response.
-    pub fn metrics(&mut self) -> Result<String, ClientError> {
-        let response = self.expect(
-            &Message::new(protocol::VERB_METRICS),
-            protocol::VERB_METRICS,
-        )?;
         Ok(response.get_blob_text("data").unwrap_or_default())
     }
 

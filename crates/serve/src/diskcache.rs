@@ -120,8 +120,8 @@ impl Counters {
     }
 }
 
-/// A point-in-time snapshot of a store's counters (the `METRICS`
-/// exposition's source).
+/// A point-in-time snapshot of a store's counters (the source of
+/// [`DiskStore::stats_json`], `STATS`' `disk` object).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DiskCounters {
     /// Load attempts.

@@ -37,24 +37,18 @@
 pub mod artifacts;
 pub mod client;
 pub mod diskcache;
-pub mod eventlog;
-pub mod exposition;
 pub mod framing;
 pub mod protocol;
 pub mod scheduler;
 pub mod server;
 pub mod service;
 pub mod tenant;
-pub mod timeseries;
 
 pub use client::{Client, ClientError, ServerInfo, SubmitOutcome};
 pub use diskcache::{DiskCounters, DiskStore};
-pub use eventlog::EventLog;
-pub use exposition::{validate_exposition, Exposition, MetricType};
 pub use framing::{read_frame, write_frame, FrameError, MAX_FRAME};
 pub use protocol::{Message, ProtoError};
 pub use scheduler::FairQueue;
 pub use server::{handle_connection, serve_stdio, ConnectionOutcome, UnixServer};
 pub use service::{AdmitError, DrainSummary, ServeResult, Service, ServiceConfig};
 pub use tenant::{parse_tenants, TenantConfig};
-pub use timeseries::{slo_reading, Bucket, Health, SeriesRegistry, SloReading};

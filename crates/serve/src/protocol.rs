@@ -17,8 +17,8 @@
 //!
 //! Fields precede blobs; a line starting with `#` switches the parser to
 //! blob mode permanently. Verbs: `SUBMIT`, `RESULT`, `ARTIFACT`, `STATS`,
-//! `METRICS`, `PING`, `PONG`, `SHUTDOWN`, `BYE`, `ERR` (see
-//! [`crate::server`] for which side sends which).
+//! `PING`, `PONG`, `SHUTDOWN`, `BYE`, `ERR` (see [`crate::server`] for
+//! which side sends which).
 
 /// The protocol magic + version tag every message starts with.
 pub const HEADER: &str = "td-serve/1";
@@ -36,12 +36,10 @@ pub const VERB_RESULT: &str = "RESULT";
 /// `job`, `kind` (`report` | `bisect` | `flight`); response carries the
 /// `data` blob.
 pub const VERB_ARTIFACT: &str = "ARTIFACT";
-/// Request/response: service counters as a JSON blob (`data`).
+/// Request/response: the service counters as a JSON blob (`data`) — the
+/// daemon's one counter surface: admission, tenant, cache and disk
+/// counters plus the live internal registry under `internal`.
 pub const VERB_STATS: &str = "STATS";
-/// Request/response: Prometheus text exposition as a `data` blob —
-/// per-tenant rate/latency/SLO series from the windowed time-series
-/// registry plus live engine/cache/fault counters.
-pub const VERB_METRICS: &str = "METRICS";
 /// Liveness probe.
 pub const VERB_PING: &str = "PING";
 /// Response to [`VERB_PING`].

@@ -87,11 +87,6 @@ impl<T> FairQueue<T> {
     pub fn is_empty(&self) -> bool {
         self.queues.iter().all(VecDeque::is_empty)
     }
-
-    /// Items backlogged for one tenant.
-    pub fn tenant_len(&self, tenant: usize) -> usize {
-        self.queues[tenant].len()
-    }
 }
 
 #[cfg(test)]

@@ -7,8 +7,7 @@
 //! |--------------------------------------------------|----------|
 //! | `SUBMIT tenant= entry=? request=? #script #payload` | `RESULT job= request= tenant= wall_us= ok=true cached= attempts= transforms= #module`, or `RESULT ... ok=false cached= #error` |
 //! | `ARTIFACT job=\|request= kind=`                  | `ARTIFACT job= kind= #data`, or `ERR code=not_found` |
-//! | `STATS`                                          | `STATS #data` (the service counters JSON) |
-//! | `METRICS`                                        | `METRICS #data` (Prometheus text exposition) |
+//! | `STATS`                                          | `STATS #data` (the service counters JSON, internal registry included) |
 //! | `PING`                                           | `PONG uptime_ms= proto= build= instance=` |
 //! | `SHUTDOWN`                                       | `BYE`, then the connection (and in stdio mode the daemon) ends |
 //! | anything else                                    | `ERR reason=` |
@@ -22,8 +21,8 @@
 //! `SUBMIT request=` lets the client supply its own request id (charset
 //! `[A-Za-z0-9._:/-]`, ≤64 bytes); otherwise the service mints one.
 //! Either way `RESULT request=` echoes it, and it is the id stamped into
-//! the job's trace spans, journal steps, flight bundles, and event-log
-//! entries — the correlation key of the observability plane.
+//! the job's trace spans, journal steps and flight bundles — the
+//! correlation key of the observability plane.
 //!
 //! Admission refusals answer `ERR code=unknown_tenant|queue_full|`
 //! `budget_exhausted|draining reason=...` — the job was *not* run and the
@@ -93,8 +92,6 @@ pub fn handle_connection(
             protocol::VERB_STATS => {
                 Message::new(protocol::VERB_STATS).blob("data", service.stats_json().into_bytes())
             }
-            protocol::VERB_METRICS => Message::new(protocol::VERB_METRICS)
-                .blob("data", service.metrics_exposition().into_bytes()),
             protocol::VERB_PING => Message::new(protocol::VERB_PONG)
                 .field("uptime_ms", service.uptime_ms().to_string())
                 .field("proto", protocol::HEADER)
@@ -298,11 +295,4 @@ pub fn env_cache_max_bytes() -> Option<u64> {
     std::env::var("TD_SERVE_CACHE_MAX_BYTES")
         .ok()
         .and_then(|s| s.parse().ok())
-}
-
-/// The structured event-log path in `TD_SERVE_LOG`, if set.
-pub fn env_event_log() -> Option<PathBuf> {
-    std::env::var_os("TD_SERVE_LOG")
-        .filter(|s| !s.is_empty())
-        .map(PathBuf::from)
 }

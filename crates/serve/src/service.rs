@@ -62,11 +62,8 @@
 
 use crate::artifacts::ArtifactStore;
 use crate::diskcache::DiskStore;
-use crate::eventlog::EventLog;
-use crate::exposition::{Exposition, MetricType};
 use crate::scheduler::FairQueue;
 use crate::tenant::TenantConfig;
-use crate::timeseries::{slo_reading, SeriesRegistry};
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -92,12 +89,6 @@ pub struct ServiceConfig {
     /// the store grows past this, its oldest segments are evicted.
     /// `None` = unbounded.
     pub cache_max_bytes: Option<u64>,
-    /// Structured event-log path (`TD_SERVE_LOG`); `None` disables.
-    pub event_log: Option<PathBuf>,
-    /// Whether the observability plane (request time series, event log,
-    /// per-job metric flush, queue-wait spans) is active. On by default;
-    /// the overhead gate in CI compares against `false`.
-    pub observe: bool,
 }
 
 impl ServiceConfig {
@@ -111,8 +102,6 @@ impl ServiceConfig {
             cache_dir: None,
             artifact_capacity: 256,
             cache_max_bytes: None,
-            event_log: None,
-            observe: true,
         }
     }
 
@@ -137,19 +126,6 @@ impl ServiceConfig {
     /// Caps the on-disk cache size (builder-style).
     pub fn with_cache_max_bytes(mut self, bytes: u64) -> Self {
         self.cache_max_bytes = Some(bytes);
-        self
-    }
-
-    /// Enables the structured event log at `path` (builder-style).
-    pub fn with_event_log(mut self, path: impl Into<PathBuf>) -> Self {
-        self.event_log = Some(path.into());
-        self
-    }
-
-    /// Turns the observability plane off (builder-style) — the baseline
-    /// half of the CI overhead comparison.
-    pub fn without_observability(mut self) -> Self {
-        self.observe = false;
         self
     }
 }
@@ -191,8 +167,8 @@ pub struct ServeResult {
     /// The service-assigned job id (artifact retrieval key).
     pub job_id: u64,
     /// The request id: client-supplied at SUBMIT or minted at admission.
-    /// The same id appears in the job's trace spans, journal steps,
-    /// flight-recorder attributions, and event-log entries.
+    /// The same id appears in the job's trace spans, journal steps and
+    /// flight-recorder attributions.
     pub request: String,
     /// The owning tenant.
     pub tenant: String,
@@ -301,11 +277,7 @@ struct Inner {
     cache: Arc<ResultCache>,
     disk: Option<Arc<DiskStore>>,
     draining: AtomicBool,
-    /// Observability plane (gated by [`ServiceConfig::observe`]).
-    observe: bool,
-    series: SeriesRegistry,
-    events: EventLog,
-    /// Per-job worker metrics flushed here so a live `METRICS` scrape sees
+    /// Per-job worker metrics flushed here so a live `STATS` read sees
     /// engine/fault/cache counters mid-flight, not only after drain.
     live_metrics: Mutex<metrics::Metrics>,
     requests: Mutex<RequestIndex>,
@@ -337,10 +309,6 @@ impl Service {
                 config.cache_max_bytes,
             )?)),
             None => None,
-        };
-        let events = match &config.event_log {
-            Some(path) => EventLog::to_path(path)?,
-            None => EventLog::disabled(),
         };
         let cache = Arc::new(match &disk {
             Some(store) => ResultCache::with_persistence(
@@ -382,7 +350,6 @@ impl Service {
                 (nanos ^ (u64::from(std::process::id()) << 32)) as u32
             )
         };
-        let tenant_count = config.tenants.len();
         let weights: Vec<u32> = config.tenants.iter().map(|t| t.weight).collect();
         let inner = Arc::new(Inner {
             engine,
@@ -402,9 +369,6 @@ impl Service {
             cache,
             disk,
             draining: AtomicBool::new(false),
-            observe: config.observe,
-            series: SeriesRegistry::new(tenant_count),
-            events,
             live_metrics: Mutex::new(metrics::Metrics::new()),
             requests: Mutex::new(RequestIndex::default()),
             request_capacity: config.artifact_capacity.max(256),
@@ -449,7 +413,7 @@ impl Service {
     /// client-supplied id to honor, or `None` to mint one
     /// (`r<instance>-<job>`). Returns `(job_id, request_id)`; the request
     /// id is threaded through the job's trace spans, journal, flight
-    /// attributions, event log, and the `ARTIFACT`-by-request index.
+    /// attributions and the `ARTIFACT`-by-request index.
     ///
     /// # Errors
     /// The [`AdmitError`] explaining the refusal, including
@@ -485,24 +449,21 @@ impl Service {
             if !valid_request_id(id) {
                 inner.rejected.fetch_add(1, Ordering::Relaxed);
                 metrics::counter("serve.rejected.bad_request_id", 1);
-                inner.refusal_event(tenant, id, "bad_request_id");
                 return Err(AdmitError::BadRequestId(id.to_owned()));
             }
         }
         let Some(&tenant_index) = inner.by_name.get(tenant) else {
             inner.rejected.fetch_add(1, Ordering::Relaxed);
             metrics::counter("serve.rejected.unknown_tenant", 1);
-            inner.refusal_event(tenant, request.unwrap_or(""), "unknown_tenant");
             return Err(AdmitError::UnknownTenant(tenant.to_owned()));
         };
         let runtime = &inner.tenants[tenant_index];
-        let refuse = |reason: &'static str, counter: &'static str| {
+        let refuse = |counter: &'static str| {
             inner.rejected.fetch_add(1, Ordering::Relaxed);
             metrics::counter(counter, 1);
-            inner.refusal_event(tenant, request.unwrap_or(""), reason);
         };
         if runtime.fused() {
-            refuse("budget_exhausted", "serve.rejected.budget");
+            refuse("serve.rejected.budget");
             return Err(AdmitError::BudgetExhausted);
         }
         // Reserve an in-flight slot; undone on any later refusal.
@@ -513,7 +474,7 @@ impl Service {
             })
             .is_ok();
         if !reserved {
-            refuse("queue_full", "serve.rejected.queue_full");
+            refuse("serve.rejected.queue_full");
             return Err(AdmitError::QueueFull);
         }
         let id = inner.next_job.fetch_add(1, Ordering::Relaxed);
@@ -534,7 +495,7 @@ impl Service {
             if pending.draining {
                 drop(pending);
                 runtime.in_flight.fetch_sub(1, Ordering::AcqRel);
-                refuse("draining", "serve.rejected.draining");
+                refuse("serve.rejected.draining");
                 return Err(AdmitError::Draining);
             }
             pending.fair.push(
@@ -551,26 +512,11 @@ impl Service {
         inner.pending_cv.notify_one();
         runtime.submitted.fetch_add(1, Ordering::Relaxed);
         metrics::counter("serve.submitted", 1);
-        if inner.observe {
-            let depth = runtime.in_flight.load(Ordering::Relaxed);
-            inner.series.record(tenant_index, |bucket| {
-                bucket.submits += 1;
-                bucket.queue_depth_max = bucket.queue_depth_max.max(depth);
-            });
-            inner
-                .requests
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .insert(request.clone(), id, inner.request_capacity);
-            inner.events.log(
-                "admit",
-                &[
-                    ("tenant", tenant.to_owned()),
-                    ("request", request.clone()),
-                    ("job", id.to_string()),
-                ],
-            );
-        }
+        inner
+            .requests
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .insert(request.clone(), id, inner.request_capacity);
         Ok((id, request))
     }
 
@@ -649,10 +595,13 @@ impl Service {
         self.inner.cache.stats()
     }
 
-    /// Service counters as one JSON object (the `STATS` response body):
-    /// global and per-tenant admission/completion counts, WFQ dispatch
-    /// counts, the shared cache counters (memory + disk), and the disk
-    /// store's own counters.
+    /// Service counters as one JSON object (the `STATS` response body, the
+    /// daemon's one counter surface): global and per-tenant
+    /// admission/completion counts, WFQ dispatch counts, the shared cache
+    /// counters (memory + disk), the disk store's own counters, and under
+    /// `internal` the live internal registry (engine, interpreter, fault
+    /// and cache counters, timers and histograms flushed per job and per
+    /// bisection) as [`metrics::Metrics::to_json`] renders it.
     pub fn stats_json(&self) -> String {
         use std::fmt::Write as _;
         let inner = &self.inner;
@@ -716,52 +665,17 @@ impl Service {
                 tenant.rollbacks.load(Ordering::Relaxed),
                 tenant.undo_entries.load(Ordering::Relaxed),
             );
-            if inner.observe {
-                let window = inner.series.window(i, 60);
-                let seconds = 60.0f64;
-                let hit_rate = if window.completions > 0 {
-                    window.cache_hits as f64 / window.completions as f64
-                } else {
-                    0.0
-                };
-                let _ = write!(
-                    out,
-                    ",\"window\":{{\"seconds\":60,\"submits\":{},\"completions\":{},\
-                     \"errors\":{},\"deadline_misses\":{},\"rate\":{:.4},\
-                     \"cache_hit_rate\":{:.4},\"p50_ms\":{:.3},\"p99_ms\":{:.3},\
-                     \"queue_depth_max\":{}}}",
-                    window.submits,
-                    window.completions,
-                    window.errors,
-                    window.deadline_misses,
-                    window.completions as f64 / seconds,
-                    hit_rate,
-                    window.latency.quantile_ns(0.50) as f64 / 1e6,
-                    window.latency.quantile_ns(0.99) as f64 / 1e6,
-                    window.queue_depth_max,
-                );
-                match slo_reading(
-                    &window,
-                    tenant.config.slo_ms.map(|_| tenant.config.slo_target),
-                ) {
-                    Some(slo) => {
-                        let _ = write!(
-                            out,
-                            ",\"slo\":{{\"slo_ms\":{},\"target\":{},\"violations\":{},\
-                             \"burn\":{:.4},\"health\":{}}}",
-                            tenant.config.slo_ms.unwrap_or(0),
-                            tenant.config.slo_target,
-                            slo.violations,
-                            slo.burn,
-                            metrics::json_string(slo.health.name()),
-                        );
-                    }
-                    None => out.push_str(",\"slo\":null"),
-                }
-            }
             out.push('}');
         }
-        out.push_str("]}");
+        out.push_str("],\"internal\":");
+        out.push_str(
+            &inner
+                .live_metrics
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .to_json(),
+        );
+        out.push('}');
         out
     }
 
@@ -774,281 +688,6 @@ impl Service {
     /// request ids).
     pub fn instance(&self) -> &str {
         &self.inner.instance
-    }
-
-    /// Renders the `METRICS` response body: Prometheus text exposition of
-    /// the per-tenant windowed time series and SLO readings, the global
-    /// admission/cache counters, and the live internal metric registry
-    /// (engine, fault, disk-cache counters flushed per job), each internal
-    /// series prefixed `td_internal_`.
-    pub fn metrics_exposition(&self) -> String {
-        let inner = &self.inner;
-        let mut expo = Exposition::new();
-        let names: Vec<&str> = inner
-            .tenants
-            .iter()
-            .map(|t| t.config.name.as_str())
-            .collect();
-        let gather = |load: &dyn Fn(&TenantRuntime) -> f64| -> Vec<(Vec<(&str, &str)>, f64)> {
-            inner
-                .tenants
-                .iter()
-                .enumerate()
-                .map(|(i, t)| (vec![("tenant", names[i])], load(t)))
-                .collect()
-        };
-        expo.family(
-            "td_serve_tenant_submitted_total",
-            "Jobs admitted per tenant over the daemon lifetime.",
-            MetricType::Counter,
-            &gather(&|t| t.submitted.load(Ordering::Relaxed) as f64),
-        );
-        expo.family(
-            "td_serve_tenant_completed_total",
-            "Jobs completed per tenant over the daemon lifetime.",
-            MetricType::Counter,
-            &gather(&|t| t.completed.load(Ordering::Relaxed) as f64),
-        );
-        expo.family(
-            "td_serve_tenant_failed_total",
-            "Jobs failed per tenant over the daemon lifetime.",
-            MetricType::Counter,
-            &gather(&|t| t.failed.load(Ordering::Relaxed) as f64),
-        );
-        expo.family(
-            "td_serve_tenant_deadline_missed_total",
-            "Jobs that exceeded their per-tenant deadline.",
-            MetricType::Counter,
-            &gather(&|t| t.deadline_missed.load(Ordering::Relaxed) as f64),
-        );
-        expo.family(
-            "td_serve_tenant_in_flight",
-            "Jobs admitted and not yet completed, per tenant.",
-            MetricType::Gauge,
-            &gather(&|t| t.in_flight.load(Ordering::Relaxed) as f64),
-        );
-        expo.family(
-            "td_serve_tenant_fused",
-            "Whether the tenant's failure budget has fused it off (0/1).",
-            MetricType::Gauge,
-            &gather(&|t| f64::from(u8::from(t.fused()))),
-        );
-        expo.family(
-            "td_txn_rollbacks_total",
-            "Transactional step rollbacks per tenant over the daemon lifetime.",
-            MetricType::Counter,
-            &gather(&|t| t.rollbacks.load(Ordering::Relaxed) as f64),
-        );
-        expo.family(
-            "td_txn_undo_entries",
-            "Undo-log entries recorded in transactional steps per tenant.",
-            MetricType::Counter,
-            &gather(&|t| t.undo_entries.load(Ordering::Relaxed) as f64),
-        );
-        if inner.observe {
-            let windows: Vec<crate::timeseries::Bucket> = (0..inner.tenants.len())
-                .map(|i| inner.series.window(i, 60))
-                .collect();
-            expo.family(
-                "td_serve_tenant_rate",
-                "Completions per second over the trailing 60s window.",
-                MetricType::Gauge,
-                &windows
-                    .iter()
-                    .enumerate()
-                    .map(|(i, w)| (vec![("tenant", names[i])], w.completions as f64 / 60.0))
-                    .collect::<Vec<_>>(),
-            );
-            expo.family(
-                "td_serve_tenant_cache_hit_rate",
-                "Result-cache hit rate over the trailing 60s window.",
-                MetricType::Gauge,
-                &windows
-                    .iter()
-                    .enumerate()
-                    .map(|(i, w)| {
-                        let rate = if w.completions > 0 {
-                            w.cache_hits as f64 / w.completions as f64
-                        } else {
-                            0.0
-                        };
-                        (vec![("tenant", names[i])], rate)
-                    })
-                    .collect::<Vec<_>>(),
-            );
-            for (i, window) in windows.iter().enumerate() {
-                if window.latency.count > 0 {
-                    expo.summary(
-                        "td_serve_tenant_latency_ms",
-                        "Completion latency over the trailing 60s window.",
-                        &[("tenant", names[i])],
-                        &[
-                            (0.5, window.latency.quantile_ns(0.50) as f64 / 1e6),
-                            (0.99, window.latency.quantile_ns(0.99) as f64 / 1e6),
-                        ],
-                        window.latency.total_ns as f64 / 1e6,
-                        window.latency.count,
-                    );
-                }
-            }
-            let mut burns = Vec::new();
-            let mut healths = Vec::new();
-            for (i, (tenant, window)) in inner.tenants.iter().zip(&windows).enumerate() {
-                let target = tenant.config.slo_ms.map(|_| tenant.config.slo_target);
-                if let Some(slo) = slo_reading(window, target) {
-                    burns.push((vec![("tenant", names[i])], slo.burn));
-                    healths.push((vec![("tenant", names[i])], slo.health.as_gauge() as f64));
-                }
-            }
-            expo.family(
-                "td_serve_tenant_slo_burn",
-                "Error-budget burn rate over the trailing 60s window (1.0 = \
-                 burning exactly the budget).",
-                MetricType::Gauge,
-                &burns,
-            );
-            expo.family(
-                "td_serve_tenant_health",
-                "Derived SLO health: 0 ok, 1 warn, 2 burning.",
-                MetricType::Gauge,
-                &healths,
-            );
-        }
-        // Global service counters.
-        expo.family(
-            "td_serve_jobs_completed_total",
-            "Jobs completed across all tenants.",
-            MetricType::Counter,
-            &[(vec![], inner.jobs_completed.load(Ordering::Relaxed) as f64)],
-        );
-        expo.family(
-            "td_serve_rejected_total",
-            "Submissions refused at admission.",
-            MetricType::Counter,
-            &[(vec![], inner.rejected.load(Ordering::Relaxed) as f64)],
-        );
-        expo.family(
-            "td_serve_uptime_seconds",
-            "Daemon uptime.",
-            MetricType::Gauge,
-            &[(vec![], inner.started.elapsed().as_secs_f64())],
-        );
-        expo.family(
-            "td_serve_draining",
-            "Whether the service is draining (0/1).",
-            MetricType::Gauge,
-            &[(
-                vec![],
-                f64::from(u8::from(inner.draining.load(Ordering::Acquire))),
-            )],
-        );
-        let cache = inner.cache.stats();
-        expo.family(
-            "td_serve_cache_hits_total",
-            "Shared result-cache hits (memory).",
-            MetricType::Counter,
-            &[(vec![], cache.hits as f64)],
-        );
-        expo.family(
-            "td_serve_cache_misses_total",
-            "Shared result-cache misses.",
-            MetricType::Counter,
-            &[(vec![], cache.misses as f64)],
-        );
-        expo.family(
-            "td_serve_cache_disk_hits_total",
-            "Result-cache hits served from the disk layer.",
-            MetricType::Counter,
-            &[(vec![], cache.disk_hits as f64)],
-        );
-        if let Some(disk) = &inner.disk {
-            let counters = disk.counter_values();
-            for (name, help, value) in [
-                (
-                    "td_serve_disk_loads_total",
-                    "Disk-cache load attempts.",
-                    counters.loads,
-                ),
-                (
-                    "td_serve_disk_hits_total",
-                    "Disk-cache load hits.",
-                    counters.hits,
-                ),
-                (
-                    "td_serve_disk_stores_total",
-                    "Disk-cache stores.",
-                    counters.stores,
-                ),
-                (
-                    "td_serve_disk_evicted_total",
-                    "Disk-cache entries evicted by the size cap.",
-                    counters.evicted,
-                ),
-                (
-                    "td_serve_disk_evicted_bytes_total",
-                    "Bytes reclaimed by disk-cache eviction.",
-                    counters.evicted_bytes,
-                ),
-            ] {
-                expo.family(name, help, MetricType::Counter, &[(vec![], value as f64)]);
-            }
-            expo.family(
-                "td_serve_disk_bytes",
-                "Current disk-cache footprint in bytes.",
-                MetricType::Gauge,
-                &[(vec![], counters.bytes as f64)],
-            );
-        }
-        // Pass through the live internal registry (engine, fault, cache
-        // counters flushed per job) under a distinct prefix so names never
-        // collide with the curated series above.
-        let live = inner
-            .live_metrics
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone();
-        for (name, value) in live.counters() {
-            expo.family(
-                &format!(
-                    "td_internal_{}_total",
-                    crate::exposition::sanitize_name(name)
-                ),
-                "Internal counter (see td-support metrics).",
-                MetricType::Counter,
-                &[(vec![], value as f64)],
-            );
-        }
-        for (name, stat) in live.timers() {
-            let base = format!("td_internal_{}", crate::exposition::sanitize_name(name));
-            expo.family(
-                &format!("{base}_ns_total"),
-                "Internal timer: cumulative nanoseconds.",
-                MetricType::Counter,
-                &[(vec![], stat.total_ns as f64)],
-            );
-            expo.family(
-                &format!("{base}_count"),
-                "Internal timer: intervals recorded.",
-                MetricType::Counter,
-                &[(vec![], stat.count as f64)],
-            );
-        }
-        for (name, histogram) in live.histograms() {
-            if histogram.count > 0 {
-                expo.summary(
-                    &format!("td_internal_{}_ns", crate::exposition::sanitize_name(name)),
-                    "Internal histogram (nanoseconds).",
-                    &[],
-                    &[
-                        (0.5, histogram.quantile_ns(0.50) as f64),
-                        (0.99, histogram.quantile_ns(0.99) as f64),
-                    ],
-                    histogram.total_ns as f64,
-                    histogram.count,
-                );
-            }
-        }
-        expo.finish()
     }
 
     /// Whether the service has begun draining.
@@ -1086,15 +725,6 @@ impl Service {
                 std::mem::take(&mut *inner.live_metrics.lock().unwrap_or_else(|e| e.into_inner()));
             metrics::absorb(&flushed);
             metrics::counter("serve.drains", 1);
-            if inner.observe {
-                inner.events.log(
-                    "drain",
-                    &[(
-                        "jobs",
-                        inner.jobs_completed.load(Ordering::Relaxed).to_string(),
-                    )],
-                );
-            }
         }
         DrainSummary {
             jobs: inner.jobs_completed.load(Ordering::Relaxed),
@@ -1152,10 +782,11 @@ impl Inner {
             } = dispatched;
             let runtime = &self.tenants[tenant];
             let started = Instant::now();
-            if self.observe {
+            let wait = admitted.elapsed();
+            if trace_on {
                 // The queue-wait span starts on the connection thread but
-                // is only known here; record it retroactively.
-                let wait = admitted.elapsed();
+                // is only known here; record it retroactively. Its
+                // arguments are built only when a trace will keep them.
                 trace::complete(
                     "serve",
                     "queue_wait",
@@ -1166,8 +797,8 @@ impl Inner {
                         ("request", request.clone()),
                     ],
                 );
-                metrics::observe("serve.queue_wait", wait.as_nanos());
             }
+            metrics::observe("serve.queue_wait", wait.as_nanos());
             // Fresh journal per job so the batch report and artifacts are
             // exactly job-scoped (the engine absorbs the batch's journal
             // into this thread).
@@ -1191,19 +822,8 @@ impl Inner {
                 .undo_entries
                 .fetch_add(report.stats.undo_entries, Ordering::Relaxed);
             let failed = result.is_err();
-            let deadline_missed = matches!(result, Err(JobError::DeadlineExceeded));
-            if deadline_missed {
+            if matches!(result, Err(JobError::DeadlineExceeded)) {
                 runtime.deadline_missed.fetch_add(1, Ordering::Relaxed);
-                if self.observe {
-                    self.events.log(
-                        "deadline",
-                        &[
-                            ("tenant", runtime.config.name.clone()),
-                            ("request", request.clone()),
-                            ("job", id.to_string()),
-                        ],
-                    );
-                }
             }
             if failed {
                 runtime.failed.fetch_add(1, Ordering::AcqRel);
@@ -1211,16 +831,6 @@ impl Inner {
                 if runtime.fused() {
                     metrics::counter("serve.tenant.fused", 1);
                     flight::record("serve.fused", &[("tenant", runtime.config.name.clone())]);
-                    if self.observe {
-                        self.events.log(
-                            "fuse",
-                            &[
-                                ("tenant", runtime.config.name.clone()),
-                                ("request", request.clone()),
-                                ("job", id.to_string()),
-                            ],
-                        );
-                    }
                 }
             }
             let failed_job = report.failed_jobs.pop();
@@ -1242,22 +852,6 @@ impl Inner {
                 self.artifacts
                     .put_deferred(id, "flight", Deferred::Flight(Box::new(bundle)));
             }
-            if self.observe {
-                let slo_violation = runtime
-                    .config
-                    .slo_ms
-                    .is_some_and(|slo| wall.as_millis() as u64 > slo);
-                let depth = runtime.in_flight.load(Ordering::Relaxed);
-                self.series.record(tenant, |bucket| {
-                    bucket.completions += 1;
-                    bucket.errors += u64::from(failed);
-                    bucket.deadline_misses += u64::from(deadline_missed);
-                    bucket.cache_hits += u64::from(cached);
-                    bucket.slo_violations += u64::from(slo_violation);
-                    bucket.queue_depth_max = bucket.queue_depth_max.max(depth);
-                    bucket.latency.observe(wall.as_nanos());
-                });
-            }
             runtime.completed.fetch_add(1, Ordering::Relaxed);
             runtime.in_flight.fetch_sub(1, Ordering::AcqRel);
             self.jobs_completed.fetch_add(1, Ordering::Relaxed);
@@ -1277,16 +871,14 @@ impl Inner {
                 );
             }
             self.completions_cv.notify_all();
-            if self.observe {
-                // Flush this worker's thread-local metrics (including the
-                // engine's absorbed fault/cache counters) into the shared
-                // snapshot so a live METRICS scrape sees them.
-                let flushed = metrics::take();
-                self.live_metrics
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .merge(&flushed);
-            }
+            // Flush this worker's thread-local metrics (including the
+            // engine's absorbed fault/cache counters) into the shared
+            // snapshot so a live STATS read sees them.
+            let flushed = metrics::take();
+            self.live_metrics
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .merge(&flushed);
         }
         (trace::take(), metrics::take())
     }
@@ -1310,20 +902,6 @@ impl Inner {
                     .merge(&probes);
                 text
             }
-        }
-    }
-
-    /// Logs a refusal to the event log (no-op when logging is off).
-    fn refusal_event(&self, tenant: &str, request: &str, reason: &'static str) {
-        if self.observe {
-            self.events.log(
-                "refuse",
-                &[
-                    ("tenant", tenant.to_owned()),
-                    ("request", request.to_owned()),
-                    ("reason", reason.to_owned()),
-                ],
-            );
         }
     }
 }

@@ -1,5 +1,5 @@
 //! Tenant configuration: who may submit, at what weight, under which
-//! failure budget and SLO, and the [`JobPolicy`] — deadline, attempts,
+//! failure budget, and the [`JobPolicy`] — deadline, attempts,
 //! transactional mode, chaos lane — stamped onto every job it submits.
 //!
 //! # Tenant-spec grammar (`TD_SERVE_TENANTS`)
@@ -13,8 +13,6 @@
 //!          | 'attempts=' N     -- retry budget for silenceable failures (default 1)
 //!          | 'budget=' N       -- cumulative failure budget (default none)
 //!          | 'lane=' N         -- TD_FAULT chaos lane (default: hash of the name)
-//!          | 'slo_ms=' N       -- latency SLO threshold (default none)
-//!          | 'slo_target=' F   -- SLO target fraction in (0,1) (default 0.99)
 //!          | 'txn_mode=' M     -- transactional application: always|never
 //!                                 (default always)
 //! ```
@@ -56,16 +54,6 @@ pub struct TenantConfig {
     /// failed, further submissions are rejected at admission (the tenant
     /// is *fused off*; other tenants are untouched). `None` never fuses.
     pub failure_budget: Option<usize>,
-    /// Latency SLO threshold in milliseconds: a completion slower than
-    /// this counts as an SLO violation in the tenant's windowed time
-    /// series (it still completes normally — the SLO is observational,
-    /// unlike the policy's deadline, which cancels). `None`
-    /// disables SLO tracking for the tenant.
-    pub slo_ms: Option<u64>,
-    /// SLO target as a success fraction in `(0, 1)`: 0.99 means "99% of
-    /// completions under `slo_ms`". The remaining fraction is the error
-    /// budget; burn rate is violations over that allowance.
-    pub slo_target: f64,
 }
 
 impl TenantConfig {
@@ -86,8 +74,6 @@ impl TenantConfig {
             max_pending: 64,
             policy,
             failure_budget: None,
-            slo_ms: None,
-            slo_target: 0.99,
         }
     }
 
@@ -124,18 +110,6 @@ impl TenantConfig {
     /// Pins the chaos lane (builder-style).
     pub fn with_fault_lane(mut self, lane: u64) -> Self {
         self.policy.fault_lane = Some(lane);
-        self
-    }
-
-    /// Sets the latency SLO threshold (builder-style).
-    pub fn with_slo_ms(mut self, ms: u64) -> Self {
-        self.slo_ms = Some(ms);
-        self
-    }
-
-    /// Sets the SLO target fraction (builder-style; clamped to (0, 1)).
-    pub fn with_slo_target(mut self, target: f64) -> Self {
-        self.slo_target = target.clamp(0.001, 0.999_999);
         self
     }
 
@@ -195,14 +169,6 @@ pub fn parse_tenants(spec: &str) -> Result<Vec<TenantConfig>, String> {
                 }
                 "budget" => tenant.failure_budget = Some(value.parse().map_err(|_| bad("budget"))?),
                 "lane" => tenant.policy.fault_lane = Some(value.parse().map_err(|_| bad("lane"))?),
-                "slo_ms" => tenant.slo_ms = Some(value.parse().map_err(|_| bad("slo_ms"))?),
-                "slo_target" => {
-                    let target: f64 = value.parse().map_err(|_| bad("slo_target"))?;
-                    if !(target > 0.0 && target < 1.0) {
-                        return Err(bad("slo_target"));
-                    }
-                    tenant.slo_target = target;
-                }
                 "txn_mode" => {
                     tenant.policy.txn = TxnMode::parse(value.trim())
                         .map_err(|message| format!("{message} for tenant '{name}'"))?
@@ -247,15 +213,11 @@ mod tests {
     }
 
     #[test]
-    fn parse_accepts_slo_parameters() {
-        let tenants = parse_tenants("alpha:slo_ms=50,slo_target=0.95;beta").unwrap();
-        assert_eq!(tenants[0].slo_ms, Some(50));
-        assert!((tenants[0].slo_target - 0.95).abs() < 1e-9);
-        assert_eq!(tenants[1].slo_ms, None);
-        assert!((tenants[1].slo_target - 0.99).abs() < 1e-9);
-        assert!(parse_tenants("alpha:slo_target=1.5").is_err());
-        assert!(parse_tenants("alpha:slo_target=0").is_err());
-        assert!(parse_tenants("alpha:slo_ms=x").is_err());
+    fn retired_slo_parameters_are_unknown() {
+        for (param, key) in [("slo_ms=50", "slo_ms"), ("slo_target=0.9", "slo_target")] {
+            let err = parse_tenants(&format!("alpha:{param}")).unwrap_err();
+            assert_eq!(err, format!("unknown parameter '{key}' for tenant 'alpha'"));
+        }
     }
 
     #[test]

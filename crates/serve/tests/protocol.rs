@@ -1,10 +1,12 @@
 //! Property tests for the td-serve wire layers (framing + message
 //! grammar): round-trips over adversarial payload sizes — empty frames,
-//! >1 MiB frames — and rejection of malformed wire bytes (truncations at
-//! every depth, oversized declared lengths).
+//! frames over 1 MiB — and rejection of malformed wire bytes
+//! (truncations at every depth, oversized declared lengths). Also the
+//! request loop's answer to a verb it does not serve.
 
 use td_serve::framing::{read_frame, read_frame_limited, write_frame, FrameError};
 use td_serve::protocol::{Message, ProtoError};
+use td_serve::{handle_connection, ConnectionOutcome, Service, ServiceConfig, TenantConfig};
 use td_support::proptest::{check, Config, Gen};
 
 /// Deterministic pseudo-random bytes: cheap enough for multi-MiB cases.
@@ -210,4 +212,27 @@ fn malformed_messages_inside_sound_frames_are_protocol_errors() {
             "wrong error class for {bytes:?}: {error}"
         );
     }
+}
+
+#[test]
+fn a_metrics_frame_is_an_unknown_verb_and_the_connection_lives_on() {
+    // `STATS` is the daemon's one counter surface; the retired `METRICS`
+    // verb is refused in-band like any unknown verb, and the next request
+    // on the same connection is answered.
+    let service = Service::start(ServiceConfig::new(vec![TenantConfig::new("solo")])).unwrap();
+    let mut wire = Vec::new();
+    for verb in ["METRICS", "PING"] {
+        write_frame(&mut wire, &Message::new(verb).encode()).unwrap();
+    }
+    let mut answers = Vec::new();
+    let outcome = handle_connection(&service, &mut wire.as_slice(), &mut answers).unwrap();
+    assert_eq!(outcome, ConnectionOutcome::Eof);
+    let mut reader = answers.as_slice();
+    let mut next = || Message::decode(&read_frame(&mut reader).unwrap().unwrap()).unwrap();
+    let refused = next();
+    assert_eq!(refused.verb, "ERR");
+    assert_eq!(refused.get_field("reason"), Some("unknown verb 'METRICS'"));
+    assert_eq!(next().verb, "PONG");
+    assert!(read_frame(&mut reader).unwrap().is_none());
+    service.drain();
 }

@@ -52,23 +52,35 @@ fn tenant_counter(stats: &str, name: &str, key: &str) -> u64 {
         .unwrap_or_else(|| panic!("no {key} counter for {name}: {stats}"))
 }
 
-/// The daemon-wide count of bisections run, as `METRICS` reports it (the
-/// series is absent until the first one).
-fn bisections(service: &Service) -> u64 {
-    service
-        .metrics_exposition()
-        .lines()
-        .find_map(|l| l.strip_prefix("td_internal_sched_bisections_total "))
-        .map_or(0, |n| n.parse().expect("counter value"))
+/// Counter `name` of the live internal registry, as `STATS` reports it
+/// under `internal.counters` (absent, so 0, until first counted).
+fn internal_counter(service: &Service, name: &str) -> u64 {
+    let stats = service.stats_json();
+    let counters = stats
+        .split("\"internal\":{\"counters\":{")
+        .nth(1)
+        .unwrap_or_else(|| panic!("STATS lacks internal.counters: {stats}"));
+    let counters = &counters[..counters.find('}').unwrap_or(counters.len())];
+    counters
+        .split(&format!("\"{name}\":"))
+        .nth(1)
+        .map_or(0, |rest| {
+            rest.split(',')
+                .next()
+                .unwrap_or(rest)
+                .parse()
+                .expect("counter value")
+        })
 }
 
-/// The daemon-wide count of top-level rollbacks, as `METRICS` reports it.
+/// The daemon-wide count of bisections run.
+fn bisections(service: &Service) -> u64 {
+    internal_counter(service, "sched.bisections")
+}
+
+/// The daemon-wide count of top-level rollbacks.
 fn rolled_back(service: &Service) -> u64 {
-    service
-        .metrics_exposition()
-        .lines()
-        .find_map(|l| l.strip_prefix("td_internal_interp_rolled_back_total "))
-        .map_or(0, |n| n.parse().expect("counter value"))
+    internal_counter(service, "interp.rolled_back")
 }
 
 /// A loop payload for [`FAILING_SCRIPT`], varied by `i`.
@@ -745,10 +757,10 @@ fn request_ids_round_trip_from_submit_to_artifact() {
 }
 
 #[test]
-fn txn_mode_flows_from_tenant_config_to_stats_metrics_and_wire() {
+fn txn_mode_flows_from_tenant_config_to_stats_and_wire() {
     // A schedule whose only step fails silenceably (nothing matches):
     // under txn_mode=always the step rolls back, which the per-tenant
-    // rollback counters must surface in STATS and METRICS.
+    // rollback counters must surface in STATS.
     let failing_script = r#"module {
   transform.named_sequence @main(%root: !transform.any_op) {
     %none = "transform.match_op"(%root) {name = "nonexistent.op"}
@@ -779,21 +791,6 @@ fn txn_mode_flows_from_tenant_config_to_stats_metrics_and_wire() {
         "{stats}"
     );
     let undo_entries = tenant_counter(&stats, "transacted", "undo_entries");
-    let rollback_series = |expo: &str| {
-        expo.lines()
-            .find(|l| l.starts_with("td_txn_rollbacks_total{tenant=\"transacted\"}"))
-            .unwrap_or_else(|| panic!("no rollback series: {expo}"))
-            .to_owned()
-    };
-    let expo = service.metrics_exposition();
-    assert_eq!(
-        rollback_series(&expo),
-        "td_txn_rollbacks_total{tenant=\"transacted\"} 1"
-    );
-    assert!(
-        expo.contains("td_txn_undo_entries{tenant=\"transacted\"}"),
-        "{expo}"
-    );
     // Bisecting the failure afterwards replays it several times, each
     // probe rolling back — none of which is the tenant's.
     assert!(service.artifact(done.job_id, "bisect").is_some());
@@ -807,10 +804,6 @@ fn txn_mode_flows_from_tenant_config_to_stats_metrics_and_wire() {
         tenant_counter(&stats, "transacted", "undo_entries"),
         undo_entries,
         "{stats}"
-    );
-    assert_eq!(
-        rollback_series(&service.metrics_exposition()),
-        "td_txn_rollbacks_total{tenant=\"transacted\"} 1"
     );
 
     // Over the wire: a per-request override is accepted, an invalid one
@@ -847,18 +840,16 @@ fn txn_mode_flows_from_tenant_config_to_stats_metrics_and_wire() {
 }
 
 #[test]
-fn stats_and_metrics_stay_valid_under_concurrent_tenant_load() {
+fn stats_stays_valid_under_concurrent_tenant_load() {
     use td_support::trace::validate_json;
 
-    // Hostile tenant names: label escaping and JSON escaping both on trial.
+    // A hostile tenant name puts JSON escaping on trial.
     let hostile = "we\"ird\\ten\nant";
     let service = Arc::new(
         Service::start(ServiceConfig::new(vec![
-            TenantConfig::new("alpha").with_weight(2).with_slo_ms(5_000),
+            TenantConfig::new("alpha").with_weight(2),
             TenantConfig::new("bravo"),
-            TenantConfig::new("charlie")
-                .with_slo_ms(1)
-                .with_slo_target(0.5),
+            TenantConfig::new("charlie"),
             TenantConfig::new(hostile),
         ]))
         .unwrap(),
@@ -880,11 +871,9 @@ fn stats_and_metrics_stay_valid_under_concurrent_tenant_load() {
             })
         })
         .collect();
-    // Scrape both surfaces *while* the load runs, then once after.
+    // Read STATS *while* the load runs, then once after.
     for _ in 0..5 {
         validate_json(&service.stats_json()).expect("stats JSON valid mid-load");
-        td_serve::validate_exposition(&service.metrics_exposition())
-            .expect("exposition valid mid-load");
         std::thread::sleep(std::time::Duration::from_millis(5));
     }
     for handle in submitters {
@@ -894,49 +883,31 @@ fn stats_and_metrics_stay_valid_under_concurrent_tenant_load() {
     let stats = service.stats_json();
     validate_json(&stats).expect("stats JSON valid after load");
     assert!(stats.contains("\"uptime_ms\":"), "{stats}");
-    assert!(stats.contains("\"window\":"), "{stats}");
-    assert!(stats.contains("\"slo\":"), "{stats}");
-
-    let expo = service.metrics_exposition();
-    td_serve::validate_exposition(&expo).expect("exposition valid after load");
     assert!(
-        expo.contains(r#"tenant="we\"ird\\ten\nant""#),
-        "hostile tenant label must be escaped: {expo}"
+        stats.contains(r#""name":"we\"ird\\ten\nant""#),
+        "hostile tenant name must be escaped: {stats}"
     );
-    // 24 jobs completed across the four tenants; charlie's 1ms SLO at a
-    // forgiving 0.5 target still yields a burn series.
-    assert!(
-        expo.contains("td_serve_tenant_slo_burn{tenant=\"charlie\"}"),
-        "{expo}"
-    );
-    assert!(
-        expo.contains("td_serve_tenant_latency_ms{tenant=\"alpha\",quantile=\"0.99\"}"),
-        "{expo}"
-    );
+    // The live internal registry rides along as one more object.
+    assert!(stats.contains("\"internal\":{\"counters\":{"), "{stats}");
     service.drain();
 }
 
 #[test]
-fn observability_can_be_switched_off() {
-    let service = Service::start(
-        ServiceConfig::new(vec![TenantConfig::new("solo").with_slo_ms(1_000)])
-            .without_observability(),
-    )
-    .unwrap();
+fn request_ids_resolve_under_the_default_config() {
+    let service = Service::start(ServiceConfig::new(vec![TenantConfig::new("solo")])).unwrap();
     let (id, request) = service
-        .submit_with_request("solo", script(), payload(7), "main", Some("ci/off-1"))
+        .submit_with_request("solo", script(), payload(7), "main", Some("ci/req-1"))
         .unwrap();
-    assert_eq!(request, "ci/off-1");
+    assert_eq!(request, "ci/req-1");
     service.wait(id).result.expect("job succeeds");
-    // No request index, no window/slo blocks, no windowed series — but
-    // both surfaces stay well-formed.
-    assert_eq!(service.job_for_request("ci/off-1"), None);
-    let stats = service.stats_json();
-    td_support::trace::validate_json(&stats).expect("stats JSON valid");
-    assert!(!stats.contains("\"window\":"), "{stats}");
-    let expo = service.metrics_exposition();
-    td_serve::validate_exposition(&expo).expect("exposition valid");
-    assert!(!expo.contains("td_serve_tenant_rate"), "{expo}");
+    assert_eq!(service.job_for_request("ci/req-1"), Some(id));
+    // A minted id resolves too.
+    let (minted_id, minted) = service
+        .submit_with_request("solo", script(), payload(8), "main", None)
+        .unwrap();
+    service.wait(minted_id).result.expect("job succeeds");
+    assert_eq!(service.job_for_request(&minted), Some(minted_id));
+    assert_eq!(service.job_for_request("ci/never"), None);
     service.drain();
 }
 

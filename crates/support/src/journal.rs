@@ -368,18 +368,6 @@ impl Journal {
             .map(|(_, step)| step)
     }
 
-    /// All erasures of payload ops with the given *op name* (e.g. every
-    /// `scf.for` that disappeared), oldest first.
-    pub fn erasures_of(&self, op_name: &str) -> Vec<(&ChangeRecord, &StepRecord)> {
-        self.changes
-            .iter()
-            .filter(|c| {
-                c.op_name == op_name && matches!(c.kind, ChangeKind::Erased | ChangeKind::Replaced)
-            })
-            .map(|c| (c, &self.steps[c.step as usize]))
-            .collect()
-    }
-
     /// The first step that ended in a failure outcome, if any — the
     /// bisector's starting hint.
     pub fn first_failure(&self) -> Option<&StepRecord> {

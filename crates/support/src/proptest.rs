@@ -119,15 +119,6 @@ impl Gen {
         self.rng.range_i64(lo, hi)
     }
 
-    /// Uniform `i64` in `[lo, hi)`, additionally clamped by the current
-    /// size (magnitude shrinks as the harness shrinks). The low end is
-    /// always reachable.
-    pub fn i64_sized(&mut self, lo: i64, hi: i64) -> i64 {
-        let span = (hi - lo).max(1);
-        let scaled = lo + (span * self.size() as i64 / 64).clamp(1, span);
-        self.rng.range_i64(lo, scaled.min(hi).max(lo + 1))
-    }
-
     /// Uniform `usize` in `[lo, hi)`.
     pub fn usize(&mut self, lo: usize, hi: usize) -> usize {
         self.rng.range_usize(lo, hi)

@@ -13,7 +13,7 @@ use crate::registry::{TransformOpDef, TransformOpRegistry};
 use crate::state::TransformState;
 use td_ir::rewrite::{apply_patterns_greedily, GreedyConfig, PatternSet};
 use td_ir::{Attribute, Context, OpId, OpSpec, OpTraits, ValueId};
-use td_support::{metrics, trace, Location, Symbol};
+use td_support::{metrics, trace, Location};
 
 /// Registers the transform dialect's op *specs* (for IR verification and
 /// printing of Transform scripts themselves).
@@ -926,10 +926,4 @@ fn to_library(
         state.set_ops(r, vec![call]);
     }
     Ok(())
-}
-
-/// Adds a `Symbol`-typed helper so downstream code can reference op names
-/// without typos.
-pub fn transform_op_name(name: &str) -> Symbol {
-    Symbol::new(name)
 }

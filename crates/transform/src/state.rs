@@ -147,11 +147,6 @@ impl TransformState {
         }
     }
 
-    /// Whether the handle is currently invalidated.
-    pub fn is_invalidated(&self, handle: ValueId) -> bool {
-        self.invalidated.contains_key(&handle)
-    }
-
     /// All handles whose payload intersects (an op of, or an op nested in)
     /// the payload of `consumed_handle` — i.e. the handles that consuming
     /// that operand invalidates. Must be called *before* the payload is

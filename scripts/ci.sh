@@ -89,19 +89,17 @@ echo "== serve smoke (daemon + persistent cache + multi-tenant chaos soak) =="
 # admitted job.
 cargo run -q --release --offline -p td-bench --bin td_gate -- serve_smoke
 
-echo "== serve observability (request tracing + SLO series + METRICS + td-top) =="
-# Three gates. Live daemon: a td_serve subprocess (unix socket) with four
-# tenants — one fault-injected to sleep past its deadline — must expose a
-# well-formed Prometheus METRICS document whose deadline-miss counters are
-# nonzero only for the faulted tenant, burn its SLO budget, evict from the
-# size-capped disk cache, serve artifacts by request id, render a td_top
-# frame, and leave a JSON-lines event log whose admission/deadline/refusal
-# entries carry request ids. Correlation: one request id supplied at
-# SUBMIT must be retrievable from the RESULT, the journal report, the
-# flight bundle (injected panic plan), and the Chrome trace's queue-wait
-# and run spans. Overhead: the observability plane must cost < 3% against
-# the same service started without_observability().
-TD_BENCH_QUICK=1 cargo run -q --release --offline -p td-bench --bin td_gate -- serve_obs
+echo "== serve observability (request-id correlation + STATS counters) =="
+# Two gates. Live daemon: a td_serve subprocess (unix socket) with four
+# tenants — one fault-injected to sleep past its deadline — must serve
+# artifacts by request id and answer STATS as valid JSON whose per-tenant
+# deadline-miss counters are nonzero only for the faulted tenant, whose
+# disk counters show evictions from the size-capped cache, and which
+# carries the live internal registry. Correlation: one request id
+# supplied at SUBMIT must be retrievable from the RESULT, the journal
+# report, the flight bundle (injected panic plan), and the Chrome trace's
+# queue-wait and run spans.
+cargo run -q --release --offline -p td-bench --bin td_gate -- serve_obs
 
 echo "== IR storage statistics (arity histogram, block edits, allocations) =="
 # One TOSA-pipeline job per Table 1 model with a counting allocator:
