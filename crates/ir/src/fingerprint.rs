@@ -231,4 +231,43 @@ mod tests {
         let _ = ctx.walk_nested(module); // read-only traversal
         assert_eq!(before, fingerprint_op(&ctx, module));
     }
+
+    /// Both fingerprints' exact values on a module with block arguments,
+    /// successors, attributes and nested regions. The journal, the pass
+    /// manager's change filter, the fuzz oracle and the benchmark's replay
+    /// counters read these values, so a change to the walk keeps every bit.
+    #[test]
+    fn fingerprint_values_are_pinned() {
+        let mut ctx = Context::new();
+        let module = crate::parse_module(
+            &mut ctx,
+            r#"module {
+  "test.wrap"() ({
+  ^entry(%c: i1, %x: i32):
+    %k = arith.constant 7 : i32
+    %s = "arith.addi"(%x, %k) {tag = "sum"} : (i32, i32) -> i32
+    "cf.cond_br"(%c)[^then, ^else] : (i1) -> ()
+  ^then:
+    "test.loop"(%s) ({
+    ^body(%i: i32):
+      "test.use"(%i, %x) : (i32, i32) -> ()
+    }) : (i32) -> ()
+    "cf.br"()[^merge] : () -> ()
+  ^else:
+    "cf.br"()[^merge] : () -> ()
+  ^merge:
+    "test.done"() : () -> ()
+  }) : () -> ()
+}"#,
+        )
+        .unwrap();
+        assert_eq!(
+            (
+                fingerprint_op(&ctx, module),
+                structural_fingerprint_op(&ctx, module)
+            ),
+            (0xc99f57e0b8cca7f1, 0x99b4b9ab661b8df0),
+            "fingerprints moved"
+        );
+    }
 }
