@@ -3,9 +3,7 @@
 //! 1. **Percentile surface**: a scheduler batch must report latency
 //!    histograms with p50/p90/p99/p999 for queue wait, run time, and
 //!    total, both in `BatchReport::report_json()` and — via worker
-//!    metrics absorption — in the coordinator metrics snapshot that
-//!    `TD_BENCH_JSON` files embed; the bench harness JSON lines must
-//!    carry the unified nearest-rank percentile fields.
+//!    metrics absorption — in the coordinator's `metrics::snapshot()`.
 //! 2. **Flight dump**: an injected `TD_FAULT`-style panic plan must leave
 //!    a flight-recorder bundle in `TD_FLIGHT_DIR` that is well-formed
 //!    JSON and replays the failing step's attribution (transform name,
@@ -24,7 +22,7 @@
 
 use std::path::Path;
 use std::time::Instant;
-use td_bench::{gate, BenchConfig, BenchSuite};
+use td_bench::gate;
 use td_sched::{Engine, EngineConfig, Job};
 use td_support::trace::validate_json;
 use td_support::{fault, flight, metrics, trace};
@@ -49,8 +47,8 @@ fn apply_once(i: usize) {
         .unwrap_or_else(|e| panic!("clean apply failed: {}", e.diagnostic()));
 }
 
-/// Gate 1: percentile fields across the batch report, the coordinator
-/// metrics snapshot, and the bench harness JSON lines.
+/// Gate 1: percentile fields in the batch report and the coordinator
+/// metrics snapshot.
 fn percentile_surface() {
     metrics::reset();
     // Half the batch is already cached, so the report mixes hits
@@ -91,8 +89,8 @@ fn percentile_surface() {
         assert!(text.contains(needle), "report_text missing {needle}");
     }
 
-    // Worker metrics were absorbed into this (coordinator) thread, so the
-    // snapshot that `TD_BENCH_JSON` embeds carries the histograms too.
+    // Worker metrics were absorbed into this (coordinator) thread, so its
+    // snapshot carries the histograms too.
     let snapshot = metrics::snapshot().to_json();
     for series in ["interp.step", "sched.job.run", "sched.job.queue_wait"] {
         assert!(
@@ -101,21 +99,7 @@ fn percentile_surface() {
         );
     }
 
-    // The harness shares the same nearest-rank percentile implementation
-    // and now exports the full field set per benchmark line.
-    let mut suite = BenchSuite::new(BenchConfig::quick());
-    suite.run("obs.apply", || apply_once(0));
-    let lines = suite.to_json_lines_with_metrics();
-    validate_json(lines.lines().next().expect("bench line")).expect("bench line well-formed");
-    for field in [
-        "\"p90_ns\":",
-        "\"p99_ns\":",
-        "\"p999_ns\":",
-        "\"histograms\":",
-    ] {
-        assert!(lines.contains(field), "bench JSON missing {field}");
-    }
-    println!("obs gate 1 OK: percentile fields in batch report, metrics snapshot, bench lines");
+    println!("obs gate 1 OK: percentile fields in batch report and metrics snapshot");
 }
 
 /// Gate 2: an injected panic must produce a flight bundle replaying the

@@ -16,7 +16,7 @@
 //! "one id stitches every artifact" contract.
 //!
 //! ```text
-//! TD_BENCH_QUICK=1 cargo run --release -p td-bench --bin td_gate -- serve_obs
+//! cargo run --release -p td-bench --bin td_gate -- serve_obs
 //! ```
 
 use std::process::Command;

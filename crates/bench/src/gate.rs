@@ -1,7 +1,7 @@
 //! What the CI gates share (`td_gate <name>`, one gate per process): the
 //! loop payload and tile/unroll schedule they drive, the `td_serve`
-//! daemon plumbing, the one paired-timing method behind every overhead
-//! bound and A/B table, and the `TD_BENCH_QUICK` switch.
+//! daemon plumbing, and the one paired-timing method behind every
+//! overhead bound and A/B table.
 
 use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
@@ -10,11 +10,6 @@ use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use std::time::Duration;
 use td_serve::Client;
 use td_support::trace;
-
-/// Whether `TD_BENCH_QUICK=1` asks for the CI smoke-sized run.
-pub fn quick() -> bool {
-    std::env::var("TD_BENCH_QUICK").is_ok_and(|v| v == "1")
-}
 
 /// Function `@work<i>`: one `scf.for` of extent `step * (i + 1)` that
 /// doubles a memref in place, the payload every gate schedules.

@@ -1,16 +1,13 @@
-//! `td-bench`: shared harness code for regenerating every table and figure
-//! of the paper. The binaries in `src/bin/` print the rows/series; this
-//! library holds the workload builders and measurement loops so tests and
-//! the in-tree micro-benchmark harness ([`harness`]) reuse them, and what
-//! the CI gates of `td_gate` share ([`gate`]).
+//! `td-bench`: shared code for regenerating every table and figure of the
+//! paper. The binaries in `src/bin/` print the rows/series; this library
+//! holds the workload builders and measurement loops that they and the
+//! tests reuse, and what the CI gates of `td_gate` share ([`gate`]).
 
 pub mod cs3;
 pub mod cs4;
 pub mod gate;
-pub mod harness;
 pub mod table1;
 
-pub use harness::{bench, BenchConfig, BenchStats, BenchSuite};
 use td_ir::{Context, OpId};
 
 /// A context with every dialect (payload + transform) registered, and a

@@ -52,7 +52,7 @@ impl Write for FnvWriter {
 /// probability.
 pub fn fingerprint_op(ctx: &Context, root: OpId) -> u64 {
     let mut hasher = FnvWriter::new();
-    hash_op(ctx, root, &mut hasher);
+    hash_op(ctx, root, &mut hasher, &mut ArenaIds);
     hasher.0
 }
 
@@ -65,9 +65,36 @@ pub fn fingerprint_op(ctx: &Context, root: OpId) -> u64 {
 /// the hash is still context-relative across *contexts*.
 pub fn structural_fingerprint_op(ctx: &Context, root: OpId) -> u64 {
     let mut hasher = FnvWriter::new();
-    let mut norm = Normalizer::default();
-    hash_op_structural(ctx, root, &mut hasher, &mut norm);
+    hash_op(ctx, root, &mut hasher, &mut Normalizer::default());
     hasher.0
+}
+
+/// How the walk names value and block ids: the one difference between the
+/// two fingerprints. `hash_op` is generic over it, so each mode is its own
+/// monomorphized walk.
+trait IdNames {
+    fn value(&mut self, hasher: &mut FnvWriter, v: ValueId);
+    fn block(&mut self, hasher: &mut FnvWriter, b: BlockId);
+    /// Names a region's block where the walk enters it.
+    fn entered_block(&mut self, hasher: &mut FnvWriter, b: BlockId) {
+        self.block(hasher, b);
+    }
+}
+
+/// Arena ids as they are (`fingerprint_op`); an entered block is named by
+/// position only.
+struct ArenaIds;
+
+impl IdNames for ArenaIds {
+    fn value(&mut self, hasher: &mut FnvWriter, v: ValueId) {
+        let _ = write!(hasher, "{v:?}");
+    }
+
+    fn block(&mut self, hasher: &mut FnvWriter, b: BlockId) {
+        let _ = write!(hasher, "{b:?}");
+    }
+
+    fn entered_block(&mut self, _: &mut FnvWriter, _: BlockId) {}
 }
 
 /// First-encounter dense numbering of value/block ids along the preorder
@@ -78,75 +105,49 @@ struct Normalizer {
     blocks: HashMap<BlockId, u32>,
 }
 
-impl Normalizer {
-    fn value(&mut self, v: ValueId) -> u32 {
+impl IdNames for Normalizer {
+    fn value(&mut self, hasher: &mut FnvWriter, v: ValueId) {
         let next = self.values.len() as u32;
-        *self.values.entry(v).or_insert(next)
+        let _ = write!(hasher, "{}", *self.values.entry(v).or_insert(next));
     }
 
-    fn block(&mut self, b: BlockId) -> u32 {
+    fn block(&mut self, hasher: &mut FnvWriter, b: BlockId) {
         let next = self.blocks.len() as u32;
-        *self.blocks.entry(b).or_insert(next)
+        let _ = write!(hasher, "{}", *self.blocks.entry(b).or_insert(next));
     }
 }
 
-fn hash_op_structural(ctx: &Context, op: OpId, hasher: &mut FnvWriter, norm: &mut Normalizer) {
+fn hash_op<N: IdNames>(ctx: &Context, op: OpId, hasher: &mut FnvWriter, ids: &mut N) {
     let data = ctx.op(op);
     let _ = write!(hasher, "o{}", data.name.as_str());
     for &operand in data.operands() {
-        let _ = write!(hasher, ";{}", norm.value(operand));
+        hasher.write_bytes(b";");
+        ids.value(hasher, operand);
     }
     for &result in data.results() {
-        let _ = write!(hasher, ">{}", norm.value(result));
+        hasher.write_bytes(b">");
+        ids.value(hasher, result);
         let _ = write!(hasher, ":{:?}", ctx.value_type(result));
     }
     for (key, value) in data.attributes() {
         let _ = write!(hasher, "@{key}={value:?}");
     }
     for &successor in data.successors() {
-        let _ = write!(hasher, "^{}", norm.block(successor));
-    }
-    for &region in data.regions() {
-        hasher.write_bytes(b"(");
-        for &block in ctx.region(region).blocks() {
-            let _ = write!(hasher, "[{}", norm.block(block));
-            for &arg in ctx.block(block).args() {
-                let _ = write!(hasher, "a{}:{:?}", norm.value(arg), ctx.value_type(arg));
-            }
-            for nested in ctx.block_ops(block) {
-                hash_op_structural(ctx, nested, hasher, norm);
-            }
-            hasher.write_bytes(b"]");
-        }
-        hasher.write_bytes(b")");
-    }
-}
-
-fn hash_op(ctx: &Context, op: OpId, hasher: &mut FnvWriter) {
-    let data = ctx.op(op);
-    let _ = write!(hasher, "o{}", data.name.as_str());
-    for &operand in data.operands() {
-        let _ = write!(hasher, ";{operand:?}");
-    }
-    for &result in data.results() {
-        let _ = write!(hasher, ">{result:?}");
-        let _ = write!(hasher, ":{:?}", ctx.value_type(result));
-    }
-    for (key, value) in data.attributes() {
-        let _ = write!(hasher, "@{key}={value:?}");
-    }
-    for &successor in data.successors() {
-        let _ = write!(hasher, "^{successor:?}");
+        hasher.write_bytes(b"^");
+        ids.block(hasher, successor);
     }
     for &region in data.regions() {
         hasher.write_bytes(b"(");
         for &block in ctx.region(region).blocks() {
             hasher.write_bytes(b"[");
+            ids.entered_block(hasher, block);
             for &arg in ctx.block(block).args() {
-                let _ = write!(hasher, "a{arg:?}:{:?}", ctx.value_type(arg));
+                hasher.write_bytes(b"a");
+                ids.value(hasher, arg);
+                let _ = write!(hasher, ":{:?}", ctx.value_type(arg));
             }
             for nested in ctx.block_ops(block) {
-                hash_op(ctx, nested, hasher);
+                hash_op(ctx, nested, hasher, ids);
             }
             hasher.write_bytes(b"]");
         }
@@ -233,9 +234,10 @@ mod tests {
     }
 
     /// Both fingerprints' exact values on a module with block arguments,
-    /// successors, attributes and nested regions. The journal, the pass
-    /// manager's change filter, the fuzz oracle and the benchmark's replay
-    /// counters read these values, so a change to the walk keeps every bit.
+    /// successors, attributes and nested regions. The `changed` IR-print
+    /// filter, flight bundles, the watermark check, the fuzz oracle and the
+    /// benchmark's replay read these values, so a change to the walk keeps
+    /// every bit.
     #[test]
     fn fingerprint_values_are_pinned() {
         let mut ctx = Context::new();

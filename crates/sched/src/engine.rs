@@ -371,7 +371,7 @@ impl Engine {
             .collect();
         drop(batch_span);
         // Chaos analyzability: when a fault plan is armed, the batch's
-        // metrics (and so TD_BENCH_JSON and flight bundles) carry the
+        // metrics (and so `metrics::snapshot` and flight bundles) carry the
         // per-point fault.* hit/armed/fired counters.
         if fault::active() {
             fault::publish_metrics();
@@ -616,7 +616,7 @@ impl Engine {
                 // Every worker started from empty metrics, so these are
                 // exactly batch-scoped: the stats histograms pool them per
                 // batch, the absorb sends the same samples on to the
-                // caller's registry (and thus TD_BENCH_JSON).
+                // caller's registry (and thus `metrics::snapshot`).
                 batch_stats.absorb_worker(&worker_metrics, lane);
                 metrics::absorb(&worker_metrics);
                 // Journals merge twice on purpose: into the report

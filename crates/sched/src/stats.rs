@@ -18,7 +18,7 @@
 //! batch from empty thread-local metrics and hands them back, so the
 //! histograms here are exactly batch-scoped; the same samples also flow
 //! into the caller's registry via `metrics::absorb`, which is how they
-//! reach `TD_BENCH_JSON`. A cache hit never reaches a worker: the probe
+//! reach `metrics::snapshot` / `dump_json`. A cache hit never reaches a worker: the probe
 //! records its sample directly ([`BatchStats::observe_job`]), so every job
 //! of a batch is in every histogram, while `lanes` describe only the
 //! workers that ran misses (none for an all-hit batch).

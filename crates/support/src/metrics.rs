@@ -3,7 +3,7 @@
 //!
 //! The pass manager, the greedy rewrite driver, and the transform
 //! interpreter all report here, which is what makes the repo's performance
-//! claims observable: every `BENCH_*.json` number can be cross-checked
+//! claims observable: every benchmark number can be cross-checked
 //! against the counters and per-pass/per-transform timings of the run that
 //! produced it.
 //!
@@ -53,10 +53,10 @@ impl TimerStat {
 }
 
 /// Shared quantile semantics for the whole workspace: nearest-rank
-/// percentile over an ascending-sorted sample. The bench harness and the
-/// histogram bucket walk both use this definition, so a `p95` in a
-/// `BENCH_*.json` line and a `p95` derived from a [`Histogram`] mean the
-/// same thing.
+/// percentile over an ascending-sorted sample. The benchmark's latency
+/// percentiles and the histogram bucket walk both use this definition, so
+/// a benchmark `job_ms_p95` and a `p95` derived from a [`Histogram`] mean
+/// the same thing.
 ///
 /// `p` is in percent (`50.0` = median). Empty input returns 0.
 pub fn percentile_nearest_rank(sorted: &[u128], p: f64) -> u128 {
@@ -474,7 +474,7 @@ pub fn replace(metrics: Metrics) -> Metrics {
 /// Merges a metrics snapshot recorded on another thread into the current
 /// thread's registry (counters add, timers aggregate). Worker pools use
 /// this so per-worker counters and timers survive worker-thread exit and
-/// show up in the coordinator's `dump_json` / `TD_BENCH_JSON` output.
+/// show up in the coordinator's `snapshot` / `dump_json` output.
 pub fn absorb(other: &Metrics) {
     REGISTRY.with(|m| m.borrow_mut().merge(other));
 }

@@ -160,8 +160,8 @@ pub struct InterpStats {
 
 impl InterpStats {
     /// Mirrors the final stats into the metrics registry (cross-checking
-    /// the live counters), so `metrics::dump_json()` / `TD_BENCH_JSON`
-    /// consumers see interpreter statistics without reading this struct.
+    /// the live counters), so `metrics::snapshot()` / `dump_json()`
+    /// readers see interpreter statistics without reading this struct.
     pub fn publish_to_metrics(&self) {
         metrics::high_watermark(
             "interp.stats.transforms_executed",

@@ -3,8 +3,7 @@
 # external dependencies by policy (see README "Hermetic build"), so a
 # network-less container must be able to build, test, and lint.
 #
-#   scripts/ci.sh          # build + tests + format check
-#   scripts/ci.sh --bench  # additionally smoke-run the micro-benchmarks
+#   scripts/ci.sh          # build + tests + format check + gates + benchmark check
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -58,8 +57,8 @@ cargo run -q --release --offline -p td-bench --bin td_gate -- chaos_smoke
 
 echo "== observability smoke (histograms + flight recorder + profiler) =="
 # Four gates: p50/p90/p99/p999 percentile fields must appear in the batch
-# report JSON, the coordinator metrics snapshot (the TD_BENCH_JSON
-# surface), and the bench harness lines; an injected panic plan must dump
+# report JSON and the coordinator metrics snapshot (metrics::snapshot);
+# an injected panic plan must dump
 # a flight bundle into TD_FLIGHT_DIR that replays the failing step's
 # attribution; TD_PROFILE must write a speedscope-loadable collapsed
 # profile; and the always-on flight recorder must cost < 3% idle
@@ -114,10 +113,5 @@ echo "== benchmark harness (builds against the workspace + quick check) =="
 # with full output verification (< 60 s after the build).
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 benchmark/run.sh --check
-
-if [[ "${1:-}" == "--bench" ]]; then
-    echo "== micro-benchmark smoke run =="
-    TD_BENCH_QUICK=1 TD_BENCH_JSON=BENCH_micro.json cargo bench -q --offline -p td-bench
-fi
 
 echo "CI OK"

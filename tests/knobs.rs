@@ -38,7 +38,7 @@ fn readme_env_tables_list_exactly_the_variables_the_sources_read() {
     for krate in std::fs::read_dir(root.join("crates")).expect("crates/ lists") {
         let krate = krate.expect("directory entry").path();
         literals_under(&krate.join("src"), &mut read);
-        // Bench targets read variables too (`TD_BENCH_JSON`).
+        // A crate's bench targets would read variables too; none has one.
         if krate.join("benches").is_dir() {
             literals_under(&krate.join("benches"), &mut read);
         }
@@ -56,6 +56,13 @@ fn readme_env_tables_list_exactly_the_variables_the_sources_read() {
     assert!(
         undocumented.is_empty() && stale.is_empty(),
         "README's env tables and the sources disagree\n  read but not in a table: {undocumented:?}\n  in a table but never read: {stale:?}"
+    );
+    assert_eq!(
+        read.len(),
+        18,
+        "the sources read {} TD_* variables, pinned at 18: a variable was added or \
+         removed. Update README and ROADMAP aim 2 with the change, then this pin.",
+        read.len()
     );
 }
 
