@@ -57,12 +57,11 @@ fn readme_env_tables_list_exactly_the_variables_the_sources_read() {
         undocumented.is_empty() && stale.is_empty(),
         "README's env tables and the sources disagree\n  read but not in a table: {undocumented:?}\n  in a table but never read: {stale:?}"
     );
+    let (found, want) = (read.len(), 18);
     assert_eq!(
-        read.len(),
-        18,
-        "the sources read {} TD_* variables, pinned at 18: a variable was added or \
-         removed. Update README and ROADMAP aim 2 with the change, then this pin.",
-        read.len()
+        found, want,
+        "the sources read {found} TD_* variables, pinned at {want}: a variable was added \
+         or removed. Update README and ROADMAP aim 2 with the change, then this pin."
     );
 }
 
