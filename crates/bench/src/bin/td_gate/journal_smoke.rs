@@ -153,7 +153,6 @@ pub fn run() {
         "bisect artifact carries the minimized schedule:\n{repro}"
     );
     journal::add_artifact("bisect", &format!("job{index}"), &repro);
-    println!("batch report:\n{}", report.report_text());
 
     // Flush the coordinator's merged journal (workers were absorbed into
     // it) to the TD_JOURNAL file for the CI validation step.

@@ -6,9 +6,9 @@
 //! ```
 //!
 //! Exactly one gate runs per process. The gates lean on process-wide
-//! state (fault plans, the flight recorder's dump cap, `TD_FLIGHT_DIR` and
-//! `TD_PROFILE`, which `obs_smoke` sets, and each thread's cached
-//! `TD_TRACE` lookup), so a fresh process per gate keeps them apart.
+//! state (fault plans, the flight recorder's dump cap, `TD_FLIGHT_DIR`,
+//! which `obs_smoke` sets, and each thread's cached `TD_TRACE` lookup),
+//! so a fresh process per gate keeps them apart.
 //! `scripts/ci.sh` runs every gate, one step each; what they share lives
 //! in `td_bench::gate`.
 

@@ -11,7 +11,7 @@
 //! paper's ~10 minutes per compiler rebuild.
 
 use std::time::Instant;
-use td_ir::{Attribute, Context, OpId, TypeKind, ValueId};
+use td_ir::{Attribute, Context, OpId, ValueId};
 use td_machine::fusion::{estimate_cost, FusionCostModel};
 use td_machine::register_tensor_patterns;
 use td_support::{Location, Symbol};
@@ -219,19 +219,20 @@ pub fn binary_search_culprit(blocks: usize) -> SearchOutcome {
     }
 }
 
-/// Sanity helper for tests: the payload's tensor types are all static.
-pub fn payload_is_static(ctx: &Context, module: OpId) -> bool {
-    ctx.walk_nested(module).into_iter().all(|op| {
-        ctx.op(op).results().iter().all(|&r| {
-            !matches!(ctx.type_kind(ctx.value_type(r)), TypeKind::Tensor { .. })
-                || td_dialects::tosa::static_shape(ctx, ctx.value_type(r)).is_some()
-        })
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use td_ir::TypeKind;
+
+    /// Whether the payload's tensor types are all static.
+    fn payload_is_static(ctx: &Context, module: OpId) -> bool {
+        ctx.walk_nested(module).into_iter().all(|op| {
+            ctx.op(op).results().iter().all(|&r| {
+                !matches!(ctx.type_kind(ctx.value_type(r)), TypeKind::Tensor { .. })
+                    || td_dialects::tosa::static_shape(ctx, ctx.value_type(r)).is_some()
+            })
+        })
+    }
 
     #[test]
     fn payload_builds_and_verifies() {

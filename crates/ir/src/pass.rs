@@ -165,9 +165,6 @@ impl PassManager {
             };
             if let Err(diag) = result {
                 close_step(ctx, journal::StepOutcome::Failed, diag.message());
-                for instr in &mut self.instrumentations {
-                    instr.pass_failed(&name, diag.message());
-                }
                 trace::instant("pass", "pass.failed", &[("pass", name.clone())]);
                 return Err(diag);
             }
@@ -184,10 +181,6 @@ impl PassManager {
                 let verify_span = trace::span("verify", format!("verify after {name}"));
                 let outcome = verify(ctx, target);
                 metrics::timer_ns("pass_manager.verify", verify_span.end().as_nanos());
-                let ok = outcome.is_ok();
-                for instr in &mut self.instrumentations {
-                    instr.after_verify(&name, ok);
-                }
                 if let Err(mut diags) = outcome {
                     let first = diags.remove(0);
                     let diag = Diagnostic::error(
@@ -375,8 +368,8 @@ mod tests {
         assert!(json.contains("\"pass_manager.runs\":1"), "dump: {json}");
     }
 
-    /// Instrumentation hooks fire in order around every pass, and the
-    /// verifier hook reports its outcome.
+    /// Instrumentation hooks fire in order around every pass; a failed
+    /// pass gets no after-pass hook.
     #[test]
     fn instrumentation_hooks_fire_in_order() {
         use std::sync::{Arc, Mutex};
@@ -387,15 +380,6 @@ mod tests {
             }
             fn after_pass(&mut self, pass: &str, _ir: &IrView<'_>) {
                 self.0.lock().unwrap().push(format!("after:{pass}"));
-            }
-            fn pass_failed(&mut self, pass: &str, message: &str) {
-                self.0
-                    .lock()
-                    .unwrap()
-                    .push(format!("failed:{pass}:{message}"));
-            }
-            fn after_verify(&mut self, pass: &str, ok: bool) {
-                self.0.lock().unwrap().push(format!("verify:{pass}:{ok}"));
             }
         }
         let log = Arc::new(Mutex::new(Vec::new()));
@@ -408,11 +392,7 @@ mod tests {
         pm.run(&mut ctx, module).unwrap();
         assert_eq!(
             *log.lock().unwrap(),
-            vec![
-                "before:count-ops",
-                "after:count-ops",
-                "verify:count-ops:true"
-            ]
+            vec!["before:count-ops", "after:count-ops"]
         );
 
         log.lock().unwrap().clear();
@@ -420,10 +400,7 @@ mod tests {
         pm.add(Box::new(AlwaysFails));
         pm.add_instrumentation(Box::new(Recorder(Arc::clone(&log))));
         assert!(pm.run(&mut ctx, module).is_err());
-        assert_eq!(
-            *log.lock().unwrap(),
-            vec!["before:always-fails", "failed:always-fails:boom"]
-        );
+        assert_eq!(*log.lock().unwrap(), vec!["before:always-fails"]);
     }
 
     /// The print-ir instrumentation with the on-change filter prints IR

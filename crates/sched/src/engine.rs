@@ -39,10 +39,10 @@
 //! when it finishes; the caller merges them (`trace::adopt`,
 //! `metrics::absorb`, `journal::absorb`), so a single `TD_TRACE` /
 //! `TD_JOURNAL` file shows the whole pool. The merged journal also rides on
-//! the [`BatchReport`], whose [`BatchReport::report_text`] /
-//! [`BatchReport::report_json`] rank transforms by payload ops touched,
-//! time, and failures. Flight-recorder events stay in the ring of the
-//! thread that ran the job — the caller's, for a single-miss batch.
+//! the [`BatchReport`], whose [`BatchReport::report_json`] ranks
+//! transforms by payload ops touched, time, and failures. Flight-recorder
+//! events stay in the ring of the thread that ran the job — the caller's,
+//! for a single-miss batch.
 //!
 //! A failing schedule is a cheap, ordinary outcome (it is how a search
 //! loop rejects a candidate), so the engine never diagnoses one unasked:
@@ -226,13 +226,6 @@ impl BatchReport {
             .iter()
             .map(|r| r.as_ref().ok().map(|o| o.module_text.as_str()))
             .collect()
-    }
-
-    /// Human-readable batch report: the latency/utilization breakdown
-    /// ([`BatchStats::report_text`]) followed by the ranked transform
-    /// provenance table (empty-ish when journaling was off).
-    pub fn report_text(&self) -> String {
-        format!("{}{}", self.stats.report_text(), self.journal.report_text())
     }
 
     /// The batch report as one JSON object:

@@ -18,7 +18,7 @@
 //! batch from empty thread-local metrics and hands them back, so the
 //! histograms here are exactly batch-scoped; the same samples also flow
 //! into the caller's registry via `metrics::absorb`, which is how they
-//! reach `metrics::snapshot` / `dump_json`. A cache hit never reaches a worker: the probe
+//! reach `metrics::snapshot`. A cache hit never reaches a worker: the probe
 //! records its sample directly ([`BatchStats::observe_job`]), so every job
 //! of a batch is in every histogram, while `lanes` describe only the
 //! workers that ran misses (none for an all-hit batch).
@@ -127,59 +127,6 @@ impl BatchStats {
             .map(|lane| lane.utilization(self.wall_ns))
             .sum::<f64>()
             / self.lanes.len() as f64
-    }
-
-    /// Human-readable breakdown, appended to batch reports:
-    ///
-    /// ```text
-    /// batch stats: 8 job(s), 1.2ms wall, cache 50.0% hit (4/8)
-    ///   queue_wait  p50 12.3µs  p90 40.1µs  p99 41.0µs  p999 41.0µs
-    ///   run         p50 0.8ms   p90 1.1ms   p99 1.1ms   p999 1.1ms
-    ///   worker 0: 3 job(s), 87.2% busy
-    /// ```
-    pub fn report_text(&self) -> String {
-        let mut out = format!(
-            "batch stats: {} job(s), {:.3}ms wall, cache {:.1}% hit ({}/{})\n",
-            self.total.count,
-            self.wall_ns as f64 / 1e6,
-            self.cache.hit_rate() * 100.0,
-            self.cache.hits,
-            self.cache.hits + self.cache.misses,
-        );
-        if self.rollbacks > 0 || self.undo_entries > 0 {
-            let _ = writeln!(
-                out,
-                "  txn: {} rollback(s), {} undo entr{}",
-                self.rollbacks,
-                self.undo_entries,
-                if self.undo_entries == 1 { "y" } else { "ies" },
-            );
-        }
-        for (label, histogram) in [
-            ("queue_wait", &self.queue_wait),
-            ("run", &self.run),
-            ("total", &self.total),
-        ] {
-            let _ = writeln!(
-                out,
-                "  {label:<10}  p50 {:.3}ms  p90 {:.3}ms  p99 {:.3}ms  p999 {:.3}ms  max {:.3}ms",
-                histogram.quantile_ns(0.50) as f64 / 1e6,
-                histogram.quantile_ns(0.90) as f64 / 1e6,
-                histogram.quantile_ns(0.99) as f64 / 1e6,
-                histogram.quantile_ns(0.999) as f64 / 1e6,
-                histogram.max_ns as f64 / 1e6,
-            );
-        }
-        for lane in &self.lanes {
-            let _ = writeln!(
-                out,
-                "  worker {}: {} job(s), {:.1}% busy",
-                lane.worker,
-                lane.jobs,
-                lane.utilization(self.wall_ns) * 100.0,
-            );
-        }
-        out
     }
 
     /// JSON with stable field order; histogram objects carry
@@ -296,27 +243,6 @@ mod tests {
     }
 
     #[test]
-    fn report_text_names_percentiles_and_workers() {
-        let mut stats = BatchStats {
-            wall_ns: 500_000,
-            ..BatchStats::default()
-        };
-        stats.absorb_worker(
-            &worker_metrics(&[5_000], &[50_000]),
-            WorkerLane {
-                worker: 0,
-                jobs: 1,
-                busy_ns: 50_000,
-                timeline: vec![(0, 50_000)],
-            },
-        );
-        let text = stats.report_text();
-        for needle in ["queue_wait", "p50", "p999", "worker 0: 1 job(s)"] {
-            assert!(text.contains(needle), "missing {needle}:\n{text}");
-        }
-    }
-
-    #[test]
     fn json_is_valid_and_carries_percentile_fields() {
         let mut stats = BatchStats {
             wall_ns: 500_000,
@@ -340,13 +266,14 @@ mod tests {
         let json = stats.to_json();
         validate_json(&json).expect("stats JSON well-formed");
         for field in [
-            "\"wall_ns\":500000",
+            "\"wall_ns\":500000,\"jobs\":2,\"workers\":1,",
             "\"hit_rate\":0.2500",
             "\"queue_wait\":{\"count\":2",
             "\"p50_ns\":",
             "\"p90_ns\":",
             "\"p99_ns\":",
             "\"p999_ns\":",
+            "\"lanes\":[{\"worker\":0,\"jobs\":2,",
             "\"timeline\":[[0,50000],[60000,110000]]",
         ] {
             assert!(json.contains(field), "missing {field}: {json}");
@@ -358,6 +285,6 @@ mod tests {
         let stats = BatchStats::default();
         validate_json(&stats.to_json()).unwrap();
         assert_eq!(stats.pool_utilization(), 0.0);
-        assert!(stats.report_text().contains("0 job(s)"));
+        assert!(stats.to_json().contains("\"jobs\":0,"));
     }
 }

@@ -3,7 +3,7 @@
 //! (a panic, a deadline, a cancellation, anything an injected fault
 //! touched).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 use std::time::Duration;
 use td_sched::{BatchReport, Engine, EngineConfig, Job, JobError, JobResult, TxnMode};
@@ -33,8 +33,21 @@ fn script(then: Option<&str>) -> String {
     )
 }
 
-/// Handler invocations of the custom ops below, across every engine.
-static CALLS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Handler invocations of the custom ops below on this thread. A
+    /// 1-worker engine runs every job on the thread that calls
+    /// `run_batch`, so a test reads only its own jobs' calls, whatever the
+    /// tests running beside it do.
+    static CALLS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn calls() -> usize {
+    CALLS.with(Cell::get)
+}
+
+fn count_call() {
+    CALLS.with(|c| c.set(c.get() + 1));
+}
 
 /// The standard ops plus `test.doomed` (fails definitely), `test.flaky`
 /// (fails silenceably) and `test.panic` (panics), each counted in
@@ -47,7 +60,7 @@ fn test_engine(config: EngineConfig) -> Engine {
             "test.doomed",
             "fails definitely",
             |_, ctx, _, op| {
-                CALLS.fetch_add(1, Ordering::SeqCst);
+                count_call();
                 Err(TransformError::definite(
                     ctx.op(op).location.clone(),
                     "payload corrupted",
@@ -58,7 +71,7 @@ fn test_engine(config: EngineConfig) -> Engine {
             "test.flaky",
             "fails silenceably",
             |_, ctx, _, op| {
-                CALLS.fetch_add(1, Ordering::SeqCst);
+                count_call();
                 Err(TransformError::silenceable(
                     ctx.op(op).location.clone(),
                     "flaky precondition",
@@ -66,7 +79,7 @@ fn test_engine(config: EngineConfig) -> Engine {
             },
         ));
         registry.register(TransformOpDef::new("test.panic", "panics", |_, _, _, _| {
-            CALLS.fetch_add(1, Ordering::SeqCst);
+            count_call();
             panic!("intentional test panic")
         }));
         registry
@@ -237,7 +250,7 @@ fn the_cache_keeps_exactly_the_deterministic_failures() {
         assert!(kind(error), "{name}: {error:?}");
         assert_eq!(first.cache.inserts, u64::from(cached), "{name}");
 
-        let calls = CALLS.load(Ordering::SeqCst);
+        let before = calls();
         let mut rerun = job.clone();
         rerun.policy = Default::default();
         let again = engine.run_batch(vec![rerun]);
@@ -253,13 +266,15 @@ fn the_cache_keeps_exactly_the_deterministic_failures() {
                 error.to_string(),
                 "{name}"
             );
-            assert_eq!(CALLS.load(Ordering::SeqCst), calls, "{name}: nothing ran");
+            assert_eq!(calls(), before, "{name}: nothing ran");
             assert_eq!((again.cache.hits, again.cache.misses), (1, 0), "{name}");
         } else {
             assert_eq!((again.cache.hits, again.cache.misses), (0, 1), "{name}");
         }
     }
     std::panic::set_hook(hook);
+    // The handlers ran on this thread, so "nothing ran" above was counted.
+    assert!(calls() > 0);
 
     // A job cancelled by the failure budget never ran, so nothing of it
     // is kept: the same bytes later run and succeed.

@@ -606,9 +606,14 @@ fn worker_journals_merge_into_one_batch_report() {
         None
     );
 
-    // Reports are emitted in both shapes; the JSON validates.
-    trace::validate_json(&report.report_json()).expect("report JSON validates");
-    assert!(report.report_text().contains("transform.annotate"));
+    // The JSON report validates and ranks the batch's transform.
+    let json = report.report_json();
+    trace::validate_json(&json).expect("report JSON validates");
+    let summary = &json[json.find("\"summary\":[").expect("summary")..];
+    assert!(
+        summary.contains("{\"name\":\"transform.annotate\","),
+        "{summary}"
+    );
 
     // The coordinator's thread-local journal absorbed the same steps, so
     // a TD_JOURNAL flush covers the pool.

@@ -515,65 +515,6 @@ impl Journal {
     pub fn tail_json(&self, k: usize) -> String {
         self.records_json(k)
     }
-
-    /// Renders the batch report as human-readable text: the ranked
-    /// transform table, per-step provenance lines, and artifacts.
-    pub fn report_text(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "provenance journal: {} step(s), {} change(s), {} artifact(s)",
-            self.steps.len(),
-            self.changes.len(),
-            self.artifacts.len()
-        );
-        let summary = self.summarize();
-        if !summary.is_empty() {
-            let _ = writeln!(
-                out,
-                "{:<40} {:>6} {:>10} {:>12} {:>9}",
-                "transform", "steps", "ops", "total_ms", "failures"
-            );
-            for row in &summary {
-                let _ = writeln!(
-                    out,
-                    "{:<40} {:>6} {:>10} {:>12.3} {:>9}",
-                    row.name,
-                    row.steps,
-                    row.ops_touched,
-                    row.total_ns as f64 / 1e6,
-                    row.failures
-                );
-            }
-        }
-        for step in &self.steps {
-            let job = step.job.map_or(String::new(), |j| format!("job{j} "));
-            let _ = writeln!(
-                out,
-                "{}{:indent$}[{}] {} {} ({} change(s), {:.3}ms){}{}",
-                job,
-                "",
-                step.outcome.name(),
-                step.kind,
-                step.name,
-                step.changes,
-                step.duration_ns as f64 / 1e6,
-                if step.location.is_none() { "" } else { " at " },
-                step.location_text(),
-                indent = step.depth * 2,
-            );
-            if step.outcome.is_failure() && !step.message.is_empty() {
-                let _ = writeln!(out, "{}  ! {}", job, step.message);
-            }
-        }
-        for artifact in &self.artifacts {
-            let _ = writeln!(out, "artifact [{}] {}:", artifact.kind, artifact.label);
-            for line in artifact.content.lines() {
-                let _ = writeln!(out, "  | {line}");
-            }
-        }
-        out
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1089,9 +1030,8 @@ mod tests {
              \"op_name\":\"scf.for\",\"detail\":\"-> 2 value(s)\"}]"
         ));
         assert!(json.contains("\"location\":\"loc:1:1\",\"handles\":[\"#1v0\"],\"depth\":0"));
-        let text = journal.report_text();
-        assert!(text.contains("artifact [bisect] job0"));
-        assert!(text.contains("(1 change(s), 0.000ms) at loc:1:1"));
+        assert!(json.contains("\"message\":\"msg\\twith\\ttabs\",\"changes\":1}"));
+        assert!(json.contains("\"artifacts\":[{\"kind\":\"bisect\",\"label\":\"job0\","));
     }
 
     #[test]

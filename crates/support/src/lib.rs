@@ -29,10 +29,6 @@
 //! * [`fault`] — deterministic fault injection (`TD_FAULT` plans, named
 //!   faultpoints, seeded per-lane schedules), the chaos harness driving
 //!   the transactional transform-application layer;
-//! * [`profile`] — the transform profiler: folds trace spans into
-//!   per-transform-op self/total time attribution with a ranked top-K
-//!   report and a speedscope-compatible collapsed-stack export
-//!   (`TD_PROFILE`);
 //! * [`flight`] — the crash flight recorder: a fixed-size ring buffer of
 //!   recent structured events dumped as a post-mortem artifact bundle to
 //!   `TD_FLIGHT_DIR` on panic, definite failure, or deadline expiry;
@@ -48,7 +44,6 @@ pub mod interner;
 pub mod journal;
 pub mod location;
 pub mod metrics;
-pub mod profile;
 pub mod proptest;
 pub mod rng;
 pub mod trace;

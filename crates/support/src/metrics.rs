@@ -474,14 +474,9 @@ pub fn replace(metrics: Metrics) -> Metrics {
 /// Merges a metrics snapshot recorded on another thread into the current
 /// thread's registry (counters add, timers aggregate). Worker pools use
 /// this so per-worker counters and timers survive worker-thread exit and
-/// show up in the coordinator's `snapshot` / `dump_json` output.
+/// show up in the coordinator's `snapshot`.
 pub fn absorb(other: &Metrics) {
     REGISTRY.with(|m| m.borrow_mut().merge(other));
-}
-
-/// JSON dump of the current thread's metrics.
-pub fn dump_json() -> String {
-    snapshot().to_json()
 }
 
 #[cfg(test)]

@@ -38,7 +38,6 @@
 //! trace::set_enabled(false);
 //! ```
 
-use crate::diag::Remark;
 use crate::metrics::json_string;
 use std::cell::{Cell, RefCell};
 use std::fmt::Write as _;
@@ -257,9 +256,7 @@ pub fn env_trace_path() -> Option<String> {
 }
 
 /// Whether tracing is enabled on this thread (explicit
-/// [`set_enabled`] override, else the presence of `TD_TRACE` or
-/// `TD_PROFILE` — the profiler folds trace spans, so asking for a
-/// profile implies collecting the trace).
+/// [`set_enabled`] override, else the presence of `TD_TRACE`).
 pub fn enabled() -> bool {
     if let Some(explicit) = ENABLED_OVERRIDE.with(Cell::get) {
         return explicit;
@@ -267,8 +264,7 @@ pub fn enabled() -> bool {
     ENV_ENABLED.with(|cache| match cache.get() {
         Some(enabled) => enabled,
         None => {
-            let enabled =
-                env_trace_path().is_some() || crate::profile::env_profile_path().is_some();
+            let enabled = env_trace_path().is_some();
             cache.set(Some(enabled));
             enabled
         }
@@ -796,24 +792,10 @@ pub trait Instrumentation {
     fn before_pass(&mut self, pass: &str, ir: &IrView<'_>) {}
     /// After a pass ran successfully.
     fn after_pass(&mut self, pass: &str, ir: &IrView<'_>) {}
-    /// After a pass failed.
-    fn pass_failed(&mut self, pass: &str, message: &str) {}
-    /// After a post-pass verifier run (`ok` = verified clean).
-    fn after_verify(&mut self, pass: &str, ok: bool) {}
     /// Before a transform op executes.
     fn before_transform(&mut self, name: &str, ir: &IrView<'_>) {}
     /// After a transform op executed successfully.
     fn after_transform(&mut self, name: &str, ir: &IrView<'_>) {}
-    /// After a transform op failed (`silenceable` per the §3 error model).
-    fn transform_failed(&mut self, name: &str, message: &str, silenceable: bool) {}
-    /// A handle was allocated or invalidated.
-    fn handle_event(&mut self, event: &HandleEvent) {}
-    /// A silenceable error was suppressed by an enclosing construct.
-    fn error_suppressed(&mut self, message: &str) {}
-    /// A dynamic pre/post-condition check concluded.
-    fn condition_check(&mut self, transform: &str, ok: bool, detail: &str) {}
-    /// An optimization remark was emitted.
-    fn remark(&mut self, remark: &Remark) {}
 }
 
 // ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ use td_ir::{BlockId, Context, OpId, PassRegistry, ValueId, Watermark};
 use td_support::diag::{self, Remark};
 use td_support::journal::{self, RawId};
 use td_support::trace::{self, Instrumentation, IrView, PrintIr};
-use td_support::{fault, flight, metrics, profile, Diagnostic, Location};
+use td_support::{fault, flight, metrics, Diagnostic, Location};
 
 /// Whether the interpreter wraps top-level steps in payload transactions
 /// (undo-log watermark before, roll back on failure).
@@ -160,8 +160,8 @@ pub struct InterpStats {
 
 impl InterpStats {
     /// Mirrors the final stats into the metrics registry (cross-checking
-    /// the live counters), so `metrics::snapshot()` / `dump_json()`
-    /// readers see interpreter statistics without reading this struct.
+    /// the live counters), so `metrics::snapshot()` readers see
+    /// interpreter statistics without reading this struct.
     pub fn publish_to_metrics(&self) {
         metrics::high_watermark(
             "interp.stats.transforms_executed",
@@ -209,7 +209,7 @@ pub struct Interpreter<'e> {
     instrumentations: Vec<Box<dyn Instrumentation>>,
     /// The payload root of the current apply, for IR snapshot hooks.
     payload_root: Option<OpId>,
-    /// Whether any observability channel is active for this run.
+    /// Whether tracing or remarks are active for this run.
     observing: bool,
 }
 
@@ -249,7 +249,7 @@ impl<'e> Interpreter<'e> {
 
     /// Notes a suppressed silenceable error: counted in [`InterpStats`]
     /// and the metrics registry, surfaced as a missed-optimization remark
-    /// (exactly once per suppression), and reported to instrumentations.
+    /// (exactly once per suppression), and traced as an instant.
     /// Called by the enclosing constructs (`transform.sequence` with
     /// suppress mode, `transform.alternatives`) that swallow the error.
     pub fn suppress(&mut self, origin: &str, diag: &Diagnostic) {
@@ -269,23 +269,16 @@ impl<'e> Interpreter<'e> {
                 diag.location().clone(),
                 format!("suppressed silenceable error: {}", diag.message()),
             ));
-            for instr in &mut self.instrumentations {
-                instr.error_suppressed(diag.message());
-            }
         }
     }
 
-    /// Forwards logged handle lifecycle events to the trace stream and the
-    /// instrumentation hooks.
+    /// Forwards logged handle lifecycle events to the trace stream.
     fn drain_handle_events(&mut self, state: &mut TransformState) {
         if !self.observing {
             return;
         }
         for event in state.take_handle_events() {
             trace::instant("handle", event.name(), &event.args());
-            for instr in &mut self.instrumentations {
-                instr.handle_event(&event);
-            }
         }
     }
 
@@ -364,9 +357,6 @@ impl<'e> Interpreter<'e> {
         if let Err(e) = journal::write_env_journal() {
             eprintln!("warning: failed to write TD_JOURNAL file: {e}");
         }
-        if let Err(e) = profile::write_env_profile() {
-            eprintln!("warning: failed to write TD_PROFILE file: {e}");
-        }
         result
     }
 
@@ -410,10 +400,9 @@ impl<'e> Interpreter<'e> {
         let _apply_span = metrics::span("interp.apply");
         let _apply_trace = trace::span("interp", "apply");
         metrics::counter("interp.applies", 1);
-        // One flag decides whether any observability work happens per op.
-        self.observing = !self.instrumentations.is_empty()
-            || trace::enabled()
-            || diag::remark_filter().is_active();
+        // One flag decides whether trace instants and remarks are built per
+        // op; the instrumentation hooks check their own list.
+        self.observing = trace::enabled() || diag::remark_filter().is_active();
         state.set_observe(self.observing);
         self.payload_root = Some(payload);
         let name = ctx.op(entry).name.as_str();
@@ -790,15 +779,6 @@ impl<'e> Interpreter<'e> {
                 outcome,
                 err.diagnostic().message(),
             );
-            if self.observing {
-                for instr in &mut self.instrumentations {
-                    instr.transform_failed(
-                        name.as_str(),
-                        err.diagnostic().message(),
-                        err.is_silenceable(),
-                    );
-                }
-            }
             return Err(err);
         }
         metrics::counter("interp.transforms_executed", 1);
@@ -818,14 +798,10 @@ impl<'e> Interpreter<'e> {
                 let check =
                     crate::conditions::verify_transition(name.as_str(), &before, &after, &post);
                 if self.observing {
-                    let passed = check.is_ok();
                     let detail = match &check {
                         Ok(()) => "post-condition check passed".to_owned(),
                         Err(diag) => format!("post-condition check failed: {}", diag.message()),
                     };
-                    for instr in &mut self.instrumentations {
-                        instr.condition_check(name.as_str(), passed, &detail);
-                    }
                     diag::emit_remark(Remark::analysis(name.as_str(), location.clone(), detail));
                 }
                 if let Err(diag) = check {

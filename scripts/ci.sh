@@ -55,13 +55,12 @@ echo "== chaos smoke (fault injection + transactional rollback) =="
 # txn=always / txn=never pair costs more than 1.10x.
 cargo run -q --release --offline -p td-bench --bin td_gate -- chaos_smoke
 
-echo "== observability smoke (histograms + flight recorder + profiler) =="
-# Four gates: p50/p90/p99/p999 percentile fields must appear in the batch
+echo "== observability smoke (histograms + flight recorder) =="
+# Three gates: p50/p90/p99/p999 percentile fields must appear in the batch
 # report JSON and the coordinator metrics snapshot (metrics::snapshot);
 # an injected panic plan must dump a flight bundle into TD_FLIGHT_DIR that
-# replays the failing step's attribution; TD_PROFILE must write a
-# speedscope-loadable collapsed profile; and the always-on flight recorder
-# must cost < 3% idle (EXPERIMENTS.md "Flight recorder overhead"
+# replays the failing step's attribution; and the always-on flight
+# recorder must cost < 3% idle (EXPERIMENTS.md "Flight recorder overhead"
 # methodology).
 cargo run -q --release --offline -p td-bench --bin td_gate -- obs_smoke
 

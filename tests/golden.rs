@@ -285,59 +285,6 @@ fn fuzz_corpus_replays_clean() {
     );
 }
 
-/// The quickstart schedule profiled: the trace folds into a collapsed
-/// (speedscope-loadable) stack export plus the profile JSON, both with
-/// corpus-stable structure. Checks pin stack paths and field names only —
-/// the weights are wall-clock and free to shift.
-#[test]
-fn profiler_speedscope_export_matches_golden() {
-    let payload_src = r#"module {
-  func.func @work(%m: memref<256xf32>) {
-    %lo = arith.constant 0 : index
-    %hi = arith.constant 256 : index
-    %st = arith.constant 1 : index
-    scf.for %i = %lo to %hi step %st {
-      %v = "memref.load"(%m, %i) : (memref<256xf32>, index) -> f32
-      "test.use"(%v) : (f32) -> ()
-    }
-    func.return
-  }
-}"#;
-    let script_src = r#"module {
-  transform.named_sequence @main(%root: !transform.any_op) {
-    %loop = "transform.match_op"(%root) {name = "scf.for", select = "first"} : (!transform.any_op) -> !transform.any_op
-    %tiles, %points = "transform.loop.tile"(%loop) {tile_sizes = [32]} : (!transform.any_op) -> (!transform.any_op, !transform.any_op)
-    %unrolled = "transform.loop.unroll"(%points) {factor = 2} : (!transform.any_op) -> !transform.any_op
-  }
-}"#;
-    let mut ctx = td_ir::Context::new();
-    td_dialects::register_all_dialects(&mut ctx);
-    td_transform::register_transform_dialect(&mut ctx);
-    let payload = td_ir::parse_module(&mut ctx, payload_src).unwrap();
-    let script = td_ir::parse_module(&mut ctx, script_src).unwrap();
-    let entry = ctx.lookup_symbol(script, "main").unwrap();
-    td_support::trace::reset();
-    td_support::trace::set_enabled(true);
-    Interpreter::new(&InterpEnv::standard())
-        .apply(&mut ctx, entry, payload)
-        .unwrap();
-    td_support::trace::clear_enabled_override();
-    let profile = td_support::profile::Profile::from_trace(&td_support::trace::take());
-
-    let output = format!(
-        "=== collapsed ===\n{}=== report ===\n{}=== json ===\n{}\n",
-        profile.to_collapsed(),
-        profile.to_report_string(5),
-        profile.to_json()
-    );
-    td_support::trace::validate_json(&profile.to_json()).expect("profile JSON well-formed");
-    assert_checks(
-        "profiler_speedscope",
-        &output,
-        include_str!("golden/profiler_speedscope.expected"),
-    );
-}
-
 /// A flight-recorder bundle after an injected panic (the `TD_FAULT`
 /// grammar's `panic@step=1` plan, set programmatically so parallel tests
 /// never race on the environment): the ring replays the failing step's

@@ -57,7 +57,7 @@ fn readme_env_tables_list_exactly_the_variables_the_sources_read() {
         undocumented.is_empty() && stale.is_empty(),
         "README's env tables and the sources disagree\n  read but not in a table: {undocumented:?}\n  in a table but never read: {stale:?}"
     );
-    let (found, want) = (read.len(), 18);
+    let (found, want) = (read.len(), 17);
     assert_eq!(
         found, want,
         "the sources read {found} TD_* variables, pinned at {want}: a variable was added \
